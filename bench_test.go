@@ -22,6 +22,8 @@ import (
 	"jackpine/internal/engine"
 	"jackpine/internal/experiments"
 	"jackpine/internal/geom"
+	"jackpine/internal/sql"
+	"jackpine/internal/storage"
 	"jackpine/internal/tiger"
 	"jackpine/internal/topo"
 )
@@ -152,6 +154,65 @@ func BenchmarkE4MacroScenarios(b *testing.B) {
 			})
 		}
 	}
+}
+
+// runnerConn drives a bare sql.Runner through the Conn shape the macro
+// scenarios expect, so a bench can hand the runner its own registry.
+type runnerConn struct{ run *sql.Runner }
+
+func (c runnerConn) Exec(q string) (int, error) {
+	res, err := c.run.Run(q)
+	if err != nil {
+		return 0, err
+	}
+	return res.Affected, nil
+}
+
+func (c runnerConn) Query(q string) (*ResultSet, error) {
+	res, err := c.run.Run(q)
+	if err != nil {
+		return nil, err
+	}
+	return &ResultSet{Columns: res.Columns, Rows: res.Rows}, nil
+}
+
+func (c runnerConn) Close() error { return nil }
+
+// BenchmarkMS4FloodRisk is the layer bench of E20: one iteration is one
+// flood-risk operation (MS4's two statements) at the scale the
+// end-to-end benchmark runs, through a runner whose ST_BUFFER is wrapped
+// in a counter. ST_Buffer/op is the stage-slot rule made visible: one
+// evaluation per outer row per statement, 2 per operation, where every
+// output row plus the probe window plus the prepared filter used to
+// buffer the same water body again (~30).
+func BenchmarkMS4FloodRisk(b *testing.B) {
+	eng := benchEngine(b, GaiaDB(), tiger.Medium, true)
+	ctx := NewQueryContext(benchDataset(b, tiger.Medium))
+	base, reg := sql.NewRegistry(sql.RegistryOptions{}), sql.NewRegistry(sql.RegistryOptions{})
+	buffers := 0
+	reg.Register("ST_BUFFER", func(args []storage.Value) (storage.Value, error) {
+		buffers++
+		return base.Call("ST_BUFFER", args)
+	})
+	conn := runnerConn{sql.NewRunner(eng, reg)}
+	var flood MacroScenario
+	for _, sc := range MacroSuite() {
+		if sc.ID == "MS4" {
+			flood = sc
+		}
+	}
+	if _, err := flood.Run(ctx, conn, 0); err != nil {
+		b.Fatal(err)
+	}
+	buffers = 0
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := flood.Run(ctx, conn, i+1); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(buffers)/float64(b.N), "ST_Buffer/op")
 }
 
 // BenchmarkE5IndexEffect regenerates figure E5: the MT7 point-in-polygon
@@ -1221,23 +1282,36 @@ func BenchmarkE17BatchExec(b *testing.B) {
 // allocation-regression guard tracks.
 const batchGuardQueryID = "MT13"
 
-// batchGuardAllocs measures steady-state allocations per execution of
-// the guard query on a warm, single-core, batch-enabled engine at small
-// scale — the exact procedure that produced the committed baseline in
-// BENCH_batch.json.
-func batchGuardAllocs(tb testing.TB) float64 {
+// planGuardQueryID is MS2's single-table address lookup: no function
+// call, so the planner's stage-slot pass creates nothing and must cost
+// nothing — browse runs it at 0.07 ms.
+const planGuardQueryID = "MS2"
+
+// guardQuery renders the SQL of an allocation-guard query.
+func guardQuery(tb testing.TB, ctx *QueryContext, id string) string {
 	tb.Helper()
-	ds := GenerateDataset(ScaleSmall, 1)
-	ctx := NewQueryContext(ds)
-	query := ""
+	if id == planGuardQueryID {
+		name, house := ctx.RandomAddress("MS2", 0)
+		return fmt.Sprintf("SELECT fromaddr, toaddr, geo FROM edges WHERE name = '%s' AND fromaddr <= %d AND toaddr >= %d",
+			name, house, house)
+	}
 	for _, q := range experiments.E17Queries() {
-		if q.ID == batchGuardQueryID {
-			query = q.SQL(ctx, 0)
+		if q.ID == id {
+			return q.SQL(ctx, 0)
 		}
 	}
-	if query == "" {
-		tb.Fatalf("guard query %s not in the E17 set", batchGuardQueryID)
-	}
+	tb.Fatalf("guard query %s is neither %s nor in the E17 set", id, planGuardQueryID)
+	return ""
+}
+
+// guardAllocs measures steady-state allocations per execution of a
+// guard query on a warm, single-core, batch-enabled engine at small
+// scale — the exact procedure that produced the committed baselines in
+// BENCH_batch.json.
+func guardAllocs(tb testing.TB, id string) float64 {
+	tb.Helper()
+	ds := GenerateDataset(ScaleSmall, 1)
+	query := guardQuery(tb, NewQueryContext(ds), id)
 	eng := OpenEngine(GaiaDB())
 	eng.SetParallelism(1)
 	if err := LoadDataset(eng, ds, true); err != nil {
@@ -1260,12 +1334,14 @@ func batchGuardAllocs(tb testing.TB) float64 {
 	})
 }
 
-// TestBatchAllocRegression fails when the batch executor's allocs/op on
-// the guard query exceeds the committed BENCH_batch.json baseline by
-// more than 20%: the margin absorbs environment noise while catching a
-// reintroduced per-row allocation (which multiplies by the row count,
-// not percents). Skipped under the race detector, whose instrumentation
-// changes allocation counts.
+// TestBatchAllocRegression fails when the allocs/op of a guard query
+// exceeds its committed BENCH_batch.json baseline by more than 20%: the
+// margin absorbs environment noise while catching a reintroduced
+// per-row allocation in the batch executor (alloc_guard, which
+// multiplies by the row count, not percents) or per-statement planner
+// work on a lookup that has nothing to hoist (plan_guard, ~180 allocs in
+// all). Skipped under the race detector, whose instrumentation changes
+// allocation counts.
 func TestBatchAllocRegression(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts differ under the race detector")
@@ -1274,25 +1350,33 @@ func TestBatchAllocRegression(t *testing.T) {
 	if err != nil {
 		t.Skipf("no committed baseline: %v", err)
 	}
+	type guard struct {
+		Query       string  `json:"query"`
+		AllocsPerOp float64 `json:"allocs_per_op"`
+	}
 	var bench struct {
-		Guard struct {
-			Query       string  `json:"query"`
-			AllocsPerOp float64 `json:"allocs_per_op"`
-		} `json:"alloc_guard"`
+		Batch guard `json:"alloc_guard"`
+		Plan  guard `json:"plan_guard"`
 	}
 	if err := json.Unmarshal(buf, &bench); err != nil {
 		t.Fatalf("BENCH_batch.json: %v", err)
 	}
-	if bench.Guard.Query != batchGuardQueryID || bench.Guard.AllocsPerOp <= 0 {
-		t.Skipf("baseline has no alloc_guard for %s", batchGuardQueryID)
-	}
-	got := batchGuardAllocs(t)
-	limit := bench.Guard.AllocsPerOp * 1.2
-	if got > limit {
-		t.Errorf("%s allocs/op = %.0f, exceeds baseline %.0f by more than 20%% (limit %.0f); "+
-			"a per-row allocation crept back into the batch path, or the baseline needs "+
-			"regenerating (JACKPINE_WRITE_BENCH=1 go test -run TestWriteBatchBench .)",
-			batchGuardQueryID, got, bench.Guard.AllocsPerOp, limit)
+	for _, g := range []struct {
+		name, id string
+		base     guard
+	}{{"alloc_guard", batchGuardQueryID, bench.Batch}, {"plan_guard", planGuardQueryID, bench.Plan}} {
+		if g.base.Query != g.id || g.base.AllocsPerOp <= 0 {
+			t.Logf("baseline has no %s for %s", g.name, g.id)
+			continue
+		}
+		got := guardAllocs(t, g.id)
+		limit := g.base.AllocsPerOp * 1.2
+		if got > limit {
+			t.Errorf("%s allocs/op = %.0f, exceeds baseline %.0f by more than 20%% (limit %.0f); "+
+				"a per-row or per-statement allocation crept back in, or the baseline needs "+
+				"regenerating (JACKPINE_WRITE_BENCH=1 go test -run TestWriteBatchBench .)",
+				g.id, got, g.base.AllocsPerOp, limit)
+		}
 	}
 }
 
@@ -1345,7 +1429,12 @@ func TestWriteBatchBench(t *testing.T) {
 		batchTotal += b.Mean
 	}
 
-	guardAllocs := batchGuardAllocs(t)
+	batchAllocs := guardAllocs(t, batchGuardQueryID)
+	type guardOut struct {
+		Query       string  `json:"query"`
+		Scale       string  `json:"scale"`
+		AllocsPerOp float64 `json:"allocs_per_op"`
+	}
 
 	out := struct {
 		Experiment   string     `json:"experiment"`
@@ -1357,12 +1446,9 @@ func TestWriteBatchBench(t *testing.T) {
 		BatchSize    int        `json:"batch_size"`
 		Queries      []queryOut `json:"queries"`
 		TotalSpeedup float64    `json:"total_speedup"`
-		Guard        struct {
-			Query       string  `json:"query"`
-			Scale       string  `json:"scale"`
-			AllocsPerOp float64 `json:"allocs_per_op"`
-		} `json:"alloc_guard"`
-		Note string `json:"note"`
+		Guard        guardOut   `json:"alloc_guard"`
+		PlanGuard    guardOut   `json:"plan_guard"`
+		Note         string     `json:"note"`
 	}{
 		Experiment: "E17 vectorized batch execution (GaiaDB, 1 worker)",
 		Date:       time.Now().UTC().Format("2006-01-02"),
@@ -1379,14 +1465,14 @@ func TestWriteBatchBench(t *testing.T) {
 			"allocation deltas per execution (runtime.MemStats). alloc_guard " +
 			"is the TestBatchAllocRegression baseline: steady-state allocs/op " +
 			"of " + batchGuardQueryID + " at small scale, batch on, measured " +
-			"with testing.AllocsPerRun.",
+			"with testing.AllocsPerRun; plan_guard is the same for " + planGuardQueryID +
+			"'s address lookup, which has nothing to hoist.",
 	}
 	if batchTotal > 0 {
 		out.TotalSpeedup = float64(rowTotal) / float64(batchTotal)
 	}
-	out.Guard.Query = batchGuardQueryID
-	out.Guard.Scale = tiger.Small.String()
-	out.Guard.AllocsPerOp = guardAllocs
+	out.Guard = guardOut{batchGuardQueryID, tiger.Small.String(), batchAllocs}
+	out.PlanGuard = guardOut{planGuardQueryID, tiger.Small.String(), guardAllocs(t, planGuardQueryID)}
 
 	buf, err := json.MarshalIndent(out, "", "  ")
 	if err != nil {
@@ -1397,7 +1483,7 @@ func TestWriteBatchBench(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Logf("total speedup %.2fx (row %v, batch %v); guard %s %.0f allocs/op; wrote BENCH_batch.json (%d bytes)",
-		out.TotalSpeedup, rowTotal, batchTotal, batchGuardQueryID, guardAllocs, len(buf))
+		out.TotalSpeedup, rowTotal, batchTotal, batchGuardQueryID, batchAllocs, len(buf))
 }
 
 // TestWritePersistBench regenerates BENCH_persist.json, the committed

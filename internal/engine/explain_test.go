@@ -11,9 +11,16 @@ func TestExplainShowsAccessPaths(t *testing.T) {
 	e.MustExec("CREATE SPATIAL INDEX lidx ON landmarks (geo)")
 	e.MustExec("CREATE INDEX cidx ON cities (name)")
 
+	// One row per table, then one per hoisted slot: the constant window
+	// is evaluated once per statement.
 	res := e.MustExec("EXPLAIN SELECT id FROM landmarks WHERE ST_Intersects(geo, ST_MakeEnvelope(0,0,5,5))")
-	if len(res.Rows) != 1 {
+	if len(res.Rows) != 2 {
 		t.Fatalf("explain rows = %d", len(res.Rows))
+	}
+	if res.Rows[1][0].Text != "hoisted" ||
+		res.Rows[1][1].Text != "stage=const ST_MAKEENVELOPE(0, 0, 5, 5) consumers=filter,window" ||
+		res.Rows[1][2].Int != 1 {
+		t.Errorf("hoisted line = %v", res.Rows[1])
 	}
 	if res.Rows[0][0].Text != "landmarks" || res.Rows[0][1].Text != "spatial-index" {
 		t.Errorf("explain = %v", res.Rows[0])
@@ -35,6 +42,16 @@ func TestExplainShowsAccessPaths(t *testing.T) {
 	res = e.MustExec("EXPLAIN SELECT c.id FROM cities c JOIN landmarks l ON ST_Contains(l.geo, c.loc)")
 	if len(res.Rows) != 2 || res.Rows[1][1].Text != "inl(index=geo)" {
 		t.Errorf("join explain = %v", res.Rows)
+	}
+
+	// An outer-fixed expression is evaluated at the outer table, shared
+	// by the probe window, the join filter and the select list.
+	res = e.MustExec("EXPLAIN SELECT l.id, ST_Area(ST_Buffer(c.loc, 2)) FROM cities c " +
+		"JOIN landmarks l ON ST_Intersects(l.geo, ST_Buffer(c.loc, 2))")
+	if len(res.Rows) != 4 || res.Rows[2][0].Text != "hoisted" ||
+		res.Rows[2][1].Text != "stage=c ST_BUFFER(c.loc, 2) consumers=project,filter,window" ||
+		res.Rows[3][1].Text != "stage=c ST_AREA(ST_BUFFER(c.loc, 2)) consumers=project" {
+		t.Errorf("outer-slot explain = %v", res.Rows)
 	}
 
 	// EXPLAIN must not execute: no error even for expensive queries, and

@@ -81,70 +81,13 @@ type batchExec struct {
 	args  []storage.Value // argument buffer for plain calls
 }
 
-// hoistConsts returns the filter with every maximal constant subtree
-// (no column references) replaced by its evaluated literal, copying
-// nodes only along changed paths. Evaluation failures keep the original
-// subtree so errors stay lazy: a scan that yields no rows must not
-// surface a constant's error, exactly like the row path. Registry
-// functions are pure, so eager evaluation of a subtree the row path
-// would re-evaluate per row (or short-circuit past) is unobservable.
-func hoistConsts(e Expr, r *Runner) Expr {
-	if e == nil {
-		return nil
-	}
-	if _, ok := e.(*Literal); ok {
-		return e
-	}
-	if maxRef(e) < 0 {
-		v, err := Eval(e, nil, r.reg)
-		if err != nil {
-			return e
-		}
-		return &Literal{Value: v}
-	}
-	switch t := e.(type) {
-	case *BinaryExpr:
-		l, rr := hoistConsts(t.Left, r), hoistConsts(t.Right, r)
-		if l != t.Left || rr != t.Right {
-			return &BinaryExpr{Op: t.Op, Left: l, Right: rr}
-		}
-	case *UnaryExpr:
-		if x := hoistConsts(t.Expr, r); x != t.Expr {
-			return &UnaryExpr{Op: t.Op, Expr: x}
-		}
-	case *IsNull:
-		if x := hoistConsts(t.Expr, r); x != t.Expr {
-			return &IsNull{Expr: x, Negate: t.Negate}
-		}
-	case *Between:
-		x, lo, hi := hoistConsts(t.Expr, r), hoistConsts(t.Lo, r), hoistConsts(t.Hi, r)
-		if x != t.Expr || lo != t.Lo || hi != t.Hi {
-			return &Between{Expr: x, Lo: lo, Hi: hi}
-		}
-	case *FuncCall:
-		var args []Expr
-		for i, a := range t.Args {
-			na := hoistConsts(a, r)
-			if na != a && args == nil {
-				args = append([]Expr(nil), t.Args...)
-			}
-			if args != nil {
-				args[i] = na
-			}
-		}
-		if args != nil {
-			return &FuncCall{Name: t.Name, Args: args, Star: t.Star, prep: t.prep}
-		}
-	}
-	return e
-}
-
-// newBatchPlan hoists and classifies the stage-0 filters. ephemeral is
-// the stage-0 table's table-relative ephemeral mask (may be nil).
+// newBatchPlan classifies the stage-0 filters (their constant subtrees
+// are already plan-time slots). ephemeral is the stage-0 table's
+// table-relative ephemeral mask (may be nil).
 func (r *Runner) newBatchPlan(filters []Expr, width int, ephemeral []bool) *batchPlan {
 	p := &batchPlan{r: r, width: width}
 	for _, f := range filters {
-		bf := batchFilter{expr: hoistConsts(f, r)}
+		bf := batchFilter{expr: f}
 		if fc, ok := bf.expr.(*FuncCall); ok && !IsAggregateCall(fc) {
 			bf.fc = fc
 			bf.pc = fc.prep

@@ -70,6 +70,8 @@ func Bind(e Expr, s *Scope, reg *Registry, aggOK bool) error {
 		return nil
 	case *Literal:
 		return nil
+	case *slotRef:
+		return Bind(t.sub, s, reg, aggOK)
 	case *ColumnRef:
 		idx, err := s.Resolve(strings.ToLower(t.Table), strings.ToLower(t.Column))
 		if err != nil {
@@ -234,6 +236,8 @@ func Eval(e Expr, row []storage.Value, reg *Registry) (storage.Value, error) {
 		return storage.NewBool(cLo >= 0 && cHi <= 0), nil
 	case *BinaryExpr:
 		return evalBinary(t, row, reg)
+	case *slotRef:
+		return t.eval(row, reg)
 	case *FuncCall:
 		if IsAggregateCall(t) {
 			return storage.Null(), fmt.Errorf("sql: aggregate %s evaluated outside aggregation", t.Name)

@@ -275,11 +275,6 @@ type emitFn func(row []storage.Value) (bool, error)
 
 func (r *Runner) execSelect(sel *Select, explainOnly bool) (*Result, error) {
 	// Build the scope over FROM + JOIN tables.
-	type boundTable struct {
-		tbl     Table
-		binding string
-		lo, hi  int
-	}
 	scope := NewScope()
 	var tables []boundTable
 	addTable := func(ref *TableRef) error {
@@ -343,19 +338,31 @@ func (r *Runner) execSelect(sel *Select, explainOnly bool) (*Result, error) {
 		}
 	}
 
+	// Stage slots: replace every call-bearing subtree owned by an earlier
+	// stage than its consumer (see hoist.go). A conjunct is consumed at
+	// the earliest stage binding all of its references, the sinks at the
+	// last stage.
+	h := hoister{reg: r.reg, tables: tables, width: scope.Len()}
+	h.hoistSelect(sel, hasAgg)
+	filterStage := func(c Expr) int {
+		if s := stageOf(tables, maxRef(c)); s > 0 {
+			return s
+		}
+		return 0
+	}
+	for i, c := range conjuncts {
+		conjuncts[i] = h.hoist(c, filterStage(c), "filter")
+	}
+
 	// Prepare the constant side of topological predicates once per
 	// execution (the literal query window of the micro queries), on
 	// this execution's private tree, before any worker fan-out.
-	installExprs := make([]Expr, 0, len(conjuncts)+len(sel.Exprs))
-	for _, c := range conjuncts {
-		installExprs = append(installExprs, c)
-	}
+	r.installPrepared(conjuncts...)
 	for i := range sel.Exprs {
 		if !sel.Exprs[i].Star {
-			installExprs = append(installExprs, sel.Exprs[i].Expr)
+			r.installPrepared(sel.Exprs[i].Expr)
 		}
 	}
-	r.installPrepared(installExprs...)
 
 	// Choose access paths: each conjunct is attached to the earliest
 	// pipeline stage at which all of its references are available.
@@ -367,22 +374,13 @@ func (r *Runner) execSelect(sel *Select, explainOnly bool) (*Result, error) {
 	// kNN upgrade for the single-table pattern.
 	knn := false
 	if !hasAgg && len(tables) == 1 && paths[0].kind == accessFullScan {
-		if err := bindOrderByEarly(sel, scope, r.reg); err == nil {
-			if p, ok := tryKNN(sel, tables[0].tbl, scope); ok {
-				paths[0] = p
-				knn = true
-			}
+		if p, ok := tryKNN(sel, tables[0].tbl, scope); ok {
+			paths[0] = p
+			knn = true
 		}
 	}
 	for _, c := range conjuncts {
-		m := maxRef(c)
-		stage := 0
-		for i, bt := range tables {
-			if m < bt.hi {
-				stage = i
-				break
-			}
-		}
+		stage := filterStage(c)
 		stageFilters[stage] = append(stageFilters[stage], c)
 	}
 	// Spatial-predicate joins over exactly two tables may swap the
@@ -398,6 +396,10 @@ func (r *Runner) execSelect(sel *Select, explainOnly bool) (*Result, error) {
 			paths[1].pbsm.reuseRows = hasAgg
 		}
 	}
+	for i := range paths {
+		markUse(paths[i].windowExpr, "window")
+		markUse(paths[i].expandExpr, "window")
+	}
 	// Join stages: mark residual spatial predicates whose one side is
 	// fixed by the outer row, so each produce invocation prepares the
 	// outer geometry once instead of re-decomposing it per inner row.
@@ -411,30 +413,23 @@ func (r *Runner) execSelect(sel *Select, explainOnly bool) (*Result, error) {
 	// scope columns on the non-aggregate path (grouped ORDER BY keys
 	// name output columns).
 	need := make([]bool, scope.Len())
-	markRefs := func(e Expr) {
-		walkExpr(e, func(x Expr) {
-			if c, ok := x.(*ColumnRef); ok && c.Index >= 0 && c.Index < len(need) {
-				need[c.Index] = true
-			}
-		})
-	}
 	allCols := false
 	for _, se := range sel.Exprs {
 		if se.Star {
 			allCols = true
 			continue
 		}
-		markRefs(se.Expr)
+		markColumns(need, se.Expr)
 	}
 	for _, c := range conjuncts {
-		markRefs(c)
+		markColumns(need, c)
 	}
 	for _, g := range sel.GroupBy {
-		markRefs(g)
+		markColumns(need, g)
 	}
 	if !hasAgg {
 		for i := range sel.OrderBy {
-			markRefs(sel.OrderBy[i].Expr)
+			markColumns(need, sel.OrderBy[i].Expr)
 		}
 	}
 	if !allCols {
@@ -451,35 +446,28 @@ func (r *Runner) execSelect(sel *Select, explainOnly bool) (*Result, error) {
 	bt0, batchOK := r.batchEligible(sel, tables[0].tbl, paths[0].kind, hasAgg, knn)
 	if batchOK && !allCols {
 		needElse := make([]bool, scope.Len())
-		markElse := func(e Expr) {
-			walkExpr(e, func(x Expr) {
-				if c, ok := x.(*ColumnRef); ok && c.Index >= 0 && c.Index < len(needElse) {
-					needElse[c.Index] = true
-				}
-			})
-		}
 		for _, se := range sel.Exprs {
 			if !se.Star {
-				markElse(se.Expr)
+				markColumns(needElse, se.Expr)
 			}
 		}
 		for _, g := range sel.GroupBy {
-			markElse(g)
+			markColumns(needElse, g)
 		}
 		if !hasAgg {
 			for i := range sel.OrderBy {
-				markElse(sel.OrderBy[i].Expr)
+				markColumns(needElse, sel.OrderBy[i].Expr)
 			}
 		}
 		for i := 1; i < len(tables); i++ {
 			for _, f := range stageFilters[i] {
-				markElse(f)
+				markColumns(needElse, f)
 			}
 			// A PBSM fast-refine conjunct was stripped from the stage
 			// filters but its outer geometry is still read by the probe;
 			// it must not be classified ephemeral.
 			if paths[i].kind == accessPBSM && paths[i].pbsm.refineFC != nil {
-				markElse(paths[i].pbsm.refineFC)
+				markColumns(needElse, paths[i].pbsm.refineFC)
 			}
 		}
 		var eph []bool
@@ -497,6 +485,13 @@ func (r *Runner) execSelect(sel *Select, explainOnly bool) (*Result, error) {
 	// Pipeline: scan stage 0, then for each join stage either index
 	// probe, hash probe, partitioned sweep or nested loop, applying
 	// stage filters.
+	// Rows are scope-wide plus, when any stage owns slots, one hidden
+	// cell position per non-final stage.
+	width := scope.Len()
+	cells := h.cells
+	if cells != nil {
+		width += len(tables) - 1
+	}
 	hashBuilt := make([]map[string][][]storage.Value, len(tables))
 	pbsmBuilt := make([]*pbsmState, len(tables))
 	var produce func(stage int, prefix []storage.Value, emit emitFn) (bool, error)
@@ -537,16 +532,22 @@ func (r *Runner) execSelect(sel *Select, explainOnly bool) (*Result, error) {
 	}
 	produce = func(stage int, prefix []storage.Value, emit emitFn) (bool, error) {
 		bt := tables[stage]
+		if stage > 0 && cells != nil && cells[stage-1] > 0 {
+			// The outer row enters its join stage: give it the cell every
+			// tuple derived from it will share.
+			prefix[scope.Len()+stage-1] = storage.Value{
+				Geom: &stageCell{slots: make([]slotVal, cells[stage-1])}}
+		}
 		emitRow := stageEmit(stage, emit)
 		if paths[stage].kind == accessHashJoin {
-			return r.scanHashJoin(bt.tbl, paths[stage], prefix, scope.Len(), bt.lo,
+			return r.scanHashJoin(bt.tbl, paths[stage], prefix, width, bt.lo,
 				&hashBuilt[stage], emitRow)
 		}
 		if paths[stage].kind == accessPBSM {
-			return r.scanPBSM(bt.tbl, paths[stage], prefix, scope.Len(), bt.lo,
+			return r.scanPBSM(bt.tbl, paths[stage], prefix, width, bt.lo,
 				&pbsmBuilt[stage], emitRow)
 		}
-		return r.scanTable(bt.tbl, paths[stage], prefix, scope.Len(), bt.lo, emitRow)
+		return r.scanTable(bt.tbl, paths[stage], prefix, width, bt.lo, emitRow)
 	}
 
 	// Batched stage 0: the scan feeds column batches through the batch
@@ -562,7 +563,7 @@ func (r *Runner) execSelect(sel *Select, explainOnly bool) (*Result, error) {
 		// is built at most once.
 		batchPlanFn = func() *batchPlan {
 			if bplan == nil {
-				bplan = r.newBatchPlan(stageFilters[0], scope.Len(), paths[0].ephemeral)
+				bplan = r.newBatchPlan(stageFilters[0], width, paths[0].ephemeral)
 			}
 			return bplan
 		}
@@ -622,6 +623,7 @@ func (r *Runner) execSelect(sel *Select, explainOnly bool) (*Result, error) {
 				storage.NewInt(int64(bt.tbl.RowCount())),
 			})
 		}
+		res.Rows = append(res.Rows, h.explainRows()...)
 		return res, nil
 	}
 	if len(tables) > 1 {
@@ -658,11 +660,11 @@ func (r *Runner) execSelect(sel *Select, explainOnly bool) (*Result, error) {
 		if batchOK {
 			runShard, err = r.makeBatchShardRunner(bt0, paths[0], batchPlanFn, workers, batchNext)
 			if errors.Is(err, errBatchFallback) {
-				runShard, err = r.makeShardRunner(tables[0].tbl, paths[0], scope.Len(), tables[0].lo,
+				runShard, err = r.makeShardRunner(tables[0].tbl, paths[0], width, tables[0].lo,
 					workers, func(emit emitFn) emitFn { return stageEmit(0, emit) })
 			}
 		} else {
-			runShard, err = r.makeShardRunner(tables[0].tbl, paths[0], scope.Len(), tables[0].lo,
+			runShard, err = r.makeShardRunner(tables[0].tbl, paths[0], width, tables[0].lo,
 				workers, func(emit emitFn) emitFn { return stageEmit(0, emit) })
 		}
 		if err != nil {
@@ -693,7 +695,7 @@ func (r *Runner) execSelect(sel *Select, explainOnly bool) (*Result, error) {
 		var out []storage.Value
 		for _, se := range sel.Exprs {
 			if se.Star {
-				out = append(out, row...)
+				out = append(out, row[:scope.Len()]...)
 				continue
 			}
 			v, err := Eval(se.Expr, row, r.reg)
@@ -730,9 +732,9 @@ func (r *Runner) execSelect(sel *Select, explainOnly bool) (*Result, error) {
 		var rows [][]storage.Value
 		var err error
 		if workers > 1 {
-			rows, err = r.runAggregateParallel(sel, scope, workers, runShard)
+			rows, err = r.runAggregateParallel(sel, width, workers, runShard)
 		} else {
-			rows, err = r.runAggregate(sel, scope, produce)
+			rows, err = r.runAggregate(sel, width, produce)
 		}
 		if err != nil {
 			return nil, err
@@ -856,6 +858,15 @@ func (r *Runner) execSelect(sel *Select, explainOnly bool) (*Result, error) {
 	return res, nil
 }
 
+// markColumns sets mask[i] for every scope column e references.
+func markColumns(mask []bool, e Expr) {
+	walkExpr(e, func(x Expr) {
+		if c, ok := x.(*ColumnRef); ok && c.Index >= 0 && c.Index < len(mask) {
+			mask[c.Index] = true
+		}
+	})
+}
+
 // sortAggregateRows orders grouped output rows. After aggregation,
 // ORDER BY keys must name output columns: by alias or column name, by
 // 1-based ordinal, or by textually matching a select expression.
@@ -910,17 +921,6 @@ func sortAggregateRows(sel *Select, outCols []string, rows [][]storage.Value) er
 		}
 		return false
 	})
-	return nil
-}
-
-// bindOrderByEarly binds ORDER BY expressions for the non-aggregate path
-// so that kNN detection can inspect resolved column offsets.
-func bindOrderByEarly(sel *Select, scope *Scope, reg *Registry) error {
-	for i := range sel.OrderBy {
-		if err := Bind(sel.OrderBy[i].Expr, scope, reg, false); err != nil {
-			return err
-		}
-	}
 	return nil
 }
 
@@ -1437,10 +1437,10 @@ func mergeState(dst, src *aggState) {
 }
 
 // rows finalizes every group (in first-seen order) into output rows.
-func (a *aggregator) rows(scopeLen int) ([][]storage.Value, error) {
+func (a *aggregator) rows(width int) ([][]storage.Value, error) {
 	// A global aggregate over zero rows still yields one output row.
 	if len(a.sel.GroupBy) == 0 && len(a.groups) == 0 {
-		a.groups[""] = &aggGroup{firstRow: make([]storage.Value, scopeLen), states: make([]aggState, len(a.aggs))}
+		a.groups[""] = &aggGroup{firstRow: make([]storage.Value, width), states: make([]aggState, len(a.aggs))}
 		a.order = append(a.order, "")
 	}
 	var out [][]storage.Value
@@ -1463,7 +1463,7 @@ func (a *aggregator) rows(scopeLen int) ([][]storage.Value, error) {
 	return out, nil
 }
 
-func (r *Runner) runAggregate(sel *Select, scope *Scope,
+func (r *Runner) runAggregate(sel *Select, width int,
 	produce func(stage int, prefix []storage.Value, emit emitFn) (bool, error)) ([][]storage.Value, error) {
 
 	aggs, err := collectAggregates(sel)
@@ -1474,7 +1474,7 @@ func (r *Runner) runAggregate(sel *Select, scope *Scope,
 	if _, err := produce(0, nil, agg.add); err != nil {
 		return nil, err
 	}
-	return agg.rows(scope.Len())
+	return agg.rows(width)
 }
 
 func accumulate(st *aggState, fc *FuncCall, row []storage.Value, reg *Registry) error {

@@ -78,6 +78,10 @@ func sortStrings(ss []string) {
 	}
 }
 
+// Register installs (or replaces) the scalar function under its
+// canonical upper-case name. Not safe to call concurrently with queries.
+func (r *Registry) Register(name string, fn FuncImpl) { r.funcs[strings.ToUpper(name)] = fn }
+
 // Call invokes the named function.
 func (r *Registry) Call(name string, args []storage.Value) (storage.Value, error) {
 	fn, ok := r.funcs[name]

@@ -1,0 +1,135 @@
+package sql_test
+
+import (
+	"fmt"
+	"strings"
+	"sync/atomic"
+	"testing"
+
+	"jackpine/internal/engine"
+	"jackpine/internal/sql"
+	"jackpine/internal/storage"
+)
+
+// hoistFixture is a runner over an engine catalog whose registry carries
+// CNT, an identity scalar that counts its invocations: 300 outer rows
+// (o), two inner rows (i) for each of the first 299, none for the last.
+type hoistFixture struct {
+	run   *sql.Runner
+	calls atomic.Int64
+}
+
+const hoistOuter, hoistJoined = 300, 299
+
+func newHoistFixture(t *testing.T) *hoistFixture {
+	t.Helper()
+	f := &hoistFixture{}
+	reg := sql.NewRegistry(sql.RegistryOptions{})
+	reg.Register("CNT", func(args []storage.Value) (storage.Value, error) {
+		f.calls.Add(1)
+		return args[0], nil
+	})
+	f.run = sql.NewRunner(engine.Open(engine.GaiaDB()), reg)
+	f.exec(t, "CREATE TABLE o (id INTEGER, v INTEGER, g GEOMETRY)")
+	f.exec(t, "CREATE TABLE i (id INTEGER, oid INTEGER, w INTEGER, g GEOMETRY)")
+	var o, i []string
+	for k := 1; k <= hoistOuter; k++ {
+		o = append(o, fmt.Sprintf("(%d, %d, ST_MakePoint(%d, 0))", k, k%7+1, 10*k))
+		if k <= hoistJoined {
+			i = append(i, fmt.Sprintf("(%d, %d, 3, ST_MakePoint(%d, 1))", 2*k, k, 10*k),
+				fmt.Sprintf("(%d, %d, 4, ST_MakePoint(%d, -1))", 2*k+1, k, 10*k))
+		}
+	}
+	f.exec(t, "INSERT INTO o VALUES "+strings.Join(o, ", "))
+	f.exec(t, "INSERT INTO i VALUES "+strings.Join(i, ", "))
+	f.exec(t, "CREATE SPATIAL INDEX ig ON i (g)")
+	return f
+}
+
+func (f *hoistFixture) exec(t *testing.T, q string) *sql.Result {
+	t.Helper()
+	res, err := f.run.Run(q)
+	if err != nil {
+		t.Fatalf("%s: %v", q, err)
+	}
+	return res
+}
+
+// TestHoistCallCounts pins the stage-slot rule by counting evaluations:
+// an expression over the outer table runs once per outer row that
+// reaches one of its consumers — however many join partners, output
+// rows and textual occurrences it has — a constant once per statement,
+// and nothing at all when stage 0 yields no rows.
+func TestHoistCallCounts(t *testing.T) {
+	f := newHoistFixture(t)
+	cases := []struct {
+		name, sql   string
+		calls, rows int
+	}{
+		// The hash probe reads the key for every outer row.
+		{"on", "SELECT i.id FROM o JOIN i ON i.oid = CNT(o.id)", hoistOuter, 2 * hoistJoined},
+		// Everything else is first read on an inner row, so the
+		// partnerless outer row never evaluates it.
+		{"where", "SELECT i.id FROM o JOIN i ON i.oid = o.id WHERE i.w < CNT(o.v) + 100", hoistJoined, 2 * hoistJoined},
+		{"select", "SELECT CNT(o.v), i.id FROM o JOIN i ON i.oid = o.id", hoistJoined, 2 * hoistJoined},
+		{"all three", "SELECT CNT(o.v), i.id FROM o JOIN i ON i.oid = o.id AND i.w <= CNT(o.v) + 100 " +
+			"WHERE CNT(o.v) + i.w > 0", hoistJoined, 2 * hoistJoined},
+		{"order by", "SELECT i.id FROM o JOIN i ON i.oid = o.id ORDER BY CNT(o.v), i.id", hoistJoined, 2 * hoistJoined},
+		{"aggregate", "SELECT COUNT(*), SUM(CNT(o.v)) FROM o JOIN i ON i.oid = o.id", hoistJoined, 1},
+		// Probe window, prepared-topology filter and projection share
+		// the buffered outer geometry: CNT runs once under the one
+		// ST_BUFFER slot.
+		{"spatial", "SELECT i.id, ST_Area(ST_Buffer(CNT(o.g), 2)) FROM o " +
+			"JOIN i ON ST_Intersects(i.g, ST_Buffer(CNT(o.g), 2))", hoistOuter, 2 * hoistJoined},
+		{"constant", "SELECT i.id, CNT(7) FROM o JOIN i ON i.oid = o.id WHERE i.w < CNT(7)", 1, 2 * hoistJoined},
+		{"constant single table", "SELECT id, CNT(8) FROM o WHERE v < CNT(8)", 1, hoistOuter},
+		{"no outer rows", "SELECT CNT(o.v), i.id FROM o JOIN i ON i.oid = o.id AND i.w <= CNT(o.v) + 100 " +
+			"WHERE o.id < 0", 0, 0},
+	}
+	for _, par := range []int{1, 4} {
+		for _, batch := range []bool{true, false} {
+			f.run.SetParallelism(par)
+			f.run.SetBatchExec(batch)
+			for _, c := range cases {
+				f.calls.Store(0)
+				res := f.exec(t, c.sql)
+				if got := int(f.calls.Load()); got != c.calls || len(res.Rows) != c.rows {
+					t.Errorf("%s (parallelism %d, batch %v): %d CNT calls and %d rows, want %d and %d",
+						c.name, par, batch, got, len(res.Rows), c.calls, c.rows)
+				}
+			}
+		}
+	}
+}
+
+// TestHoistReexecutedTree: the pass re-points the select list of the
+// tree it is handed, so a caller that executes one parsed statement
+// twice hands back a tree that already holds slots. The second run must
+// derive them afresh: same rows, same evaluation count.
+func TestHoistReexecutedTree(t *testing.T) {
+	f := newHoistFixture(t)
+	stmt, err := sql.Parse("SELECT i.id, ST_Area(ST_Buffer(CNT(o.g), 2)) + CNT(o.v) FROM o " +
+		"JOIN i ON ST_Intersects(i.g, ST_Buffer(CNT(o.g), 2)) ORDER BY CNT(o.v), i.id")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var first string
+	for run := 0; run < 2; run++ {
+		f.calls.Store(0)
+		res, err := f.run.Execute(stmt)
+		if err != nil {
+			t.Fatalf("run %d: %v", run, err)
+		}
+		got := fmt.Sprint(res.Columns, res.Rows)
+		if run == 0 {
+			first = got
+		} else if got != first {
+			t.Errorf("second execution of the same tree returns different rows")
+		}
+		// CNT(o.g) once per outer row (the window reads it), CNT(o.v)
+		// once per outer row with a partner.
+		if calls := f.calls.Load(); calls != hoistOuter+hoistJoined {
+			t.Errorf("run %d: %d CNT calls, want %d", run, calls, hoistOuter+hoistJoined)
+		}
+	}
+}

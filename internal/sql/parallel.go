@@ -168,7 +168,7 @@ func gatherShards(workers int, runShard shardFn) ([][]storage.Value, error) {
 // aggregation), then merges the partials in shard order and finalizes.
 // The exact big.Float SUM accumulator makes the merged result
 // bit-identical to a serial run regardless of partitioning.
-func (r *Runner) runAggregateParallel(sel *Select, scope *Scope, workers int,
+func (r *Runner) runAggregateParallel(sel *Select, width, workers int,
 	runShard shardFn) ([][]storage.Value, error) {
 
 	aggs, err := collectAggregates(sel)
@@ -187,5 +187,5 @@ func (r *Runner) runAggregateParallel(sel *Select, scope *Scope, workers int,
 	for _, p := range parts[1:] {
 		root.merge(p)
 	}
-	return root.rows(scope.Len())
+	return root.rows(width)
 }

@@ -147,6 +147,8 @@ func walkExpr(e Expr, fn func(Expr)) {
 		for _, a := range t.Args {
 			walkExpr(a, fn)
 		}
+	case *slotRef:
+		walkExpr(t.sub, fn)
 	}
 }
 

@@ -220,11 +220,13 @@ func outerGeomSide(a0, a1 Expr, lo int) (int, bool) {
 type filterFn func(row []storage.Value) (storage.Value, error)
 
 // specialize builds the per-invocation evaluator for a marked filter.
-// The outer geometry is prepared lazily on the first inner row — an
+// The outer operand is a bare column or a stage slot (hoist.go), so
+// reading it here shares the one value the probe window and the select
+// list see. The geometry is prepared lazily on the first inner row — an
 // empty inner scan must not pay for (or surface errors from) the outer
-// evaluation, matching the unprepared path. If the outer operand does
-// not evaluate to a geometry, every row falls back to plain Eval,
-// which reproduces the exact error/NULL precedence.
+// side, matching the unprepared path. If the outer operand is not a
+// geometry, every row falls back to plain Eval, which reproduces the
+// exact error/NULL precedence.
 func (sp *prepFilterSpec) specialize(r *Runner) filterFn {
 	var inited, failed bool
 	var pc preparedCall

@@ -79,6 +79,13 @@ type frame struct {
 	// it, so eviction can never write an uncaptured image.
 	recLSN uint64
 	elem   *list.Element
+	// loading is non-nil from the moment a missed frame enters the table
+	// until its page has been read: pinners that find it wait on the
+	// channel instead of reading a half-filled buffer. A failed read
+	// leaves it set (closed) with loadErr, so late pinners fail too,
+	// until the last one withdraws the frame.
+	loading chan struct{}
+	loadErr error
 }
 
 // NewBufferPool creates a pool of the given total number of frames
@@ -148,7 +155,12 @@ func (bp *BufferPool) Pin(id uint32) ([]byte, error) {
 		f.pins++
 		s.stats.Hits++
 		s.lru.MoveToFront(f.elem)
+		loading := f.loading
 		s.mu.Unlock()
+		if loading != nil {
+			<-loading
+			return s.loaded(f)
+		}
 		return f.buf, nil
 	}
 	s.stats.Misses++
@@ -157,22 +169,43 @@ func (bp *BufferPool) Pin(id uint32) ([]byte, error) {
 		s.mu.Unlock()
 		return nil, err
 	}
+	f.loading = make(chan struct{})
 	penalty := bp.MissPenalty
 	s.mu.Unlock()
 
 	// Read outside the lock; the frame is already pinned so it cannot be
-	// evicted concurrently.
-	if err := bp.store.ReadPage(id, f.buf); err != nil {
-		s.mu.Lock()
-		delete(s.table, id)
-		s.lru.Remove(f.elem)
-		s.mu.Unlock()
-		return nil, err
-	}
-	if penalty > 0 {
+	// evicted concurrently, and marked loading so no other pinner reads
+	// the buffer before the fill completes.
+	err = bp.store.ReadPage(id, f.buf)
+	if err == nil && penalty > 0 {
 		time.Sleep(penalty)
 	}
-	return f.buf, nil
+	s.mu.Lock()
+	f.loadErr = err
+	close(f.loading)
+	if err == nil {
+		f.loading = nil
+	}
+	s.mu.Unlock()
+	return s.loaded(f)
+}
+
+// loaded finishes a Pin once the frame's fill has completed. After a
+// failed read every pinner gives its pin back and reports the error; the
+// last one out withdraws the frame, so no waiter is left holding a frame
+// that has already been recycled.
+func (s *poolShard) loaded(f *frame) ([]byte, error) {
+	if f.loadErr == nil {
+		return f.buf, nil
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	f.pins--
+	if f.pins == 0 {
+		delete(s.table, f.id)
+		s.lru.Remove(f.elem)
+	}
+	return nil, f.loadErr
 }
 
 // allocFrameLocked finds or evicts a frame for page id and registers it
