@@ -25,12 +25,6 @@ func TestBatchEquivalence(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if off.BatchExec() {
-		t.Fatal("WithBatchExec(false) did not disable batch execution")
-	}
-	if !on.BatchExec() {
-		t.Fatal("default engine has batch execution disabled")
-	}
 
 	ctx := NewQueryContext(ds)
 	offConn, err := Connect(off).Connect()

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"jackpine/internal/driver"
 	"jackpine/internal/sql"
 	"jackpine/internal/storage"
 )
@@ -204,21 +205,26 @@ func sortedLines(s string) string {
 // force does not model).
 func TestHoistEquivalence(t *testing.T) {
 	ds := GenerateDataset(ScaleSmall, 1)
-	eng := OpenEngine(GaiaDB())
-	if err := LoadDataset(eng, ds, true); err != nil {
-		t.Fatal(err)
+	// One engine per batch setting; each sweeps parallelism and strategy.
+	engs := map[bool]*Engine{false: OpenEngine(GaiaDB(), WithBatchExec(false)), true: OpenEngine(GaiaDB())}
+	conns := map[bool]driver.Conn{}
+	for batch, eng := range engs {
+		if err := LoadDataset(eng, ds, true); err != nil {
+			t.Fatal(err)
+		}
+		// A water body without a geometry, and one whose name parses as
+		// WKT while every other name makes ST_GeomFromText fail.
+		eng.MustExec("INSERT INTO areawater VALUES (900001, 'nowhere', 'pond', NULL)")
+		eng.MustExec("INSERT INTO areawater VALUES (900002, 'POINT (1 1)', 'pond', ST_MakePoint(1, 1))")
+		conn, err := Connect(eng).Connect()
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer conn.Close()
+		conns[batch] = conn
 	}
-	// A water body without a geometry, and one whose name parses as WKT
-	// while every other name makes ST_GeomFromText fail.
-	eng.MustExec("INSERT INTO areawater VALUES (900001, 'nowhere', 'pond', NULL)")
-	eng.MustExec("INSERT INTO areawater VALUES (900002, 'POINT (1 1)', 'pond', ST_MakePoint(1, 1))")
 	ctx := NewQueryContext(ds)
 	wid := ctx.RandomWaterID("MS4", 0)
-	conn, err := Connect(eng).Connect()
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
 	reg := sql.NewRegistry(sql.RegistryOptions{})
 
 	cases := []struct {
@@ -260,7 +266,7 @@ func TestHoistEquivalence(t *testing.T) {
 			"JOIN parcels p ON p.id = w.id", true},
 	}
 	for _, c := range cases {
-		want, wantErr := bruteForce(eng, reg, c.sql)
+		want, wantErr := bruteForce(engs[false], reg, c.sql)
 		if (wantErr != nil) != c.fails {
 			t.Fatalf("%s: brute force: rows %q, err %v", c.name, want, wantErr)
 		}
@@ -279,10 +285,10 @@ func TestHoistEquivalence(t *testing.T) {
 			{1, false, JoinINL}, {1, true, JoinINL}, {8, false, JoinINL}, {8, true, JoinINL},
 			{1, false, JoinPBSM}, {1, true, JoinPBSM}, {8, false, JoinPBSM}, {8, true, JoinPBSM},
 		} {
+			eng := engs[cfg.batch]
 			eng.SetParallelism(cfg.par)
-			eng.SetBatchExec(cfg.batch)
 			eng.SetJoinStrategy(cfg.strat)
-			rs, err := conn.Query(c.sql)
+			rs, err := conns[cfg.batch].Query(c.sql)
 			got := ""
 			switch {
 			case err != nil && wantErr != nil:

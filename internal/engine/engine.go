@@ -70,8 +70,6 @@ type options struct {
 	topoPrepSet  bool
 	batchExec    bool
 	batchSet     bool
-	batchSize    int
-	batchSizeSet bool
 	joinStrat    sql.JoinStrategy
 	joinStratSet bool
 }
@@ -124,12 +122,6 @@ func WithBatchExec(enabled bool) Option {
 	return func(o *options) { o.batchExec = enabled; o.batchSet = true }
 }
 
-// WithBatchSize overrides the number of row slots per column batch.
-// n <= 0 means the default (256).
-func WithBatchSize(n int) Option {
-	return func(o *options) { o.batchSize = n; o.batchSizeSet = true }
-}
-
 // WithJoinStrategy forces the spatial-join strategy: sql.JoinAuto
 // (cost-based, the default), sql.JoinINL (per-outer-row index probes)
 // or sql.JoinPBSM (partitioned sweep whenever structurally eligible).
@@ -179,9 +171,6 @@ func Open(profile Profile, opts ...Option) *Engine {
 	if o.batchSet {
 		e.runner.SetBatchExec(o.batchExec)
 	}
-	if o.batchSizeSet {
-		e.runner.SetBatchSize(o.batchSize)
-	}
 	if o.joinStratSet {
 		e.runner.SetJoinStrategy(o.joinStrat)
 	}
@@ -201,50 +190,6 @@ func (e *Engine) Parallelism() int {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
 	return e.runner.Parallelism()
-}
-
-// SetTopoPrep toggles prepared-geometry predicate evaluation at
-// runtime.
-func (e *Engine) SetTopoPrep(enabled bool) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.runner.SetTopoPrep(enabled)
-}
-
-// TopoPrep reports whether prepared-geometry evaluation is enabled.
-func (e *Engine) TopoPrep() bool {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	return e.runner.TopoPrep()
-}
-
-// SetBatchExec toggles batch-at-a-time query execution at runtime.
-func (e *Engine) SetBatchExec(enabled bool) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.runner.SetBatchExec(enabled)
-}
-
-// BatchExec reports whether batch execution is enabled.
-func (e *Engine) BatchExec() bool {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	return e.runner.BatchExec()
-}
-
-// SetBatchSize changes the column-batch row capacity at runtime.
-// n <= 0 resets to the default.
-func (e *Engine) SetBatchSize(n int) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.runner.SetBatchSize(n)
-}
-
-// BatchSize reports the configured column-batch row capacity.
-func (e *Engine) BatchSize() int {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	return e.runner.BatchSize()
 }
 
 // SetJoinStrategy changes the spatial-join strategy at runtime.

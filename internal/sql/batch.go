@@ -1,26 +1,23 @@
 package sql
 
 import (
-	"errors"
 	"fmt"
 
 	"jackpine/internal/geom"
 	"jackpine/internal/storage"
 )
 
-// errBatchFallback signals that a statically batch-eligible plan hit a
-// runtime shape the batch machinery cannot amortize (a spatial window
-// with only a handful of index candidates); the caller reruns stage 0
-// through the row path instead. Never surfaces to users.
-var errBatchFallback = errors.New("sql: batch stage 0 falls back to row path")
+// batchSize is the number of row slots per column batch. Large enough
+// to amortize per-batch overhead, small enough that a batch's arena and
+// row backing stay cache-resident.
+const batchSize = 256
 
 // batchFallbackMin is the minimum spatial-window candidate count worth
 // batching. Below it the fixed per-query batch cost (pool checkout,
 // column reset, envelope fill) exceeds the cascade savings — point
 // probes like "polygons containing this point" fetch a couple of rows
-// and regress under batching — so the plan reverts to tuple-at-a-time.
-// The threshold is deliberately low: a fallback re-runs the index
-// search, so it must only fire where the batch could never win.
+// and regress under batching — so stage0Source picks the row fetch loop
+// for the candidates its one index search returned.
 const batchFallbackMin = 8
 
 // Batch-at-a-time stage-0 execution. Eligible plans replace the
@@ -41,9 +38,10 @@ const batchFallbackMin = 8
 // error on different rows, the column-major cascade can surface a
 // different conjunct's error than row-major short-circuiting.
 
-// nextFn forwards one surviving full-width row into the rest of the
-// pipeline (the next join stage, or the sink for single-table plans).
-type nextFn func(row []storage.Value, emit emitFn) (bool, error)
+// nextFn forwards one full-width row that passed stage's filters into
+// the rest of the pipeline (the next join stage, or the sink after the
+// last).
+type nextFn func(stage int, row []storage.Value, emit emitFn) (bool, error)
 
 // batchFilter is one stage-0 residual filter, pre-classified so the
 // batch loop dispatches without re-inspecting the tree per row.
@@ -150,7 +148,7 @@ func (ex *batchExec) run(b *storage.ColBatch, next nextFn, emit emitFn) (bool, e
 		for _, c := range p.ephCols {
 			full[c] = storage.Value{}
 		}
-		cont, err := next(full, emit)
+		cont, err := next(0, full, emit)
 		if err != nil || !cont {
 			return cont, err
 		}
@@ -267,132 +265,25 @@ func (ex *batchExec) runGeneric(b *storage.ColBatch, f Expr, sel []int) ([]int, 
 	return out, nil
 }
 
-// runBatchStage0 drives the serial batched stage-0 scan. The batch
-// plan is built lazily (planFn) so statements that fall back to the
-// row path before processing a batch never pay for its construction.
-func (r *Runner) runBatchStage0(tbl BatchTable, path accessPath, planFn func() *batchPlan,
-	next nextFn, emit emitFn) (bool, error) {
-
-	switch path.kind {
-	case accessFullScan:
-		proj, skip, err := path.scanProjection(nil, r.reg)
-		if err != nil {
-			return false, err
-		}
-		if skip {
-			return true, nil
-		}
-		ex := &batchExec{plan: planFn()}
-		cont := true
-		err = tbl.ScanBatch(0, 1, proj, r.batchSize, func(b *storage.ColBatch) (bool, error) {
-			c, err := ex.run(b, next, emit)
-			cont = c
-			return c, err
-		})
-		return cont, err
-
-	case accessSpatialWindow:
-		window, err := path.evalWindow(nil, r.reg)
-		if err != nil {
-			return false, err
-		}
-		if window.IsEmpty() {
-			return true, nil
-		}
-		var cands []RowID
-		path.spatial.Search(window, func(id RowID) bool {
-			cands = append(cands, id)
-			return true
-		})
-		if len(cands) == 0 {
-			return true, nil
-		}
-		if len(cands) < batchFallbackMin {
-			return false, errBatchFallback
-		}
-		return r.batchRefine(tbl, path, &batchExec{plan: planFn()}, cands, next, emit)
-	}
-	return false, fmt.Errorf("sql: access path %s cannot run batched", path.kind)
-}
-
 // batchRefine fetches spatial-window candidates in batch-sized chunks
 // (preserving index search order) and runs the filter cascade on each.
-func (r *Runner) batchRefine(tbl BatchTable, path accessPath, ex *batchExec,
-	cands []RowID, next nextFn, emit emitFn) (bool, error) {
+func batchRefine(tbl BatchTable, path accessPath, ex *batchExec,
+	cands []RowID, next nextFn, emit emitFn) error {
 
 	if len(cands) == 0 {
-		return true, nil
+		return nil
 	}
 	proj := Projection{Need: path.need, MBRCol: -1, Ephemeral: path.ephemeral}
 	b := storage.GetColBatch()
 	defer storage.PutColBatch(b)
-	size := r.batchSize
-	if size <= 0 {
-		size = defaultBatchSize
-	}
-	for lo := 0; lo < len(cands); lo += size {
-		hi := lo + size
-		if hi > len(cands) {
-			hi = len(cands)
-		}
+	for lo := 0; lo < len(cands); lo += batchSize {
+		hi := min(lo+batchSize, len(cands))
 		if err := tbl.FetchBatch(cands[lo:hi], proj, b); err != nil {
-			return false, err
-		}
-		cont, err := ex.run(b, next, emit)
-		if err != nil || !cont {
-			return cont, err
-		}
-	}
-	return true, nil
-}
-
-// makeBatchShardRunner is the batch counterpart of makeShardRunner:
-// full scans shard the heap (identical partitioning), spatial windows
-// share one candidate collection and chunk it contiguously, so shard
-// concatenation reproduces the serial row order exactly.
-func (r *Runner) makeBatchShardRunner(tbl BatchTable, path accessPath, planFn func() *batchPlan,
-	workers int, next nextFn) (shardFn, error) {
-
-	switch path.kind {
-	case accessFullScan:
-		proj, skip, err := path.scanProjection(nil, r.reg)
-		if err != nil {
-			return nil, err
-		}
-		plan := planFn()
-		return func(shard int, emit emitFn) error {
-			if skip {
-				return nil
-			}
-			ex := &batchExec{plan: plan}
-			return tbl.ScanBatch(shard, workers, proj, r.batchSize, func(b *storage.ColBatch) (bool, error) {
-				return ex.run(b, next, emit)
-			})
-		}, nil
-
-	case accessSpatialWindow:
-		window, err := path.evalWindow(nil, r.reg)
-		if err != nil {
-			return nil, err
-		}
-		var cands []RowID
-		if !window.IsEmpty() {
-			path.spatial.Search(window, func(id RowID) bool {
-				cands = append(cands, id)
-				return true
-			})
-		}
-		if n := len(cands); n > 0 && n < batchFallbackMin {
-			return nil, errBatchFallback
-		}
-		plan := planFn()
-		return func(shard int, emit emitFn) error {
-			ex := &batchExec{plan: plan}
-			clo := shard * len(cands) / workers
-			chi := (shard + 1) * len(cands) / workers
-			_, err := r.batchRefine(tbl, path, ex, cands[clo:chi], next, emit)
 			return err
-		}, nil
+		}
+		if cont, err := ex.run(b, next, emit); err != nil || !cont {
+			return err
+		}
 	}
-	return nil, fmt.Errorf("sql: access path %s cannot run batched in parallel", path.kind)
+	return nil
 }

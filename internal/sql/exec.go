@@ -2,7 +2,6 @@ package sql
 
 import (
 	"container/heap"
-	"errors"
 	"fmt"
 	"math"
 	"math/big"
@@ -31,19 +30,13 @@ type Result struct {
 	Access []string
 }
 
-// defaultBatchSize is the number of row slots per column batch. Large
-// enough to amortize per-batch overhead, small enough that a batch's
-// arena and row backing stay cache-resident.
-const defaultBatchSize = 256
-
 // Runner binds a catalog and function registry into a statement executor.
 type Runner struct {
-	cat       Catalog
-	reg       *Registry
-	par       int  // worker pool size for parallel-eligible queries (>= 1)
-	prep      bool // prepare constant sides of topological predicates
-	batch     bool // batch-at-a-time stage-0 execution
-	batchSize int  // row slots per column batch
+	cat   Catalog
+	reg   *Registry
+	par   int  // worker pool size for parallel-eligible queries (>= 1)
+	prep  bool // prepare constant sides of topological predicates
+	batch bool // batch-at-a-time stage-0 execution
 
 	// Batch activity counters (equivalence tests assert the intended
 	// path actually ran): batches processed and rows entering the batch
@@ -88,7 +81,7 @@ func (r *Runner) putRow(b []storage.Value) {
 // function semantics. Parallelism defaults to GOMAXPROCS; topological
 // constant-side preparation and batch execution are on.
 func NewRunner(cat Catalog, reg *Registry) *Runner {
-	r := &Runner{cat: cat, reg: reg, prep: true, batch: true, batchSize: defaultBatchSize}
+	r := &Runner{cat: cat, reg: reg, prep: true, batch: true}
 	r.SetParallelism(0)
 	return r
 }
@@ -100,31 +93,12 @@ func NewRunner(cat Catalog, reg *Registry) *Runner {
 // concurrently with running queries.
 func (r *Runner) SetTopoPrep(enabled bool) { r.prep = enabled }
 
-// TopoPrep reports whether prepared-geometry evaluation is enabled.
-func (r *Runner) TopoPrep() bool { return r.prep }
-
 // SetBatchExec toggles batch-at-a-time stage-0 execution. On by
 // default; the off position exists for equivalence testing and
 // measurement (plans that batching does not cover — kNN, index seeks,
-// bare LIMIT — fall back to the row path regardless). Not safe to call
+// bare LIMIT — use the row path regardless). Not safe to call
 // concurrently with running queries.
 func (r *Runner) SetBatchExec(enabled bool) { r.batch = enabled }
-
-// BatchExec reports whether batch execution is enabled.
-func (r *Runner) BatchExec() bool { return r.batch }
-
-// SetBatchSize sets the number of row slots per column batch. n <= 0
-// resets to the default. Not safe to call concurrently with running
-// queries.
-func (r *Runner) SetBatchSize(n int) {
-	if n <= 0 {
-		n = defaultBatchSize
-	}
-	r.batchSize = n
-}
-
-// BatchSize reports the configured batch size.
-func (r *Runner) BatchSize() int { return r.batchSize }
 
 // BatchStats returns the cumulative batch activity: batches processed
 // and rows that entered the batch filter cascade. Zero while batch
@@ -495,6 +469,14 @@ func (r *Runner) execSelect(sel *Select, explainOnly bool) (*Result, error) {
 	hashBuilt := make([]map[string][][]storage.Value, len(tables))
 	pbsmBuilt := make([]*pbsmState, len(tables))
 	var produce func(stage int, prefix []storage.Value, emit emitFn) (bool, error)
+	// forward carries a row that passed stage's filters on: into the
+	// next join stage, or to the sink after the last.
+	forward := func(stage int, row []storage.Value, emit emitFn) (bool, error) {
+		if stage == len(tables)-1 {
+			return emit(row)
+		}
+		return produce(stage+1, row, emit)
+	}
 	// stageEmit wraps a downstream emit with this stage's residual
 	// filters and the chain into the next pipeline stage.
 	stageEmit := func(stage int, emit emitFn) emitFn {
@@ -524,15 +506,14 @@ func (r *Runner) execSelect(sel *Select, explainOnly bool) (*Result, error) {
 					return true, nil
 				}
 			}
-			if stage == len(tables)-1 {
-				return emit(row)
-			}
-			return produce(stage+1, row, emit)
+			return forward(stage, row, emit)
 		}
 	}
+	// produce drives one outer row through join stage >= 1; stage 0 is
+	// the source built by stage0Source below.
 	produce = func(stage int, prefix []storage.Value, emit emitFn) (bool, error) {
 		bt := tables[stage]
-		if stage > 0 && cells != nil && cells[stage-1] > 0 {
+		if cells != nil && cells[stage-1] > 0 {
 			// The outer row enters its join stage: give it the cell every
 			// tuple derived from it will share.
 			prefix[scope.Len()+stage-1] = storage.Value{
@@ -548,42 +529,6 @@ func (r *Runner) execSelect(sel *Select, explainOnly bool) (*Result, error) {
 				&pbsmBuilt[stage], emitRow)
 		}
 		return r.scanTable(bt.tbl, paths[stage], prefix, width, bt.lo, emitRow)
-	}
-
-	// Batched stage 0: the scan feeds column batches through the batch
-	// filter cascade instead of stage-0's stageEmit; survivors re-enter
-	// the unchanged pipeline at the next stage (or the sink directly).
-	// Join stages and the row-path fallback go through rowProduce.
-	var bplan *batchPlan
-	var batchNext nextFn
-	var batchPlanFn func() *batchPlan
-	if batchOK {
-		// Lazy so point probes that fall back (or match nothing) never
-		// pay for filter classification; within one statement the plan
-		// is built at most once.
-		batchPlanFn = func() *batchPlan {
-			if bplan == nil {
-				bplan = r.newBatchPlan(stageFilters[0], width, paths[0].ephemeral)
-			}
-			return bplan
-		}
-		batchNext = func(row []storage.Value, emit emitFn) (bool, error) {
-			if len(tables) == 1 {
-				return emit(row)
-			}
-			return produce(1, row, emit)
-		}
-		rowProduce := produce
-		produce = func(stage int, prefix []storage.Value, emit emitFn) (bool, error) {
-			if stage != 0 {
-				return rowProduce(stage, prefix, emit)
-			}
-			cont, err := r.runBatchStage0(bt0, paths[0], batchPlanFn, batchNext, emit)
-			if errors.Is(err, errBatchFallback) {
-				return rowProduce(0, prefix, emit)
-			}
-			return cont, err
-		}
 	}
 
 	// Intra-query parallelism: when the plan qualifies, stage 0 fans
@@ -635,10 +580,17 @@ func (r *Runner) execSelect(sel *Select, explainOnly bool) (*Result, error) {
 		}
 	}
 
-	// Build the per-shard stage-0 runner for parallel plans. Hash-join
-	// and PBSM build sides are materialized up front: the lazy build
-	// inside the scan would race once workers share it.
-	var runShard shardFn
+	// Collected before stage 0 is built, so an invalid select list fails
+	// ahead of any window evaluation, as it always has on serial plans.
+	var aggs []*FuncCall
+	if hasAgg {
+		var err error
+		if aggs, err = collectAggregates(sel); err != nil {
+			return nil, err
+		}
+	}
+	// Parallel plans materialize hash-join and PBSM build sides up front:
+	// the lazy build inside the scan would race once workers share it.
 	if workers > 1 {
 		for i := range tables {
 			if paths[i].kind == accessHashJoin {
@@ -656,20 +608,13 @@ func (r *Runner) execSelect(sel *Select, explainOnly bool) (*Result, error) {
 				pbsmBuilt[i] = built
 			}
 		}
-		var err error
-		if batchOK {
-			runShard, err = r.makeBatchShardRunner(bt0, paths[0], batchPlanFn, workers, batchNext)
-			if errors.Is(err, errBatchFallback) {
-				runShard, err = r.makeShardRunner(tables[0].tbl, paths[0], width, tables[0].lo,
-					workers, func(emit emitFn) emitFn { return stageEmit(0, emit) })
-			}
-		} else {
-			runShard, err = r.makeShardRunner(tables[0].tbl, paths[0], width, tables[0].lo,
-				workers, func(emit emitFn) emitFn { return stageEmit(0, emit) })
-		}
-		if err != nil {
-			return nil, err
-		}
+	}
+
+	// Stage 0: serial plans are the one-worker case of the same source.
+	runShard, err := r.stage0Source(tables[0].tbl, bt0, &paths[0], stageFilters[0], width, workers,
+		stageEmit, forward)
+	if err != nil {
+		return nil, err
 	}
 
 	// Output column names.
@@ -708,34 +653,17 @@ func (r *Runner) execSelect(sel *Select, explainOnly bool) (*Result, error) {
 	}
 
 	// For non-aggregate parallel plans the shards are gathered up front
-	// (these sinks materialize anyway) and replayed in shard order, so
-	// downstream logic is identical to the serial path.
-	prod := produce
+	// (these sinks materialize anyway) and replayed as one shard in shard
+	// order, so every sink below streams shard 0 as a serial plan does.
 	if workers > 1 && !hasAgg {
-		merged, err := gatherShards(workers, runShard)
-		if err != nil {
+		if runShard, err = gatherShards(workers, runShard); err != nil {
 			return nil, err
-		}
-		prod = func(_ int, _ []storage.Value, emit emitFn) (bool, error) {
-			for _, row := range merged {
-				cont, err := emit(row)
-				if err != nil || !cont {
-					return cont, err
-				}
-			}
-			return true, nil
 		}
 	}
 
 	switch {
 	case hasAgg:
-		var rows [][]storage.Value
-		var err error
-		if workers > 1 {
-			rows, err = r.runAggregateParallel(sel, width, workers, runShard)
-		} else {
-			rows, err = r.runAggregate(sel, width, produce)
-		}
+		rows, err := r.aggregateShards(sel, aggs, width, workers, runShard)
 		if err != nil {
 			return nil, err
 		}
@@ -756,37 +684,15 @@ func (r *Runner) execSelect(sel *Select, explainOnly bool) (*Result, error) {
 			rows = rows[start:end]
 		}
 		res.Rows = rows
-	case knn:
-		// The kNN scan already orders and limits.
-		limit := sel.Limit
-		offset := sel.Offset
-		skipped := 0
-		_, err := produce(0, nil, func(row []storage.Value) (bool, error) {
-			if limit >= 0 && len(res.Rows) >= limit {
-				return false, nil
-			}
-			if skipped < offset {
-				skipped++
-				return true, nil
-			}
-			out, err := project(row)
-			if err != nil {
-				return false, err
-			}
-			res.Rows = append(res.Rows, out)
-			return limit < 0 || len(res.Rows) < limit, nil
-		})
-		if err != nil {
-			return nil, err
-		}
-	case len(sel.OrderBy) > 0:
-		// Materialize with sort keys, sort, then project.
+	case len(sel.OrderBy) > 0 && !knn:
+		// Materialize with sort keys, sort, then project. (The kNN scan
+		// already orders, so it streams through the default sink.)
 		type keyedRow struct {
 			row  []storage.Value
 			keys []storage.Value
 		}
 		var all []keyedRow
-		_, err := prod(0, nil, func(row []storage.Value) (bool, error) {
+		err := runShard(0, func(row []storage.Value) (bool, error) {
 			kr := keyedRow{row: append([]storage.Value(nil), row...)}
 			for _, ok := range sel.OrderBy {
 				v, err := Eval(ok.Expr, row, r.reg)
@@ -833,7 +739,7 @@ func (r *Runner) execSelect(sel *Select, explainOnly bool) (*Result, error) {
 		limit := sel.Limit
 		offset := sel.Offset
 		skipped := 0
-		_, err := prod(0, nil, func(row []storage.Value) (bool, error) {
+		err := runShard(0, func(row []storage.Value) (bool, error) {
 			if limit >= 0 && len(res.Rows) >= limit {
 				return false, nil
 			}
@@ -1461,20 +1367,6 @@ func (a *aggregator) rows(width int) ([][]storage.Value, error) {
 		out = append(out, row)
 	}
 	return out, nil
-}
-
-func (r *Runner) runAggregate(sel *Select, width int,
-	produce func(stage int, prefix []storage.Value, emit emitFn) (bool, error)) ([][]storage.Value, error) {
-
-	aggs, err := collectAggregates(sel)
-	if err != nil {
-		return nil, err
-	}
-	agg := newAggregator(sel, r.reg, aggs)
-	if _, err := produce(0, nil, agg.add); err != nil {
-		return nil, err
-	}
-	return agg.rows(width)
 }
 
 func accumulate(st *aggState, fc *FuncCall, row []storage.Value, reg *Registry) error {

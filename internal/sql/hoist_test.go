@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"jackpine/internal/engine"
+	"jackpine/internal/geom"
 	"jackpine/internal/sql"
 	"jackpine/internal/storage"
 )
@@ -130,6 +131,112 @@ func TestHoistReexecutedTree(t *testing.T) {
 		// once per outer row with a partner.
 		if calls := f.calls.Load(); calls != hoistOuter+hoistJoined {
 			t.Errorf("run %d: %d CNT calls, want %d", run, calls, hoistOuter+hoistJoined)
+		}
+	}
+}
+
+// countingCatalog wraps an engine catalog so that every spatial index it
+// hands out counts its Search calls.
+type countingCatalog struct {
+	sql.Catalog
+	searches *atomic.Int64
+}
+
+func (c countingCatalog) Table(name string) (sql.Table, bool) {
+	t, ok := c.Catalog.Table(name)
+	if !ok {
+		return nil, false
+	}
+	return countingTable{t.(sql.BatchTable), c.searches}, true
+}
+
+type countingTable struct {
+	sql.BatchTable
+	searches *atomic.Int64
+}
+
+func (t countingTable) SpatialIndexOn(column string) sql.SpatialIndex {
+	if idx := t.BatchTable.SpatialIndexOn(column); idx != nil {
+		return countingIndex{idx, t.searches}
+	}
+	return nil
+}
+
+type countingIndex struct {
+	sql.SpatialIndex
+	searches *atomic.Int64
+}
+
+func (x countingIndex) Search(w geom.Rect, fn func(sql.RowID) bool) {
+	x.searches.Add(1)
+	x.SpatialIndex.Search(w, fn)
+}
+
+// TestStage0SearchesIndexOnce pins a stage-0 spatial window to one index
+// search per statement whatever it finds, serial or parallel, batch on
+// or off: the batch/row choice reads the candidates of that one search.
+// Batches run only with batch execution on and at least eight
+// candidates, and every configuration returns the serial row path's
+// rows byte for byte.
+func TestStage0SearchesIndexOnce(t *testing.T) {
+	var searches atomic.Int64
+	run := sql.NewRunner(countingCatalog{engine.Open(engine.GaiaDB()), &searches},
+		sql.NewRegistry(sql.RegistryOptions{}))
+	mustRun := func(q string) *sql.Result {
+		t.Helper()
+		res, err := run.Run(q)
+		if err != nil {
+			t.Fatalf("%s: %v", q, err)
+		}
+		return res
+	}
+	mustRun("CREATE TABLE p (id INTEGER, g GEOMETRY)")
+	var rows []string
+	for k := 0; k < 600; k++ {
+		rows = append(rows, fmt.Sprintf("(%d, ST_MakePoint(%d, 0))", k, k))
+	}
+	mustRun("INSERT INTO p VALUES " + strings.Join(rows, ", "))
+	mustRun("CREATE SPATIAL INDEX pg ON p (g)")
+
+	ref := map[string]string{}
+	for _, par := range []int{1, 4} {
+		for _, batch := range []bool{false, true} {
+			run.SetParallelism(par)
+			run.SetBatchExec(batch)
+			for _, n := range []int{0, 1, 7, 8, 9, 300} {
+				// The window covers the points x = 0..n-1 (none for n = 0).
+				window := fmt.Sprintf("ST_MakeEnvelope(%g, -1, %g, 1)", -0.5, float64(n)-0.5)
+				if n == 0 {
+					window = "ST_MakeEnvelope(-10, -1, -5, 1)"
+				}
+				for _, q := range []string{
+					"SELECT id, ST_AsText(g) FROM p WHERE ST_Intersects(g, " + window + ")",
+					"SELECT COUNT(*), SUM(id) FROM p WHERE ST_Intersects(g, " + window + ")",
+				} {
+					searches.Store(0)
+					run.ResetBatchStats()
+					res := mustRun(q)
+					cfg := fmt.Sprintf("%d candidates, parallelism %d, batch %v: %s", n, par, batch, q)
+					if got := searches.Load(); got != 1 {
+						t.Errorf("%s: %d index searches, want 1", cfg, got)
+					}
+					if batches, _ := run.BatchStats(); (batches > 0) != (batch && n >= 8) {
+						t.Errorf("%s: %d batches", cfg, batches)
+					}
+					if parallel := strings.Contains(res.Access[0], "parallel"); parallel != (par > 1) {
+						t.Errorf("%s: access %q", cfg, res.Access[0])
+					}
+					got := fmt.Sprint(res.Rows)
+					if want, seen := ref[q]; !seen {
+						ref[q] = got
+						if strings.HasPrefix(q, "SELECT id") && len(res.Rows) != n {
+							t.Fatalf("%s: %d rows, want %d", cfg, len(res.Rows), n)
+						}
+					} else if got != want {
+						t.Errorf("%s: rows differ from the serial row path\nwant %s\ngot  %s", cfg, want, got)
+					}
+				}
+			}
 		}
 	}
 }

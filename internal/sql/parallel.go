@@ -1,7 +1,6 @@
 package sql
 
 import (
-	"fmt"
 	"sync"
 
 	"jackpine/internal/storage"
@@ -45,32 +44,54 @@ func (r *Runner) parallelWorkers(sel *Select, tbl Table, kind accessKind, hasAgg
 	return r.par
 }
 
-// makeShardRunner builds the per-shard stage-0 driver. For spatial
-// windows the candidate collection happens here, once, in index search
-// order; workers then split the candidate list into contiguous chunks
-// so that chunk concatenation preserves the serial refinement order.
-func (r *Runner) makeShardRunner(tbl Table, path accessPath, width, lo, workers int,
-	chain func(emit emitFn) emitFn) (shardFn, error) {
+// stage0Source builds the stage-0 driver of every plan: shard w of
+// workers reads its part of the driving table and feeds each row into
+// the rest of the pipeline; serial plans are the one-worker case. Full
+// scans compute their projection once and shard the heap; spatial
+// windows evaluate the window and search the index once, here, and
+// split the candidates into contiguous chunks, so shard concatenation
+// reproduces the serial row order. bt is non-nil when the plan is
+// batch-eligible: full scans then run batched, and windows do when the
+// search found at least batchFallbackMin candidates. stageEmit wraps a
+// sink with a stage's filters and the stages after it (the row path);
+// the batch cascade applies the stage-0 filters itself and hands
+// survivors to next. Seeks,
+// ranges, kNN and serial row plans stream through scanTable as one
+// shard, so the row path stops searching the index on an early exit.
+func (r *Runner) stage0Source(tbl Table, bt BatchTable, path *accessPath, filters []Expr,
+	width, workers int, stageEmit func(stage int, emit emitFn) emitFn, next nextFn) (shardFn, error) {
 
+	if (workers == 1 && bt == nil) || (path.kind != accessFullScan && path.kind != accessSpatialWindow) {
+		return func(_ int, emit emitFn) error {
+			_, err := r.scanTable(tbl, *path, nil, width, 0, stageEmit(0, emit))
+			return err
+		}, nil
+	}
 	pad := func(row []storage.Value) []storage.Value {
 		full := make([]storage.Value, width)
-		copy(full[lo:], row)
+		copy(full, row)
 		return full
 	}
 
-	switch path.kind {
-	case accessFullScan:
-		// Stage-0 scans never see outer rows, so the projection (and any
-		// MBR prefilter window) is computed once, up front.
+	if path.kind == accessFullScan {
 		proj, skip, err := path.scanProjection(nil, r.reg)
 		if err != nil {
 			return nil, err
 		}
+		switch {
+		case skip:
+			return func(int, emitFn) error { return nil }, nil
+		case bt != nil:
+			plan := r.newBatchPlan(filters, width, path.ephemeral)
+			return func(shard int, emit emitFn) error {
+				ex := &batchExec{plan: plan}
+				return bt.ScanBatch(shard, workers, proj, batchSize, func(b *storage.ColBatch) (bool, error) {
+					return ex.run(b, next, emit)
+				})
+			}, nil
+		}
 		return func(shard int, emit emitFn) error {
-			if skip {
-				return nil
-			}
-			emitRow := chain(emit)
+			emitRow := stageEmit(0, emit)
 			var emitErr error
 			err := tbl.ScanProject(shard, workers, proj, func(_ RowID, row []storage.Value) bool {
 				c, err := emitRow(pad(row))
@@ -85,45 +106,50 @@ func (r *Runner) makeShardRunner(tbl Table, path accessPath, width, lo, workers 
 			}
 			return err
 		}, nil
+	}
 
-	case accessSpatialWindow:
-		window, err := path.evalWindow(nil, r.reg)
-		if err != nil {
-			return nil, err
-		}
-		var cands []RowID
-		if !window.IsEmpty() {
-			path.spatial.Search(window, func(id RowID) bool {
-				cands = append(cands, id)
-				return true
-			})
-		}
+	window, err := path.evalWindow(nil, r.reg)
+	if err != nil {
+		return nil, err
+	}
+	var cands []RowID
+	if !window.IsEmpty() {
+		path.spatial.Search(window, func(id RowID) bool {
+			cands = append(cands, id)
+			return true
+		})
+	}
+	chunk := func(shard int) []RowID {
+		return cands[shard*len(cands)/workers : (shard+1)*len(cands)/workers]
+	}
+	if bt != nil && len(cands) >= batchFallbackMin {
+		plan := r.newBatchPlan(filters, width, path.ephemeral)
 		return func(shard int, emit emitFn) error {
-			emitRow := chain(emit)
-			clo := shard * len(cands) / workers
-			chi := (shard + 1) * len(cands) / workers
-			for _, id := range cands[clo:chi] {
-				row, err := tbl.FetchProject(id, path.need)
-				if err != nil {
-					return err
-				}
-				cont, err := emitRow(pad(row))
-				if err != nil {
-					return err
-				}
-				if !cont {
-					return nil
-				}
-			}
-			return nil
+			return batchRefine(bt, *path, &batchExec{plan: plan}, chunk(shard), next, emit)
 		}, nil
 	}
-	return nil, fmt.Errorf("sql: access path %s cannot run in parallel", path.kind)
+	return func(shard int, emit emitFn) error {
+		emitRow := stageEmit(0, emit)
+		for _, id := range chunk(shard) {
+			row, err := tbl.FetchProject(id, path.need)
+			if err != nil {
+				return err
+			}
+			if cont, err := emitRow(pad(row)); err != nil || !cont {
+				return err
+			}
+		}
+		return nil
+	}, nil
 }
 
-// runShards executes one sink per shard concurrently and waits. The
-// returned error is the first failing shard's, in shard order.
+// runShards executes one sink per shard concurrently and waits; one
+// worker runs inline. The returned error is the first failing shard's,
+// in shard order.
 func runShards(workers int, runShard shardFn, sink func(shard int) emitFn) error {
+	if workers == 1 {
+		return runShard(0, sink(0))
+	}
 	errs := make([]error, workers)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -142,11 +168,11 @@ func runShards(workers int, runShard shardFn, sink func(shard int) emitFn) error
 	return nil
 }
 
-// gatherShards materializes every shard's output and concatenates the
-// buffers in shard order, reproducing the serial row order exactly.
-// Rows reaching the sink are freshly padded per row, so buffering them
-// without copying is safe.
-func gatherShards(workers int, runShard shardFn) ([][]storage.Value, error) {
+// gatherShards materializes every shard's output and returns a
+// one-shard source replaying the buffers in shard order, reproducing
+// the serial row order exactly. Rows reaching the sink are freshly
+// padded per row, so buffering them without copying is safe.
+func gatherShards(workers int, runShard shardFn) (shardFn, error) {
 	buffers := make([][][]storage.Value, workers)
 	err := runShards(workers, runShard, func(w int) emitFn {
 		return func(row []storage.Value) (bool, error) {
@@ -157,30 +183,31 @@ func gatherShards(workers int, runShard shardFn) ([][]storage.Value, error) {
 	if err != nil {
 		return nil, err
 	}
-	var out [][]storage.Value
-	for _, buf := range buffers {
-		out = append(out, buf...)
-	}
-	return out, nil
+	return func(_ int, emit emitFn) error {
+		for _, buf := range buffers {
+			for _, row := range buf {
+				if cont, err := emit(row); err != nil || !cont {
+					return err
+				}
+			}
+		}
+		return nil
+	}, nil
 }
 
-// runAggregateParallel gives each worker a private aggregator (partial
-// aggregation), then merges the partials in shard order and finalizes.
-// The exact big.Float SUM accumulator makes the merged result
-// bit-identical to a serial run regardless of partitioning.
-func (r *Runner) runAggregateParallel(sel *Select, width, workers int,
+// aggregateShards gives each worker a private aggregator (partial
+// aggregation), then merges the partials in shard order and finalizes;
+// a serial plan is the one-partial case. The exact big.Float SUM
+// accumulator makes the merged result bit-identical to a serial run
+// regardless of partitioning.
+func (r *Runner) aggregateShards(sel *Select, aggs []*FuncCall, width, workers int,
 	runShard shardFn) ([][]storage.Value, error) {
 
-	aggs, err := collectAggregates(sel)
-	if err != nil {
-		return nil, err
-	}
 	parts := make([]*aggregator, workers)
 	for w := range parts {
 		parts[w] = newAggregator(sel, r.reg, aggs)
 	}
-	err = runShards(workers, runShard, func(w int) emitFn { return parts[w].add })
-	if err != nil {
+	if err := runShards(workers, runShard, func(w int) emitFn { return parts[w].add }); err != nil {
 		return nil, err
 	}
 	root := parts[0]

@@ -55,6 +55,13 @@ func (c *clientConn) roundTrip(op byte, query string) (byte, []byte, error) {
 		return 0, nil, fmt.Errorf("wire: connection is closed")
 	}
 	if err := writeFrame(c.conn, op, []byte(query)); err != nil {
+		// A server refusing the session (connection limit) writes an
+		// error frame and closes without reading, so the request can hit
+		// a reset socket. The refusal is already buffered: surface it
+		// rather than the write error.
+		if rop, payload, rerr := readFrame(c.conn); rerr == nil && rop == opError {
+			return rop, payload, nil
+		}
 		return 0, nil, err
 	}
 	return readFrame(c.conn)

@@ -143,10 +143,6 @@ func WithPlanCache(entries int) engine.Option { return engine.WithPlanCache(entr
 // kernels and batched predicate refinement. Enabled by default.
 func WithBatchExec(enabled bool) engine.Option { return engine.WithBatchExec(enabled) }
 
-// WithBatchSize overrides the number of row slots per column batch
-// (<= 0 means the default, 256).
-func WithBatchSize(n int) engine.Option { return engine.WithBatchSize(n) }
-
 // JoinStrategy selects how two-table spatial joins execute: JoinAuto
 // (cost-based), JoinINL (per-outer-row index probes), or JoinPBSM
 // (partition-based spatial-merge: grid partitioning + plane sweep).

@@ -53,12 +53,6 @@ func TestTopoPrepEquivalence(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if off.TopoPrep() {
-		t.Fatal("WithTopoPrep(false) did not disable preparation")
-	}
-	if !on.TopoPrep() {
-		t.Fatal("default engine has preparation disabled")
-	}
 
 	ctx := NewQueryContext(ds)
 	offConn, err := Connect(off).Connect()
