@@ -145,6 +145,35 @@ func TestDurableVacuumSurvivesReopen(t *testing.T) {
 	}
 }
 
+// TestDurableFailedUpdateLeavesNoTrace: an UPDATE whose SET fails on its
+// second target row must not have rewritten the first. Were the first
+// row rewritten before the error, the next statement's commit would log
+// that dirty page and the half-applied update would survive a reopen.
+func TestDurableFailedUpdateLeavesNoTrace(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "db")
+	e := mustOpenDurable(t, dir)
+	e.MustExec("CREATE TABLE t (id INT, w TEXT, geo GEOMETRY)")
+	e.MustExec("INSERT INTO t VALUES (1, 'POINT(1 1)', NULL), (2, 'garbage', NULL), (3, 'POINT(3 3)', NULL)")
+	const q = "SELECT id, w, ST_AsText(geo) FROM t ORDER BY id"
+	want := transcript(e.MustExec(q))
+	if _, err := e.Exec("UPDATE t SET geo = w"); err == nil || !strings.Contains(err.Error(), "GARBAGE") {
+		t.Fatalf("UPDATE t SET geo = w: err %v, want a WKT parse error on 'garbage'", err)
+	}
+	if got := transcript(e.MustExec(q)); got != want {
+		t.Errorf("failed UPDATE changed the table:\ngot:\n%s\nwant:\n%s", got, want)
+	}
+	e.MustExec("INSERT INTO t VALUES (4, 'later', NULL)")
+	want += "4|later|NULL\n"
+	if err := e.Close(); err != nil {
+		t.Fatalf("close: %v", err)
+	}
+	r := mustOpenDurable(t, dir)
+	defer r.Close()
+	if got := transcript(r.MustExec(q)); got != want {
+		t.Errorf("after reopen:\ngot:\n%s\nwant:\n%s", got, want)
+	}
+}
+
 func TestDurableCacheCounters(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "db")
 	e := mustOpenDurable(t, dir)

@@ -168,17 +168,6 @@ func (t *table) Columns() []sql.Column { return t.cols }
 // RowCount implements sql.Table.
 func (t *table) RowCount() int { return t.heap.Count() }
 
-// Scan implements sql.Table.
-func (t *table) Scan(fn func(sql.RowID, []storage.Value) bool) error {
-	return t.ScanProject(0, 1, sql.AllColumns(), fn)
-}
-
-// ScanShard implements sql.Table: like Scan, restricted to the shard'th
-// of nshards contiguous page partitions of the heap.
-func (t *table) ScanShard(shard, nshards int, fn func(sql.RowID, []storage.Value) bool) error {
-	return t.ScanProject(shard, nshards, sql.AllColumns(), fn)
-}
-
 // ScanProject implements sql.Table: a lazily-decoded scan that
 // materializes only projected columns, optionally skipping rows whose
 // prefiltered geometry envelope (read straight from the WKB header,

@@ -66,6 +66,7 @@ type batchPlan struct {
 	// read; emitted survivor rows NULL them so arena-decoded geometries
 	// never escape the batch.
 	ephCols []int
+	idPos   int // the stage-0 path's idPos
 }
 
 // batchExec is the per-shard scratch of the batch filter cascade. All
@@ -80,10 +81,9 @@ type batchExec struct {
 }
 
 // newBatchPlan classifies the stage-0 filters (their constant subtrees
-// are already plan-time slots). ephemeral is the stage-0 table's
-// table-relative ephemeral mask (may be nil).
-func (r *Runner) newBatchPlan(filters []Expr, width int, ephemeral []bool) *batchPlan {
-	p := &batchPlan{r: r, width: width}
+// are already plan-time slots) of the stage-0 path.
+func (r *Runner) newBatchPlan(filters []Expr, width int, path *accessPath) *batchPlan {
+	p := &batchPlan{r: r, width: width, idPos: path.idPos}
 	for _, f := range filters {
 		bf := batchFilter{expr: f}
 		if fc, ok := bf.expr.(*FuncCall); ok && !IsAggregateCall(fc) {
@@ -92,7 +92,7 @@ func (r *Runner) newBatchPlan(filters []Expr, width int, ephemeral []bool) *batc
 		}
 		p.filters = append(p.filters, bf)
 	}
-	for i, e := range ephemeral {
+	for i, e := range path.ephemeral {
 		if e {
 			p.ephCols = append(p.ephCols, i)
 		}
@@ -148,6 +148,7 @@ func (ex *batchExec) run(b *storage.ColBatch, next nextFn, emit emitFn) (bool, e
 		for _, c := range p.ephCols {
 			full[c] = storage.Value{}
 		}
+		setRowID(full, p.idPos, RowID(b.ID(s)))
 		cont, err := next(0, full, emit)
 		if err != nil || !cont {
 			return cont, err

@@ -78,19 +78,15 @@ type Table interface {
 	Name() string
 	// Columns returns the schema.
 	Columns() []Column
-	// Scan iterates all rows, stopping when fn returns false.
-	Scan(fn func(id RowID, row []storage.Value) bool) error
-	// ScanShard iterates the shard'th of nshards page partitions.
+	// ScanProject iterates the rows of the shard'th of nshards page
+	// partitions in heap order, stopping when fn returns false.
 	// Partitions are disjoint and contiguous: visiting shards
-	// 0..nshards-1 in order reproduces exactly the rows (and order)
-	// of Scan, which lets parallel scans merge deterministically.
-	// Shards may be scanned concurrently.
-	ScanShard(shard, nshards int, fn func(id RowID, row []storage.Value) bool) error
-	// ScanProject is ScanShard with lazy decoding: only columns marked
-	// in proj.Need are materialized (others are NULL), and when
-	// proj.MBRCol >= 0 rows whose geometry envelope does not intersect
-	// proj.Window are skipped without decoding. Use shard=0, nshards=1
-	// for a serial scan.
+	// 0..nshards-1 in order reproduces the whole heap order, which lets
+	// parallel scans merge deterministically. Shards may be scanned
+	// concurrently; use shard=0, nshards=1 for a serial scan. Decoding
+	// is lazy: only columns marked in proj.Need are materialized (others
+	// are NULL), and when proj.MBRCol >= 0 rows whose geometry envelope
+	// does not intersect proj.Window are skipped without decoding.
 	ScanProject(shard, nshards int, proj Projection, fn func(id RowID, row []storage.Value) bool) error
 	// Fetch returns the row with the given id.
 	Fetch(id RowID) ([]storage.Value, error)

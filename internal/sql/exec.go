@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/big"
 	"runtime"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -154,9 +155,9 @@ func (r *Runner) Execute(stmt Statement) (*Result, error) {
 	case *Insert:
 		return r.execInsert(t)
 	case *Select:
-		return r.execSelect(t, false)
+		return r.execSelect(t, false, nil)
 	case *Explain:
-		return r.execSelect(t.Query, true)
+		return r.execSelect(t.Query, true, nil)
 	case *Vacuum:
 		if err := r.cat.Vacuum(t.Table); err != nil {
 			return nil, err
@@ -247,7 +248,10 @@ func coerce(v storage.Value, col Column) (storage.Value, error) {
 // emitFn receives rows; returning false stops production.
 type emitFn func(row []storage.Value) (bool, error)
 
-func (r *Runner) execSelect(sel *Select, explainOnly bool) (*Result, error) {
+// execSelect plans and runs a SELECT. With rowIDs non-nil it is a DML
+// row selection instead: *rowIDs receives, in heap order, the ids of
+// the rows the statement would return, and nothing is projected.
+func (r *Runner) execSelect(sel *Select, explainOnly bool, rowIDs *[]RowID) (*Result, error) {
 	// Build the scope over FROM + JOIN tables.
 	scope := NewScope()
 	var tables []boundTable
@@ -460,11 +464,16 @@ func (r *Runner) execSelect(sel *Select, explainOnly bool) (*Result, error) {
 	// probe, hash probe, partitioned sweep or nested loop, applying
 	// stage filters.
 	// Rows are scope-wide plus, when any stage owns slots, one hidden
-	// cell position per non-final stage.
+	// cell position per non-final stage, plus, for a DML row selection,
+	// one last hidden position that stage 0 fills with the row id.
 	width := scope.Len()
 	cells := h.cells
 	if cells != nil {
 		width += len(tables) - 1
+	}
+	if rowIDs != nil {
+		paths[0].idPos = width
+		width++
 	}
 	hashBuilt := make([]map[string][][]storage.Value, len(tables))
 	pbsmBuilt := make([]*pbsmState, len(tables))
@@ -615,6 +624,22 @@ func (r *Runner) execSelect(sel *Select, explainOnly bool) (*Result, error) {
 		stageEmit, forward)
 	if err != nil {
 		return nil, err
+	}
+	if rowIDs != nil {
+		parts := make([][]RowID, workers)
+		if err := runShards(workers, runShard, func(w int) emitFn {
+			return func(row []storage.Value) (bool, error) {
+				parts[w] = append(parts[w], RowID(row[paths[0].idPos].Int))
+				return true, nil
+			}
+		}); err != nil {
+			return nil, err
+		}
+		// Index-driven plans yield index order; heap order is ascending
+		// RowID (a heap's pages are allocated in increasing id order).
+		*rowIDs = slices.Concat(parts...)
+		slices.Sort(*rowIDs)
+		return res, nil
 	}
 
 	// Output column names.
@@ -835,10 +860,11 @@ func sortAggregateRows(sel *Select, outCols []string, rows [][]storage.Value) er
 func (r *Runner) scanTable(tbl Table, path accessPath, prefix []storage.Value,
 	width, lo int, emit emitFn) (bool, error) {
 
-	pad := func(row []storage.Value) []storage.Value {
+	pad := func(id RowID, row []storage.Value) []storage.Value {
 		full := make([]storage.Value, width)
 		copy(full, prefix)
 		copy(full[lo:], row)
+		setRowID(full, path.idPos, id)
 		return full
 	}
 
@@ -853,8 +879,8 @@ func (r *Runner) scanTable(tbl Table, path accessPath, prefix []storage.Value,
 		}
 		cont := true
 		var emitErr error
-		err = tbl.ScanProject(0, 1, proj, func(_ RowID, row []storage.Value) bool {
-			c, err := emit(pad(row))
+		err = tbl.ScanProject(0, 1, proj, func(id RowID, row []storage.Value) bool {
+			c, err := emit(pad(id, row))
 			if err != nil {
 				emitErr = err
 				return false
@@ -883,7 +909,7 @@ func (r *Runner) scanTable(tbl Table, path accessPath, prefix []storage.Value,
 				innerErr = err
 				return false
 			}
-			c, err := emit(pad(row))
+			c, err := emit(pad(id, row))
 			if err != nil {
 				innerErr = err
 				return false
@@ -909,7 +935,7 @@ func (r *Runner) scanTable(tbl Table, path accessPath, prefix []storage.Value,
 				innerErr = err
 				return false
 			}
-			c, err := emit(pad(row))
+			c, err := emit(pad(id, row))
 			if err != nil {
 				innerErr = err
 				return false
@@ -963,7 +989,7 @@ func (r *Runner) scanTable(tbl Table, path accessPath, prefix []storage.Value,
 				innerErr = err
 				return false
 			}
-			c, err := emit(pad(row))
+			c, err := emit(pad(id, row))
 			if err != nil {
 				innerErr = err
 				return false
@@ -1514,37 +1540,18 @@ func evalWithAggs(e Expr, row []storage.Value, reg *Registry, aggVals map[*FuncC
 
 // --- UPDATE / DELETE ------------------------------------------------------
 
-// matchRows collects the row ids satisfying the WHERE clause of a
-// single-table DML statement.
-func (r *Runner) matchRows(tbl Table, binding string, where Expr) ([]RowID, error) {
-	scope := NewScope()
-	scope.AddTable(binding, tbl.Columns())
-	if where != nil {
-		if err := Bind(where, scope, r.reg, false); err != nil {
-			return nil, err
-		}
-		r.installPrepared(where)
-	}
+// matchRows collects, in heap order, the ids of the rows a single-table
+// DML statement targets: exactly the rows SELECT * FROM table WHERE
+// where returns, selected by the same planner and stage-0 driver. All
+// ids are collected before the caller writes anything, so a statement
+// never sees the rows it has already rewritten.
+func (r *Runner) matchRows(table string, where Expr) ([]RowID, error) {
 	var ids []RowID
-	var evalErr error
-	err := tbl.Scan(func(id RowID, row []storage.Value) bool {
-		if where != nil {
-			v, err := Eval(where, row, r.reg)
-			if err != nil {
-				evalErr = err
-				return false
-			}
-			if v.IsNull() || !truthy(v) {
-				return true
-			}
-		}
-		ids = append(ids, id)
-		return true
-	})
-	if evalErr != nil {
-		return nil, evalErr
+	sel := &Select{From: &TableRef{Table: table}, Where: where, Limit: -1}
+	if _, err := r.execSelect(sel, false, &ids); err != nil {
+		return nil, err
 	}
-	return ids, err
+	return ids, nil
 }
 
 func (r *Runner) execUpdate(upd *Update) (*Result, error) {
@@ -1570,28 +1577,31 @@ func (r *Runner) execUpdate(upd *Update) (*Result, error) {
 		}
 		sets = append(sets, setOp{idx: idx, e: a.Expr})
 	}
-	ids, err := r.matchRows(tbl, upd.Table, upd.Where)
+	ids, err := r.matchRows(upd.Table, upd.Where)
 	if err != nil {
 		return nil, err
 	}
-	for _, id := range ids {
+	// Every new row is computed before the first write, so an evaluation
+	// error leaves the table — and a durable engine's log — untouched.
+	newRows := make([][]storage.Value, len(ids))
+	for i, id := range ids {
 		row, err := tbl.Fetch(id)
 		if err != nil {
 			return nil, err
 		}
-		newRow := append([]storage.Value(nil), row...)
+		newRows[i] = append([]storage.Value(nil), row...)
 		for _, s := range sets {
 			v, err := Eval(s.e, row, r.reg)
 			if err != nil {
 				return nil, err
 			}
-			cv, err := coerce(v, cols[s.idx])
-			if err != nil {
+			if newRows[i][s.idx], err = coerce(v, cols[s.idx]); err != nil {
 				return nil, err
 			}
-			newRow[s.idx] = cv
 		}
-		if _, err := tbl.Update(id, newRow); err != nil {
+	}
+	for i, id := range ids {
+		if _, err := tbl.Update(id, newRows[i]); err != nil {
 			return nil, err
 		}
 	}
@@ -1603,7 +1613,7 @@ func (r *Runner) execDelete(del *Delete) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	ids, err := r.matchRows(tbl, del.Table, del.Where)
+	ids, err := r.matchRows(del.Table, del.Where)
 	if err != nil {
 		return nil, err
 	}

@@ -3,6 +3,7 @@ package sql_test
 import (
 	"fmt"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -135,11 +136,21 @@ func TestHoistReexecutedTree(t *testing.T) {
 	}
 }
 
-// countingCatalog wraps an engine catalog so that every spatial index it
-// hands out counts its Search calls.
+// accessCounts tallies how plans read the tables of a countingCatalog:
+// spatial index searches, attribute index seeks and ranges, rows fetched
+// by id, and the projection of every heap scan.
+type accessCounts struct {
+	searches, seeks, fetched atomic.Int64
+
+	mu    sync.Mutex
+	scans []sql.Projection
+}
+
+// countingCatalog wraps an engine catalog so that every table it hands
+// out, and every index of those tables, reports to one accessCounts.
 type countingCatalog struct {
 	sql.Catalog
-	searches *atomic.Int64
+	n *accessCounts
 }
 
 func (c countingCatalog) Table(name string) (sql.Table, bool) {
@@ -147,29 +158,78 @@ func (c countingCatalog) Table(name string) (sql.Table, bool) {
 	if !ok {
 		return nil, false
 	}
-	return countingTable{t.(sql.BatchTable), c.searches}, true
+	return countingTable{t.(sql.BatchTable), c.n}, true
 }
 
 type countingTable struct {
 	sql.BatchTable
-	searches *atomic.Int64
+	n *accessCounts
 }
 
 func (t countingTable) SpatialIndexOn(column string) sql.SpatialIndex {
 	if idx := t.BatchTable.SpatialIndexOn(column); idx != nil {
-		return countingIndex{idx, t.searches}
+		return countingIndex{idx, t.n}
 	}
 	return nil
 }
 
+func (t countingTable) AttrIndexes() []sql.AttrIndexDef {
+	defs := t.BatchTable.AttrIndexes()
+	for i := range defs {
+		defs[i].Index = countingAttr{defs[i].Index, t.n}
+	}
+	return defs
+}
+
+func (t countingTable) scanned(proj sql.Projection) {
+	t.n.mu.Lock()
+	t.n.scans = append(t.n.scans, proj)
+	t.n.mu.Unlock()
+}
+
+func (t countingTable) ScanProject(shard, nshards int, proj sql.Projection, fn func(sql.RowID, []storage.Value) bool) error {
+	t.scanned(proj)
+	return t.BatchTable.ScanProject(shard, nshards, proj, fn)
+}
+
+func (t countingTable) ScanBatch(shard, nshards int, proj sql.Projection, size int, fn func(*storage.ColBatch) (bool, error)) error {
+	t.scanned(proj)
+	return t.BatchTable.ScanBatch(shard, nshards, proj, size, fn)
+}
+
+func (t countingTable) FetchProject(id sql.RowID, need []bool) ([]storage.Value, error) {
+	t.n.fetched.Add(1)
+	return t.BatchTable.FetchProject(id, need)
+}
+
+func (t countingTable) FetchBatch(ids []sql.RowID, proj sql.Projection, b *storage.ColBatch) error {
+	t.n.fetched.Add(int64(len(ids)))
+	return t.BatchTable.FetchBatch(ids, proj, b)
+}
+
 type countingIndex struct {
 	sql.SpatialIndex
-	searches *atomic.Int64
+	n *accessCounts
 }
 
 func (x countingIndex) Search(w geom.Rect, fn func(sql.RowID) bool) {
-	x.searches.Add(1)
+	x.n.searches.Add(1)
 	x.SpatialIndex.Search(w, fn)
+}
+
+type countingAttr struct {
+	sql.AttrIndex
+	n *accessCounts
+}
+
+func (x countingAttr) Seek(key []byte, fn func(sql.RowID) bool) {
+	x.n.seeks.Add(1)
+	x.AttrIndex.Seek(key, fn)
+}
+
+func (x countingAttr) Range(lo, hi []byte, loInc, hiInc bool, fn func(sql.RowID) bool) {
+	x.n.seeks.Add(1)
+	x.AttrIndex.Range(lo, hi, loInc, hiInc, fn)
 }
 
 // TestStage0SearchesIndexOnce pins a stage-0 spatial window to one index
@@ -179,8 +239,9 @@ func (x countingIndex) Search(w geom.Rect, fn func(sql.RowID) bool) {
 // candidates, and every configuration returns the serial row path's
 // rows byte for byte.
 func TestStage0SearchesIndexOnce(t *testing.T) {
-	var searches atomic.Int64
-	run := sql.NewRunner(countingCatalog{engine.Open(engine.GaiaDB()), &searches},
+	var n accessCounts
+	searches := &n.searches
+	run := sql.NewRunner(countingCatalog{engine.Open(engine.GaiaDB()), &n},
 		sql.NewRegistry(sql.RegistryOptions{}))
 	mustRun := func(q string) *sql.Result {
 		t.Helper()

@@ -9,12 +9,13 @@ import (
 // Morsel-style intra-query parallelism.
 //
 // Eligible plans fan the stage-0 scan out across a worker pool: full
-// scans shard the heap into contiguous page ranges (Table.ScanShard),
-// and spatial-window scans collect candidate row ids from the MBR index
-// once, then refine (fetch + exact predicate) in contiguous chunks.
-// Join stages run inside each worker against read-only state. Shard
-// results merge strictly in shard order, so a parallel plan returns
-// exactly the rows — and row order — of its serial counterpart.
+// scans shard the heap into contiguous page ranges (Table.ScanProject,
+// BatchTable.ScanBatch), and spatial-window scans collect candidate row
+// ids from the MBR index once, then refine (fetch + exact predicate) in
+// contiguous chunks. Join stages run inside each worker against
+// read-only state. Shard results merge strictly in shard order, so a
+// parallel plan returns exactly the rows — and row order — of its
+// serial counterpart.
 
 // parallelMinRows is the smallest stage-0 table worth fanning out;
 // below it goroutine startup dominates any scan win.
@@ -67,9 +68,10 @@ func (r *Runner) stage0Source(tbl Table, bt BatchTable, path *accessPath, filter
 			return err
 		}, nil
 	}
-	pad := func(row []storage.Value) []storage.Value {
+	pad := func(id RowID, row []storage.Value) []storage.Value {
 		full := make([]storage.Value, width)
 		copy(full, row)
+		setRowID(full, path.idPos, id)
 		return full
 	}
 
@@ -82,7 +84,7 @@ func (r *Runner) stage0Source(tbl Table, bt BatchTable, path *accessPath, filter
 		case skip:
 			return func(int, emitFn) error { return nil }, nil
 		case bt != nil:
-			plan := r.newBatchPlan(filters, width, path.ephemeral)
+			plan := r.newBatchPlan(filters, width, path)
 			return func(shard int, emit emitFn) error {
 				ex := &batchExec{plan: plan}
 				return bt.ScanBatch(shard, workers, proj, batchSize, func(b *storage.ColBatch) (bool, error) {
@@ -93,8 +95,8 @@ func (r *Runner) stage0Source(tbl Table, bt BatchTable, path *accessPath, filter
 		return func(shard int, emit emitFn) error {
 			emitRow := stageEmit(0, emit)
 			var emitErr error
-			err := tbl.ScanProject(shard, workers, proj, func(_ RowID, row []storage.Value) bool {
-				c, err := emitRow(pad(row))
+			err := tbl.ScanProject(shard, workers, proj, func(id RowID, row []storage.Value) bool {
+				c, err := emitRow(pad(id, row))
 				if err != nil {
 					emitErr = err
 					return false
@@ -123,7 +125,7 @@ func (r *Runner) stage0Source(tbl Table, bt BatchTable, path *accessPath, filter
 		return cands[shard*len(cands)/workers : (shard+1)*len(cands)/workers]
 	}
 	if bt != nil && len(cands) >= batchFallbackMin {
-		plan := r.newBatchPlan(filters, width, path.ephemeral)
+		plan := r.newBatchPlan(filters, width, path)
 		return func(shard int, emit emitFn) error {
 			return batchRefine(bt, *path, &batchExec{plan: plan}, chunk(shard), next, emit)
 		}, nil
@@ -135,7 +137,7 @@ func (r *Runner) stage0Source(tbl Table, bt BatchTable, path *accessPath, filter
 			if err != nil {
 				return err
 			}
-			if cont, err := emitRow(pad(row)); err != nil || !cont {
+			if cont, err := emitRow(pad(id, row)); err != nil || !cont {
 				return err
 			}
 		}

@@ -87,6 +87,11 @@ type accessPath struct {
 	// never decoded. nil means all columns.
 	need []bool
 
+	// idPos is the hidden row position that receives each emitted row's
+	// RowID, set only on the stage-0 path of a DML row selection; 0 (a
+	// scope column, never the id position) means the plan wants no ids.
+	idPos int
+
 	// ephemeral marks needed geometry columns that only this stage's
 	// residual filters read (nothing downstream references them). Batch
 	// scans may decode such columns into recycled arena memory; the row
@@ -511,6 +516,14 @@ func (p *accessPath) scanProjection(prefix []storage.Value, reg *Registry) (Proj
 	proj.MBRCol = p.mbrCol
 	proj.Window = window
 	return proj, false, nil
+}
+
+// setRowID stores id in the row's hidden id position idPos, when the
+// plan collects ids (idPos > 0).
+func setRowID(row []storage.Value, idPos int, id RowID) {
+	if idPos > 0 {
+		row[idPos] = storage.NewInt(int64(id))
+	}
 }
 
 // evalWindow computes the query window for a spatial access path against
