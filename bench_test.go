@@ -513,176 +513,6 @@ func TestWriteParallelBench(t *testing.T) {
 	t.Logf("wrote BENCH_parallel.json (%d bytes)", len(buf))
 }
 
-// decodeBenchConfigs are the E14 cache configurations: no decode-layer
-// caches, plan cache only, geometry cache only, both.
-var decodeBenchConfigs = []struct {
-	Name string
-	Opts []engine.Option
-}{
-	{"none", []engine.Option{engine.WithGeomCache(0), engine.WithPlanCache(0)}},
-	{"plan", []engine.Option{engine.WithGeomCache(0)}},
-	{"geom", []engine.Option{engine.WithPlanCache(0)}},
-	{"plan+geom", nil},
-}
-
-// decodeBenchQueries builds the E14 workload: short selective window
-// queries whose warm-repeat cost is dominated by per-execution parse
-// and WKB-decode work rather than by predicate refinement.
-func decodeBenchQueries(ctx *QueryContext) []string {
-	queries := make([]string, 0, 24)
-	for i := 0; i < 8; i++ {
-		win := core.WindowWKT(ctx.Window("E14", i, 2))
-		queries = append(queries,
-			fmt.Sprintf("SELECT COUNT(*) FROM parcels WHERE ST_Intersects(geo, %s)", win),
-			fmt.Sprintf("SELECT SUM(ST_Length(geo)) FROM edges WHERE ST_Intersects(geo, %s)", win),
-			fmt.Sprintf("SELECT id FROM pointlm WHERE ST_DWithin(geo, ST_Centroid(%s), 20)", win))
-	}
-	return queries
-}
-
-// BenchmarkE14DecodeCache regenerates figure E14: the warm-repeat cost
-// of a window-query workload under each cache configuration. One
-// iteration runs the whole workload once; the caches are pre-warmed, so
-// the per-iteration delta between configurations is the parse and
-// WKB-decode work the caches eliminate.
-func BenchmarkE14DecodeCache(b *testing.B) {
-	ds := benchDataset(b, ScaleSmall)
-	ctx := NewQueryContext(ds)
-	queries := decodeBenchQueries(ctx)
-	for _, c := range decodeBenchConfigs {
-		b.Run(c.Name, func(b *testing.B) {
-			eng := OpenEngine(GaiaDB(), c.Opts...)
-			if err := LoadDataset(eng, ds, true); err != nil {
-				b.Fatal(err)
-			}
-			conn, err := Connect(eng).Connect()
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer conn.Close()
-			// Warm pass populates whichever caches are enabled.
-			for _, q := range queries {
-				if _, err := conn.Query(q); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				for _, q := range queries {
-					if _, err := conn.Query(q); err != nil {
-						b.Fatal(err)
-					}
-				}
-			}
-		})
-	}
-}
-
-// TestWriteDecodeBench regenerates BENCH_decode.json, the committed E14
-// baseline. Gated behind JACKPINE_WRITE_BENCH=1 like
-// TestWriteParallelBench:
-//
-//	JACKPINE_WRITE_BENCH=1 go test -run TestWriteDecodeBench .
-func TestWriteDecodeBench(t *testing.T) {
-	if os.Getenv("JACKPINE_WRITE_BENCH") != "1" {
-		t.Skip("set JACKPINE_WRITE_BENCH=1 to rewrite BENCH_decode.json")
-	}
-	ds := GenerateDataset(ScaleSmall, 1)
-	ctx := NewQueryContext(ds)
-	queries := decodeBenchQueries(ctx)
-
-	type configOut struct {
-		Caches      string  `json:"caches"`
-		ColdUS      int64   `json:"cold_us"`
-		WarmUS      int64   `json:"warm_us"`
-		WarmSpeedup float64 `json:"warm_speedup_vs_none"`
-		GeomHit     float64 `json:"geom_hit_ratio"`
-		PlanHit     float64 `json:"plan_hit_ratio"`
-	}
-	out := struct {
-		Experiment string      `json:"experiment"`
-		Date       string      `json:"date"`
-		CPUs       int         `json:"cpus"`
-		GOMAXPROCS int         `json:"gomaxprocs"`
-		Scale      string      `json:"scale"`
-		Queries    int         `json:"queries"`
-		Runs       int         `json:"runs"`
-		Note       string      `json:"note"`
-		Configs    []configOut `json:"configs"`
-	}{
-		Experiment: "E14 decode elimination: geometry and plan caches (GaiaDB)",
-		Date:       time.Now().UTC().Format("2006-01-02"),
-		CPUs:       runtime.NumCPU(),
-		GOMAXPROCS: runtime.GOMAXPROCS(0),
-		Scale:      ScaleSmall.String(),
-		Queries:    len(queries),
-		Runs:       31,
-		Note: "cold_us is the first pass against empty caches; warm_us is the " +
-			"mean of the following passes served from them. warm_speedup_vs_none " +
-			"is warm(none)/warm(config). Hit ratios cover all measured passes; " +
-			"-1 means the cache is disabled.",
-	}
-	const runs = 31
-	warmNone := time.Duration(0)
-	for _, c := range decodeBenchConfigs {
-		eng := OpenEngine(GaiaDB(), c.Opts...)
-		if err := LoadDataset(eng, ds, true); err != nil {
-			t.Fatal(err)
-		}
-		conn, err := Connect(eng).Connect()
-		if err != nil {
-			t.Fatal(err)
-		}
-		pass := func() time.Duration {
-			start := time.Now()
-			for _, q := range queries {
-				if _, err := conn.Query(q); err != nil {
-					t.Fatal(err)
-				}
-			}
-			return time.Since(start)
-		}
-		// Collect the previous config's engine before timing.
-		runtime.GC()
-		eng.ResetCacheStats()
-		cold := pass()
-		var warmTotal time.Duration
-		for i := 0; i < runs; i++ {
-			warmTotal += pass()
-		}
-		warm := warmTotal / runs
-		cc := eng.CacheCounters()
-		conn.Close()
-		ratio := func(hits, misses uint64) float64 {
-			if hits+misses == 0 {
-				return -1
-			}
-			return float64(hits) / float64(hits+misses)
-		}
-		co := configOut{
-			Caches: c.Name, ColdUS: cold.Microseconds(), WarmUS: warm.Microseconds(),
-			GeomHit: ratio(cc.GeomHits, cc.GeomMisses),
-			PlanHit: ratio(cc.PlanHits, cc.PlanMisses),
-		}
-		if c.Name == "none" {
-			warmNone = warm
-		}
-		if warmNone > 0 && warm > 0 {
-			co.WarmSpeedup = float64(warmNone.Nanoseconds()) / float64(warm.Nanoseconds())
-		}
-		out.Configs = append(out.Configs, co)
-	}
-	buf, err := json.MarshalIndent(out, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	buf = append(buf, '\n')
-	if err := os.WriteFile("BENCH_decode.json", buf, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("wrote BENCH_decode.json (%d bytes)", len(buf))
-}
-
 // scaleoutShardCounts are the E15 cluster sizes.
 var scaleoutShardCounts = []int{1, 2, 4, 8}
 

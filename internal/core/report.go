@@ -52,19 +52,18 @@ func WriteMicroTable(w io.Writer, results []MicroResult) {
 // columns are blank when the connection does not expose cache counters
 // or the cache saw no traffic.
 func WriteMicroCSV(w io.Writer, results []MicroResult) {
-	fmt.Fprintln(w, "id,name,category,engine,runs,parallelism,mean_us,p50_us,p95_us,p99_us,min_us,max_us,rows,unsupported,error,pool_hit,geom_cache_hit,plan_cache_hit,prep_hit,allocs,bytes,shards,shard_prune,shard_fastpath,hedge_fired,hedge_won,wal_fsync,dirty_pages,join_strategy,pbsm_cells,dedup_drops,join_pushdown")
+	fmt.Fprintln(w, "id,name,category,engine,runs,parallelism,mean_us,p50_us,p95_us,p99_us,min_us,max_us,rows,unsupported,error,pool_hit,prep_hit,allocs,bytes,shards,shard_prune,shard_fastpath,hedge_fired,hedge_won,wal_fsync,dirty_pages,join_strategy,pbsm_cells,dedup_drops,join_pushdown")
 	for _, r := range results {
 		errMsg := ""
 		if r.Err != nil {
 			errMsg = strings.ReplaceAll(r.Err.Error(), ",", ";")
 		}
-		fmt.Fprintf(w, "%s,%s,%s,%s,%d,%d,%d,%d,%d,%d,%d,%d,%d,%v,%s,%s,%s,%s,%s,%s,%s,%s,%s,%s,%s,%s,%s,%s,%s,%s,%s,%s\n",
+		fmt.Fprintf(w, "%s,%s,%s,%s,%d,%d,%d,%d,%d,%d,%d,%d,%d,%v,%s,%s,%s,%s,%s,%s,%s,%s,%s,%s,%s,%s,%s,%s,%s,%s\n",
 			r.ID, csvQuote(r.Name), r.Category, r.Engine, r.Runs, r.Parallelism,
 			r.Mean.Microseconds(), r.Median.Microseconds(), r.P95.Microseconds(),
 			r.P99.Microseconds(), r.Min.Microseconds(), r.Max.Microseconds(),
 			r.Rows, r.Unsupported, errMsg,
-			fmtRatio(r.PoolHitRatio), fmtRatio(r.GeomCacheHitRatio), fmtRatio(r.PlanCacheHitRatio),
-			fmtRatio(r.TopoPrepHitRatio), fmtCount(r.AllocsPerRun), fmtCount(r.BytesPerRun),
+			fmtRatio(r.PoolHitRatio), fmtRatio(r.TopoPrepHitRatio), fmtCount(r.AllocsPerRun), fmtCount(r.BytesPerRun),
 			fmtShards(r.Shards), fmtRatio(r.ShardPruneRate),
 			fmtShardCount(r.Shards, r.ShardFastPath), fmtShardCount(r.Shards, r.ShardHedgeFired),
 			fmtShardCount(r.Shards, r.ShardHedgeWon),
@@ -116,19 +115,18 @@ func WriteMacroTable(w io.Writer, results []MacroResult) {
 // WriteMacroCSV renders macro results as CSV. Hit-ratio columns follow
 // the micro CSV convention (blank when unknown).
 func WriteMacroCSV(w io.Writer, results []MacroResult) {
-	fmt.Fprintln(w, "id,name,engine,clients,parallelism,ops,elapsed_ms,ops_per_sec,mean_latency_us,p50_latency_us,p95_latency_us,p99_latency_us,rows_per_op,unsupported,error,pool_hit,geom_cache_hit,plan_cache_hit,prep_hit,allocs,bytes,shards,shard_prune,shard_fastpath,hedge_fired,hedge_won,wal_fsync,dirty_pages,join_strategy,pbsm_cells,dedup_drops,join_pushdown")
+	fmt.Fprintln(w, "id,name,engine,clients,parallelism,ops,elapsed_ms,ops_per_sec,mean_latency_us,p50_latency_us,p95_latency_us,p99_latency_us,rows_per_op,unsupported,error,pool_hit,prep_hit,allocs,bytes,shards,shard_prune,shard_fastpath,hedge_fired,hedge_won,wal_fsync,dirty_pages,join_strategy,pbsm_cells,dedup_drops,join_pushdown")
 	for _, r := range results {
 		errMsg := ""
 		if r.Err != nil {
 			errMsg = strings.ReplaceAll(r.Err.Error(), ",", ";")
 		}
-		fmt.Fprintf(w, "%s,%s,%s,%d,%d,%d,%d,%.3f,%d,%d,%d,%d,%.1f,%v,%s,%s,%s,%s,%s,%s,%s,%s,%s,%s,%s,%s,%s,%s,%s,%s,%s,%s\n",
+		fmt.Fprintf(w, "%s,%s,%s,%d,%d,%d,%d,%.3f,%d,%d,%d,%d,%.1f,%v,%s,%s,%s,%s,%s,%s,%s,%s,%s,%s,%s,%s,%s,%s,%s,%s\n",
 			r.ID, csvQuote(r.Name), r.Engine, r.Clients, r.Parallelism, r.Ops,
 			r.Elapsed.Milliseconds(), r.Throughput, r.MeanLatency.Microseconds(),
 			r.P50Latency.Microseconds(), r.P95Latency.Microseconds(), r.P99Latency.Microseconds(),
 			r.RowsPerOp, r.Unsupported, errMsg,
-			fmtRatio(r.PoolHitRatio), fmtRatio(r.GeomCacheHitRatio), fmtRatio(r.PlanCacheHitRatio),
-			fmtRatio(r.TopoPrepHitRatio), fmtCount(r.AllocsPerOp), fmtCount(r.BytesPerOp),
+			fmtRatio(r.PoolHitRatio), fmtRatio(r.TopoPrepHitRatio), fmtCount(r.AllocsPerOp), fmtCount(r.BytesPerOp),
 			fmtShards(r.Shards), fmtRatio(r.ShardPruneRate),
 			fmtShardCount(r.Shards, r.ShardFastPath), fmtShardCount(r.Shards, r.ShardHedgeFired),
 			fmtShardCount(r.Shards, r.ShardHedgeWon),

@@ -65,13 +65,10 @@ type MicroResult struct {
 	Unsupported bool
 	Err         error
 
-	// Cache hit ratios over the measured iterations (buffer pool,
-	// decoded-geometry cache, plan cache). -1 means unknown: the
-	// connection does not expose counters (remote engines) or the cache
-	// saw no traffic during the run.
-	PoolHitRatio      float64
-	GeomCacheHitRatio float64
-	PlanCacheHitRatio float64
+	// PoolHitRatio is the buffer-pool hit ratio over the measured
+	// iterations. -1 means unknown: the connection does not expose
+	// counters (remote engines) or the pool saw no traffic during the run.
+	PoolHitRatio float64
 
 	// TopoPrepHitRatio is the fraction of exact topological predicate
 	// evaluations served through a prepared constant side over the
@@ -143,11 +140,9 @@ type MacroResult struct {
 	Unsupported bool
 	Err         error
 
-	// Cache hit ratios over the measured phase; -1 means unknown (see
+	// PoolHitRatio over the measured phase; -1 means unknown (see
 	// MicroResult).
-	PoolHitRatio      float64
-	GeomCacheHitRatio float64
-	PlanCacheHitRatio float64
+	PoolHitRatio float64
 
 	// TopoPrepHitRatio as in MicroResult, over the measured phase.
 	TopoPrepHitRatio float64
@@ -253,9 +248,8 @@ func RunMicro(connector driver.Connector, suite []MicroQuery, ctx *QueryContext,
 			ID: q.ID, Name: q.Name, Category: q.Category,
 			Engine: connector.Name(), Runs: opts.Runs,
 			Parallelism:  opts.Parallelism,
-			PoolHitRatio: -1, GeomCacheHitRatio: -1, PlanCacheHitRatio: -1,
-			TopoPrepHitRatio: -1,
-			AllocsPerRun:     -1, BytesPerRun: -1,
+			PoolHitRatio: -1, TopoPrepHitRatio: -1,
+			AllocsPerRun: -1, BytesPerRun: -1,
 			ShardPruneRate: -1,
 			WALFsyncs:      -1, DirtyPages: -1,
 			PBSMCells: -1, DedupDrops: -1,
@@ -320,8 +314,6 @@ func RunMicro(connector driver.Connector, suite []MicroQuery, ctx *QueryContext,
 				res.BytesPerRun = float64(memAfter.TotalAlloc-memBefore.TotalAlloc) / n
 				after := cc.CacheCounters()
 				res.PoolHitRatio = cacheRatio(after.PoolHits-before.PoolHits, after.PoolMisses-before.PoolMisses)
-				res.GeomCacheHitRatio = cacheRatio(after.GeomHits-before.GeomHits, after.GeomMisses-before.GeomMisses)
-				res.PlanCacheHitRatio = cacheRatio(after.PlanHits-before.PlanHits, after.PlanMisses-before.PlanMisses)
 				res.TopoPrepHitRatio = cacheRatio(after.PrepHits-before.PrepHits, after.PrepMisses-before.PrepMisses)
 				if after.WALEnabled {
 					res.WALFsyncs = int(after.WALFsyncs - before.WALFsyncs)
@@ -382,9 +374,8 @@ func RunMacro(connector driver.Connector, sc MacroScenario, ctx *QueryContext, o
 	res := MacroResult{
 		ID: sc.ID, Name: sc.Name, Engine: connector.Name(), Clients: opts.Clients,
 		Parallelism:  opts.Parallelism,
-		PoolHitRatio: -1, GeomCacheHitRatio: -1, PlanCacheHitRatio: -1,
-		TopoPrepHitRatio: -1,
-		AllocsPerOp:      -1, BytesPerOp: -1,
+		PoolHitRatio: -1, TopoPrepHitRatio: -1,
+		AllocsPerOp: -1, BytesPerOp: -1,
 		ShardPruneRate: -1,
 		WALFsyncs:      -1, DirtyPages: -1,
 		PBSMCells: -1, DedupDrops: -1,
@@ -517,8 +508,6 @@ func RunMacro(connector driver.Connector, sc MacroScenario, ctx *QueryContext, o
 		}
 		after := statsCC.CacheCounters()
 		res.PoolHitRatio = cacheRatio(after.PoolHits-before.PoolHits, after.PoolMisses-before.PoolMisses)
-		res.GeomCacheHitRatio = cacheRatio(after.GeomHits-before.GeomHits, after.GeomMisses-before.GeomMisses)
-		res.PlanCacheHitRatio = cacheRatio(after.PlanHits-before.PlanHits, after.PlanMisses-before.PlanMisses)
 		res.TopoPrepHitRatio = cacheRatio(after.PrepHits-before.PrepHits, after.PrepMisses-before.PrepMisses)
 		if after.WALEnabled {
 			res.WALFsyncs = int(after.WALFsyncs - before.WALFsyncs)

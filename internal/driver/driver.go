@@ -179,7 +179,7 @@ func (c *inProcConn) QueryContext(ctx context.Context, query string) (*ResultSet
 }
 
 // CacheCounters snapshots the engine's cache-layer hit/miss counters
-// (buffer pool, geometry cache, plan cache). The benchmark core detects
+// (buffer pool, prepared topology). The benchmark core detects
 // this method to report per-run hit ratios; remote connections simply
 // lack it.
 func (c *inProcConn) CacheCounters() engine.CacheCounters {

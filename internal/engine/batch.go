@@ -3,7 +3,6 @@ package engine
 import (
 	"fmt"
 
-	"jackpine/internal/geom"
 	"jackpine/internal/sql"
 	"jackpine/internal/storage"
 )
@@ -11,10 +10,9 @@ import (
 // Batch-at-a-time table access: the engine side of the vectorized
 // executor. ScanBatch and FetchBatch fill reusable column batches from
 // the heap, run the flat MBR prefilter kernel over the batch's SoA
-// envelope arrays, and materialize only the surviving slots — geometry
-// columns through the decoded-geometry cache exactly as the row path,
-// except that filter-only (ephemeral) geometries too large to cache
-// decode into the batch's coordinate arena instead of the heap.
+// envelope arrays, and materialize only the surviving slots. Filter-only
+// (ephemeral) geometries decode into the batch's coordinate arena
+// instead of the heap.
 
 // ScanBatch implements sql.BatchTable.
 func (t *table) ScanBatch(shard, nshards int, proj sql.Projection, size int,
@@ -97,101 +95,29 @@ func (t *table) FetchBatch(ids []sql.RowID, proj sql.Projection, b *storage.ColB
 }
 
 // materializeBatch decodes the projected columns of the batch's
-// selected slots into its flat row backing, column-major. Geometry
-// columns follow exactly the row path's cache discipline — batched Get,
-// decode-and-Put on miss — so hit/miss counters match the row-at-a-time
-// scan; the one divergence is where a missed decode's memory comes
-// from: ephemeral columns (filter-only, per proj.Ephemeral) whose entry
-// would not fit the cache use the batch coordinate arena.
+// selected slots into its flat row backing, column-major. Ephemeral
+// geometry columns (filter-only, per proj.Ephemeral) decode into the
+// batch coordinate arena; every other column decodes onto the heap.
 func (t *table) materializeBatch(b *storage.ColBatch, proj sql.Projection) error {
 	b.ResetRows()
-	sel := b.Sel
-	if len(sel) == 0 {
-		return nil
-	}
-	var gslots []int
-	var rids []storage.RecordID
-	var geoms []geom.Geometry
 	for col := range t.cols {
 		if proj.Need != nil && !proj.Need[col] {
 			continue
 		}
 		eph := proj.Ephemeral != nil && proj.Ephemeral[col]
-		if t.cols[col].Type != storage.TypeGeom || t.gc == nil {
-			for _, s := range sel {
-				v, err := t.batchCol(b, s, col, eph)
-				if err != nil {
-					return err
-				}
-				b.Row(s)[col] = v
+		for _, s := range b.Sel {
+			var v storage.Value
+			var err error
+			if eph && b.ColType(s, col) == storage.TypeGeom {
+				v, err = b.ColArena(s, col)
+			} else {
+				v, err = b.Col(s, col)
 			}
-			continue
-		}
-		// Cached geometry column: batched lookup over the slots that
-		// actually store a geometry (NULL slots never touch the cache,
-		// matching materializeRow).
-		gslots = gslots[:0]
-		rids = rids[:0]
-		for _, s := range sel {
-			if b.ColType(s, col) != storage.TypeGeom {
-				v, err := b.Col(s, col)
-				if err != nil {
-					return t.wrapBatchErr(b, s, err)
-				}
-				b.Row(s)[col] = v
-				continue
-			}
-			gslots = append(gslots, s)
-			rids = append(rids, sql.RowID(b.ID(s)).Unpack())
-		}
-		if cap(geoms) < len(gslots) {
-			geoms = make([]geom.Geometry, len(gslots))
-		}
-		geoms = geoms[:len(gslots)]
-		t.gc.GetBatch(t.name, rids, col, geoms)
-		for i, s := range gslots {
-			if g := geoms[i]; g != nil {
-				b.Row(s)[col] = storage.NewGeom(g)
-				continue
-			}
-			wkbLen := len(b.GeomWKB(s, col))
-			if eph && !t.gc.Cacheable(wkbLen) {
-				v, err := b.ColArena(s, col)
-				if err != nil {
-					return t.wrapBatchErr(b, s, err)
-				}
-				b.Row(s)[col] = v
-				continue
-			}
-			v, err := b.Col(s, col)
 			if err != nil {
-				return t.wrapBatchErr(b, s, err)
+				return fmt.Errorf("engine: table %s at %s: %w", t.name, sql.RowID(b.ID(s)).Unpack(), err)
 			}
-			t.gc.Put(t.name, rids[i], col, v.Geom, wkbLen)
 			b.Row(s)[col] = v
 		}
 	}
 	return nil
-}
-
-// batchCol decodes one uncached column of one slot, routing ephemeral
-// geometries through the batch arena.
-func (t *table) batchCol(b *storage.ColBatch, slot, col int, eph bool) (storage.Value, error) {
-	var v storage.Value
-	var err error
-	if eph && b.ColType(slot, col) == storage.TypeGeom {
-		v, err = b.ColArena(slot, col)
-	} else {
-		v, err = b.Col(slot, col)
-	}
-	if err != nil {
-		return storage.Null(), t.wrapBatchErr(b, slot, err)
-	}
-	return v, nil
-}
-
-// wrapBatchErr adds the row path's table/record context to a decode
-// error.
-func (t *table) wrapBatchErr(b *storage.ColBatch, slot int, err error) error {
-	return fmt.Errorf("engine: table %s at %s: %w", t.name, sql.RowID(b.ID(slot)).Unpack(), err)
 }

@@ -157,7 +157,7 @@ func OpenDurable(profile Profile, dir string, opts ...Option) (*Engine, error) {
 		if err != nil {
 			return fail(fmt.Errorf("engine: reopen table %s: %w", ct.Name, err))
 		}
-		t := newTableFromHeap(ct.Name, cols, heap, e.geomCache)
+		t := newTableFromHeap(ct.Name, cols, heap)
 		e.tables[ct.Name] = t //lint:allow lockdiscipline single-threaded open; the engine is not published until OpenDurable returns
 		for _, col := range ct.Spatial {
 			if err := t.buildSpatialIndex(col, profile.SpatialIndex, profile.GridDim); err != nil {

@@ -7,7 +7,6 @@ import (
 	"sort"
 	"strings"
 	"sync"
-	"sync/atomic"
 
 	"jackpine/internal/sql"
 	"jackpine/internal/storage"
@@ -18,26 +17,13 @@ import (
 // (4096 pages = 32 MiB).
 const defaultPoolPages = 4096
 
-// defaultGeomCacheBytes budgets the decoded-geometry cache (16 MiB).
-const defaultGeomCacheBytes = 16 << 20
-
-// defaultPlanCacheEntries bounds the prepared-statement cache.
-const defaultPlanCacheEntries = 256
-
 // Engine is a complete spatial database instance.
 type Engine struct {
-	profile   Profile
-	store     storage.PageStore
-	pool      *storage.BufferPool
-	geomCache *storage.GeomCache // nil when disabled
-	plans     *planCache         // nil when disabled
-	runner    *sql.Runner
-	reg       *sql.Registry
-
-	// ddlEpoch versions the schema: every CREATE/DROP of a table or
-	// index bumps it, invalidating cached plans parsed under an older
-	// epoch.
-	ddlEpoch atomic.Uint64
+	profile Profile
+	store   storage.PageStore
+	pool    *storage.BufferPool
+	runner  *sql.Runner
+	reg     *sql.Registry
 
 	// Durability state (nil/zero for in-memory engines; see durable.go).
 	wal       *wal.WAL
@@ -62,10 +48,6 @@ type options struct {
 	poolPages    int
 	parallelism  int
 	parSet       bool
-	geomBytes    int
-	geomSet      bool
-	planEntries  int
-	planSet      bool
 	topoPrep     bool
 	topoPrepSet  bool
 	batchExec    bool
@@ -91,17 +73,15 @@ func WithParallelism(n int) Option {
 	return func(o *options) { o.parallelism = n; o.parSet = true }
 }
 
-// WithGeomCache budgets the decoded-geometry cache in bytes. bytes <= 0
-// disables it. Default: 16 MiB.
-func WithGeomCache(bytes int) Option {
-	return func(o *options) { o.geomBytes = bytes; o.geomSet = true }
-}
+// WithGeomCache is a no-op: the engine has no decoded-geometry cache.
+//
+// Deprecated: kept only so bench/verify.go, which is frozen, compiles.
+func WithGeomCache(int) Option { return func(*options) {} }
 
-// WithPlanCache bounds the prepared-statement (plan) cache in entries.
-// entries <= 0 disables it. Default: 256.
-func WithPlanCache(entries int) Option {
-	return func(o *options) { o.planEntries = entries; o.planSet = true }
-}
+// WithPlanCache is a no-op: the engine has no parsed-statement cache.
+//
+// Deprecated: kept only so bench/verify.go, which is frozen, compiles.
+func WithPlanCache(int) Option { return func(*options) {} }
 
 // WithTopoPrep toggles prepared-geometry evaluation of topological
 // predicates: the constant side of a predicate (literal query window,
@@ -144,20 +124,12 @@ func Open(profile Profile, opts ...Option) *Engine {
 	if o.poolPages == 0 {
 		o.poolPages = defaultPoolPages
 	}
-	if !o.geomSet {
-		o.geomBytes = defaultGeomCacheBytes
-	}
-	if !o.planSet {
-		o.planEntries = defaultPlanCacheEntries
-	}
 	e := &Engine{
-		profile:   profile,
-		store:     o.store,
-		pool:      storage.NewBufferPool(o.store, o.poolPages),
-		geomCache: storage.NewGeomCache(o.geomBytes),
-		plans:     newPlanCache(o.planEntries),
-		tables:    make(map[string]*table),
-		reg:       sql.NewRegistry(profile.registryOptions()),
+		profile: profile,
+		store:   o.store,
+		pool:    storage.NewBufferPool(o.store, o.poolPages),
+		tables:  make(map[string]*table),
+		reg:     sql.NewRegistry(profile.registryOptions()),
 	}
 	e.runner = sql.NewRunner(e, e.reg)
 	par := profile.Parallelism
@@ -235,26 +207,19 @@ func (e *Engine) Profile() Profile { return e.profile }
 // Pool exposes the buffer pool (cache experiments).
 func (e *Engine) Pool() *storage.BufferPool { return e.pool }
 
-// GeomCache exposes the decoded-geometry cache; nil when disabled.
-func (e *Engine) GeomCache() *storage.GeomCache { return e.geomCache }
-
-// PlanCacheStats snapshots the prepared-statement cache counters.
-func (e *Engine) PlanCacheStats() PlanCacheStats { return e.plans.snapshot() }
-
-// PlanCacheLen reports the number of cached statements.
-func (e *Engine) PlanCacheLen() int { return e.plans.len() }
-
 // CacheCounters bundles the raw hit/miss counters of every cache layer:
-// buffer pool (pages), geometry cache (decoded WKB), plan cache
-// (parsed statements), prepared-geometry topology kernel (exact
+// buffer pool (pages) and prepared-geometry topology kernel (exact
 // predicate evaluations served by a prepared constant side). Reports
 // sample it before and after a timed region and difference the
 // snapshots.
 type CacheCounters struct {
 	PoolHits, PoolMisses uint64
-	GeomHits, GeomMisses uint64
-	PlanHits, PlanMisses uint64
 	PrepHits, PrepMisses uint64
+
+	// GeomHits, GeomMisses, PlanHits and PlanMisses always read 0.
+	//
+	// Deprecated: kept only so bench/probes.go, which is frozen, compiles.
+	GeomHits, GeomMisses, PlanHits, PlanMisses uint64
 
 	// Durability counters; meaningful only when WALEnabled (in-memory
 	// engines report zeroes and reports render the columns as unknown).
@@ -269,13 +234,9 @@ type CacheCounters struct {
 // CacheCounters snapshots all cache layers at once.
 func (e *Engine) CacheCounters() CacheCounters {
 	ps := e.pool.Stats()
-	gs := e.geomCache.Stats()
-	cs := e.plans.snapshot()
 	ph, pm := e.reg.PreparedCounters()
 	out := CacheCounters{
 		PoolHits: ps.Hits, PoolMisses: ps.Misses,
-		GeomHits: gs.Hits, GeomMisses: gs.Misses,
-		PlanHits: cs.Hits, PlanMisses: cs.Misses,
 		PrepHits: uint64(ph), PrepMisses: uint64(pm),
 	}
 	if e.wal != nil {
@@ -293,8 +254,6 @@ func (e *Engine) CacheCounters() CacheCounters {
 // (contents are kept), so timed runs measure only their own traffic.
 func (e *Engine) ResetCacheStats() {
 	e.pool.ResetStats()
-	e.geomCache.ResetStats()
-	e.plans.resetStats()
 	e.reg.ResetPreparedCounters()
 }
 
@@ -318,49 +277,13 @@ func (e *Engine) Close() error {
 }
 
 // Exec parses and executes one SQL statement. Reads run concurrently;
-// DDL and DML serialize against everything else. Parses of repeated
-// SELECT/EXPLAIN texts are served from the plan cache.
+// DDL and DML serialize against everything else.
 func (e *Engine) Exec(query string) (*sql.Result, error) {
-	stmt, err := e.parseCached(query)
-	if err != nil {
-		return nil, err
-	}
-	return e.execStatement(stmt)
-}
-
-// parseCached returns a statement tree private to this execution,
-// consulting the plan cache for SELECT/EXPLAIN texts. Cached templates
-// stay pristine: the caller always receives a clone, because execution
-// binds column offsets into the tree in place and concurrent readers
-// may hold clones of the same entry. DDL and DML bypass the cache
-// entirely so they don't pollute its miss counters.
-func (e *Engine) parseCached(query string) (sql.Statement, error) {
-	if e.plans == nil || !cacheableSQL(query) {
-		return sql.Parse(query)
-	}
-	epoch := e.ddlEpoch.Load()
-	if stmt, ok := e.plans.get(query, epoch); ok {
-		return stmt, nil
-	}
 	stmt, err := sql.Parse(query)
 	if err != nil {
 		return nil, err
 	}
-	switch stmt.(type) {
-	case *sql.Select, *sql.Explain:
-		e.plans.put(query, stmt, epoch)
-		return sql.CloneStatement(stmt), nil
-	}
-	return stmt, nil
-}
-
-// cacheableSQL cheaply screens for statements the plan cache stores
-// (SELECT/EXPLAIN) without parsing, so write statements never touch
-// the cache or its hit/miss statistics.
-func cacheableSQL(query string) bool {
-	s := strings.TrimLeft(query, " \t\r\n")
-	return len(s) >= 6 && (strings.EqualFold(s[:6], "SELECT") ||
-		(len(s) >= 7 && strings.EqualFold(s[:7], "EXPLAIN")))
+	return e.execStatement(stmt)
 }
 
 // execStatement runs a parsed statement under the engine's lock
@@ -454,8 +377,7 @@ func (e *Engine) CreateTable(name string, cols []sql.Column) error {
 		}
 		seen[c.Name] = true
 	}
-	e.tables[key] = newTable(key, cols, e.pool, e.geomCache)
-	e.ddlEpoch.Add(1)
+	e.tables[key] = newTable(key, cols, e.pool)
 	return nil
 }
 
@@ -465,7 +387,6 @@ func (e *Engine) CreateIndex(_, tableName string, columns []string, spatial bool
 	if !ok {
 		return fmt.Errorf("engine: unknown table %q", tableName)
 	}
-	defer e.ddlEpoch.Add(1)
 	if spatial {
 		if len(columns) != 1 {
 			return fmt.Errorf("engine: spatial indexes take exactly one column")
@@ -484,7 +405,6 @@ func (e *Engine) Vacuum(tableName string) error {
 	if !ok {
 		return fmt.Errorf("engine: unknown table %q", tableName)
 	}
-	e.ddlEpoch.Add(1)
 	return t.rebuild(e.pool, e.profile.SpatialIndex, e.profile.GridDim)
 }
 
@@ -500,10 +420,6 @@ func (e *Engine) DropTable(tableName string, ifExists bool) error {
 		return fmt.Errorf("engine: unknown table %q", tableName)
 	}
 	delete(e.tables, key)
-	// A later table of the same name would reuse record ids, so cached
-	// geometries must not outlive the definition.
-	e.geomCache.InvalidateTable(key)
-	e.ddlEpoch.Add(1)
 	return nil
 }
 
@@ -516,11 +432,7 @@ func (e *Engine) DropSpatialIndex(tableName, column string) bool {
 	if !ok {
 		return false
 	}
-	dropped := t.dropSpatialIndex(column)
-	if dropped {
-		e.ddlEpoch.Add(1)
-	}
-	return dropped
+	return t.dropSpatialIndex(column)
 }
 
 // TableNames returns the sorted table names.

@@ -484,3 +484,95 @@ func TestLimitZero(t *testing.T) {
 		t.Errorf("LIMIT 2 OFFSET 2: got %d rows, want 1", len(res.Rows))
 	}
 }
+
+// TestRecreatedTableRebindsColumns: a repeated SELECT text must bind
+// against the table as it is now — after DROP and CREATE with the same
+// column name at a different position, it returns the new row.
+func TestRecreatedTableRebindsColumns(t *testing.T) {
+	e := newTestEngine(t)
+	e.MustExec("INSERT INTO cities VALUES (1, 'old', 10, NULL)")
+	const q = "SELECT name FROM cities"
+	if res := e.MustExec(q); res.Rows[0][0].Text != "old" {
+		t.Fatalf("seed row = %v", res.Rows)
+	}
+	e.MustExec("DROP TABLE cities")
+	e.MustExec("CREATE TABLE cities (name TEXT, id INTEGER)")
+	e.MustExec("INSERT INTO cities VALUES ('new', 2)")
+	res := e.MustExec(q)
+	if len(res.Rows) != 1 || res.Rows[0][0].Text != "new" {
+		t.Errorf("after recreate: rows = %v", res.Rows)
+	}
+}
+
+// TestExplainFollowsIndexDDL: a repeated EXPLAIN text reflects every
+// index change between executions — spatial CREATE INDEX,
+// DropSpatialIndex and attribute CREATE INDEX.
+func TestExplainFollowsIndexDDL(t *testing.T) {
+	e := newTestEngine(t)
+	loadGrid(t, e, 6)
+	const q = "EXPLAIN SELECT id FROM landmarks WHERE ST_Intersects(geo, ST_MakeEnvelope(0,0,5,5))"
+	access := func(q string) string { return e.MustExec(q).Rows[0][1].Text }
+	if got := access(q); got != "seqscan" {
+		t.Fatalf("pre-index access = %q", got)
+	}
+	e.MustExec("CREATE SPATIAL INDEX lidx ON landmarks (geo)")
+	if got := access(q); got != "spatial-index" {
+		t.Errorf("post-CREATE INDEX access = %q, want spatial-index", got)
+	}
+	if !e.DropSpatialIndex("landmarks", "geo") {
+		t.Fatal("DropSpatialIndex reported no index")
+	}
+	if got := access(q); got != "seqscan" {
+		t.Errorf("post-DropSpatialIndex access = %q, want seqscan", got)
+	}
+
+	e.MustExec("INSERT INTO cities VALUES (1, 'a', 10, NULL)")
+	const cq = "EXPLAIN SELECT id FROM cities WHERE name = 'a'"
+	if got := access(cq); got != "seqscan" {
+		t.Fatalf("pre-index cities access = %q", got)
+	}
+	e.MustExec("CREATE INDEX cidx ON cities (name)")
+	if got := access(cq); got != "btree-seek" {
+		t.Errorf("post-CREATE INDEX cities access = %q, want btree-seek", got)
+	}
+}
+
+// TestRepeatedWindowSeesWrites: a repeated window SELECT returns what
+// the heap holds now — the new geometry after UPDATE, the right rows
+// after VACUUM renumbers record ids, and no ghost rows after the table
+// is dropped and recreated under the same name.
+func TestRepeatedWindowSeesWrites(t *testing.T) {
+	e := newTestEngine(t)
+	loadGrid(t, e, 4) // cells at even coords in [0,8)
+	const q = "SELECT id, ST_AsText(geo) FROM landmarks WHERE ST_Intersects(geo, ST_MakeEnvelope(0, 0, 2.5, 2.5)) ORDER BY id"
+	ids := func() string {
+		var out []int64
+		for _, r := range e.MustExec(q).Rows {
+			out = append(out, r[0].Int)
+		}
+		return fmt.Sprint(out)
+	}
+	if got := ids(); got != "[0 1 4 5]" {
+		t.Fatalf("initial window = %s", got)
+	}
+
+	e.MustExec("UPDATE landmarks SET geo = ST_GeomFromText('POLYGON ((0 0, 0.5 0, 0.5 0.5, 0 0.5, 0 0))') WHERE id = 0")
+	e.MustExec("UPDATE landmarks SET geo = ST_MakePoint(50, 50) WHERE id = 5")
+	res := e.MustExec(q)
+	if len(res.Rows) != 3 || res.Rows[0][1].Text != "POLYGON ((0 0, 0.5 0, 0.5 0.5, 0 0.5, 0 0))" {
+		t.Fatalf("after UPDATE: rows = %v", res.Rows)
+	}
+
+	e.MustExec("DELETE FROM landmarks WHERE id < 4 AND id > 0")
+	e.MustExec("VACUUM landmarks")
+	if got := ids(); got != "[0 4]" {
+		t.Errorf("after VACUUM: window = %s, want [0 4]", got)
+	}
+
+	e.MustExec("DROP TABLE landmarks")
+	e.MustExec("CREATE TABLE landmarks (id INTEGER, name TEXT, geo GEOMETRY)")
+	e.MustExec("INSERT INTO landmarks VALUES (7, 'x', ST_MakePoint(100, 100)), (8, 'y', ST_MakePoint(2, 2))")
+	if got := ids(); got != "[8]" {
+		t.Errorf("after DROP+CREATE+INSERT: window = %s, want [8]", got)
+	}
+}

@@ -18,8 +18,7 @@ type table struct {
 	name     string
 	cols     []sql.Column
 	heap     *storage.HeapFile
-	gc       *storage.GeomCache // shared decoded-geometry cache; nil disables
-	geomCols map[string]int     // geometry column name -> offset; immutable after newTable
+	geomCols map[string]int // geometry column name -> offset; immutable after newTable
 
 	// version advances on every row mutation (and on rebuild, which
 	// renumbers ids); snapshot-style caches key their validity on it.
@@ -121,12 +120,11 @@ func (x attrIndex) Range(lo, hi []byte, loInc, hiInc bool, fn func(sql.RowID) bo
 	x.t.Range(lo, hi, loInc, hiInc, func(_ []byte, rowid int64) bool { return fn(sql.RowID(rowid)) })
 }
 
-func newTable(name string, cols []sql.Column, pool *storage.BufferPool, gc *storage.GeomCache) *table {
+func newTable(name string, cols []sql.Column, pool *storage.BufferPool) *table {
 	t := &table{
 		name:     name,
 		cols:     cols,
 		heap:     storage.NewHeapFile(pool),
-		gc:       gc,
 		spatial:  make(map[string]spatialIndex),
 		geomCols: make(map[string]int),
 	}
@@ -142,12 +140,11 @@ func newTable(name string, cols []sql.Column, pool *storage.BufferPool, gc *stor
 // newTableFromHeap is newTable over an already-populated heap,
 // reattached from a persistent catalog. Indexes are not restored here;
 // the caller rebuilds them from their catalog definitions.
-func newTableFromHeap(name string, cols []sql.Column, heap *storage.HeapFile, gc *storage.GeomCache) *table {
+func newTableFromHeap(name string, cols []sql.Column, heap *storage.HeapFile) *table {
 	t := &table{
 		name:     name,
 		cols:     cols,
 		heap:     heap,
-		gc:       gc,
 		spatial:  make(map[string]spatialIndex),
 		geomCols: make(map[string]int),
 	}
@@ -213,24 +210,10 @@ func (t *table) ScanProject(shard, nshards int, proj sql.Projection,
 
 // materializeRow decodes the projected columns of the current lazy
 // tuple. Unprojected columns stay NULL — the plan never reads them.
-// Geometry columns go through the decoded-geometry cache when enabled.
 func (t *table) materializeRow(rid storage.RecordID, lt *storage.LazyTuple, need []bool) ([]storage.Value, error) {
 	row := make([]storage.Value, lt.Len())
 	for i := range row {
 		if need != nil && !need[i] {
-			continue
-		}
-		if t.gc != nil && lt.ColType(i) == storage.TypeGeom {
-			if g, ok := t.gc.Get(t.name, rid, i); ok {
-				row[i] = storage.NewGeom(g)
-				continue
-			}
-			v, err := lt.Col(i)
-			if err != nil {
-				return nil, fmt.Errorf("engine: table %s at %s: %w", t.name, rid, err)
-			}
-			t.gc.Put(t.name, rid, i, v.Geom, len(lt.GeomWKB(i)))
-			row[i] = v
 			continue
 		}
 		v, err := lt.Col(i)
@@ -251,16 +234,29 @@ func (t *table) Fetch(id sql.RowID) ([]storage.Value, error) {
 // columns marked in need (nil means all).
 func (t *table) FetchProject(id sql.RowID, need []bool) ([]storage.Value, error) {
 	rid := id.Unpack()
-	tuple, err := t.heap.Get(rid)
+	fs := fetchPool.Get().(*fetchScratch)
+	defer fetchPool.Put(fs)
+	var err error
+	fs.tuple, err = t.heap.GetAppend(fs.tuple[:0], rid)
 	if err != nil {
 		return nil, err
 	}
-	var lt storage.LazyTuple
-	if err := lt.Reset(tuple, len(t.cols)); err != nil {
+	if err := fs.lt.Reset(fs.tuple, len(t.cols)); err != nil {
 		return nil, fmt.Errorf("engine: table %s at %s: %w", t.name, rid, err)
 	}
-	return t.materializeRow(rid, &lt, need)
+	return t.materializeRow(rid, &fs.lt, need)
 }
+
+// fetchScratch is one FetchProject call's working state: the tuple
+// copied out of its page and the lazy view over it. Materialized values
+// never alias either, so both are recycled across fetches instead of
+// allocated per row.
+type fetchScratch struct {
+	tuple []byte
+	lt    storage.LazyTuple
+}
+
+var fetchPool = sync.Pool{New: func() any { return new(fetchScratch) }}
 
 // Insert implements sql.Table.
 func (t *table) Insert(row []storage.Value) (sql.RowID, error) {
@@ -271,26 +267,12 @@ func (t *table) Insert(row []storage.Value) (sql.RowID, error) {
 	if err != nil {
 		return 0, err
 	}
-	// Defensive: heap record ids are currently never reused, but if the
-	// storage layer ever recycles a slot, a stale cached geometry must
-	// not survive the new row.
-	t.invalidateGeomCache(rid)
 	t.version.Add(1)
 	id := sql.PackRowID(rid)
 	t.mu.Lock()
 	t.indexRowLocked(id, row, true)
 	t.mu.Unlock()
 	return id, nil
-}
-
-// invalidateGeomCache drops the cached geometries of one record.
-func (t *table) invalidateGeomCache(rid storage.RecordID) {
-	if t.gc == nil {
-		return
-	}
-	for _, off := range t.geomCols {
-		t.gc.Invalidate(t.name, rid, off)
-	}
 }
 
 // indexRowLocked adds (add=true) or removes the row from all indexes
@@ -331,7 +313,6 @@ func (t *table) Delete(id sql.RowID) error {
 	if err := t.heap.Delete(id.Unpack()); err != nil {
 		return err
 	}
-	t.invalidateGeomCache(id.Unpack())
 	t.version.Add(1)
 	t.mu.Lock()
 	t.indexRowLocked(id, row, false)
@@ -438,10 +419,8 @@ func (t *table) dropSpatialIndex(column string) bool {
 }
 
 // rebuild rewrites the heap, dropping tombstones and abandoned overflow
-// pages, and rebuilds every index. Row ids change, so every cached
-// geometry of this table is invalidated.
+// pages, and rebuilds every index.
 func (t *table) rebuild(pool *storage.BufferPool, idxType IndexType, gridDim int) error {
-	t.gc.InvalidateTable(t.name)
 	t.version.Add(1) // record ids are renumbered below
 	fresh := storage.NewHeapFile(pool)
 	var innerErr error

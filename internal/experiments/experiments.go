@@ -569,97 +569,6 @@ func RunE13(w io.Writer, cfg Config, workers []int) error {
 	return nil
 }
 
-// RunE14 regenerates the decode-elimination figure: a repeated
-// window-query workload on GaiaDB under four cache configurations (no
-// caches, plan cache only, geometry cache only, both). The first pass
-// runs against empty caches ("cold"); the second identical pass
-// ("warm") is served from them. The page store is in-memory and no
-// miss penalty is configured, so the cold/warm gap isolates parse and
-// WKB-decode work rather than page I/O. Results are identical across
-// configurations; only the response time moves.
-func RunE14(w io.Writer, cfg Config) error {
-	header(w, "E14", "decode elimination: geometry and plan caches", cfg)
-	scale := cfg.Scale
-	if scale < tiger.Medium {
-		scale = tiger.Medium
-	}
-	ds := tiger.Generate(scale, cfg.Seed)
-	ctx := core.NewQueryContext(ds)
-
-	queries := make([]string, 0, 24)
-	for i := 0; i < 8; i++ {
-		win := core.WindowWKT(ctx.Window("E14", i, 2))
-		queries = append(queries,
-			fmt.Sprintf("SELECT COUNT(*) FROM parcels WHERE ST_Intersects(geo, %s)", win),
-			fmt.Sprintf("SELECT SUM(ST_Length(geo)) FROM edges WHERE ST_Intersects(geo, %s)", win),
-			fmt.Sprintf("SELECT id FROM pointlm WHERE ST_DWithin(geo, ST_Centroid(%s), 20)", win))
-	}
-
-	configs := []struct {
-		name string
-		opts []engine.Option
-	}{
-		{"none", []engine.Option{engine.WithGeomCache(0), engine.WithPlanCache(0)}},
-		{"plan", []engine.Option{engine.WithGeomCache(0)}},
-		{"geom", []engine.Option{engine.WithPlanCache(0)}},
-		{"plan+geom", nil},
-	}
-	fmt.Fprintf(w, "%-10s %14s %14s %9s %9s %9s\n",
-		"caches", "cold", "warm", "vs none", "geom hit", "plan hit")
-	var warmNone time.Duration
-	for _, c := range configs {
-		eng := engine.Open(engine.GaiaDB(), c.opts...)
-		if err := tiger.Load(engineExecer{eng}, ds, true); err != nil {
-			return err
-		}
-		conn, err := driver.NewInProc(eng).Connect()
-		if err != nil {
-			return err
-		}
-		run := func() (time.Duration, error) {
-			start := time.Now()
-			for _, q := range queries {
-				if _, err := conn.Query(q); err != nil {
-					return 0, err
-				}
-			}
-			return time.Since(start), nil
-		}
-		// Collect the previous config's engine before timing, so later
-		// configs don't pay its GC debt.
-		runtime.GC()
-		eng.ResetCacheStats()
-		coldTime, err := run()
-		if err != nil {
-			conn.Close()
-			return err
-		}
-		// The cold pass filled the caches; average several warm repeats.
-		const warmRuns = 7
-		var warmTotal time.Duration
-		for i := 0; i < warmRuns; i++ {
-			d, err := run()
-			if err != nil {
-				conn.Close()
-				return err
-			}
-			warmTotal += d
-		}
-		warmTime := warmTotal / warmRuns
-		cc := eng.CacheCounters()
-		conn.Close()
-		if c.name == "none" {
-			warmNone = warmTime
-		}
-		fmt.Fprintf(w, "%-10s %14s %14s %8.2fx %9s %9s\n",
-			c.name, coldTime.Round(time.Microsecond), warmTime.Round(time.Microsecond),
-			float64(warmNone)/float64(warmTime),
-			fmtHitRatio(cc.GeomHits, cc.GeomMisses),
-			fmtHitRatio(cc.PlanHits, cc.PlanMisses))
-	}
-	return nil
-}
-
 // fmtHitRatio renders hits/(hits+misses) as a percentage, "-" when the
 // cache saw no traffic (disabled or unused).
 func fmtHitRatio(hits, misses uint64) string {
@@ -747,7 +656,7 @@ func RunE16(w io.Writer, cfg Config) error {
 			}
 			return time.Since(start), nil
 		}
-		// Warm pass fills the page/geometry/plan caches, so the timed
+		// Warm pass fills the buffer pool, so the timed
 		// repeats isolate the topology kernel itself.
 		if _, err := run(); err != nil {
 			conn.Close()
@@ -833,7 +742,7 @@ func MeasureE17(ds *tiger.Dataset, ctx *core.QueryContext, batch bool, runs int)
 	out := make(map[string]E17Measurement)
 	for _, q := range E17Queries() {
 		// Warm pass over the same probe windows the timed passes use,
-		// so the page/geometry/plan caches serve both executors equally.
+		// so the buffer pool serves both executors equally.
 		for i := 0; i < e17Windows; i++ {
 			if _, err := conn.Query(q.SQL(ctx, i)); err != nil {
 				return nil, fmt.Errorf("experiments: E17 %s: %w", q.ID, err)

@@ -21,8 +21,8 @@ import (
 //     the catalog is read back, indexes rebuild, and the buffer pool
 //     starts empty, so every page faults in from the page file and
 //     every geometry decodes from scratch.
-//   - warm:   the same reopened engine after the cold pass — pages,
-//     decoded geometries, and plans are cached.
+//   - warm:   the same reopened engine after the cold pass — pages are
+//     cached in the buffer pool.
 //   - steady: an in-memory engine loaded with the same dataset, the
 //     repository's non-durable baseline. The warm/steady gap is the
 //     steady-state price of durability (WAL appends and group-commit
@@ -115,8 +115,7 @@ func MeasureE18(cfg Config, dir string) ([]E18Cell, E18Stats, error) {
 	var cold E18Cell
 	cold.State = "cold"
 	for _, q := range E18Queries() {
-		// Drop the pool (and the decode caches it feeds) so each cold
-		// cell is a first touch.
+		// Drop the pool so each cold cell is a first touch.
 		if err := reopened.Pool().DropAll(); err != nil {
 			return nil, st, err
 		}

@@ -1,11 +1,11 @@
 package sql
 
-// CloneStatement deep-copies a parsed statement. The plan cache stores
-// pristine parse trees and hands each execution its own clone, because
-// binding mutates ColumnRef.Index in place: without the copy, two
-// concurrent executions of one cached statement would race on the tree,
-// and a template bound against one schema could leak stale offsets into
-// a later run.
+// CloneStatement deep-copies a parsed statement. The cluster rewriter
+// clones the client's statement before editing it into per-shard
+// variants, and every variant it executes must own its tree, because
+// binding mutates ColumnRef.Index in place: two executions sharing one
+// tree would race on it, and offsets bound against one table could leak
+// into a run against another.
 func CloneStatement(s Statement) Statement {
 	switch t := s.(type) {
 	case *CreateTable:

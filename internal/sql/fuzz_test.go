@@ -8,9 +8,9 @@ import (
 // FuzzParse asserts the SQL front door never panics: whatever bytes a
 // client sends over the wire reach Parse verbatim, so the parser must
 // reject garbage with an error, not a crash. Successfully parsed
-// statements additionally round-trip through CloneStatement (the plan
-// cache depends on clones being faithful: a cached template is cloned
-// for every execution).
+// statements additionally round-trip through CloneStatement (the cluster
+// rewriter depends on clones being faithful: it edits a clone of the
+// client's statement into each per-shard variant).
 //
 // The committed corpus under testdata/fuzz/FuzzParse is generated by
 // tools/gencorpus from the benchmark suites, so every micro query shape

@@ -147,8 +147,8 @@ type pbsmState struct {
 
 	// rowCache holds the inner rows materialized in one sequential pass
 	// on the first probe (projected to the stage's needed columns), so
-	// candidates skip the per-pair heap fetch, tuple decode and
-	// geometry-cache lock the INL path pays per index hit. Rows landing
+	// candidates skip the per-pair heap fetch and tuple decode the INL
+	// path pays per index hit. Rows landing
 	// after the build snapshot miss the cache and fall back to a fetch.
 	rowCache map[RowID][]storage.Value
 

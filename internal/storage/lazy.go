@@ -119,7 +119,7 @@ func (lt *LazyTuple) GeomEnvelope(i int) (geom.Rect, bool, error) {
 
 // Col materializes column i, decoding geometries with UnmarshalWKB.
 // Values are decoded fresh on every call; callers wanting memoization
-// (or a shared decoded-geometry cache) layer it above this.
+// layer it above this.
 func (lt *LazyTuple) Col(i int) (Value, error) {
 	return decodeColBytes(lt.data[lt.offs[i]:lt.ends[i]], i)
 }

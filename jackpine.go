@@ -124,8 +124,9 @@ type WALStats = wal.Stats
 // (0 = GOMAXPROCS, 1 = serial). See also Engine.SetParallelism.
 func WithParallelism(n int) engine.Option { return engine.WithParallelism(n) }
 
-// WithGeomCache budgets the decoded-geometry cache in bytes (<= 0
-// disables it; default 16 MiB).
+// WithGeomCache is a no-op: the engine has no decoded-geometry cache.
+//
+// Deprecated: kept only so bench/verify.go, which is frozen, compiles.
 func WithGeomCache(bytes int) engine.Option { return engine.WithGeomCache(bytes) }
 
 // WithTopoPrep toggles prepared-geometry evaluation of topological
@@ -134,8 +135,9 @@ func WithGeomCache(bytes int) engine.Option { return engine.WithGeomCache(bytes)
 // per row. Enabled by default.
 func WithTopoPrep(enabled bool) engine.Option { return engine.WithTopoPrep(enabled) }
 
-// WithPlanCache bounds the prepared-statement (plan) cache in entries
-// (<= 0 disables it; default 256). See also Engine.Prepare.
+// WithPlanCache is a no-op: the engine has no parsed-statement cache.
+//
+// Deprecated: kept only so bench/verify.go, which is frozen, compiles.
 func WithPlanCache(entries int) engine.Option { return engine.WithPlanCache(entries) }
 
 // WithBatchExec toggles batch-at-a-time (vectorized) query execution:
@@ -164,9 +166,6 @@ func WithJoinStrategy(s JoinStrategy) engine.Option { return engine.WithJoinStra
 // Engine.JoinStats: joins per strategy, PBSM grid cells, and duplicate
 // candidate pairs suppressed by the reference-point rule.
 type JoinStats = sql.JoinStats
-
-// Stmt aliases a prepared statement (see Engine.Prepare).
-type Stmt = engine.Stmt
 
 // Connect wraps a local engine in an in-process Connector.
 func Connect(eng *Engine) Connector { return driver.NewInProc(eng) }
