@@ -598,30 +598,26 @@ func TestWriteScaleoutBench(t *testing.T) {
 	ctx := NewQueryContext(ds)
 
 	type macroOut struct {
-		Shards     int     `json:"shards"`
-		OpsPerSec  float64 `json:"ops_per_sec"`
-		Speedup    float64 `json:"speedup"`
-		PruneRate  float64 `json:"shard_prune_rate"`
-		RowsPerOp  float64 `json:"rows_per_op"`
-		MeanLatUS  int64   `json:"mean_latency_us"`
-		P50LatUS   int64   `json:"p50_latency_us"`
-		P95LatUS   int64   `json:"p95_latency_us"`
-		P99LatUS   int64   `json:"p99_latency_us"`
-		FastPath   int     `json:"fast_path"`
-		HedgeFired int     `json:"hedge_fired"`
-		HedgeWon   int     `json:"hedge_won"`
+		Shards    int     `json:"shards"`
+		OpsPerSec float64 `json:"ops_per_sec"`
+		Speedup   float64 `json:"speedup"`
+		PruneRate float64 `json:"shard_prune_rate"`
+		RowsPerOp float64 `json:"rows_per_op"`
+		MeanLatUS int64   `json:"mean_latency_us"`
+		P50LatUS  int64   `json:"p50_latency_us"`
+		P95LatUS  int64   `json:"p95_latency_us"`
+		P99LatUS  int64   `json:"p99_latency_us"`
+		FastPath  int     `json:"fast_path"`
 	}
 	type microOut struct {
-		Shards     int     `json:"shards"`
-		MeanUS     int64   `json:"mean_us"`
-		P50US      int64   `json:"p50_us"`
-		P99US      int64   `json:"p99_us"`
-		Speedup    float64 `json:"speedup"`
-		PruneRate  float64 `json:"shard_prune_rate"`
-		Rows       int     `json:"rows"`
-		FastPath   int     `json:"fast_path"`
-		HedgeFired int     `json:"hedge_fired"`
-		HedgeWon   int     `json:"hedge_won"`
+		Shards    int     `json:"shards"`
+		MeanUS    int64   `json:"mean_us"`
+		P50US     int64   `json:"p50_us"`
+		P99US     int64   `json:"p99_us"`
+		Speedup   float64 `json:"speedup"`
+		PruneRate float64 `json:"shard_prune_rate"`
+		Rows      int     `json:"rows"`
+		FastPath  int     `json:"fast_path"`
 	}
 	type queryOut struct {
 		ID    string     `json:"id"`
@@ -637,7 +633,6 @@ func TestWriteScaleoutBench(t *testing.T) {
 		Scale      string     `json:"scale"`
 		Warmup     int        `json:"warmup"`
 		Runs       int        `json:"runs"`
-		Replicas   int        `json:"replicas"`
 		Note       string     `json:"note"`
 		Queries    []queryOut `json:"queries"`
 	}{
@@ -648,15 +643,13 @@ func TestWriteScaleoutBench(t *testing.T) {
 		Scale:      ScaleSmall.String(),
 		Warmup:     10,
 		Runs:       200,
-		Replicas:   1,
 		Note: "Speedup is vs the 1-shard cluster, whose single-table reads all " +
 			"take the same verbatim-forward fast path; on a single-CPU host a " +
 			"scatter cannot beat that baseline, so >=1x speedups here come from " +
 			"routing (fast path, kNN two-phase, pruning), not parallelism. " +
 			"shard_prune_rate is the fraction of per-shard queries spatial " +
 			"pruning avoided (-1 when nothing was prune-eligible); fast_path " +
-			"counts statements resolved to a single owning shard. Hedge " +
-			"counters stay 0 at 1 replica per shard. Each (query, shards) " +
+			"counts statements resolved to a single owning shard. Each (query, shards) " +
 			"cell is the best of 3 full passes over the matrix, which cancels " +
 			"the slow drift of this shared host across a long run. p99 here " +
 			"is dominated by multi-ms scheduler stalls visible even at 1 " +
@@ -713,12 +706,11 @@ func TestWriteScaleoutBench(t *testing.T) {
 				mo := macroOut{
 					Shards: n, OpsPerSec: res.Throughput, Speedup: 1,
 					PruneRate: res.ShardPruneRate, RowsPerOp: res.RowsPerOp,
-					MeanLatUS:  res.MeanLatency.Microseconds(),
-					P50LatUS:   res.P50Latency.Microseconds(),
-					P95LatUS:   res.P95Latency.Microseconds(),
-					P99LatUS:   res.P99Latency.Microseconds(),
-					FastPath:   res.ShardFastPath,
-					HedgeFired: res.ShardHedgeFired, HedgeWon: res.ShardHedgeWon,
+					MeanLatUS: res.MeanLatency.Microseconds(),
+					P50LatUS:  res.P50Latency.Microseconds(),
+					P95LatUS:  res.P95Latency.Microseconds(),
+					P99LatUS:  res.P99Latency.Microseconds(),
+					FastPath:  res.ShardFastPath,
 				}
 				if bestMacro[sc.ID] == nil {
 					bestMacro[sc.ID] = make(map[int]macroOut)
@@ -740,8 +732,7 @@ func TestWriteScaleoutBench(t *testing.T) {
 					Shards: n, MeanUS: r.Mean.Microseconds(), Speedup: 1,
 					P50US: r.Median.Microseconds(), P99US: r.P99.Microseconds(),
 					PruneRate: r.ShardPruneRate, Rows: r.Rows,
-					FastPath:   r.ShardFastPath,
-					HedgeFired: r.ShardHedgeFired, HedgeWon: r.ShardHedgeWon,
+					FastPath: r.ShardFastPath,
 				}
 				if bestMicro[r.ID] == nil {
 					bestMicro[r.ID] = make(map[int]microOut)

@@ -52,7 +52,6 @@ func run() error {
 		csv         = flag.Bool("csv", false, "emit CSV instead of tables (micro/macro suites)")
 		fullJoins   = flag.Bool("full-joins", false, "run micro joins over the full extent (as the paper did) instead of sampled windows")
 		shardsFlag  = flag.String("shards", "1,2,4,8", "comma-separated cluster sizes for -suite scaleout")
-		replicas    = flag.Int("replicas", 1, "replicas per shard for -suite scaleout (reads hedge across them when > 1)")
 		dataDir     = flag.String("data", "", "data directory for the durable suites (persist); empty uses a temporary directory")
 	)
 	flag.Parse()
@@ -146,7 +145,7 @@ func run() error {
 		{"selectivity", func() error { return experiments.RunE11(out, env) }},
 		{"join-ablation", func() error { return experiments.RunE12(out, cfg) }},
 		{"parallelism", func() error { return experiments.RunE13(out, cfg, []int{1, 2, 4, 8}) }},
-		{"scaleout", func() error { return experiments.RunE15(out, cfg, shardCounts, *replicas) }},
+		{"scaleout", func() error { return experiments.RunE15(out, cfg, shardCounts) }},
 		{"topo-prep", func() error { return experiments.RunE16(out, cfg) }},
 		{"batch", func() error { return experiments.RunE17(out, cfg) }},
 		{"persist", func() error { return experiments.RunE18(out, cfg) }},

@@ -39,10 +39,8 @@
 // Shards are plain driver.Connectors: in-process engines and remote
 // wire connections mix freely, so a cluster of spatialdbd processes
 // (each started with -shard i -of n) behaves identically to an
-// in-process cluster. Each shard may have several replicas holding
-// identical data; reads load-balance across them (power-of-two-choices
-// on in-flight count) and hedge a second request when the first is
-// slow, while writes broadcast to every replica.
+// in-process cluster. A cluster session holds exactly one session per
+// shard.
 package cluster
 
 import (
@@ -74,10 +72,6 @@ type Options struct {
 	// engines were opened with, or routed and shard-local evaluation
 	// would disagree.
 	Profile engine.Profile
-	// Hedge tunes hedged reads across replicas; the zero value enables
-	// hedging with adaptive per-query-class thresholds (it is inert
-	// when every shard has a single replica).
-	Hedge HedgeOptions
 	// JoinStrategy forces the spatial-join strategy of the engines the
 	// router itself runs — the cached gather engine and the pushdown
 	// complement engine. Shard engines are opened by the caller and
@@ -118,16 +112,14 @@ func (t *tableInfo) colNames() []string {
 	return names
 }
 
-// Cluster is a driver.Connector over N spatially-partitioned shards,
-// each backed by one or more identical replicas.
+// Cluster is a driver.Connector over N spatially-partitioned shards.
 type Cluster struct {
 	name      string
-	shards    [][]driver.Connector // [shard][replica]
+	shards    []driver.Connector
 	part      Partitioner
 	prof      engine.Profile
 	joinStrat sql.JoinStrategy
 	reg       *sql.Registry
-	hedge     *hedgePolicy
 
 	mu     sync.Mutex
 	tables map[string]*tableInfo
@@ -156,50 +148,25 @@ type gatherEntry struct {
 	eng *engine.Engine
 }
 
-// Open assembles an unreplicated cluster from per-shard connectors.
-// len(shards) must equal part.Shards().
+// Open assembles a cluster from per-shard connectors. len(shards) must
+// equal part.Shards().
 func Open(shards []driver.Connector, part Partitioner, opts Options) (*Cluster, error) {
-	groups := make([][]driver.Connector, len(shards))
-	for i, s := range shards {
-		groups[i] = []driver.Connector{s}
-	}
-	return OpenReplicated(groups, part, opts)
-}
-
-// OpenReplicated assembles a cluster from per-shard replica groups:
-// groups[i] lists the connectors holding identical copies of shard i's
-// data. len(groups) must equal part.Shards() and every group must be
-// non-empty.
-func OpenReplicated(groups [][]driver.Connector, part Partitioner, opts Options) (*Cluster, error) {
-	if len(groups) == 0 {
+	if len(shards) == 0 {
 		return nil, fmt.Errorf("cluster: no shards")
 	}
-	if len(groups) != part.Shards() {
-		return nil, fmt.Errorf("cluster: %d replica groups for %d partitions", len(groups), part.Shards())
-	}
-	replicas := len(groups[0])
-	for i, g := range groups {
-		if len(g) == 0 {
-			return nil, fmt.Errorf("cluster: shard %d has no replicas", i)
-		}
-		if len(g) != replicas {
-			return nil, fmt.Errorf("cluster: shard %d has %d replicas, shard 0 has %d", i, len(g), replicas)
-		}
+	if len(shards) != part.Shards() {
+		return nil, fmt.Errorf("cluster: %d shards for %d partitions", len(shards), part.Shards())
 	}
 	name := opts.Name
 	if name == "" {
-		name = fmt.Sprintf("cluster-%dx-%s", len(groups), opts.Profile.Name)
-		if replicas > 1 {
-			name = fmt.Sprintf("cluster-%dx%dr-%s", len(groups), replicas, opts.Profile.Name)
-		}
+		name = fmt.Sprintf("cluster-%dx-%s", len(shards), opts.Profile.Name)
 	}
 	return &Cluster{
 		name:      name,
-		shards:    groups,
+		shards:    shards,
 		part:      part,
 		prof:      opts.Profile,
 		joinStrat: opts.JoinStrategy,
-		hedge:     newHedgePolicy(opts.Hedge),
 		reg: sql.NewRegistry(sql.RegistryOptions{
 			MBRPredicates: opts.Profile.MBRPredicates,
 			Disabled:      opts.Profile.DisabledFunctions,
@@ -212,27 +179,18 @@ func OpenReplicated(groups [][]driver.Connector, part Partitioner, opts Options)
 // Name implements driver.Connector.
 func (c *Cluster) Name() string { return c.name }
 
-// Connect implements driver.Connector: it opens one session per
-// replica of every shard.
+// Connect implements driver.Connector: it opens one session per shard.
 func (c *Cluster) Connect() (driver.Conn, error) {
-	sess := make([]*shardSess, len(c.shards))
-	closeAll := func(n int) {
-		for _, s := range sess[:n] {
-			s.close()
-		}
-	}
-	for i, group := range c.shards {
-		ss := newShardSess(len(group))
-		for r, connector := range group {
-			cn, err := connector.Connect()
-			if err != nil {
-				ss.close()
-				closeAll(i)
-				return nil, fmt.Errorf("cluster: shard %d replica %d: %w", i, r, err)
+	sess := make([]driver.Conn, len(c.shards))
+	for i, connector := range c.shards {
+		cn, err := connector.Connect()
+		if err != nil {
+			for _, s := range sess[:i] {
+				s.Close()
 			}
-			ss.replicas[r] = cn
+			return nil, fmt.Errorf("cluster: shard %d: %w", i, err)
 		}
-		sess[i] = ss
+		sess[i] = cn
 	}
 	return &Conn{c: c, sess: sess}, nil
 }
@@ -240,13 +198,12 @@ func (c *Cluster) Connect() (driver.Conn, error) {
 // Partitioner returns the cluster's partitioning scheme.
 func (c *Cluster) Partitioner() Partitioner { return c.part }
 
-// ShardStats snapshots the cluster-wide scatter/prune/hedge counters.
+// ShardStats snapshots the cluster-wide scatter/prune counters.
 func (c *Cluster) ShardStats() driver.ShardStats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	s := c.stats
 	s.Shards = len(c.shards)
-	s.Replicas = len(c.shards[0])
 	return s
 }
 
@@ -398,7 +355,7 @@ func (c *Cluster) RefreshStats() error {
 		nulls := make([]int64, len(c.shards))
 		maxSeq := int64(-1)
 		for i := range c.shards {
-			rs, err := cc.sess[i].replicas[0].Query(q)
+			rs, err := cc.sess[i].Query(q)
 			if err != nil {
 				return fmt.Errorf("cluster: stats for %s on shard %d: %w", info.name, i, err)
 			}
@@ -415,7 +372,7 @@ func (c *Cluster) RefreshStats() error {
 					maxSeq = row[2].Int
 				}
 			}
-			nrs, err := cc.sess[i].replicas[0].Query(nullQ)
+			nrs, err := cc.sess[i].Query(nullQ)
 			if err != nil {
 				return fmt.Errorf("cluster: null stats for %s on shard %d: %w", info.name, i, err)
 			}
@@ -485,17 +442,6 @@ func (c *Cluster) countFastPath() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.stats.FastPathHits++
-}
-
-// countHedge records a hedged second request (and whether it won).
-func (c *Cluster) countHedge(won bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if won {
-		c.stats.HedgeWon++
-	} else {
-		c.stats.HedgeFired++
-	}
 }
 
 // typeKeyword renders a column type for shard-side DDL.

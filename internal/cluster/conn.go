@@ -14,22 +14,11 @@ import (
 	"jackpine/internal/storage"
 )
 
-// Query classes for hedge-threshold tracking: requests with similar
-// shard-side cost share an EWMA so the hedge timer is meaningful.
-const (
-	classSingle  = "single"
-	classFast    = "fastpath"
-	classPlain   = "plain"
-	classOrdered = "ordered"
-	classKNN     = "knn"
-	classAgg     = "agg"
-)
-
 // Conn is one cluster session: a scatter-gather router over one open
-// session per replica of every shard. It implements driver.Conn.
+// session per shard. It implements driver.Conn.
 type Conn struct {
 	c    *Cluster
-	sess []*shardSess
+	sess []driver.Conn
 
 	mu     sync.Mutex
 	closed bool
@@ -73,8 +62,8 @@ func (cn *Conn) Close() error {
 	}
 	cn.closed = true
 	var first error
-	for _, ss := range cn.sess {
-		if err := ss.close(); err != nil && first == nil {
+	for _, s := range cn.sess {
+		if err := s.Close(); err != nil && first == nil {
 			first = err
 		}
 	}
@@ -107,7 +96,8 @@ func (cn *Conn) route(query string) (*res, error) {
 		return nil, err
 	}
 	// The routing root context: per-shard requests derive cancelable
-	// children from it for hedging and early-exit merges.
+	// children from it so merges can abandon shards early (kNN bound
+	// pruning, cancel-all after the first shard error).
 	ctx := context.Background()
 	switch t := stmt.(type) {
 	case *sql.Select:
@@ -145,18 +135,28 @@ func (cn *Conn) route(query string) (*res, error) {
 
 // --- fan-out helpers -----------------------------------------------------
 
-// broadcastExec runs the same statement on every shard (all replicas)
-// concurrently and returns per-shard affected counts.
+// queryShard runs a read on one shard, through QueryContext when the
+// session can be canceled.
+func (cn *Conn) queryShard(ctx context.Context, shard int, query string) (*driver.ResultSet, error) {
+	s := cn.sess[shard]
+	if cc, ok := s.(driver.ContextConn); ok {
+		return cc.QueryContext(ctx, query)
+	}
+	return s.Query(query)
+}
+
+// broadcastExec runs the same statement on every shard concurrently and
+// returns per-shard affected counts.
 func (cn *Conn) broadcastExec(query string) ([]int, error) {
 	affected := make([]int, cn.shards())
 	errs := make([]error, cn.shards())
 	var wg sync.WaitGroup
-	for i := range cn.sess {
+	for i, s := range cn.sess {
 		wg.Add(1)
-		go func(i int) {
+		go func(i int, s driver.Conn) {
 			defer wg.Done()
-			affected[i], errs[i] = cn.execShard(i, query)
-		}(i)
+			affected[i], errs[i] = s.Exec(query)
+		}(i, s)
 	}
 	wg.Wait()
 	for _, err := range errs {
@@ -180,7 +180,7 @@ func (cn *Conn) broadcastSame(query string) (*res, error) {
 // single routes a statement verbatim to one shard (replicated and
 // unknown tables; the shard engine supplies any error text).
 func (cn *Conn) single(ctx context.Context, shard int, query string) (*res, error) {
-	rs, err := cn.queryShard(ctx, classSingle, shard, query)
+	rs, err := cn.queryShard(ctx, shard, query)
 	if err != nil {
 		return nil, err
 	}
@@ -278,7 +278,7 @@ func (cn *Conn) routeSelect(ctx context.Context, t *sql.Select, orig string) (*r
 // star-only projections the shard's result carries the physical _seq
 // column last; it is stripped here.
 func (cn *Conn) forward(ctx context.Context, orig string, shard int, starOnly bool, visibleCols int) (*res, error) {
-	rs, err := cn.queryShard(ctx, classFast, shard, orig)
+	rs, err := cn.queryShard(ctx, shard, orig)
 	if err != nil {
 		return nil, err
 	}
@@ -371,7 +371,7 @@ func (cn *Conn) plainScan(ctx context.Context, t *sql.Select, info *tableInfo, s
 	if starOnly {
 		seqIdx = len(info.cols)
 	}
-	sr := cn.startScatter(ctx, classPlain, renderSelect(cl), targets)
+	sr := cn.startScatter(ctx, renderSelect(cl), targets)
 	rows, err := collectMerged(sr, cl.Limit, seqLess(seqIdx))
 	if err != nil {
 		return nil, err
@@ -391,7 +391,7 @@ func (cn *Conn) orderedScan(ctx context.Context, t *sql.Select, info *tableInfo,
 	cn.c.countScatter(len(targets), cn.shards()-len(targets), eligible)
 
 	cl, keyStart, seqIdx := cn.orderedRewrite(t, info)
-	sr := cn.startScatter(ctx, classOrdered, renderSelect(cl), targets)
+	sr := cn.startScatter(ctx, renderSelect(cl), targets)
 	rows, err := collectMerged(sr, cl.Limit, keyLess(orderSpecs(t), keyStart, seqIdx))
 	if err != nil {
 		return nil, err
@@ -533,7 +533,7 @@ func (cn *Conn) knnScan(ctx context.Context, t *sql.Select, info *tableInfo, tar
 	// Phase 1: the most promising shard alone, hoping it already holds
 	// the full top-k.
 	merged, err := func() ([][]storage.Value, error) {
-		rs, err := cn.queryShard(ctx, classKNN, ordered[0], text)
+		rs, err := cn.queryShard(ctx, ordered[0], text)
 		if err != nil {
 			return nil, err
 		}
@@ -562,7 +562,7 @@ func (cn *Conn) knnScan(ctx context.Context, t *sql.Select, info *tableInfo, tar
 			pending[s] = true
 		}
 		induced := make(map[int]bool)
-		sr := cn.startScatter(ctx, classKNN, text, phase2)
+		sr := cn.startScatter(ctx, text, phase2)
 		var ferr error
 		errShard := 0
 		for f := range sr.ch {
@@ -672,7 +672,7 @@ func (cn *Conn) aggScan(ctx context.Context, t *sql.Select, info *tableInfo, tar
 		Limit: -1,
 	}
 	cn.c.countScatter(len(targets), cn.shards()-len(targets), eligible)
-	sr := cn.startScatter(ctx, classAgg, renderSelect(shardSel), targets)
+	sr := cn.startScatter(ctx, renderSelect(shardSel), targets)
 	byShard, err := collectByShard(sr)
 	if err != nil {
 		return nil, true, err
@@ -910,18 +910,22 @@ func (cn *Conn) routeInsert(ctx context.Context, t *sql.Insert, orig string) (*r
 		wg.Add(1)
 		go func(s int, text string) {
 			defer wg.Done()
-			_, errs[s] = cn.execShard(s, text)
+			_, errs[s] = cn.sess[s].Exec(text)
 		}(s, renderInsert(t.Table, rows))
 	}
 	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
+	// Note every shard that was sent rows, failed or not: engine INSERT
+	// is not atomic, so a failing shard may still hold the rows before
+	// the bad one. Over-estimating the MBR and counts is sound; missing
+	// stored rows would let pruning drop them.
 	for s := range perShard {
 		if len(perShard[s]) > 0 {
 			cn.c.noteInsert(info, s, envs[s], int64(len(perShard[s])), nulls[s])
+		}
+	}
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
 		}
 	}
 	return &res{affected: len(t.Rows)}, nil

@@ -87,7 +87,7 @@ func (cn *Conn) joinPushdown(ctx context.Context, t *sql.Select, refs []*sql.Tab
 		targets[i] = i
 	}
 	cn.c.countScatter(len(targets), 0, false)
-	sr := cn.startScatter(ctx, classAgg, renderSelect(shardSel), targets)
+	sr := cn.startScatter(ctx, renderSelect(shardSel), targets)
 	byShard, err := collectByShard(sr)
 	if err != nil {
 		return nil, true, err
@@ -366,7 +366,7 @@ func (cn *Conn) scatterEach(ctx context.Context, queries []string) ([][][]storag
 		wg.Add(1)
 		go func(s int) {
 			defer wg.Done()
-			rs, err := cn.queryShard(ctx, classPlain, s, queries[s])
+			rs, err := cn.queryShard(ctx, s, queries[s])
 			if err != nil {
 				errs[s] = err
 				return

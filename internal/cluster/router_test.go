@@ -21,14 +21,22 @@ type routerFixture struct {
 
 func newRouterFixture(t *testing.T) *routerFixture {
 	t.Helper()
-	ext := geom.Rect{MinX: 0, MinY: 0, MaxX: 100, MaxY: 100}
-	part, err := cluster.NewPartitioner(ext, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
 	shards := make([]driver.Connector, 4)
 	for i := range shards {
 		shards[i] = driver.NewInProc(engine.Open(engine.GaiaDB()))
+	}
+	return newRouterFixtureOver(t, shards)
+}
+
+// newRouterFixtureOver is newRouterFixture over caller-supplied shard
+// connectors: a 2×2 grid on the 100×100 extent, shard 0 south-west,
+// 1 south-east, 2 north-west, 3 north-east.
+func newRouterFixtureOver(t *testing.T, shards []driver.Connector) *routerFixture {
+	t.Helper()
+	ext := geom.Rect{MinX: 0, MinY: 0, MaxX: 100, MaxY: 100}
+	part, err := cluster.NewPartitioner(ext, len(shards))
+	if err != nil {
+		t.Fatal(err)
 	}
 	cl, err := cluster.Open(shards, part, cluster.Options{Profile: engine.GaiaDB()})
 	if err != nil {
@@ -123,6 +131,33 @@ func TestRouterDDLAndDML(t *testing.T) {
 	f.exec(t, "DROP TABLE pois")
 	if _, err := f.cluster.Query("SELECT id FROM pois"); err == nil {
 		t.Fatal("SELECT from dropped table should fail")
+	}
+}
+
+// TestRouterPartialInsertKeepsRowsVisible: a multi-row INSERT whose
+// second row fails on its shard still stores the first row on another
+// shard, as a single engine stores the rows before the bad one. The
+// router must grow that shard's data MBR anyway, or a window query
+// would prune the shard and drop the stored row.
+func TestRouterPartialInsertKeepsRowsVisible(t *testing.T) {
+	f := newRouterFixture(t)
+	f.exec(t, "CREATE TABLE pois (id INTEGER, name TEXT, loc GEOMETRY)")
+	q := "INSERT INTO pois VALUES (1, 'ok', ST_MakePoint(10, 10)), ('bad', 'x', ST_MakePoint(90, 90))"
+	if _, err := f.single.Exec(q); err == nil {
+		t.Fatal("single engine accepted TEXT in an INTEGER column")
+	}
+	if _, err := f.cluster.Exec(q); err == nil {
+		t.Fatal("cluster accepted TEXT in an INTEGER column")
+	}
+	compareQuery(t, "scan after partial insert", "SELECT id FROM pois", f.single, f.cluster)
+	compareQuery(t, "window after partial insert",
+		"SELECT id FROM pois WHERE ST_Intersects(loc, ST_MakeEnvelope(0, 0, 20, 20))", f.single, f.cluster)
+	rs, err := f.cluster.Query("SELECT id FROM pois WHERE ST_Intersects(loc, ST_MakeEnvelope(0, 0, 20, 20))")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rs.Rows) != 1 {
+		t.Fatalf("window query returned %d rows, want the stored row 1", len(rs.Rows))
 	}
 }
 

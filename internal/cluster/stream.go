@@ -49,7 +49,7 @@ func (sr *scatterRun) cancelAll() {
 // fragments back in arrival order over a bounded channel. Each shard
 // gets its own cancelable context so consumers can abandon shards a
 // tightening bound proves irrelevant.
-func (cn *Conn) startScatter(ctx context.Context, class, text string, targets []int) *scatterRun {
+func (cn *Conn) startScatter(ctx context.Context, text string, targets []int) *scatterRun {
 	sr := &scatterRun{
 		ch:      make(chan fragment, 2),
 		cancels: make(map[int]context.CancelFunc, len(targets)),
@@ -61,7 +61,7 @@ func (cn *Conn) startScatter(ctx context.Context, class, text string, targets []
 		wg.Add(1)
 		go func(s int, sctx context.Context) {
 			defer wg.Done()
-			rs, err := cn.queryShard(sctx, class, s, text)
+			rs, err := cn.queryShard(sctx, s, text)
 			f := fragment{shard: s, err: err}
 			if err == nil {
 				f.rows = rs.Rows

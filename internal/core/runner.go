@@ -93,12 +93,9 @@ type MicroResult struct {
 	ShardPruneRate float64
 
 	// ShardFastPath counts statements the cluster forwarded verbatim to a
-	// single shard; ShardHedgeFired/ShardHedgeWon count hedged second
-	// requests issued and won. All deltas over the measured iterations;
-	// 0 when the target is not a cluster.
-	ShardFastPath   int
-	ShardHedgeFired int
-	ShardHedgeWon   int
+	// single shard, a delta over the measured iterations; 0 when the
+	// target is not a cluster.
+	ShardFastPath int
 
 	// WALFsyncs is the number of log fsyncs over the measured iterations
 	// and DirtyPages the buffer-pool dirty-page gauge sampled after them.
@@ -157,11 +154,8 @@ type MacroResult struct {
 	Shards         int
 	ShardPruneRate float64
 
-	// ShardFastPath / ShardHedgeFired / ShardHedgeWon as in MicroResult,
-	// over the measured phase.
-	ShardFastPath   int
-	ShardHedgeFired int
-	ShardHedgeWon   int
+	// ShardFastPath as in MicroResult, over the measured phase.
+	ShardFastPath int
 
 	// WALFsyncs / DirtyPages as in MicroResult, over the measured phase.
 	WALFsyncs  int
@@ -325,8 +319,6 @@ func RunMicro(connector driver.Connector, suite []MicroQuery, ctx *QueryContext,
 				res.Shards = after.Shards
 				res.ShardPruneRate = pruneDelta(ssBefore, after)
 				res.ShardFastPath = after.FastPathHits - ssBefore.FastPathHits
-				res.ShardHedgeFired = after.HedgeFired - ssBefore.HedgeFired
-				res.ShardHedgeWon = after.HedgeWon - ssBefore.HedgeWon
 				res.JoinPushdown = after.JoinPushdowns - ssBefore.JoinPushdowns
 			}
 			if hasJS && len(durations) > 0 {
@@ -519,8 +511,6 @@ func RunMacro(connector driver.Connector, sc MacroScenario, ctx *QueryContext, o
 		res.Shards = after.Shards
 		res.ShardPruneRate = pruneDelta(ssBefore, after)
 		res.ShardFastPath = after.FastPathHits - ssBefore.FastPathHits
-		res.ShardHedgeFired = after.HedgeFired - ssBefore.HedgeFired
-		res.ShardHedgeWon = after.HedgeWon - ssBefore.HedgeWon
 		res.JoinPushdown = after.JoinPushdowns - ssBefore.JoinPushdowns
 	}
 	if statsJS != nil {

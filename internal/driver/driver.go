@@ -43,8 +43,9 @@ type Connector interface {
 }
 
 // ContextConn is an optional Conn extension for cancelable queries. A
-// hedged-read router uses it to abandon the losing replica: sessions
-// that implement it honor ctx cancellation (at least between
+// scatter-gather router uses it to abandon shard requests it no longer
+// needs (a kNN bound pruned the shard, or another shard failed):
+// sessions that implement it honor ctx cancellation (at least between
 // statements), others simply run the query to completion and the
 // caller discards the result.
 type ContextConn interface {
@@ -59,9 +60,6 @@ type ContextConn interface {
 type ShardStats struct {
 	// Shards is the cluster size.
 	Shards int
-	// Replicas is the replication factor (copies of each shard), 1 for
-	// an unreplicated cluster.
-	Replicas int
 	// Scatters counts routed statements that fanned out (or could have).
 	Scatters int
 	// ShardQueries counts per-shard statements actually sent.
@@ -79,12 +77,6 @@ type ShardStats struct {
 	// FastPathHits counts statements resolved to a single owning shard
 	// and forwarded verbatim, skipping the scatter/merge machinery.
 	FastPathHits int
-	// HedgeFired counts hedged second requests issued after the
-	// per-class latency threshold expired.
-	HedgeFired int
-	// HedgeWon counts hedged requests whose reply arrived before the
-	// primary's.
-	HedgeWon int
 	// GatherBuilds counts transient gather engines built from scratch
 	// (schema + index creation). Repeat joins of the same table set at
 	// the same schema epoch reuse a cached engine and do not count.

@@ -177,7 +177,7 @@ func TestE12Ablation(t *testing.T) {
 
 func TestE15ScaleOut(t *testing.T) {
 	var sb strings.Builder
-	if err := RunE15(&sb, fastConfig(), []int{1, 2}, 1); err != nil {
+	if err := RunE15(&sb, fastConfig(), []int{1, 2}); err != nil {
 		t.Fatal(err)
 	}
 	out := sb.String()

@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 	"io"
-	"path/filepath"
 	"runtime"
 	"time"
 
@@ -20,53 +19,19 @@ import (
 // router. The router's catalog is registered from the benchmark schema
 // and its pruning statistics are bootstrapped from the shards.
 func SetupCluster(p engine.Profile, ds *tiger.Dataset, n int) (*cluster.Cluster, error) {
-	return SetupReplicatedCluster(p, ds, n, 1)
-}
-
-// SetupReplicatedCluster builds an in-process cluster with `replicas`
-// identical engines per shard: each replica of shard i loads the same
-// grid-partition slice, so reads can load-balance and hedge across
-// them while writes broadcast.
-func SetupReplicatedCluster(p engine.Profile, ds *tiger.Dataset, n, replicas int) (*cluster.Cluster, error) {
-	return SetupReplicatedClusterAt(p, ds, n, replicas, "")
-}
-
-// SetupReplicatedClusterAt is SetupReplicatedCluster with durable
-// shards: when dataDir is non-empty each engine persists to its own
-// subdirectory (shardNN/ or shardNN-rR/ with replication) so the whole
-// cluster survives restarts. Empty dataDir keeps the engines in memory.
-func SetupReplicatedClusterAt(p engine.Profile, ds *tiger.Dataset, n, replicas int, dataDir string) (*cluster.Cluster, error) {
-	if replicas < 1 {
-		replicas = 1
-	}
 	part, err := cluster.NewPartitioner(ds.Extent, n)
 	if err != nil {
 		return nil, err
 	}
-	groups := make([][]driver.Connector, n)
-	for i := range groups {
-		groups[i] = make([]driver.Connector, replicas)
-		for r := 0; r < replicas; r++ {
-			var eng *engine.Engine
-			if dataDir == "" {
-				eng = engine.Open(p)
-			} else {
-				sub := fmt.Sprintf("shard%02d", i)
-				if replicas > 1 {
-					sub = fmt.Sprintf("shard%02d-r%d", i, r)
-				}
-				eng, err = engine.OpenDurable(p, filepath.Join(dataDir, sub))
-				if err != nil {
-					return nil, fmt.Errorf("experiments: open shard %d/%d replica %d: %w", i, n, r, err)
-				}
-			}
-			if err := tiger.LoadShard(engineExecer{eng}, ds, true, i, part.Assign); err != nil {
-				return nil, fmt.Errorf("experiments: load shard %d/%d replica %d: %w", i, n, r, err)
-			}
-			groups[i][r] = driver.NewInProc(eng)
+	shards := make([]driver.Connector, n)
+	for i := range shards {
+		eng := engine.Open(p)
+		if err := tiger.LoadShard(engineExecer{eng}, ds, true, i, part.Assign); err != nil {
+			return nil, fmt.Errorf("experiments: load shard %d/%d: %w", i, n, err)
 		}
+		shards[i] = driver.NewInProc(eng)
 	}
-	cl, err := cluster.OpenReplicated(groups, part, cluster.Options{Profile: p})
+	cl, err := cluster.Open(shards, part, cluster.Options{Profile: p})
 	if err != nil {
 		return nil, err
 	}
@@ -84,16 +49,14 @@ func SetupReplicatedClusterAt(p engine.Profile, ds *tiger.Dataset, n, replicas i
 // RunE15 regenerates the scale-out figure: macro throughput and latency
 // percentiles (MS1 map search and browsing, MS3 geocoding) and micro
 // latency (MA2 full-scan aggregate, MA6 windowed refinement, MT1 join)
-// on spatially-sharded GaiaDB clusters of increasing size, with
-// `replicas` engines per shard (reads load-balance and hedge across
-// them when > 1). Every query returns results byte-identical to a
-// single engine; only throughput and latency move. Window-driven
-// queries benefit three ways — single-shard fast-path forwarding,
-// smaller per-shard inputs, and spatial pruning of shards whose data
-// MBR misses the window — while full-scan work is bounded by the
-// machine's core count, since all shards of an in-process cluster
-// share one machine.
-func RunE15(w io.Writer, cfg Config, shardCounts []int, replicas int) error {
+// on spatially-sharded GaiaDB clusters of increasing size. Every query
+// returns results byte-identical to a single engine; only throughput
+// and latency move. Window-driven queries benefit three ways —
+// single-shard fast-path forwarding, smaller per-shard inputs, and
+// spatial pruning of shards whose data MBR misses the window — while
+// full-scan work is bounded by the machine's core count, since all
+// shards of an in-process cluster share one machine.
+func RunE15(w io.Writer, cfg Config, shardCounts []int) error {
 	header(w, "E15", "scale-out: spatially-sharded cluster", cfg)
 	ds := tiger.Generate(cfg.Scale, cfg.Seed)
 	ctx := core.NewQueryContext(ds)
@@ -112,8 +75,8 @@ func RunE15(w io.Writer, cfg Config, shardCounts []int, replicas int) error {
 		}
 	}
 
-	fmt.Fprintf(w, "machine: %d CPUs (GOMAXPROCS %d); all shards share it; %d replica(s) per shard\n\n",
-		runtime.NumCPU(), runtime.GOMAXPROCS(0), replicas)
+	fmt.Fprintf(w, "machine: %d CPUs (GOMAXPROCS %d); all shards share it\n\n",
+		runtime.NumCPU(), runtime.GOMAXPROCS(0))
 	fmt.Fprintf(w, "%-7s", "shards")
 	for _, sc := range macros {
 		fmt.Fprintf(w, " %10s %8s %9s %9s", sc.ID+" op/s", "speedup", "p50", "p99")
@@ -121,11 +84,11 @@ func RunE15(w io.Writer, cfg Config, shardCounts []int, replicas int) error {
 	for _, q := range micros {
 		fmt.Fprintf(w, " %12s", q.ID)
 	}
-	fmt.Fprintf(w, " %7s %9s %7s\n", "prune", "fastpath", "hedges")
+	fmt.Fprintf(w, " %7s %9s\n", "prune", "fastpath")
 
 	baseThroughput := make([]float64, len(macros))
 	for _, n := range shardCounts {
-		cl, err := SetupReplicatedCluster(engine.GaiaDB(), ds, n, replicas)
+		cl, err := SetupCluster(engine.GaiaDB(), ds, n)
 		if err != nil {
 			return err
 		}
@@ -154,8 +117,7 @@ func RunE15(w io.Writer, cfg Config, shardCounts []int, replicas int) error {
 			fmt.Fprintf(w, " %12s", r.Mean.Round(time.Microsecond))
 		}
 		ss := cl.ShardStats()
-		fmt.Fprintf(w, " %7s %9d %3d/%-3d\n", fmtPruneRate(ss.PruneRate()),
-			ss.FastPathHits, ss.HedgeWon, ss.HedgeFired)
+		fmt.Fprintf(w, " %7s %9d\n", fmtPruneRate(ss.PruneRate()), ss.FastPathHits)
 	}
 	return nil
 }

@@ -125,15 +125,15 @@ func MeasureE19Cluster(ds *tiger.Dataset, ctx *core.QueryContext, strat sql.Join
 	if err != nil {
 		return E19Cell{}, err
 	}
-	groups := make([][]driver.Connector, shards)
-	for i := range groups {
+	conns := make([]driver.Connector, shards)
+	for i := range conns {
 		eng := engine.Open(engine.GaiaDB(), engine.WithJoinStrategy(strat))
 		if err := tiger.LoadShard(engineExecer{eng}, ds, true, i, part.Assign); err != nil {
 			return E19Cell{}, fmt.Errorf("experiments: E19 load shard %d/%d: %w", i, shards, err)
 		}
-		groups[i] = []driver.Connector{driver.NewInProc(eng)}
+		conns[i] = driver.NewInProc(eng)
 	}
-	cl, err := cluster.OpenReplicated(groups, part, cluster.Options{
+	cl, err := cluster.Open(conns, part, cluster.Options{
 		Profile:      engine.GaiaDB(),
 		JoinStrategy: strat,
 	})

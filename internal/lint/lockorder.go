@@ -13,8 +13,8 @@ import (
 // cycles as potential deadlocks. The mutex inventory spans every
 // sync.Mutex/RWMutex struct field and package-level mutex in the module
 // — engine catalog, buffer-pool shards, WAL append and group-commit
-// locks, cluster and replica connections — which is exactly the set
-// that PRs 6-8 grew and that ROADMAP items keep growing.
+// locks, cluster and shard connections — the set that grows as the
+// storage and cluster layers grow.
 //
 // Per function, a forward dataflow over the CFG computes the set of
 // locks held at each statement (must-held: paths are intersected, so a

@@ -189,14 +189,6 @@ func OpenCluster(p Profile, ds *Dataset, n int) (*Cluster, error) {
 	return experiments.SetupCluster(p, ds, n)
 }
 
-// OpenClusterReplicated builds an in-process cluster with `replicas`
-// identical engines per shard. Reads load-balance across a shard's
-// replicas (power-of-two-choices on in-flight count) and hedge a second
-// request when the first is slow; writes broadcast to every replica.
-func OpenClusterReplicated(p Profile, ds *Dataset, n, replicas int) (*Cluster, error) {
-	return experiments.SetupReplicatedCluster(p, ds, n, replicas)
-}
-
 // OpenClusterRemote assembles a cluster whose shards are wire servers.
 // Each server at addrs[i] must hold shard i's partition of the dataset
 // (spatialdbd -preload ... -shard i -of len(addrs)) and run the given
