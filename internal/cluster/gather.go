@@ -3,7 +3,6 @@ package cluster
 import (
 	"context"
 	"fmt"
-	"strings"
 
 	"jackpine/internal/engine"
 	"jackpine/internal/geom"
@@ -216,11 +215,11 @@ func (cn *Conn) prepareGatherEngineLocked(entry *gatherEntry, tables []string) e
 }
 
 // semijoinFilters derives extra fragment filters for binding i from
-// sargable join conjuncts pred(B.geo, exprA): any row of B that joins
-// must place its geometry within the envelope of some exprA value, and
-// those envelopes all lie inside ST_EXTENT(exprA) over A's fragment
-// (expanded by d for ST_DWithin: a point within distance d of the
-// extent lies in the extent grown by d per axis). The extent is
+// sargable join conjuncts pred(B.geo, exprA) (spatialJoinBound): any
+// row of B that joins must place its geometry within the envelope of
+// some exprA value, and those envelopes all lie inside
+// ST_EXTENT(exprA) over A's fragment (expanded by the conjunct's
+// distance bound d for ST_DWithin). The extent is
 // fetched with a recursive routed aggregate — the partial-merge path,
 // one value per shard. none reports that an extent came back NULL or
 // empty: no A row can ever satisfy the conjunct, so B's fragment is
@@ -230,28 +229,17 @@ func (cn *Conn) semijoinFilters(ctx context.Context, refs []*sql.TableRef, nameC
 	geoName := info.cols[info.geomCol].Name
 	var filters []sql.Expr
 	for _, c := range conjuncts {
-		fc, ok := c.(*sql.FuncCall)
+		x, y, expand, ok := cn.spatialJoinBound(c)
 		if !ok {
 			continue
 		}
-		name := strings.ToUpper(fc.Name)
-		isDWithin := name == "ST_DWITHIN"
-		if !sql.IsSargableSpatial(name) && !isDWithin {
-			continue
-		}
-		wantArgs := 2
-		if isDWithin {
-			wantArgs = 3
-		}
-		if len(fc.Args) != wantArgs {
-			continue
-		}
-		for k := 0; k < 2; k++ {
-			col, isCol := fc.Args[k].(*sql.ColumnRef)
+		args := [2]sql.Expr{x, y}
+		for k, arg := range args {
+			col, isCol := arg.(*sql.ColumnRef)
 			if !isCol || col.Table != binding || col.Column != geoName {
 				continue
 			}
-			other := fc.Args[1-k]
+			other := args[1-k]
 			if !sql.HasColumnRef(other) {
 				continue // constant probe: ordinary pushdown covers it
 			}
@@ -264,21 +252,6 @@ func (cn *Conn) semijoinFilters(ctx context.Context, refs []*sql.TableRef, nameC
 			}
 			if j < 0 {
 				continue
-			}
-			expand := 0.0
-			if isDWithin {
-				if sql.HasColumnRef(fc.Args[2]) {
-					continue
-				}
-				d, err := sql.Eval(fc.Args[2], nil, cn.c.reg)
-				if err != nil {
-					continue
-				}
-				f, ok := d.AsFloat()
-				if !ok {
-					continue
-				}
-				expand = f
 			}
 			env, none, err := cn.fragmentExtent(ctx, refs[j], pushed[j], other)
 			if err != nil {

@@ -60,9 +60,11 @@ func (p Partitioner) AssignPoint(c geom.Coord) int {
 }
 
 // CellRect returns shard i's grid cell rectangle. Rows are assigned by
-// envelope centre, so a row's geometry may overhang its cell; the
-// join-pushdown spill test shrinks this rectangle rather than trusting
-// it as a data bound.
+// envelope centre, so a row's geometry may overhang its cell, and a
+// border cell also owns everything beyond the extent on its outer
+// sides. The join-pushdown spill test therefore reads only the edges
+// this rectangle shares with another cell, never the outer ones, and
+// never trusts the rectangle as a data bound.
 func (p Partitioner) CellRect(shard int) geom.Rect {
 	cx, cy := shard%p.Gx, shard/p.Gx
 	w := (p.Extent.MaxX - p.Extent.MinX) / float64(p.Gx)

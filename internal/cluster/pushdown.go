@@ -30,16 +30,15 @@ const ShardColumn = "_shard"
 //   - cross-shard pairs: the join's spatial conjunct bounds every
 //     joining pair's envelope distance by d (0 for ST_INTERSECTS and
 //     friends, the constant for ST_DWITHIN), so a pair can straddle
-//     shards only near cell boundaries. A transient complement engine
-//     loads, from each table, the spill rows — geometry not provably
-//     inside its own shard's cell shrunk by d+ε — plus the band
+//     shards only across an internal cell edge. A transient complement
+//     engine loads, from each table, the spill rows — envelope within
+//     d+ε of an internal edge of its own shard's cell — plus the band
 //     partners — interior rows within reach of the other table's
-//     spill extent — and re-runs the join with a._shard <> b._shard
-//     appended. Any cross-shard pair has at least one spill member
-//     (two rows deep inside different shrunk cells cannot be within d
-//     of each other), and its partner is spill or band partner, so
-//     every such pair is present exactly once; the shard conjunct
-//     excludes same-shard pairs already counted by the scatter.
+//     spill on the other shards — and re-runs the join with a._shard
+//     <> b._shard appended. buildComplement argues that every
+//     cross-shard pair has both members loaded, each exactly once;
+//     the shard conjunct excludes same-shard pairs already counted by
+//     the scatter.
 //
 // The partial states merge in fixed order — real shards ascending,
 // the complement as one trailing pseudo-shard — through the same
@@ -152,48 +151,50 @@ func partialItems(aggs []*sql.FuncCall) []sql.SelectExpr {
 	return items
 }
 
+// spatialJoinBound parses a conjunct of the shape pred(x, y), with pred
+// a sargable spatial predicate, or ST_DWITHIN(x, y, d): it returns the
+// two geometry arguments and the envelope-distance bound every true
+// result obeys — 0 for a sargable predicate (true results have
+// intersecting envelopes), the constant d for ST_DWITHIN (a point
+// within d of a geometry lies in its envelope grown by d per axis). ok
+// is false for any other shape, and for a distance that references a
+// column or is not a finite non-negative number.
+func (cn *Conn) spatialJoinBound(c sql.Expr) (x, y sql.Expr, d float64, ok bool) {
+	fc, isCall := c.(*sql.FuncCall)
+	if !isCall {
+		return nil, nil, 0, false
+	}
+	name := strings.ToUpper(fc.Name)
+	switch {
+	case sql.IsSargableSpatial(name) && len(fc.Args) == 2:
+		return fc.Args[0], fc.Args[1], 0, true
+	case name == "ST_DWITHIN" && len(fc.Args) == 3:
+		if sql.HasColumnRef(fc.Args[2]) {
+			return nil, nil, 0, false
+		}
+		v, err := sql.Eval(fc.Args[2], nil, cn.c.reg)
+		if err != nil {
+			return nil, nil, 0, false
+		}
+		f, isNum := v.AsFloat()
+		if !isNum || f < 0 || math.IsInf(f, 0) || math.IsNaN(f) {
+			return nil, nil, 0, false
+		}
+		return fc.Args[0], fc.Args[1], f, true
+	}
+	return nil, nil, 0, false
+}
+
 // pushdownDistance finds the tightest envelope-distance bound implied
 // by the conjuncts linking the two bindings' partitioning geometry
-// columns: 0 for any sargable predicate (true results have
-// intersecting envelopes), the constant for ST_DWITHIN. ok is false
-// when no conjunct links them — then cross-shard pairs are unbounded
-// and the pushdown is unsound.
+// columns. ok is false when no conjunct links them — then cross-shard
+// pairs are unbounded and the pushdown is unsound.
 func (cn *Conn) pushdownDistance(conjuncts []sql.Expr, aName, aGeo, bName, bGeo string) (float64, bool) {
 	best, found := 0.0, false
 	for _, c := range conjuncts {
-		fc, ok := c.(*sql.FuncCall)
-		if !ok {
+		x, y, d, ok := cn.spatialJoinBound(c)
+		if !ok || !linksGeomCols(x, y, aName, aGeo, bName, bGeo) {
 			continue
-		}
-		name := strings.ToUpper(fc.Name)
-		isDWithin := name == "ST_DWITHIN"
-		if !sql.IsSargableSpatial(name) && !isDWithin {
-			continue
-		}
-		wantArgs := 2
-		if isDWithin {
-			wantArgs = 3
-		}
-		if len(fc.Args) != wantArgs {
-			continue
-		}
-		if !linksGeomCols(fc.Args[0], fc.Args[1], aName, aGeo, bName, bGeo) {
-			continue
-		}
-		d := 0.0
-		if isDWithin {
-			if sql.HasColumnRef(fc.Args[2]) {
-				continue
-			}
-			v, err := sql.Eval(fc.Args[2], nil, cn.c.reg)
-			if err != nil {
-				continue
-			}
-			f, ok := v.AsFloat()
-			if !ok || f < 0 || math.IsInf(f, 0) || math.IsNaN(f) {
-				continue
-			}
-			d = f
 		}
 		if !found || d < best {
 			best, found = d, true
@@ -215,50 +216,69 @@ func linksGeomCols(x, y sql.Expr, aName, aGeo, bName, bGeo string) bool {
 }
 
 // buildComplement assembles the transient engine holding, for each
-// distinct joined table, its spill rows and band partners tagged with
-// their source shard. Two fetch rounds: spill rows first (their union
-// extent defines the bands), then interior rows inside the other
-// table's band. The rounds' filters are complementary on the shrunk
-// cell, so no row loads twice; NULL geometries fail both filters and
-// stay out (they cannot satisfy the spatial join conjunct).
+// distinct joined table, the rows that can form a cross-shard pair,
+// tagged with their source shard. With m = d+ε (spillMargin):
+//
+//  1. Spill rows. cellIndex clamps each axis, so a border cell owns
+//     everything beyond the extent on its side and only an edge shared
+//     with another cell separates two shards. A row spills when its
+//     envelope reaches within m of an internal edge of its own shard's
+//     cell: one ordinate test per internal edge (ST_XMAX(geo) >
+//     right-m, ST_XMIN(geo) < left+m, and likewise in y), OR-ed.
+//     Outer edges do not move, so rows hugging the dataset's border
+//     stay home.
+//  2. Every cross-shard pair has a spill member. Shards s ≠ t differ
+//     in a grid column or row; say s lies left of t. Then s has an
+//     internal right edge R and t an internal left edge L ≥ R, and
+//     non-spill rows a of s and b of t have a.MaxX ≤ R-m and b.MinX ≥
+//     L+m: their envelopes are ≥ 2m > d apart along x, so they cannot
+//     join. The argument reads envelope ordinates only — no exact
+//     topology, and not where a row's centre lies.
+//  3. Band partners. The other member of such a pair, if it does not
+//     spill and lives on shard t, lies within d of a spill row of the
+//     other table on a shard ≠ t, so it intersects band(t): the union
+//     of that table's spill envelopes over the shards ≠ t, grown by m.
+//     A self-join bands against its own table. Partners on the spill
+//     row's own shard need no band: a._shard <> b._shard drops them.
+//
+// Two fetch rounds: spill rows first (their per-shard extents define
+// the bands), then, on each shard t, the rows with NOT(spill test) AND
+// ST_INTERSECTS(geo, band(t)). The filters are complementary, so no
+// row loads twice, and every row carries its true shard, so the
+// complement join counts each cross-shard pair exactly once. NULL and
+// empty geometries have NULL ordinates and fail both filters; they
+// cannot satisfy the spatial join conjunct.
 func (cn *Conn) buildComplement(ctx context.Context, infos []*tableInfo, d float64) (*engine.Engine, error) {
-	// ε absorbs boundary-inclusive containment and float rounding in
-	// the shrink arithmetic; any positive slack only grows the spill
-	// set, never the other way.
-	eps := d*1e-9 + 1e-9
-	shrunk := make([]geom.Rect, cn.shards())
-	for i := range shrunk {
-		shrunk[i] = cn.c.part.CellRect(i).Expand(-(d + eps))
-	}
-
+	m := spillMargin(cn.c.part.Extent, d)
 	tabs := infos[:1]
 	if infos[1].name != infos[0].name {
 		tabs = infos
 	}
 
 	load := make([][][]storage.Value, len(tabs))
-	ext := make([]geom.Rect, len(tabs))
+	// spillExt[ti][s] is the envelope union of table ti's spill rows on
+	// shard s.
+	spillExt := make([][]geom.Rect, len(tabs))
 	for ti, info := range tabs {
-		ext[ti] = geom.EmptyRect()
 		geo := info.cols[info.geomCol].Name
 		queries := make([]string, cn.shards())
 		for s := range queries {
-			sel := complementSelect(info)
-			if !shrunk[s].IsEmpty() {
-				sel.Where = &sql.UnaryExpr{Op: "NOT", Expr: containsCall(shrunk[s], geo)}
+			if spill := cn.spillFilter(s, geo, m); spill != nil {
+				sel := complementSelect(info)
+				sel.Where = spill
+				queries[s] = renderSelect(sel)
 			}
-			// An over-shrunk (empty) cell has no interior: every row of
-			// that shard spills, so the filter stays nil.
-			queries[s] = renderSelect(sel)
 		}
 		byShard, err := cn.scatterEach(ctx, queries)
 		if err != nil {
 			return nil, err
 		}
+		spillExt[ti] = make([]geom.Rect, len(byShard))
 		for s, rows := range byShard {
+			spillExt[ti][s] = geom.EmptyRect()
 			for _, r := range rows {
 				if g := r[info.geomCol]; g.Type == storage.TypeGeom && g.Geom != nil {
-					ext[ti] = ext[ti].Union(g.Geom.Envelope())
+					spillExt[ti][s] = spillExt[ti][s].Union(g.Geom.Envelope())
 				}
 				load[ti] = append(load[ti], tagShard(r, s))
 			}
@@ -266,31 +286,29 @@ func (cn *Conn) buildComplement(ctx context.Context, infos []*tableInfo, d float
 	}
 
 	for ti, info := range tabs {
-		// Band partners react to the *other* table's spill extent; a
-		// self-join's single table bands against its own.
-		other := ext[len(ext)-1-ti]
-		if len(tabs) == 1 {
-			other = ext[0]
-		}
-		band := other.Expand(d)
-		if band.IsEmpty() {
-			continue
-		}
+		other := spillExt[len(tabs)-1-ti]
 		geo := info.cols[info.geomCol].Name
 		queries := make([]string, cn.shards())
-		for s := range queries {
-			if shrunk[s].IsEmpty() {
-				continue // round 1 already took the whole shard
+		for t := range queries {
+			band := geom.EmptyRect()
+			for s, e := range other {
+				if s != t {
+					band = band.Union(e)
+				}
+			}
+			if band.IsEmpty() {
+				continue
+			}
+			var where sql.Expr = &sql.FuncCall{Name: "ST_INTERSECTS", Args: []sql.Expr{
+				&sql.ColumnRef{Column: geo, Index: -1},
+				envelopeLiteral(band.Expand(m)),
+			}}
+			if spill := cn.spillFilter(t, geo, m); spill != nil {
+				where = &sql.BinaryExpr{Op: "AND", Left: &sql.UnaryExpr{Op: "NOT", Expr: spill}, Right: where}
 			}
 			sel := complementSelect(info)
-			sel.Where = &sql.BinaryExpr{Op: "AND",
-				Left: containsCall(shrunk[s], geo),
-				Right: &sql.FuncCall{Name: "ST_INTERSECTS", Args: []sql.Expr{
-					&sql.ColumnRef{Column: geo, Index: -1},
-					envelopeLiteral(band),
-				}},
-			}
-			queries[s] = renderSelect(sel)
+			sel.Where = where
+			queries[t] = renderSelect(sel)
 		}
 		byShard, err := cn.scatterEach(ctx, queries)
 		if err != nil {
@@ -336,13 +354,43 @@ func complementSelect(info *tableInfo) *sql.Select {
 	return &sql.Select{Exprs: exprs, From: &sql.TableRef{Table: info.name}, Limit: -1}
 }
 
-// containsCall renders the interior test: the geometry lies inside the
-// shrunk cell rectangle.
-func containsCall(cell geom.Rect, geo string) sql.Expr {
-	return &sql.FuncCall{Name: "ST_CONTAINS", Args: []sql.Expr{
-		envelopeLiteral(cell),
-		&sql.ColumnRef{Column: geo, Index: -1},
-	}}
+// spillMargin returns m = d+ε, the reach of the spill test. ε absorbs
+// float rounding in the edge and band arithmetic — fl(L+m) − fl(R−m)
+// must stay above d however large the coordinates — so it scales with
+// d and with the extent's coordinate magnitude. Any positive slack
+// only grows the loaded set.
+func spillMargin(extent geom.Rect, d float64) float64 {
+	mag := math.Max(math.Max(math.Abs(extent.MinX), math.Abs(extent.MaxX)),
+		math.Max(math.Abs(extent.MinY), math.Abs(extent.MaxY)))
+	return d + (d+mag)*1e-9 + 1e-9
+}
+
+// spillFilter renders shard s's spill test: one envelope-ordinate
+// comparison per internal edge of its cell, OR-ed; nil when the cell
+// has no internal edge (a one-cell grid).
+func (cn *Conn) spillFilter(s int, geo string, m float64) sql.Expr {
+	p := cn.c.part
+	cell, cx, cy := p.CellRect(s), s%p.Gx, s/p.Gx
+	var tests []sql.Expr
+	reaches := func(ordinate, op string, edge float64) {
+		tests = append(tests, &sql.BinaryExpr{Op: op,
+			Left:  &sql.FuncCall{Name: ordinate, Args: []sql.Expr{&sql.ColumnRef{Column: geo, Index: -1}}},
+			Right: &sql.Literal{Value: storage.NewFloat(edge)},
+		})
+	}
+	if cx > 0 {
+		reaches("ST_XMIN", "<", cell.MinX+m)
+	}
+	if cx < p.Gx-1 {
+		reaches("ST_XMAX", ">", cell.MaxX-m)
+	}
+	if cy > 0 {
+		reaches("ST_YMIN", "<", cell.MinY+m)
+	}
+	if cy < p.Gy-1 {
+		reaches("ST_YMAX", ">", cell.MaxY-m)
+	}
+	return orAll(tests)
 }
 
 // tagShard copies a fetched row with its source shard appended in the
