@@ -133,4 +133,6 @@ func TestBatchEquivalence(t *testing.T) {
 	if batches, rows := off.BatchStats(); batches != 0 || rows != 0 {
 		t.Errorf("disabled engine processed %d batches (%d rows)", batches, rows)
 	}
+	requireNoPins(t, off)
+	requireNoPins(t, on)
 }

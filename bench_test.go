@@ -1108,6 +1108,12 @@ const batchGuardQueryID = "MT13"
 // nothing — browse runs it at 0.07 ms.
 const planGuardQueryID = "MS2"
 
+// scanGuardQueryID is MA2's whole-table SUM(ST_Length(geo)): a full scan
+// through the batch executor's ScanBatch, where each row decodes its
+// geometry exactly once, so any further per-row decode shows in
+// allocs/op.
+const scanGuardQueryID = "MA2"
+
 // guardQuery renders the SQL of an allocation-guard query.
 func guardQuery(tb testing.TB, ctx *QueryContext, id string) string {
 	tb.Helper()
@@ -1116,12 +1122,12 @@ func guardQuery(tb testing.TB, ctx *QueryContext, id string) string {
 		return fmt.Sprintf("SELECT fromaddr, toaddr, geo FROM edges WHERE name = '%s' AND fromaddr <= %d AND toaddr >= %d",
 			name, house, house)
 	}
-	for _, q := range experiments.E17Queries() {
+	for _, q := range MicroSuite() {
 		if q.ID == id {
 			return q.SQL(ctx, 0)
 		}
 	}
-	tb.Fatalf("guard query %s is neither %s nor in the E17 set", id, planGuardQueryID)
+	tb.Fatalf("guard query %s is neither %s nor a micro query", id, planGuardQueryID)
 	return ""
 }
 
@@ -1161,7 +1167,7 @@ func guardAllocs(tb testing.TB, id string) float64 {
 // per-row allocation in the batch executor (alloc_guard, which
 // multiplies by the row count, not percents) or per-statement planner
 // work on a lookup that has nothing to hoist (plan_guard, ~180 allocs in
-// all). Skipped under the race detector, whose instrumentation changes
+// all), or a second per-row decode on a full batch scan (scan_guard). Skipped under the race detector, whose instrumentation changes
 // allocation counts.
 func TestBatchAllocRegression(t *testing.T) {
 	if raceEnabled {
@@ -1178,6 +1184,7 @@ func TestBatchAllocRegression(t *testing.T) {
 	var bench struct {
 		Batch guard `json:"alloc_guard"`
 		Plan  guard `json:"plan_guard"`
+		Scan  guard `json:"scan_guard"`
 	}
 	if err := json.Unmarshal(buf, &bench); err != nil {
 		t.Fatalf("BENCH_batch.json: %v", err)
@@ -1185,7 +1192,11 @@ func TestBatchAllocRegression(t *testing.T) {
 	for _, g := range []struct {
 		name, id string
 		base     guard
-	}{{"alloc_guard", batchGuardQueryID, bench.Batch}, {"plan_guard", planGuardQueryID, bench.Plan}} {
+	}{
+		{"alloc_guard", batchGuardQueryID, bench.Batch},
+		{"plan_guard", planGuardQueryID, bench.Plan},
+		{"scan_guard", scanGuardQueryID, bench.Scan},
+	} {
 		if g.base.Query != g.id || g.base.AllocsPerOp <= 0 {
 			t.Logf("baseline has no %s for %s", g.name, g.id)
 			continue
@@ -1269,6 +1280,7 @@ func TestWriteBatchBench(t *testing.T) {
 		TotalSpeedup float64    `json:"total_speedup"`
 		Guard        guardOut   `json:"alloc_guard"`
 		PlanGuard    guardOut   `json:"plan_guard"`
+		ScanGuard    guardOut   `json:"scan_guard"`
 		Note         string     `json:"note"`
 	}{
 		Experiment: "E17 vectorized batch execution (GaiaDB, 1 worker)",
@@ -1287,13 +1299,15 @@ func TestWriteBatchBench(t *testing.T) {
 			"is the TestBatchAllocRegression baseline: steady-state allocs/op " +
 			"of " + batchGuardQueryID + " at small scale, batch on, measured " +
 			"with testing.AllocsPerRun; plan_guard is the same for " + planGuardQueryID +
-			"'s address lookup, which has nothing to hoist.",
+			"'s address lookup, which has nothing to hoist; scan_guard for " + scanGuardQueryID +
+			"'s full batch scan, which decodes each row's geometry once.",
 	}
 	if batchTotal > 0 {
 		out.TotalSpeedup = float64(rowTotal) / float64(batchTotal)
 	}
 	out.Guard = guardOut{batchGuardQueryID, tiger.Small.String(), batchAllocs}
 	out.PlanGuard = guardOut{planGuardQueryID, tiger.Small.String(), guardAllocs(t, planGuardQueryID)}
+	out.ScanGuard = guardOut{scanGuardQueryID, tiger.Small.String(), guardAllocs(t, scanGuardQueryID)}
 
 	buf, err := json.MarshalIndent(out, "", "  ")
 	if err != nil {

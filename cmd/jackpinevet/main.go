@@ -1,7 +1,9 @@
-// Command jackpinevet is the project's multichecker: it runs every
-// registered invariant analyzer (see internal/lint) over the packages
-// matching the given patterns and exits non-zero on any unsuppressed
-// diagnostic.
+// Command jackpinevet is the project's multichecker: it runs the six
+// registered invariant analyzers (ctxpropagate, errwrap, floatcmp,
+// lockdiscipline, lockorder, syncerr; see internal/lint and DESIGN.md)
+// over the packages matching the given patterns and exits non-zero on any
+// unsuppressed diagnostic. An analyzer is kept only while no test
+// catches a break of its invariant; DESIGN.md records the evidence.
 //
 // Usage:
 //
@@ -19,7 +21,9 @@
 //
 //	//lint:allow-file <analyzer> <justification>
 //
-// where the justification is mandatory.
+// where the justification is mandatory. A directive naming no registered
+// analyzer is itself a finding, so a stale suppression cannot outlive the
+// analyzer it silenced.
 package main
 
 import (

@@ -168,6 +168,7 @@ func TestDMLEquivalence(t *testing.T) {
 		if tg.dir == "" {
 			continue
 		}
+		requireNoPins(t, tg.eng)
 		if err := tg.eng.Close(); err != nil {
 			t.Fatalf("close %s: %v", tg.name, err)
 		}
@@ -190,4 +191,8 @@ func TestDMLEquivalence(t *testing.T) {
 		{table: "arealm", sql: "UPDATE arealm SET category = 'moved' WHERE ST_Intersects(geo, " + window(0.1, 0.4) + ")"},
 		{table: "spots", sql: "DELETE FROM spots"},
 	})
+	requireNoPins(t, ref)
+	for _, tg := range targets {
+		requireNoPins(t, tg.eng)
+	}
 }

@@ -87,6 +87,7 @@ func TestDurableEquivalence(t *testing.T) {
 	}
 	microSweep(durConn, "post-macro")
 	durConn.Close()
+	requireNoPins(t, dur)
 	if err := dur.Close(); err != nil {
 		t.Fatalf("close durable engine: %v", err)
 	}
@@ -102,4 +103,6 @@ func TestDurableEquivalence(t *testing.T) {
 	}
 	defer reConn.Close()
 	microSweep(reConn, "reopened")
+	requireNoPins(t, re)
+	requireNoPins(t, mem)
 }

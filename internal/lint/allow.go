@@ -1,6 +1,7 @@
 package lint
 
 import (
+	"fmt"
 	"go/ast"
 	"strings"
 )
@@ -17,7 +18,9 @@ import (
 // lock the analyzer cannot see), where repeating the same line allow at
 // every site buries the one justification in noise. In both forms the
 // justification is mandatory: a bare allow is itself reported, because an
-// unexplained suppression is indistinguishable from a silenced bug.
+// unexplained suppression is indistinguishable from a silenced bug. So is
+// an allow naming no registered analyzer: it suppresses nothing, yet still
+// reads as a live justification after its analyzer is deleted or renamed.
 
 const (
 	allowPrefix     = "//lint:allow"
@@ -48,8 +51,9 @@ func newAllowSet() allowSet {
 }
 
 // collectAllows scans a package's comments for allow directives into set.
-// It returns diagnostics for malformed directives.
-func collectAllows(pkg *Package, set allowSet) []Diagnostic {
+// It returns diagnostics for malformed directives and for directives
+// naming an analyzer outside known.
+func collectAllows(pkg *Package, set allowSet, known map[string]bool) []Diagnostic {
 	var diags []Diagnostic
 	for _, f := range pkg.Files {
 		code := codeLines(pkg, f)
@@ -72,6 +76,14 @@ func collectAllows(pkg *Package, set allowSet) []Diagnostic {
 						Analyzer: "allow",
 						Pos:      pos,
 						Message:  "lint:allow directive names no analyzer",
+					})
+					continue
+				}
+				if !known[fields[0]] {
+					diags = append(diags, Diagnostic{
+						Analyzer: "allow",
+						Pos:      pos,
+						Message:  fmt.Sprintf("lint:allow names unknown analyzer %q", fields[0]),
 					})
 					continue
 				}

@@ -3,17 +3,11 @@ package lint
 // All returns every registered analyzer, in reporting order.
 func All() []*Analyzer {
 	return []*Analyzer{
-		ArenaEscape,
-		BatchAlloc,
 		CtxPropagate,
 		ErrWrap,
 		FloatCmp,
-		HotPathDecode,
 		LockDiscipline,
 		LockOrder,
-		PinBalance,
-		PreparedTopo,
 		SyncErr,
-		WalWrite,
 	}
 }

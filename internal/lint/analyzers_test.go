@@ -7,16 +7,6 @@ import (
 	"jackpine/internal/lint/linttest"
 )
 
-func TestBatchAlloc(t *testing.T) {
-	linttest.Run(t, "testdata", lint.BatchAlloc,
-		"ba/internal/sql", "ba/internal/storage")
-}
-
-func TestHotPathDecode(t *testing.T) {
-	linttest.Run(t, "testdata", lint.HotPathDecode,
-		"hp/internal/sql", "hp/internal/index/rtree")
-}
-
 func TestFloatCmp(t *testing.T) {
 	linttest.Run(t, "testdata", lint.FloatCmp, "fc/internal/topo")
 }
@@ -34,26 +24,9 @@ func TestErrWrap(t *testing.T) {
 	linttest.Run(t, "testdata", lint.ErrWrap, "ew/internal/wire")
 }
 
-func TestPreparedTopo(t *testing.T) {
-	linttest.Run(t, "testdata", lint.PreparedTopo,
-		"pt/internal/sql", "pt/internal/engine")
-}
-
 func TestSyncErr(t *testing.T) {
 	linttest.Run(t, "testdata", lint.SyncErr,
 		"se/internal/storage", "se/internal/storage/wal")
-}
-
-func TestPinBalance(t *testing.T) {
-	linttest.Run(t, "testdata", lint.PinBalance, "pb/internal/storage")
-}
-
-func TestWalWrite(t *testing.T) {
-	linttest.Run(t, "testdata", lint.WalWrite, "ww/internal/storage")
-}
-
-func TestArenaEscape(t *testing.T) {
-	linttest.Run(t, "testdata", lint.ArenaEscape, "ae/internal/sql")
 }
 
 func TestLockOrder(t *testing.T) {
@@ -92,17 +65,11 @@ func TestAnalyzersScopeOut(t *testing.T) {
 		a   *lint.Analyzer
 		pkg string
 	}{
-		{lint.BatchAlloc, "fc/internal/topo"},
-		{lint.BatchAlloc, "hp/internal/sql"}, // in-scope package, no batch kernels
-		{lint.FloatCmp, "hp/internal/sql"},
-		{lint.HotPathDecode, "fc/internal/topo"},
+		{lint.FloatCmp, "ew/internal/wire"},
 		{lint.CtxPropagate, "ld/internal/engine"},
 		{lint.ErrWrap, "fc/internal/topo"},
-		{lint.PreparedTopo, "pt/internal/topo"},
 		{lint.SyncErr, "se/internal/wire"},
-		{lint.PinBalance, "ww/internal/wire"},
-		{lint.WalWrite, "ww/internal/wire"},
-		{lint.ArenaEscape, "ae/internal/wire"},
+		{lint.LockDiscipline, "se/internal/storage"},
 	}
 	for _, c := range cases {
 		if diags := linttest.Diagnostics(t, "testdata", c.a, c.pkg); len(diags) > 0 {

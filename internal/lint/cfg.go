@@ -1,13 +1,12 @@
 package lint
 
-// Control-flow graphs for analyzer dataflow. The per-node AST matching
-// that carried the first eight analyzers cannot express the invariants
-// PRs 6-8 introduced — "this mutation reaches a dirty-marking Unpin on
-// every path", "this Pin is released exactly once including error
-// returns" — because those are properties of paths, not of nodes. NewCFG
-// lowers one function body into basic blocks with branch, loop, defer
-// and return edges, at statement granularity, using nothing but go/ast;
-// dataflow.go then runs worklist solvers over it.
+// Control-flow graphs for analyzer dataflow. Per-node AST matching cannot
+// tell which locks are held at a call or an acquisition — that is a
+// property of every path reaching it, not of the node — so lockorder
+// needs a CFG. NewCFG lowers one function body into basic blocks with
+// branch, loop, defer and return edges, at statement granularity, using
+// nothing but go/ast; dataflow.go then runs a forward worklist solver
+// over it.
 //
 // The model is deliberately small and documents its approximations:
 //

@@ -46,7 +46,6 @@ func reachable(cfg *CFG) map[int]bool {
 func callsReachingExit(cfg *CFG) []string {
 	type set = map[string]bool
 	prob := &FlowProblem{
-		Forward:  true,
 		Boundary: set{},
 		Init:     set{},
 		Transfer: func(n ast.Node, f Fact) Fact {
@@ -487,70 +486,9 @@ func TestCFGGoto(t *testing.T) {
 	}
 }
 
-// TestSolveBackwardLiveCalls checks the backward direction: a "calls
-// that may still happen" analysis. After the branch, only c() is ahead;
-// at entry, all are.
-func TestSolveBackwardLiveCalls(t *testing.T) {
-	cfg := NewCFG(parseBody(t, `
-		if cond() {
-			a()
-		}
-		c()`))
-	type set = map[string]bool
-	prob := &FlowProblem{
-		Forward:  false,
-		Boundary: set{},
-		Init:     set{},
-		Transfer: func(n ast.Node, f Fact) Fact {
-			out := set{}
-			for k := range f.(set) {
-				out[k] = true
-			}
-			ast.Inspect(n, func(n ast.Node) bool {
-				if call, ok := n.(*ast.CallExpr); ok {
-					if id, ok := call.Fun.(*ast.Ident); ok {
-						out[id.Name] = true
-					}
-				}
-				return true
-			})
-			return out
-		},
-		Merge: func(a, b Fact) Fact {
-			out := set{}
-			for k := range a.(set) {
-				out[k] = true
-			}
-			for k := range b.(set) {
-				out[k] = true
-			}
-			return out
-		},
-		Equal: func(a, b Fact) bool {
-			x, y := a.(set), b.(set)
-			if len(x) != len(y) {
-				return false
-			}
-			for k := range x {
-				if !y[k] {
-					return false
-				}
-			}
-			return true
-		},
-	}
-	res := Solve(cfg, prob)
-	atEntry := res.In[cfg.Entry.Index].(set)
-	for _, want := range []string{"cond", "a", "c"} {
-		if !atEntry[want] {
-			t.Errorf("call %s not live at entry: %v", want, atEntry)
-		}
-	}
-}
-
 // TestSolveEdgeRefinement exploits condition outcomes: on the true edge
-// of `err != nil` a fact is cleared, mimicking how pinbalance forgets a
-// pin whose constructor returned an error.
+// of `err != nil` a fact is cleared, mimicking how an analyzer forgets a
+// resource whose constructor returned an error.
 func TestSolveEdgeRefinement(t *testing.T) {
 	cfg := NewCFG(parseBody(t, `
 		err := acquire()
@@ -561,7 +499,6 @@ func TestSolveEdgeRefinement(t *testing.T) {
 	// Fact: whether the resource is held (bool); Edge kills it on the
 	// error (true) branch.
 	prob := &FlowProblem{
-		Forward:  true,
 		Boundary: false,
 		Init:     false,
 		Transfer: func(n ast.Node, f Fact) Fact {

@@ -1,11 +1,11 @@
 package lint
 
-// Worklist dataflow over a CFG. A FlowProblem packages the lattice
-// (Merge/Equal), the direction, and the per-node transfer function;
-// Solve iterates to a fixpoint and returns the fact at the entry and
-// exit of every block. Analyzers then re-walk a block's nodes with the
-// same transfer function to recover the fact before or after each
-// individual statement.
+// Forward worklist dataflow over a CFG. A FlowProblem packages the
+// lattice (Merge/Equal) and the per-node transfer function; Solve
+// propagates facts from Entry along successor edges to a fixpoint and
+// returns the fact at the entry and exit of every block. Analyzers then
+// re-walk a block's nodes with the same transfer function to recover the
+// fact before or after each individual statement.
 //
 // Facts are opaque to the solver. Transfer functions must treat facts
 // as immutable (return a fresh value rather than mutating the input):
@@ -19,29 +19,22 @@ import (
 // Fact is an analyzer-defined lattice element.
 type Fact any
 
-// FlowProblem defines one dataflow analysis over a CFG.
+// FlowProblem defines one forward dataflow analysis over a CFG.
 type FlowProblem struct {
-	// Forward selects the direction: true propagates facts from Entry
-	// along successor edges; false propagates from Exit along
-	// predecessor edges.
-	Forward bool
-	// Boundary is the fact at the boundary block (Entry for forward
-	// problems, Exit for backward ones).
+	// Boundary is the fact at Entry.
 	Boundary Fact
 	// Init is the initial fact for every other block, typically the
 	// lattice identity for Merge (top for must-analyses, bottom for
 	// may-analyses).
 	Init Fact
-	// Transfer computes the effect of one node. For forward problems
-	// nodes are applied in block order; for backward problems in
-	// reverse block order.
+	// Transfer computes the effect of one node; a block's nodes are
+	// applied in order.
 	Transfer func(n ast.Node, f Fact) Fact
 	// Edge, if non-nil, refines the fact flowing across a specific
-	// edge. It is always called with the edge's source block and the
-	// successor index within it, regardless of direction, so condition
-	// outcomes can be exploited: succIdx 0 is the true edge of
-	// Block.Cond, succIdx 1 the false edge. Return f unchanged when no
-	// refinement applies.
+	// edge, given the edge's source block and the successor index within
+	// it, so condition outcomes can be exploited: succIdx 0 is the true
+	// edge of Block.Cond, succIdx 1 the false edge. Return f unchanged
+	// when no refinement applies.
 	Edge func(b *Block, succIdx int, f Fact) Fact
 	// Merge combines facts where paths join. It must be commutative,
 	// associative, and monotone for the solver to terminate.
@@ -52,9 +45,7 @@ type FlowProblem struct {
 }
 
 // FlowResult holds the solved facts: In[i] is the fact at the start of
-// cfg.Blocks[i] in execution order, Out[i] the fact at its end. For
-// backward problems In is still the execution-order start (i.e. the
-// analysis result after processing the block against the direction).
+// cfg.Blocks[i], Out[i] the fact at its end.
 type FlowResult struct {
 	In  []Fact
 	Out []Fact
@@ -69,34 +60,30 @@ func Solve(cfg *CFG, p *FlowProblem) *FlowResult {
 		res.Out[i] = p.Init
 	}
 
-	// Seed the boundary and order the worklist roughly along the
-	// direction of flow so most blocks settle in one pass.
+	// Seed the worklist in reverse postorder so most blocks settle in
+	// one pass.
 	order := postorder(cfg)
-	if p.Forward {
-		// reverse postorder
-		for i, j := 0, len(order)-1; i < j; i, j = i+1, j-1 {
-			order[i], order[j] = order[j], order[i]
-		}
-	}
-
-	// Facts only flow out of blocks reachable from Entry: dead code
-	// (statements after a return, say) is still solved so analyzers can
-	// walk it, but its initial-valued facts must not dilute the merges
-	// of live blocks — a must-property that holds on every live path
-	// has to stay a must-property.
 	reach := make([]bool, n)
-	for _, b := range postorder(cfg) {
+	for _, b := range order {
 		reach[b.Index] = true
 	}
+	for i, j := 0, len(order)-1; i < j; i, j = i+1, j-1 {
+		order[i], order[j] = order[j], order[i]
+	}
 
-	// A predecessor (successor, for backward problems) whose fact has
-	// not been computed yet contributes nothing to a merge: its slot
-	// still holds Init, which is only the lattice identity for some
-	// problems. Because the worklist is seeded along the direction of
-	// flow, every such skipped edge is a loop back edge, and the block
-	// is revisited once the edge's source settles — the first merge a
-	// loop header sees is its entry fact, exactly the seed a fixpoint
-	// iteration wants.
+	// Facts only flow out of blocks reachable from Entry (reach above):
+	// dead code (statements after a return, say) is still solved so
+	// analyzers can walk it, but its initial-valued facts must not
+	// dilute the merges of live blocks — a must-property that holds on
+	// every live path has to stay a must-property.
+	//
+	// A predecessor whose fact has not been computed yet contributes
+	// nothing to a merge either: its slot still holds Init, which is
+	// only the lattice identity for some problems. Because the worklist
+	// is seeded in reverse postorder, every such skipped edge is a loop
+	// back edge, and the block is revisited once the edge's source
+	// settles — the first merge a loop header sees is its entry fact,
+	// exactly the seed a fixpoint iteration wants.
 	computed := make([]bool, n)
 
 	inWork := make([]bool, n)
@@ -110,8 +97,8 @@ func Solve(cfg *CFG, p *FlowProblem) *FlowResult {
 	for _, b := range order {
 		push(b)
 	}
-	// Blocks unreachable in the chosen direction still get processed
-	// once so their facts are well-defined.
+	// Unreachable blocks still get processed once so their facts are
+	// well-defined.
 	for _, b := range cfg.Blocks {
 		push(b)
 	}
@@ -121,78 +108,39 @@ func Solve(cfg *CFG, p *FlowProblem) *FlowResult {
 		work = work[1:]
 		inWork[b.Index] = false
 
-		if p.Forward {
-			in := p.Init
-			if b == cfg.Entry {
-				in = p.Boundary
+		in := p.Init
+		if b == cfg.Entry {
+			in = p.Boundary
+		}
+		first := true
+		for pi, pred := range b.Preds {
+			if !reach[pred.Index] || !computed[pred.Index] {
+				continue
 			}
-			first := true
-			for pi, pred := range b.Preds {
-				if !reach[pred.Index] || !computed[pred.Index] {
-					continue
-				}
-				f := res.Out[pred.Index]
-				if p.Edge != nil {
-					// succIdx of this edge from pred's perspective.
-					f = p.Edge(pred, succIndex(pred, b, pi), f)
-				}
-				if first && b != cfg.Entry {
-					in = f
-					first = false
-				} else {
-					in = p.Merge(in, f)
-				}
+			f := res.Out[pred.Index]
+			if p.Edge != nil {
+				// succIdx of this edge from pred's perspective.
+				f = p.Edge(pred, succIndex(pred, b, pi), f)
 			}
-			res.In[b.Index] = in
-			out := in
-			for _, node := range b.Nodes {
-				out = p.Transfer(node, out)
-			}
-			if first := !computed[b.Index]; first || !p.Equal(out, res.Out[b.Index]) {
-				computed[b.Index] = true
-				res.Out[b.Index] = out
-				for _, s := range b.Succs {
-					push(s)
-				}
+			if first && b != cfg.Entry {
+				in = f
+				first = false
 			} else {
-				res.Out[b.Index] = out
-			}
-		} else {
-			out := p.Init
-			if b == cfg.Exit {
-				out = p.Boundary
-			}
-			first := true
-			for si, succ := range b.Succs {
-				if !computed[succ.Index] {
-					continue
-				}
-				f := res.In[succ.Index]
-				if p.Edge != nil {
-					f = p.Edge(b, si, f)
-				}
-				if first && b != cfg.Exit {
-					out = f
-					first = false
-				} else {
-					out = p.Merge(out, f)
-				}
-			}
-			res.Out[b.Index] = out
-			in := out
-			for i := len(b.Nodes) - 1; i >= 0; i-- {
-				in = p.Transfer(b.Nodes[i], in)
-			}
-			if first := !computed[b.Index]; first || !p.Equal(in, res.In[b.Index]) {
-				computed[b.Index] = true
-				res.In[b.Index] = in
-				for _, pr := range b.Preds {
-					push(pr)
-				}
-			} else {
-				res.In[b.Index] = in
+				in = p.Merge(in, f)
 			}
 		}
+		res.In[b.Index] = in
+		out := in
+		for _, node := range b.Nodes {
+			out = p.Transfer(node, out)
+		}
+		if first := !computed[b.Index]; first || !p.Equal(out, res.Out[b.Index]) {
+			computed[b.Index] = true
+			for _, s := range b.Succs {
+				push(s)
+			}
+		}
+		res.Out[b.Index] = out
 	}
 	return res
 }

@@ -1,9 +1,6 @@
 package lint
 
-import (
-	"go/ast"
-	"go/types"
-)
+import "go/ast"
 
 // inspectShallow walks n like ast.Inspect but does not descend into
 // function literals: a closure's body has its own control flow and is
@@ -29,94 +26,4 @@ func inspectShallow(n ast.Node, fn func(ast.Node) bool) {
 		}
 		return fn(m)
 	})
-}
-
-// funcBodies yields every function body in the package: declarations
-// and function literals alike, each presented as an independent unit of
-// control flow. name is the declaration's name, with ".func" appended
-// per level of literal nesting.
-func funcBodies(pass *Pass, fn func(name string, body *ast.BlockStmt)) {
-	funcDecls(pass, func(decl *ast.FuncDecl) {
-		fn(decl.Name.Name, decl.Body)
-		var walkLits func(n ast.Node, name string)
-		walkLits = func(n ast.Node, name string) {
-			ast.Inspect(n, func(m ast.Node) bool {
-				if lit, ok := m.(*ast.FuncLit); ok && m != n {
-					fn(name+".func", lit.Body)
-					walkLits(lit.Body, name+".func")
-					return false
-				}
-				return true
-			})
-		}
-		walkLits(decl.Body, decl.Name.Name)
-	})
-}
-
-// poolMethodCall reports whether call invokes the named method on
-// *storage.BufferPool and, if so, returns the resolved selector.
-func poolMethodCall(info *types.Info, call *ast.CallExpr, method string) (*ast.SelectorExpr, bool) {
-	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-	if !ok || sel.Sel.Name != method {
-		return nil, false
-	}
-	obj := callee(info, call)
-	fn, ok := obj.(*types.Func)
-	if !ok {
-		return nil, false
-	}
-	sig, ok := fn.Type().(*types.Signature)
-	if !ok || sig.Recv() == nil {
-		return nil, false
-	}
-	if !isNamedType(sig.Recv().Type(), fn.Pkg().Path(), "BufferPool") || !pathIs(fn.Pkg().Path(), "internal/storage") {
-		return nil, false
-	}
-	return sel, true
-}
-
-// pageKey names one pinned page within a function: the printed pool
-// expression plus the printed page-id argument, so h.pool.Pin(pid) and
-// h.pool.Unpin(pid, true) refer to the same page while two different
-// ids stay distinct.
-func pageKey(sel *ast.SelectorExpr, call *ast.CallExpr) string {
-	if len(call.Args) == 0 {
-		return types.ExprString(sel.X) + "|?"
-	}
-	return types.ExprString(sel.X) + "|" + types.ExprString(call.Args[0])
-}
-
-// condNilCheck recognizes `x != nil` and `x == nil` conditions over a
-// plain identifier and returns the identifier's object plus whether the
-// operator is !=.
-func condNilCheck(info *types.Info, cond ast.Expr) (types.Object, bool, bool) {
-	be, ok := ast.Unparen(cond).(*ast.BinaryExpr)
-	if !ok {
-		return nil, false, false
-	}
-	op := be.Op.String()
-	if op != "!=" && op != "==" {
-		return nil, false, false
-	}
-	var idExpr, other ast.Expr = be.X, be.Y
-	if isNilIdent(be.X) {
-		idExpr, other = be.Y, be.X
-	}
-	if !isNilIdent(other) {
-		return nil, false, false
-	}
-	id, ok := ast.Unparen(idExpr).(*ast.Ident)
-	if !ok {
-		return nil, false, false
-	}
-	obj := info.Uses[id]
-	if obj == nil {
-		return nil, false, false
-	}
-	return obj, op == "!=", true
-}
-
-func isNilIdent(e ast.Expr) bool {
-	id, ok := ast.Unparen(e).(*ast.Ident)
-	return ok && id.Name == "nil"
 }

@@ -1,10 +1,10 @@
 // Package lint is jackpinevet's analysis framework: a small, dependency-free
 // reimplementation of the golang.org/x/tools/go/analysis surface on top of
 // the standard library's go/ast, go/types and go/importer. It exists because
-// the project's hard-won invariants — lazy decoding on scan paths, explicit
-// float comparison semantics, lock discipline, context propagation, error
-// wrapping — are exactly the properties that regress silently under refactors,
-// and `go vet` has no opinion about any of them.
+// the project's hard-won invariants — explicit float comparison semantics,
+// lock discipline and lock order, context propagation, error wrapping, fsync
+// error handling — are exactly the properties that regress silently under
+// refactors, and `go vet` has no opinion about any of them.
 //
 // An Analyzer inspects one type-checked package at a time and reports
 // Diagnostics. Diagnostics can be suppressed, with a mandatory justification,
@@ -110,11 +110,17 @@ func (d Diagnostic) String() string {
 func Run(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, error) {
 	// The allow set spans all packages: module analyzers report across
 	// package boundaries, and a directive's file name locates it fully.
+	// Directives are checked against every registered analyzer, not just
+	// the ones running, so a -run subset reports no false stale allows.
 	allows := newAllowSet()
+	known := make(map[string]bool)
+	for _, a := range append(All(), analyzers...) {
+		known[a.Name] = true
+	}
 	var all []Diagnostic
 	seenAllowDiag := make(map[Diagnostic]bool)
 	for _, pkg := range pkgs {
-		for _, d := range collectAllows(pkg, allows) {
+		for _, d := range collectAllows(pkg, allows, known) {
 			if !seenAllowDiag[d] {
 				seenAllowDiag[d] = true
 				all = append(all, d)

@@ -1,6 +1,7 @@
 package lint
 
 import (
+	"fmt"
 	"go/ast"
 	"go/parser"
 	"go/token"
@@ -49,7 +50,7 @@ func f() {
 	print(2)
 	//lint:allow marker directives on their own line suppress the next one
 	print(3)
-	print(4) //lint:allow other a different analyzer's allow does not apply
+	print(4) //lint:allow floatcmp a different analyzer's allow does not apply
 }
 `)
 	diags, err := Run([]*Package{pkg}, []*Analyzer{lineReporter})
@@ -77,7 +78,7 @@ func f() {
 }
 
 func g() {
-	print(3) //lint:allow other a different analyzer still reports here
+	print(3) //lint:allow floatcmp a different analyzer still reports here
 }
 `)
 	diags, err := Run([]*Package{pkg}, []*Analyzer{lineReporter})
@@ -138,6 +139,38 @@ func f() {
 	}
 	if !strings.Contains(joined, "marker: marked") {
 		t.Errorf("bare allow suppressed the diagnostic anyway, got:\n%s", joined)
+	}
+}
+
+// TestAllowUnknownAnalyzer pins that a directive naming no registered
+// analyzer is itself reported, in both forms, while one naming a
+// registered analyzer that is not running stays quiet.
+func TestAllowUnknownAnalyzer(t *testing.T) {
+	pkg := parsePkg(t, `package p
+
+//lint:allow-file hotpathdecode this analyzer no longer exists
+
+func f() {
+	print(1) //lint:allow batchalloc nor does this one
+	print(2) //lint:allow floatcmp registered, just not running
+}
+`)
+	diags, err := Run([]*Package{pkg}, []*Analyzer{lineReporter})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, d := range diags {
+		got = append(got, fmt.Sprintf("%d %s: %s", d.Pos.Line, d.Analyzer, d.Message))
+	}
+	want := []string{
+		`3 allow: lint:allow names unknown analyzer "hotpathdecode"`,
+		`6 marker: marked`,
+		`6 allow: lint:allow names unknown analyzer "batchalloc"`,
+		`7 marker: marked`,
+	}
+	if strings.Join(got, "\n") != strings.Join(want, "\n") {
+		t.Errorf("diagnostics:\n%s\nwant:\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
 	}
 }
 

@@ -31,17 +31,9 @@ import (
 // and matches diagnostics against the fixtures' want comments.
 func Run(t *testing.T, testdata string, a *lint.Analyzer, pkgPaths ...string) {
 	t.Helper()
-	l := newLoader(testdata)
-	for _, path := range pkgPaths {
-		pkg, err := l.load(path)
-		if err != nil {
-			t.Fatalf("loading fixture %s: %v", path, err)
-		}
-		diags, err := lint.Run([]*lint.Package{pkg}, []*lint.Analyzer{a})
-		if err != nil {
-			t.Fatalf("running %s on %s: %v", a.Name, path, err)
-		}
-		checkWants(t, l.fset, pkg, diags)
+	l, pkgs := load(t, testdata, pkgPaths...)
+	for _, pkg := range pkgs {
+		checkWants(t, l.fset, pkg, run(t, a, pkg))
 	}
 }
 
@@ -51,19 +43,8 @@ func Run(t *testing.T, testdata string, a *lint.Analyzer, pkgPaths ...string) {
 // across every package.
 func RunModule(t *testing.T, testdata string, a *lint.Analyzer, pkgPaths ...string) {
 	t.Helper()
-	l := newLoader(testdata)
-	var pkgs []*lint.Package
-	for _, path := range pkgPaths {
-		pkg, err := l.load(path)
-		if err != nil {
-			t.Fatalf("loading fixture %s: %v", path, err)
-		}
-		pkgs = append(pkgs, pkg)
-	}
-	diags, err := lint.Run(pkgs, []*lint.Analyzer{a})
-	if err != nil {
-		t.Fatalf("running %s: %v", a.Name, err)
-	}
+	l, pkgs := load(t, testdata, pkgPaths...)
+	diags := run(t, a, pkgs...)
 	for _, pkg := range pkgs {
 		var mine []lint.Diagnostic
 		dirs := map[string]bool{}
@@ -79,41 +60,12 @@ func RunModule(t *testing.T, testdata string, a *lint.Analyzer, pkgPaths ...stri
 	}
 }
 
-// ModuleDiagnostics loads the fixture packages into one shared universe
-// and returns the analyzer's raw (allow-filtered) diagnostics without
-// matching want comments.
-func ModuleDiagnostics(t *testing.T, testdata string, a *lint.Analyzer, pkgPaths ...string) []lint.Diagnostic {
-	t.Helper()
-	l := newLoader(testdata)
-	var pkgs []*lint.Package
-	for _, path := range pkgPaths {
-		pkg, err := l.load(path)
-		if err != nil {
-			t.Fatalf("loading fixture %s: %v", path, err)
-		}
-		pkgs = append(pkgs, pkg)
-	}
-	diags, err := lint.Run(pkgs, []*lint.Analyzer{a})
-	if err != nil {
-		t.Fatalf("running %s: %v", a.Name, err)
-	}
-	return diags
-}
-
 // Packages loads fixture packages into one shared type universe without
 // running any analyzer, for tests that drive lint APIs (LockGraph)
 // directly.
 func Packages(t *testing.T, testdata string, pkgPaths ...string) []*lint.Package {
 	t.Helper()
-	l := newLoader(testdata)
-	var pkgs []*lint.Package
-	for _, path := range pkgPaths {
-		pkg, err := l.load(path)
-		if err != nil {
-			t.Fatalf("loading fixture %s: %v", path, err)
-		}
-		pkgs = append(pkgs, pkg)
-	}
+	_, pkgs := load(t, testdata, pkgPaths...)
 	return pkgs
 }
 
@@ -122,14 +74,32 @@ func Packages(t *testing.T, testdata string, pkgPaths ...string) []*lint.Package
 // asserting an analyzer stays silent outside its scope.
 func Diagnostics(t *testing.T, testdata string, a *lint.Analyzer, pkgPath string) []lint.Diagnostic {
 	t.Helper()
+	_, pkgs := load(t, testdata, pkgPath)
+	return run(t, a, pkgs...)
+}
+
+// load parses and type-checks the fixture packages into one shared type
+// universe.
+func load(t *testing.T, testdata string, pkgPaths ...string) (*loader, []*lint.Package) {
+	t.Helper()
 	l := newLoader(testdata)
-	pkg, err := l.load(pkgPath)
-	if err != nil {
-		t.Fatalf("loading fixture %s: %v", pkgPath, err)
+	var pkgs []*lint.Package
+	for _, path := range pkgPaths {
+		pkg, err := l.load(path)
+		if err != nil {
+			t.Fatalf("loading fixture %s: %v", path, err)
+		}
+		pkgs = append(pkgs, pkg)
 	}
-	diags, err := lint.Run([]*lint.Package{pkg}, []*lint.Analyzer{a})
+	return l, pkgs
+}
+
+// run applies one analyzer to the packages.
+func run(t *testing.T, a *lint.Analyzer, pkgs ...*lint.Package) []lint.Diagnostic {
+	t.Helper()
+	diags, err := lint.Run(pkgs, []*lint.Analyzer{a})
 	if err != nil {
-		t.Fatalf("running %s on %s: %v", a.Name, pkgPath, err)
+		t.Fatalf("running %s: %v", a.Name, err)
 	}
 	return diags
 }

@@ -369,7 +369,6 @@ func solveHeld(u *funcUnit, lockKeys map[types.Object]string) heldResult {
 	info := u.pkg.TypesInfo
 	cfg := NewCFG(u.body)
 	prob := &FlowProblem{
-		Forward:  true,
 		Boundary: heldFact{set: map[string]bool{}},
 		Init:     heldFact{top: true},
 		Transfer: func(n ast.Node, f Fact) Fact {

@@ -100,13 +100,3 @@ func funcDecls(pass *Pass, fn func(decl *ast.FuncDecl)) {
 		}
 	}
 }
-
-// fileOf returns the file containing pos, or nil.
-func fileOf(pass *Pass, decl *ast.FuncDecl) *ast.File {
-	for _, f := range pass.Files {
-		if f.Pos() <= decl.Pos() && decl.Pos() < f.End() {
-			return f
-		}
-	}
-	return nil
-}

@@ -143,7 +143,7 @@ func (ex *batchExec) run(b *storage.ColBatch, next nextFn, emit emitFn) (bool, e
 		}
 	}
 	for _, s := range sel {
-		full := make([]storage.Value, p.width) //lint:allow batchalloc survivor rows escape the recycled batch
+		full := make([]storage.Value, p.width)
 		copy(full, b.Row(s))
 		for _, c := range p.ephCols {
 			full[c] = storage.Value{}

@@ -850,7 +850,7 @@ func (r *Runner) scanPBSM(tbl Table, path accessPath, prefix []storage.Value,
 			return false, err
 		}
 		if !path.pbsm.reuseRows {
-			full = make([]storage.Value, width) //lint:allow batchalloc emitted rows escape the probe
+			full = make([]storage.Value, width)
 		}
 		copy(full, prefix)
 		copy(full[lo:], row)
@@ -908,7 +908,7 @@ func (r *Runner) pbsmRefine(tbl Table, st *pbsmState, path accessPath, prefix []
 				continue
 			}
 			if !spec.reuseRows {
-				full = make([]storage.Value, width) //lint:allow batchalloc survivor rows escape the probe
+				full = make([]storage.Value, width)
 			}
 			copy(full, prefix)
 			copy(full[lo:], row)
@@ -962,7 +962,7 @@ func (r *Runner) pbsmRefine(tbl Table, st *pbsmState, path accessPath, prefix []
 				continue
 			}
 			if !spec.reuseRows {
-				full = make([]storage.Value, width) //lint:allow batchalloc survivor rows escape the probe
+				full = make([]storage.Value, width)
 			}
 			copy(full, prefix)
 			copy(full[lo:], row)
@@ -983,7 +983,7 @@ func (r *Runner) pbsmRefine(tbl Table, st *pbsmState, path accessPath, prefix []
 		if err != nil {
 			return false, err
 		}
-		full := make([]storage.Value, width) //lint:allow batchalloc survivor rows escape the probe
+		full := make([]storage.Value, width)
 		copy(full, prefix)
 		copy(full[lo:], row)
 		v, err := Eval(arg, full, r.reg)

@@ -24,6 +24,16 @@ func canonRows(rs *ResultSet) string {
 	return b.String()
 }
 
+// requireNoPins empties eng's buffer pool, which fails while any page is
+// still pinned: every statement a rail ran must have released every pin
+// it took, on its error and early-exit paths too.
+func requireNoPins(t *testing.T, eng *Engine) {
+	t.Helper()
+	if err := eng.Pool().DropAll(); err != nil {
+		t.Errorf("pin leak: %v", err)
+	}
+}
+
 // TestParallelEquivalence runs the entire micro suite (MT1–MT15,
 // MA1–MA12) at parallelism 1, 2, and 8 and requires byte-identical
 // results from every query: same columns, same rows, same order, same
@@ -79,4 +89,5 @@ func TestParallelEquivalence(t *testing.T) {
 	if len(res.Access) == 0 || !strings.Contains(res.Access[0], "parallel seqscan (8 workers)") {
 		t.Errorf("MA2 at parallelism 8: access = %v, want parallel seqscan", res.Access)
 	}
+	requireNoPins(t, eng)
 }

@@ -94,4 +94,5 @@ func TestJoinStrategyEquivalence(t *testing.T) {
 			}
 		}
 	}
+	requireNoPins(t, eng)
 }
