@@ -32,9 +32,12 @@
 //   - everything else (joins, GROUP BY, …) gathers per-table fragments
 //     — pushing per-binding conjuncts and spatial-semijoin filters
 //     derived from join predicates, so shard pruning still applies —
-//     into a transient local engine with the same profile and runs the
-//     original query there (or forwards verbatim when every fragment
-//     collapses to one shard).
+//     into a fresh local engine with the same profile, built for this
+//     statement alone and dropped after it, and runs the original query
+//     there (or forwards verbatim when every fragment collapses to one
+//     shard). Co-partitioned aggregate spatial joins skip the gather:
+//     shards count their local pairs and a transient complement engine
+//     counts the cross-shard ones.
 //
 // Shards are plain driver.Connectors: in-process engines and remote
 // wire connections mix freely, so a cluster of spatialdbd processes
@@ -72,10 +75,11 @@ type Options struct {
 	// engines were opened with, or routed and shard-local evaluation
 	// would disagree.
 	Profile engine.Profile
-	// JoinStrategy forces the spatial-join strategy of the engines the
-	// router itself runs — the cached gather engine and the pushdown
-	// complement engine. Shard engines are opened by the caller and
-	// carry their own knob. The zero value is sql.JoinAuto (cost-based).
+	// JoinStrategy forces the spatial-join strategy of the transient
+	// engines the router itself opens — one per gathered statement and
+	// one per join-pushdown complement. Shard engines are opened by the
+	// caller and carry their own knob. The zero value is sql.JoinAuto
+	// (cost-based).
 	JoinStrategy sql.JoinStrategy
 }
 
@@ -124,28 +128,6 @@ type Cluster struct {
 	mu     sync.Mutex
 	tables map[string]*tableInfo
 	stats  driver.ShardStats
-	// epoch counts schema-shape changes (DDL, VACUUM, out-of-band
-	// registration). Cached gather engines are keyed by it, so a stale
-	// schema is never reused; data changes need no bump because every
-	// reuse reloads fragments from the shards.
-	epoch int64
-	// gatherCache holds reusable gather engines keyed by
-	// "epoch|table,table,..."; gatherKeys tracks insertion order for
-	// eviction at gatherCacheCap.
-	gatherCache map[string]*gatherEntry
-	gatherKeys  []string
-}
-
-// gatherCacheCap bounds the cached gather engines; the benchmark's
-// join shapes reuse a handful of table sets, so a small FIFO suffices.
-const gatherCacheCap = 8
-
-// gatherEntry caches one gather engine. mu serializes gathers sharing
-// the engine: the empty-tables/reload/query cycle must be atomic. eng
-// is nil until the first holder of mu builds the schema.
-type gatherEntry struct {
-	mu  sync.Mutex
-	eng *engine.Engine
 }
 
 // Open assembles a cluster from per-shard connectors. len(shards) must
@@ -171,8 +153,7 @@ func Open(shards []driver.Connector, part Partitioner, opts Options) (*Cluster, 
 			MBRPredicates: opts.Profile.MBRPredicates,
 			Disabled:      opts.Profile.DisabledFunctions,
 		}),
-		tables:      make(map[string]*tableInfo),
-		gatherCache: make(map[string]*gatherEntry),
+		tables: make(map[string]*tableInfo),
 	}, nil
 }
 
@@ -255,60 +236,10 @@ func (c *Cluster) registerLocked(ct *sql.CreateTable) *tableInfo {
 		info.mbr[i] = geom.EmptyRect()
 	}
 	c.tables[ct.Name] = info
-	c.bumpEpochLocked()
 	return info
 }
 
-// bumpEpochLocked advances the schema epoch and drops every cached
-// gather engine. Caller holds c.mu.
-func (c *Cluster) bumpEpochLocked() {
-	c.epoch++
-	c.gatherCache = make(map[string]*gatherEntry)
-	c.gatherKeys = nil
-}
-
-// bumpEpoch invalidates cached gather engines after a schema change
-// routed through DDL (DROP TABLE, CREATE INDEX, VACUUM).
-func (c *Cluster) bumpEpoch() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.bumpEpochLocked()
-}
-
-// gatherEntryFor returns the cache slot for a gather over the given
-// table set at the current schema epoch, creating (and FIFO-evicting)
-// as needed. The caller must hold the entry's mu for the whole
-// reload-and-query cycle.
-func (c *Cluster) gatherEntryFor(tables []string) *gatherEntry {
-	names := append([]string(nil), tables...)
-	sortStrings(names)
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	key := fmt.Sprintf("%d|%s", c.epoch, strings.Join(names, ","))
-	if e, ok := c.gatherCache[key]; ok {
-		return e
-	}
-	if len(c.gatherKeys) >= gatherCacheCap {
-		delete(c.gatherCache, c.gatherKeys[0])
-		c.gatherKeys = c.gatherKeys[1:]
-	}
-	e := &gatherEntry{}
-	c.gatherCache[key] = e
-	c.gatherKeys = append(c.gatherKeys, key)
-	return e
-}
-
-// sortStrings sorts a small string slice (insertion sort: table lists
-// are join widths).
-func sortStrings(a []string) {
-	for i := 1; i < len(a); i++ {
-		for j := i; j > 0 && a[j] < a[j-1]; j-- {
-			a[j], a[j-1] = a[j-1], a[j]
-		}
-	}
-}
-
-// countGatherBuild records a gather engine built from scratch.
+// countGatherBuild records a gather that built a transient engine.
 func (c *Cluster) countGatherBuild() {
 	c.mu.Lock()
 	defer c.mu.Unlock()

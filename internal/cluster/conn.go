@@ -117,18 +117,11 @@ func (cn *Conn) route(query string) (*res, error) {
 		if err == nil {
 			cn.c.mu.Lock()
 			delete(cn.c.tables, t.Table)
-			cn.c.bumpEpochLocked()
 			cn.c.mu.Unlock()
 		}
 		return r, err
 	case *sql.CreateIndex, *sql.Vacuum:
-		r, err := cn.broadcastSame(query)
-		if err == nil {
-			// Index sets and vacuumed layouts change the plans a cached
-			// gather engine would pick; retire the cache generation.
-			cn.c.bumpEpoch()
-		}
-		return r, err
+		return cn.broadcastSame(query)
 	}
 	return nil, fmt.Errorf("cluster: unroutable statement %T", stmt)
 }
@@ -371,7 +364,7 @@ func (cn *Conn) plainScan(ctx context.Context, t *sql.Select, info *tableInfo, s
 	if starOnly {
 		seqIdx = len(info.cols)
 	}
-	sr := cn.startScatter(ctx, renderSelect(cl), targets)
+	sr := cn.startScatter(ctx, sameStmt(renderSelect(cl), targets))
 	rows, err := collectMerged(sr, cl.Limit, seqLess(seqIdx))
 	if err != nil {
 		return nil, err
@@ -391,7 +384,7 @@ func (cn *Conn) orderedScan(ctx context.Context, t *sql.Select, info *tableInfo,
 	cn.c.countScatter(len(targets), cn.shards()-len(targets), eligible)
 
 	cl, keyStart, seqIdx := cn.orderedRewrite(t, info)
-	sr := cn.startScatter(ctx, renderSelect(cl), targets)
+	sr := cn.startScatter(ctx, sameStmt(renderSelect(cl), targets))
 	rows, err := collectMerged(sr, cl.Limit, keyLess(orderSpecs(t), keyStart, seqIdx))
 	if err != nil {
 		return nil, err
@@ -562,7 +555,7 @@ func (cn *Conn) knnScan(ctx context.Context, t *sql.Select, info *tableInfo, tar
 			pending[s] = true
 		}
 		induced := make(map[int]bool)
-		sr := cn.startScatter(ctx, text, phase2)
+		sr := cn.startScatter(ctx, sameStmt(text, phase2))
 		var ferr error
 		errShard := 0
 		for f := range sr.ch {
@@ -672,7 +665,7 @@ func (cn *Conn) aggScan(ctx context.Context, t *sql.Select, info *tableInfo, tar
 		Limit: -1,
 	}
 	cn.c.countScatter(len(targets), cn.shards()-len(targets), eligible)
-	sr := cn.startScatter(ctx, renderSelect(shardSel), targets)
+	sr := cn.startScatter(ctx, sameStmt(renderSelect(shardSel), targets))
 	byShard, err := collectByShard(sr)
 	if err != nil {
 		return nil, true, err

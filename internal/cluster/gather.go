@@ -3,6 +3,7 @@ package cluster
 import (
 	"context"
 	"fmt"
+	"slices"
 
 	"jackpine/internal/engine"
 	"jackpine/internal/geom"
@@ -11,16 +12,17 @@ import (
 )
 
 // gatherBatch bounds the rows per INSERT when loading fragments into
-// the transient gather engine.
+// a transient engine.
 const gatherBatch = 1024
 
 // gather answers a query no fast path covers (joins, GROUP BY, mixed
 // projections, aggregate shapes the partial merge cannot express) by
-// materialising each referenced table's fragment in a transient local
-// engine with the cluster's profile and running the original query
-// there. Fragments are fetched through the plain scatter path — in
-// global _seq order, so the transient heaps reproduce a single engine's
-// insertion order — reduced three ways before any row moves:
+// materialising each referenced table's fragment in a fresh local
+// engine with the cluster's profile, built for this statement alone,
+// and running the original query there. Fragments are fetched through
+// the plain scatter path — in global _seq order, so the transient
+// heaps reproduce a single engine's insertion order — reduced three
+// ways before any row moves:
 //
 //  1. per-binding pushdown: each conjunct of WHERE and the join ON
 //     clauses that references a single binding is pushed into that
@@ -139,79 +141,72 @@ func (cn *Conn) gather(ctx context.Context, t *sql.Select, orig string) (*res, e
 		return cn.forward(ctx, orig, shard, false, 0)
 	}
 
-	tables := make([]string, 0, len(refs))
-	loaded := make(map[string]bool, len(refs))
-	for _, ref := range refs {
-		if !loaded[ref.Table] {
-			loaded[ref.Table] = true
-			tables = append(tables, ref.Table)
-		}
-	}
-	entry := cn.c.gatherEntryFor(tables)
-	entry.mu.Lock()
-	defer entry.mu.Unlock()
-	if err := cn.prepareGatherEngineLocked(entry, tables); err != nil {
-		return nil, err
-	}
+	// One fragment per distinct table: later bindings of a table share
+	// the first one's fetch (fetchFragment unions their branches).
+	var infos []*tableInfo
+	var frags [][][]storage.Value
+	fetched := make(map[string]bool, len(refs))
 	for i, ref := range refs {
-		if !loaded[ref.Table] {
-			continue // a later binding of an already-loaded table
+		if fetched[ref.Table] {
+			continue
 		}
-		loaded[ref.Table] = false
+		fetched[ref.Table] = true
 		info := cn.c.lookup(ref.Table) // caller verified every table is known
 		rows, err := cn.fetchFragment(ctx, refs, pushed, empty, targets, eligible, i, info)
 		if err != nil {
 			return nil, err
 		}
-		if err := loadFragment(entry.eng, info, rows); err != nil {
-			return nil, err
-		}
+		infos = append(infos, info)
+		frags = append(frags, rows)
 	}
-
-	result, err := entry.eng.Exec(orig)
+	eng, err := cn.transientEngine(infos, frags, false)
+	if err != nil {
+		return nil, err
+	}
+	cn.c.countGatherBuild()
+	result, err := eng.Exec(orig)
 	if err != nil {
 		return nil, err
 	}
 	return &res{cols: result.Columns, rows: result.Rows, affected: result.Affected}, nil
 }
 
-// prepareGatherEngineLocked readies a cache entry's engine to receive fresh
-// fragments. On first use it builds the schema — tables plus the
-// spatial indexes that keep gathered joins on the access paths (index
-// nested loop, kNN, PBSM costing) a single engine would use — and
-// counts a gather build. On reuse it only empties the tables: schema,
-// indexes and allocated structures stay warm, which is the point of
-// the cache.
-func (cn *Conn) prepareGatherEngineLocked(entry *gatherEntry, tables []string) error {
-	if entry.eng != nil {
-		for _, name := range tables {
-			if _, err := entry.eng.Exec("DELETE FROM " + name); err != nil {
-				return fmt.Errorf("cluster: gather reset for %s: %w", name, err)
-			}
-		}
-		return nil
-	}
+// transientEngine opens a fresh engine with the router's profile and
+// join strategy and fills it for one statement: table i is created
+// with its benchmark-visible columns (plus a trailing _shard column
+// when tagged, for the join-pushdown complement), loaded with rows[i]
+// in order, and — when partitioned — spatially indexed on its
+// geometry column, so the statement keeps the access paths (index
+// nested loop, kNN, PBSM costing) a single engine would use. Nothing
+// outlives the statement: the caller drops the engine with its pages.
+func (cn *Conn) transientEngine(infos []*tableInfo, rows [][][]storage.Value, tagged bool) (*engine.Engine, error) {
 	eng := engine.Open(cn.c.prof, engine.WithJoinStrategy(cn.c.joinStrat))
-	for _, name := range tables {
-		info := cn.c.lookup(name)
-		if _, err := eng.ExecParsed(&sql.CreateTable{Name: info.name, Columns: info.cols}); err != nil {
-			return fmt.Errorf("cluster: gather schema for %s: %w", info.name, err)
+	for i, info := range infos {
+		cols := info.cols
+		if tagged {
+			cols = append(append([]sql.Column(nil), info.cols...),
+				sql.Column{Name: ShardColumn, Type: storage.TypeInt})
 		}
-		if info.partitioned() {
-			idx := &sql.CreateIndex{
-				Name:    "__gather_" + info.name + "_sidx",
-				Table:   info.name,
-				Columns: []string{info.cols[info.geomCol].Name},
-				Spatial: true,
-			}
-			if _, err := eng.ExecParsed(idx); err != nil {
-				return fmt.Errorf("cluster: gather index for %s: %w", info.name, err)
-			}
+		if _, err := eng.ExecParsed(&sql.CreateTable{Name: info.name, Columns: cols}); err != nil {
+			return nil, fmt.Errorf("cluster: transient schema for %s: %w", info.name, err)
+		}
+		if err := loadFragment(eng, info, rows[i]); err != nil {
+			return nil, err
+		}
+		if !info.partitioned() {
+			continue
+		}
+		idx := &sql.CreateIndex{
+			Name:    "__transient_" + info.name + "_sidx",
+			Table:   info.name,
+			Columns: []string{info.cols[info.geomCol].Name},
+			Spatial: true,
+		}
+		if _, err := eng.ExecParsed(idx); err != nil {
+			return nil, fmt.Errorf("cluster: transient index for %s: %w", info.name, err)
 		}
 	}
-	cn.c.countGatherBuild()
-	entry.eng = eng
-	return nil
+	return eng, nil
 }
 
 // semijoinFilters derives extra fragment filters for binding i from
@@ -383,7 +378,7 @@ func (cn *Conn) fetchFragment(ctx context.Context, refs []*sql.TableRef, pushed 
 	for s := range unionSet {
 		frag = append(frag, s)
 	}
-	sortInts(frag)
+	slices.Sort(frag)
 	if full {
 		// A branch with no filter needs the whole table.
 		frag = frag[:0]
@@ -424,16 +419,6 @@ func orAll(exprs []sql.Expr) sql.Expr {
 	return out
 }
 
-// sortInts sorts a small int slice (insertion sort: target lists are
-// shard counts).
-func sortInts(a []int) {
-	for i := 1; i < len(a); i++ {
-		for j := i; j > 0 && a[j] < a[j-1]; j-- {
-			a[j], a[j-1] = a[j-1], a[j]
-		}
-	}
-}
-
 // refsOnlyBinding reports whether every column reference in the
 // expression names the given binding; unqualified references count
 // only when the query has a single binding (no ambiguity).
@@ -450,8 +435,8 @@ func refsOnlyBinding(e sql.Expr, binding string, single bool) bool {
 	return ok
 }
 
-// loadFragment inserts fetched rows into the gather engine, preserving
-// their (global _seq) order.
+// loadFragment inserts fetched rows into a transient engine, preserving
+// their fetch order (global _seq order for a gather).
 func loadFragment(eng *engine.Engine, info *tableInfo, rows [][]storage.Value) error {
 	for start := 0; start < len(rows); start += gatherBatch {
 		end := start + gatherBatch

@@ -2,10 +2,8 @@ package cluster
 
 import (
 	"context"
-	"fmt"
 	"math"
 	"strings"
-	"sync"
 
 	"jackpine/internal/engine"
 	"jackpine/internal/geom"
@@ -86,7 +84,7 @@ func (cn *Conn) joinPushdown(ctx context.Context, t *sql.Select, refs []*sql.Tab
 		targets[i] = i
 	}
 	cn.c.countScatter(len(targets), 0, false)
-	sr := cn.startScatter(ctx, renderSelect(shardSel), targets)
+	sr := cn.startScatter(ctx, sameStmt(renderSelect(shardSel), targets))
 	byShard, err := collectByShard(sr)
 	if err != nil {
 		return nil, true, err
@@ -261,22 +259,22 @@ func (cn *Conn) buildComplement(ctx context.Context, infos []*tableInfo, d float
 	spillExt := make([][]geom.Rect, len(tabs))
 	for ti, info := range tabs {
 		geo := info.cols[info.geomCol].Name
-		queries := make([]string, cn.shards())
-		for s := range queries {
+		stmts := make(map[int]string, cn.shards())
+		for s := 0; s < cn.shards(); s++ {
 			if spill := cn.spillFilter(s, geo, m); spill != nil {
 				sel := complementSelect(info)
 				sel.Where = spill
-				queries[s] = renderSelect(sel)
+				stmts[s] = renderSelect(sel)
 			}
 		}
-		byShard, err := cn.scatterEach(ctx, queries)
+		byShard, err := collectByShard(cn.startScatter(ctx, stmts))
 		if err != nil {
 			return nil, err
 		}
-		spillExt[ti] = make([]geom.Rect, len(byShard))
-		for s, rows := range byShard {
+		spillExt[ti] = make([]geom.Rect, cn.shards())
+		for s := range spillExt[ti] {
 			spillExt[ti][s] = geom.EmptyRect()
-			for _, r := range rows {
+			for _, r := range byShard[s] {
 				if g := r[info.geomCol]; g.Type == storage.TypeGeom && g.Geom != nil {
 					spillExt[ti][s] = spillExt[ti][s].Union(g.Geom.Envelope())
 				}
@@ -288,8 +286,8 @@ func (cn *Conn) buildComplement(ctx context.Context, infos []*tableInfo, d float
 	for ti, info := range tabs {
 		other := spillExt[len(tabs)-1-ti]
 		geo := info.cols[info.geomCol].Name
-		queries := make([]string, cn.shards())
-		for t := range queries {
+		stmts := make(map[int]string, cn.shards())
+		for t := 0; t < cn.shards(); t++ {
 			band := geom.EmptyRect()
 			for s, e := range other {
 				if s != t {
@@ -308,40 +306,19 @@ func (cn *Conn) buildComplement(ctx context.Context, infos []*tableInfo, d float
 			}
 			sel := complementSelect(info)
 			sel.Where = where
-			queries[t] = renderSelect(sel)
+			stmts[t] = renderSelect(sel)
 		}
-		byShard, err := cn.scatterEach(ctx, queries)
+		byShard, err := collectByShard(cn.startScatter(ctx, stmts))
 		if err != nil {
 			return nil, err
 		}
-		for s, rows := range byShard {
-			for _, r := range rows {
+		for s := 0; s < cn.shards(); s++ {
+			for _, r := range byShard[s] {
 				load[ti] = append(load[ti], tagShard(r, s))
 			}
 		}
 	}
-
-	eng := engine.Open(cn.c.prof, engine.WithJoinStrategy(cn.c.joinStrat))
-	for ti, info := range tabs {
-		cols := append(append([]sql.Column(nil), info.cols...),
-			sql.Column{Name: ShardColumn, Type: storage.TypeInt})
-		if _, err := eng.ExecParsed(&sql.CreateTable{Name: info.name, Columns: cols}); err != nil {
-			return nil, fmt.Errorf("cluster: pushdown schema for %s: %w", info.name, err)
-		}
-		if err := loadFragment(eng, info, load[ti]); err != nil {
-			return nil, err
-		}
-		idx := &sql.CreateIndex{
-			Name:    "__push_" + info.name + "_sidx",
-			Table:   info.name,
-			Columns: []string{info.cols[info.geomCol].Name},
-			Spatial: true,
-		}
-		if _, err := eng.ExecParsed(idx); err != nil {
-			return nil, fmt.Errorf("cluster: pushdown index for %s: %w", info.name, err)
-		}
-	}
-	return eng, nil
+	return cn.transientEngine(tabs, load, true)
 }
 
 // complementSelect projects a table's benchmark-visible columns (the
@@ -399,34 +376,4 @@ func tagShard(r []storage.Value, shard int) []storage.Value {
 	out := make([]storage.Value, 0, len(r)+1)
 	out = append(out, r...)
 	return append(out, storage.NewInt(int64(shard)))
-}
-
-// scatterEach runs a per-shard statement on every shard concurrently
-// (skipping empty statements) and returns the rows in shard order.
-func (cn *Conn) scatterEach(ctx context.Context, queries []string) ([][][]storage.Value, error) {
-	out := make([][][]storage.Value, len(queries))
-	errs := make([]error, len(queries))
-	var wg sync.WaitGroup
-	for s := range queries {
-		if queries[s] == "" {
-			continue
-		}
-		wg.Add(1)
-		go func(s int) {
-			defer wg.Done()
-			rs, err := cn.queryShard(ctx, s, queries[s])
-			if err != nil {
-				errs[s] = err
-				return
-			}
-			out[s] = rs.Rows
-		}(s)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
 }

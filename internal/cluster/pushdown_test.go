@@ -3,7 +3,9 @@ package cluster_test
 import (
 	"fmt"
 	"math/rand"
+	"sort"
 	"strings"
+	"sync"
 	"testing"
 
 	"jackpine/internal/driver"
@@ -192,34 +194,94 @@ func TestJoinPushdownIneligible(t *testing.T) {
 	}
 }
 
-// TestGatherEngineCache: repeat gathers over the same table set at the
-// same schema epoch must reuse one cached engine (build-once), reloads
-// must observe fresh data, and DDL must retire the cache generation.
-func TestGatherEngineCache(t *testing.T) {
+// TestGatherPerStatement: every gather builds a fresh transient engine
+// from the current catalog and shard data, so repeats, a gather after
+// DML and a gather over a table dropped and re-created with other
+// columns all match the single engine, and GatherBuilds counts each
+// gather.
+func TestGatherPerStatement(t *testing.T) {
 	f := newRouterFixture(t)
 	loadJoinFixture(t, f)
+	gathers := 0
+	gather := func(label, q string) {
+		t.Helper()
+		compareQuery(t, label, q, f.single, f.cluster)
+		gathers++
+	}
 	q := "SELECT p.id, a.id FROM jpts p JOIN jareas a ON ST_Intersects(p.loc, a.shape)"
-	compareQuery(t, "gather run 1", q, f.single, f.cluster)
-	compareQuery(t, "gather run 2", q, f.single, f.cluster)
-	ss := f.cl.ShardStats()
-	if ss.GatherBuilds != 1 {
-		t.Fatalf("GatherBuilds = %d after two identical gathers, want 1 (cached reuse)", ss.GatherBuilds)
+	for i := 1; i <= 3; i++ {
+		gather(fmt.Sprintf("gather run %d", i), q)
 	}
 
-	// Data changes need no rebuild — the reuse path reloads fragments —
-	// but must be visible to the next gather.
 	f.exec(t, "INSERT INTO jpts VALUES (500, ST_MakePoint(3, 3))")
-	compareQuery(t, "gather after insert", q, f.single, f.cluster)
-	ss = f.cl.ShardStats()
-	if ss.GatherBuilds != 1 {
-		t.Errorf("GatherBuilds = %d after DML, want still 1", ss.GatherBuilds)
+	gather("gather after insert", q)
+
+	f.exec(t, "DROP TABLE jareas")
+	f.exec(t, "CREATE TABLE jareas (name TEXT, shape GEOMETRY, id INTEGER)")
+	f.exec(t, `INSERT INTO jareas VALUES
+		('west', ST_MakeEnvelope(0, 0, 40, 60), 1),
+		('east', ST_MakeEnvelope(45, 10, 95, 90), 2)`)
+	gather("gather after re-create", "SELECT p.id, a.name, a.id FROM jpts p JOIN jareas a ON ST_Intersects(p.loc, a.shape)")
+
+	ss := f.cl.ShardStats()
+	if ss.GatherBuilds != gathers {
+		t.Errorf("GatherBuilds = %d after %d gathers, want one engine per gather", ss.GatherBuilds, gathers)
+	}
+	if ss.JoinPushdowns != 0 || ss.FastPathHits != 0 {
+		t.Errorf("every statement should have gathered: %+v", ss)
+	}
+}
+
+// TestGatherConcurrentSessions: cluster sessions gathering over the
+// same table set at once each build their own engine and all match the
+// single engine (run under -race).
+func TestGatherConcurrentSessions(t *testing.T) {
+	const sessions, perSession = 4, 25
+	f := newRouterFixture(t)
+	loadJoinFixture(t, f)
+	queries := []string{
+		"SELECT p.id, a.id FROM jpts p JOIN jareas a ON ST_Intersects(p.loc, a.shape)",
+		"SELECT a.id, COUNT(*) FROM jpts p JOIN jareas a ON ST_DWithin(p.loc, a.shape, 3) GROUP BY a.id",
+	}
+	want := make([]string, len(queries))
+	for i, q := range queries {
+		rs, err := f.single.Query(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rows := renderRows(rs.Rows)
+		sort.Strings(rows)
+		want[i] = strings.Join(rows, "\n")
 	}
 
-	// Schema-shape DDL bumps the epoch: the stale engine is retired.
-	f.exec(t, "CREATE INDEX jpts_id ON jpts (id)")
-	compareQuery(t, "gather after DDL", q, f.single, f.cluster)
-	ss = f.cl.ShardStats()
-	if ss.GatherBuilds != 2 {
-		t.Errorf("GatherBuilds = %d after DDL, want 2 (epoch bump rebuilds)", ss.GatherBuilds)
+	var wg sync.WaitGroup
+	for s := 0; s < sessions; s++ {
+		conn, err := f.cl.Connect()
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer conn.Close()
+		wg.Add(1)
+		go func(s int, conn driver.Conn) {
+			defer wg.Done()
+			for i := 0; i < perSession; i++ {
+				k := (s + i) % len(queries)
+				rs, err := conn.Query(queries[k])
+				if err != nil {
+					t.Errorf("session %d gather %d: %v", s, i, err)
+					return
+				}
+				rows := renderRows(rs.Rows)
+				sort.Strings(rows)
+				if got := strings.Join(rows, "\n"); got != want[k] {
+					t.Errorf("session %d gather %d differs from the single engine:\n%s\nwant:\n%s", s, i, got, want[k])
+					return
+				}
+			}
+		}(s, conn)
+	}
+	wg.Wait()
+	if ss := f.cl.ShardStats(); ss.GatherBuilds != sessions*perSession {
+		t.Errorf("GatherBuilds = %d, want %d", ss.GatherBuilds, sessions*perSession)
 	}
 }

@@ -45,21 +45,21 @@ func (sr *scatterRun) cancelAll() {
 	}
 }
 
-// startScatter sends the query text to every target shard and streams
-// fragments back in arrival order over a bounded channel. Each shard
-// gets its own cancelable context so consumers can abandon shards a
-// tightening bound proves irrelevant.
-func (cn *Conn) startScatter(ctx context.Context, text string, targets []int) *scatterRun {
+// startScatter sends each target shard its statement — stmts maps
+// shard to text — and streams fragments back in arrival order over a
+// bounded channel. Each shard gets its own cancelable context so
+// consumers can abandon shards a tightening bound proves irrelevant.
+func (cn *Conn) startScatter(ctx context.Context, stmts map[int]string) *scatterRun {
 	sr := &scatterRun{
 		ch:      make(chan fragment, 2),
-		cancels: make(map[int]context.CancelFunc, len(targets)),
+		cancels: make(map[int]context.CancelFunc, len(stmts)),
 	}
 	var wg sync.WaitGroup
-	for _, s := range targets {
+	for s, text := range stmts {
 		sctx, cancel := context.WithCancel(ctx)
 		sr.cancels[s] = cancel
 		wg.Add(1)
-		go func(s int, sctx context.Context) {
+		go func(s int, sctx context.Context, text string) {
 			defer wg.Done()
 			rs, err := cn.queryShard(sctx, s, text)
 			f := fragment{shard: s, err: err}
@@ -67,7 +67,7 @@ func (cn *Conn) startScatter(ctx context.Context, text string, targets []int) *s
 				f.rows = rs.Rows
 			}
 			sr.ch <- f
-		}(s, sctx)
+		}(s, sctx, text)
 	}
 	go func() {
 		wg.Wait()
@@ -77,6 +77,15 @@ func (cn *Conn) startScatter(ctx context.Context, text string, targets []int) *s
 		close(sr.ch)
 	}()
 	return sr
+}
+
+// sameStmt maps every target shard to one statement text.
+func sameStmt(text string, targets []int) map[int]string {
+	stmts := make(map[int]string, len(targets))
+	for _, s := range targets {
+		stmts[s] = text
+	}
+	return stmts
 }
 
 // isCanceled reports whether an error is a context cancellation.

@@ -77,9 +77,10 @@ type ShardStats struct {
 	// FastPathHits counts statements resolved to a single owning shard
 	// and forwarded verbatim, skipping the scatter/merge machinery.
 	FastPathHits int
-	// GatherBuilds counts transient gather engines built from scratch
-	// (schema + index creation). Repeat joins of the same table set at
-	// the same schema epoch reuse a cached engine and do not count.
+	// GatherBuilds counts gathered statements: each builds a fresh
+	// transient engine (schema, fragment load, spatial index) and drops
+	// it afterwards. Single-shard forwards and join pushdowns build no
+	// gather engine and do not count.
 	GatherBuilds int
 	// JoinPushdowns counts co-partitioned spatial aggregate joins
 	// answered shard-local (partial-aggregate scatter plus a boundary
