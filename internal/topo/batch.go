@@ -5,9 +5,11 @@ import "jackpine/internal/geom"
 // Batch entry points for the prepared kernel: one call evaluates a
 // prepared constant side against every surviving candidate of a column
 // batch, amortizing call dispatch on top of the decomposition and index
-// reuse Prepare already provides. Each result is bit-identical to the
+// reuse Prepare already provides. Each result is identical to the
 // corresponding per-row method — the batch forms route through the same
-// evalOp/relateOp kernel with a fresh operand per candidate.
+// evalOp/relateOp kernel with a fresh operand per candidate. The
+// pattern forms compute full matrices; the named predicates may stop
+// the relate walk early, with the same booleans, exactly as per row.
 //
 // bs and out must have equal length; out[i] receives the result for
 // bs[i]. A nil element evaluates like the per-row form (nil operand).
@@ -35,7 +37,7 @@ func (p *Prepared) EvalBatchReversed(pred Predicate, bs []geom.Geometry, out []b
 func (p *Prepared) RelatePatternBatch(bs []geom.Geometry, pattern string, out []bool) {
 	for i, b := range bs {
 		bo := newOperand(b)
-		out[i] = relateOp(&p.op, &bo).Matches(pattern)
+		out[i] = relateOp(&p.op, &bo, noExit).Matches(pattern)
 	}
 }
 
@@ -44,6 +46,6 @@ func (p *Prepared) RelatePatternBatch(bs []geom.Geometry, pattern string, out []
 func (p *Prepared) RelatePatternBatchReversed(bs []geom.Geometry, pattern string, out []bool) {
 	for i, b := range bs {
 		bo := newOperand(b)
-		out[i] = relateOp(&bo, &p.op).Matches(pattern)
+		out[i] = relateOp(&bo, &p.op, noExit).Matches(pattern)
 	}
 }

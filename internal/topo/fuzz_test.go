@@ -20,6 +20,10 @@ import (
 //	Covers(a, b)     == CoveredBy(b, a)           duality
 //	Relate(a, b)     == Relate(b, a) transposed   matrix symmetry
 //
+// It also holds every predicate that may stop the relate walk early
+// (exitPreds) to its DE-9IM definition on the full Relate matrix, in
+// both operand orders: the early exit must never change an answer.
+//
 // Inputs are WKT pairs (the committed corpus under
 // testdata/fuzz/FuzzDE9IM is drawn from the TIGER generator, so seeds
 // look like real benchmark geometry). Unparseable, invalid or empty
@@ -77,10 +81,12 @@ func FuzzDE9IM(f *testing.F) {
 		if Covers(a, b) != CoveredBy(b, a) {
 			t.Errorf("Covers/CoveredBy duality broken: %s vs %s", geom.WKT(a), geom.WKT(b))
 		}
-		if m, n := Relate(a, b), Relate(b, a).Transpose(); m != n {
+		mab, mba := Relate(a, b), Relate(b, a)
+		if mab != mba.Transpose() {
 			t.Errorf("Relate(a,b) != Relate(b,a)^T: %s vs %s for %s / %s",
-				m, n, geom.WKT(a), geom.WKT(b))
+				mab, mba.Transpose(), geom.WKT(a), geom.WKT(b))
 		}
+		checkExitUnprepared(t, a, b, mab, mba)
 	})
 }
 

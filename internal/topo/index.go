@@ -84,11 +84,12 @@ type ringState struct {
 	odd      bool
 }
 
-// ringRes reduces a ring's accumulated state to the ringLocation result:
-// the tolerant boundary sweep wins outright, degenerate rings (< 3
-// vertices) are exterior, otherwise crossing parity decides. This is
-// exactly ringLocation's decision order; PointInRing's exact OnSegment
-// early-out is unreachable there because nearSegment subsumes it.
+// ringRes reduces a ring's accumulated state to its location, for both
+// ringLocation and locateIndexed: the tolerant boundary test wins
+// outright, degenerate rings (< 3 vertices) are exterior, otherwise
+// crossing parity decides. This is geom.PointInRing's decision order;
+// its exact OnSegment early-out is unreachable because nearSegment
+// subsumes it.
 func ringRes(st ringState, n int32) geom.PointInRingResult {
 	if st.boundary {
 		return geom.RingBoundary
@@ -203,10 +204,11 @@ func (s *shape) locateIndexed(p geom.Coord) Location {
 // segPairs invokes fn for every segment pair (one from sa, one from sb)
 // whose envelopes intersect — the same candidate set the brute-force
 // nested loop enumerates, since rtree.Search filters with the same
-// geom.Rect.Intersects. When a tree is available the smaller side
-// probes the larger side's tree; fn always receives the sa segment
-// first so downstream floating-point computation is order-stable.
-func segPairs(sa, sb *shape, fn func(ga, gb *seg)) {
+// geom.Rect.Intersects — until fn returns false. When a tree is
+// available the smaller side probes the larger side's tree; fn always
+// receives the sa segment first so downstream floating-point
+// computation is order-stable.
+func segPairs(sa, sb *shape, fn func(ga, gb *seg) bool) {
 	switch {
 	case sb.segTree != nil && (sa.segTree == nil || len(sb.segs) >= len(sa.segs)):
 		for i := range sa.segs {
@@ -214,10 +216,14 @@ func segPairs(sa, sb *shape, fn func(ga, gb *seg)) {
 			if !ga.env.Intersects(sb.env) {
 				continue
 			}
+			more := true
 			sb.segTree.Search(ga.env, func(e rtree.Entry) bool {
-				fn(ga, &sb.segs[e.ID])
-				return true
+				more = fn(ga, &sb.segs[e.ID])
+				return more
 			})
+			if !more {
+				return
+			}
 		}
 	case sa.segTree != nil:
 		for j := range sb.segs {
@@ -225,10 +231,14 @@ func segPairs(sa, sb *shape, fn func(ga, gb *seg)) {
 			if !gb.env.Intersects(sa.env) {
 				continue
 			}
+			more := true
 			sa.segTree.Search(gb.env, func(e rtree.Entry) bool {
-				fn(&sa.segs[e.ID], gb)
-				return true
+				more = fn(&sa.segs[e.ID], gb)
+				return more
 			})
+			if !more {
+				return
+			}
 		}
 	default:
 		for i := range sa.segs {
@@ -241,7 +251,9 @@ func segPairs(sa, sb *shape, fn func(ga, gb *seg)) {
 				if !ga.env.Intersects(gb.env) {
 					continue
 				}
-				fn(ga, gb)
+				if !fn(ga, gb) {
+					return
+				}
 			}
 		}
 	}

@@ -132,14 +132,17 @@ func RelatePattern(a, b geom.Geometry, pattern string) bool {
 }
 
 // relateOp computes the DE-9IM matrix over operands, reusing any cached
-// decomposition.
-func relateOp(a, b *operand) Matrix { return relateShapes(a.shape(), b.shape()) }
+// decomposition. With an exit set other than noExit the matrix may be
+// partial, but the exit set's predicate reads the same answer from it.
+func relateOp(a, b *operand, exit cellSet) Matrix {
+	return relateShapes(a.shape(), b.shape(), exit)
+}
 
 func equalsOp(a, b *operand) bool {
 	if !envHitOp(a, b) {
 		return false
 	}
-	return relateOp(a, b).Matches("T*F**FFF*")
+	return relateOp(a, b, equalsExit).Matches("T*F**FFF*")
 }
 
 func disjointOp(a, b *operand) bool { return !intersectsOp(a, b) }
@@ -148,7 +151,7 @@ func intersectsOp(a, b *operand) bool {
 	if !envHitOp(a, b) {
 		return false
 	}
-	m := relateOp(a, b)
+	m := relateOp(a, b, intersectsExit)
 	return m.Get(Interior, Interior) >= 0 ||
 		m.Get(Interior, Boundary) >= 0 ||
 		m.Get(Boundary, Interior) >= 0 ||
@@ -159,7 +162,7 @@ func touchesOp(a, b *operand) bool {
 	if !envHitOp(a, b) {
 		return false
 	}
-	m := relateOp(a, b)
+	m := relateOp(a, b, touchesExit)
 	return m.Matches("FT*******") || m.Matches("F**T*****") || m.Matches("F***T****")
 }
 
@@ -168,7 +171,7 @@ func crossesOp(a, b *operand) bool {
 		return false
 	}
 	da, db := a.g.Dimension(), b.g.Dimension()
-	m := relateOp(a, b)
+	m := relateOp(a, b, noExit)
 	switch {
 	case da < db:
 		return m.Matches("T*T******")
@@ -188,7 +191,7 @@ func withinOp(a, b *operand) bool {
 	if !b.env.ContainsRect(a.env) {
 		return false
 	}
-	return relateOp(a, b).Matches("T*F**F***")
+	return relateOp(a, b, withinExit).Matches("T*F**F***")
 }
 
 func overlapsOp(a, b *operand) bool {
@@ -199,7 +202,7 @@ func overlapsOp(a, b *operand) bool {
 	if da != db {
 		return false
 	}
-	m := relateOp(a, b)
+	m := relateOp(a, b, noExit)
 	if da == 1 {
 		return m.Matches("1*T***T**")
 	}
@@ -213,7 +216,7 @@ func coversOp(a, b *operand) bool {
 	if !a.env.ContainsRect(b.env) {
 		return false
 	}
-	m := relateOp(a, b)
+	m := relateOp(a, b, coversExit)
 	return m.Matches("T*****FF*") || m.Matches("*T****FF*") ||
 		m.Matches("***T**FF*") || m.Matches("****T*FF*")
 }

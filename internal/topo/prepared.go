@@ -39,9 +39,12 @@ func (o *operand) shape() *shape {
 // immutable after Prepare and safe for concurrent use.
 //
 // Every method returns exactly what the corresponding package-level
-// function returns — same matrices, bit for bit — because both route
-// through the same kernel; Prepare only moves the per-call
-// decomposition and index build to construction time.
+// function returns, because both route through the same kernel; Prepare
+// only moves the per-call decomposition and index build to
+// construction time. Relate and the RelatePattern forms compute the
+// full matrix, bit for bit. The named predicates may stop the relate
+// walk as soon as their answer is fixed (see relateShapes), prepared or
+// not, so their booleans are identical too.
 type Prepared struct {
 	op operand
 }
@@ -73,13 +76,13 @@ func (p *Prepared) EvalReversed(pred Predicate, a geom.Geometry) bool {
 // Relate computes the DE-9IM matrix of (p.Geometry(), b).
 func (p *Prepared) Relate(b geom.Geometry) Matrix {
 	bo := newOperand(b)
-	return relateOp(&p.op, &bo)
+	return relateOp(&p.op, &bo, noExit)
 }
 
 // RelateReversed computes the DE-9IM matrix of (a, p.Geometry()).
 func (p *Prepared) RelateReversed(a geom.Geometry) Matrix {
 	ao := newOperand(a)
-	return relateOp(&ao, &p.op)
+	return relateOp(&ao, &p.op, noExit)
 }
 
 // RelatePattern reports whether Relate(b) matches the pattern.

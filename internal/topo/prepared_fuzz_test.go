@@ -13,7 +13,10 @@ import (
 // FuzzDE9IM algebra still holds when one operand is prepared. Indexing
 // is forced (Prepare + sub-threshold forcing in the kernel tests covers
 // the rest), so divergence between the index-probed and brute-force
-// paths surfaces here as a prepared-vs-naive mismatch.
+// paths surfaces here as a prepared-vs-naive mismatch. Every predicate
+// that may stop the relate walk early is also held to its DE-9IM
+// definition on the full Relate matrix, through Eval, EvalReversed,
+// EvalBatch and EvalBatchReversed.
 func FuzzPrepared(f *testing.F) {
 	pairs := [][2]string{
 		{"POINT (1 1)", "POINT (1 1)"},
@@ -43,10 +46,12 @@ func FuzzPrepared(f *testing.F) {
 			t.Errorf("Prepared.Relate = %s, want %s for %s / %s",
 				got, want, geom.WKT(a), geom.WKT(b))
 		}
-		if got, want := pa.RelateReversed(b), Relate(b, a); got != want {
+		wantRev := Relate(b, a)
+		if got := pa.RelateReversed(b); got != wantRev {
 			t.Errorf("Prepared.RelateReversed = %s, want %s for %s / %s",
-				got, want, geom.WKT(a), geom.WKT(b))
+				got, wantRev, geom.WKT(a), geom.WKT(b))
 		}
+		checkExitPrepared(t, pa, b, want, wantRev)
 		if got := pa.Relate(b).Transpose(); got != pa.RelateReversed(b) {
 			t.Errorf("prepared transpose symmetry broken for %s / %s",
 				geom.WKT(a), geom.WKT(b))

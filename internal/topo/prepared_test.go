@@ -18,7 +18,7 @@ func relateNaive(a, b geom.Geometry) Matrix {
 	sa, sb := decompose(a), decompose(b)
 	sa.indexOnce.Do(func() {})
 	sb.indexOnce.Do(func() {})
-	return relateShapes(sa, sb)
+	return relateShapes(sa, sb, noExit)
 }
 
 // relateForced evaluates the kernel with indexing forced regardless of
@@ -28,7 +28,7 @@ func relateForced(a, b geom.Geometry) Matrix {
 	sa, sb := decompose(a), decompose(b)
 	sa.indexOnce.Do(sa.buildIndex)
 	sb.indexOnce.Do(sb.buildIndex)
-	return relateShapes(sa, sb)
+	return relateShapes(sa, sb, noExit)
 }
 
 // corpusPairs loads the committed FuzzDE9IM seed corpus (go fuzz v1
@@ -223,7 +223,7 @@ func TestPreparedEquivalence(t *testing.T) {
 // TestGatherEventPointsDedupe pins the dedupe satellite: coincident
 // event points collapse to one locate call each, and the matrix is
 // unchanged. The star polygonal chain meets the box corner repeatedly,
-// so the raw event list contains the corner many times.
+// so the segment pairs meet at the corner many times.
 func TestGatherEventPointsDedupe(t *testing.T) {
 	star, err := geom.ParseWKT("LINESTRING (0 0, 4 4, 0 4, 4 0, 0 2, 4 2)")
 	if err != nil {
@@ -234,13 +234,16 @@ func TestGatherEventPointsDedupe(t *testing.T) {
 		t.Fatal(err)
 	}
 	sa, sb := decompose(star), decompose(box)
-	events := gatherEventPoints(sa, sb)
-	seen := make(map[geom.Coord]struct{}, len(events))
-	for _, p := range events {
+	seen := make(map[geom.Coord]struct{})
+	forEachEventPoint(sa, sb, func(p geom.Coord) bool {
 		if _, dup := seen[p]; dup {
 			t.Fatalf("duplicate event point %v", p)
 		}
 		seen[p] = struct{}{}
+		return false
+	})
+	if len(seen) == 0 {
+		t.Fatal("no event points visited")
 	}
 	// The matrix must match the hand-derived classification: the chain
 	// crosses the box boundary and runs through interior and exterior.

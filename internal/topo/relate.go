@@ -16,10 +16,64 @@ import (
 // overlap of the adjacent region.
 func Relate(a, b geom.Geometry) Matrix {
 	sa, sb := decompose(a), decompose(b)
-	return relateShapes(sa, sb)
+	return relateShapes(sa, sb, noExit)
 }
 
-func relateShapes(sa, sb *shape) Matrix {
+// cellSet is a set of DE-9IM matrix cells: bit row*3+col, the cell's
+// index in Matrix.
+type cellSet uint16
+
+// The cells, in Matrix order (EE, always 2, needs no name).
+const (
+	cellII cellSet = 1 << iota
+	cellIB
+	cellIE
+	cellBI
+	cellBB
+	cellBE
+	cellEI
+	cellEB
+)
+
+// Exit sets. A named predicate whose formula is already decided once
+// any cell of its set is non-F passes that set to relateShapes, which
+// then stops at the first upgrade into it. Upgrade only ever raises a
+// cell, so the rest of the walk could not change the answer: the
+// formula reads the same on the partial matrix as on the full one.
+// Predicates whose deciding cells need an exact dimension (Crosses,
+// Overlaps) pass noExit.
+const (
+	noExit         cellSet = 0                                 // the full matrix
+	intersectsExit         = cellII | cellIB | cellBI | cellBB // a shared point: true
+	touchesExit            = cellII                            // interiors meet: false
+	withinExit             = cellIE | cellBE                   // A leaves B: false
+	coversExit             = cellEI | cellEB                   // B leaves A: false
+	equalsExit             = withinExit | coversExit           // either leaves the other: false
+)
+
+// relateWalk is one walk of the relate algorithm: the matrix built so
+// far and the calling predicate's exit set.
+type relateWalk struct {
+	m    Matrix
+	exit cellSet
+}
+
+// up raises cell (row, col) to dim — cell (col, row) when swap is set,
+// so one step serves both operand orders — and reports whether the
+// cell is in the exit set, i.e. whether the walk may stop. Every dim
+// passed is non-F, so the raised cell is non-F afterwards.
+func (w *relateWalk) up(row, col Location, dim int8, swap bool) bool {
+	if swap {
+		row, col = col, row
+	}
+	w.m.Upgrade(row, col, dim)
+	return w.exit&(1<<(int(row)*3+int(col))) != 0
+}
+
+// relateShapes computes the DE-9IM matrix of (sa, sb), stopping early
+// once a cell of exit becomes non-F (see the exit sets above). With
+// noExit it always returns the full matrix.
+func relateShapes(sa, sb *shape, exit cellSet) Matrix {
 	m := NewMatrix()
 	m.Set(Exterior, Exterior, 2)
 
@@ -46,72 +100,18 @@ func relateShapes(sa, sb *shape) Matrix {
 	sa.maybeIndex()
 	sb.maybeIndex()
 
-	// --- 0D contributions: event points -------------------------------
-	for _, p := range gatherEventPoints(sa, sb) {
-		m.Upgrade(sa.locate(p), sb.locate(p), 0)
-	}
-
-	// --- 1D contributions: classified sub-segments --------------------
-	classifySubSegments(&m, sa, sb, false)
-	classifySubSegments(&m, sa, sb, true)
-
-	// --- 2D contributions ---------------------------------------------
-	if sa.hasArea() {
-		if !sb.hasArea() {
-			// Removing a 0/1-dimensional set from a non-empty open 2D
-			// interior leaves a 2D set.
-			m.Upgrade(Interior, Exterior, 2)
-		}
-		for i := range sa.polys {
-			if ip, ok := geom.InteriorPoint(sa.polys[i]); ok {
-				switch sb.locate(ip) {
-				case Interior:
-					if sb.hasArea() {
-						m.Upgrade(Interior, Interior, 2)
-					}
-				case Exterior:
-					m.Upgrade(Interior, Exterior, 2)
-				case Boundary:
-					// A 2D neighbourhood inside A straddles B's boundary.
-					if sb.hasArea() {
-						m.Upgrade(Interior, Interior, 2)
-						m.Upgrade(Interior, Exterior, 2)
-						// The neighbourhood meets B's 1D ring in a curve.
-						m.Upgrade(Interior, Boundary, 1)
-					} else {
-						m.Upgrade(Interior, Boundary, 0)
-					}
-				}
-			}
-		}
-	}
-	if sb.hasArea() {
-		if !sa.hasArea() {
-			m.Upgrade(Exterior, Interior, 2)
-		}
-		for i := range sb.polys {
-			if ip, ok := geom.InteriorPoint(sb.polys[i]); ok {
-				switch sa.locate(ip) {
-				case Interior:
-					if sa.hasArea() {
-						m.Upgrade(Interior, Interior, 2)
-					}
-				case Exterior:
-					m.Upgrade(Exterior, Interior, 2)
-				case Boundary:
-					if sa.hasArea() {
-						m.Upgrade(Interior, Interior, 2)
-						m.Upgrade(Exterior, Interior, 2)
-						m.Upgrade(Boundary, Interior, 1)
-					} else {
-						m.Upgrade(Boundary, Interior, 0)
-					}
-				}
-			}
-		}
-	}
-
-	return m
+	// Upgrade is a max, so the order of the steps cannot change the
+	// full matrix. The cheap steps that most often settle a predicate
+	// run first — one interior point per polygon, then the event
+	// points — and the sub-segment sweeps, which locate every piece of
+	// every segment, run last; || stops at the first step that settles.
+	w := relateWalk{m: m, exit: exit}
+	_ = w.interiorPoints(sa, sb, false) ||
+		w.interiorPoints(sb, sa, true) ||
+		w.eventPoints(sa, sb) ||
+		w.subSegments(sa, sb, false) ||
+		w.subSegments(sb, sa, true)
+	return w.m
 }
 
 // disjointMatrix builds the matrix for geometries with disjoint envelopes.
@@ -125,61 +125,110 @@ func disjointMatrix(sa, sb *shape) Matrix {
 	return m
 }
 
-// gatherEventPoints collects every point where the classification of one
-// geometry against the other can change: all pairwise segment
-// intersections, the 1D boundary points of both, and the 0D parts of both.
-// The list is deduplicated: many segments meeting at one point (shared
-// corners, stars) would otherwise trigger repeated locate calls, and the
-// matrix is unaffected because Upgrade is a max.
-func gatherEventPoints(sa, sb *shape) []geom.Coord {
-	var events []geom.Coord
-	segPairs(sa, sb, func(ga, gb *seg) {
+// interiorPoints derives the 2D cells of src's areal interior (src is
+// B when swap is set) from one interior point per polygon located in
+// other, and reports whether the walk may stop.
+func (w *relateWalk) interiorPoints(src, other *shape, swap bool) bool {
+	if !src.hasArea() {
+		return false
+	}
+	// Removing a 0/1-dimensional set from a non-empty open 2D interior
+	// leaves a 2D set.
+	if !other.hasArea() && w.up(Interior, Exterior, 2, swap) {
+		return true
+	}
+	for i := range src.polys {
+		ip, ok := geom.InteriorPoint(src.polys[i])
+		if !ok {
+			continue
+		}
+		var stop bool
+		switch other.locate(ip) {
+		case Interior:
+			stop = other.hasArea() && w.up(Interior, Interior, 2, swap)
+		case Exterior:
+			stop = w.up(Interior, Exterior, 2, swap)
+		case Boundary:
+			if other.hasArea() {
+				// A 2D neighbourhood inside src straddles other's
+				// boundary and meets its 1D ring in a curve.
+				stop = w.up(Interior, Interior, 2, swap) ||
+					w.up(Interior, Exterior, 2, swap) ||
+					w.up(Interior, Boundary, 1, swap)
+			} else {
+				stop = w.up(Interior, Boundary, 0, swap)
+			}
+		}
+		if stop {
+			return true
+		}
+	}
+	return false
+}
+
+// eventPoints locates each event point in both shapes as it is found
+// and reports whether the walk may stop.
+func (w *relateWalk) eventPoints(sa, sb *shape) bool {
+	return forEachEventPoint(sa, sb, func(p geom.Coord) bool {
+		return w.up(sa.locate(p), sb.locate(p), 0, false)
+	})
+}
+
+// forEachEventPoint calls visit once for every point where the
+// classification of one geometry against the other can change: all
+// pairwise segment intersections, the 1D boundary points of both, and
+// the 0D parts of both. Points are deduplicated: many segments meeting
+// at one point (shared corners, stars) would otherwise trigger repeated
+// locate calls, and the matrix is unaffected because Upgrade is a max.
+// It stops, and returns true, as soon as visit returns true.
+func forEachEventPoint(sa, sb *shape, visit func(geom.Coord) bool) bool {
+	var seen map[geom.Coord]struct{}
+	once := func(p geom.Coord) bool {
+		if _, dup := seen[p]; dup {
+			return false
+		}
+		if seen == nil {
+			seen = make(map[geom.Coord]struct{})
+		}
+		seen[p] = struct{}{}
+		return visit(p)
+	}
+	stop := false
+	segPairs(sa, sb, func(ga, gb *seg) bool {
 		kind, p0, p1 := geom.SegSegIntersection(ga.a, ga.b, gb.a, gb.b)
 		switch kind {
 		case geom.SegPoint:
-			events = append(events, p0)
+			stop = once(p0)
 		case geom.SegOverlap:
-			events = append(events, p0, p1)
+			stop = once(p0) || once(p1)
 		}
+		return !stop
 	})
-	for p := range sa.lineBoundary {
-		events = append(events, p)
+	if stop {
+		return true
 	}
-	for p := range sb.lineBoundary {
-		events = append(events, p)
-	}
-	events = append(events, sa.points...)
-	events = append(events, sb.points...)
-	return dedupeCoords(events)
-}
-
-// dedupeCoords removes duplicate coordinates in place, keeping first
-// occurrences.
-func dedupeCoords(pts []geom.Coord) []geom.Coord {
-	if len(pts) < 2 {
-		return pts
-	}
-	seen := make(map[geom.Coord]struct{}, len(pts))
-	kept := pts[:0]
-	for _, p := range pts {
-		if _, dup := seen[p]; dup {
-			continue
+	for _, bnd := range [2]map[geom.Coord]bool{sa.lineBoundary, sb.lineBoundary} {
+		for p := range bnd {
+			if once(p) {
+				return true
+			}
 		}
-		seen[p] = struct{}{}
-		kept = append(kept, p)
 	}
-	return kept
+	for _, pts := range [2][]geom.Coord{sa.points, sb.points} {
+		for _, p := range pts {
+			if once(p) {
+				return true
+			}
+		}
+	}
+	return false
 }
 
-// classifySubSegments splits the segments of one shape at all crossings
-// with the other shape's segments and classifies each piece's midpoint.
-// When swap is false it processes A's segments (matrix rows); when true,
-// B's segments (matrix columns).
-func classifySubSegments(m *Matrix, sa, sb *shape, swap bool) {
-	src, other := sa, sb
-	if swap {
-		src, other = sb, sa
-	}
+// subSegments splits the segments of src at all crossings with other's
+// segments and classifies each piece's midpoint in other, then reports
+// whether the walk may stop. src is A (matrix rows) when swap is false
+// and B (matrix columns) when it is true.
+func (w *relateWalk) subSegments(src, other *shape, swap bool) bool {
 	cuts := make([]float64, 0, 8)
 	for i := range src.segs {
 		sg := &src.segs[i]
@@ -234,46 +283,37 @@ func classifySubSegments(m *Matrix, sa, sb *shape, swap bool) {
 				Y: sg.a.Y + tm*(sg.b.Y-sg.a.Y),
 			}
 			loc := other.locate(mid)
-			if swap {
-				m.Upgrade(loc, rowLoc, 1)
-			} else {
-				m.Upgrade(rowLoc, loc, 1)
+			if w.up(rowLoc, loc, 1, swap) {
+				return true
 			}
-			if sg.ring {
-				// Neighbourhood deduction: the areal interior adjacent to
-				// this boundary piece lies in the same region of the
-				// other geometry, as does the adjacent exterior.
-				deduceArealCells(m, other, loc, swap)
+			// Neighbourhood deduction: the areal interior adjacent to
+			// a ring piece lies in the same region of the other
+			// geometry, as does the adjacent exterior.
+			if sg.ring && w.deduceArealCells(other, loc, swap) {
+				return true
 			}
 		}
 	}
+	return false
 }
 
-// deduceArealCells upgrades 2D cells implied by a ring sub-segment of an
-// areal geometry classified at loc in the other geometry.
-func deduceArealCells(m *Matrix, other *shape, loc Location, swap bool) {
-	up := func(row, col Location, dim int8) {
-		if swap {
-			m.Upgrade(col, row, dim)
-		} else {
-			m.Upgrade(row, col, dim)
-		}
-	}
+// deduceArealCells upgrades the 2D cells implied by a ring sub-segment
+// of an areal geometry classified at loc in the other geometry, and
+// reports whether the walk may stop.
+func (w *relateWalk) deduceArealCells(other *shape, loc Location, swap bool) bool {
 	switch loc {
 	case Exterior:
 		// Both sides of the boundary piece (the areal interior and the
 		// areal exterior) lie in the other geometry's exterior.
-		up(Interior, Exterior, 2)
+		return w.up(Interior, Exterior, 2, swap)
 	case Interior:
-		if other.hasArea() {
-			// The other geometry is areal, so its interior is open: both
-			// sides of this boundary piece are inside it.
-			up(Interior, Interior, 2)
-			up(Exterior, Interior, 2)
-		}
-	case Boundary:
-		// Coincident boundaries: no side information.
+		// When the other geometry is areal its interior is open: both
+		// sides of this boundary piece are inside it.
+		return other.hasArea() &&
+			(w.up(Interior, Interior, 2, swap) || w.up(Exterior, Interior, 2, swap))
 	}
+	// Coincident boundaries: no side information.
+	return false
 }
 
 // segParam returns the parameter of p along segment sg (0 at a, 1 at b).

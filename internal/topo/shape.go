@@ -45,21 +45,25 @@ type shape struct {
 	scale     float64 // max |coordinate| over indexed edges, clamped >= 1
 }
 
-// decompose flattens g into a shape.
+// decompose flattens g into a shape. The endpoint counts and
+// lineBoundary are allocated only by open line parts: readers treat a
+// nil map as empty, so a polygon decomposes without either map.
 func decompose(g geom.Geometry) *shape {
 	s := &shape{env: geom.EmptyRect(), dim: -1}
-	endpointCount := make(map[geom.Coord]int)
-	s.addGeometry(g, endpointCount)
-	s.lineBoundary = make(map[geom.Coord]bool)
+	var endpointCount map[geom.Coord]int
+	s.addGeometry(g, &endpointCount)
 	for c, n := range endpointCount {
 		if n%2 == 1 {
+			if s.lineBoundary == nil {
+				s.lineBoundary = make(map[geom.Coord]bool)
+			}
 			s.lineBoundary[c] = true
 		}
 	}
 	return s
 }
 
-func (s *shape) addGeometry(g geom.Geometry, endpoints map[geom.Coord]int) {
+func (s *shape) addGeometry(g geom.Geometry, endpoints *map[geom.Coord]int) {
 	if g == nil {
 		return
 	}
@@ -92,7 +96,7 @@ func (s *shape) addGeometry(g geom.Geometry, endpoints map[geom.Coord]int) {
 	}
 }
 
-func (s *shape) addLine(l geom.LineString, endpoints map[geom.Coord]int) {
+func (s *shape) addLine(l geom.LineString, endpoints *map[geom.Coord]int) {
 	if len(l) < 2 {
 		return
 	}
@@ -101,8 +105,11 @@ func (s *shape) addLine(l geom.LineString, endpoints map[geom.Coord]int) {
 		s.addSeg(l[i], l[i+1], false)
 	}
 	if !l.IsClosed() {
-		endpoints[l[0]]++
-		endpoints[l[len(l)-1]]++
+		if *endpoints == nil {
+			*endpoints = make(map[geom.Coord]int)
+		}
+		(*endpoints)[l[0]]++
+		(*endpoints)[l[len(l)-1]]++
 	}
 }
 
@@ -236,20 +243,37 @@ func locatePolygon(p geom.Coord, poly geom.Polygon) Location {
 const relateEps = 1e-9
 
 // nearSegment reports whether p is within the relative tolerance of
-// segment a–b.
+// segment a–b. Point-to-box distance lower-bounds point-to-segment
+// distance (locateIndexed relies on the same bound), so a point outside
+// the segment's envelope grown by 2·tol is rejected before the Hypot;
+// the factor 2 absorbs rounding in DistPointSegment, so the answer is
+// the distance test's.
 func nearSegment(p, a, b geom.Coord) bool {
-	scale := math.Max(math.Max(math.Abs(a.X), math.Abs(a.Y)),
-		math.Max(math.Max(math.Abs(b.X), math.Abs(b.Y)),
-			math.Max(math.Max(math.Abs(p.X), math.Abs(p.Y)), 1)))
-	return geom.DistPointSegment(p, a, b) <= relateEps*scale
+	tol := relateEps * max(math.Abs(a.X), math.Abs(a.Y),
+		math.Abs(b.X), math.Abs(b.Y), math.Abs(p.X), math.Abs(p.Y), 1)
+	if d := 2 * tol; (p.X < a.X-d && p.X < b.X-d) || (p.X > a.X+d && p.X > b.X+d) ||
+		(p.Y < a.Y-d && p.Y < b.Y-d) || (p.Y > a.Y+d && p.Y > b.Y+d) {
+		return false
+	}
+	return geom.DistPointSegment(p, a, b) <= tol
 }
 
-// ringLocation is geom.PointInRing with a tolerant boundary test.
+// ringLocation is geom.PointInRing with a tolerant boundary test, in
+// one pass: each edge runs the tolerant boundary test and the +X ray
+// crossing test, and ringRes decides exactly as locateIndexed does.
 func ringLocation(p geom.Coord, ring geom.Ring) geom.PointInRingResult {
+	var st ringState
 	for i := 0; i+1 < len(ring); i++ {
-		if nearSegment(p, ring[i], ring[i+1]) {
+		a, b := ring[i], ring[i+1]
+		if nearSegment(p, a, b) {
 			return geom.RingBoundary
 		}
+		if (a.Y > p.Y) != (b.Y > p.Y) {
+			t := (p.Y - a.Y) / (b.Y - a.Y)
+			if x := a.X + t*(b.X-a.X); x > p.X {
+				st.odd = !st.odd
+			}
+		}
 	}
-	return geom.PointInRing(p, ring)
+	return ringRes(st, int32(len(ring)))
 }

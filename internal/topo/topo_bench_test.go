@@ -79,3 +79,43 @@ func BenchmarkTouchesSharedEdge(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkIntersectsCases times ST_Intersects of a 128-gon (indexed
+// when prepared) against the three kinds of small candidate a refine
+// step sees, unprepared and with the 128-gon prepared:
+//   - crossing: the candidate straddles the boundary with its interior
+//     point outside, so the first boundary crossing settles the answer;
+//   - contained: the interior-point step settles it before any segment
+//     pair is cut;
+//   - neardisjoint: the envelopes overlap but the polygons do not, so
+//     nothing settles early and every sub-segment midpoint is located.
+func BenchmarkIntersectsCases(b *testing.B) {
+	outer := benchPolygon(0, 0, 128)
+	cases := []struct {
+		name  string
+		other geom.Polygon
+		want  bool
+	}{
+		{"crossing", geom.Polygon{ngon(16, 12, 0, 3)}, true},
+		{"contained", geom.Polygon{ngon(16, 1, 0, 3)}, true},
+		{"neardisjoint", geom.Polygon{ngon(16, 10, 10, 3)}, false},
+	}
+	for _, c := range cases {
+		b.Run(c.name+"/unprepared", func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if Intersects(outer, c.other) != c.want {
+					b.Fatal("wrong answer")
+				}
+			}
+		})
+		b.Run(c.name+"/prepared", func(b *testing.B) {
+			p := Prepare(outer)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if p.Intersects(c.other) != c.want {
+					b.Fatal("wrong answer")
+				}
+			}
+		})
+	}
+}
