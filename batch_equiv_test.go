@@ -14,7 +14,9 @@ import (
 // order, same float rendering. The batch path replaces only how stage-0
 // rows move through the scan and filter cascade, so any divergence
 // means batching changed semantics. Batch activity counters prove the
-// intended path actually ran on each engine.
+// intended path actually ran on each engine. The row arm is the serial
+// row-at-a-time reference at every parallelism setting: with batch
+// execution off, stage 0 never fans out.
 func TestBatchEquivalence(t *testing.T) {
 	ds := GenerateDataset(ScaleSmall, 1)
 
@@ -38,7 +40,8 @@ func TestBatchEquivalence(t *testing.T) {
 	}
 	defer onConn.Close()
 
-	// Micro suite, in-process, serial and parallel.
+	// Micro suite, in-process, at parallelism 1 and 8: the batch arm
+	// fans out at 8, the row arm stays serial at both.
 	for _, par := range []int{1, 8} {
 		off.SetParallelism(par)
 		on.SetParallelism(par)

@@ -42,7 +42,7 @@ func bruteForce(eng *Engine, reg *sql.Registry, query string) (string, error) {
 		scope.AddTable(ref.Name(), tbl.Columns())
 		his = append(his, scope.Len())
 		var rows [][]storage.Value
-		if err := tbl.ScanProject(0, 1, sql.AllColumns(), func(_ sql.RowID, row []storage.Value) bool {
+		if err := tbl.ScanProject(sql.AllColumns(), func(_ sql.RowID, row []storage.Value) bool {
 			rows = append(rows, append([]storage.Value(nil), row...))
 			return true
 		}); err != nil {

@@ -14,13 +14,10 @@ import (
 // (ephemeral) geometries decode into the batch's coordinate arena
 // instead of the heap.
 
-// ScanBatch implements sql.BatchTable.
-func (t *table) ScanBatch(shard, nshards int, proj sql.Projection, size int,
+// ScanBatch implements sql.Table.
+func (t *table) ScanBatch(shard, nshards int, proj sql.Projection,
 	fn func(*storage.ColBatch) (bool, error)) error {
 
-	if size <= 0 {
-		size = 256
-	}
 	b := storage.GetColBatch()
 	defer storage.PutColBatch(b)
 	b.Reset(len(t.cols), len(t.cols))
@@ -56,17 +53,12 @@ func (t *table) ScanBatch(shard, nshards int, proj sql.Projection, size int,
 			innerErr = fmt.Errorf("engine: table %s at %s: %w", t.name, rid, err)
 			return false
 		}
-		if b.Len() >= size {
+		if b.Len() >= storage.BatchSize {
 			return flush()
 		}
 		return true
 	}
-	var err error
-	if nshards <= 1 {
-		err = t.heap.Scan(visit)
-	} else {
-		err = t.heap.ScanShard(shard, nshards, visit)
-	}
+	err := t.heap.ScanShard(shard, nshards, visit)
 	if innerErr == nil && err == nil && cont {
 		flush()
 	}
@@ -76,7 +68,7 @@ func (t *table) ScanBatch(shard, nshards int, proj sql.Projection, size int,
 	return err
 }
 
-// FetchBatch implements sql.BatchTable.
+// FetchBatch implements sql.Table.
 func (t *table) FetchBatch(ids []sql.RowID, proj sql.Projection, b *storage.ColBatch) error {
 	b.Reset(len(t.cols), len(t.cols))
 	for _, id := range ids {

@@ -96,8 +96,10 @@ func WithTopoPrep(enabled bool) Option {
 // WithBatchExec toggles batch-at-a-time (vectorized) stage-0 query
 // execution: eligible scans feed column batches through flat MBR
 // prefilter kernels and batched predicate refinement instead of one
-// row per callback. Default: enabled. Plans batching does not cover
-// (kNN, index seeks, bare LIMIT) use the row path either way.
+// row per callback, fanned out across the worker pool. Default:
+// enabled; false selects the serial row-at-a-time reference executor.
+// Plans batching does not cover (kNN, index seeks, bare LIMIT) use the
+// row path either way.
 func WithBatchExec(enabled bool) Option {
 	return func(o *options) { o.batchExec = enabled; o.batchSet = true }
 }

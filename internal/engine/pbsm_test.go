@@ -207,13 +207,9 @@ func TestPBSMUnindexedInner(t *testing.T) {
 func TestGeomStatsMaintained(t *testing.T) {
 	e := newTestEngine(t)
 	loadGrid(t, e, 10)
-	tbl, ok := e.Table("landmarks")
+	st, ok := e.Table("landmarks")
 	if !ok {
 		t.Fatal("landmarks missing")
-	}
-	st, ok := tbl.(sql.StatsTable)
-	if !ok {
-		t.Fatal("engine table does not implement sql.StatsTable")
 	}
 	gs, ok := st.GeomStatsOn("geo")
 	if !ok || gs.Rows != 100 {

@@ -8,11 +8,6 @@ import (
 	"jackpine/internal/storage"
 )
 
-var (
-	_ sql.StatsTable = (*table)(nil)
-	_ sql.MBRTable   = (*table)(nil)
-)
-
 // geomColStats accumulates one geometry column's join-planning block:
 // row count, summed envelope area, and the union MBR. Maintained
 // incrementally under t.mu by noteGeomLocked; the MBR only grows (a
@@ -109,7 +104,7 @@ func (t *table) recomputeStats() error {
 	return nil
 }
 
-// GeomStatsOn implements sql.StatsTable.
+// GeomStatsOn implements sql.Table.
 func (t *table) GeomStatsOn(column string) (sql.GeomStats, bool) {
 	off, ok := t.geomCols[column]
 	if !ok {
@@ -136,7 +131,7 @@ func (t *table) GeomStatsOn(column string) (sql.GeomStats, bool) {
 	return gs, true
 }
 
-// ScanMBR implements sql.MBRTable: every row's envelope for one
+// ScanMBR implements sql.Table: every row's envelope for one
 // geometry column, read straight off the stored WKB header (no
 // geometry is materialized). Rows whose column is NULL, non-geometry,
 // or empty are skipped, matching spatial-index population.

@@ -13,6 +13,8 @@ import (
 	"jackpine/internal/storage"
 )
 
+var _ sql.Table = (*table)(nil)
+
 // table implements sql.Table over a heap file plus indexes.
 type table struct {
 	name     string
@@ -31,7 +33,7 @@ type table struct {
 	stats   map[int]*geomColStats   // per-geometry-column join stats; nil = recompute lazily
 }
 
-// DataVersion implements sql.VersionedTable.
+// DataVersion implements sql.Table.
 func (t *table) DataVersion() uint64 { return t.version.Load() }
 
 // attrIdx is one attribute index: ordered columns with their offsets and
@@ -169,9 +171,7 @@ func (t *table) RowCount() int { return t.heap.Count() }
 // materializes only projected columns, optionally skipping rows whose
 // prefiltered geometry envelope (read straight from the WKB header,
 // no decode) misses the query window.
-func (t *table) ScanProject(shard, nshards int, proj sql.Projection,
-	fn func(sql.RowID, []storage.Value) bool) error {
-
+func (t *table) ScanProject(proj sql.Projection, fn func(sql.RowID, []storage.Value) bool) error {
 	var lt storage.LazyTuple
 	var innerErr error
 	visit := func(rid storage.RecordID, tuple []byte) bool {
@@ -196,12 +196,7 @@ func (t *table) ScanProject(shard, nshards int, proj sql.Projection,
 		}
 		return fn(sql.PackRowID(rid), row)
 	}
-	var err error
-	if nshards <= 1 {
-		err = t.heap.Scan(visit)
-	} else {
-		err = t.heap.ScanShard(shard, nshards, visit)
-	}
+	err := t.heap.Scan(visit)
 	if innerErr != nil {
 		return innerErr
 	}
@@ -225,13 +220,8 @@ func (t *table) materializeRow(rid storage.RecordID, lt *storage.LazyTuple, need
 	return row, nil
 }
 
-// Fetch implements sql.Table.
-func (t *table) Fetch(id sql.RowID) ([]storage.Value, error) {
-	return t.FetchProject(id, nil)
-}
-
-// FetchProject implements sql.Table: Fetch materializing only the
-// columns marked in need (nil means all).
+// FetchProject implements sql.Table: one row by id, materializing only
+// the columns marked in need (nil means all).
 func (t *table) FetchProject(id sql.RowID, need []bool) ([]storage.Value, error) {
 	rid := id.Unpack()
 	fs := fetchPool.Get().(*fetchScratch)
@@ -306,7 +296,7 @@ func (t *table) indexRowLocked(id sql.RowID, row []storage.Value, add bool) {
 
 // Delete implements sql.Table.
 func (t *table) Delete(id sql.RowID) error {
-	row, err := t.Fetch(id)
+	row, err := t.FetchProject(id, nil)
 	if err != nil {
 		return err
 	}
@@ -489,7 +479,7 @@ func (t *table) buildAttrIndex(columns []string) error {
 	for _, off := range ix.offs {
 		need[off] = true
 	}
-	err := t.ScanProject(0, 1, sql.Projection{Need: need, MBRCol: -1}, func(id sql.RowID, row []storage.Value) bool {
+	err := t.ScanProject(sql.Projection{Need: need, MBRCol: -1}, func(id sql.RowID, row []storage.Value) bool {
 		if key, ok := ix.key(row); ok {
 			ix.tree.Insert(key, int64(id))
 		}

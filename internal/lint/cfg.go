@@ -11,11 +11,9 @@ package lint
 // The model is deliberately small and documents its approximations:
 //
 //   - Defers are lexical, not dynamic: every deferred call is placed in a
-//     single synthetic block (Deferred == true, calls in reverse source
-//     order) that every function exit flows through, regardless of
-//     whether the defer statement had executed on that path. Analyzers
-//     that would misfire on that (e.g. releasing a resource that was
-//     never acquired) check Block.Deferred and stay quiet there.
+//     single synthetic block (calls in reverse source order) that every
+//     function exit flows through, regardless of whether the defer
+//     statement had executed on that path.
 //   - Explicit panic(...) statements edge to the deferred block and then
 //     to exit, so "cleanup runs on panic paths via defer" is visible.
 //     Implicit runtime panics (nil derefs, index errors) are not modeled.
@@ -32,20 +30,12 @@ import (
 type Block struct {
 	Index int
 	// Nodes holds the block's statements in execution order. A block
-	// that branches on a condition carries the condition expression as
-	// its final node (see Cond).
+	// that branches on an if or for condition carries the condition
+	// expression as its final node; Succs[0] is then the true edge and
+	// Succs[1] the false edge.
 	Nodes []ast.Node
 	Succs []*Block
 	Preds []*Block
-	// Cond is the branch condition when the block ends in a two-way
-	// branch: Succs[0] is the true edge and Succs[1] the false edge.
-	// Nil for unconditional blocks and multi-way branches (switch,
-	// select, range headers).
-	Cond ast.Expr
-	// Deferred marks the synthetic block holding deferred calls, which
-	// every exit path traverses whether or not the defer statement ran
-	// on that path.
-	Deferred bool
 }
 
 // CFG is the control-flow graph of one function body.
@@ -110,7 +100,6 @@ func NewCFG(body *ast.BlockStmt) *CFG {
 	// (when the function has defers) and then the exit block.
 	if len(b.cfg.Defers) > 0 {
 		def := b.newBlock()
-		def.Deferred = true
 		for i := len(b.cfg.Defers) - 1; i >= 0; i-- {
 			def.Nodes = append(def.Nodes, b.cfg.Defers[i].Call)
 		}
@@ -157,7 +146,6 @@ func (b *cfgBuilder) stmt(s ast.Stmt) {
 			b.current.Nodes = append(b.current.Nodes, s.Init)
 		}
 		b.current.Nodes = append(b.current.Nodes, s.Cond)
-		b.current.Cond = s.Cond
 		head := b.current
 		join := b.newBlock()
 
@@ -260,7 +248,6 @@ func (b *cfgBuilder) loop(s *ast.ForStmt, label string) {
 	body := b.newBlock()
 	if s.Cond != nil {
 		header.Nodes = append(header.Nodes, s.Cond)
-		header.Cond = s.Cond
 		b.addEdge(header, body) // true edge
 		b.addEdge(header, join) // false edge
 	} else {

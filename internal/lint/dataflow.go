@@ -30,12 +30,6 @@ type FlowProblem struct {
 	// Transfer computes the effect of one node; a block's nodes are
 	// applied in order.
 	Transfer func(n ast.Node, f Fact) Fact
-	// Edge, if non-nil, refines the fact flowing across a specific
-	// edge, given the edge's source block and the successor index within
-	// it, so condition outcomes can be exploited: succIdx 0 is the true
-	// edge of Block.Cond, succIdx 1 the false edge. Return f unchanged
-	// when no refinement applies.
-	Edge func(b *Block, succIdx int, f Fact) Fact
 	// Merge combines facts where paths join. It must be commutative,
 	// associative, and monotone for the solver to terminate.
 	Merge func(a, b Fact) Fact
@@ -113,15 +107,11 @@ func Solve(cfg *CFG, p *FlowProblem) *FlowResult {
 			in = p.Boundary
 		}
 		first := true
-		for pi, pred := range b.Preds {
+		for _, pred := range b.Preds {
 			if !reach[pred.Index] || !computed[pred.Index] {
 				continue
 			}
 			f := res.Out[pred.Index]
-			if p.Edge != nil {
-				// succIdx of this edge from pred's perspective.
-				f = p.Edge(pred, succIndex(pred, b, pi), f)
-			}
 			if first && b != cfg.Entry {
 				in = f
 				first = false
@@ -143,21 +133,6 @@ func Solve(cfg *CFG, p *FlowProblem) *FlowResult {
 		res.Out[b.Index] = out
 	}
 	return res
-}
-
-// succIndex finds which successor slot of pred points at b. Preds and
-// Succs are parallel only by construction order, so search; hint is
-// unused beyond a starting guess.
-func succIndex(pred, b *Block, hint int) int {
-	if hint < len(pred.Succs) && pred.Succs[hint] == b {
-		return hint
-	}
-	for i, s := range pred.Succs {
-		if s == b {
-			return i
-		}
-	}
-	return -1
 }
 
 // postorder returns the blocks reachable from Entry in DFS postorder.

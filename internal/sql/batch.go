@@ -7,11 +7,6 @@ import (
 	"jackpine/internal/storage"
 )
 
-// batchSize is the number of row slots per column batch. Large enough
-// to amortize per-batch overhead, small enough that a batch's arena and
-// row backing stay cache-resident.
-const batchSize = 256
-
 // batchFallbackMin is the minimum spatial-window candidate count worth
 // batching. Below it the fixed per-query batch cost (pool checkout,
 // column reset, envelope fill) exceeds the cascade savings — point
@@ -98,24 +93,6 @@ func (r *Runner) newBatchPlan(filters []Expr, width int, path *accessPath) *batc
 		}
 	}
 	return p
-}
-
-// batchEligible reports whether the stage-0 scan of this plan runs
-// batched: the knob is on, the table supports batch access, and the
-// plan has no early-exit shape (kNN and bare LIMIT stream row-at-a-time
-// where stopping mid-batch would waste the overshoot).
-func (r *Runner) batchEligible(sel *Select, tbl Table, kind accessKind, hasAgg, knn bool) (BatchTable, bool) {
-	if !r.batch || knn {
-		return nil, false
-	}
-	if kind != accessFullScan && kind != accessSpatialWindow {
-		return nil, false
-	}
-	if sel.Limit >= 0 && !hasAgg && len(sel.OrderBy) == 0 {
-		return nil, false
-	}
-	bt, ok := tbl.(BatchTable)
-	return bt, ok
 }
 
 // run applies the filter cascade to one batch and emits the survivors.
@@ -268,7 +245,7 @@ func (ex *batchExec) runGeneric(b *storage.ColBatch, f Expr, sel []int) ([]int, 
 
 // batchRefine fetches spatial-window candidates in batch-sized chunks
 // (preserving index search order) and runs the filter cascade on each.
-func batchRefine(tbl BatchTable, path accessPath, ex *batchExec,
+func batchRefine(tbl Table, path accessPath, ex *batchExec,
 	cands []RowID, next nextFn, emit emitFn) error {
 
 	if len(cands) == 0 {
@@ -277,8 +254,8 @@ func batchRefine(tbl BatchTable, path accessPath, ex *batchExec,
 	proj := Projection{Need: path.need, MBRCol: -1, Ephemeral: path.ephemeral}
 	b := storage.GetColBatch()
 	defer storage.PutColBatch(b)
-	for lo := 0; lo < len(cands); lo += batchSize {
-		hi := min(lo+batchSize, len(cands))
+	for lo := 0; lo < len(cands); lo += storage.BatchSize {
+		hi := min(lo+storage.BatchSize, len(cands))
 		if err := tbl.FetchBatch(cands[lo:hi], proj, b); err != nil {
 			return err
 		}

@@ -62,10 +62,10 @@ type Projection struct {
 	// meaningful when MBRCol >= 0).
 	Window geom.Rect
 	// Ephemeral marks needed geometry columns that only stage-0 filters
-	// read: nothing downstream of the scan references them, so batch
-	// scans may decode them into per-worker arena memory that is
-	// recycled at the next morsel. nil means none; row-at-a-time scans
-	// ignore the field entirely.
+	// read: nothing downstream of the scan references them, so ScanBatch
+	// and FetchBatch may decode them into the batch's arena memory, which
+	// is recycled at the next batch. nil means none; ScanProject ignores
+	// the field.
 	Ephemeral []bool
 }
 
@@ -78,21 +78,37 @@ type Table interface {
 	Name() string
 	// Columns returns the schema.
 	Columns() []Column
-	// ScanProject iterates the rows of the shard'th of nshards page
-	// partitions in heap order, stopping when fn returns false.
-	// Partitions are disjoint and contiguous: visiting shards
-	// 0..nshards-1 in order reproduces the whole heap order, which lets
-	// parallel scans merge deterministically. Shards may be scanned
-	// concurrently; use shard=0, nshards=1 for a serial scan. Decoding
-	// is lazy: only columns marked in proj.Need are materialized (others
-	// are NULL), and when proj.MBRCol >= 0 rows whose geometry envelope
-	// does not intersect proj.Window are skipped without decoding.
-	ScanProject(shard, nshards int, proj Projection, fn func(id RowID, row []storage.Value) bool) error
-	// Fetch returns the row with the given id.
-	Fetch(id RowID) ([]storage.Value, error)
+	// ScanProject iterates the rows in heap order, stopping when fn
+	// returns false. Decoding is lazy: only columns marked in proj.Need
+	// are materialized (others are NULL), and when proj.MBRCol >= 0 rows
+	// whose geometry envelope does not intersect proj.Window are skipped
+	// without decoding.
+	ScanProject(proj Projection, fn func(id RowID, row []storage.Value) bool) error
+	// ScanBatch drives the shard'th of nshards heap partitions in
+	// batches of up to storage.BatchSize slots: each batch is filled
+	// with validated tuples, MBR-prefiltered against proj.Window when
+	// proj.MBRCol >= 0 (survivors land in the batch's selection vector),
+	// and its selected slots materialized per proj.Need before fn runs.
+	// Partitions are disjoint and contiguous, and shards may be scanned
+	// concurrently: visiting shards 0..nshards-1 in order reproduces
+	// exactly the rows (and order) of ScanProject, which lets parallel
+	// scans merge deterministically. Batch memory is reused: fn must
+	// copy anything that outlives the call.
+	ScanBatch(shard, nshards int, proj Projection, fn func(*storage.ColBatch) (bool, error)) error
 	// FetchProject returns the row with the given id, materializing only
 	// the columns marked in need (nil need means all).
 	FetchProject(id RowID, need []bool) ([]storage.Value, error)
+	// FetchBatch fills b with the identified rows (in id order, all
+	// selected) and materializes them per proj.Need. Used by the batch
+	// refinement stage of spatial-index scans.
+	FetchBatch(ids []RowID, proj Projection, b *storage.ColBatch) error
+	// ScanMBR invokes fn with every row's envelope for geometry column
+	// col in heap (RowID) order, read straight from the stored tuple
+	// without materializing geometries — the PBSM join's build-side
+	// input. Rows whose column is NULL or empty are skipped, matching
+	// the spatial-index and MBR-prefilter population; a non-geometry
+	// column is an error.
+	ScanMBR(col int, fn func(id RowID, env geom.Rect) bool) error
 	// Insert appends a row and maintains indexes.
 	Insert(row []storage.Value) (RowID, error)
 	// Delete removes a row and maintains indexes.
@@ -104,37 +120,17 @@ type Table interface {
 	SpatialIndexOn(column string) SpatialIndex
 	// AttrIndexes returns the attribute indexes on this table.
 	AttrIndexes() []AttrIndexDef
+	// GeomStatsOn returns join-planning statistics for the named
+	// geometry column, or ok=false when the column is unknown or holds
+	// no non-empty geometry.
+	GeomStatsOn(column string) (GeomStats, bool)
 	// RowCount returns the current number of rows.
 	RowCount() int
-}
-
-// VersionedTable is an optional Table extension: DataVersion advances
-// on every row mutation (and on physical renumbering), letting
-// executors cache table-derived state — the PBSM candidate index —
-// and invalidate it precisely instead of rebuilding per statement.
-type VersionedTable interface {
+	// DataVersion advances on every row mutation (and on physical
+	// renumbering), letting executors cache table-derived state — the
+	// PBSM candidate index — and invalidate it precisely instead of
+	// rebuilding per statement.
 	DataVersion() uint64
-}
-
-// BatchTable is the optional batch-at-a-time extension of Table. A
-// table that implements it can feed the vectorized executor whole
-// column batches instead of one row per callback; tables that do not
-// stay on the row path unchanged.
-type BatchTable interface {
-	Table
-	// ScanBatch drives the shard'th of nshards heap partitions in
-	// batches of up to size slots: each batch is filled with validated
-	// tuples, MBR-prefiltered against proj.Window when proj.MBRCol >= 0
-	// (survivors land in the batch's selection vector), and its selected
-	// slots materialized per proj.Need before fn runs. Batch memory is
-	// reused: fn must copy anything that outlives the call. Visiting
-	// shards 0..nshards-1 in order reproduces exactly the rows (and
-	// order) of ScanProject.
-	ScanBatch(shard, nshards int, proj Projection, size int, fn func(*storage.ColBatch) (bool, error)) error
-	// FetchBatch fills b with the identified rows (in id order, all
-	// selected) and materializes them per proj.Need. Used by the batch
-	// refinement stage of spatial-index scans.
-	FetchBatch(ids []RowID, proj Projection, b *storage.ColBatch) error
 }
 
 // GeomStats summarizes one geometry column for join planning: the union
@@ -145,30 +141,6 @@ type GeomStats struct {
 	MBR      geom.Rect
 	Rows     int
 	MeanArea float64
-}
-
-// StatsTable is the optional statistics extension of Table. Tables that
-// implement it let the planner cost index-nested-loop against
-// partition-based spatial-merge joins; tables that do not are planned
-// conservatively.
-type StatsTable interface {
-	Table
-	// GeomStatsOn returns statistics for the named geometry column, or
-	// ok=false when the column is unknown or stats are unavailable.
-	GeomStatsOn(column string) (GeomStats, bool)
-}
-
-// MBRTable is the optional decode-free envelope extension of Table.
-// Implementations stream every row's geometry envelope for one column
-// straight from the stored tuple (EnvelopeWKB header walk) without
-// materializing geometries — the PBSM join's build-side input. Rows
-// whose column is NULL, non-geometry, or empty are skipped, matching
-// the spatial-index and MBR-prefilter population.
-type MBRTable interface {
-	Table
-	// ScanMBR invokes fn with each row's envelope in heap (RowID) order,
-	// stopping when fn returns false.
-	ScanMBR(col int, fn func(id RowID, env geom.Rect) bool) error
 }
 
 // Catalog resolves table names and applies DDL. The engine implements it.

@@ -95,9 +95,10 @@ func NewRunner(cat Catalog, reg *Registry) *Runner {
 func (r *Runner) SetTopoPrep(enabled bool) { r.prep = enabled }
 
 // SetBatchExec toggles batch-at-a-time stage-0 execution. On by
-// default; the off position exists for equivalence testing and
-// measurement (plans that batching does not cover — kNN, index seeks,
-// bare LIMIT — use the row path regardless). Not safe to call
+// default; false selects the serial row-at-a-time reference executor
+// (no stage-0 parallelism), which exists for equivalence testing and
+// measurement. Plans that batching does not cover — kNN, index seeks,
+// bare LIMIT — use the row path regardless. Not safe to call
 // concurrently with running queries.
 func (r *Runner) SetBatchExec(enabled bool) { r.batch = enabled }
 
@@ -416,13 +417,15 @@ func (r *Runner) execSelect(sel *Select, explainOnly bool, rowIDs *[]RowID) (*Re
 		}
 	}
 
-	// Batch eligibility for the stage-0 scan, and — when eligible —
-	// ephemeral classification: stage-0 geometry columns that only this
-	// stage's filters read may be decoded into recycled arena memory,
-	// since emitted survivor rows NULL them before anything downstream
-	// could observe the value.
-	bt0, batchOK := r.batchEligible(sel, tables[0].tbl, paths[0].kind, hasAgg, knn)
-	if batchOK && !allCols {
+	// How stage 0 runs — batched or not, on how many workers — and, for
+	// a batched stage 0, ephemeral classification: stage-0 geometry
+	// columns that only this stage's filters read may be decoded into
+	// recycled arena memory, since emitted survivor rows NULL them before
+	// anything downstream could observe the value. A parallel stage 0
+	// runs its join stages inside each worker, and shard results merge
+	// deterministically in shard order.
+	batch0, workers := r.stage0Exec(sel, tables[0].tbl, paths[0].kind, hasAgg, knn)
+	if batch0 && !allCols {
 		needElse := make([]bool, scope.Len())
 		for _, se := range sel.Exprs {
 			if !se.Star {
@@ -540,11 +543,6 @@ func (r *Runner) execSelect(sel *Select, explainOnly bool, rowIDs *[]RowID) (*Re
 		return r.scanTable(bt.tbl, paths[stage], prefix, width, bt.lo, emitRow)
 	}
 
-	// Intra-query parallelism: when the plan qualifies, stage 0 fans
-	// out across a worker pool (join stages run inside each worker) and
-	// shard results merge deterministically in shard order.
-	workers := r.parallelWorkers(sel, tables[0].tbl, paths[0].kind, hasAgg, knn)
-
 	// Sinks: aggregation, ordering, limit, projection.
 	res := &Result{}
 	labels := make([]string, len(tables))
@@ -620,7 +618,7 @@ func (r *Runner) execSelect(sel *Select, explainOnly bool, rowIDs *[]RowID) (*Re
 	}
 
 	// Stage 0: serial plans are the one-worker case of the same source.
-	runShard, err := r.stage0Source(tables[0].tbl, bt0, &paths[0], stageFilters[0], width, workers,
+	runShard, err := r.stage0Source(tables[0].tbl, batch0, &paths[0], stageFilters[0], width, workers,
 		stageEmit, forward)
 	if err != nil {
 		return nil, err
@@ -879,7 +877,7 @@ func (r *Runner) scanTable(tbl Table, path accessPath, prefix []storage.Value,
 		}
 		cont := true
 		var emitErr error
-		err = tbl.ScanProject(0, 1, proj, func(id RowID, row []storage.Value) bool {
+		err = tbl.ScanProject(proj, func(id RowID, row []storage.Value) bool {
 			c, err := emit(pad(id, row))
 			if err != nil {
 				emitErr = err
@@ -1028,7 +1026,7 @@ func hashJoinKey(v storage.Value) (string, bool) {
 // join key of the build column.
 func (r *Runner) buildHashTable(tbl Table, path accessPath) (map[string][][]storage.Value, error) {
 	table := make(map[string][][]storage.Value)
-	err := tbl.ScanProject(0, 1, Projection{Need: path.need, MBRCol: -1}, func(_ RowID, row []storage.Value) bool {
+	err := tbl.ScanProject(Projection{Need: path.need, MBRCol: -1}, func(_ RowID, row []storage.Value) bool {
 		if key, ok := hashJoinKey(row[path.hashCol]); ok {
 			table[key] = append(table[key], append([]storage.Value(nil), row...))
 		}
@@ -1585,7 +1583,7 @@ func (r *Runner) execUpdate(upd *Update) (*Result, error) {
 	// error leaves the table — and a durable engine's log — untouched.
 	newRows := make([][]storage.Value, len(ids))
 	for i, id := range ids {
-		row, err := tbl.Fetch(id)
+		row, err := tbl.FetchProject(id, nil)
 		if err != nil {
 			return nil, err
 		}

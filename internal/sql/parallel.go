@@ -8,14 +8,15 @@ import (
 
 // Morsel-style intra-query parallelism.
 //
-// Eligible plans fan the stage-0 scan out across a worker pool: full
-// scans shard the heap into contiguous page ranges (Table.ScanProject,
-// BatchTable.ScanBatch), and spatial-window scans collect candidate row
-// ids from the MBR index once, then refine (fetch + exact predicate) in
-// contiguous chunks. Join stages run inside each worker against
-// read-only state. Shard results merge strictly in shard order, so a
-// parallel plan returns exactly the rows — and row order — of its
-// serial counterpart.
+// Batched plans fan the stage-0 scan out across a worker pool: full
+// scans shard the heap into contiguous page ranges (Table.ScanBatch),
+// and spatial-window scans collect candidate row ids from the MBR index
+// once, then refine (fetch + exact predicate) in contiguous chunks.
+// Join stages run inside each worker against read-only state. Shard
+// results merge strictly in shard order, so a parallel plan returns
+// exactly the rows — and row order — of its serial counterpart.
+// Unbatched plans, including every plan with batch execution off, run
+// serially.
 
 // parallelMinRows is the smallest stage-0 table worth fanning out;
 // below it goroutine startup dominates any scan win.
@@ -25,54 +26,46 @@ const parallelMinRows = 256
 // surviving full-width rows to emit.
 type shardFn func(shard int, emit emitFn) error
 
-// parallelWorkers decides the worker count for a plan, returning 1 when
-// the plan must stay serial: kNN (ordered streaming), index seeks and
-// range scans (already selective), LIMIT without ORDER BY or aggregation
-// (early exit beats materializing every shard), and small inputs.
-func (r *Runner) parallelWorkers(sel *Select, tbl Table, kind accessKind, hasAgg, knn bool) int {
-	if r.par < 2 || knn {
-		return 1
+// stage0Exec decides how stage 0 runs: batched or not, on how many
+// workers. With batch execution off every plan is the serial
+// row-at-a-time reference. Otherwise kNN (ordered streaming), index
+// seeks and range scans (already selective), and LIMIT without ORDER BY
+// or aggregation (early exit beats materializing whole batches and
+// shards) stream row-at-a-time through scanTable; full scans and
+// spatial windows run batched, fanned out across the worker pool
+// unless the table is small.
+func (r *Runner) stage0Exec(sel *Select, tbl Table, kind accessKind, hasAgg, knn bool) (batch bool, workers int) {
+	if !r.batch || knn || (kind != accessFullScan && kind != accessSpatialWindow) ||
+		(sel.Limit >= 0 && !hasAgg && len(sel.OrderBy) == 0) {
+		return false, 1
 	}
-	if kind != accessFullScan && kind != accessSpatialWindow {
-		return 1
+	if r.par < 2 || tbl.RowCount() < parallelMinRows {
+		return true, 1
 	}
-	if !hasAgg && len(sel.OrderBy) == 0 && sel.Limit >= 0 {
-		return 1
-	}
-	if tbl.RowCount() < parallelMinRows {
-		return 1
-	}
-	return r.par
+	return true, r.par
 }
 
 // stage0Source builds the stage-0 driver of every plan: shard w of
 // workers reads its part of the driving table and feeds each row into
-// the rest of the pipeline; serial plans are the one-worker case. Full
-// scans compute their projection once and shard the heap; spatial
+// the rest of the pipeline; serial plans are the one-worker case.
+// Unbatched plans stream through scanTable as one shard, so the row
+// path stops searching the index on an early exit. Batched full scans
+// compute their projection once and shard the heap; batched spatial
 // windows evaluate the window and search the index once, here, and
 // split the candidates into contiguous chunks, so shard concatenation
-// reproduces the serial row order. bt is non-nil when the plan is
-// batch-eligible: full scans then run batched, and windows do when the
-// search found at least batchFallbackMin candidates. stageEmit wraps a
-// sink with a stage's filters and the stages after it (the row path);
-// the batch cascade applies the stage-0 filters itself and hands
-// survivors to next. Seeks,
-// ranges, kNN and serial row plans stream through scanTable as one
-// shard, so the row path stops searching the index on an early exit.
-func (r *Runner) stage0Source(tbl Table, bt BatchTable, path *accessPath, filters []Expr,
+// reproduces the serial row order. A window runs the batch cascade when
+// the search found at least batchFallbackMin candidates, else the row
+// fetch loop. stageEmit wraps a sink with a stage's filters and the
+// stages after it (the row path); the batch cascade applies the stage-0
+// filters itself and hands survivors to next.
+func (r *Runner) stage0Source(tbl Table, batch bool, path *accessPath, filters []Expr,
 	width, workers int, stageEmit func(stage int, emit emitFn) emitFn, next nextFn) (shardFn, error) {
 
-	if (workers == 1 && bt == nil) || (path.kind != accessFullScan && path.kind != accessSpatialWindow) {
+	if !batch {
 		return func(_ int, emit emitFn) error {
 			_, err := r.scanTable(tbl, *path, nil, width, 0, stageEmit(0, emit))
 			return err
 		}, nil
-	}
-	pad := func(id RowID, row []storage.Value) []storage.Value {
-		full := make([]storage.Value, width)
-		copy(full, row)
-		setRowID(full, path.idPos, id)
-		return full
 	}
 
 	if path.kind == accessFullScan {
@@ -80,33 +73,15 @@ func (r *Runner) stage0Source(tbl Table, bt BatchTable, path *accessPath, filter
 		if err != nil {
 			return nil, err
 		}
-		switch {
-		case skip:
+		if skip {
 			return func(int, emitFn) error { return nil }, nil
-		case bt != nil:
-			plan := r.newBatchPlan(filters, width, path)
-			return func(shard int, emit emitFn) error {
-				ex := &batchExec{plan: plan}
-				return bt.ScanBatch(shard, workers, proj, batchSize, func(b *storage.ColBatch) (bool, error) {
-					return ex.run(b, next, emit)
-				})
-			}, nil
 		}
+		plan := r.newBatchPlan(filters, width, path)
 		return func(shard int, emit emitFn) error {
-			emitRow := stageEmit(0, emit)
-			var emitErr error
-			err := tbl.ScanProject(shard, workers, proj, func(id RowID, row []storage.Value) bool {
-				c, err := emitRow(pad(id, row))
-				if err != nil {
-					emitErr = err
-					return false
-				}
-				return c
+			ex := &batchExec{plan: plan}
+			return tbl.ScanBatch(shard, workers, proj, func(b *storage.ColBatch) (bool, error) {
+				return ex.run(b, next, emit)
 			})
-			if emitErr != nil {
-				return emitErr
-			}
-			return err
 		}, nil
 	}
 
@@ -124,10 +99,10 @@ func (r *Runner) stage0Source(tbl Table, bt BatchTable, path *accessPath, filter
 	chunk := func(shard int) []RowID {
 		return cands[shard*len(cands)/workers : (shard+1)*len(cands)/workers]
 	}
-	if bt != nil && len(cands) >= batchFallbackMin {
+	if len(cands) >= batchFallbackMin {
 		plan := r.newBatchPlan(filters, width, path)
 		return func(shard int, emit emitFn) error {
-			return batchRefine(bt, *path, &batchExec{plan: plan}, chunk(shard), next, emit)
+			return batchRefine(tbl, *path, &batchExec{plan: plan}, chunk(shard), next, emit)
 		}, nil
 	}
 	return func(shard int, emit emitFn) error {
@@ -137,7 +112,10 @@ func (r *Runner) stage0Source(tbl Table, bt BatchTable, path *accessPath, filter
 			if err != nil {
 				return err
 			}
-			if cont, err := emitRow(pad(id, row)); err != nil || !cont {
+			full := make([]storage.Value, width)
+			copy(full, row)
+			setRowID(full, path.idPos, id)
+			if cont, err := emitRow(full); err != nil || !cont {
 				return err
 			}
 		}

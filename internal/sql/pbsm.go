@@ -174,7 +174,7 @@ func (st *pbsmState) materialize(tbl Table, spec *pbsmSpec, need []bool) error {
 		return nil
 	}
 	cache := make(map[RowID][]storage.Value, st.inner.Len())
-	err := tbl.ScanProject(0, 1, Projection{Need: need, MBRCol: -1},
+	err := tbl.ScanProject(Projection{Need: need, MBRCol: -1},
 		func(id RowID, row []storage.Value) bool {
 			cache[id] = row
 			return true
@@ -344,15 +344,6 @@ func findPBSMConjunct(scope *Scope, conjuncts []Expr, innerLo, innerHi int,
 	return nil, 0, 0, false
 }
 
-// geomStatsOn fetches stats through the optional StatsTable extension.
-func geomStatsOn(tbl Table, column string) (GeomStats, bool) {
-	st, ok := tbl.(StatsTable)
-	if !ok {
-		return GeomStats{}, false
-	}
-	return st.GeomStatsOn(column)
-}
-
 // choosePBSM is the auto-strategy cost decision. INL wins whenever the
 // outer stage is already selective (attr/kNN/hash access) or small; a
 // missing inner index flips the default toward PBSM early, since the
@@ -370,7 +361,7 @@ func (r *Runner) choosePBSM(outer, inner Table, outerCol, innerCol string,
 	// A constant spatial window on the outer stage scales the number of
 	// probes by the window's share of the table extent.
 	if outerPath.windowExpr != nil && maxRef(outerPath.windowExpr) < 0 {
-		if st, ok := geomStatsOn(outer, outerCol); ok && st.MBR.Area() > 0 {
+		if st, ok := outer.GeomStatsOn(outerCol); ok && st.MBR.Area() > 0 {
 			if win, err := outerPath.evalWindow(nil, r.reg); err == nil && !win.IsEmpty() {
 				frac := win.Intersect(st.MBR).Area() / st.MBR.Area()
 				if frac < 1 {
@@ -407,8 +398,8 @@ func pbsmGridDims(outer, inner Table, outerCol, innerCol string, expand float64)
 		g = pbsmMaxGrid
 	}
 	gx, gy := g, g
-	oStats, oOK := geomStatsOn(outer, outerCol)
-	iStats, iOK := geomStatsOn(inner, innerCol)
+	oStats, oOK := outer.GeomStatsOn(outerCol)
+	iStats, iOK := inner.GeomStatsOn(innerCol)
 	if oOK && iOK {
 		extent := oStats.MBR.Expand(expand).Intersect(iStats.MBR)
 		meanSide := math.Max(math.Sqrt(oStats.MeanArea)+2*expand, math.Sqrt(iStats.MeanArea))
@@ -431,33 +422,18 @@ func pbsmGridDims(outer, inner Table, outerCol, innerCol string, expand float64)
 }
 
 // collectMBRs fills buf with every row envelope of one geometry column,
-// expanded by expand, skipping NULL/empty geometries. Decode-free when
-// the table implements MBRTable; otherwise each geometry is
-// materialized once.
+// expanded by expand, skipping NULL/empty geometries, straight from the
+// stored tuples (Table.ScanMBR) without decoding any geometry.
 func collectMBRs(tbl Table, col int, expand float64, buf *storage.MBRBuf) error {
-	appendEnv := func(id RowID, env geom.Rect) bool {
+	return tbl.ScanMBR(col, func(id RowID, env geom.Rect) bool {
 		if expand != 0 {
 			env = env.Expand(expand)
 		}
-		if env.IsEmpty() {
-			return true
+		if !env.IsEmpty() {
+			buf.Append(int64(id), env.MinX, env.MinY, env.MaxX, env.MaxY)
 		}
-		buf.Append(int64(id), env.MinX, env.MinY, env.MaxX, env.MaxY)
 		return true
-	}
-	if mt, ok := tbl.(MBRTable); ok {
-		return mt.ScanMBR(col, appendEnv)
-	}
-	need := make([]bool, len(tbl.Columns()))
-	need[col] = true
-	return tbl.ScanProject(0, 1, Projection{Need: need, MBRCol: -1},
-		func(id RowID, row []storage.Value) bool {
-			v := row[col]
-			if v.IsNull() || v.Type != storage.TypeGeom || v.Geom == nil || v.Geom.IsEmpty() {
-				return true
-			}
-			return appendEnv(id, v.Geom.Envelope())
-		})
+	})
 }
 
 // pbsmPair is one candidate (outer envelope, inner row) pair emitted by
@@ -729,15 +705,8 @@ type pbsmEntry struct {
 // map is dropped (states are cheap to rebuild relative to churn logic).
 const pbsmCacheMax = 16
 
-// pbsmSpecKey derives the cache key, reporting false when either table
-// cannot report a data version (then caching would be unsound).
-func pbsmSpecKey(spec *pbsmSpec, need []bool) (pbsmKey, bool) {
-	if _, ok := spec.outer.(VersionedTable); !ok {
-		return pbsmKey{}, false
-	}
-	if _, ok := spec.inner.(VersionedTable); !ok {
-		return pbsmKey{}, false
-	}
+// pbsmSpecKey derives the cache key.
+func pbsmSpecKey(spec *pbsmSpec, need []bool) pbsmKey {
 	mode := byte(0)
 	if spec.refineFC != nil {
 		mode = 1
@@ -756,32 +725,28 @@ func pbsmSpecKey(spec *pbsmSpec, need []bool) (pbsmKey, bool) {
 		outerCol: spec.outerCol, innerCol: spec.innerCol,
 		expand: spec.expand, gx: spec.gx, gy: spec.gy,
 		mode: mode, needKey: string(nb),
-	}, true
+	}
 }
 
 // acquirePBSM returns the ready-to-probe sweep state for the spec:
-// from the runner's version-checked cache when both tables report data
-// versions, else built (and materialized) fresh. Versions are read
+// from the runner's cache when both tables' data versions still match
+// the entry's, else built (and materialized) fresh. Versions are read
 // before the build, so a mutation racing the build at worst stamps the
 // entry stale and forces a rebuild on the next statement — never a
 // silently reused stale index. The cells/dedup counters advance on
 // every acquisition, so per-statement deltas stay meaningful whether
 // or not the build was reused.
 func (r *Runner) acquirePBSM(spec *pbsmSpec, need []bool) (*pbsmState, error) {
-	key, cacheable := pbsmSpecKey(spec, need)
-	var outerVer, innerVer uint64
-	if cacheable {
-		outerVer = spec.outer.(VersionedTable).DataVersion()
-		innerVer = spec.inner.(VersionedTable).DataVersion()
-		r.pbsmMu.Lock()
-		e, ok := r.pbsmCache[key]
-		r.pbsmMu.Unlock()
-		if ok && e.outerVer == outerVer && e.innerVer == innerVer {
-			r.pbsmHits.Add(1)
-			r.pbsmCells.Add(int64(e.st.cells))
-			r.pbsmDedup.Add(e.st.drops)
-			return e.st, nil
-		}
+	key := pbsmSpecKey(spec, need)
+	outerVer, innerVer := spec.outer.DataVersion(), spec.inner.DataVersion()
+	r.pbsmMu.Lock()
+	e, ok := r.pbsmCache[key]
+	r.pbsmMu.Unlock()
+	if ok && e.outerVer == outerVer && e.innerVer == innerVer {
+		r.pbsmHits.Add(1)
+		r.pbsmCells.Add(int64(e.st.cells))
+		r.pbsmDedup.Add(e.st.drops)
+		return e.st, nil
 	}
 	st, err := r.buildPBSM(spec)
 	if err != nil {
@@ -792,17 +757,12 @@ func (r *Runner) acquirePBSM(spec *pbsmSpec, need []bool) (*pbsmState, error) {
 	}
 	r.pbsmCells.Add(int64(st.cells))
 	r.pbsmDedup.Add(st.drops)
-	if cacheable {
-		r.pbsmMu.Lock()
-		if r.pbsmCache == nil {
-			r.pbsmCache = make(map[pbsmKey]*pbsmEntry)
-		}
-		if len(r.pbsmCache) >= pbsmCacheMax {
-			r.pbsmCache = make(map[pbsmKey]*pbsmEntry, pbsmCacheMax)
-		}
-		r.pbsmCache[key] = &pbsmEntry{st: st, outerVer: outerVer, innerVer: innerVer}
-		r.pbsmMu.Unlock()
+	r.pbsmMu.Lock()
+	if r.pbsmCache == nil || len(r.pbsmCache) >= pbsmCacheMax {
+		r.pbsmCache = make(map[pbsmKey]*pbsmEntry, pbsmCacheMax)
 	}
+	r.pbsmCache[key] = &pbsmEntry{st: st, outerVer: outerVer, innerVer: innerVer}
+	r.pbsmMu.Unlock()
 	return st, nil
 }
 

@@ -7,6 +7,11 @@ import (
 	"jackpine/internal/geom"
 )
 
+// BatchSize is the number of row slots a batch scan fills per ColBatch.
+// Large enough to amortize per-batch overhead, small enough that a
+// batch's arena and row backing stay cache-resident.
+const BatchSize = 256
+
 // ColBatch is a column-batch view over up to a few hundred encoded
 // tuples: the batch-at-a-time executor's unit of work. Tuple bytes are
 // copied into one contiguous arena (a heap scan's tuple slice is only

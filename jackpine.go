@@ -142,7 +142,9 @@ func WithPlanCache(entries int) engine.Option { return engine.WithPlanCache(entr
 
 // WithBatchExec toggles batch-at-a-time (vectorized) query execution:
 // eligible scans process column batches through flat MBR prefilter
-// kernels and batched predicate refinement. Enabled by default.
+// kernels and batched predicate refinement, fanned out across the
+// worker pool. Enabled by default; false selects the serial
+// row-at-a-time reference executor.
 func WithBatchExec(enabled bool) engine.Option { return engine.WithBatchExec(enabled) }
 
 // JoinStrategy selects how two-table spatial joins execute: JoinAuto
