@@ -1546,3 +1546,70 @@ func TestWriteSpatialJoinBench(t *testing.T) {
 	}
 	t.Logf("best speedup %.2fx; wrote BENCH_spatialjoin.json (%d bytes)", maxSpeedup, len(buf))
 }
+
+// TestJoinAllocsPerOuterRow is the structural allocation guard of the
+// borrowed-tuple pipeline: every producer reuses one scratch row per
+// worker and stage, so a PBSM DWithin self-join allocates per outer row
+// (the outer geometry decode), not per candidate pair or per emitted
+// tuple. On a warm, single-core engine at small scale it checks that
+// the COUNT(*) join allocates at most 1.5 times its outer row count, the
+// same at D = 50 and D = 200 (where the candidate-pair count differs
+// several-fold), and that the row-returning variant's excess over the
+// COUNT is at most 2 allocations per output row (the projected row and
+// its share of the result slice). Skipped under the race detector,
+// whose instrumentation changes allocation counts.
+func TestJoinAllocsPerOuterRow(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts differ under the race detector")
+	}
+	ds := GenerateDataset(ScaleSmall, 1)
+	eng := OpenEngine(GaiaDB(), WithParallelism(1), WithJoinStrategy(JoinPBSM))
+	if err := LoadDataset(eng, ds, true); err != nil {
+		t.Fatal(err)
+	}
+	conn, err := Connect(eng).Connect()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	query := func(q string) *ResultSet {
+		rs, err := conn.Query(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rs
+	}
+	measure := func(q string) float64 {
+		for i := 0; i < 3; i++ {
+			query(q)
+		}
+		return testing.AllocsPerRun(10, func() { query(q) })
+	}
+	outer := float64(query("SELECT COUNT(*) FROM pointlm").Rows[0][0].Int)
+	const join = "FROM pointlm a JOIN pointlm b ON ST_DWithin(a.geo, b.geo, %d) WHERE a.id < b.id"
+	counts := map[int]float64{}
+	for _, d := range []int{50, 200} {
+		eng.ResetJoinStats()
+		q := "SELECT COUNT(*) " + fmt.Sprintf(join, d)
+		pairs := query(q).Rows[0][0].Int
+		if st := eng.JoinStats(); st.PBSM == 0 {
+			t.Fatalf("D=%d: join ran INL=%d PBSM=%d, want PBSM", d, st.INL, st.PBSM)
+		}
+		counts[d] = measure(q)
+		t.Logf("D=%d: %d pairs, %.0f allocs over %.0f outer rows (%.2f per outer row)",
+			d, pairs, counts[d], outer, counts[d]/outer)
+		if counts[d] > 1.5*outer {
+			t.Errorf("D=%d: COUNT join allocates %.0f, over 1.5 x %.0f outer rows", d, counts[d], outer)
+		}
+	}
+	if lo, hi := counts[50], counts[200]; math.Abs(hi-lo) > 0.02*lo {
+		t.Errorf("COUNT join allocates %.0f at D=50 but %.0f at D=200: allocations follow the candidate pairs", lo, hi)
+	}
+	q := "SELECT a.id, b.id " + fmt.Sprintf(join, 200)
+	rows := float64(len(query(q).Rows))
+	excess := (measure(q) - counts[200]) / rows
+	t.Logf("row-returning variant: %.0f rows, %.2f allocs per output row over the COUNT", rows, excess)
+	if excess > 2 {
+		t.Errorf("row-returning join allocates %.2f per output row over the COUNT, want <= 2", excess)
+	}
+}

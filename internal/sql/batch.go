@@ -21,9 +21,10 @@ const batchFallbackMin = 8
 // the MBR window with one pass over flat envelope arrays, and hands the
 // survivors here, where the stage's residual filters run column-major
 // over the selection vector. Prepared topological predicates evaluate a
-// whole batch's candidates through one kernel call; surviving rows are
-// then emitted — as fresh full-width copies, since batch memory is
-// recycled — into the unchanged join/aggregate/sort pipeline.
+// whole batch's candidates through one kernel call; each surviving row
+// is then copied into the shard's one full-width scratch tuple, since
+// batch memory is recycled, and emitted, borrowed, into the
+// join/aggregate/sort pipeline.
 //
 // The batch path is byte-equivalent to the row path on success. Two
 // narrow divergences are accepted and documented in DESIGN.md: a batch
@@ -32,11 +33,6 @@ const batchFallbackMin = 8
 // the strictly row-ordered scan; and when several filters would each
 // error on different rows, the column-major cascade can surface a
 // different conjunct's error than row-major short-circuiting.
-
-// nextFn forwards one full-width row that passed stage's filters into
-// the rest of the pipeline (the next join stage, or the sink after the
-// last).
-type nextFn func(stage int, row []storage.Value, emit emitFn) (bool, error)
 
 // batchFilter is one stage-0 residual filter, pre-classified so the
 // batch loop dispatches without re-inspecting the tree per row.
@@ -68,8 +64,9 @@ type batchPlan struct {
 // slices are reused across batches; nothing here is shared.
 type batchExec struct {
 	plan  *batchPlan
-	sel2  []int // survivor accumulator (compacted in place)
-	slots []int // slots feeding a prepared kernel call
+	row   []storage.Value // the scratch tuple every survivor is emitted in
+	sel2  []int           // survivor accumulator (compacted in place)
+	slots []int           // slots feeding a prepared kernel call
 	geoms []geom.Geometry
 	outs  []bool
 	args  []storage.Value // argument buffer for plain calls
@@ -95,8 +92,14 @@ func (r *Runner) newBatchPlan(filters []Expr, width int, path *accessPath) *batc
 	return p
 }
 
-// run applies the filter cascade to one batch and emits the survivors.
-func (ex *batchExec) run(b *storage.ColBatch, next nextFn, emit emitFn) (bool, error) {
+// newExec returns a shard's batch scratch.
+func (p *batchPlan) newExec() *batchExec {
+	return &batchExec{plan: p, row: make([]storage.Value, p.width)}
+}
+
+// run applies the filter cascade to one batch and emits the survivors
+// into the pipeline past stage 0's filters.
+func (ex *batchExec) run(b *storage.ColBatch, emit emitFn) (bool, error) {
 	p := ex.plan
 	p.r.batchBatches.Add(1)
 	p.r.batchRows.Add(int64(len(b.Sel)))
@@ -119,14 +122,14 @@ func (ex *batchExec) run(b *storage.ColBatch, next nextFn, emit emitFn) (bool, e
 			return false, err
 		}
 	}
+	full := ex.row
 	for _, s := range sel {
-		full := make([]storage.Value, p.width)
 		copy(full, b.Row(s))
 		for _, c := range p.ephCols {
 			full[c] = storage.Value{}
 		}
 		setRowID(full, p.idPos, RowID(b.ID(s)))
-		cont, err := next(0, full, emit)
+		cont, err := emit(full)
 		if err != nil || !cont {
 			return cont, err
 		}
@@ -246,7 +249,7 @@ func (ex *batchExec) runGeneric(b *storage.ColBatch, f Expr, sel []int) ([]int, 
 // batchRefine fetches spatial-window candidates in batch-sized chunks
 // (preserving index search order) and runs the filter cascade on each.
 func batchRefine(tbl Table, path accessPath, ex *batchExec,
-	cands []RowID, next nextFn, emit emitFn) error {
+	cands []RowID, emit emitFn) error {
 
 	if len(cands) == 0 {
 		return nil
@@ -259,7 +262,7 @@ func batchRefine(tbl Table, path accessPath, ex *batchExec,
 		if err := tbl.FetchBatch(cands[lo:hi], proj, b); err != nil {
 			return err
 		}
-		if cont, err := ex.run(b, next, emit); err != nil || !cont {
+		if cont, err := ex.run(b, emit); err != nil || !cont {
 			return err
 		}
 	}

@@ -53,29 +53,11 @@ type Runner struct {
 	pbsmDedup    atomic.Int64
 	pbsmHits     atomic.Int64
 
-	// rowPool recycles emitted join tuples for sinks that never retain
-	// them (aggregation copies what it keeps); see pbsmSpec.reuseRows.
-	rowPool sync.Pool
-
 	// pbsmCache retains built sweep states across statements, keyed by
 	// join shape and validated against table data versions on every
 	// acquisition. Guarded by pbsmMu.
 	pbsmMu    sync.Mutex
 	pbsmCache map[pbsmKey]*pbsmEntry
-}
-
-// getRow leases a tuple buffer of at least the given width from the
-// pool; putRow returns it. Only plans whose sink provably copies
-// emitted rows (pbsmSpec.reuseRows) may recycle buffers this way.
-func (r *Runner) getRow(width int) []storage.Value {
-	if b, ok := r.rowPool.Get().(*[]storage.Value); ok && cap(*b) >= width {
-		return (*b)[:width]
-	}
-	return make([]storage.Value, width)
-}
-
-func (r *Runner) putRow(b []storage.Value) {
-	r.rowPool.Put(&b)
 }
 
 // NewRunner creates an executor over the catalog using the registry's
@@ -246,7 +228,11 @@ func coerce(v storage.Value, col Column) (storage.Value, error) {
 
 // --- SELECT -------------------------------------------------------------
 
-// emitFn receives rows; returning false stops production.
+// emitFn receives rows; returning false stops production. The row is
+// borrowed: it is valid only for the duration of the call, because its
+// producer refills the same scratch tuple for the next row. A consumer
+// may read it, or pass it on to another emitFn, but must not write it;
+// a sink that keeps a row copies it.
 type emitFn func(row []storage.Value) (bool, error)
 
 // execSelect plans and runs a SELECT. With rowIDs non-nil it is a DML
@@ -369,19 +355,14 @@ func (r *Runner) execSelect(sel *Select, explainOnly bool, rowIDs *[]RowID) (*Re
 	if len(tables) == 2 {
 		r.planPBSM(scope, conjuncts, stageFilters, paths,
 			tables[0].tbl, tables[1].tbl, tables[1].lo, tables[1].hi)
-		if paths[1].kind == accessPBSM {
-			// The aggregation sink copies the rows it keeps, so the
-			// sweep's emit loops may recycle tuple buffers.
-			paths[1].pbsm.reuseRows = hasAgg
-		}
 	}
 	for i := range paths {
 		markUse(paths[i].windowExpr, "window")
 		markUse(paths[i].expandExpr, "window")
 	}
 	// Join stages: mark residual spatial predicates whose one side is
-	// fixed by the outer row, so each produce invocation prepares the
-	// outer geometry once instead of re-decomposing it per inner row.
+	// fixed by the outer row, so each probe prepares the outer geometry
+	// once instead of re-decomposing it per inner row.
 	stagePrep := make([][]prepFilterSpec, len(tables))
 	for i, bt := range tables {
 		stagePrep[i] = r.joinPrepSpecs(stageFilters[i], bt.lo)
@@ -480,34 +461,20 @@ func (r *Runner) execSelect(sel *Select, explainOnly bool, rowIDs *[]RowID) (*Re
 	}
 	hashBuilt := make([]map[string][][]storage.Value, len(tables))
 	pbsmBuilt := make([]*pbsmState, len(tables))
-	var produce func(stage int, prefix []storage.Value, emit emitFn) (bool, error)
-	// forward carries a row that passed stage's filters on: into the
-	// next join stage, or to the sink after the last.
-	forward := func(stage int, row []storage.Value, emit emitFn) (bool, error) {
-		if stage == len(tables)-1 {
-			return emit(row)
-		}
-		return produce(stage+1, row, emit)
-	}
-	// stageEmit wraps a downstream emit with this stage's residual
-	// filters and the chain into the next pipeline stage.
-	stageEmit := func(stage int, emit emitFn) emitFn {
-		// Specialized filters carry per-invocation state (the prepared
-		// outer geometry), so they are rebuilt here — once per outer
-		// row — while unmarked stages share the zero-cost plain path.
-		var special []filterFn
-		if specs := stagePrep[stage]; len(specs) > 0 {
-			special = make([]filterFn, len(stageFilters[stage]))
-			for i := range specs {
-				special[specs[i].idx] = specs[i].specialize(r)
-			}
+	// filterRows applies a stage's residual filters to each of its rows
+	// and hands the survivors to out; prep holds one worker's evaluators
+	// for the stage's prepared filters (nil when it has none).
+	filterRows := func(stage int, prep []preparedFilter, out emitFn) emitFn {
+		filters := stageFilters[stage]
+		if len(filters) == 0 {
+			return out
 		}
 		return func(row []storage.Value) (bool, error) {
-			for fi, f := range stageFilters[stage] {
+			for fi, f := range filters {
 				var v storage.Value
 				var err error
-				if special != nil && special[fi] != nil {
-					v, err = special[fi](row)
+				if prep != nil && prep[fi].spec != nil {
+					v, err = prep[fi].eval(row, r)
 				} else {
 					v, err = Eval(f, row, r.reg)
 				}
@@ -518,29 +485,56 @@ func (r *Runner) execSelect(sel *Select, explainOnly bool, rowIDs *[]RowID) (*Re
 					return true, nil
 				}
 			}
-			return forward(stage, row, emit)
+			return out(row)
 		}
 	}
-	// produce drives one outer row through join stage >= 1; stage 0 is
-	// the source built by stage0Source below.
-	produce = func(stage int, prefix []storage.Value, emit emitFn) (bool, error) {
-		bt := tables[stage]
-		if cells != nil && cells[stage-1] > 0 {
-			// The outer row enters its join stage: give it the cell every
-			// tuple derived from it will share.
-			prefix[scope.Len()+stage-1] = storage.Value{
-				Geom: &stageCell{slots: make([]slotVal, cells[stage-1])}}
+	// joinStage drives each outer row through join stage >= 1 into
+	// emitRow. It owns the stage's scratch tuple: the outer prefix is
+	// copied in once per probe, each candidate's inner columns once per
+	// candidate.
+	joinStage := func(stage int, prep []preparedFilter, emitRow emitFn) emitFn {
+		bt, path := tables[stage], &paths[stage]
+		full := make([]storage.Value, width)
+		var sc pbsmScratch
+		return func(prefix []storage.Value) (bool, error) {
+			copy(full, prefix)
+			if cells != nil && cells[stage-1] > 0 {
+				// The outer row enters its join stage: give it the cell every
+				// tuple derived from it will share.
+				full[scope.Len()+stage-1] = storage.Value{
+					Geom: &stageCell{slots: make([]slotVal, cells[stage-1])}}
+			}
+			for i := range prep {
+				prep[i] = preparedFilter{spec: prep[i].spec}
+			}
+			switch path.kind {
+			case accessHashJoin:
+				return r.scanHashJoin(bt.tbl, *path, full, bt.lo, &hashBuilt[stage], emitRow)
+			case accessPBSM:
+				return r.scanPBSM(bt.tbl, *path, full, bt.lo, &pbsmBuilt[stage], &sc, emitRow)
+			}
+			return r.scanTable(bt.tbl, *path, full, bt.lo, emitRow)
 		}
-		emitRow := stageEmit(stage, emit)
-		if paths[stage].kind == accessHashJoin {
-			return r.scanHashJoin(bt.tbl, paths[stage], prefix, width, bt.lo,
-				&hashBuilt[stage], emitRow)
+	}
+	// pipeline builds one worker's stages over its sink, once per shard,
+	// and returns stage 0's two entries: through stage 0's filters (the
+	// row path), and past them (the batch cascade applies them itself).
+	pipeline := func(sink emitFn) (filtered, forward emitFn) {
+		forward = sink
+		for stage := len(tables) - 1; ; stage-- {
+			var prep []preparedFilter
+			if specs := stagePrep[stage]; len(specs) > 0 {
+				prep = make([]preparedFilter, len(stageFilters[stage]))
+				for i := range specs {
+					prep[specs[i].idx].spec = &specs[i]
+				}
+			}
+			filtered = filterRows(stage, prep, forward)
+			if stage == 0 {
+				return filtered, forward
+			}
+			forward = joinStage(stage, prep, filtered)
 		}
-		if paths[stage].kind == accessPBSM {
-			return r.scanPBSM(bt.tbl, paths[stage], prefix, width, bt.lo,
-				&pbsmBuilt[stage], emitRow)
-		}
-		return r.scanTable(bt.tbl, paths[stage], prefix, width, bt.lo, emitRow)
 	}
 
 	// Sinks: aggregation, ordering, limit, projection.
@@ -619,7 +613,7 @@ func (r *Runner) execSelect(sel *Select, explainOnly bool, rowIDs *[]RowID) (*Re
 
 	// Stage 0: serial plans are the one-worker case of the same source.
 	runShard, err := r.stage0Source(tables[0].tbl, batch0, &paths[0], stageFilters[0], width, workers,
-		stageEmit, forward)
+		pipeline)
 	if err != nil {
 		return nil, err
 	}
@@ -660,7 +654,7 @@ func (r *Runner) execSelect(sel *Select, explainOnly bool, rowIDs *[]RowID) (*Re
 	res.Columns = outNames()
 
 	project := func(row []storage.Value) ([]storage.Value, error) {
-		var out []storage.Value
+		out := make([]storage.Value, 0, len(res.Columns))
 		for _, se := range sel.Exprs {
 			if se.Star {
 				out = append(out, row[:scope.Len()]...)
@@ -853,14 +847,14 @@ func sortAggregateRows(sel *Select, outCols []string, rows [][]storage.Value) er
 	return nil
 }
 
-// scanTable drives one table's access path, emitting full-width rows
-// (prefix + this table's columns + NULL padding to width).
-func (r *Runner) scanTable(tbl Table, path accessPath, prefix []storage.Value,
-	width, lo int, emit emitFn) (bool, error) {
+// scanTable drives one table's access path. full is the stage's
+// scratch tuple, already holding the outer prefix below lo (nothing at
+// stage 0); each row of the table is copied in at lo and full is
+// emitted, borrowed.
+func (r *Runner) scanTable(tbl Table, path accessPath, full []storage.Value,
+	lo int, emit emitFn) (bool, error) {
 
 	pad := func(id RowID, row []storage.Value) []storage.Value {
-		full := make([]storage.Value, width)
-		copy(full, prefix)
 		copy(full[lo:], row)
 		setRowID(full, path.idPos, id)
 		return full
@@ -868,7 +862,7 @@ func (r *Runner) scanTable(tbl Table, path accessPath, prefix []storage.Value,
 
 	switch path.kind {
 	case accessFullScan:
-		proj, skip, err := path.scanProjection(prefix, r.reg)
+		proj, skip, err := path.scanProjection(full, r.reg)
 		if err != nil {
 			return false, err
 		}
@@ -892,7 +886,7 @@ func (r *Runner) scanTable(tbl Table, path accessPath, prefix []storage.Value,
 		return cont, err
 
 	case accessSpatialWindow:
-		window, err := path.evalWindow(prefix, r.reg)
+		window, err := path.evalWindow(full, r.reg)
 		if err != nil {
 			return false, err
 		}
@@ -918,7 +912,7 @@ func (r *Runner) scanTable(tbl Table, path accessPath, prefix []storage.Value,
 		return cont, innerErr
 
 	case accessAttrSeek:
-		key, ok, err := r.buildAttrKeyPrefix(path, prefix)
+		key, ok, err := r.buildAttrKeyPrefix(path, full)
 		if err != nil {
 			return false, err
 		}
@@ -944,7 +938,7 @@ func (r *Runner) scanTable(tbl Table, path accessPath, prefix []storage.Value,
 		return cont, innerErr
 
 	case accessAttrRange:
-		keyPrefix, ok, err := r.buildAttrKeyPrefix(path, prefix)
+		keyPrefix, ok, err := r.buildAttrKeyPrefix(path, full)
 		if err != nil {
 			return false, err
 		}
@@ -953,7 +947,7 @@ func (r *Runner) scanTable(tbl Table, path accessPath, prefix []storage.Value,
 		}
 		loKey := keyPrefix
 		if path.rangeLo != nil {
-			v, err := Eval(path.rangeLo, prefix, r.reg)
+			v, err := Eval(path.rangeLo, full, r.reg)
 			if err != nil {
 				return false, err
 			}
@@ -964,7 +958,7 @@ func (r *Runner) scanTable(tbl Table, path accessPath, prefix []storage.Value,
 		var hiKey []byte
 		hiInc := false
 		if path.rangeHi != nil && path.rangeLast {
-			v, err := Eval(path.rangeHi, prefix, r.reg)
+			v, err := Eval(path.rangeHi, full, r.reg)
 			if err != nil {
 				return false, err
 			}
@@ -998,7 +992,7 @@ func (r *Runner) scanTable(tbl Table, path accessPath, prefix []storage.Value,
 		return cont, innerErr
 
 	case accessKNN:
-		return r.scanKNN(tbl, path, prefix, width, lo, emit)
+		return r.scanKNN(tbl, path, full, lo, emit)
 	}
 	return false, fmt.Errorf("sql: unknown access path")
 }
@@ -1039,9 +1033,9 @@ func (r *Runner) buildHashTable(tbl Table, path accessPath) (map[string][][]stor
 }
 
 // scanHashJoin probes the build table (materialized once per query) with
-// the outer row's key.
-func (r *Runner) scanHashJoin(tbl Table, path accessPath, prefix []storage.Value,
-	width, lo int, built *map[string][][]storage.Value, emit emitFn) (bool, error) {
+// the outer row's key, filling the scratch tuple full like scanTable.
+func (r *Runner) scanHashJoin(tbl Table, path accessPath, full []storage.Value,
+	lo int, built *map[string][][]storage.Value, emit emitFn) (bool, error) {
 
 	if *built == nil {
 		table, err := r.buildHashTable(tbl, path)
@@ -1050,7 +1044,7 @@ func (r *Runner) scanHashJoin(tbl Table, path accessPath, prefix []storage.Value
 		}
 		*built = table
 	}
-	probe, err := Eval(path.hashExpr, prefix, r.reg)
+	probe, err := Eval(path.hashExpr, full, r.reg)
 	if err != nil {
 		return false, err
 	}
@@ -1059,8 +1053,6 @@ func (r *Runner) scanHashJoin(tbl Table, path accessPath, prefix []storage.Value
 		return true, nil
 	}
 	for _, row := range (*built)[key] {
-		full := make([]storage.Value, width)
-		copy(full, prefix)
 		copy(full[lo:], row)
 		cont, err := emit(full)
 		if err != nil || !cont {
@@ -1089,7 +1081,7 @@ func (h *knnHeap) Pop() any          { old := *h; n := len(old); c := old[n-1]; 
 // re-ranked by exact distance in a bounded heap, and the stream stops
 // once the envelope bound passes the kth exact distance.
 func (r *Runner) scanKNN(tbl Table, path accessPath, prefix []storage.Value,
-	width, lo int, emit emitFn) (bool, error) {
+	lo int, emit emitFn) (bool, error) {
 
 	pv, err := Eval(path.knnPointExpr, prefix, r.reg)
 	if err != nil {
@@ -1118,7 +1110,7 @@ func (r *Runner) scanKNN(tbl Table, path accessPath, prefix []storage.Value,
 			innerErr = err
 			return false
 		}
-		full := make([]storage.Value, width)
+		full := make([]storage.Value, len(prefix))
 		copy(full, prefix)
 		copy(full[lo:], row)
 		gv := full[path.knnDistCol]

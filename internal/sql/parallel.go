@@ -55,15 +55,17 @@ func (r *Runner) stage0Exec(sel *Select, tbl Table, kind accessKind, hasAgg, knn
 // split the candidates into contiguous chunks, so shard concatenation
 // reproduces the serial row order. A window runs the batch cascade when
 // the search found at least batchFallbackMin candidates, else the row
-// fetch loop. stageEmit wraps a sink with a stage's filters and the
-// stages after it (the row path); the batch cascade applies the stage-0
-// filters itself and hands survivors to next.
+// fetch loop. Each shard builds its pipeline over its sink once and
+// fills one stage-0 scratch tuple per row: the row path enters the
+// pipeline through stage 0's filters, the batch cascade, which applies
+// them itself, past them.
 func (r *Runner) stage0Source(tbl Table, batch bool, path *accessPath, filters []Expr,
-	width, workers int, stageEmit func(stage int, emit emitFn) emitFn, next nextFn) (shardFn, error) {
+	width, workers int, pipeline func(sink emitFn) (filtered, forward emitFn)) (shardFn, error) {
 
 	if !batch {
 		return func(_ int, emit emitFn) error {
-			_, err := r.scanTable(tbl, *path, nil, width, 0, stageEmit(0, emit))
+			filtered, _ := pipeline(emit)
+			_, err := r.scanTable(tbl, *path, make([]storage.Value, width), 0, filtered)
 			return err
 		}, nil
 	}
@@ -78,9 +80,10 @@ func (r *Runner) stage0Source(tbl Table, batch bool, path *accessPath, filters [
 		}
 		plan := r.newBatchPlan(filters, width, path)
 		return func(shard int, emit emitFn) error {
-			ex := &batchExec{plan: plan}
+			_, forward := pipeline(emit)
+			ex := plan.newExec()
 			return tbl.ScanBatch(shard, workers, proj, func(b *storage.ColBatch) (bool, error) {
-				return ex.run(b, next, emit)
+				return ex.run(b, forward)
 			})
 		}, nil
 	}
@@ -102,20 +105,21 @@ func (r *Runner) stage0Source(tbl Table, batch bool, path *accessPath, filters [
 	if len(cands) >= batchFallbackMin {
 		plan := r.newBatchPlan(filters, width, path)
 		return func(shard int, emit emitFn) error {
-			return batchRefine(tbl, *path, &batchExec{plan: plan}, chunk(shard), next, emit)
+			_, forward := pipeline(emit)
+			return batchRefine(tbl, *path, plan.newExec(), chunk(shard), forward)
 		}, nil
 	}
 	return func(shard int, emit emitFn) error {
-		emitRow := stageEmit(0, emit)
+		filtered, _ := pipeline(emit)
+		full := make([]storage.Value, width)
 		for _, id := range chunk(shard) {
 			row, err := tbl.FetchProject(id, path.need)
 			if err != nil {
 				return err
 			}
-			full := make([]storage.Value, width)
 			copy(full, row)
 			setRowID(full, path.idPos, id)
-			if cont, err := emitRow(full); err != nil || !cont {
+			if cont, err := filtered(full); err != nil || !cont {
 				return err
 			}
 		}
@@ -150,13 +154,13 @@ func runShards(workers int, runShard shardFn, sink func(shard int) emitFn) error
 
 // gatherShards materializes every shard's output and returns a
 // one-shard source replaying the buffers in shard order, reproducing
-// the serial row order exactly. Rows reaching the sink are freshly
-// padded per row, so buffering them without copying is safe.
+// the serial row order exactly. Emitted rows are borrowed, so each is
+// copied into its buffer.
 func gatherShards(workers int, runShard shardFn) (shardFn, error) {
 	buffers := make([][][]storage.Value, workers)
 	err := runShards(workers, runShard, func(w int) emitFn {
 		return func(row []storage.Value) (bool, error) {
-			buffers[w] = append(buffers[w], row)
+			buffers[w] = append(buffers[w], append([]storage.Value(nil), row...))
 			return true, nil
 		}
 	})

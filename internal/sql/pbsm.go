@@ -127,11 +127,6 @@ type pbsmSpec struct {
 	refinePred     topo.Predicate
 	refineOuterArg int // which of refineFC.Args is the outer operand
 	refineDWithin  bool
-
-	// reuseRows marks plans whose sink copies every row it keeps (the
-	// aggregation sink), letting the emit loops lease one tuple buffer
-	// per probe from the runner's pool instead of allocating per row.
-	reuseRows bool
 }
 
 // pbsmState is the built candidate index, shared read-only by workers.
@@ -766,13 +761,23 @@ func (r *Runner) acquirePBSM(spec *pbsmSpec, need []bool) (*pbsmState, error) {
 	return st, nil
 }
 
+// pbsmScratch is one worker's refine buffers for a PBSM stage, reused
+// across its probes.
+type pbsmScratch struct {
+	rows  [][]storage.Value // inner rows of the candidates with a geometry
+	geoms []geom.Geometry   // their geometries, the batch kernel's input
+	outs  []bool
+}
+
 // scanPBSM is the probe side of the join stage: compute the outer
 // window exactly as the INL path would, look up the candidate list, and
 // either emit candidates through the stage filters (safe mode) or
 // refine them in-probe with the batched prepared kernel (fast mode,
-// join conjunct stripped from the filters).
-func (r *Runner) scanPBSM(tbl Table, path accessPath, prefix []storage.Value,
-	width, lo int, built **pbsmState, emit emitFn) (bool, error) {
+// join conjunct stripped from the filters). full is the stage's scratch
+// tuple holding the outer prefix; each emitted candidate's inner
+// columns are copied in at lo, as in scanTable.
+func (r *Runner) scanPBSM(tbl Table, path accessPath, full []storage.Value,
+	lo int, built **pbsmState, sc *pbsmScratch, emit emitFn) (bool, error) {
 
 	if *built == nil {
 		st, err := r.acquirePBSM(path.pbsm, path.need)
@@ -782,7 +787,7 @@ func (r *Runner) scanPBSM(tbl Table, path accessPath, prefix []storage.Value,
 		*built = st
 	}
 	st := *built
-	window, err := path.evalWindow(prefix, r.reg)
+	window, err := path.evalWindow(full, r.reg)
 	if err != nil {
 		return false, err
 	}
@@ -797,22 +802,13 @@ func (r *Runner) scanPBSM(tbl Table, path accessPath, prefix []storage.Value,
 		return true, nil
 	}
 	if path.pbsm.refineFC != nil {
-		return r.pbsmRefine(tbl, st, path, prefix, width, lo, ids, emit)
-	}
-	var full []storage.Value
-	if path.pbsm.reuseRows {
-		full = r.getRow(width)
-		defer r.putRow(full)
+		return r.pbsmRefine(tbl, st, path, full, lo, ids, sc, emit)
 	}
 	for _, id := range ids {
 		row, err := st.fetch(tbl, id, path.need)
 		if err != nil {
 			return false, err
 		}
-		if !path.pbsm.reuseRows {
-			full = make([]storage.Value, width)
-		}
-		copy(full, prefix)
 		copy(full[lo:], row)
 		cont, err := emit(full)
 		if err != nil || !cont {
@@ -827,11 +823,14 @@ func (r *Runner) scanPBSM(tbl Table, path accessPath, prefix []storage.Value,
 // prepared once (topology predicates), or through the direct distance
 // kernel (constant ST_DWithin) — with the same NULL, type-error and
 // prep-hit semantics as the per-row path, producing the same survivors.
-func (r *Runner) pbsmRefine(tbl Table, st *pbsmState, path accessPath, prefix []storage.Value,
-	width, lo int, ids []RowID, emit emitFn) (bool, error) {
+// The inner operand is a bare column reference (findPBSMConjunct
+// guarantees it), so it is read straight off the candidate's inner row,
+// and only survivors are copied into full.
+func (r *Runner) pbsmRefine(tbl Table, st *pbsmState, path accessPath, full []storage.Value,
+	lo int, ids []RowID, sc *pbsmScratch, emit emitFn) (bool, error) {
 
 	spec := path.pbsm
-	ov, err := Eval(spec.refineFC.Args[spec.refineOuterArg], prefix, r.reg)
+	ov, err := Eval(spec.refineFC.Args[spec.refineOuterArg], full, r.reg)
 	if err != nil {
 		return false, err
 	}
@@ -842,38 +841,36 @@ func (r *Runner) pbsmRefine(tbl Table, st *pbsmState, path accessPath, prefix []
 		return true, nil
 	}
 	varIdx := 1 - spec.refineOuterArg
-	if spec.refineDWithin {
-		// Distance refinement: the inner operand is a bare column
-		// reference (findPBSMConjunct guarantees it), so it is read
-		// straight off the fetched row — no expression dispatch, and a
-		// joined tuple is built only for survivors.
-		var full []storage.Value
-		if spec.reuseRows {
-			full = r.getRow(width)
-			defer r.putRow(full)
+	// inner reads one candidate's inner row and its geometry operand; a
+	// nil geometry (NULL operand) drops the candidate.
+	inner := func(id RowID) ([]storage.Value, geom.Geometry, error) {
+		row, err := st.fetch(tbl, id, path.need)
+		if err != nil {
+			return nil, nil, err
 		}
+		v := row[spec.innerCol]
+		if v.IsNull() {
+			return row, nil, nil // NULL predicate result: row dropped
+		}
+		if v.Type != storage.TypeGeom {
+			return nil, nil, fmt.Errorf("sql: predicate: argument %d is %s, want GEOMETRY", varIdx+1, v.Type)
+		}
+		return row, v.Geom, nil
+	}
+	emitInner := func(row []storage.Value) (bool, error) {
+		copy(full[lo:], row)
+		return emit(full)
+	}
+	if spec.refineDWithin {
 		for _, id := range ids {
-			row, err := st.fetch(tbl, id, path.need)
+			row, g, err := inner(id)
 			if err != nil {
 				return false, err
 			}
-			v := row[spec.innerCol]
-			if v.IsNull() {
-				continue // NULL predicate result: row dropped
-			}
-			if v.Type != storage.TypeGeom {
-				return false, fmt.Errorf("sql: predicate: argument %d is %s, want GEOMETRY", varIdx+1, v.Type)
-			}
-			if v.Geom == nil || !geom.DWithin(ov.Geom, v.Geom, spec.expand) {
+			if g == nil || !geom.DWithin(ov.Geom, g, spec.expand) {
 				continue
 			}
-			if !spec.reuseRows {
-				full = make([]storage.Value, width)
-			}
-			copy(full, prefix)
-			copy(full[lo:], row)
-			cont, err := emit(full)
-			if err != nil || !cont {
+			if cont, err := emitInner(row); err != nil || !cont {
 				return cont, err
 			}
 		}
@@ -881,53 +878,40 @@ func (r *Runner) pbsmRefine(tbl Table, st *pbsmState, path accessPath, prefix []
 	}
 	if st.preps != nil {
 		// Small-inner mode: each inner geometry was prepared once at
-		// materialization, so candidates evaluate against that shared
-		// structure directly — no per-probe topo.Prepare — and a joined
-		// tuple is allocated only for survivors. A candidate missing
-		// from the prepared set landed after the build snapshot and is
-		// prepared on the spot (the result is identical either way).
+		// materialization and the outer one is prepared once per probe,
+		// on the first candidate, so each pair evaluates between two
+		// prepared structures with no per-candidate decomposition. A
+		// candidate missing from the prepared set landed after the build
+		// snapshot and is prepared on the spot (the result is identical
+		// either way).
 		evals := 0
-		var full []storage.Value
-		if spec.reuseRows {
-			full = r.getRow(width)
-			defer r.putRow(full)
-		}
+		var po *topo.Prepared
 		for _, id := range ids {
-			row, err := st.fetch(tbl, id, path.need)
+			row, g, err := inner(id)
 			if err != nil {
 				return false, err
 			}
-			v := row[spec.innerCol]
-			if v.IsNull() {
-				continue // NULL predicate result: row dropped
-			}
-			if v.Type != storage.TypeGeom {
-				return false, fmt.Errorf("sql: predicate: argument %d is %s, want GEOMETRY", varIdx+1, v.Type)
-			}
-			if v.Geom == nil {
+			if g == nil {
 				continue
 			}
 			p := st.preps[id]
 			if p == nil {
-				p = topo.Prepare(v.Geom)
+				p = topo.Prepare(g)
+			}
+			if po == nil {
+				po = topo.Prepare(ov.Geom)
 			}
 			evals++
 			var hit bool
 			if spec.refineOuterArg == 0 {
-				hit = p.EvalReversed(spec.refinePred, ov.Geom)
+				hit = topo.EvalPrepared(spec.refinePred, po, p)
 			} else {
-				hit = p.Eval(spec.refinePred, ov.Geom)
+				hit = topo.EvalPrepared(spec.refinePred, p, po)
 			}
 			if !hit {
 				continue
 			}
-			if !spec.reuseRows {
-				full = make([]storage.Value, width)
-			}
-			copy(full, prefix)
-			copy(full[lo:], row)
-			cont, err := emit(full)
-			if err != nil || !cont {
+			if cont, err := emitInner(row); err != nil || !cont {
 				return cont, err
 			}
 		}
@@ -935,46 +919,33 @@ func (r *Runner) pbsmRefine(tbl Table, st *pbsmState, path accessPath, prefix []
 		return true, nil
 	}
 	prepared := topo.Prepare(ov.Geom)
-	arg := spec.refineFC.Args[varIdx]
-	rows := make([][]storage.Value, 0, len(ids))
-	geoms := make([]geom.Geometry, 0, len(ids))
+	sc.rows, sc.geoms = sc.rows[:0], sc.geoms[:0]
 	for _, id := range ids {
-		row, err := st.fetch(tbl, id, path.need)
+		row, g, err := inner(id)
 		if err != nil {
 			return false, err
 		}
-		full := make([]storage.Value, width)
-		copy(full, prefix)
-		copy(full[lo:], row)
-		v, err := Eval(arg, full, r.reg)
-		if err != nil {
-			return false, err
-		}
-		if v.IsNull() {
-			continue // NULL predicate result: row dropped
-		}
-		if v.Type != storage.TypeGeom {
-			return false, fmt.Errorf("sql: predicate: argument %d is %s, want GEOMETRY", varIdx+1, v.Type)
-		}
-		if v.Geom == nil {
+		if g == nil {
 			continue
 		}
-		rows = append(rows, full)
-		geoms = append(geoms, v.Geom)
+		sc.rows = append(sc.rows, row)
+		sc.geoms = append(sc.geoms, g)
 	}
-	outs := make([]bool, len(geoms))
+	if cap(sc.outs) < len(sc.geoms) {
+		sc.outs = make([]bool, len(sc.geoms))
+	}
+	outs := sc.outs[:len(sc.geoms)]
 	if spec.refineOuterArg == 0 {
-		prepared.EvalBatch(spec.refinePred, geoms, outs)
+		prepared.EvalBatch(spec.refinePred, sc.geoms, outs)
 	} else {
-		prepared.EvalBatchReversed(spec.refinePred, geoms, outs)
+		prepared.EvalBatchReversed(spec.refinePred, sc.geoms, outs)
 	}
-	r.reg.prepHits.Add(int64(len(geoms)))
-	for i, row := range rows {
+	r.reg.prepHits.Add(int64(len(sc.geoms)))
+	for i, row := range sc.rows {
 		if !outs[i] {
 			continue
 		}
-		cont, err := emit(row)
-		if err != nil || !cont {
+		if cont, err := emitInner(row); err != nil || !cont {
 			return cont, err
 		}
 	}

@@ -153,9 +153,10 @@ func (r *Runner) constRelatePattern(e Expr) (string, bool) {
 // prepFilterSpec marks one residual filter of a join stage as an
 // index-nested-loop spatial predicate: a top-level topological call
 // whose one geometry operand reads only outer stages (offsets < lo)
-// and whose other operand reads this stage. Per produce invocation —
+// and whose other operand reads this stage. Per probe —
 // i.e. per outer row — the outer operand is evaluated once, prepared,
-// and reused across every inner row of that invocation.
+// and reused across every inner row of that probe (see
+// preparedFilter).
 type prepFilterSpec struct {
 	idx      int // position in the stage's filter list
 	fc       *FuncCall
@@ -216,39 +217,41 @@ func outerGeomSide(a0, a1 Expr, lo int) (int, bool) {
 	return 0, false
 }
 
-// filterFn evaluates one residual filter over a row.
-type filterFn func(row []storage.Value) (storage.Value, error)
-
-// specialize builds the per-invocation evaluator for a marked filter.
-// The outer operand is a bare column or a stage slot (hoist.go), so
-// reading it here shares the one value the probe window and the select
-// list see. The geometry is prepared lazily on the first inner row — an
+// preparedFilter is one worker's evaluator for a marked filter. The
+// outer operand is a bare column or a stage slot (hoist.go), so reading
+// it here shares the one value the probe window and the select list
+// see. The geometry is prepared lazily on the first inner row — an
 // empty inner scan must not pay for (or surface errors from) the outer
-// side, matching the unprepared path. If the outer operand is not a
+// side, matching the unprepared path — and reused for the rest of the
+// outer row's inner rows; the join stage resets the evaluator to its
+// zero state, spec aside, per outer row. If the outer operand is not a
 // geometry, every row falls back to plain Eval, which reproduces the
 // exact error/NULL precedence.
-func (sp *prepFilterSpec) specialize(r *Runner) filterFn {
-	var inited, failed bool
-	var pc preparedCall
-	return func(row []storage.Value) (storage.Value, error) {
-		if !inited {
-			inited = true
-			v, err := Eval(sp.fc.Args[sp.outerIdx], row, r.reg)
-			if err != nil || v.IsNull() || v.Type != storage.TypeGeom || v.Geom == nil {
-				failed = true
-			} else {
-				pc = preparedCall{
-					p:        topo.Prepare(v.Geom),
-					pred:     sp.pred,
-					pattern:  sp.pattern,
-					relate:   sp.relate,
-					constIdx: sp.outerIdx,
-				}
+type preparedFilter struct {
+	spec           *prepFilterSpec // nil: the filter evaluates plainly
+	inited, failed bool
+	pc             preparedCall
+}
+
+func (pf *preparedFilter) eval(row []storage.Value, r *Runner) (storage.Value, error) {
+	sp := pf.spec
+	if !pf.inited {
+		pf.inited = true
+		v, err := Eval(sp.fc.Args[sp.outerIdx], row, r.reg)
+		if err != nil || v.IsNull() || v.Type != storage.TypeGeom || v.Geom == nil {
+			pf.failed = true
+		} else {
+			pf.pc = preparedCall{
+				p:        topo.Prepare(v.Geom),
+				pred:     sp.pred,
+				pattern:  sp.pattern,
+				relate:   sp.relate,
+				constIdx: sp.outerIdx,
 			}
 		}
-		if failed {
-			return Eval(sp.fc, row, r.reg)
-		}
-		return pc.eval(sp.fc, row, r.reg)
 	}
+	if pf.failed {
+		return Eval(sp.fc, row, r.reg)
+	}
+	return pf.pc.eval(sp.fc, row, r.reg)
 }

@@ -278,3 +278,53 @@ func TestNearSegmentEnvelopeReject(t *testing.T) {
 		t.Fatalf("%d of %d probes near: the probes do not straddle the tolerance", near, checked)
 	}
 }
+
+// TestEvalPreparedMatchesEval checks that EvalPrepared, with both
+// operands prepared, returns exactly what Prepared.Eval and
+// Prepared.EvalReversed return for all ten named predicates, in both
+// operand orders, over the MS7 arealm ⋈ areawater candidate pairs and
+// the near-degenerate lattice.
+func TestEvalPreparedMatchesEval(t *testing.T) {
+	check := func(pa, pb *Prepared) {
+		t.Helper()
+		a, b := pa.Geometry(), pb.Geometry()
+		for pred := PredEquals; pred <= PredCoveredBy; pred++ {
+			if got, want := EvalPrepared(pred, pa, pb), pa.Eval(pred, b); got != want {
+				t.Errorf("EvalPrepared(%s, a, b) = %v, Prepared.Eval says %v for %s / %s",
+					pred, got, want, geom.WKT(a), geom.WKT(b))
+			}
+			if got, want := EvalPrepared(pred, pb, pa), pa.EvalReversed(pred, b); got != want {
+				t.Errorf("EvalPrepared(%s, b, a) = %v, Prepared.EvalReversed says %v for %s / %s",
+					pred, got, want, geom.WKT(a), geom.WKT(b))
+			}
+		}
+	}
+	t.Run("tiger", func(t *testing.T) {
+		if testing.Short() {
+			t.Skip("medium dataset")
+		}
+		ds := tiger.Generate(tiger.Medium, 1)
+		pairs := 0
+		for _, w := range ds.AreaWater {
+			pw := Prepare(w.Geom)
+			for _, lm := range ds.AreaLandmarks {
+				if lm.Geom.Envelope().Intersects(w.Geom.Envelope()) {
+					check(Prepare(lm.Geom), pw)
+					pairs++
+				}
+			}
+		}
+		if pairs < 100 {
+			t.Fatalf("only %d candidate pairs checked", pairs)
+		}
+	})
+	t.Run("lattice", func(t *testing.T) {
+		shapes := degenerateLattice()
+		for _, a := range shapes {
+			pa := Prepare(a)
+			for _, b := range shapes {
+				check(pa, Prepare(b))
+			}
+		}
+	})
+}

@@ -73,6 +73,13 @@ func (p *Prepared) EvalReversed(pred Predicate, a geom.Geometry) bool {
 	return evalOp(pred, &ao, &p.op)
 }
 
+// EvalPrepared evaluates pred(a.Geometry(), b.Geometry()) with both
+// operands prepared, for joins that reuse each side across many pairs:
+// neither side is decomposed per call.
+func EvalPrepared(pred Predicate, a, b *Prepared) bool {
+	return evalOp(pred, &a.op, &b.op)
+}
+
 // Relate computes the DE-9IM matrix of (p.Geometry(), b).
 func (p *Prepared) Relate(b geom.Geometry) Matrix {
 	bo := newOperand(b)

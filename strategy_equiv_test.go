@@ -1,8 +1,12 @@
 package jackpine
 
 import (
+	"slices"
 	"strings"
 	"testing"
+
+	"jackpine/internal/driver"
+	"jackpine/internal/engine"
 )
 
 // ms7Queries are the three table-to-table join statements issued by the
@@ -91,6 +95,84 @@ func TestJoinStrategyEquivalence(t *testing.T) {
 				(st.PBSM < int64(len(queries)-relates) || st.INL > int64(relates)) {
 				t.Errorf("forced PBSM at parallelism %d ran INL=%d PBSM=%d joins, want %d PBSM (+%d ST_Relate INL)",
 					par, st.INL, st.PBSM, len(queries)-relates, relates)
+			}
+		}
+	}
+	requireNoPins(t, eng)
+}
+
+// rowOwnershipQueries are join shapes whose sinks retain rows: every
+// producer hands its sink a borrowed scratch tuple, so a sink that keeps
+// a row without copying it would surface as repeated or overwritten
+// rows here. Between them they exercise the sort buffer, the projecting
+// LIMIT sink, the aggregator's first row per group, the parallel gather
+// buffers and a join stage's hoisted-slot cell.
+var rowOwnershipQueries = []struct{ id, sql string }{
+	{"order by over pbsm",
+		"SELECT a.id, w.id, a.name FROM arealm a JOIN areawater w ON ST_Intersects(a.geo, w.geo) ORDER BY w.id DESC, a.id"},
+	{"select * limit over pbsm",
+		"SELECT * FROM pointlm a JOIN pointlm b ON ST_DWithin(a.geo, b.geo, 50.0) WHERE a.id < b.id LIMIT 40"},
+	{"select * order by limit over pbsm",
+		"SELECT * FROM pointlm a JOIN pointlm b ON ST_DWithin(a.geo, b.geo, 50.0) WHERE a.id < b.id ORDER BY b.id, a.id LIMIT 40 OFFSET 5"},
+	{"group by over join",
+		"SELECT w.id, a.id, a.name FROM pointlm a JOIN areawater w ON ST_DWithin(a.geo, w.geo, 100.0) GROUP BY w.id"},
+	{"three tables, hoisted slot, order by",
+		"SELECT p.id, w.id, l.id, ST_AsText(ST_Centroid(w.geo)) FROM parcels p " +
+			"JOIN areawater w ON ST_Intersects(p.geo, w.geo) " +
+			"JOIN pointlm l ON ST_DWithin(l.geo, ST_Centroid(w.geo), 300) ORDER BY l.id, w.id, p.id"},
+	{"knn over join",
+		"SELECT p.id, w.id, ST_Distance(p.geo, w.geo) AS d FROM pointlm p JOIN areawater w " +
+			"ON ST_DWithin(p.geo, w.geo, 100.0) ORDER BY ST_Distance(p.geo, w.geo), p.id, w.id LIMIT 10"},
+}
+
+// TestRowOwnershipEquivalence runs the retaining-sink join shapes under
+// forced index-nested-loop, forced PBSM and the cost-based default, at
+// parallelism 1 and 8, and requires byte-identical results to the
+// serial row-at-a-time reference (batch execution off) under the same
+// strategy. Every shape returns at least two rows, all distinct, which
+// the reference must reproduce: a sink that aliased the producer's
+// scratch tuple would return copies of one row in both executors.
+func TestRowOwnershipEquivalence(t *testing.T) {
+	ds := GenerateDataset(ScaleSmall, 1)
+	open := func(opts ...engine.Option) (*Engine, driver.Conn) {
+		eng := OpenEngine(GaiaDB(), opts...)
+		if err := LoadDataset(eng, ds, true); err != nil {
+			t.Fatal(err)
+		}
+		conn, err := Connect(eng).Connect()
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { conn.Close() })
+		return eng, conn
+	}
+	refEng, ref := open(WithBatchExec(false), WithParallelism(1))
+	eng, conn := open()
+	for _, strat := range []JoinStrategy{JoinINL, JoinPBSM, JoinAuto} {
+		refEng.SetJoinStrategy(strat)
+		eng.SetJoinStrategy(strat)
+		for _, q := range rowOwnershipQueries {
+			rs, err := ref.Query(q.sql)
+			if err != nil {
+				t.Fatalf("%s reference, strategy %v: %v", q.id, strat, err)
+			}
+			want := canonRows(rs)
+			lines := strings.Split(strings.TrimSuffix(want, "\n"), "\n")
+			slices.Sort(lines)
+			if distinct := len(slices.Compact(lines)); len(rs.Rows) < 2 || distinct < len(rs.Rows) {
+				t.Fatalf("%s reference, strategy %v: %d rows, %d distinct; want at least 2, all distinct",
+					q.id, strat, len(rs.Rows), distinct)
+			}
+			for _, par := range []int{1, 8} {
+				eng.SetParallelism(par)
+				rs, err := conn.Query(q.sql)
+				if err != nil {
+					t.Fatalf("%s strategy %v parallelism %d: %v", q.id, strat, par, err)
+				}
+				if got := canonRows(rs); got != want {
+					t.Errorf("%s: strategy %v parallelism %d diverges from the batch-off reference\nwant:\n%s\ngot:\n%s",
+						q.id, strat, par, want, got)
+				}
 			}
 		}
 	}
