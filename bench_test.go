@@ -1613,3 +1613,50 @@ func TestJoinAllocsPerOuterRow(t *testing.T) {
 		t.Errorf("row-returning join allocates %.2f per output row over the COUNT, want <= 2", excess)
 	}
 }
+
+// TestStage0DecodesSurvivorsOnly is the late-materialization guard: a
+// batched stage 0 decodes only the columns its filters read until a row
+// survives them. In the land-information join below, `a.id = k` keeps
+// one parcel, so a.geo (read by the join stage) must decode for that
+// row alone; decoding it before the filter allocates at least one
+// geometry per parcel. On a warm, single-core engine at small scale the
+// statement must allocate under a tenth of the table's row count.
+// Skipped under the race detector, whose instrumentation changes
+// allocation counts.
+func TestStage0DecodesSurvivorsOnly(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts differ under the race detector")
+	}
+	ds := GenerateDataset(ScaleSmall, 1)
+	eng := OpenEngine(GaiaDB(), WithParallelism(1))
+	if err := LoadDataset(eng, ds, true); err != nil {
+		t.Fatal(err)
+	}
+	conn, err := Connect(eng).Connect()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	query := func(q string) *ResultSet {
+		rs, err := conn.Query(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rs
+	}
+	parcels := float64(query("SELECT COUNT(*) FROM parcels").Rows[0][0].Int)
+	k := query("SELECT MAX(id) FROM parcels").Rows[0][0].Int / 2
+	q := fmt.Sprintf("SELECT b.id FROM parcels a JOIN parcels b ON ST_Touches(b.geo, a.geo) WHERE a.id = %d", k)
+	if n := len(query(q).Rows); n == 0 {
+		t.Fatalf("parcel %d touches no parcel; the guard needs a join that emits rows", k)
+	}
+	for i := 0; i < 3; i++ {
+		query(q)
+	}
+	allocs := testing.AllocsPerRun(10, func() { query(q) })
+	t.Logf("%.0f allocs over %.0f parcels (%.3f per row)", allocs, parcels, allocs/parcels)
+	if allocs > parcels/10 {
+		t.Errorf("filtered join allocates %.0f, over a tenth of the %.0f parcels: stage 0 decodes rows its filter drops",
+			allocs, parcels)
+	}
+}

@@ -18,21 +18,24 @@ const batchFallbackMin = 8
 // Batch-at-a-time stage-0 execution. Eligible plans replace the
 // tuple-at-a-time scan of the driving table with column batches
 // (storage.ColBatch): the table fills a batch, prefilters it against
-// the MBR window with one pass over flat envelope arrays, and hands the
-// survivors here, where the stage's residual filters run column-major
-// over the selection vector. Prepared topological predicates evaluate a
-// whole batch's candidates through one kernel call; each surviving row
-// is then copied into the shard's one full-width scratch tuple, since
-// batch memory is recycled, and emitted, borrowed, into the
-// join/aggregate/sort pipeline.
+// the MBR window with one pass over flat envelope arrays, decodes only
+// the columns the stage's residual filters read, and hands the
+// survivors here, where those filters run column-major over the
+// selection vector. Compiled comparisons and prepared topological
+// predicates each evaluate a whole batch's candidates in one kernel
+// loop. Late materialization: each surviving row is then copied into
+// the shard's one full-width scratch tuple, since batch memory is
+// recycled, the rest of its needed columns decode into that tuple, and
+// it is emitted, borrowed, into the join/aggregate/sort pipeline.
 //
-// The batch path is byte-equivalent to the row path on success. Two
+// The batch path is byte-equivalent to the row path on success. Three
 // narrow divergences are accepted and documented in DESIGN.md: a batch
 // validates all of its tuples and envelopes before materializing any,
 // so corrupt data can surface a different (but same-shaped) error than
-// the strictly row-ordered scan; and when several filters would each
-// error on different rows, the column-major cascade can surface a
-// different conjunct's error than row-major short-circuiting.
+// the strictly row-ordered scan; when several filters would each error
+// on different rows, the column-major cascade can surface a different
+// conjunct's error than row-major short-circuiting; and a corrupt
+// column the filters do not read is never decoded on a row they drop.
 
 // batchFilter is one stage-0 residual filter, pre-classified so the
 // batch loop dispatches without re-inspecting the tree per row.
@@ -45,14 +48,23 @@ type batchFilter struct {
 	// pc is set when fc additionally carries a prepared constant side:
 	// the whole batch's candidates go through one prepared-kernel call.
 	pc *preparedCall
+	// cmp is set when the filter is a compiled comparison.
+	cmp *comparator
 }
 
 // batchPlan is the shared, read-only batch state of one query: built
 // once after planning, read concurrently by every shard.
 type batchPlan struct {
 	r       *Runner
+	table   string // stage-0 table name, for decode errors
 	filters []batchFilter
 	width   int // scope width of emitted rows
+	// eager marks the columns the filters read: the Projection.Need of
+	// every batch this plan scans or fetches.
+	eager []bool
+	// deferred lists the needed columns the filters do not read; they
+	// decode onto the heap for survivors only.
+	deferred []int
 	// ephCols lists stage-0 columns that only this stage's filters
 	// read; emitted survivor rows NULL them so arena-decoded geometries
 	// never escape the batch.
@@ -73,16 +85,26 @@ type batchExec struct {
 }
 
 // newBatchPlan classifies the stage-0 filters (their constant subtrees
-// are already plan-time slots) of the stage-0 path.
-func (r *Runner) newBatchPlan(filters []Expr, width int, path *accessPath) *batchPlan {
-	p := &batchPlan{r: r, width: width, idPos: path.idPos}
+// are already plan-time slots) of the stage-0 path over tbl, and splits
+// the path's needed columns into the eager ones the filters read and
+// the deferred rest.
+func (r *Runner) newBatchPlan(tbl Table, filters []Expr, width int, path *accessPath) *batchPlan {
+	p := &batchPlan{r: r, table: tbl.Name(), width: width, idPos: path.idPos}
+	nCols := len(tbl.Columns())
+	p.eager = make([]bool, nCols)
 	for _, f := range filters {
-		bf := batchFilter{expr: f}
+		markColumns(p.eager, f)
+		bf := batchFilter{expr: f, cmp: compileComparison(f)}
 		if fc, ok := bf.expr.(*FuncCall); ok && !IsAggregateCall(fc) {
 			bf.fc = fc
 			bf.pc = fc.prep
 		}
 		p.filters = append(p.filters, bf)
+	}
+	for c := 0; c < nCols; c++ {
+		if !p.eager[c] && (path.need == nil || path.need[c]) {
+			p.deferred = append(p.deferred, c)
+		}
 	}
 	for i, e := range path.ephemeral {
 		if e {
@@ -111,6 +133,8 @@ func (ex *batchExec) run(b *storage.ColBatch, emit emitFn) (bool, error) {
 		f := &p.filters[i]
 		var err error
 		switch {
+		case f.cmp != nil:
+			sel, err = ex.runCompare(b, f.cmp, sel)
 		case f.pc != nil:
 			sel, err = ex.runPrepared(b, f.fc, f.pc, sel)
 		case f.fc != nil:
@@ -128,6 +152,13 @@ func (ex *batchExec) run(b *storage.ColBatch, emit emitFn) (bool, error) {
 		for _, c := range p.ephCols {
 			full[c] = storage.Value{}
 		}
+		for _, c := range p.deferred {
+			v, err := b.Col(s, c)
+			if err != nil {
+				return false, fmt.Errorf("sql: table %s at %s: %w", p.table, RowID(b.ID(s)).Unpack(), err)
+			}
+			full[c] = v
+		}
 		setRowID(full, p.idPos, RowID(b.ID(s)))
 		cont, err := emit(full)
 		if err != nil || !cont {
@@ -135,6 +166,22 @@ func (ex *batchExec) run(b *storage.ColBatch, emit emitFn) (bool, error) {
 		}
 	}
 	return true, nil
+}
+
+// runCompare runs a compiled comparison over the selection.
+func (ex *batchExec) runCompare(b *storage.ColBatch, c *comparator, sel []int) ([]int, error) {
+	out := ex.sel2[:0]
+	for _, s := range sel {
+		keep, err := c.keep(b.Row(s))
+		if err != nil {
+			return nil, err
+		}
+		if keep {
+			out = append(out, s)
+		}
+	}
+	ex.sel2 = out
+	return out, nil
 }
 
 // runPrepared evaluates one prepared topological filter over the
@@ -254,7 +301,7 @@ func batchRefine(tbl Table, path accessPath, ex *batchExec,
 	if len(cands) == 0 {
 		return nil
 	}
-	proj := Projection{Need: path.need, MBRCol: -1, Ephemeral: path.ephemeral}
+	proj := Projection{Need: ex.plan.eager, MBRCol: -1, Ephemeral: path.ephemeral}
 	b := storage.GetColBatch()
 	defer storage.PutColBatch(b)
 	for lo := 0; lo < len(cands); lo += storage.BatchSize {

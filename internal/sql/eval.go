@@ -335,29 +335,14 @@ func evalBinary(b *BinaryExpr, row []storage.Value, reg *Registry) (storage.Valu
 		return storage.Null(), nil
 	}
 
-	switch b.Op {
-	case "=", "<>", "<", "<=", ">", ">=":
-		c, ok := storage.Compare(l, r)
-		if !ok {
-			return storage.Null(), fmt.Errorf("sql: cannot compare %s with %s", l.Type, r.Type)
-		}
-		var res bool
-		switch b.Op {
-		case "=":
-			res = c == 0
-		case "<>":
-			res = c != 0
-		case "<":
-			res = c < 0
-		case "<=":
-			res = c <= 0
-		case ">":
-			res = c > 0
-		case ">=":
-			res = c >= 0
+	if op, ok := parseCmpOp(b.Op); ok {
+		res, err := compareValues(op, l, r)
+		if err != nil {
+			return storage.Null(), err
 		}
 		return storage.NewBool(res), nil
-
+	}
+	switch b.Op {
 	case "+", "-", "*", "/", "%":
 		return evalArith(b.Op, l, r)
 

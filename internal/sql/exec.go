@@ -461,16 +461,34 @@ func (r *Runner) execSelect(sel *Select, explainOnly bool, rowIDs *[]RowID) (*Re
 	}
 	hashBuilt := make([]map[string][][]storage.Value, len(tables))
 	pbsmBuilt := make([]*pbsmState, len(tables))
+	// Comparison filters compile once per plan (compare.go).
+	stageCmps := make([][]*comparator, len(tables))
+	for i, filters := range stageFilters {
+		stageCmps[i] = make([]*comparator, len(filters))
+		for j, f := range filters {
+			stageCmps[i][j] = compileComparison(f)
+		}
+	}
 	// filterRows applies a stage's residual filters to each of its rows
 	// and hands the survivors to out; prep holds one worker's evaluators
 	// for the stage's prepared filters (nil when it has none).
 	filterRows := func(stage int, prep []preparedFilter, out emitFn) emitFn {
-		filters := stageFilters[stage]
+		filters, cmps := stageFilters[stage], stageCmps[stage]
 		if len(filters) == 0 {
 			return out
 		}
 		return func(row []storage.Value) (bool, error) {
 			for fi, f := range filters {
+				if c := cmps[fi]; c != nil {
+					keep, err := c.keep(row)
+					if err != nil {
+						return false, err
+					}
+					if !keep {
+						return true, nil
+					}
+					continue
+				}
 				var v storage.Value
 				var err error
 				if prep != nil && prep[fi].spec != nil {

@@ -78,7 +78,8 @@ func (r *Runner) stage0Source(tbl Table, batch bool, path *accessPath, filters [
 		if skip {
 			return func(int, emitFn) error { return nil }, nil
 		}
-		plan := r.newBatchPlan(filters, width, path)
+		plan := r.newBatchPlan(tbl, filters, width, path)
+		proj.Need = plan.eager
 		return func(shard int, emit emitFn) error {
 			_, forward := pipeline(emit)
 			ex := plan.newExec()
@@ -103,7 +104,7 @@ func (r *Runner) stage0Source(tbl Table, batch bool, path *accessPath, filters [
 		return cands[shard*len(cands)/workers : (shard+1)*len(cands)/workers]
 	}
 	if len(cands) >= batchFallbackMin {
-		plan := r.newBatchPlan(filters, width, path)
+		plan := r.newBatchPlan(tbl, filters, width, path)
 		return func(shard int, emit emitFn) error {
 			_, forward := pipeline(emit)
 			return batchRefine(tbl, *path, plan.newExec(), chunk(shard), forward)

@@ -63,6 +63,35 @@ func TestValueCompare(t *testing.T) {
 	}
 }
 
+// TestValueCompareIntExact pins int x int comparison to exact int64
+// order: 2^53 and 2^53+1 are one float64 apart from nothing (both round
+// to 2^53), so a comparison through AsFloat calls them equal while the
+// B-tree's encoded keys order them.
+func TestValueCompareIntExact(t *testing.T) {
+	const p53 = int64(1) << 53
+	cases := []struct {
+		a, b int64
+		want int
+	}{
+		{p53 + 1, p53, 1},
+		{p53, p53 + 1, -1},
+		{-p53 - 1, -p53, -1},
+		{math.MaxInt64, math.MaxInt64 - 1, 1},
+		{math.MinInt64, math.MinInt64 + 1, -1},
+		{p53 + 1, p53 + 1, 0},
+	}
+	for _, tc := range cases {
+		c, ok := Compare(NewInt(tc.a), NewInt(tc.b))
+		if c != tc.want || !ok {
+			t.Errorf("Compare(%d, %d) = %d, %v; want %d, true", tc.a, tc.b, c, ok, tc.want)
+		}
+	}
+	// Int against float still compares as float64: 2^53+1 rounds to 2^53.
+	if c, ok := Compare(NewInt(p53+1), NewFloat(float64(p53))); c != 0 || !ok {
+		t.Errorf("Compare(2^53+1, 2^53 as float) = %d, %v; want 0, true", c, ok)
+	}
+}
+
 func sampleTuples() [][]Value {
 	big := make(geom.LineString, 600)
 	for i := range big {

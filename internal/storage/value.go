@@ -6,6 +6,7 @@
 package storage
 
 import (
+	"cmp"
 	"encoding/binary"
 	"fmt"
 	"math"
@@ -123,12 +124,17 @@ func (v Value) String() string {
 	return "?"
 }
 
-// Compare orders two values. NULL sorts before everything; numeric types
-// compare numerically across Int/Float; distinct non-comparable types
-// order by type tag. Geometries compare by WKB bytes (arbitrary but
-// stable). The second result is false when the comparison is between
-// incompatible types (still ordered, for sort stability).
+// Compare orders two values. NULL sorts before everything; two ints
+// compare exactly as int64 (as the B-tree's encoded keys do), and other
+// numeric pairs compare numerically across Int/Float; distinct
+// non-comparable types order by type tag. Geometries compare by WKB
+// bytes (arbitrary but stable). The second result is false when the
+// comparison is between incompatible types (still ordered, for sort
+// stability).
 func Compare(a, b Value) (int, bool) {
+	if a.Type == TypeInt && b.Type == TypeInt {
+		return cmp.Compare(a.Int, b.Int), true
+	}
 	if a.IsNull() || b.IsNull() {
 		switch {
 		case a.IsNull() && b.IsNull():

@@ -121,6 +121,41 @@ func TestIndexedMatchesUnindexed(t *testing.T) {
 	}
 }
 
+// TestIntKeysBeyondFloatPrecision runs an equality on an integer just
+// past 2^53, where neighbouring ints share one float64, on a scan and
+// through a B-tree seek, with batch execution on and off. Both access
+// paths must return the same one row: the seek compares the encoded
+// int64 keys exactly, so the scan's residual comparison must too.
+func TestIntKeysBeyondFloatPrecision(t *testing.T) {
+	const q = "SELECT id, tag FROM big WHERE id = 9007199254740992"
+	for _, indexed := range []bool{false, true} {
+		for _, batch := range []bool{false, true} {
+			eng := OpenEngine(GaiaDB(), WithBatchExec(batch))
+			eng.MustExec("CREATE TABLE big (id INTEGER, tag TEXT)")
+			eng.MustExec("INSERT INTO big VALUES (9007199254740993, 'odd'), (9007199254740992, 'even'), " +
+				"(9007199254740991, 'below'), (1, 'one')")
+			if indexed {
+				eng.MustExec("CREATE INDEX big_id ON big (id)")
+			}
+			res, err := eng.Exec(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			wantAccess := "big:seqscan"
+			if indexed {
+				wantAccess = "big:btree-seek"
+			}
+			if len(res.Access) != 1 || res.Access[0] != wantAccess {
+				t.Errorf("indexed=%v batch=%v: access %v, want %s", indexed, batch, res.Access, wantAccess)
+			}
+			if len(res.Rows) != 1 || res.Rows[0][0].Int != 9007199254740992 || res.Rows[0][1].Text != "even" {
+				t.Errorf("indexed=%v batch=%v: rows %v, want [[9007199254740992 even]]", indexed, batch, res.Rows)
+			}
+			eng.Close()
+		}
+	}
+}
+
 // TestExactEnginesAgreeOnTopology verifies that the two exact-semantics
 // profiles (R-tree vs grid index) return identical results for every
 // topological micro query across several probe iterations — the index
