@@ -235,3 +235,111 @@ func TestLateMaterializationEquivalence(t *testing.T) {
 	requireNoPins(t, off)
 	requireNoPins(t, on)
 }
+
+// TestPrefilterEquivalence is the rail for filtering before copying: a
+// batched full scan tests stage 0's column-versus-literal comparisons on
+// each page-resident tuple and copies only survivors into the batch.
+// Each statement runs on a batch engine at parallelism 1 and 8 and on
+// the serial row-path reference (WithBatchExec(false)), and must return
+// byte-identical rows or the same error text: equality with the literal
+// on either side, ranges, <>, int columns against float literals, text
+// comparisons (landuse and category are index seeks, owner and name
+// full scans), a NULL id, UPDATE and DELETE by id, the land-information
+// and flood-risk joins, and an incomparable literal.
+func TestPrefilterEquivalence(t *testing.T) {
+	ds := GenerateDataset(ScaleSmall, 1)
+	off := OpenEngine(GaiaDB(), WithBatchExec(false))
+	on := OpenEngine(GaiaDB())
+	for _, eng := range []*Engine{off, on} {
+		if err := LoadDataset(eng, ds, true); err != nil {
+			t.Fatal(err)
+		}
+	}
+	run := func(eng *Engine, q string) string {
+		res, err := eng.Exec(q)
+		if err != nil {
+			return "error: " + err.Error()
+		}
+		if res.Columns == nil {
+			return fmt.Sprintf("affected %d", res.Affected)
+		}
+		return canonRows(&ResultSet{Columns: res.Columns, Rows: res.Rows})
+	}
+	one := func(q string) storage.Value {
+		res := off.MustExec(q)
+		if len(res.Rows) != 1 {
+			t.Fatalf("%s: %d rows, want 1", q, len(res.Rows))
+		}
+		return res.Rows[0][0]
+	}
+	k := one("SELECT MAX(id) FROM parcels").Int / 2
+	landuse := one(fmt.Sprintf("SELECT landuse FROM parcels WHERE id = %d", k)).Text
+	pk := one("SELECT MAX(id) FROM pointlm").Int / 2
+	category := one(fmt.Sprintf("SELECT category FROM pointlm WHERE id = %d", pk)).Text
+	owner := one(fmt.Sprintf("SELECT owner FROM parcels WHERE id = %d", k)).Text
+	name := one(fmt.Sprintf("SELECT name FROM pointlm WHERE id = %d", pk)).Text
+	wid := one("SELECT MIN(id) FROM areawater").Int
+
+	var explained bool
+	for _, row := range on.MustExec(fmt.Sprintf("EXPLAIN SELECT id FROM parcels WHERE id = %d", k)).Rows {
+		explained = explained || row[0].Text == "prefilter"
+	}
+	if !explained {
+		t.Fatal("the batch engine does not push id = k into its scan")
+	}
+
+	for _, par := range []int{1, 8} {
+		off.SetParallelism(par)
+		on.SetParallelism(par)
+		// Each parallelism gets its own DML ids; both engines take every
+		// write in lockstep.
+		d := k + 10*int64(par)
+		stmts := []string{
+			fmt.Sprintf("SELECT * FROM parcels WHERE id = %d", k),
+			fmt.Sprintf("SELECT * FROM parcels WHERE %d = id", k),
+			fmt.Sprintf("SELECT id, owner FROM parcels WHERE id < %d", k),
+			fmt.Sprintf("SELECT id, landuse FROM parcels WHERE id >= %d AND id < %d", k, k+50),
+			fmt.Sprintf("SELECT COUNT(*) FROM parcels WHERE id <> %d", k),
+			fmt.Sprintf("SELECT id, owner FROM parcels WHERE id = %d.0", k),
+			fmt.Sprintf("SELECT COUNT(*), MAX(id) FROM parcels WHERE id < %d.5", k),
+			fmt.Sprintf("SELECT id FROM parcels WHERE landuse = '%s'", landuse),
+			fmt.Sprintf("SELECT id, name FROM pointlm WHERE category = '%s'", category),
+			fmt.Sprintf("SELECT id, owner FROM parcels WHERE owner = '%s'", owner),
+			fmt.Sprintf("SELECT COUNT(*) FROM parcels WHERE '%s' < owner AND id > %d", owner, k),
+			fmt.Sprintf("SELECT id, category FROM pointlm WHERE name = '%s'", name),
+			fmt.Sprintf("SELECT COUNT(*) FROM pointlm WHERE name >= '%s' AND '%s' <> category", name, category),
+			fmt.Sprintf("UPDATE parcels SET id = NULL WHERE id = %d", d),
+			"SELECT COUNT(*) FROM parcels WHERE id IS NULL",
+			fmt.Sprintf("SELECT COUNT(*) FROM parcels WHERE id <> %d", k),
+			fmt.Sprintf("SELECT id, owner FROM parcels WHERE id > %d AND id < %d", d-3, d+3),
+			fmt.Sprintf("UPDATE parcels SET landuse = 'public' WHERE id = %d", d+1),
+			fmt.Sprintf("SELECT id, landuse FROM parcels WHERE id = %d", d+1),
+			fmt.Sprintf("DELETE FROM pointlm WHERE id = %d", pk+int64(par)),
+			fmt.Sprintf("SELECT COUNT(*) FROM pointlm WHERE id = %d", pk+int64(par)),
+			fmt.Sprintf("DELETE FROM parcels WHERE id = %d", d+2),
+			fmt.Sprintf("SELECT b.id, b.owner, b.landuse FROM parcels a JOIN parcels b "+
+				"ON ST_Touches(b.geo, a.geo) WHERE a.id = %d", k),
+			fmt.Sprintf("SELECT p.id, ST_Area(ST_Intersection(p.geo, ST_Buffer(w.geo, 40))) "+
+				"FROM areawater w JOIN parcels p ON ST_Intersects(p.geo, ST_Buffer(w.geo, 40)) "+
+				"WHERE w.id = %d", wid),
+			"SELECT id FROM parcels WHERE id = 'x'",
+		}
+		for _, q := range stmts {
+			want, got := run(off, q), run(on, q)
+			if got != want {
+				t.Errorf("parallelism %d: %s\nrow path:\n%s\nbatch path:\n%s", par, q, want, got)
+			}
+		}
+		if want := run(off, "SELECT id FROM parcels WHERE id = 'x'"); !strings.HasPrefix(want, "error: ") {
+			t.Errorf("id = 'x' did not fail on the reference: %s", want)
+		}
+	}
+	if batches, rows := on.BatchStats(); batches == 0 || rows == 0 {
+		t.Errorf("batch engine processed no batches (batches=%d rows=%d)", batches, rows)
+	}
+	if batches, _ := off.BatchStats(); batches != 0 {
+		t.Errorf("disabled engine processed %d batches", batches)
+	}
+	requireNoPins(t, off)
+	requireNoPins(t, on)
+}

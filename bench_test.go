@@ -1660,3 +1660,38 @@ func TestStage0DecodesSurvivorsOnly(t *testing.T) {
 			allocs, parcels)
 	}
 }
+
+// TestStage0CopiesSurvivorsOnly is the filter-before-copying guard: a
+// batched full scan tests stage 0's column-versus-literal comparisons
+// on each page-resident tuple and copies only the survivors into its
+// batches. `id = k` keeps one parcel, so at most one row per statement
+// may enter the batch cascade (Engine.BatchStats), serial or parallel;
+// copying before filtering sends every parcel.
+func TestStage0CopiesSurvivorsOnly(t *testing.T) {
+	ds := GenerateDataset(ScaleSmall, 1)
+	eng := OpenEngine(GaiaDB())
+	if err := LoadDataset(eng, ds, true); err != nil {
+		t.Fatal(err)
+	}
+	k := eng.MustExec("SELECT MAX(id) FROM parcels").Rows[0][0].Int / 2
+	q := fmt.Sprintf("SELECT COUNT(*) FROM parcels WHERE id = %d", k)
+	for _, par := range []int{1, 2} {
+		eng.SetParallelism(par)
+		const stmts = 5
+		eng.ResetBatchStats()
+		for i := 0; i < stmts; i++ {
+			if n := eng.MustExec(q).Rows[0][0].Int; n != 1 {
+				t.Fatalf("%s counted %d parcels, want 1", q, n)
+			}
+		}
+		batches, rows := eng.BatchStats()
+		t.Logf("parallelism %d: %d batches, %d rows over %d statements", par, batches, rows, stmts)
+		if batches == 0 {
+			t.Fatalf("parallelism %d: the statement did not run batched", par)
+		}
+		if rows > stmts {
+			t.Errorf("parallelism %d: %d rows entered the cascade over %d statements, want at most one each",
+				par, rows, stmts)
+		}
+	}
+}

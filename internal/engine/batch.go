@@ -8,11 +8,12 @@ import (
 )
 
 // Batch-at-a-time table access: the engine side of the vectorized
-// executor. ScanBatch and FetchBatch fill reusable column batches from
-// the heap, run the flat MBR prefilter kernel over the batch's SoA
-// envelope arrays, and materialize only the surviving slots. Filter-only
-// (ephemeral) geometries decode into the batch's coordinate arena
-// instead of the heap.
+// executor. ScanBatch fills reusable column batches from the heap,
+// testing each tuple on its page against the projection's MBR window
+// and pushed-down comparisons and copying only the survivors; FetchBatch
+// fills them with given rows. Both materialize only the selected slots.
+// Filter-only (ephemeral) geometries decode into the batch's coordinate
+// arena instead of the heap.
 
 // ScanBatch implements sql.Table.
 func (t *table) ScanBatch(shard, nshards int, proj sql.Projection,
@@ -21,6 +22,7 @@ func (t *table) ScanBatch(shard, nshards int, proj sql.Projection,
 	b := storage.GetColBatch()
 	defer storage.PutColBatch(b)
 	b.Reset(len(t.cols), len(t.cols))
+	filter := &storage.TupleFilter{MBRCol: proj.MBRCol, Window: proj.Window, Compares: proj.Compares}
 
 	cont := true
 	var innerErr error
@@ -28,28 +30,21 @@ func (t *table) ScanBatch(shard, nshards int, proj sql.Projection,
 		if b.Len() == 0 {
 			return true
 		}
-		if proj.MBRCol >= 0 {
-			b.FilterWindow(proj.Window)
-		} else {
-			b.SelectAll()
+		if err := t.materializeBatch(b, proj); err != nil {
+			innerErr = err
+			return false
 		}
-		if len(b.Sel) > 0 {
-			if err := t.materializeBatch(b, proj); err != nil {
-				innerErr = err
-				return false
-			}
-			c, err := fn(b)
-			if err != nil {
-				innerErr = err
-				return false
-			}
-			cont = c
+		c, err := fn(b)
+		if err != nil {
+			innerErr = err
+			return false
 		}
+		cont = c
 		b.Reset(len(t.cols), len(t.cols))
 		return cont
 	}
 	visit := func(rid storage.RecordID, tuple []byte) bool {
-		if err := b.Append(int64(sql.PackRowID(rid)), tuple, proj.MBRCol); err != nil {
+		if err := b.Append(int64(sql.PackRowID(rid)), tuple, filter); err != nil {
 			innerErr = fmt.Errorf("engine: table %s at %s: %w", t.name, rid, err)
 			return false
 		}
@@ -78,11 +73,10 @@ func (t *table) FetchBatch(ids []sql.RowID, proj sql.Projection, b *storage.ColB
 		if err != nil {
 			return err
 		}
-		if err := b.Append(int64(id), b.Scratch, -1); err != nil {
+		if err := b.Append(int64(id), b.Scratch, nil); err != nil {
 			return fmt.Errorf("engine: table %s at %s: %w", t.name, rid, err)
 		}
 	}
-	b.SelectAll()
 	return t.materializeBatch(b, proj)
 }
 

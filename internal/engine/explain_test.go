@@ -77,3 +77,49 @@ func TestSQLGeoJSON(t *testing.T) {
 		t.Error("bad geojson accepted")
 	}
 }
+
+// TestExplainShowsPrefilter: a batched full scan lists one prefilter
+// row per stage-0 comparison of a column with a literal, which it tests
+// on every stored tuple before copying it into a batch. A literal on
+// the left is listed as written. Comparisons of two columns, join-stage
+// comparisons, index-driven stage 0 and the row path list none.
+func TestExplainShowsPrefilter(t *testing.T) {
+	e := newTestEngine(t)
+	loadGrid(t, e, 6)
+	e.MustExec("CREATE SPATIAL INDEX lidx ON landmarks (geo)")
+	prefilters := func(e *Engine, q string) []string {
+		t.Helper()
+		var got []string
+		for _, row := range e.MustExec("EXPLAIN " + q).Rows {
+			if row[0].Text == "prefilter" {
+				if row[2].Int != 36 {
+					t.Errorf("%s: prefilter rows column = %d, want the table's 36", q, row[2].Int)
+				}
+				got = append(got, row[1].Text)
+			}
+		}
+		return got
+	}
+	q := "SELECT COUNT(*) FROM landmarks WHERE id >= 3 AND 30 > id AND name <> 'cell-7' AND id < id + 1"
+	want := []string{"stage=landmarks (id >= 3)", "stage=landmarks (30 > id)", "stage=landmarks (name <> 'cell-7')"}
+	if got := prefilters(e, q); strings.Join(got, "|") != strings.Join(want, "|") {
+		t.Errorf("prefilter rows = %q, want %q", got, want)
+	}
+	if res := e.MustExec(q); res.Rows[0][0].Int != 26 {
+		t.Errorf("count = %v, want 26", res.Rows[0][0])
+	}
+	join := "SELECT l.id FROM landmarks a JOIN landmarks l ON ST_Touches(l.geo, a.geo) WHERE a.id = 7 AND l.id > 3"
+	if got := prefilters(e, join); len(got) != 1 || got[0] != "stage=a (a.id = 7)" {
+		t.Errorf("join prefilter rows = %q, want only stage 0's a.id = 7", got)
+	}
+	window := "SELECT id FROM landmarks WHERE ST_Intersects(geo, ST_MakeEnvelope(0, 0, 5, 5)) AND id = 7"
+	if got := prefilters(e, window); len(got) != 0 {
+		t.Errorf("window scan prefilter rows = %q, want none", got)
+	}
+	rowPath := Open(GaiaDB(), WithBatchExec(false))
+	rowPath.MustExec("CREATE TABLE landmarks (id INTEGER, name TEXT, geo GEOMETRY)")
+	loadGrid(t, rowPath, 6)
+	if got := prefilters(rowPath, q); len(got) != 0 {
+		t.Errorf("row path prefilter rows = %q, want none", got)
+	}
+}

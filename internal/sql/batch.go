@@ -9,33 +9,35 @@ import (
 
 // batchFallbackMin is the minimum spatial-window candidate count worth
 // batching. Below it the fixed per-query batch cost (pool checkout,
-// column reset, envelope fill) exceeds the cascade savings — point
-// probes like "polygons containing this point" fetch a couple of rows
-// and regress under batching — so stage0Source picks the row fetch loop
-// for the candidates its one index search returned.
+// column reset) exceeds the cascade savings — point probes like
+// "polygons containing this point" fetch a couple of rows and regress
+// under batching — so stage0Source picks the row fetch loop for the
+// candidates its one index search returned.
 const batchFallbackMin = 8
 
 // Batch-at-a-time stage-0 execution. Eligible plans replace the
 // tuple-at-a-time scan of the driving table with column batches
-// (storage.ColBatch): the table fills a batch, prefilters it against
-// the MBR window with one pass over flat envelope arrays, decodes only
-// the columns the stage's residual filters read, and hands the
-// survivors here, where those filters run column-major over the
-// selection vector. Compiled comparisons and prepared topological
-// predicates each evaluate a whole batch's candidates in one kernel
-// loop. Late materialization: each surviving row is then copied into
+// (storage.ColBatch): a full scan tests each tuple on its page against
+// the MBR window and the filters' column-versus-literal comparisons and
+// copies only the survivors into the batch; the table then decodes only
+// the columns the stage's residual filters read, and hands the batch
+// here, where those filters run column-major over the selection vector.
+// Compiled comparisons and prepared topological predicates each
+// evaluate a whole batch's candidates in one kernel loop. Late materialization: each surviving row is then copied into
 // the shard's one full-width scratch tuple, since batch memory is
 // recycled, the rest of its needed columns decode into that tuple, and
 // it is emitted, borrowed, into the join/aggregate/sort pipeline.
 //
-// The batch path is byte-equivalent to the row path on success. Three
+// The batch path is byte-equivalent to the row path on success. Four
 // narrow divergences are accepted and documented in DESIGN.md: a batch
 // validates all of its tuples and envelopes before materializing any,
 // so corrupt data can surface a different (but same-shaped) error than
 // the strictly row-ordered scan; when several filters would each error
 // on different rows, the column-major cascade can surface a different
-// conjunct's error than row-major short-circuiting; and a corrupt
-// column the filters do not read is never decoded on a row they drop.
+// conjunct's error than row-major short-circuiting; a corrupt column
+// the filters do not read is never decoded on a row they drop; and a
+// row a pushed-down comparison drops before copying never reaches the
+// other filters, so an error one of them would raise on it is lost.
 
 // batchFilter is one stage-0 residual filter, pre-classified so the
 // batch loop dispatches without re-inspecting the tree per row.
@@ -62,6 +64,10 @@ type batchPlan struct {
 	// eager marks the columns the filters read: the Projection.Need of
 	// every batch this plan scans or fetches.
 	eager []bool
+	// prefilter holds the filters' column-versus-literal comparisons:
+	// the Projection.Compares a full scan tests on each tuple before
+	// copying it. The cascade still runs every comparator on survivors.
+	prefilter []storage.ColCompare
 	// deferred lists the needed columns the filters do not read; they
 	// decode onto the heap for survivors only.
 	deferred []int
@@ -85,16 +91,20 @@ type batchExec struct {
 }
 
 // newBatchPlan classifies the stage-0 filters (their constant subtrees
-// are already plan-time slots) of the stage-0 path over tbl, and splits
-// the path's needed columns into the eager ones the filters read and
-// the deferred rest.
-func (r *Runner) newBatchPlan(tbl Table, filters []Expr, width int, path *accessPath) *batchPlan {
+// are already plan-time slots, cmps their compiled comparators) of the
+// stage-0 path over tbl, collects the comparisons a scan can test before
+// copying, and splits the path's needed columns into the eager ones the
+// filters read and the deferred rest.
+func (r *Runner) newBatchPlan(tbl Table, filters []Expr, cmps []*comparator, width int, path *accessPath) *batchPlan {
 	p := &batchPlan{r: r, table: tbl.Name(), width: width, idPos: path.idPos}
 	nCols := len(tbl.Columns())
 	p.eager = make([]bool, nCols)
-	for _, f := range filters {
+	for i, f := range filters {
 		markColumns(p.eager, f)
-		bf := batchFilter{expr: f, cmp: compileComparison(f)}
+		bf := batchFilter{expr: f, cmp: cmps[i]}
+		if cc, ok := bf.cmp.pushdown(nCols); ok {
+			p.prefilter = append(p.prefilter, cc)
+		}
 		if fc, ok := bf.expr.(*FuncCall); ok && !IsAggregateCall(fc) {
 			bf.fc = fc
 			bf.pc = fc.prep

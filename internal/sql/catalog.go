@@ -51,7 +51,8 @@ type AttrIndexDef struct {
 // and, optionally, which geometry column to MBR-prefilter. Tables use
 // it to decode lazily: unneeded columns surface as NULL (they are never
 // read by the plan), and rows whose prefiltered geometry envelope does
-// not intersect Window are skipped before any full decode.
+// not intersect Window are skipped before any full decode. A batch scan
+// also skips rows that one of Compares certainly rejects.
 type Projection struct {
 	// Need[i] marks column i as referenced; nil means all columns.
 	Need []bool
@@ -67,6 +68,12 @@ type Projection struct {
 	// is recycled at the next batch. nil means none; ScanProject ignores
 	// the field.
 	Ephemeral []bool
+	// Compares are column-versus-literal comparisons that ScanBatch
+	// tests on each tuple before copying it into the batch
+	// (storage.TupleFilter): a superset filter that drops only rows the
+	// plan's own filters would drop without error. ScanProject and
+	// FetchBatch ignore the field.
+	Compares []storage.ColCompare
 }
 
 // AllColumns is the trivial projection: decode everything, no prefilter.
@@ -85,15 +92,16 @@ type Table interface {
 	// without decoding.
 	ScanProject(proj Projection, fn func(id RowID, row []storage.Value) bool) error
 	// ScanBatch drives the shard'th of nshards heap partitions in
-	// batches of up to storage.BatchSize slots: each batch is filled
-	// with validated tuples, MBR-prefiltered against proj.Window when
-	// proj.MBRCol >= 0 (survivors land in the batch's selection vector),
-	// and its selected slots materialized per proj.Need before fn runs.
-	// Partitions are disjoint and contiguous, and shards may be scanned
-	// concurrently: visiting shards 0..nshards-1 in order reproduces
-	// exactly the rows (and order) of ScanProject, which lets parallel
-	// scans merge deterministically. Batch memory is reused: fn must
-	// copy anything that outlives the call.
+	// batches of up to storage.BatchSize slots: every tuple is
+	// validated, and only those passing the MBR prefilter against
+	// proj.Window (when proj.MBRCol >= 0) and proj.Compares fill the
+	// batch, all selected; its slots are materialized per proj.Need
+	// before fn runs. Partitions are disjoint and contiguous, and shards
+	// may be scanned concurrently: visiting shards 0..nshards-1 in order
+	// reproduces exactly the rows (and order) of ScanProject, less those
+	// proj.Compares drops, which lets parallel scans merge
+	// deterministically. Batch memory is reused: fn must copy anything
+	// that outlives the call.
 	ScanBatch(shard, nshards int, proj Projection, fn func(*storage.ColBatch) (bool, error)) error
 	// FetchProject returns the row with the given id, materializing only
 	// the columns marked in need (nil need means all).

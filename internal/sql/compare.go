@@ -12,65 +12,44 @@ import (
 // selection vector and each stage's row filter (filterRows in
 // execSelect) calls it per row, both without walking the expression
 // tree through Eval. evalBinary applies the same compareValues, so the
-// comparator and Eval agree by construction.
+// comparator and Eval agree by construction. A batched full scan also
+// pushes stage 0's column-versus-literal comparators into the table
+// scan (pushdown), which tests each on the encoded tuple with the same
+// storage.Compare and CmpOp.Holds before copying the row.
 
-// cmpOp is one of the six comparison operators.
-type cmpOp uint8
-
-const (
-	cmpEQ cmpOp = iota
-	cmpNE
-	cmpLT
-	cmpLE
-	cmpGT
-	cmpGE
-)
-
-// parseCmpOp maps an operator token to its cmpOp; ok is false for any
-// non-comparison operator.
-func parseCmpOp(op string) (cmpOp, bool) {
+// parseCmpOp maps an operator token to its storage.CmpOp; ok is false
+// for any non-comparison operator.
+func parseCmpOp(op string) (storage.CmpOp, bool) {
 	switch op {
 	case "=":
-		return cmpEQ, true
+		return storage.CmpEQ, true
 	case "<>":
-		return cmpNE, true
+		return storage.CmpNE, true
 	case "<":
-		return cmpLT, true
+		return storage.CmpLT, true
 	case "<=":
-		return cmpLE, true
+		return storage.CmpLE, true
 	case ">":
-		return cmpGT, true
+		return storage.CmpGT, true
 	case ">=":
-		return cmpGE, true
+		return storage.CmpGE, true
 	}
 	return 0, false
 }
 
 // compareValues applies op to two non-NULL values.
-func compareValues(op cmpOp, l, r storage.Value) (bool, error) {
+func compareValues(op storage.CmpOp, l, r storage.Value) (bool, error) {
 	c, ok := storage.Compare(l, r)
 	if !ok {
 		return false, fmt.Errorf("sql: cannot compare %s with %s", l.Type, r.Type)
 	}
-	switch op {
-	case cmpEQ:
-		return c == 0, nil
-	case cmpNE:
-		return c != 0, nil
-	case cmpLT:
-		return c < 0, nil
-	case cmpLE:
-		return c <= 0, nil
-	case cmpGT:
-		return c > 0, nil
-	}
-	return c >= 0, nil
+	return op.Holds(c), nil
 }
 
 // comparator is a compiled comparison conjunct. Each operand is a row
 // column (col >= 0) or, when col < 0, the constant val.
 type comparator struct {
-	op         cmpOp
+	op         storage.CmpOp
 	lcol, rcol int
 	lval, rval storage.Value
 }
@@ -121,4 +100,18 @@ func (c *comparator) keep(row []storage.Value) (bool, error) {
 		return false, nil
 	}
 	return compareValues(c.op, l, r)
+}
+
+// pushdown returns the storage form of a comparison of one of the first
+// nCols columns with a literal, flipping the operator when the literal
+// is on the left; ok is false for any other comparator, nil included.
+func (c *comparator) pushdown(nCols int) (storage.ColCompare, bool) {
+	switch {
+	case c == nil:
+	case c.lcol >= 0 && c.lcol < nCols && c.rcol < 0:
+		return storage.ColCompare{Col: c.lcol, Op: c.op, Lit: c.rval}, true
+	case c.rcol >= 0 && c.rcol < nCols && c.lcol < 0:
+		return storage.ColCompare{Col: c.rcol, Op: c.op.Flip(), Lit: c.lval}, true
+	}
+	return storage.ColCompare{}, false
 }

@@ -14,7 +14,11 @@ import (
 // every comparison operator over every pair of operands drawn from
 // NULL, small and 2^53-adjacent ints, floats (NaN included), text, bool
 // and geometry, in the column-column, column-literal and
-// literal-column shapes.
+// literal-column shapes. The two shapes with a literal also push down
+// into a batch scan's pre-copy test, which runs here on the encoded
+// tuple: it may drop a row only when the comparator drops it without
+// error, and it must drop every such row unless both operands are
+// geometries.
 func TestComparatorMatchesEval(t *testing.T) {
 	const p53 = int64(1) << 53
 	vals := []storage.Value{
@@ -30,7 +34,8 @@ func TestComparatorMatchesEval(t *testing.T) {
 	reg := NewRegistry(RegistryOptions{})
 	col := func(i int) Expr { return &ColumnRef{Column: fmt.Sprint("c", i), Index: i} }
 	lit := func(v storage.Value) Expr { return &Literal{Value: v} }
-	cases := 0
+	b := new(storage.ColBatch)
+	cases, pushed := 0, 0
 	for _, op := range []string{"=", "<>", "<", "<=", ">", ">="} {
 		for _, l := range vals {
 			for _, r := range vals {
@@ -51,13 +56,33 @@ func TestComparatorMatchesEval(t *testing.T) {
 						t.Errorf("%v %s %v (%s): comparator keep=%v err=%v, Eval keep=%v err=%v",
 							l, op, r, e, got, err, want, evalErr)
 					}
+					cc, ok := c.pushdown(len(row))
+					_, lcol := e.Left.(*ColumnRef)
+					_, rcol := e.Right.(*ColumnRef)
+					if ok != (lcol != rcol) {
+						t.Fatalf("%s: pushdown ok=%v, want it for one column and one literal", e, ok)
+					}
+					if ok {
+						b.Reset(len(row), len(row))
+						filter := storage.TupleFilter{MBRCol: -1, Compares: []storage.ColCompare{cc}}
+						if err := b.Append(0, storage.EncodeTuple(row), &filter); err != nil {
+							t.Fatal(err)
+						}
+						dropped := b.Len() == 0
+						bothGeom := l.Type == storage.TypeGeom && r.Type == storage.TypeGeom
+						if dropped && (got || err != nil) || !dropped && !got && err == nil && !bothGeom {
+							t.Errorf("%v %s %v (%s): pushed-down test dropped=%v, comparator keep=%v err=%v",
+								l, op, r, e, dropped, got, err)
+						}
+						pushed++
+					}
 					cases++
 				}
 			}
 		}
 	}
-	if want := 6 * len(vals) * len(vals) * 3; cases != want {
-		t.Fatalf("ran %d cases, want %d", cases, want)
+	if want := 6 * len(vals) * len(vals) * 3; cases != want || pushed != cases*2/3 {
+		t.Fatalf("ran %d cases (%d pushed down), want %d (%d)", cases, pushed, want, want*2/3)
 	}
 }
 

@@ -588,6 +588,19 @@ func (r *Runner) execSelect(sel *Select, explainOnly bool, rowIDs *[]RowID) (*Re
 			})
 		}
 		res.Rows = append(res.Rows, h.explainRows()...)
+		// A batched full scan tests stage 0's column-versus-literal
+		// comparisons on every stored tuple before copying it.
+		if batch0 && paths[0].kind == accessFullScan {
+			for i, f := range stageFilters[0] {
+				if _, ok := stageCmps[0][i].pushdown(tables[0].hi); ok {
+					res.Rows = append(res.Rows, []storage.Value{
+						storage.NewText("prefilter"),
+						storage.NewText(fmt.Sprintf("stage=%s %s", tables[0].binding, f)),
+						storage.NewInt(int64(tables[0].tbl.RowCount())),
+					})
+				}
+			}
+		}
 		return res, nil
 	}
 	if len(tables) > 1 {
@@ -630,8 +643,8 @@ func (r *Runner) execSelect(sel *Select, explainOnly bool, rowIDs *[]RowID) (*Re
 	}
 
 	// Stage 0: serial plans are the one-worker case of the same source.
-	runShard, err := r.stage0Source(tables[0].tbl, batch0, &paths[0], stageFilters[0], width, workers,
-		pipeline)
+	runShard, err := r.stage0Source(tables[0].tbl, batch0, &paths[0], stageFilters[0], stageCmps[0],
+		width, workers, pipeline)
 	if err != nil {
 		return nil, err
 	}

@@ -53,14 +53,18 @@ func (r *Runner) stage0Exec(sel *Select, tbl Table, kind accessKind, hasAgg, knn
 // compute their projection once and shard the heap; batched spatial
 // windows evaluate the window and search the index once, here, and
 // split the candidates into contiguous chunks, so shard concatenation
-// reproduces the serial row order. A window runs the batch cascade when
-// the search found at least batchFallbackMin candidates, else the row
-// fetch loop. Each shard builds its pipeline over its sink once and
+// reproduces the serial row order; a full scan also hands the table the
+// stage's column-versus-literal comparisons to test before copying
+// (Projection.Compares). A window runs the batch cascade when the
+// search found at least batchFallbackMin candidates, else the row fetch
+// loop. Each shard builds its pipeline over its sink once and
 // fills one stage-0 scratch tuple per row: the row path enters the
 // pipeline through stage 0's filters, the batch cascade, which applies
-// them itself, past them.
+// them itself, past them. cmps holds each filter's compiled comparator
+// (nil for other shapes).
 func (r *Runner) stage0Source(tbl Table, batch bool, path *accessPath, filters []Expr,
-	width, workers int, pipeline func(sink emitFn) (filtered, forward emitFn)) (shardFn, error) {
+	cmps []*comparator, width, workers int,
+	pipeline func(sink emitFn) (filtered, forward emitFn)) (shardFn, error) {
 
 	if !batch {
 		return func(_ int, emit emitFn) error {
@@ -78,8 +82,9 @@ func (r *Runner) stage0Source(tbl Table, batch bool, path *accessPath, filters [
 		if skip {
 			return func(int, emitFn) error { return nil }, nil
 		}
-		plan := r.newBatchPlan(tbl, filters, width, path)
+		plan := r.newBatchPlan(tbl, filters, cmps, width, path)
 		proj.Need = plan.eager
+		proj.Compares = plan.prefilter
 		return func(shard int, emit emitFn) error {
 			_, forward := pipeline(emit)
 			ex := plan.newExec()
@@ -104,7 +109,7 @@ func (r *Runner) stage0Source(tbl Table, batch bool, path *accessPath, filters [
 		return cands[shard*len(cands)/workers : (shard+1)*len(cands)/workers]
 	}
 	if len(cands) >= batchFallbackMin {
-		plan := r.newBatchPlan(tbl, filters, width, path)
+		plan := r.newBatchPlan(tbl, filters, cmps, width, path)
 		return func(shard int, emit emitFn) error {
 			_, forward := pipeline(emit)
 			return batchRefine(tbl, *path, plan.newExec(), chunk(shard), forward)

@@ -13,14 +13,14 @@ import (
 const BatchSize = 256
 
 // ColBatch is a column-batch view over up to a few hundred encoded
-// tuples: the batch-at-a-time executor's unit of work. Tuple bytes are
-// copied into one contiguous arena (a heap scan's tuple slice is only
-// valid during its callback), per-column byte offsets are recorded in
-// flat arrays built from the LazyTuple offset walk, and the envelope of
-// an optional prefilter geometry column is stored in structure-of-arrays
-// float64 slices so the MBR window test runs as one tight loop per
-// batch. Survivors are carried in the Sel selection vector; materialized
-// column values live in a flat row backing reused across batches.
+// tuples: the batch-at-a-time executor's unit of work. Append walks and
+// validates each tuple where it lies (a heap scan's tuple slice is the
+// pinned page, valid only during its callback), applies the scan's
+// TupleFilter there, and copies only the tuples that pass into one
+// contiguous arena, recording their per-column byte offsets in flat
+// arrays. Survivors are carried in the Sel selection vector;
+// materialized column values live in a flat row backing reused across
+// batches.
 //
 // A ColBatch is reused morsel after morsel (Reset) and is not safe for
 // concurrent use; each scan worker owns one. Everything a batch hands
@@ -36,13 +36,6 @@ type ColBatch struct {
 	colEnds []int32 // n*nCols offsets just past each column
 	ids     []int64 // packed row ids, one per slot
 
-	// Envelope SoA arrays for the prefilter column; an empty envelope is
-	// stored with inverted infinities so the window test rejects it with
-	// plain comparisons, and hasEnv is false for NULL / non-geometry
-	// slots (matching the ok=false skip of the row path).
-	minX, minY, maxX, maxY []float64
-	hasEnv                 []bool
-
 	// Sel lists the slots still alive after filtering, in slot order.
 	Sel []int
 
@@ -56,6 +49,36 @@ type ColBatch struct {
 	Scratch []byte
 
 	lt LazyTuple // offset-walk scratch
+}
+
+// TupleFilter is the test a batch scan applies to each tuple before
+// copying it into the batch: the tuple's MBRCol geometry envelope must
+// intersect Window (when MBRCol >= 0; a NULL geometry fails, as the row
+// path's `!ok || !env.Intersects(window)` skip does), and no comparison
+// in Compares may certainly reject it. It is a superset filter: every
+// row it drops, the exact filters downstream would drop without error,
+// and they still run on every row it keeps.
+type TupleFilter struct {
+	MBRCol   int
+	Window   geom.Rect
+	Compares []ColCompare
+}
+
+// keep applies f to the tuple lt was just Reset with.
+func (f *TupleFilter) keep(lt *LazyTuple) (bool, error) {
+	if f.MBRCol >= 0 {
+		env, ok, err := lt.GeomEnvelope(f.MBRCol)
+		if err != nil || !ok || !env.Intersects(f.Window) {
+			return false, err
+		}
+	}
+	for i := range f.Compares {
+		c := &f.Compares[i]
+		if c.drops(lt.col(c.Col)) {
+			return false, nil
+		}
+	}
+	return true, nil
 }
 
 // colBatchPool recycles batches (and their grown arenas) across scans.
@@ -77,11 +100,6 @@ func (b *ColBatch) Reset(width, nCols int) {
 	b.colOffs = b.colOffs[:0]
 	b.colEnds = b.colEnds[:0]
 	b.ids = b.ids[:0]
-	b.minX = b.minX[:0]
-	b.minY = b.minY[:0]
-	b.maxX = b.maxX[:0]
-	b.maxY = b.maxY[:0]
-	b.hasEnv = b.hasEnv[:0]
 	b.Sel = b.Sel[:0]
 	b.Coords.Reset()
 }
@@ -95,70 +113,34 @@ func (b *ColBatch) Width() int { return b.width }
 // ID returns the packed row id of a slot.
 func (b *ColBatch) ID(slot int) int64 { return b.ids[slot] }
 
-// Append copies one encoded tuple into the batch, validating it and
-// recording its column offsets. When mbrCol >= 0 the envelope of that
-// geometry column (read straight from the WKB header) is pushed onto
-// the SoA prefilter arrays. Errors are the raw storage errors; callers
-// wrap them with table/record context exactly as the row path does.
-func (b *ColBatch) Append(id int64, tuple []byte, mbrCol int) error {
-	start := len(b.arena)
-	b.arena = append(b.arena, tuple...)
-	if err := b.lt.Reset(b.arena[start:], b.nCols); err != nil {
-		b.arena = b.arena[:start]
+// Append validates one encoded tuple in place and, when f is non-nil,
+// reads its f.MBRCol envelope and applies f. A tuple that passes — every
+// valid tuple when f is nil — is copied into the arena with its
+// already-walked column offsets rebased, and its slot joins the
+// selection. The structural validation and the envelope read run for
+// every tuple, so a corrupt tuple errors whether or not f would drop
+// it. Errors are the raw storage errors; callers wrap them with
+// table/record context exactly as the row path does.
+func (b *ColBatch) Append(id int64, tuple []byte, f *TupleFilter) error {
+	if err := b.lt.Reset(tuple, b.nCols); err != nil {
 		return err
 	}
+	if f != nil {
+		if keep, err := f.keep(&b.lt); err != nil || !keep {
+			return err
+		}
+	}
+	start := len(b.arena)
+	b.arena = append(b.arena, tuple...)
 	offs, ends := b.lt.Offsets()
 	for i := range offs {
 		b.colOffs = append(b.colOffs, int32(start+offs[i]))
 		b.colEnds = append(b.colEnds, int32(start+ends[i]))
 	}
-	if mbrCol >= 0 {
-		env, ok, err := b.lt.GeomEnvelope(mbrCol)
-		if err != nil {
-			b.arena = b.arena[:start]
-			b.colOffs = b.colOffs[:b.n*b.nCols]
-			b.colEnds = b.colEnds[:b.n*b.nCols]
-			return err
-		}
-		b.minX = append(b.minX, env.MinX)
-		b.minY = append(b.minY, env.MinY)
-		b.maxX = append(b.maxX, env.MaxX)
-		b.maxY = append(b.maxY, env.MaxY)
-		b.hasEnv = append(b.hasEnv, ok)
-	}
 	b.ids = append(b.ids, id)
+	b.Sel = append(b.Sel, b.n)
 	b.n++
 	return nil
-}
-
-// FilterWindow runs the flat MBR prefilter kernel: one pass over the
-// SoA envelope arrays, selecting slots whose envelope intersects w.
-// The comparisons replicate geom.Rect.Intersects exactly — an empty
-// slot envelope (inverted infinities) fails them, a NULL/non-geometry
-// slot is rejected via hasEnv — so the surviving set is precisely the
-// set the row path's `!ok || !env.Intersects(window)` skip keeps.
-func (b *ColBatch) FilterWindow(w geom.Rect) {
-	b.Sel = b.Sel[:0]
-	if w.IsEmpty() {
-		return
-	}
-	minX, minY := b.minX[:b.n], b.minY[:b.n]
-	maxX, maxY := b.maxX[:b.n], b.maxY[:b.n]
-	has := b.hasEnv[:b.n]
-	for i := 0; i < b.n; i++ {
-		if has[i] && minX[i] <= w.MaxX && w.MinX <= maxX[i] &&
-			minY[i] <= w.MaxY && w.MinY <= maxY[i] {
-			b.Sel = append(b.Sel, i)
-		}
-	}
-}
-
-// SelectAll marks every slot as selected.
-func (b *ColBatch) SelectAll() {
-	b.Sel = b.Sel[:0]
-	for i := 0; i < b.n; i++ {
-		b.Sel = append(b.Sel, i)
-	}
 }
 
 // ResetRows sizes and zeroes the flat row backing for the current slot
@@ -199,7 +181,7 @@ func (b *ColBatch) ColType(slot, col int) ValueType {
 // GeomWKB returns the raw WKB payload of a geometry column, aliasing
 // the batch arena. Only valid when ColType reports TypeGeom.
 func (b *ColBatch) GeomWKB(slot, col int) []byte {
-	return geomWKBBytes(b.col(slot, col))
+	return payloadBytes(b.col(slot, col))
 }
 
 // Col materializes one column of one slot, decoding geometries onto the
@@ -217,7 +199,7 @@ func (b *ColBatch) ColArena(slot, col int) (Value, error) {
 	if ValueType(buf[0]) != TypeGeom {
 		return decodeColBytes(buf, col)
 	}
-	g, err := geom.UnmarshalWKBArena(geomWKBBytes(buf), &b.Coords)
+	g, err := geom.UnmarshalWKBArena(payloadBytes(buf), &b.Coords)
 	if err != nil {
 		return Null(), fmt.Errorf("storage: column %d: %w", col, err)
 	}

@@ -305,11 +305,11 @@ func (h *HeapFile) ScanShard(shard, nshards int, fn func(rid RecordID, tuple []b
 		return fmt.Errorf("storage: shard %d of %d out of range", shard, nshards)
 	}
 	h.mu.RLock()
-	pages := append([]uint32(nil), h.pages...)
+	lo := shard * len(h.pages) / nshards
+	hi := (shard + 1) * len(h.pages) / nshards
+	pages := append([]uint32(nil), h.pages[lo:hi]...)
 	h.mu.RUnlock()
-	lo := shard * len(pages) / nshards
-	hi := (shard + 1) * len(pages) / nshards
-	return h.scanPages(pages[lo:hi], fn)
+	return h.scanPages(pages, fn)
 }
 
 // scanPages drives Scan/ScanShard over the given data pages.

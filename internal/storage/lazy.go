@@ -121,8 +121,11 @@ func (lt *LazyTuple) GeomEnvelope(i int) (geom.Rect, bool, error) {
 // Values are decoded fresh on every call; callers wanting memoization
 // layer it above this.
 func (lt *LazyTuple) Col(i int) (Value, error) {
-	return decodeColBytes(lt.data[lt.offs[i]:lt.ends[i]], i)
+	return decodeColBytes(lt.col(i), i)
 }
+
+// col returns the encoded byte range of column i (type tag first).
+func (lt *LazyTuple) col(i int) []byte { return lt.data[lt.offs[i]:lt.ends[i]] }
 
 // decodeColBytes materializes one encoded column from its byte range
 // (type tag through end); i is used only for error text. Shared by
@@ -145,7 +148,7 @@ func decodeColBytes(buf []byte, i int) (Value, error) {
 		pos += read
 		return NewText(string(buf[pos : pos+int(l)])), nil
 	case TypeGeom:
-		g, err := geom.UnmarshalWKB(geomWKBBytes(buf))
+		g, err := geom.UnmarshalWKB(payloadBytes(buf))
 		if err != nil {
 			return Null(), fmt.Errorf("storage: column %d: %w", i, err)
 		}
@@ -154,9 +157,9 @@ func decodeColBytes(buf []byte, i int) (Value, error) {
 	return Null(), fmt.Errorf("storage: unknown value type %d in column %d", t, i)
 }
 
-// geomWKBBytes returns the WKB payload of an encoded geometry column
-// (buf starts at the type tag, which must be TypeGeom).
-func geomWKBBytes(buf []byte) []byte {
+// payloadBytes returns the payload of an encoded text or geometry
+// column — the WKB of a geometry (buf starts at the type tag).
+func payloadBytes(buf []byte) []byte {
 	l, read := binary.Uvarint(buf[1:])
 	return buf[1+read : 1+read+int(l)]
 }
