@@ -100,10 +100,11 @@ func TestHashJoinCrossTypeNumericKeys(t *testing.T) {
 	e := Open(GaiaDB())
 	e.MustExec("CREATE TABLE ints (k INTEGER)")
 	e.MustExec("CREATE TABLE floats (k DOUBLE)")
-	e.MustExec("INSERT INTO ints VALUES (1), (2), (3)")
-	e.MustExec("INSERT INTO floats VALUES (2.0), (3.0), (4.5)")
+	// 0 and -0.0 are equal, so they must share a hash bucket.
+	e.MustExec("INSERT INTO ints VALUES (1), (2), (3), (0)")
+	e.MustExec("INSERT INTO floats VALUES (2.0), (3.0), (4.5), (-0.0)")
 	res := e.MustExec("SELECT COUNT(*) FROM ints i JOIN floats f ON f.k = i.k")
-	if res.Rows[0][0].Int != 2 {
-		t.Errorf("cross-type join count = %v, want 2", res.Rows[0][0])
+	if res.Rows[0][0].Int != 3 {
+		t.Errorf("cross-type join count = %v, want 3", res.Rows[0][0])
 	}
 }

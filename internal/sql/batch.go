@@ -7,14 +7,6 @@ import (
 	"jackpine/internal/storage"
 )
 
-// batchFallbackMin is the minimum spatial-window candidate count worth
-// batching. Below it the fixed per-query batch cost (pool checkout,
-// column reset) exceeds the cascade savings — point probes like
-// "polygons containing this point" fetch a couple of rows and regress
-// under batching — so stage0Source picks the row fetch loop for the
-// candidates its one index search returned.
-const batchFallbackMin = 8
-
 // Batch-at-a-time stage-0 execution. Eligible plans replace the
 // tuple-at-a-time scan of the driving table with column batches
 // (storage.ColBatch): a full scan tests each tuple on its page against

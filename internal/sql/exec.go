@@ -428,8 +428,8 @@ func (r *Runner) execSelect(sel *Select, explainOnly bool, rowIDs *[]RowID) (*Re
 			// A PBSM fast-refine conjunct was stripped from the stage
 			// filters but its outer geometry is still read by the probe;
 			// it must not be classified ephemeral.
-			if paths[i].kind == accessPBSM && paths[i].pbsm.refineFC != nil {
-				markColumns(needElse, paths[i].pbsm.refineFC)
+			if spec := paths[i].pbsm; spec != nil && spec.refineFC != nil {
+				markColumns(needElse, spec.refineFC)
 			}
 		}
 		var eph []bool
@@ -444,9 +444,8 @@ func (r *Runner) execSelect(sel *Select, explainOnly bool, rowIDs *[]RowID) (*Re
 		paths[0].ephemeral = eph
 	}
 
-	// Pipeline: scan stage 0, then for each join stage either index
-	// probe, hash probe, partitioned sweep or nested loop, applying
-	// stage filters.
+	// Pipeline: scan stage 0, then probe each join stage's operator,
+	// applying stage filters.
 	// Rows are scope-wide plus, when any stage owns slots, one hidden
 	// cell position per non-final stage, plus, for a DML row selection,
 	// one last hidden position that stage 0 fills with the row id.
@@ -459,8 +458,10 @@ func (r *Runner) execSelect(sel *Select, explainOnly bool, rowIDs *[]RowID) (*Re
 		paths[0].idPos = width
 		width++
 	}
-	hashBuilt := make([]map[string][][]storage.Value, len(tables))
-	pbsmBuilt := make([]*pbsmState, len(tables))
+	joins := make([]*joinOp, len(tables))
+	for i := 1; i < len(tables); i++ {
+		joins[i] = r.newJoinOp(tables[i].tbl, paths[i], tables[i].lo)
+	}
 	// Comparison filters compile once per plan (compare.go).
 	stageCmps := make([][]*comparator, len(tables))
 	for i, filters := range stageFilters {
@@ -507,11 +508,11 @@ func (r *Runner) execSelect(sel *Select, explainOnly bool, rowIDs *[]RowID) (*Re
 		}
 	}
 	// joinStage drives each outer row through join stage >= 1 into
-	// emitRow. It owns the stage's scratch tuple: the outer prefix is
-	// copied in once per probe, each candidate's inner columns once per
-	// candidate.
+	// emitRow. It owns the stage's scratch: the tuple the outer prefix is
+	// copied into once per probe, each candidate's inner columns once per
+	// candidate, and the PBSM refine buffers.
 	joinStage := func(stage int, prep []preparedFilter, emitRow emitFn) emitFn {
-		bt, path := tables[stage], &paths[stage]
+		op := joins[stage]
 		full := make([]storage.Value, width)
 		var sc pbsmScratch
 		return func(prefix []storage.Value) (bool, error) {
@@ -525,13 +526,7 @@ func (r *Runner) execSelect(sel *Select, explainOnly bool, rowIDs *[]RowID) (*Re
 			for i := range prep {
 				prep[i] = preparedFilter{spec: prep[i].spec}
 			}
-			switch path.kind {
-			case accessHashJoin:
-				return r.scanHashJoin(bt.tbl, *path, full, bt.lo, &hashBuilt[stage], emitRow)
-			case accessPBSM:
-				return r.scanPBSM(bt.tbl, *path, full, bt.lo, &pbsmBuilt[stage], &sc, emitRow)
-			}
-			return r.scanTable(bt.tbl, *path, full, bt.lo, emitRow)
+			return op.probe(full, &sc, emitRow)
 		}
 	}
 	// pipeline builds one worker's stages over its sink, once per shard,
@@ -558,22 +553,12 @@ func (r *Runner) execSelect(sel *Select, explainOnly bool, rowIDs *[]RowID) (*Re
 	// Sinks: aggregation, ordering, limit, projection.
 	res := &Result{}
 	labels := make([]string, len(tables))
-	for i := range tables {
-		labels[i] = paths[i].kind.String()
-		if i > 0 {
-			// Join stages surface their strategy, fastpath-label style.
-			switch paths[i].kind {
-			case accessPBSM:
-				labels[i] = fmt.Sprintf("pbsm(cells=%dx%d)", paths[i].pbsm.gx, paths[i].pbsm.gy)
-			case accessSpatialWindow:
-				labels[i] = fmt.Sprintf("inl(index=%s)", paths[i].idxCol)
-			case accessHashJoin:
-				labels[i] = "hash"
-			}
-		}
-		if i == 0 && workers > 1 {
-			labels[i] = fmt.Sprintf("parallel %s (%d workers)", labels[i], workers)
-		}
+	labels[0] = paths[0].kind.String()
+	if workers > 1 {
+		labels[0] = fmt.Sprintf("parallel %s (%d workers)", labels[0], workers)
+	}
+	for i := 1; i < len(tables); i++ {
+		labels[i] = joins[i].label
 	}
 	for i, bt := range tables {
 		res.Access = append(res.Access, bt.binding+":"+labels[i])
@@ -603,13 +588,9 @@ func (r *Runner) execSelect(sel *Select, explainOnly bool, rowIDs *[]RowID) (*Re
 		}
 		return res, nil
 	}
-	if len(tables) > 1 {
-		switch paths[1].kind {
-		case accessPBSM:
-			r.joinPBSM.Add(1)
-		case accessSpatialWindow:
-			r.joinINL.Add(1)
-		}
+	// A join statement counts once, under its first join stage's strategy.
+	if len(tables) > 1 && joins[1].stat != nil {
+		joins[1].stat.Add(1)
 	}
 
 	// Collected before stage 0 is built, so an invalid select list fails
@@ -621,27 +602,6 @@ func (r *Runner) execSelect(sel *Select, explainOnly bool, rowIDs *[]RowID) (*Re
 			return nil, err
 		}
 	}
-	// Parallel plans materialize hash-join and PBSM build sides up front:
-	// the lazy build inside the scan would race once workers share it.
-	if workers > 1 {
-		for i := range tables {
-			if paths[i].kind == accessHashJoin {
-				built, err := r.buildHashTable(tables[i].tbl, paths[i])
-				if err != nil {
-					return nil, err
-				}
-				hashBuilt[i] = built
-			}
-			if paths[i].kind == accessPBSM {
-				built, err := r.acquirePBSM(paths[i].pbsm, paths[i].need)
-				if err != nil {
-					return nil, err
-				}
-				pbsmBuilt[i] = built
-			}
-		}
-	}
-
 	// Stage 0: serial plans are the one-worker case of the same source.
 	runShard, err := r.stage0Source(tables[0].tbl, batch0, &paths[0], stageFilters[0], stageCmps[0],
 		width, workers, pipeline)
@@ -891,6 +851,8 @@ func (r *Runner) scanTable(tbl Table, path accessPath, full []storage.Value,
 		return full
 	}
 
+	// probe enumerates an index path's row ids into its callback.
+	var probe func(fn func(RowID) bool)
 	switch path.kind {
 	case accessFullScan:
 		proj, skip, err := path.scanProjection(full, r.reg)
@@ -916,6 +878,9 @@ func (r *Runner) scanTable(tbl Table, path accessPath, full []storage.Value,
 		}
 		return cont, err
 
+	case accessKNN:
+		return r.scanKNN(tbl, path, full, lo, emit)
+
 	case accessSpatialWindow:
 		window, err := path.evalWindow(full, r.reg)
 		if err != nil {
@@ -924,23 +889,7 @@ func (r *Runner) scanTable(tbl Table, path accessPath, full []storage.Value,
 		if window.IsEmpty() {
 			return true, nil
 		}
-		cont := true
-		var innerErr error
-		path.spatial.Search(window, func(id RowID) bool {
-			row, err := tbl.FetchProject(id, path.need)
-			if err != nil {
-				innerErr = err
-				return false
-			}
-			c, err := emit(pad(id, row))
-			if err != nil {
-				innerErr = err
-				return false
-			}
-			cont = c
-			return c
-		})
-		return cont, innerErr
+		probe = func(fn func(RowID) bool) { path.spatial.Search(window, fn) }
 
 	case accessAttrSeek:
 		key, ok, err := r.buildAttrKeyPrefix(path, full)
@@ -950,23 +899,7 @@ func (r *Runner) scanTable(tbl Table, path accessPath, full []storage.Value,
 		if !ok {
 			return true, nil
 		}
-		cont := true
-		var innerErr error
-		path.attr.Seek(key, func(id RowID) bool {
-			row, err := tbl.FetchProject(id, path.need)
-			if err != nil {
-				innerErr = err
-				return false
-			}
-			c, err := emit(pad(id, row))
-			if err != nil {
-				innerErr = err
-				return false
-			}
-			cont = c
-			return c
-		})
-		return cont, innerErr
+		probe = func(fn func(RowID) bool) { path.attr.Seek(key, fn) }
 
 	case accessAttrRange:
 		keyPrefix, ok, err := r.buildAttrKeyPrefix(path, full)
@@ -1004,93 +937,30 @@ func (r *Runner) scanTable(tbl Table, path accessPath, full []storage.Value,
 		if len(loKey) == 0 {
 			loKey = nil
 		}
-		cont := true
-		var innerErr error
-		path.attr.Range(loKey, hiKey, true, hiInc, func(id RowID) bool {
-			row, err := tbl.FetchProject(id, path.need)
-			if err != nil {
-				innerErr = err
-				return false
-			}
-			c, err := emit(pad(id, row))
-			if err != nil {
-				innerErr = err
-				return false
-			}
-			cont = c
-			return c
-		})
-		return cont, innerErr
+		probe = func(fn func(RowID) bool) { path.attr.Range(loKey, hiKey, true, hiInc, fn) }
 
-	case accessKNN:
-		return r.scanKNN(tbl, path, full, lo, emit)
+	default:
+		return false, fmt.Errorf("sql: unknown access path")
 	}
-	return false, fmt.Errorf("sql: unknown access path")
-}
 
-// hashJoinKey builds a bucket key that collides for numerically equal
-// values; the original equality conjunct remains in the stage's residual
-// filter, so over-wide buckets are re-checked exactly.
-func hashJoinKey(v storage.Value) (string, bool) {
-	if v.IsNull() {
-		return "", false // SQL equality never matches NULL
-	}
-	if f, ok := v.AsFloat(); ok {
-		var b [9]byte
-		b[0] = 'n'
-		bits := math.Float64bits(f)
-		for i := 0; i < 8; i++ {
-			b[1+i] = byte(bits >> (8 * i))
-		}
-		return string(b[:]), true
-	}
-	return string(storage.EncodeTuple([]storage.Value{v})), true
-}
-
-// buildHashTable materializes a hash join's build side, bucketed by the
-// join key of the build column.
-func (r *Runner) buildHashTable(tbl Table, path accessPath) (map[string][][]storage.Value, error) {
-	table := make(map[string][][]storage.Value)
-	err := tbl.ScanProject(Projection{Need: path.need, MBRCol: -1}, func(_ RowID, row []storage.Value) bool {
-		if key, ok := hashJoinKey(row[path.hashCol]); ok {
-			table[key] = append(table[key], append([]storage.Value(nil), row...))
-		}
-		return true
-	})
-	if err != nil {
-		return nil, err
-	}
-	return table, nil
-}
-
-// scanHashJoin probes the build table (materialized once per query) with
-// the outer row's key, filling the scratch tuple full like scanTable.
-func (r *Runner) scanHashJoin(tbl Table, path accessPath, full []storage.Value,
-	lo int, built *map[string][][]storage.Value, emit emitFn) (bool, error) {
-
-	if *built == nil {
-		table, err := r.buildHashTable(tbl, path)
+	// Index paths: fetch and emit each row id the probe yields.
+	cont := true
+	var innerErr error
+	probe(func(id RowID) bool {
+		row, err := tbl.FetchProject(id, path.need)
 		if err != nil {
-			return false, err
+			innerErr = err
+			return false
 		}
-		*built = table
-	}
-	probe, err := Eval(path.hashExpr, full, r.reg)
-	if err != nil {
-		return false, err
-	}
-	key, ok := hashJoinKey(probe)
-	if !ok {
-		return true, nil
-	}
-	for _, row := range (*built)[key] {
-		copy(full[lo:], row)
-		cont, err := emit(full)
-		if err != nil || !cont {
-			return cont, err
+		c, err := emit(pad(id, row))
+		if err != nil {
+			innerErr = err
+			return false
 		}
-	}
-	return true, nil
+		cont = c
+		return c
+	})
+	return cont, innerErr
 }
 
 // knnCand is a heap element for the kNN re-ranking scan.

@@ -234,11 +234,10 @@ func (x countingAttr) Range(lo, hi []byte, loInc, hiInc bool, fn func(sql.RowID)
 
 // TestStage0SearchesIndexOnce pins a stage-0 spatial window to one index
 // search per statement whatever it finds, serial or parallel, batch on
-// or off: the batch/row choice reads the candidates of that one search.
-// Batches run only with batch execution on and at least eight
-// candidates, stage 0 runs parallel only with batch execution on (off
-// selects the serial row-at-a-time reference), and every configuration
-// returns the serial row path's rows byte for byte.
+// or off. Batches run whenever batch execution is on and the search
+// finds a candidate, stage 0 runs parallel only with batch execution on
+// (off selects the serial row-at-a-time reference), and every
+// configuration returns the serial row path's rows byte for byte.
 func TestStage0SearchesIndexOnce(t *testing.T) {
 	var n accessCounts
 	searches := &n.searches
@@ -282,7 +281,7 @@ func TestStage0SearchesIndexOnce(t *testing.T) {
 					if got := searches.Load(); got != 1 {
 						t.Errorf("%s: %d index searches, want 1", cfg, got)
 					}
-					if batches, _ := run.BatchStats(); (batches > 0) != (batch && n >= 8) {
+					if batches, _ := run.BatchStats(); (batches > 0) != (batch && n > 0) {
 						t.Errorf("%s: %d batches", cfg, batches)
 					}
 					if parallel := strings.Contains(res.Access[0], "parallel"); parallel != (par > 1 && batch) {

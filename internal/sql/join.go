@@ -1,0 +1,136 @@
+package sql
+
+import (
+	"fmt"
+	"math"
+	"sync"
+	"sync/atomic"
+
+	"jackpine/internal/storage"
+)
+
+// joinOp is one join stage's operator, chosen once per plan from the
+// stage's access path: an index nested loop (any path scanTable drives,
+// the index-less rescan included), a hash probe, or a PBSM sweep probe.
+// It names the stage for EXPLAIN and Result.Access and carries the
+// JoinStats counter of its strategy. Its shared state — the hash
+// table, the sweep state — opens at most once per statement, on the
+// first probe from any worker, so a plan whose outer side yields no rows
+// never builds it; every later probe only reads it. Per-worker scratch
+// belongs to the caller.
+type joinOp struct {
+	r     *Runner
+	tbl   Table
+	path  accessPath
+	lo    int // the stage table's first scope offset
+	label string
+	stat  *atomic.Int64 // JoinStats counter of the strategy; nil for uncounted ones
+
+	once sync.Once
+	err  error                        // the build error, returned by every probe
+	hash map[string][][]storage.Value // hash join build side, bucketed by key
+	pbsm *pbsmState                   // PBSM candidate index
+}
+
+// newJoinOp chooses the operator of the join stage reading tbl through
+// path at scope offset lo.
+func (r *Runner) newJoinOp(tbl Table, path accessPath, lo int) *joinOp {
+	op := &joinOp{r: r, tbl: tbl, path: path, lo: lo, label: path.kind.String()}
+	switch path.kind {
+	case accessSpatialWindow:
+		op.label, op.stat = fmt.Sprintf("inl(index=%s)", path.idxCol), &r.joinINL
+	case accessHashJoin:
+		op.label = "hash"
+	case accessPBSM:
+		op.label = fmt.Sprintf("pbsm(cells=%dx%d)", path.pbsm.gx, path.pbsm.gy)
+		op.stat = &r.joinPBSM
+	}
+	return op
+}
+
+// probe drives one outer row through the stage, first opening the
+// stage's shared state if no probe has yet. full is the worker's scratch
+// tuple holding the outer prefix below lo; each inner row is copied in
+// at lo and full is emitted, borrowed. sc is the worker's PBSM refine
+// scratch.
+func (op *joinOp) probe(full []storage.Value, sc *pbsmScratch, emit emitFn) (bool, error) {
+	// A literal, not a method value: jackpinevet's lock-order graph
+	// follows calls made inside literals only.
+	op.once.Do(func() {
+		switch op.path.kind {
+		case accessHashJoin:
+			op.hash, op.err = op.r.buildHashTable(op.tbl, op.path)
+		case accessPBSM:
+			op.pbsm, op.err = op.r.acquirePBSM(op.path.pbsm, op.path.need)
+		}
+	})
+	if op.err != nil {
+		return false, op.err
+	}
+	switch op.path.kind {
+	case accessHashJoin:
+		return op.probeHash(full, emit)
+	case accessPBSM:
+		return op.probePBSM(full, sc, emit)
+	}
+	return op.r.scanTable(op.tbl, op.path, full, op.lo, emit)
+}
+
+// hashJoinKey builds a bucket key that collides for numerically equal
+// values, -0 and +0 included; the original equality conjunct remains in
+// the stage's residual filter, so over-wide buckets are re-checked
+// exactly.
+func hashJoinKey(v storage.Value) (string, bool) {
+	if v.IsNull() {
+		return "", false // SQL equality never matches NULL
+	}
+	if f, ok := v.AsFloat(); ok {
+		if f == 0 {
+			f = 0 // storage.Compare calls -0 and +0 equal
+		}
+		var b [9]byte
+		b[0] = 'n'
+		bits := math.Float64bits(f)
+		for i := 0; i < 8; i++ {
+			b[1+i] = byte(bits >> (8 * i))
+		}
+		return string(b[:]), true
+	}
+	return string(storage.EncodeTuple([]storage.Value{v})), true
+}
+
+// buildHashTable materializes a hash join's build side, bucketed by the
+// join key of the build column.
+func (r *Runner) buildHashTable(tbl Table, path accessPath) (map[string][][]storage.Value, error) {
+	table := make(map[string][][]storage.Value)
+	err := tbl.ScanProject(Projection{Need: path.need, MBRCol: -1}, func(_ RowID, row []storage.Value) bool {
+		if key, ok := hashJoinKey(row[path.hashCol]); ok {
+			table[key] = append(table[key], append([]storage.Value(nil), row...))
+		}
+		return true
+	})
+	if err != nil {
+		return nil, err
+	}
+	return table, nil
+}
+
+// probeHash emits the build rows in the outer row's key bucket.
+func (op *joinOp) probeHash(full []storage.Value, emit emitFn) (bool, error) {
+	probe, err := Eval(op.path.hashExpr, full, op.r.reg)
+	if err != nil {
+		return false, err
+	}
+	key, ok := hashJoinKey(probe)
+	if !ok {
+		return true, nil
+	}
+	for _, row := range op.hash[key] {
+		copy(full[op.lo:], row)
+		cont, err := emit(full)
+		if err != nil || !cont {
+			return cont, err
+		}
+	}
+	return true, nil
+}

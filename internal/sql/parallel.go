@@ -12,7 +12,8 @@ import (
 // scans shard the heap into contiguous page ranges (Table.ScanBatch),
 // and spatial-window scans collect candidate row ids from the MBR index
 // once, then refine (fetch + exact predicate) in contiguous chunks.
-// Join stages run inside each worker against read-only state. Shard
+// Join stages run inside each worker; a stage's shared build state opens
+// once, on the first probe from any worker, and is read-only after. Shard
 // results merge strictly in shard order, so a parallel plan returns
 // exactly the rows — and row order — of its serial counterpart.
 // Unbatched plans, including every plan with batch execution off, run
@@ -55,13 +56,11 @@ func (r *Runner) stage0Exec(sel *Select, tbl Table, kind accessKind, hasAgg, knn
 // split the candidates into contiguous chunks, so shard concatenation
 // reproduces the serial row order; a full scan also hands the table the
 // stage's column-versus-literal comparisons to test before copying
-// (Projection.Compares). A window runs the batch cascade when the
-// search found at least batchFallbackMin candidates, else the row fetch
-// loop. Each shard builds its pipeline over its sink once and
-// fills one stage-0 scratch tuple per row: the row path enters the
-// pipeline through stage 0's filters, the batch cascade, which applies
-// them itself, past them. cmps holds each filter's compiled comparator
-// (nil for other shapes).
+// (Projection.Compares). Each shard builds its pipeline over its sink
+// once and fills one stage-0 scratch tuple per row: the row path enters
+// the pipeline through stage 0's filters, the batch cascade, which
+// applies them itself, past them. cmps holds each filter's compiled
+// comparator (nil for other shapes).
 func (r *Runner) stage0Source(tbl Table, batch bool, path *accessPath, filters []Expr,
 	cmps []*comparator, width, workers int,
 	pipeline func(sink emitFn) (filtered, forward emitFn)) (shardFn, error) {
@@ -105,31 +104,11 @@ func (r *Runner) stage0Source(tbl Table, batch bool, path *accessPath, filters [
 			return true
 		})
 	}
-	chunk := func(shard int) []RowID {
-		return cands[shard*len(cands)/workers : (shard+1)*len(cands)/workers]
-	}
-	if len(cands) >= batchFallbackMin {
-		plan := r.newBatchPlan(tbl, filters, cmps, width, path)
-		return func(shard int, emit emitFn) error {
-			_, forward := pipeline(emit)
-			return batchRefine(tbl, *path, plan.newExec(), chunk(shard), forward)
-		}, nil
-	}
+	plan := r.newBatchPlan(tbl, filters, cmps, width, path)
 	return func(shard int, emit emitFn) error {
-		filtered, _ := pipeline(emit)
-		full := make([]storage.Value, width)
-		for _, id := range chunk(shard) {
-			row, err := tbl.FetchProject(id, path.need)
-			if err != nil {
-				return err
-			}
-			copy(full, row)
-			setRowID(full, path.idPos, id)
-			if cont, err := filtered(full); err != nil || !cont {
-				return err
-			}
-		}
-		return nil
+		_, forward := pipeline(emit)
+		chunk := cands[shard*len(cands)/workers : (shard+1)*len(cands)/workers]
+		return batchRefine(tbl, *path, plan.newExec(), chunk, forward)
 	}, nil
 }
 

@@ -769,25 +769,16 @@ type pbsmScratch struct {
 	outs  []bool
 }
 
-// scanPBSM is the probe side of the join stage: compute the outer
+// probePBSM is the probe side of a PBSM join stage: compute the outer
 // window exactly as the INL path would, look up the candidate list, and
 // either emit candidates through the stage filters (safe mode) or
 // refine them in-probe with the batched prepared kernel (fast mode,
 // join conjunct stripped from the filters). full is the stage's scratch
 // tuple holding the outer prefix; each emitted candidate's inner
 // columns are copied in at lo, as in scanTable.
-func (r *Runner) scanPBSM(tbl Table, path accessPath, full []storage.Value,
-	lo int, built **pbsmState, sc *pbsmScratch, emit emitFn) (bool, error) {
-
-	if *built == nil {
-		st, err := r.acquirePBSM(path.pbsm, path.need)
-		if err != nil {
-			return false, err
-		}
-		*built = st
-	}
-	st := *built
-	window, err := path.evalWindow(full, r.reg)
+func (op *joinOp) probePBSM(full []storage.Value, sc *pbsmScratch, emit emitFn) (bool, error) {
+	st, path := op.pbsm, &op.path
+	window, err := path.evalWindow(full, op.r.reg)
 	if err != nil {
 		return false, err
 	}
@@ -802,14 +793,14 @@ func (r *Runner) scanPBSM(tbl Table, path accessPath, full []storage.Value,
 		return true, nil
 	}
 	if path.pbsm.refineFC != nil {
-		return r.pbsmRefine(tbl, st, path, full, lo, ids, sc, emit)
+		return op.pbsmRefine(full, ids, sc, emit)
 	}
 	for _, id := range ids {
-		row, err := st.fetch(tbl, id, path.need)
+		row, err := st.fetch(op.tbl, id, path.need)
 		if err != nil {
 			return false, err
 		}
-		copy(full[lo:], row)
+		copy(full[op.lo:], row)
 		cont, err := emit(full)
 		if err != nil || !cont {
 			return cont, err
@@ -826,10 +817,8 @@ func (r *Runner) scanPBSM(tbl Table, path accessPath, full []storage.Value,
 // The inner operand is a bare column reference (findPBSMConjunct
 // guarantees it), so it is read straight off the candidate's inner row,
 // and only survivors are copied into full.
-func (r *Runner) pbsmRefine(tbl Table, st *pbsmState, path accessPath, full []storage.Value,
-	lo int, ids []RowID, sc *pbsmScratch, emit emitFn) (bool, error) {
-
-	spec := path.pbsm
+func (op *joinOp) pbsmRefine(full []storage.Value, ids []RowID, sc *pbsmScratch, emit emitFn) (bool, error) {
+	r, st, spec := op.r, op.pbsm, op.path.pbsm
 	ov, err := Eval(spec.refineFC.Args[spec.refineOuterArg], full, r.reg)
 	if err != nil {
 		return false, err
@@ -844,7 +833,7 @@ func (r *Runner) pbsmRefine(tbl Table, st *pbsmState, path accessPath, full []st
 	// inner reads one candidate's inner row and its geometry operand; a
 	// nil geometry (NULL operand) drops the candidate.
 	inner := func(id RowID) ([]storage.Value, geom.Geometry, error) {
-		row, err := st.fetch(tbl, id, path.need)
+		row, err := st.fetch(op.tbl, id, op.path.need)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -858,7 +847,7 @@ func (r *Runner) pbsmRefine(tbl Table, st *pbsmState, path accessPath, full []st
 		return row, v.Geom, nil
 	}
 	emitInner := func(row []storage.Value) (bool, error) {
-		copy(full[lo:], row)
+		copy(full[op.lo:], row)
 		return emit(full)
 	}
 	if spec.refineDWithin {

@@ -2,6 +2,8 @@ package tiger
 
 import (
 	"fmt"
+	"strconv"
+	"strings"
 
 	"jackpine/internal/geom"
 )
@@ -48,91 +50,83 @@ const insertBatch = 200
 // builds the indexes. Set withIndexes false to leave all tables unindexed
 // (the index-effect experiment loads that way and indexes selectively).
 func Load(db Execer, ds *Dataset, withIndexes bool) error {
-	for _, ddl := range Schema() {
+	return load(db, ds, withIndexes, "", Schema(), nil)
+}
+
+// load is the body of Load and LoadShard: it runs the schema DDL,
+// inserts every feature keep accepts (all of them when keep is nil) in
+// batches of insertBatch rows per table, in the order edges, areawater,
+// arealm, parcels, pointlm, and builds the indexes. With keep set, each
+// row carries its feature's position in its table's dataset order as a
+// trailing _seq value. what prefixes the DDL error messages.
+func load(db Execer, ds *Dataset, withIndexes bool, what string, schema []string,
+	keep func(geom.Geometry) bool) error {
+
+	for _, ddl := range schema {
 		if err := db.Exec(ddl); err != nil {
-			return fmt.Errorf("tiger: schema: %w", err)
+			return fmt.Errorf("tiger: %sschema: %w", what, err)
 		}
 	}
-	quote := func(s string) string {
-		out := make([]byte, 0, len(s)+2)
-		for i := 0; i < len(s); i++ {
-			if s[i] == '\'' {
-				out = append(out, '\'')
+	quote := func(s string) string { return strings.ReplaceAll(s, "'", "''") }
+	// A layer's cols formats feature i's columns before its geometry.
+	type layer struct {
+		table string
+		n     int
+		shape func(i int) geom.Geometry
+		cols  func(i int) string
+	}
+	named := func(id int64, name, category string) string {
+		return fmt.Sprintf("%d, '%s', '%s', ", id, quote(name), quote(category))
+	}
+	areas := func(table string, rows []Area) layer {
+		return layer{table, len(rows), func(i int) geom.Geometry { return rows[i].Geom },
+			func(i int) string { return named(rows[i].ID, rows[i].Name, rows[i].Category) }}
+	}
+	pts := ds.PointLandmarks
+	for _, l := range []layer{
+		{"edges", len(ds.Edges), func(i int) geom.Geometry { return ds.Edges[i].Geom }, func(i int) string {
+			e := ds.Edges[i]
+			return fmt.Sprintf("%d, '%s', '%s', %d, %d, ", e.ID, quote(e.Name), e.Class, e.FromAddr, e.ToAddr)
+		}},
+		areas("areawater", ds.AreaWater),
+		areas("arealm", ds.AreaLandmarks),
+		areas("parcels", ds.Parcels),
+		{"pointlm", len(pts), func(i int) geom.Geometry { return pts[i].Geom },
+			func(i int) string { return named(pts[i].ID, pts[i].Name, pts[i].Category) }},
+	} {
+		var batch []string
+		flush := func() error {
+			if len(batch) == 0 {
+				return nil
 			}
-			out = append(out, s[i])
-		}
-		return string(out)
-	}
-	wkt := func(g geom.Geometry) string {
-		return "ST_GeomFromText('" + geom.WKT(g) + "')"
-	}
-
-	var batch []string
-	flush := func(table string) error {
-		if len(batch) == 0 {
-			return nil
-		}
-		stmt := "INSERT INTO " + table + " VALUES "
-		for i, row := range batch {
-			if i > 0 {
-				stmt += ", "
-			}
-			stmt += row
-		}
-		batch = batch[:0]
-		return db.Exec(stmt)
-	}
-	add := func(table, row string) error {
-		batch = append(batch, row)
-		if len(batch) >= insertBatch {
-			return flush(table)
-		}
-		return nil
-	}
-
-	for _, e := range ds.Edges {
-		row := fmt.Sprintf("(%d, '%s', '%s', %d, %d, %s)",
-			e.ID, quote(e.Name), e.Class, e.FromAddr, e.ToAddr, wkt(e.Geom))
-		if err := add("edges", row); err != nil {
+			err := db.Exec("INSERT INTO " + l.table + " VALUES " + strings.Join(batch, ", "))
+			batch = batch[:0]
 			return err
 		}
-	}
-	if err := flush("edges"); err != nil {
-		return err
-	}
-	areaTables := []struct {
-		name string
-		rows []Area
-	}{
-		{"areawater", ds.AreaWater},
-		{"arealm", ds.AreaLandmarks},
-		{"parcels", ds.Parcels},
-	}
-	for _, at := range areaTables {
-		for _, a := range at.rows {
-			row := fmt.Sprintf("(%d, '%s', '%s', %s)", a.ID, quote(a.Name), quote(a.Category), wkt(a.Geom))
-			if err := add(at.name, row); err != nil {
-				return err
+		for i := 0; i < l.n; i++ {
+			g := l.shape(i)
+			if keep != nil && !keep(g) {
+				continue
+			}
+			row := "(" + l.cols(i) + "ST_GeomFromText('" + geom.WKT(g) + "')"
+			if keep != nil {
+				row += ", " + strconv.Itoa(i)
+			}
+			if batch = append(batch, row+")"); len(batch) >= insertBatch {
+				if err := flush(); err != nil {
+					return err
+				}
 			}
 		}
-		if err := flush(at.name); err != nil {
+		if err := flush(); err != nil {
 			return err
 		}
-	}
-	for _, p := range ds.PointLandmarks {
-		row := fmt.Sprintf("(%d, '%s', '%s', %s)", p.ID, quote(p.Name), quote(p.Category), wkt(p.Geom))
-		if err := add("pointlm", row); err != nil {
-			return err
-		}
-	}
-	if err := flush("pointlm"); err != nil {
-		return err
 	}
 
 	if withIndexes {
 		for _, ddl := range IndexDDL() {
 			if err := db.Exec(ddl); err != nil {
-				return fmt.Errorf("tiger: index: %w", err)
+				return fmt.Errorf("tiger: %sindex: %w", what, err)
 			}
 		}
 	}

@@ -1,10 +1,6 @@
 package tiger
 
-import (
-	"fmt"
-
-	"jackpine/internal/geom"
-)
+import "jackpine/internal/geom"
 
 // seqColumn is the hidden global-insertion-sequence column partitioned
 // tables carry on cluster shards. It must match cluster.SeqColumn (a
@@ -30,107 +26,5 @@ func ShardSchema() []string {
 // mark. Feature iteration order matches Load: edges, areawater, arealm,
 // parcels, pointlm.
 func LoadShard(db Execer, ds *Dataset, withIndexes bool, shard int, assign func(geom.Geometry) int) error {
-	for _, ddl := range ShardSchema() {
-		if err := db.Exec(ddl); err != nil {
-			return fmt.Errorf("tiger: shard schema: %w", err)
-		}
-	}
-	quote := func(s string) string {
-		out := make([]byte, 0, len(s)+2)
-		for i := 0; i < len(s); i++ {
-			if s[i] == '\'' {
-				out = append(out, '\'')
-			}
-			out = append(out, s[i])
-		}
-		return string(out)
-	}
-	wkt := func(g geom.Geometry) string {
-		return "ST_GeomFromText('" + geom.WKT(g) + "')"
-	}
-
-	var batch []string
-	flush := func(table string) error {
-		if len(batch) == 0 {
-			return nil
-		}
-		stmt := "INSERT INTO " + table + " VALUES "
-		for i, row := range batch {
-			if i > 0 {
-				stmt += ", "
-			}
-			stmt += row
-		}
-		batch = batch[:0]
-		return db.Exec(stmt)
-	}
-	add := func(table, row string) error {
-		batch = append(batch, row)
-		if len(batch) >= insertBatch {
-			return flush(table)
-		}
-		return nil
-	}
-
-	seq := 0
-	for _, e := range ds.Edges {
-		if assign(e.Geom) == shard {
-			row := fmt.Sprintf("(%d, '%s', '%s', %d, %d, %s, %d)",
-				e.ID, quote(e.Name), e.Class, e.FromAddr, e.ToAddr, wkt(e.Geom), seq)
-			if err := add("edges", row); err != nil {
-				return err
-			}
-		}
-		seq++
-	}
-	if err := flush("edges"); err != nil {
-		return err
-	}
-	areaTables := []struct {
-		name string
-		rows []Area
-	}{
-		{"areawater", ds.AreaWater},
-		{"arealm", ds.AreaLandmarks},
-		{"parcels", ds.Parcels},
-	}
-	for _, at := range areaTables {
-		seq = 0
-		for _, a := range at.rows {
-			if assign(a.Geom) == shard {
-				row := fmt.Sprintf("(%d, '%s', '%s', %s, %d)",
-					a.ID, quote(a.Name), quote(a.Category), wkt(a.Geom), seq)
-				if err := add(at.name, row); err != nil {
-					return err
-				}
-			}
-			seq++
-		}
-		if err := flush(at.name); err != nil {
-			return err
-		}
-	}
-	seq = 0
-	for _, p := range ds.PointLandmarks {
-		if assign(p.Geom) == shard {
-			row := fmt.Sprintf("(%d, '%s', '%s', %s, %d)",
-				p.ID, quote(p.Name), quote(p.Category), wkt(p.Geom), seq)
-			if err := add("pointlm", row); err != nil {
-				return err
-			}
-		}
-		seq++
-	}
-	if err := flush("pointlm"); err != nil {
-		return err
-	}
-
-	if withIndexes {
-		for _, ddl := range IndexDDL() {
-			if err := db.Exec(ddl); err != nil {
-				return fmt.Errorf("tiger: shard index: %w", err)
-			}
-		}
-	}
-	return nil
+	return load(db, ds, withIndexes, "shard ", ShardSchema(), func(g geom.Geometry) bool { return assign(g) == shard })
 }
