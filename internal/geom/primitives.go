@@ -209,6 +209,20 @@ func ReverseCoords(cs []Coord) {
 	}
 }
 
+// SegParam returns the parameter of p along segment a–b, 0 at a and 1 at
+// b, measured along the segment's dominant axis; 0 for a zero-length
+// segment. Noders use it to order the cuts on a segment.
+func SegParam(a, b, p Coord) float64 {
+	dx, dy := b.X-a.X, b.Y-a.Y
+	if math.Abs(dx) >= math.Abs(dy) {
+		if ExactEq(dx, 0) {
+			return 0
+		}
+		return (p.X - a.X) / dx
+	}
+	return (p.Y - a.Y) / dy
+}
+
 // DistPointSegment returns the distance from p to the closed segment a–b.
 func DistPointSegment(p, a, b Coord) float64 {
 	d := b.Sub(a)

@@ -107,30 +107,36 @@ func validateRing(r Ring) error {
 	return nil
 }
 
-// ringSelfIntersection tests every non-adjacent segment pair for contact.
-// O(n^2), acceptable for the ring sizes the engine stores; rings above a
-// size threshold use an envelope pre-filter per segment.
+// ringSelfIntersection tests every non-adjacent segment pair whose
+// envelopes meet for contact, and reports the first in nested-loop order.
 func ringSelfIntersection(r Ring) error {
 	n := len(r) - 1 // number of segments
-	for i := 0; i < n; i++ {
-		a1, a2 := r[i], r[i+1]
-		env := RectFromPoints(a1, a2)
-		for j := i + 1; j < n; j++ {
-			// Adjacent segments share exactly one endpoint: skip them,
-			// including the wrap pair (last, first).
-			if j == i+1 || (i == 0 && j == n-1) {
-				continue
-			}
-			b1, b2 := r[j], r[j+1]
-			if !env.Intersects(RectFromPoints(b1, b2)) {
-				continue
-			}
-			if kind, pt, _ := SegSegIntersection(a1, a2, b1, b2); kind != SegDisjoint {
-				return fmt.Errorf("geom: ring self-intersection near (%v, %v)", pt.X, pt.Y)
-			}
+	var buf [indexMinSegs]Rect
+	idx := NewSegIndex(ringEnvs(buf[:0], r))
+	var err error
+	idx.SelfPairs(func(i, j int) bool {
+		// Adjacent segments share exactly one endpoint: skip them,
+		// including the wrap pair (last, first).
+		if j == i+1 || (i == 0 && j == n-1) {
+			return true
 		}
+		if kind, pt, _ := SegSegIntersection(r[i], r[i+1], r[j], r[j+1]); kind != SegDisjoint {
+			err = fmt.Errorf("geom: ring self-intersection near (%v, %v)", pt.X, pt.Y)
+			return false
+		}
+		return true
+	})
+	return err
+}
+
+// ringEnvs appends the envelope of each segment of r to dst. Callers
+// pass a stack buffer of indexMinSegs envelopes, so a ring too short
+// for a tree is indexed without allocating.
+func ringEnvs(dst []Rect, r Ring) []Rect {
+	for i := 0; i+1 < len(r); i++ {
+		dst = append(dst, RectFromPoints(r[i], r[i+1]))
 	}
-	return nil
+	return dst
 }
 
 func validatePolygon(p Polygon) error {
@@ -142,7 +148,12 @@ func validatePolygon(p Polygon) error {
 			return fmt.Errorf("ring %d: %w", i, err)
 		}
 	}
+	if len(p) == 1 {
+		return nil
+	}
 	shell := p[0]
+	var buf [indexMinSegs]Rect
+	shellIdx := NewSegIndex(ringEnvs(buf[:0], shell))
 	for i, hole := range p[1:] {
 		// Every hole vertex must be inside or on the shell.
 		for _, c := range hole {
@@ -151,33 +162,23 @@ func validatePolygon(p Polygon) error {
 			}
 		}
 		// Hole boundary must not cross the shell boundary.
-		if ringsCross(hole, shell) {
+		if ringsCross(hole, shell, &shellIdx) {
 			return fmt.Errorf("geom: hole %d crosses shell", i)
 		}
 	}
 	return nil
 }
 
-// ringsCross reports whether two rings have a proper (non-endpoint)
-// segment crossing.
-func ringsCross(a, b Ring) bool {
-	for i := 0; i < len(a)-1; i++ {
-		envA := RectFromPoints(a[i], a[i+1])
-		for j := 0; j < len(b)-1; j++ {
-			if !envA.Intersects(RectFromPoints(b[j], b[j+1])) {
-				continue
-			}
-			kind, pt, _ := SegSegIntersection(a[i], a[i+1], b[j], b[j+1])
-			if kind == SegPoint {
-				// Shared vertices/touches are allowed; a crossing at a
-				// non-vertex point is not.
-				if !pt.Equal(a[i]) && !pt.Equal(a[i+1]) && !pt.Equal(b[j]) && !pt.Equal(b[j+1]) {
-					return true
-				}
-			}
-		}
-	}
-	return false
+// ringsCross reports whether ring a has a proper (non-endpoint) segment
+// crossing with ring b, whose index is bIdx.
+func ringsCross(a, b Ring, bIdx *SegIndex) bool {
+	var buf [indexMinSegs]Rect
+	return !bIdx.Pairs(ringEnvs(buf[:0], a), func(i, j int) bool {
+		kind, pt, _ := SegSegIntersection(a[i], a[i+1], b[j], b[j+1])
+		// Shared vertices/touches are allowed; a crossing at a
+		// non-vertex point is not.
+		return kind != SegPoint || pt.Equal(a[i]) || pt.Equal(a[i+1]) || pt.Equal(b[j]) || pt.Equal(b[j+1])
+	})
 }
 
 // Boundary returns the topological boundary of the geometry per the OGC

@@ -281,9 +281,16 @@ func EncodeInt(v int64) []byte {
 	return b[:]
 }
 
-// EncodeFloat encodes a float64 so byte order matches numeric order
-// (NaNs sort after +Inf).
+// EncodeFloat encodes a float64 so byte order matches numeric order.
+// It follows storage.Compare: -0 encodes as +0, and every NaN, whatever
+// its sign and payload, encodes as one key that sorts after +Inf.
 func EncodeFloat(v float64) []byte {
+	switch {
+	case v == 0:
+		v = 0
+	case math.IsNaN(v):
+		v = math.NaN()
+	}
 	bits := math.Float64bits(v)
 	if bits&(1<<63) != 0 {
 		bits = ^bits

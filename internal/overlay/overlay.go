@@ -232,31 +232,51 @@ func canonKey(a, b geom.Coord) ([4]float64, bool) {
 func splitBoth(aEdges, bEdges []ovEdge) (subA, subB []ovEdge) {
 	cutsA := make([][]cutPoint, len(aEdges))
 	cutsB := make([][]cutPoint, len(bEdges))
-	envB := make([]geom.Rect, len(bEdges))
-	for j, e := range bEdges {
-		envB[j] = geom.RectFromPoints(e.a, e.b)
-	}
-	for i, ea := range aEdges {
-		envA := geom.RectFromPoints(ea.a, ea.b)
-		for j, eb := range bEdges {
-			if !envA.Intersects(envB[j]) {
-				continue
-			}
-			kind, p0, p1 := geom.SegSegIntersection(ea.a, ea.b, eb.a, eb.b)
-			if kind == geom.SegDisjoint {
-				continue
-			}
-			p0 = snapToEndpoints(p0, ea, eb)
-			cutsA[i] = append(cutsA[i], cutPoint{edgeParam(ea, p0), p0})
-			cutsB[j] = append(cutsB[j], cutPoint{edgeParam(eb, p0), p0})
-			if kind == geom.SegOverlap {
-				p1 = snapToEndpoints(p1, ea, eb)
-				cutsA[i] = append(cutsA[i], cutPoint{edgeParam(ea, p1), p1})
-				cutsB[j] = append(cutsB[j], cutPoint{edgeParam(eb, p1), p1})
-			}
+	cut := func(i, j int) bool {
+		ea, eb := aEdges[i], bEdges[j]
+		kind, p0, p1 := geom.SegSegIntersection(ea.a, ea.b, eb.a, eb.b)
+		if kind == geom.SegDisjoint {
+			return true
 		}
+		p0 = snapToEndpoints(p0, ea, eb)
+		cutsA[i] = append(cutsA[i], cutPoint{geom.SegParam(ea.a, ea.b, p0), p0})
+		cutsB[j] = append(cutsB[j], cutPoint{geom.SegParam(eb.a, eb.b, p0), p0})
+		if kind == geom.SegOverlap {
+			p1 = snapToEndpoints(p1, ea, eb)
+			cutsA[i] = append(cutsA[i], cutPoint{geom.SegParam(ea.a, ea.b, p1), p1})
+			cutsB[j] = append(cutsB[j], cutPoint{geom.SegParam(eb.a, eb.b, p1), p1})
+		}
+		return true
 	}
-	return applyCuts(aEdges, cutsA), applyCuts(bEdges, cutsB)
+	edgePairs(aEdges, bEdges, cut)
+	return applyCuts(aEdges, cutsA, 1e-9), applyCuts(bEdges, cutsB, 1e-9)
+}
+
+// edgePairs calls fn(i, j) for every edge a[i] and edge b[j] whose
+// envelopes intersect. It indexes the smaller side, whose index is the
+// cheaper to build; either way each edge meets its partners in
+// ascending order, so every cut list fills in the same order.
+func edgePairs(a, b []ovEdge, fn func(i, j int) bool) {
+	// Stack buffers hold the envelopes of the edge lists the overlay
+	// mostly meets (a buffer pair has up to 64 edges a side) without
+	// allocating.
+	var bufA, bufB [64]geom.Rect
+	envA, envB := edgeEnvs(bufA[:0], a), edgeEnvs(bufB[:0], b)
+	if len(a) < len(b) {
+		idx := geom.NewSegIndex(envA)
+		idx.Pairs(envB, func(j, i int) bool { return fn(i, j) })
+		return
+	}
+	idx := geom.NewSegIndex(envB)
+	idx.Pairs(envA, fn)
+}
+
+// edgeEnvs appends the envelope of each edge to dst.
+func edgeEnvs(dst []geom.Rect, edges []ovEdge) []geom.Rect {
+	for _, e := range edges {
+		dst = append(dst, geom.RectFromPoints(e.a, e.b))
+	}
+	return dst
 }
 
 // snapToEndpoints moves an intersection point onto a nearby edge endpoint
@@ -265,26 +285,20 @@ func splitBoth(aEdges, bEdges []ovEdge) (subA, subB []ovEdge) {
 // parameter epsilon used by applyCuts.
 func snapToEndpoints(p geom.Coord, ea, eb ovEdge) geom.Coord {
 	for _, e := range [...]ovEdge{ea, eb} {
-		tol := 1e-9 * (absf(e.b.X-e.a.X) + absf(e.b.Y-e.a.Y))
-		if absf(p.X-e.a.X)+absf(p.Y-e.a.Y) <= tol {
+		tol := 1e-9 * (math.Abs(e.b.X-e.a.X) + math.Abs(e.b.Y-e.a.Y))
+		if math.Abs(p.X-e.a.X)+math.Abs(p.Y-e.a.Y) <= tol {
 			return e.a
 		}
-		if absf(p.X-e.b.X)+absf(p.Y-e.b.Y) <= tol {
+		if math.Abs(p.X-e.b.X)+math.Abs(p.Y-e.b.Y) <= tol {
 			return e.b
 		}
 	}
 	return p
 }
 
-func absf(v float64) float64 {
-	if v < 0 {
-		return -v
-	}
-	return v
-}
-
-// applyCuts subdivides each edge at its recorded cut parameters.
-func applyCuts(edges []ovEdge, cuts [][]cutPoint) []ovEdge {
+// applyCuts subdivides each edge at its recorded cut parameters,
+// skipping cuts within eps of the previous cut or of the edge's end.
+func applyCuts(edges []ovEdge, cuts [][]cutPoint, eps float64) []ovEdge {
 	var out []ovEdge
 	for i, e := range edges {
 		cs := cuts[i]
@@ -296,7 +310,7 @@ func applyCuts(edges []ovEdge, cuts [][]cutPoint) []ovEdge {
 		prev := e.a
 		prevT := 0.0
 		for _, c := range cs {
-			if c.t <= prevT+1e-9 || c.t >= 1-1e-9 || c.p.Equal(prev) {
+			if c.t <= prevT+eps || c.t >= 1-eps || c.p.Equal(prev) {
 				continue
 			}
 			out = append(out, ovEdge{a: prev, b: c.p, owner: e.owner})
@@ -315,48 +329,19 @@ func applyCuts(edges []ovEdge, cuts [][]cutPoint) []ovEdge {
 // (line clipping); polygon overlay uses splitBoth for exact endpoint
 // agreement between the two sides.
 func splitEdges(src, other []ovEdge) []ovEdge {
-	// Pre-compute envelopes of the other side once.
-	otherEnv := make([]geom.Rect, len(other))
-	for i, e := range other {
-		otherEnv[i] = geom.RectFromPoints(e.a, e.b)
-	}
-	var out []ovEdge
-	cuts := make([]cutPoint, 0, 8)
-	for _, e := range src {
-		env := geom.RectFromPoints(e.a, e.b)
-		cuts = cuts[:0]
-		for j, o := range other {
-			if !env.Intersects(otherEnv[j]) {
-				continue
-			}
-			kind, p0, p1 := geom.SegSegIntersection(e.a, e.b, o.a, o.b)
-			switch kind {
-			case geom.SegPoint:
-				cuts = append(cuts, cutPoint{edgeParam(e, p0), p0})
-			case geom.SegOverlap:
-				cuts = append(cuts, cutPoint{edgeParam(e, p0), p0}, cutPoint{edgeParam(e, p1), p1})
-			}
+	cuts := make([][]cutPoint, len(src))
+	edgePairs(src, other, func(i, j int) bool {
+		e, o := src[i], other[j]
+		kind, p0, p1 := geom.SegSegIntersection(e.a, e.b, o.a, o.b)
+		switch kind {
+		case geom.SegPoint:
+			cuts[i] = append(cuts[i], cutPoint{geom.SegParam(e.a, e.b, p0), p0})
+		case geom.SegOverlap:
+			cuts[i] = append(cuts[i], cutPoint{geom.SegParam(e.a, e.b, p0), p0}, cutPoint{geom.SegParam(e.a, e.b, p1), p1})
 		}
-		if len(cuts) == 0 {
-			out = append(out, e)
-			continue
-		}
-		sortCutPoints(cuts)
-		prev := e.a
-		prevT := 0.0
-		for _, c := range cuts {
-			if c.t <= prevT+1e-12 || c.t >= 1-1e-12 || c.p.Equal(prev) {
-				continue
-			}
-			out = append(out, ovEdge{a: prev, b: c.p, owner: e.owner})
-			prev = c.p
-			prevT = c.t
-		}
-		if !prev.Equal(e.b) {
-			out = append(out, ovEdge{a: prev, b: e.b, owner: e.owner})
-		}
-	}
-	return out
+		return true
+	})
+	return applyCuts(src, cuts, 1e-12)
 }
 
 type cutPoint struct {
@@ -370,17 +355,6 @@ func sortCutPoints(cs []cutPoint) {
 			cs[j], cs[j-1] = cs[j-1], cs[j]
 		}
 	}
-}
-
-func edgeParam(e ovEdge, p geom.Coord) float64 {
-	dx, dy := e.b.X-e.a.X, e.b.Y-e.a.Y
-	if math.Abs(dx) >= math.Abs(dy) {
-		if dx == 0 {
-			return 0
-		}
-		return (p.X - e.a.X) / dx
-	}
-	return (p.Y - e.a.Y) / dy
 }
 
 // Point-in-region classification for overlay selection.

@@ -322,24 +322,21 @@ func lineLineIntersection(a, b geom.Geometry) geom.Geometry {
 	seenPts := make(map[geom.Coord]bool)
 	var pts geom.MultiPoint
 	var lines geom.MultiLineString
-	for _, ea := range segsA {
-		envA := geom.RectFromPoints(ea.a, ea.b)
-		for _, eb := range segsB {
-			if !envA.Intersects(geom.RectFromPoints(eb.a, eb.b)) {
-				continue
+	idxB := geom.NewSegIndex(edgeEnvs(nil, segsB))
+	idxB.Pairs(edgeEnvs(nil, segsA), func(i, j int) bool {
+		ea, eb := segsA[i], segsB[j]
+		kind, p0, p1 := geom.SegSegIntersection(ea.a, ea.b, eb.a, eb.b)
+		switch kind {
+		case geom.SegPoint:
+			if !seenPts[p0] {
+				seenPts[p0] = true
+				pts = append(pts, geom.Point{Coord: p0})
 			}
-			kind, p0, p1 := geom.SegSegIntersection(ea.a, ea.b, eb.a, eb.b)
-			switch kind {
-			case geom.SegPoint:
-				if !seenPts[p0] {
-					seenPts[p0] = true
-					pts = append(pts, geom.Point{Coord: p0})
-				}
-			case geom.SegOverlap:
-				lines = append(lines, geom.LineString{p0, p1})
-			}
+		case geom.SegOverlap:
+			lines = append(lines, geom.LineString{p0, p1})
 		}
-	}
+		return true
+	})
 	// Drop points that lie on a shared piece (they are redundant).
 	var outPts geom.MultiPoint
 	for _, p := range pts {

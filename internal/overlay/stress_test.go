@@ -137,3 +137,61 @@ func TestClipAllEdgesAgainstRiver(t *testing.T) {
 		t.Fatalf("only %d edges near the river", tested)
 	}
 }
+
+// TestOverlayAreaIdentities is a metamorphic check of the polygon
+// overlay on tiger medium: for every polygon A among the flood
+// scenario's water buffers (40 units) and the area landmarks, and every
+// parcel B whose envelope meets A's, area(A∪B) = area A + area B −
+// area(A∩B) and area(A−B) = area A − area(A∩B), to a relative 1e-9.
+// A re-noded overlay that drops, duplicates or misclassifies a sub-edge
+// breaks one of the identities. The test runs on one goroutine, so the
+// race detector finds nothing in it; under it, only every eighth pair
+// is checked, to keep the race run short.
+func TestOverlayAreaIdentities(t *testing.T) {
+	stride := 1
+	if raceEnabled {
+		stride = 8
+	}
+	ds := tiger.Generate(tiger.Medium, 1)
+	var polys []geom.Geometry
+	for _, w := range ds.AreaWater {
+		polys = append(polys, Buffer(w.Geom, 40, DefaultQuadSegs))
+	}
+	for _, a := range ds.AreaLandmarks {
+		polys = append(polys, a.Geom)
+	}
+	pairs, worst := 0, 0.0
+	for ai, a := range polys {
+		envA, areaA := a.Envelope(), geom.Area(a)
+		for _, p := range ds.Parcels {
+			b := p.Geom
+			if !envA.Intersects(b.Envelope()) {
+				continue
+			}
+			if pairs++; pairs%stride != 0 {
+				continue
+			}
+			areaB := geom.Area(b)
+			inter := geom.Area(Intersection(a, b))
+			scale := areaA + areaB
+			for _, c := range []struct {
+				name      string
+				got, want float64
+			}{
+				{"union", geom.Area(Union(a, b)), areaA + areaB - inter},
+				{"difference", geom.Area(Difference(a, b)), areaA - inter},
+			} {
+				rel := math.Abs(c.got-c.want) / scale
+				worst = math.Max(worst, rel)
+				if rel > 1e-9 {
+					t.Errorf("polygon %d × parcel %d: area of %s %v, want %v (relative error %.3g)",
+						ai, p.ID, c.name, c.got, c.want, rel)
+				}
+			}
+		}
+	}
+	if pairs < 1000 {
+		t.Fatalf("only %d polygon × parcel pairs", pairs)
+	}
+	t.Logf("%d of %d pairs, worst relative error %.3g", pairs/stride, pairs, worst)
+}

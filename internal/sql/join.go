@@ -85,8 +85,11 @@ func hashJoinKey(v storage.Value) (string, bool) {
 		return "", false // SQL equality never matches NULL
 	}
 	if f, ok := v.AsFloat(); ok {
-		if f == 0 {
+		switch {
+		case f == 0:
 			f = 0 // storage.Compare calls -0 and +0 equal
+		case math.IsNaN(f):
+			f = math.NaN() // and every NaN equal to every other
 		}
 		var b [9]byte
 		b[0] = 'n'

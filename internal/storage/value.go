@@ -126,7 +126,9 @@ func (v Value) String() string {
 
 // Compare orders two values. NULL sorts before everything; two ints
 // compare exactly as int64 (as the B-tree's encoded keys do), and other
-// numeric pairs compare numerically across Int/Float; distinct
+// numeric pairs compare numerically across Int/Float, with NaN after
+// every number and equal only to NaN (PostgreSQL's rule, and the order
+// of the B-tree's float keys); distinct
 // non-comparable types order by type tag. Geometries compare by WKB
 // bytes (arbitrary but stable). The second result is false when the
 // comparison is between incompatible types (still ordered, for sort
@@ -148,14 +150,7 @@ func Compare(a, b Value) (int, bool) {
 	af, aNum := a.AsFloat()
 	bf, bNum := b.AsFloat()
 	if aNum && bNum {
-		switch {
-		case af < bf:
-			return -1, true
-		case af > bf:
-			return 1, true
-		default:
-			return 0, true
-		}
+		return compareFloat(af, bf), true
 	}
 	if a.Type != b.Type {
 		if a.Type < b.Type {
@@ -194,6 +189,24 @@ func Compare(a, b Value) (int, bool) {
 		}
 	}
 	return 0, false
+}
+
+// compareFloat orders two floats numerically, NaN last and equal to
+// itself.
+func compareFloat(a, b float64) int {
+	switch {
+	case a < b:
+		return -1
+	case a > b:
+		return 1
+	case a == b:
+		return 0
+	case a != a && b != b:
+		return 0
+	case a != a:
+		return 1
+	}
+	return -1
 }
 
 // EncodeTuple serializes a row of values.

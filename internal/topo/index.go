@@ -4,14 +4,7 @@ import (
 	"math"
 
 	"jackpine/internal/geom"
-	"jackpine/internal/index/rtree"
 )
-
-// indexMinSegs is the segment count below which a shape skips index
-// construction: for small geometries the brute-force pair loop and the
-// linear point-location scan beat the tree probes, and building two
-// R-trees per Relate call would pessimize the common tiny-operand case.
-const indexMinSegs = 32
 
 // locEdge is one edge of the point-location index. Ring edges are taken
 // from the raw rings — including degenerate zero-length edges that
@@ -30,25 +23,34 @@ type ringMeta struct {
 	n    int32 // raw vertex count (PointInRing needs n >= 3)
 }
 
-// maybeIndex builds the shape's static indexes when the shape is large
-// enough to benefit. Safe for concurrent callers; after it returns, the
-// index fields are visible to the calling goroutine.
-func (s *shape) maybeIndex() {
-	if len(s.segs) < indexMinSegs {
-		return
-	}
+// index builds the shape's static indexes once. Safe for concurrent
+// callers; after it returns, the index fields are visible to the
+// calling goroutine.
+func (s *shape) index() {
 	s.indexOnce.Do(s.buildIndex)
 }
 
-// buildIndex bulk-loads the segment-pair tree over segs and the
-// point-location tree over raw ring edges plus line segments.
-func (s *shape) buildIndex() {
-	entries := make([]rtree.Entry, len(s.segs))
-	for i := range s.segs {
-		entries[i] = rtree.Entry{Rect: s.segs[i].env, ID: int64(i)}
-	}
-	s.segTree = rtree.BulkLoad(entries, 0)
+// pairIndex returns the shape's segment index, building the indexes
+// first if no caller has, so an unindexed shape cannot hide a pair.
+func (s *shape) pairIndex() *geom.SegIndex {
+	s.index()
+	return &s.segIdx
+}
 
+// buildIndex indexes segs for pair enumeration and, when that index
+// holds a tree (the shape is large enough to benefit), builds the
+// location index too. Below the cutoff the linear location scan beats
+// the probes.
+func (s *shape) buildIndex() {
+	s.segIdx = geom.NewSegIndex(s.envs)
+	if s.segIdx.Packed() {
+		s.buildLocIndex()
+	}
+}
+
+// buildLocIndex indexes the raw ring edges plus line segments for point
+// location.
+func (s *shape) buildLocIndex() {
 	for pi := range s.polys {
 		for _, r := range s.polys[pi] {
 			ri := int32(len(s.rings))
@@ -64,16 +66,17 @@ func (s *shape) buildIndex() {
 		}
 	}
 	scale := 1.0
-	les := make([]rtree.Entry, len(s.locEdges))
+	envs := make([]geom.Rect, len(s.locEdges))
 	for i := range s.locEdges {
 		e := &s.locEdges[i]
-		les[i] = rtree.Entry{Rect: geom.RectFromPoints(e.a, e.b), ID: int64(i)}
+		envs[i] = geom.RectFromPoints(e.a, e.b)
 		scale = math.Max(scale, math.Max(
 			math.Max(math.Abs(e.a.X), math.Abs(e.a.Y)),
 			math.Max(math.Abs(e.b.X), math.Abs(e.b.Y))))
 	}
 	s.scale = scale
-	s.locTree = rtree.BulkLoad(les, 0)
+	idx := geom.NewSegIndex(envs)
+	s.locIdx = &idx
 }
 
 // ringState accumulates the per-ring evidence of one indexed location
@@ -103,7 +106,7 @@ func ringRes(st ringState, n int32) geom.PointInRingResult {
 	return geom.RingExterior
 }
 
-// locateIndexed is locate backed by the location tree. One tree query
+// locateIndexed is locate backed by the location index. One query
 // collects every edge that can contribute: the half-open box reaches
 // tol below/left of p for the tolerant boundary tests (tol dominates
 // every per-edge nearSegment tolerance, and point-to-envelope distance
@@ -125,8 +128,8 @@ func (s *shape) locateIndexed(p geom.Coord) Location {
 		rstate = make([]ringState, len(s.rings))
 	}
 	lineHit := false
-	s.locTree.Search(query, func(e rtree.Entry) bool {
-		ed := &s.locEdges[e.ID]
+	s.locIdx.Search(query, func(j int) bool {
+		ed := &s.locEdges[j]
 		if ed.ring < 0 {
 			if !lineHit && nearSegment(p, ed.a, ed.b) {
 				lineHit = true
@@ -148,34 +151,12 @@ func (s *shape) locateIndexed(p geom.Coord) Location {
 	})
 
 	loc := Exterior
-	ri := 0
-	for pi := range s.polys {
-		poly := s.polys[pi]
-		base := ri
-		ri += len(poly)
-		if len(poly) == 0 {
-			continue
-		}
-		ploc := Interior
-		switch ringRes(rstate[base], s.rings[base].n) {
-		case geom.RingExterior:
-			ploc = Exterior
-		case geom.RingBoundary:
-			ploc = Boundary
-		default:
-			for h := 1; h < len(poly); h++ {
-				done := false
-				switch ringRes(rstate[base+h], s.rings[base+h].n) {
-				case geom.RingInterior:
-					ploc, done = Exterior, true
-				case geom.RingBoundary:
-					ploc, done = Boundary, true
-				}
-				if done {
-					break
-				}
-			}
-		}
+	base := 0
+	for _, poly := range s.polys {
+		ploc := polygonLocation(len(poly), func(h int) geom.PointInRingResult {
+			return ringRes(rstate[base+h], s.rings[base+h].n)
+		})
+		base += len(poly)
 		switch ploc {
 		case Interior:
 			return Interior
@@ -183,78 +164,5 @@ func (s *shape) locateIndexed(p geom.Coord) Location {
 			loc = Boundary
 		}
 	}
-
-	if lineHit {
-		if s.lineBoundary[p] {
-			if loc == Exterior {
-				loc = Boundary
-			}
-		} else {
-			return Interior
-		}
-	}
-	for _, q := range s.points {
-		if q.Equal(p) {
-			return Interior
-		}
-	}
-	return loc
-}
-
-// segPairs invokes fn for every segment pair (one from sa, one from sb)
-// whose envelopes intersect — the same candidate set the brute-force
-// nested loop enumerates, since rtree.Search filters with the same
-// geom.Rect.Intersects — until fn returns false. When a tree is
-// available the smaller side probes the larger side's tree; fn always
-// receives the sa segment first so downstream floating-point
-// computation is order-stable.
-func segPairs(sa, sb *shape, fn func(ga, gb *seg) bool) {
-	switch {
-	case sb.segTree != nil && (sa.segTree == nil || len(sb.segs) >= len(sa.segs)):
-		for i := range sa.segs {
-			ga := &sa.segs[i]
-			if !ga.env.Intersects(sb.env) {
-				continue
-			}
-			more := true
-			sb.segTree.Search(ga.env, func(e rtree.Entry) bool {
-				more = fn(ga, &sb.segs[e.ID])
-				return more
-			})
-			if !more {
-				return
-			}
-		}
-	case sa.segTree != nil:
-		for j := range sb.segs {
-			gb := &sb.segs[j]
-			if !gb.env.Intersects(sa.env) {
-				continue
-			}
-			more := true
-			sa.segTree.Search(gb.env, func(e rtree.Entry) bool {
-				more = fn(&sa.segs[e.ID], gb)
-				return more
-			})
-			if !more {
-				return
-			}
-		}
-	default:
-		for i := range sa.segs {
-			ga := &sa.segs[i]
-			if !ga.env.Intersects(sb.env) {
-				continue
-			}
-			for j := range sb.segs {
-				gb := &sb.segs[j]
-				if !ga.env.Intersects(gb.env) {
-					continue
-				}
-				if !fn(ga, gb) {
-					return
-				}
-			}
-		}
-	}
+	return s.locateRest(p, loc, lineHit)
 }

@@ -52,7 +52,7 @@ type Prepared struct {
 // Prepare decomposes and indexes g for repeated evaluation.
 func Prepare(g geom.Geometry) *Prepared {
 	p := &Prepared{op: newOperand(g)}
-	p.op.shape().maybeIndex()
+	p.op.shape().index()
 	return p
 }
 

@@ -6,28 +6,36 @@ import (
 	"path/filepath"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 
 	"jackpine/internal/geom"
 )
 
-// relateNaive evaluates the kernel with indexing suppressed (the Once
-// is burned before relateShapes can build), i.e. the brute-force
-// all-pairs and linear point-location paths.
+// relateNaive evaluates the kernel with the location index suppressed
+// (the Once runs a build without it before relateShapes can build),
+// i.e. the linear point-location path. Segment pairs still come from
+// the segment index, whose pair sequence and window search geom's
+// tests pin to the nested loop's.
 func relateNaive(a, b geom.Geometry) Matrix {
 	sa, sb := decompose(a), decompose(b)
-	sa.indexOnce.Do(func() {})
-	sb.indexOnce.Do(func() {})
+	for _, s := range [2]*shape{sa, sb} {
+		s.indexOnce.Do(func() { s.segIdx = geom.NewSegIndex(s.envs) })
+	}
 	return relateShapes(sa, sb, noExit)
 }
 
-// relateForced evaluates the kernel with indexing forced regardless of
-// the indexMinSegs threshold, so small corpus geometries exercise the
-// indexed paths too.
+// relateForced evaluates the kernel with the location index forced
+// regardless of the segment index's cutoff, so small corpus geometries
+// exercise the indexed location path too.
 func relateForced(a, b geom.Geometry) Matrix {
 	sa, sb := decompose(a), decompose(b)
-	sa.indexOnce.Do(sa.buildIndex)
-	sb.indexOnce.Do(sb.buildIndex)
+	for _, s := range [2]*shape{sa, sb} {
+		s.indexOnce.Do(func() {
+			s.segIdx = geom.NewSegIndex(s.envs)
+			s.buildLocIndex()
+		})
+	}
 	return relateShapes(sa, sb, noExit)
 }
 
@@ -220,10 +228,12 @@ func TestPreparedEquivalence(t *testing.T) {
 	}
 }
 
-// TestGatherEventPointsDedupe pins the dedupe satellite: coincident
-// event points collapse to one locate call each, and the matrix is
-// unchanged. The star polygonal chain meets the box corner repeatedly,
-// so the segment pairs meet at the corner many times.
+// TestGatherEventPointsDedupe pins the dedupe: coincident event points
+// collapse to one locate call each, and the matrix is unchanged. Three
+// star segments cross the box's west side at (2 2) and two touch its
+// south side at (4 0), so segment pairs meet there repeatedly. The
+// shapes are not indexed first: the enumeration must build what it
+// reads.
 func TestGatherEventPointsDedupe(t *testing.T) {
 	star, err := geom.ParseWKT("LINESTRING (0 0, 4 4, 0 4, 4 0, 0 2, 4 2)")
 	if err != nil {
@@ -242,12 +252,53 @@ func TestGatherEventPointsDedupe(t *testing.T) {
 		seen[p] = struct{}{}
 		return false
 	})
-	if len(seen) == 0 {
-		t.Fatal("no event points visited")
+	// The four segment crossings, then the chain's two endpoints.
+	want := []geom.Coord{{X: 2, Y: 2}, {X: 2, Y: 4}, {X: 2, Y: 1}, {X: 4, Y: 0}, {X: 0, Y: 0}, {X: 4, Y: 2}}
+	for _, p := range want {
+		if _, ok := seen[p]; !ok {
+			t.Errorf("event point %v not visited", p)
+		}
+	}
+	if len(seen) != len(want) {
+		t.Errorf("visited %d event points %v, want %d", len(seen), seen, len(want))
 	}
 	// The matrix must match the hand-derived classification: the chain
 	// crosses the box boundary and runs through interior and exterior.
 	if got, want := Relate(star, box).String(), "1010F0212"; got != want {
 		t.Errorf("Relate(star, box) = %s, want %s", got, want)
 	}
+}
+
+// TestPreparedConcurrentReaders evaluates shared operands from several
+// goroutines at once, as join workers do: a Prepared, indexed at
+// Prepare, and a bare shape whose indexes the first relate from any
+// goroutine builds. Every result must equal the sequential one; under
+// -race the test also checks that the shared indexes are published
+// safely.
+func TestPreparedConcurrentReaders(t *testing.T) {
+	pairs := largePairs()
+	shared := pairs[0][0]
+	var others []geom.Geometry
+	var want []Matrix
+	for _, pair := range pairs {
+		others = append(others, pair[1])
+		want = append(want, Relate(shared, pair[1]))
+	}
+	p, s := Prepare(shared), decompose(shared)
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i, o := range others {
+				if got := p.Relate(o); got != want[i] {
+					t.Errorf("Prepared.Relate on other %d = %s, want %s", i, got, want[i])
+				}
+				if got := relateShapes(s, decompose(o), noExit); got != want[i] {
+					t.Errorf("shared-shape relate on other %d = %s, want %s", i, got, want[i])
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }

@@ -1,9 +1,6 @@
 package topo
 
-import (
-	"jackpine/internal/geom"
-	"jackpine/internal/index/rtree"
-)
+import "jackpine/internal/geom"
 
 // Relate computes the DE-9IM intersection matrix of two geometries.
 //
@@ -94,11 +91,12 @@ func relateShapes(sa, sb *shape, exit cellSet) Matrix {
 		return disjointMatrix(sa, sb)
 	}
 
-	// Large shapes get static segment/location indexes; the indexed
-	// paths enumerate exactly the candidate sets the brute-force loops
-	// filter to, so the matrix is identical either way.
-	sa.maybeIndex()
-	sb.maybeIndex()
+	// Both shapes get segment indexes, and large shapes location
+	// indexes; the indexed paths enumerate exactly the candidate sets
+	// the brute-force loops filter to, so the matrix is identical
+	// either way.
+	sa.index()
+	sb.index()
 
 	// Upgrade is a max, so the order of the steps cannot change the
 	// full matrix. The cheap steps that most often settle a predicate
@@ -193,18 +191,28 @@ func forEachEventPoint(sa, sb *shape, visit func(geom.Coord) bool) bool {
 		seen[p] = struct{}{}
 		return visit(p)
 	}
-	stop := false
-	segPairs(sa, sb, func(ga, gb *seg) bool {
+	pair := func(i, j int) bool {
+		ga, gb := &sa.segs[i], &sb.segs[j]
 		kind, p0, p1 := geom.SegSegIntersection(ga.a, ga.b, gb.a, gb.b)
 		switch kind {
 		case geom.SegPoint:
-			stop = once(p0)
+			return !once(p0)
 		case geom.SegOverlap:
-			stop = once(p0) || once(p1)
+			return !once(p0) && !once(p1)
 		}
-		return !stop
-	})
-	if stop {
+		return true
+	}
+	// The enumerator probes its second operand's index: a packed side
+	// goes second (the larger when both are), and the pair is handed
+	// back in (sa, sb) order, so SegSegIntersection's operands keep
+	// their order.
+	var done bool
+	if ia, ib := sa.pairIndex(), sb.pairIndex(); ia.Packed() && (!ib.Packed() || len(sa.segs) > len(sb.segs)) {
+		done = ia.Pairs(sb.envs, func(j, i int) bool { return pair(i, j) })
+	} else {
+		done = ib.Pairs(sa.envs, pair)
+	}
+	if !done {
 		return true
 	}
 	for _, bnd := range [2]map[geom.Coord]bool{sa.lineBoundary, sb.lineBoundary} {
@@ -229,39 +237,30 @@ func forEachEventPoint(sa, sb *shape, visit func(geom.Coord) bool) bool {
 // whether the walk may stop. src is A (matrix rows) when swap is false
 // and B (matrix columns) when it is true.
 func (w *relateWalk) subSegments(src, other *shape, swap bool) bool {
+	idx := other.pairIndex()
 	cuts := make([]float64, 0, 8)
 	for i := range src.segs {
-		sg := &src.segs[i]
+		sg, env := &src.segs[i], src.envs[i]
 		cuts = cuts[:0]
-		if sg.env.Intersects(other.env) {
-			addCut := func(og *seg) {
+		if env.Intersects(other.env) {
+			// Cuts are sorted by value below, so the index's visit
+			// order does not matter.
+			idx.Search(env, func(j int) bool {
+				og := &other.segs[j]
 				kind, p0, p1 := geom.SegSegIntersection(sg.a, sg.b, og.a, og.b)
 				switch kind {
 				case geom.SegPoint:
-					cuts = append(cuts, segParam(sg, p0))
+					cuts = append(cuts, geom.SegParam(sg.a, sg.b, p0))
 				case geom.SegOverlap:
-					cuts = append(cuts, segParam(sg, p0), segParam(sg, p1))
+					cuts = append(cuts, geom.SegParam(sg.a, sg.b, p0), geom.SegParam(sg.a, sg.b, p1))
 				}
-			}
-			if tree := other.segTree; tree != nil {
-				tree.Search(sg.env, func(e rtree.Entry) bool {
-					addCut(&other.segs[e.ID])
-					return true
-				})
-			} else {
-				for j := range other.segs {
-					og := &other.segs[j]
-					if !sg.env.Intersects(og.env) {
-						continue
-					}
-					addCut(og)
-				}
-			}
+				return true
+			})
 			// The other shape's isolated points also change the
 			// classification at a single parameter value.
 			for _, p := range other.points {
-				if sg.env.ContainsCoord(p) && geom.OnSegment(p, sg.a, sg.b) {
-					cuts = append(cuts, segParam(sg, p))
+				if env.ContainsCoord(p) && geom.OnSegment(p, sg.a, sg.b) {
+					cuts = append(cuts, geom.SegParam(sg.a, sg.b, p))
 				}
 			}
 		}
@@ -314,25 +313,6 @@ func (w *relateWalk) deduceArealCells(other *shape, loc Location, swap bool) boo
 	}
 	// Coincident boundaries: no side information.
 	return false
-}
-
-// segParam returns the parameter of p along segment sg (0 at a, 1 at b).
-func segParam(sg *seg, p geom.Coord) float64 {
-	dx, dy := sg.b.X-sg.a.X, sg.b.Y-sg.a.Y
-	if absf(dx) >= absf(dy) {
-		if geom.ExactEq(dx, 0) {
-			return 0
-		}
-		return (p.X - sg.a.X) / dx
-	}
-	return (p.Y - sg.a.Y) / dy
-}
-
-func absf(v float64) float64 {
-	if v < 0 {
-		return -v
-	}
-	return v
 }
 
 func sortCuts(cuts []float64) {

@@ -5,14 +5,12 @@ import (
 	"sync"
 
 	"jackpine/internal/geom"
-	"jackpine/internal/index/rtree"
 )
 
 // seg is a single 1D element of a decomposed geometry.
 type seg struct {
 	a, b geom.Coord
 	ring bool // true when the segment comes from a polygon ring
-	env  geom.Rect
 }
 
 // shape is a geometry decomposed into 0D, 1D and 2D parts, preprocessed
@@ -20,6 +18,7 @@ type seg struct {
 type shape struct {
 	points []geom.Coord   // 0D parts
 	segs   []seg          // 1D elements: line segments and ring segments
+	envs   []geom.Rect    // envs[i] is the envelope of segs[i]
 	polys  []geom.Polygon // 2D parts (for interior membership)
 
 	// lineBoundary holds the mod-2 boundary endpoints of the 1D parts
@@ -30,16 +29,16 @@ type shape struct {
 	dim      int  // topological dimension of the geometry (-1 if empty)
 	nonEmpty bool // any coordinates at all
 
-	// Static indexes, built at most once by maybeIndex (index.go) and
-	// read-only afterwards: segTree indexes segs for pairwise
-	// intersection probing, locTree indexes locEdges for point
-	// location. Both stay nil below indexMinSegs, in which case the
-	// brute-force paths run. Readers must call maybeIndex before
-	// touching the fields; the Once publishes them safely to
-	// concurrent readers of a shared (prepared) shape.
+	// Static indexes, built at most once by index (index.go) and
+	// read-only afterwards: segIdx indexes envs for segment-pair
+	// enumeration, locIdx indexes locEdges for point location. locIdx
+	// stays nil while segIdx holds no tree, in which case the linear
+	// location scan runs. segIdx is read only through pairIndex, which
+	// builds it; the Once publishes the fields safely to concurrent
+	// readers of a shared (prepared) shape.
 	indexOnce sync.Once
-	segTree   *rtree.Tree
-	locTree   *rtree.Tree
+	segIdx    geom.SegIndex
+	locIdx    *geom.SegIndex
 	locEdges  []locEdge
 	rings     []ringMeta
 	scale     float64 // max |coordinate| over indexed edges, clamped >= 1
@@ -50,6 +49,11 @@ type shape struct {
 // nil map as empty, so a polygon decomposes without either map.
 func decompose(g geom.Geometry) *shape {
 	s := &shape{env: geom.EmptyRect(), dim: -1}
+	if g != nil && g.Dimension() > 0 {
+		// A geometry has fewer segments than coordinates.
+		n := g.NumCoords()
+		s.segs, s.envs = make([]seg, 0, n), make([]geom.Rect, 0, n)
+	}
 	var endpointCount map[geom.Coord]int
 	s.addGeometry(g, &endpointCount)
 	for c, n := range endpointCount {
@@ -131,7 +135,8 @@ func (s *shape) addSeg(a, b geom.Coord, ring bool) {
 		return
 	}
 	e := geom.RectFromPoints(a, b)
-	s.segs = append(s.segs, seg{a: a, b: b, ring: ring, env: e})
+	s.segs = append(s.segs, seg{a: a, b: b, ring: ring})
+	s.envs = append(s.envs, e)
 	s.env = s.env.Union(e)
 }
 
@@ -168,60 +173,45 @@ func (s *shape) hasArea() bool { return len(s.polys) > 0 }
 // semantics: Interior if the point is interior to any part, otherwise
 // Boundary if on any part's boundary, otherwise Exterior.
 func (s *shape) locate(p geom.Coord) Location {
-	if s.locTree != nil {
+	if s.locIdx != nil {
 		return s.locateIndexed(p)
 	}
 	loc := Exterior
-
-	// 2D parts.
 	for i := range s.polys {
-		switch locatePolygon(p, s.polys[i]) {
+		poly := s.polys[i]
+		switch polygonLocation(len(poly), func(h int) geom.PointInRingResult { return ringLocation(p, poly[h]) }) {
 		case Interior:
 			return Interior
 		case Boundary:
 			loc = Boundary
 		}
 	}
-
-	// 1D parts (non-ring segments).
+	lineHit := false
 	for i := range s.segs {
-		sg := &s.segs[i]
-		if sg.ring {
-			continue // ring segments belong to polygon boundaries, handled above
-		}
-		if nearSegment(p, sg.a, sg.b) {
-			if s.lineBoundary[p] {
-				if loc == Exterior {
-					loc = Boundary
-				}
-			} else {
-				return Interior
-			}
+		// Ring segments belong to polygon boundaries, handled above.
+		if sg := &s.segs[i]; !sg.ring && nearSegment(p, sg.a, sg.b) {
+			lineHit = true
+			break
 		}
 	}
-
-	// 0D parts: points are all interior (their boundary is empty).
-	for _, q := range s.points {
-		if q.Equal(p) {
-			return Interior
-		}
-	}
-	return loc
+	return s.locateRest(p, loc, lineHit)
 }
 
-// locatePolygon classifies p against a single polygon.
-func locatePolygon(p geom.Coord, poly geom.Polygon) Location {
-	if len(poly) == 0 {
+// polygonLocation classifies a point against one polygon of n rings
+// from the rings' results, shell first and holes in declaration order,
+// asking ring for each result only as far as the decision needs.
+func polygonLocation(n int, ring func(h int) geom.PointInRingResult) Location {
+	if n == 0 {
 		return Exterior
 	}
-	switch ringLocation(p, poly[0]) {
+	switch ring(0) {
 	case geom.RingExterior:
 		return Exterior
 	case geom.RingBoundary:
 		return Boundary
 	}
-	for _, hole := range poly[1:] {
-		switch ringLocation(p, hole) {
+	for h := 1; h < n; h++ {
+		switch ring(h) {
 		case geom.RingInterior:
 			return Exterior
 		case geom.RingBoundary:
@@ -229,6 +219,27 @@ func locatePolygon(p geom.Coord, poly geom.Polygon) Location {
 		}
 	}
 	return Interior
+}
+
+// locateRest finishes locate from the location loc among the 2D parts
+// and whether the point lies on a 1D part: a line hit is interior
+// unless the point is on the lines' mod-2 boundary, and 0D parts are
+// all interior (their boundary is empty).
+func (s *shape) locateRest(p geom.Coord, loc Location, lineHit bool) Location {
+	if lineHit {
+		if !s.lineBoundary[p] {
+			return Interior
+		}
+		if loc == Exterior {
+			loc = Boundary
+		}
+	}
+	for _, q := range s.points {
+		if q.Equal(p) {
+			return Interior
+		}
+	}
+	return loc
 }
 
 // relateEps is the relative tolerance for classifying computed points —

@@ -2,9 +2,11 @@ package jackpine
 
 import (
 	"math"
+	"strconv"
 	"strings"
 	"testing"
 
+	"jackpine/internal/sql"
 	"jackpine/internal/storage"
 	"jackpine/internal/wire"
 )
@@ -150,6 +152,101 @@ func TestIntKeysBeyondFloatPrecision(t *testing.T) {
 			}
 			if len(res.Rows) != 1 || res.Rows[0][0].Int != 9007199254740992 || res.Rows[0][1].Text != "even" {
 				t.Errorf("indexed=%v batch=%v: rows %v, want [[9007199254740992 even]]", indexed, batch, res.Rows)
+			}
+			eng.Close()
+		}
+	}
+}
+
+// TestNaNOrdersAfterNumbers stores a NaN beside two numbers and runs
+// comparisons against numbers and against NaN on a scan, through a
+// B-tree seek and range, and as a join key, with batch execution on
+// and off. Every path must follow one rule, PostgreSQL's: NaN sorts
+// after every number and equals only NaN.
+func TestNaNOrdersAfterNumbers(t *testing.T) {
+	const nan = "SQRT(-1.0)"
+	checkFloatKeyPaths(t, "(1, 1.0), (3, "+nan+"), (2, 7.0)", []floatKeyCase{
+		{"x = 1.0", "[1]"},
+		{"x < 7.0", "[1]"},
+		{"x > 1.0", "[2 3]"},
+		{"x >= 1.0", "[1 2 3]"},
+		{"x <= 7.0", "[1 2]"},
+		{"x = " + nan, "[3]"},
+		{"x < " + nan, "[1 2]"},
+		{"x > " + nan, "[]"},
+		{"x >= " + nan, "[3]"},
+		{"x <= " + nan, "[1 2 3]"},
+		{"SQRT(0.0 - x) = 3", "[]"},
+	}, "[1 2 3]", "[1-1 2-2 3-3]")
+}
+
+// TestNegativeZeroEqualsZero stores 0.0 and -0.0 beside a number: on
+// every path the two zeros are one value, as storage.Compare has them.
+func TestNegativeZeroEqualsZero(t *testing.T) {
+	checkFloatKeyPaths(t, "(1, 0.0), (2, -0.0), (3, 1.0)", []floatKeyCase{
+		{"x = 0.0", "[1 2]"},
+		{"x = -0.0", "[1 2]"},
+		{"x < 0.0", "[]"},
+		{"x <= -0.0", "[1 2]"},
+		{"x > -0.0", "[3]"},
+		{"x >= 0.0", "[1 2 3]"},
+	}, "[1 2 3]", "[1-1 1-2 2-1 2-2 3-3]")
+}
+
+// floatKeyCase is a WHERE clause over table f and the ids it selects.
+type floatKeyCase struct {
+	where string
+	want  string
+}
+
+// checkFloatKeyPaths loads rows into f (id INTEGER, x REAL) and requires
+// every case, ORDER BY x (ties by id) and the self-join on x to return
+// the same ids on a scan and through a B-tree on x, with batch
+// execution on and off; unindexed, the plain join on x is a hash join.
+func checkFloatKeyPaths(t *testing.T, rows string, cases []floatKeyCase, order, join string) {
+	t.Helper()
+	ids := func(res *sql.Result, cols int) string {
+		var out []string
+		for _, r := range res.Rows {
+			s := strconv.FormatInt(r[0].Int, 10)
+			if cols == 2 {
+				s += "-" + strconv.FormatInt(r[1].Int, 10)
+			}
+			out = append(out, s)
+		}
+		return "[" + strings.Join(out, " ") + "]"
+	}
+	for _, indexed := range []bool{false, true} {
+		for _, batch := range []bool{false, true} {
+			eng := OpenEngine(GaiaDB(), WithBatchExec(batch))
+			eng.MustExec("CREATE TABLE f (id INTEGER, x REAL)")
+			eng.MustExec("INSERT INTO f VALUES " + rows)
+			if indexed {
+				eng.MustExec("CREATE INDEX f_x ON f (x)")
+			}
+			for _, c := range cases {
+				res, err := eng.Exec("SELECT id FROM f WHERE " + c.where + " ORDER BY id")
+				if err != nil {
+					t.Fatalf("%s: %v", c.where, err)
+				}
+				if got := ids(res, 1); got != c.want {
+					t.Errorf("indexed=%v batch=%v %s: ids %s, want %s (access %v)",
+						indexed, batch, c.where, got, c.want, res.Access)
+				}
+			}
+			res := eng.MustExec("SELECT id FROM f ORDER BY x, id")
+			if got := ids(res, 1); got != order {
+				t.Errorf("indexed=%v batch=%v ORDER BY x: ids %s, want %s", indexed, batch, got, order)
+			}
+			for _, on := range []string{"b.x = a.x", "b.x + 0 = a.x + 0"} {
+				res := eng.MustExec("SELECT a.id, b.id FROM f a JOIN f b ON " + on + " ORDER BY a.id, b.id")
+				if got := ids(res, 2); got != join {
+					t.Errorf("indexed=%v batch=%v ON %s: pairs %s, want %s (access %v)",
+						indexed, batch, on, got, join, res.Access)
+				}
+				if !indexed && on == "b.x = a.x" && res.Access[1] != "b:hash" {
+					t.Errorf("batch=%v ON %s: access %v, want a hash join", batch, on, res.Access)
+				}
 			}
 			eng.Close()
 		}
