@@ -14,8 +14,7 @@ import (
 
 // bruteForce answers a SELECT the slow, obviously-right way: nested
 // loops over full table scans in heap order, every WHERE and ON conjunct
-// evaluated with plain sql.Eval on the freshly bound, unrewritten parse
-// tree (as soon as the loop nest has bound its columns — without that
+// evaluated with plain sql.Eval on its freshly bound, unrewritten tree (as soon as the loop nest has bound its columns — without that
 // the cross products below would take minutes), then a stable sort on
 // the ORDER BY keys and a per-row projection, or a single-group
 // COUNT/SUM fold with the executor's exact accumulator. No planner, no
@@ -55,8 +54,9 @@ func bruteForce(eng *Engine, reg *sql.Registry, query string) (string, error) {
 		conjuncts = append(conjuncts, sql.Conjuncts(j.On)...)
 	}
 	hasAgg := false
-	for _, se := range sel.Exprs {
-		if err := sql.Bind(se.Expr, scope, reg, true); err != nil {
+	exprs := make([]sql.Expr, len(sel.Exprs))
+	for i, se := range sel.Exprs {
+		if exprs[i], err = sql.Bind(se.Expr, scope, reg, true); err != nil {
 			return "", err
 		}
 		hasAgg = hasAgg || sql.HasAggregate(se.Expr)
@@ -65,23 +65,27 @@ func bruteForce(eng *Engine, reg *sql.Registry, query string) (string, error) {
 	// table i.
 	level := make([][]sql.Expr, len(tables))
 	for _, c := range conjuncts {
-		if err := sql.Bind(c, scope, reg, false); err != nil {
+		bound, err := sql.Bind(c, scope, reg, false)
+		if err != nil {
 			return "", err
 		}
 		max := 0
 		sql.WalkExpr(c, func(x sql.Expr) {
-			if col, ok := x.(*sql.ColumnRef); ok && col.Index > max {
-				max = col.Index
+			if col, ok := x.(*sql.ColumnRef); ok {
+				if idx, err := scope.Resolve(strings.ToLower(col.Table), strings.ToLower(col.Column)); err == nil && idx > max {
+					max = idx
+				}
 			}
 		})
 		at := 0
 		for max >= his[at] {
 			at++
 		}
-		level[at] = append(level[at], c)
+		level[at] = append(level[at], bound)
 	}
-	for _, ok := range sel.OrderBy {
-		if err := sql.Bind(ok.Expr, scope, reg, false); err != nil {
+	order := make([]sql.Expr, len(sel.OrderBy))
+	for i, ok := range sel.OrderBy {
+		if order[i], err = sql.Bind(ok.Expr, scope, reg, false); err != nil {
 			return "", err
 		}
 	}
@@ -125,10 +129,14 @@ func bruteForce(eng *Engine, reg *sql.Registry, query string) (string, error) {
 				line = append(line, storage.NewInt(int64(len(joined))))
 				continue
 			}
+			arg, err := sql.Bind(fc.Args[0], scope, reg, false)
+			if err != nil {
+				return "", err
+			}
 			sum := new(big.Float).SetPrec(2304) // the executor's sumPrec: exact for float64 terms
 			n := 0
 			for _, r := range joined {
-				v, err := sql.Eval(fc.Args[0], r, reg)
+				v, err := sql.Eval(arg, r, reg)
 				if err != nil {
 					return "", err
 				}
@@ -151,8 +159,8 @@ func bruteForce(eng *Engine, reg *sql.Registry, query string) (string, error) {
 	} else {
 		keys := make([][]storage.Value, len(joined))
 		for i, r := range joined {
-			for _, ok := range sel.OrderBy {
-				v, err := sql.Eval(ok.Expr, r, reg)
+			for _, k := range order {
+				v, err := sql.Eval(k, r, reg)
 				if err != nil {
 					return "", err
 				}
@@ -173,8 +181,8 @@ func bruteForce(eng *Engine, reg *sql.Registry, query string) (string, error) {
 		})
 		for _, i := range idx {
 			var line []storage.Value
-			for _, se := range sel.Exprs {
-				v, err := sql.Eval(se.Expr, joined[i], reg)
+			for _, e := range exprs {
+				v, err := sql.Eval(e, joined[i], reg)
 				if err != nil {
 					return "", err
 				}

@@ -320,7 +320,7 @@ func (cn *Conn) pruneTargets(info *tableInfo, binding string, where sql.Expr) ([
 }
 
 // seqRef builds an unresolved reference to the hidden sequence column.
-func seqRef() *sql.ColumnRef { return &sql.ColumnRef{Column: SeqColumn, Index: -1} }
+func seqRef() *sql.ColumnRef { return &sql.ColumnRef{Column: SeqColumn} }
 
 // outName mirrors the executor's output naming for one projection item.
 func outName(se sql.SelectExpr) string {
@@ -407,7 +407,7 @@ func (cn *Conn) orderedRewrite(t *sql.Select, info *tableInfo) (cl *sql.Select, 
 	cl = sql.CloneStatement(t).(*sql.Select)
 	keyStart = len(cl.Exprs)
 	for _, k := range t.OrderBy {
-		cl.Exprs = append(cl.Exprs, sql.SelectExpr{Expr: sql.CloneExpr(k.Expr)})
+		cl.Exprs = append(cl.Exprs, sql.SelectExpr{Expr: k.Expr})
 	}
 	cl.Exprs = append(cl.Exprs, sql.SelectExpr{Expr: seqRef()})
 	if !cn.knnShape(t, info) {
@@ -466,7 +466,7 @@ func (cn *Conn) knnProbe(t *sql.Select, info *tableInfo) (geom.Rect, bool) {
 			sql.HasColumnRef(fc.Args[1-i]) {
 			continue
 		}
-		v, err := sql.Eval(fc.Args[1-i], nil, cn.c.reg)
+		v, err := cn.c.evalConst(fc.Args[1-i])
 		if err != nil || v.IsNull() || v.Type != storage.TypeGeom {
 			return geom.Rect{}, false
 		}
@@ -661,7 +661,7 @@ func (cn *Conn) aggScan(ctx context.Context, t *sql.Select, info *tableInfo, tar
 	shardSel := &sql.Select{
 		Exprs: items,
 		From:  &sql.TableRef{Table: t.From.Table, Alias: t.From.Alias},
-		Where: sql.CloneExpr(t.Where),
+		Where: t.Where,
 		Limit: -1,
 	}
 	cn.c.countScatter(len(targets), cn.shards()-len(targets), eligible)
@@ -676,23 +676,53 @@ func (cn *Conn) aggScan(ctx context.Context, t *sql.Select, info *tableInfo, tar
 		return nil, true, err
 	}
 
-	// Finalize by substituting merged values into the original
-	// projection and evaluating the remaining scalar structure.
-	row := make([]storage.Value, len(t.Exprs))
-	for i, se := range t.Exprs {
-		v, err := sql.Eval(substituteAggs(se.Expr, merged), nil, cn.c.reg)
-		if err != nil {
-			return nil, true, err
-		}
-		row[i] = v
+	row, err := cn.c.finalRow([]*sql.TableRef{t.From}, []*tableInfo{info}, t.Exprs, merged)
+	if err != nil {
+		return nil, true, err
 	}
 	return &res{cols: selectNames(t.Exprs, info), rows: [][]storage.Value{row}}, true, nil
+}
+
+// finalRow evaluates a global aggregate's select list over the merged
+// results through the executor's own finalization. Bound against the
+// query's scope, the i-th aggregate call (collectAggs order) reads row
+// position Len()+i, where merged[i] is placed, and the scalar structure
+// around it evaluates exactly as the engine's aggregator evaluates it.
+// The path admits no column outside an aggregate, so the column
+// positions stay NULL.
+func (c *Cluster) finalRow(refs []*sql.TableRef, infos []*tableInfo, exprs []sql.SelectExpr, merged []storage.Value) ([]storage.Value, error) {
+	scope := sql.NewScope()
+	for i, r := range refs {
+		scope.AddTable(r.Name(), infos[i].cols)
+	}
+	in := append(make([]storage.Value, scope.Len()), merged...)
+	row := make([]storage.Value, len(exprs))
+	for i, se := range exprs {
+		b, err := sql.Bind(se.Expr, scope, c.reg, true)
+		if err != nil {
+			return nil, err
+		}
+		if row[i], err = sql.Eval(b, in, c.reg); err != nil {
+			return nil, err
+		}
+	}
+	return row, nil
+}
+
+// evalConst evaluates a column-free expression.
+func (c *Cluster) evalConst(e sql.Expr) (storage.Value, error) {
+	b, err := sql.Bind(e, sql.NewScope(), c.reg, false)
+	if err != nil {
+		return storage.Null(), err
+	}
+	return sql.Eval(b, nil, c.reg)
 }
 
 // collectAggs gathers top-level aggregate calls in projection order and
 // reports whether the expression is fast-path eligible: no column
 // references outside aggregate arguments, no aggregate ST_UNION (its
-// result is input-order dependent), no nested aggregates.
+// result is input-order dependent), no nested aggregates, no aggregate
+// without its one argument (the engine refuses those).
 func collectAggs(e sql.Expr, inAgg bool, aggs *[]*sql.FuncCall) bool {
 	switch x := e.(type) {
 	case nil:
@@ -712,7 +742,7 @@ func collectAggs(e sql.Expr, inAgg bool, aggs *[]*sql.FuncCall) bool {
 			collectAggs(x.Lo, inAgg, aggs) && collectAggs(x.Hi, inAgg, aggs)
 	case *sql.FuncCall:
 		if sql.IsAggregateCall(x) {
-			if inAgg || x.Name == "ST_UNION" {
+			if inAgg || x.Name == "ST_UNION" || (!x.Star && len(x.Args) != 1) {
 				return false
 			}
 			*aggs = append(*aggs, x)
@@ -734,10 +764,11 @@ func collectAggs(e sql.Expr, inAgg bool, aggs *[]*sql.FuncCall) bool {
 }
 
 // mergeAggStates folds per-shard partial rows into final values, one
-// per aggregate, visiting shards in shard order (MIN/MAX ties resolve
-// to the earlier shard, matching the executor's parallel merge — which
-// is why the collection is keyed by shard, not by arrival).
-func mergeAggStates(aggs []*sql.FuncCall, byShard map[int][][]storage.Value, targets []int) (map[*sql.FuncCall]storage.Value, error) {
+// per aggregate in aggs order, visiting shards in shard order (MIN/MAX
+// ties resolve to the earlier shard, matching the executor's parallel
+// merge — which is why the collection is keyed by shard, not by
+// arrival).
+func mergeAggStates(aggs []*sql.FuncCall, byShard map[int][][]storage.Value, targets []int) ([]storage.Value, error) {
 	counts := make([]int64, len(aggs))
 	partials := make([]sql.PartialSum, len(aggs))
 	for i := range partials {
@@ -792,61 +823,26 @@ func mergeAggStates(aggs []*sql.FuncCall, byShard map[int][][]storage.Value, tar
 		}
 	}
 
-	out := make(map[*sql.FuncCall]storage.Value, len(aggs))
+	out := make([]storage.Value, len(aggs))
 	for i, a := range aggs {
 		switch a.Name {
 		case "COUNT":
-			out[a] = storage.NewInt(counts[i])
+			out[i] = storage.NewInt(counts[i])
 		case "SUM":
-			out[a] = partials[i].FinalizeSum()
+			out[i] = partials[i].FinalizeSum()
 		case "AVG":
-			out[a] = partials[i].FinalizeAvg()
+			out[i] = partials[i].FinalizeAvg()
 		case "MIN", "MAX":
 			if seen[i] {
-				out[a] = minmax[i]
-			} else {
-				out[a] = storage.Null()
+				out[i] = minmax[i]
 			}
 		case "ST_EXTENT":
-			if extents[i].IsEmpty() {
-				out[a] = storage.Null()
-			} else {
-				out[a] = storage.NewGeom(extents[i].ToPolygon())
+			if !extents[i].IsEmpty() {
+				out[i] = storage.NewGeom(extents[i].ToPolygon())
 			}
 		}
 	}
 	return out, nil
-}
-
-// substituteAggs clones the expression with aggregate calls replaced by
-// their merged values (keyed by the original tree's node identity, like
-// the executor's own finalization pass).
-func substituteAggs(e sql.Expr, vals map[*sql.FuncCall]storage.Value) sql.Expr {
-	switch x := e.(type) {
-	case nil:
-		return nil
-	case *sql.FuncCall:
-		if v, ok := vals[x]; ok {
-			return &sql.Literal{Value: v}
-		}
-		args := make([]sql.Expr, len(x.Args))
-		for i, a := range x.Args {
-			args[i] = substituteAggs(a, vals)
-		}
-		return &sql.FuncCall{Name: x.Name, Args: args, Star: x.Star}
-	case *sql.UnaryExpr:
-		return &sql.UnaryExpr{Op: x.Op, Expr: substituteAggs(x.Expr, vals)}
-	case *sql.BinaryExpr:
-		return &sql.BinaryExpr{Op: x.Op,
-			Left:  substituteAggs(x.Left, vals),
-			Right: substituteAggs(x.Right, vals)}
-	case *sql.IsNull:
-		return &sql.IsNull{Expr: substituteAggs(x.Expr, vals), Negate: x.Negate}
-	case *sql.Between:
-		return &sql.Between{Expr: substituteAggs(x.Expr, vals),
-			Lo: substituteAggs(x.Lo, vals), Hi: substituteAggs(x.Hi, vals)}
-	}
-	return sql.CloneExpr(e)
 }
 
 // --- DML routing ---------------------------------------------------------

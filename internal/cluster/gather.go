@@ -78,7 +78,7 @@ func (cn *Conn) gather(ctx context.Context, t *sql.Select, orig string) (*res, e
 		}
 		for _, c := range conjuncts {
 			if refsOnlyBinding(c, r.Name(), single) {
-				pushed[i] = append(pushed[i], sql.CloneExpr(c))
+				pushed[i] = append(pushed[i], c)
 			}
 		}
 	}
@@ -261,7 +261,7 @@ func (cn *Conn) semijoinFilters(ctx context.Context, refs []*sql.TableRef, nameC
 			filters = append(filters, &sql.FuncCall{
 				Name: "ST_INTERSECTS",
 				Args: []sql.Expr{
-					&sql.ColumnRef{Table: binding, Column: geoName, Index: -1},
+					&sql.ColumnRef{Table: binding, Column: geoName},
 					envelopeLiteral(env),
 				},
 			})
@@ -273,17 +273,13 @@ func (cn *Conn) semijoinFilters(ctx context.Context, refs []*sql.TableRef, nameC
 // fragmentExtent asks binding ref's shards for ST_EXTENT(expr) over its
 // pushed fragment. none reports a NULL extent (no contributing row).
 func (cn *Conn) fragmentExtent(ctx context.Context, ref *sql.TableRef, pushed []sql.Expr, expr sql.Expr) (geom.Rect, bool, error) {
-	where := make([]sql.Expr, len(pushed))
-	for i, c := range pushed {
-		where[i] = sql.CloneExpr(c)
-	}
 	sel := &sql.Select{
 		Exprs: []sql.SelectExpr{{Expr: &sql.FuncCall{
 			Name: "ST_EXTENT",
-			Args: []sql.Expr{sql.CloneExpr(expr)},
+			Args: []sql.Expr{expr},
 		}}},
 		From:  &sql.TableRef{Table: ref.Table, Alias: ref.Alias},
-		Where: andAll(where),
+		Where: andAll(pushed),
 		Limit: -1,
 	}
 	r, err := cn.routeSelect(ctx, sel, renderSelect(sel))
@@ -394,16 +390,45 @@ func (cn *Conn) fetchFragment(ctx context.Context, refs []*sql.TableRef, pushed 
 	return r.rows, nil
 }
 
-// stripBinding clones an expression with the binding's qualifiers
-// removed, so it can run against a bare FROM of the fragment table.
+// stripBinding returns the expression with the binding's qualifiers
+// removed, so it can run against a bare FROM of the fragment table. It
+// copies the nodes on changed paths and never writes e, which may be
+// the client's parsed statement.
 func stripBinding(e sql.Expr, binding string) sql.Expr {
-	out := sql.CloneExpr(e)
-	sql.WalkExpr(out, func(x sql.Expr) {
-		if col, ok := x.(*sql.ColumnRef); ok && col.Table == binding {
-			col.Table = ""
+	strip := func(x sql.Expr) sql.Expr { return stripBinding(x, binding) }
+	switch x := e.(type) {
+	case *sql.ColumnRef:
+		if x.Table == binding {
+			return &sql.ColumnRef{Column: x.Column}
 		}
-	})
-	return out
+	case *sql.BinaryExpr:
+		if l, r := strip(x.Left), strip(x.Right); l != x.Left || r != x.Right {
+			return &sql.BinaryExpr{Op: x.Op, Left: l, Right: r}
+		}
+	case *sql.UnaryExpr:
+		if y := strip(x.Expr); y != x.Expr {
+			return &sql.UnaryExpr{Op: x.Op, Expr: y}
+		}
+	case *sql.IsNull:
+		if y := strip(x.Expr); y != x.Expr {
+			return &sql.IsNull{Expr: y, Negate: x.Negate}
+		}
+	case *sql.Between:
+		if y, lo, hi := strip(x.Expr), strip(x.Lo), strip(x.Hi); y != x.Expr || lo != x.Lo || hi != x.Hi {
+			return &sql.Between{Expr: y, Lo: lo, Hi: hi}
+		}
+	case *sql.FuncCall:
+		args := make([]sql.Expr, len(x.Args))
+		changed := false
+		for i, a := range x.Args {
+			args[i] = strip(a)
+			changed = changed || args[i] != a
+		}
+		if changed {
+			return &sql.FuncCall{Name: x.Name, Args: args, Star: x.Star}
+		}
+	}
+	return e
 }
 
 // orAll disjoins expressions (nil for an empty list).

@@ -99,8 +99,8 @@ func (cn *Conn) joinPushdown(ctx context.Context, t *sql.Select, refs []*sql.Tab
 	compSel.Exprs = partialItems(aggs)
 	compSel.Limit = -1
 	neq := &sql.BinaryExpr{Op: "<>",
-		Left:  &sql.ColumnRef{Table: refs[0].Name(), Column: ShardColumn, Index: -1},
-		Right: &sql.ColumnRef{Table: refs[1].Name(), Column: ShardColumn, Index: -1},
+		Left:  &sql.ColumnRef{Table: refs[0].Name(), Column: ShardColumn},
+		Right: &sql.ColumnRef{Table: refs[1].Name(), Column: ShardColumn},
 	}
 	if compSel.Where != nil {
 		compSel.Where = &sql.BinaryExpr{Op: "AND", Left: compSel.Where, Right: neq}
@@ -118,13 +118,9 @@ func (cn *Conn) joinPushdown(ctx context.Context, t *sql.Select, refs []*sql.Tab
 	if err != nil {
 		return nil, true, err
 	}
-	row := make([]storage.Value, len(t.Exprs))
-	for i, se := range t.Exprs {
-		v, err := sql.Eval(substituteAggs(se.Expr, merged), nil, cn.c.reg)
-		if err != nil {
-			return nil, true, err
-		}
-		row[i] = v
+	row, err := cn.c.finalRow(refs, []*tableInfo{infoA, infoB}, t.Exprs, merged)
+	if err != nil {
+		return nil, true, err
 	}
 	cn.c.countJoinPushdown()
 	return &res{cols: selectNames(t.Exprs, infoA), rows: [][]storage.Value{row}}, true, nil
@@ -140,10 +136,10 @@ func partialItems(aggs []*sql.FuncCall) []sql.SelectExpr {
 		case "SUM", "AVG":
 			items[i] = sql.SelectExpr{Expr: &sql.FuncCall{
 				Name: sql.PartialSumName,
-				Args: []sql.Expr{sql.CloneExpr(a.Args[0])},
+				Args: []sql.Expr{a.Args[0]},
 			}}
 		default:
-			items[i] = sql.SelectExpr{Expr: sql.CloneExpr(a).(*sql.FuncCall)}
+			items[i] = sql.SelectExpr{Expr: a}
 		}
 	}
 	return items
@@ -170,7 +166,7 @@ func (cn *Conn) spatialJoinBound(c sql.Expr) (x, y sql.Expr, d float64, ok bool)
 		if sql.HasColumnRef(fc.Args[2]) {
 			return nil, nil, 0, false
 		}
-		v, err := sql.Eval(fc.Args[2], nil, cn.c.reg)
+		v, err := cn.c.evalConst(fc.Args[2])
 		if err != nil {
 			return nil, nil, 0, false
 		}
@@ -298,7 +294,7 @@ func (cn *Conn) buildComplement(ctx context.Context, infos []*tableInfo, d float
 				continue
 			}
 			var where sql.Expr = &sql.FuncCall{Name: "ST_INTERSECTS", Args: []sql.Expr{
-				&sql.ColumnRef{Column: geo, Index: -1},
+				&sql.ColumnRef{Column: geo},
 				envelopeLiteral(band.Expand(m)),
 			}}
 			if spill := cn.spillFilter(t, geo, m); spill != nil {
@@ -326,7 +322,7 @@ func (cn *Conn) buildComplement(ctx context.Context, infos []*tableInfo, d float
 func complementSelect(info *tableInfo) *sql.Select {
 	exprs := make([]sql.SelectExpr, len(info.cols))
 	for i, c := range info.cols {
-		exprs[i] = sql.SelectExpr{Expr: &sql.ColumnRef{Column: c.Name, Index: -1}}
+		exprs[i] = sql.SelectExpr{Expr: &sql.ColumnRef{Column: c.Name}}
 	}
 	return &sql.Select{Exprs: exprs, From: &sql.TableRef{Table: info.name}, Limit: -1}
 }
@@ -351,7 +347,7 @@ func (cn *Conn) spillFilter(s int, geo string, m float64) sql.Expr {
 	var tests []sql.Expr
 	reaches := func(ordinate, op string, edge float64) {
 		tests = append(tests, &sql.BinaryExpr{Op: op,
-			Left:  &sql.FuncCall{Name: ordinate, Args: []sql.Expr{&sql.ColumnRef{Column: geo, Index: -1}}},
+			Left:  &sql.FuncCall{Name: ordinate, Args: []sql.Expr{&sql.ColumnRef{Column: geo}}},
 			Right: &sql.Literal{Value: storage.NewFloat(edge)},
 		})
 	}

@@ -1,6 +1,7 @@
 package cluster_test
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -225,5 +226,45 @@ func TestRouterShardStats(t *testing.T) {
 	}
 	if got := ss.PruneRate(); got != 3.0/4.0 {
 		t.Errorf("PruneRate = %v, want 0.75", got)
+	}
+}
+
+// TestRouterAggregateExpressions: an aggregate result read by BETWEEN,
+// IS NULL or a short-circuiting AND is a value like any other, global
+// or grouped, on the single engine and through the router alike; an
+// aggregate call without exactly one argument is refused, not run.
+func TestRouterAggregateExpressions(t *testing.T) {
+	f := newRouterFixture(t)
+	f.exec(t, "CREATE TABLE t (id INTEGER, x INTEGER, loc GEOMETRY)")
+	f.exec(t, `INSERT INTO t VALUES (1, 10, ST_MakePoint(10, 10)), (2, 20, ST_MakePoint(90, 10)),
+		(3, 30, ST_MakePoint(10, 90)), (4, 40, ST_MakePoint(90, 90))`)
+	targets := []struct {
+		name string
+		conn driver.Conn
+	}{{"single", f.single}, {"cluster", f.cluster}}
+	for _, c := range []struct{ sql, want string }{
+		{"SELECT COUNT(*) BETWEEN 1 AND 10 FROM t", "[[true]]"},
+		{"SELECT SUM(x) IS NULL FROM t", "[[false]]"},
+		// The left side is false, so the division is never evaluated.
+		{"SELECT COUNT(*) > 5 AND 1 / 0 = 1 FROM t", "[[false]]"},
+		{"SELECT id, COUNT(*) BETWEEN 1 AND 10 FROM t GROUP BY id ORDER BY id", "[[1 true] [2 true] [3 true] [4 true]]"},
+		{"SELECT SUM() FROM t", "error"},
+		{"SELECT COUNT(id, x) FROM t", "error"},
+	} {
+		for _, target := range targets {
+			rs, err := target.conn.Query(c.sql)
+			switch {
+			case c.want == "error":
+				if err == nil || !strings.Contains(err.Error(), "takes one argument") {
+					t.Errorf("%s: %s: err %v, want an arity error", target.name, c.sql, err)
+				}
+			case err != nil:
+				t.Errorf("%s: %s: %v", target.name, c.sql, err)
+			default:
+				if got := fmt.Sprint(rs.Rows); got != c.want {
+					t.Errorf("%s: %s = %s, want %s", target.name, c.sql, got, c.want)
+				}
+			}
+		}
 	}
 }

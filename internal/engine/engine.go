@@ -331,11 +331,11 @@ func (e *Engine) execStatement(stmt sql.Statement) (*sql.Result, error) {
 }
 
 // ExecParsed executes an already-parsed statement under the same lock
-// discipline as Exec. The caller must not reuse the tree across
-// executions (binding mutates it in place; clone with sql.CloneStatement
-// first). Used by the cluster router's gather path, which constructs
-// statement trees directly so geometry values round-trip without a
-// rendering step.
+// discipline as Exec. Execution only reads the tree (it binds into a
+// private one), so a parsed statement may be executed any number of
+// times, from any number of goroutines at once. Used by the cluster
+// router's gather path, which constructs statement trees directly so
+// geometry values round-trip without a rendering step.
 func (e *Engine) ExecParsed(stmt sql.Statement) (*sql.Result, error) {
 	return e.execStatement(stmt)
 }

@@ -19,6 +19,7 @@ package sql
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"jackpine/internal/storage"
@@ -48,6 +49,10 @@ type Insert struct {
 }
 
 // Select is a SELECT statement.
+//
+// No statement node is written after Parse: execution binds into a tree
+// of its own, so one parsed statement may run any number of times, from
+// any number of goroutines.
 type Select struct {
 	Exprs   []SelectExpr
 	From    *TableRef
@@ -128,6 +133,23 @@ type DropTable struct {
 	IfExists bool
 }
 
+// CloneStatement returns a SELECT a caller may edit into a variant (the
+// cluster router's per-shard rewrites): the Select and its slices are
+// copied, the expression trees shared, since nothing writes a parsed
+// tree. Any other statement is returned as is.
+func CloneStatement(s Statement) Statement {
+	sel, ok := s.(*Select)
+	if !ok {
+		return s
+	}
+	cp := *sel
+	cp.Exprs = slices.Clone(sel.Exprs)
+	cp.Joins = slices.Clone(sel.Joins)
+	cp.GroupBy = slices.Clone(sel.GroupBy)
+	cp.OrderBy = slices.Clone(sel.OrderBy)
+	return &cp
+}
+
 func (*CreateTable) stmt() {}
 func (*CreateIndex) stmt() {}
 func (*Insert) stmt()      {}
@@ -153,12 +175,12 @@ type Expr interface {
 // Literal is a constant value.
 type Literal struct{ Value storage.Value }
 
-// ColumnRef names a column, optionally qualified by table/alias. After
-// semantic analysis, Index is the row offset (-1 before resolution).
+// ColumnRef names a column, optionally qualified by table/alias. It is
+// plain parser output: Bind resolves it to a row offset in a node of
+// its own (see bind.go) and never writes this one.
 type ColumnRef struct {
 	Table  string
 	Column string
-	Index  int
 }
 
 // BinaryExpr applies an infix operator.
@@ -173,19 +195,13 @@ type UnaryExpr struct {
 	Expr Expr
 }
 
-// FuncCall invokes a scalar or aggregate function.
+// FuncCall invokes a scalar or aggregate function. It is plain parser
+// output: Bind resolves the function, or places the aggregate's
+// result, in a node of its own (see bind.go) and never writes this one.
 type FuncCall struct {
 	Name string // canonical upper-case
 	Args []Expr
 	Star bool // COUNT(*)
-
-	// prep caches the prepared constant side of a topological
-	// predicate for the duration of one statement execution. It is
-	// installed by Runner.installPrepared on the execution's private
-	// statement tree after binding and before any fan-out, and read
-	// (never written) during evaluation, so morsel workers share it
-	// safely. Clones drop it (see CloneStatement).
-	prep *preparedCall
 }
 
 // IsNull tests for SQL NULL (negated when Negate).

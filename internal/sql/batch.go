@@ -14,11 +14,16 @@ import (
 // copies only the survivors into the batch; the table then decodes only
 // the columns the stage's residual filters read, and hands the batch
 // here, where those filters run column-major over the selection vector.
-// Compiled comparisons and prepared topological predicates each
-// evaluate a whole batch's candidates in one kernel loop. Late materialization: each surviving row is then copied into
-// the shard's one full-width scratch tuple, since batch memory is
-// recycled, the rest of its needed columns decode into that tuple, and
-// it is emitted, borrowed, into the join/aggregate/sort pipeline.
+// The filters are nodes of the execution's bound tree (bind.go), read
+// and never written here: a call carries its resolved FuncImpl and, for
+// a topological predicate with a constant side, its prepared state, so
+// compiled comparisons and prepared predicates each evaluate a whole
+// batch's candidates in one kernel loop, and other calls run without a
+// registry lookup. Late materialization: each surviving row is then
+// copied into the shard's one full-width scratch tuple, since batch
+// memory is recycled, the rest of its needed columns decode into that
+// tuple, and it is emitted, borrowed, into the join/aggregate/sort
+// pipeline.
 //
 // The batch path is byte-equivalent to the row path on success. Four
 // narrow divergences are accepted and documented in DESIGN.md: a batch
@@ -35,10 +40,9 @@ import (
 // batch loop dispatches without re-inspecting the tree per row.
 type batchFilter struct {
 	expr Expr
-	// fc is set when the filter is a top-level non-aggregate call: its
-	// arguments evaluate into a reused buffer instead of a fresh slice
-	// per row.
-	fc *FuncCall
+	// fc is set when the filter is a top-level call: its arguments
+	// evaluate into a reused buffer instead of a fresh slice per row.
+	fc *callExpr
 	// pc is set when fc additionally carries a prepared constant side:
 	// the whole batch's candidates go through one prepared-kernel call.
 	pc *preparedCall
@@ -97,7 +101,7 @@ func (r *Runner) newBatchPlan(tbl Table, filters []Expr, cmps []*comparator, wid
 		if cc, ok := bf.cmp.pushdown(nCols); ok {
 			p.prefilter = append(p.prefilter, cc)
 		}
-		if fc, ok := bf.expr.(*FuncCall); ok && !IsAggregateCall(fc) {
+		if fc, ok := bf.expr.(*callExpr); ok {
 			bf.fc = fc
 			bf.pc = fc.prep
 		}
@@ -191,10 +195,10 @@ func (ex *batchExec) runCompare(b *storage.ColBatch, c *comparator, sel []int) (
 // and type-error semantics as preparedCall.eval), non-NULL geometries
 // feed one batch kernel call, and prepHits advances by the number of
 // evaluated candidates — identical totals to the per-row fast path.
-func (ex *batchExec) runPrepared(b *storage.ColBatch, fc *FuncCall, pc *preparedCall, sel []int) ([]int, error) {
+func (ex *batchExec) runPrepared(b *storage.ColBatch, fc *callExpr, pc *preparedCall, sel []int) ([]int, error) {
 	reg := ex.plan.r.reg
 	varIdx := 1 - pc.constIdx
-	arg := fc.Args[varIdx]
+	arg := fc.args[varIdx]
 	ex.slots = ex.slots[:0]
 	ex.geoms = ex.geoms[:0]
 	for _, s := range sel {
@@ -246,23 +250,23 @@ func (ex *batchExec) runPrepared(b *storage.ColBatch, fc *FuncCall, pc *prepared
 // runPlainCall evaluates a top-level unprepared call with a reused
 // argument buffer (Value has value semantics and registry functions do
 // not retain the slice), removing the per-row args allocation of Eval.
-func (ex *batchExec) runPlainCall(b *storage.ColBatch, fc *FuncCall, sel []int) ([]int, error) {
+func (ex *batchExec) runPlainCall(b *storage.ColBatch, fc *callExpr, sel []int) ([]int, error) {
 	reg := ex.plan.r.reg
-	if cap(ex.args) < len(fc.Args) {
-		ex.args = make([]storage.Value, len(fc.Args))
+	if cap(ex.args) < len(fc.args) {
+		ex.args = make([]storage.Value, len(fc.args))
 	}
-	args := ex.args[:len(fc.Args)]
+	args := ex.args[:len(fc.args)]
 	out := ex.sel2[:0]
 	for _, s := range sel {
 		row := b.Row(s)
-		for i, a := range fc.Args {
+		for i, a := range fc.args {
 			v, err := Eval(a, row, reg)
 			if err != nil {
 				return nil, err
 			}
 			args[i] = v
 		}
-		v, err := reg.Call(fc.Name, args)
+		v, err := fc.fn(args)
 		if err != nil {
 			return nil, err
 		}

@@ -6,10 +6,10 @@ import (
 	"jackpine/internal/storage"
 )
 
-// Compiled comparisons. A filter conjunct `x op y` whose operands are
-// each a column reference or a literal is classified once per plan into
-// a comparator: the batch cascade runs it column-major over a batch's
-// selection vector and each stage's row filter (filterRows in
+// Compiled comparisons. A bound filter conjunct `x op y` whose operands
+// are each a column reference or a literal is classified once per plan
+// into a comparator: the batch cascade runs it column-major over a
+// batch's selection vector and each stage's row filter (filterRows in
 // execSelect) calls it per row, both without walking the expression
 // tree through Eval. evalBinary applies the same compareValues, so the
 // comparator and Eval agree by construction. A batched full scan also
@@ -78,8 +78,8 @@ func compileComparison(e Expr) *comparator {
 // cmpOperand classifies one comparison operand.
 func cmpOperand(e Expr) (int, storage.Value, bool) {
 	switch t := e.(type) {
-	case *ColumnRef:
-		return t.Index, storage.Value{}, t.Index >= 0
+	case *colRef:
+		return t.idx, storage.Value{}, true
 	case *Literal:
 		return -1, t.Value, true
 	}

@@ -32,7 +32,7 @@ func TestComparatorMatchesEval(t *testing.T) {
 		storage.NewGeom(geom.Pt(1, 2)), storage.NewGeom(geom.Pt(3, 4)),
 	}
 	reg := NewRegistry(RegistryOptions{})
-	col := func(i int) Expr { return &ColumnRef{Column: fmt.Sprint("c", i), Index: i} }
+	col := func(i int) Expr { return &colRef{src: &ColumnRef{Column: fmt.Sprint("c", i)}, idx: i} }
 	lit := func(v storage.Value) Expr { return &Literal{Value: v} }
 	b := new(storage.ColBatch)
 	cases, pushed := 0, 0
@@ -57,8 +57,8 @@ func TestComparatorMatchesEval(t *testing.T) {
 							l, op, r, e, got, err, want, evalErr)
 					}
 					cc, ok := c.pushdown(len(row))
-					_, lcol := e.Left.(*ColumnRef)
-					_, rcol := e.Right.(*ColumnRef)
+					_, lcol := e.Left.(*colRef)
+					_, rcol := e.Right.(*colRef)
 					if ok != (lcol != rcol) {
 						t.Fatalf("%s: pushdown ok=%v, want it for one column and one literal", e, ok)
 					}
@@ -89,8 +89,8 @@ func TestComparatorMatchesEval(t *testing.T) {
 // TestCompileComparisonShapes pins which conjuncts compile: comparisons
 // whose operands are bound column references or literals, nothing else.
 func TestCompileComparisonShapes(t *testing.T) {
-	col := &ColumnRef{Column: "c", Index: 0}
-	unbound := &ColumnRef{Column: "c", Index: -1}
+	col := &colRef{src: &ColumnRef{Column: "c"}, idx: 0}
+	unbound := &ColumnRef{Column: "c"}
 	one := &Literal{Value: storage.NewInt(1)}
 	for _, tc := range []struct {
 		e    Expr

@@ -11,6 +11,7 @@ import (
 // entry per column of the FROM tables in join order.
 type Scope struct {
 	cols []scopeCol
+	aggs int // aggregate calls bound against the scope (see Bind)
 }
 
 type scopeCol struct {
@@ -61,68 +62,6 @@ func (s *Scope) Resolve(table, column string) (int, error) {
 	return found, nil
 }
 
-// Bind resolves every column reference in the expression against the
-// scope (mutating ColumnRef.Index) and verifies functions exist in reg.
-// Aggregate calls are permitted only when aggOK.
-func Bind(e Expr, s *Scope, reg *Registry, aggOK bool) error {
-	switch t := e.(type) {
-	case nil:
-		return nil
-	case *Literal:
-		return nil
-	case *slotRef:
-		return Bind(t.sub, s, reg, aggOK)
-	case *ColumnRef:
-		idx, err := s.Resolve(strings.ToLower(t.Table), strings.ToLower(t.Column))
-		if err != nil {
-			return err
-		}
-		t.Index = idx
-		return nil
-	case *BinaryExpr:
-		if err := Bind(t.Left, s, reg, aggOK); err != nil {
-			return err
-		}
-		return Bind(t.Right, s, reg, aggOK)
-	case *UnaryExpr:
-		return Bind(t.Expr, s, reg, aggOK)
-	case *IsNull:
-		return Bind(t.Expr, s, reg, aggOK)
-	case *Between:
-		if err := Bind(t.Expr, s, reg, aggOK); err != nil {
-			return err
-		}
-		if err := Bind(t.Lo, s, reg, aggOK); err != nil {
-			return err
-		}
-		return Bind(t.Hi, s, reg, aggOK)
-	case *FuncCall:
-		if IsAggregateCall(t) {
-			if !aggOK {
-				return fmt.Errorf("sql: aggregate %s not allowed here", t.Name)
-			}
-			// Aggregate arguments must not nest aggregates.
-			for _, a := range t.Args {
-				if err := Bind(a, s, reg, false); err != nil {
-					return err
-				}
-			}
-			return nil
-		}
-		if !reg.Has(t.Name) {
-			return fmt.Errorf("sql: function %s is not supported by this engine", t.Name)
-		}
-		for _, a := range t.Args {
-			if err := Bind(a, s, reg, aggOK); err != nil {
-				return err
-			}
-		}
-		return nil
-	default:
-		return fmt.Errorf("sql: cannot bind %T", e)
-	}
-}
-
 // IsAggregate reports whether name is an aggregate function. ST_UNION
 // and ST_EXTENT are aggregates in their one-argument form only (the
 // two-argument ST_UNION is the scalar overlay function); use
@@ -148,41 +87,53 @@ func IsAggregateCall(fc *FuncCall) bool {
 	return false
 }
 
-// HasAggregate reports whether the expression contains an aggregate call.
+// HasAggregate reports whether the expression, parsed or bound,
+// contains an aggregate call.
 func HasAggregate(e Expr) bool {
-	switch t := e.(type) {
-	case *FuncCall:
-		if IsAggregateCall(t) {
-			return true
+	found := false
+	walkExpr(e, func(x Expr) {
+		switch t := x.(type) {
+		case *aggRef:
+			found = true
+		case *FuncCall:
+			found = found || IsAggregateCall(t)
 		}
-		for _, a := range t.Args {
-			if HasAggregate(a) {
-				return true
-			}
-		}
-	case *BinaryExpr:
-		return HasAggregate(t.Left) || HasAggregate(t.Right)
-	case *UnaryExpr:
-		return HasAggregate(t.Expr)
-	case *IsNull:
-		return HasAggregate(t.Expr)
-	case *Between:
-		return HasAggregate(t.Expr) || HasAggregate(t.Lo) || HasAggregate(t.Hi)
-	}
-	return false
+	})
+	return found
 }
 
-// Eval computes the expression over the row. Column references must have
-// been bound first.
+// Eval computes a bound expression (see Bind) over the row.
 func Eval(e Expr, row []storage.Value, reg *Registry) (storage.Value, error) {
 	switch t := e.(type) {
+	case *colRef:
+		if t.idx >= len(row) {
+			return storage.Null(), fmt.Errorf("sql: column %s read outside a row", t)
+		}
+		return row[t.idx], nil
 	case *Literal:
 		return t.Value, nil
-	case *ColumnRef:
-		if t.Index < 0 || t.Index >= len(row) {
-			return storage.Null(), fmt.Errorf("sql: unbound column %s", t)
+	case *callExpr:
+		if t.prep != nil {
+			// Topological call with a prepared constant side: evaluate
+			// only the variable operand and reuse the cached
+			// decomposition (see preparedCall.eval for the semantics
+			// guarantee).
+			return t.prep.eval(t, row, reg)
 		}
-		return row[t.Index], nil
+		args := make([]storage.Value, len(t.args))
+		for i, a := range t.args {
+			v, err := Eval(a, row, reg)
+			if err != nil {
+				return storage.Null(), err
+			}
+			args[i] = v
+		}
+		return t.fn(args)
+	case *aggRef:
+		if t.pos >= len(row) {
+			return storage.Null(), fmt.Errorf("sql: aggregate %s evaluated outside aggregation", t.src.Name)
+		}
+		return row[t.pos], nil
 	case *UnaryExpr:
 		v, err := Eval(t.Expr, row, reg)
 		if err != nil {
@@ -238,28 +189,8 @@ func Eval(e Expr, row []storage.Value, reg *Registry) (storage.Value, error) {
 		return evalBinary(t, row, reg)
 	case *slotRef:
 		return t.eval(row, reg)
-	case *FuncCall:
-		if IsAggregateCall(t) {
-			return storage.Null(), fmt.Errorf("sql: aggregate %s evaluated outside aggregation", t.Name)
-		}
-		if t.prep != nil {
-			// Topological call with a prepared constant side: evaluate
-			// only the variable operand and reuse the cached
-			// decomposition (see preparedCall.eval for the semantics
-			// guarantee).
-			return t.prep.eval(t, row, reg)
-		}
-		args := make([]storage.Value, len(t.Args))
-		for i, a := range t.Args {
-			v, err := Eval(a, row, reg)
-			if err != nil {
-				return storage.Null(), err
-			}
-			args[i] = v
-		}
-		return reg.Call(t.Name, args)
 	}
-	return storage.Null(), fmt.Errorf("sql: cannot evaluate %T", e)
+	return storage.Null(), fmt.Errorf("sql: cannot evaluate unbound %T", e)
 }
 
 // truthy interprets a value as a boolean condition.

@@ -175,7 +175,6 @@ func (r *Runner) execInsert(ins *Insert) (*Result, error) {
 		return nil, err
 	}
 	cols := tbl.Columns()
-	emptyScope := NewScope()
 	n := 0
 	for _, rowExprs := range ins.Rows {
 		if len(rowExprs) != len(cols) {
@@ -184,10 +183,7 @@ func (r *Runner) execInsert(ins *Insert) (*Result, error) {
 		}
 		row := make([]storage.Value, len(cols))
 		for i, e := range rowExprs {
-			if err := Bind(e, emptyScope, r.reg, false); err != nil {
-				return nil, err
-			}
-			v, err := Eval(e, nil, r.reg)
+			v, err := evalConst(e, r.reg)
 			if err != nil {
 				return nil, err
 			}
@@ -264,40 +260,44 @@ func (r *Runner) execSelect(sel *Select, explainOnly bool, rowIDs *[]RowID) (*Re
 		}
 	}
 
-	// Bind expressions.
+	// Bind into this execution's private tree (bind.go); sel is only
+	// read. exprs is the bound select list (nil at a star), order the
+	// bound ORDER BY keys of a non-aggregate plan (grouped ORDER BY keys
+	// name output columns and stay unbound).
 	hasAgg := len(sel.GroupBy) > 0
-	for i := range sel.Exprs {
-		if sel.Exprs[i].Star {
+	exprs := make([]Expr, len(sel.Exprs))
+	for i, se := range sel.Exprs {
+		if se.Star {
 			continue
 		}
-		if err := Bind(sel.Exprs[i].Expr, scope, r.reg, true); err != nil {
+		e, err := Bind(se.Expr, scope, r.reg, true)
+		if err != nil {
 			return nil, err
 		}
-		if HasAggregate(sel.Exprs[i].Expr) {
-			hasAgg = true
-		}
+		exprs[i] = e
+		hasAgg = hasAgg || HasAggregate(e)
 	}
 	var conjuncts []Expr
-	if sel.Where != nil {
-		if err := Bind(sel.Where, scope, r.reg, false); err != nil {
+	conds := []Expr{sel.Where}
+	for _, j := range sel.Joins {
+		conds = append(conds, j.On)
+	}
+	for _, c := range conds {
+		b, err := Bind(c, scope, r.reg, false)
+		if err != nil {
 			return nil, err
 		}
-		conjuncts = splitConjuncts(sel.Where)
+		conjuncts = append(conjuncts, splitConjuncts(b)...)
 	}
-	for i := range sel.Joins {
-		if err := Bind(sel.Joins[i].On, scope, r.reg, false); err != nil {
-			return nil, err
-		}
-		conjuncts = append(conjuncts, splitConjuncts(sel.Joins[i].On)...)
+	group, err := bindAll(scope, r.reg, false, sel.GroupBy...)
+	if err != nil {
+		return nil, err
 	}
-	for _, g := range sel.GroupBy {
-		if err := Bind(g, scope, r.reg, false); err != nil {
-			return nil, err
-		}
-	}
+	var order []Expr
 	if !hasAgg {
-		for i := range sel.OrderBy {
-			if err := Bind(sel.OrderBy[i].Expr, scope, r.reg, false); err != nil {
+		order = make([]Expr, len(sel.OrderBy))
+		for i, k := range sel.OrderBy {
+			if order[i], err = Bind(k.Expr, scope, r.reg, false); err != nil {
 				return nil, err
 			}
 		}
@@ -306,9 +306,11 @@ func (r *Runner) execSelect(sel *Select, explainOnly bool, rowIDs *[]RowID) (*Re
 	// Stage slots: replace every call-bearing subtree owned by an earlier
 	// stage than its consumer (see hoist.go). A conjunct is consumed at
 	// the earliest stage binding all of its references, the sinks at the
-	// last stage.
-	h := hoister{reg: r.reg, tables: tables, width: scope.Len()}
-	h.hoistSelect(sel, hasAgg)
+	// last stage. Rows are scope-wide plus one position per aggregate
+	// call, where the aggregator writes each group's results; stage
+	// cells follow.
+	h := hoister{reg: r.reg, tables: tables, width: scope.Len() + scope.aggs}
+	h.hoistSinks(exprs, order)
 	filterStage := func(c Expr) int {
 		if s := stageOf(tables, maxRef(c)); s > 0 {
 			return s
@@ -320,14 +322,10 @@ func (r *Runner) execSelect(sel *Select, explainOnly bool, rowIDs *[]RowID) (*Re
 	}
 
 	// Prepare the constant side of topological predicates once per
-	// execution (the literal query window of the micro queries), on
-	// this execution's private tree, before any worker fan-out.
-	r.installPrepared(conjuncts...)
-	for i := range sel.Exprs {
-		if !sel.Exprs[i].Star {
-			r.installPrepared(sel.Exprs[i].Expr)
-		}
-	}
+	// execution (the literal query window of the micro queries), before
+	// any worker fan-out.
+	r.prepareCalls(conjuncts)
+	r.prepareCalls(exprs)
 
 	// Choose access paths: each conjunct is attached to the earliest
 	// pipeline stage at which all of its references are available.
@@ -339,7 +337,7 @@ func (r *Runner) execSelect(sel *Select, explainOnly bool, rowIDs *[]RowID) (*Re
 	// kNN upgrade for the single-table pattern.
 	knn := false
 	if !hasAgg && len(tables) == 1 && paths[0].kind == accessFullScan {
-		if p, ok := tryKNN(sel, tables[0].tbl, scope); ok {
+		if p, ok := tryKNN(sel, order, tables[0].tbl, scope); ok {
 			paths[0] = p
 			knn = true
 		}
@@ -375,23 +373,11 @@ func (r *Runner) execSelect(sel *Select, explainOnly bool, rowIDs *[]RowID) (*Re
 	need := make([]bool, scope.Len())
 	allCols := false
 	for _, se := range sel.Exprs {
-		if se.Star {
-			allCols = true
-			continue
-		}
-		markColumns(need, se.Expr)
+		allCols = allCols || se.Star
 	}
-	for _, c := range conjuncts {
-		markColumns(need, c)
-	}
-	for _, g := range sel.GroupBy {
-		markColumns(need, g)
-	}
-	if !hasAgg {
-		for i := range sel.OrderBy {
-			markColumns(need, sel.OrderBy[i].Expr)
-		}
-	}
+	sinks := slices.Concat(exprs, group, order)
+	markColumns(need, sinks...)
+	markColumns(need, conjuncts...)
 	if !allCols {
 		for i, bt := range tables {
 			paths[i].need = need[bt.lo:bt.hi]
@@ -408,23 +394,9 @@ func (r *Runner) execSelect(sel *Select, explainOnly bool, rowIDs *[]RowID) (*Re
 	batch0, workers := r.stage0Exec(sel, tables[0].tbl, paths[0].kind, hasAgg, knn)
 	if batch0 && !allCols {
 		needElse := make([]bool, scope.Len())
-		for _, se := range sel.Exprs {
-			if !se.Star {
-				markColumns(needElse, se.Expr)
-			}
-		}
-		for _, g := range sel.GroupBy {
-			markColumns(needElse, g)
-		}
-		if !hasAgg {
-			for i := range sel.OrderBy {
-				markColumns(needElse, sel.OrderBy[i].Expr)
-			}
-		}
+		markColumns(needElse, sinks...)
 		for i := 1; i < len(tables); i++ {
-			for _, f := range stageFilters[i] {
-				markColumns(needElse, f)
-			}
+			markColumns(needElse, stageFilters[i]...)
 			// A PBSM fast-refine conjunct was stripped from the stage
 			// filters but its outer geometry is still read by the probe;
 			// it must not be classified ephemeral.
@@ -446,10 +418,11 @@ func (r *Runner) execSelect(sel *Select, explainOnly bool, rowIDs *[]RowID) (*Re
 
 	// Pipeline: scan stage 0, then probe each join stage's operator,
 	// applying stage filters.
-	// Rows are scope-wide plus, when any stage owns slots, one hidden
-	// cell position per non-final stage, plus, for a DML row selection,
-	// one last hidden position that stage 0 fills with the row id.
-	width := scope.Len()
+	// Rows are scope-wide, plus one position per aggregate call, plus,
+	// when any stage owns slots, one hidden cell position per non-final
+	// stage, plus, for a DML row selection, one last hidden position that
+	// stage 0 fills with the row id.
+	width := h.width
 	cells := h.cells
 	if cells != nil {
 		width += len(tables) - 1
@@ -520,7 +493,7 @@ func (r *Runner) execSelect(sel *Select, explainOnly bool, rowIDs *[]RowID) (*Re
 			if cells != nil && cells[stage-1] > 0 {
 				// The outer row enters its join stage: give it the cell every
 				// tuple derived from it will share.
-				full[scope.Len()+stage-1] = storage.Value{
+				full[h.width+stage-1] = storage.Value{
 					Geom: &stageCell{slots: make([]slotVal, cells[stage-1])}}
 			}
 			for i := range prep {
@@ -595,10 +568,9 @@ func (r *Runner) execSelect(sel *Select, explainOnly bool, rowIDs *[]RowID) (*Re
 
 	// Collected before stage 0 is built, so an invalid select list fails
 	// ahead of any window evaluation, as it always has on serial plans.
-	var aggs []*FuncCall
+	var aggs []*aggRef
 	if hasAgg {
-		var err error
-		if aggs, err = collectAggregates(sel); err != nil {
+		if aggs, err = collectAggregates(sel, exprs); err != nil {
 			return nil, err
 		}
 	}
@@ -646,12 +618,12 @@ func (r *Runner) execSelect(sel *Select, explainOnly bool, rowIDs *[]RowID) (*Re
 
 	project := func(row []storage.Value) ([]storage.Value, error) {
 		out := make([]storage.Value, 0, len(res.Columns))
-		for _, se := range sel.Exprs {
-			if se.Star {
+		for i, e := range exprs {
+			if sel.Exprs[i].Star {
 				out = append(out, row[:scope.Len()]...)
 				continue
 			}
-			v, err := Eval(se.Expr, row, r.reg)
+			v, err := Eval(e, row, r.reg)
 			if err != nil {
 				return nil, err
 			}
@@ -671,7 +643,7 @@ func (r *Runner) execSelect(sel *Select, explainOnly bool, rowIDs *[]RowID) (*Re
 
 	switch {
 	case hasAgg:
-		rows, err := r.aggregateShards(sel, aggs, width, workers, runShard)
+		rows, err := r.aggregateShards(group, exprs, aggs, width, workers, runShard)
 		if err != nil {
 			return nil, err
 		}
@@ -702,8 +674,8 @@ func (r *Runner) execSelect(sel *Select, explainOnly bool, rowIDs *[]RowID) (*Re
 		var all []keyedRow
 		err := runShard(0, func(row []storage.Value) (bool, error) {
 			kr := keyedRow{row: append([]storage.Value(nil), row...)}
-			for _, ok := range sel.OrderBy {
-				v, err := Eval(ok.Expr, row, r.reg)
+			for _, k := range order {
+				v, err := Eval(k, row, r.reg)
 				if err != nil {
 					return false, err
 				}
@@ -772,13 +744,16 @@ func (r *Runner) execSelect(sel *Select, explainOnly bool, rowIDs *[]RowID) (*Re
 	return res, nil
 }
 
-// markColumns sets mask[i] for every scope column e references.
-func markColumns(mask []bool, e Expr) {
-	walkExpr(e, func(x Expr) {
-		if c, ok := x.(*ColumnRef); ok && c.Index >= 0 && c.Index < len(mask) {
-			mask[c.Index] = true
-		}
-	})
+// markColumns sets mask[i] for every scope column the bound exprs
+// reference.
+func markColumns(mask []bool, exprs ...Expr) {
+	for _, e := range exprs {
+		walkExpr(e, func(x Expr) {
+			if c, ok := x.(*colRef); ok && c.idx < len(mask) {
+				mask[c.idx] = true
+			}
+		})
+	}
 }
 
 // sortAggregateRows orders grouped output rows. After aggregation,
@@ -1138,16 +1113,17 @@ func (st *aggState) sumFloat() float64 {
 	return f
 }
 
-// collectAggregates gathers the aggregate calls of the select list.
-func collectAggregates(sel *Select) ([]*FuncCall, error) {
-	var aggs []*FuncCall
-	for _, se := range sel.Exprs {
-		if se.Star {
+// collectAggregates gathers the aggregate calls of the bound select
+// list.
+func collectAggregates(sel *Select, exprs []Expr) ([]*aggRef, error) {
+	var aggs []*aggRef
+	for i, e := range exprs {
+		if sel.Exprs[i].Star {
 			return nil, fmt.Errorf("sql: SELECT * cannot be combined with aggregates")
 		}
-		walkExpr(se.Expr, func(e Expr) {
-			if fc, ok := e.(*FuncCall); ok && IsAggregateCall(fc) {
-				aggs = append(aggs, fc)
+		walkExpr(e, func(x Expr) {
+			if a, ok := x.(*aggRef); ok {
+				aggs = append(aggs, a)
 			}
 		})
 	}
@@ -1162,23 +1138,26 @@ type aggGroup struct {
 
 // aggregator folds rows into grouped aggregate states. Each worker of a
 // parallel plan owns one; partials merge in shard order, which keeps
-// group order and tie-breaks identical to a serial run.
+// group order and tie-breaks identical to a serial run. group, exprs
+// and aggs are the bound GROUP BY keys, select list and its aggregate
+// calls.
 type aggregator struct {
-	sel    *Select
 	reg    *Registry
-	aggs   []*FuncCall
+	group  []Expr
+	exprs  []Expr
+	aggs   []*aggRef
 	groups map[string]*aggGroup
 	order  []string // group keys in first-seen order
 }
 
-func newAggregator(sel *Select, reg *Registry, aggs []*FuncCall) *aggregator {
-	return &aggregator{sel: sel, reg: reg, aggs: aggs, groups: make(map[string]*aggGroup)}
+func newAggregator(reg *Registry, group, exprs []Expr, aggs []*aggRef) *aggregator {
+	return &aggregator{reg: reg, group: group, exprs: exprs, aggs: aggs, groups: make(map[string]*aggGroup)}
 }
 
 // add is the aggregation sink (an emitFn).
 func (a *aggregator) add(row []storage.Value) (bool, error) {
 	var keyVals []storage.Value
-	for _, g := range a.sel.GroupBy {
+	for _, g := range a.group {
 		v, err := Eval(g, row, a.reg)
 		if err != nil {
 			return false, err
@@ -1198,8 +1177,8 @@ func (a *aggregator) add(row []storage.Value) (bool, error) {
 		a.groups[key] = grp
 		a.order = append(a.order, key)
 	}
-	for i, fc := range a.aggs {
-		if err := accumulate(&grp.states[i], fc, row, a.reg); err != nil {
+	for i, ag := range a.aggs {
+		if err := accumulate(&grp.states[i], ag, row, a.reg); err != nil {
 			return false, err
 		}
 	}
@@ -1259,39 +1238,41 @@ func mergeState(dst, src *aggState) {
 	dst.geoms = append(dst.geoms, src.geoms...)
 }
 
-// rows finalizes every group (in first-seen order) into output rows.
+// rows finalizes every group (in first-seen order) into output rows:
+// each aggregate's result is written into the group's first row at the
+// position Bind gave the call, and the bound select list is evaluated
+// over that row.
 func (a *aggregator) rows(width int) ([][]storage.Value, error) {
 	// A global aggregate over zero rows still yields one output row.
-	if len(a.sel.GroupBy) == 0 && len(a.groups) == 0 {
+	if len(a.group) == 0 && len(a.groups) == 0 {
 		a.groups[""] = &aggGroup{firstRow: make([]storage.Value, width), states: make([]aggState, len(a.aggs))}
 		a.order = append(a.order, "")
 	}
 	var out [][]storage.Value
 	for _, key := range a.order {
 		grp := a.groups[key]
-		aggVals := make(map[*FuncCall]storage.Value, len(a.aggs))
-		for i, fc := range a.aggs {
-			aggVals[fc] = finalize(&grp.states[i], fc)
+		for i, ag := range a.aggs {
+			grp.firstRow[ag.pos] = finalize(&grp.states[i], ag.src.Name)
 		}
-		var row []storage.Value
-		for _, se := range a.sel.Exprs {
-			v, err := evalWithAggs(se.Expr, grp.firstRow, a.reg, aggVals)
+		row := make([]storage.Value, len(a.exprs))
+		for i, e := range a.exprs {
+			v, err := Eval(e, grp.firstRow, a.reg)
 			if err != nil {
 				return nil, err
 			}
-			row = append(row, v)
+			row[i] = v
 		}
 		out = append(out, row)
 	}
 	return out, nil
 }
 
-func accumulate(st *aggState, fc *FuncCall, row []storage.Value, reg *Registry) error {
-	if fc.Star { // COUNT(*)
+func accumulate(st *aggState, ag *aggRef, row []storage.Value, reg *Registry) error {
+	if ag.arg == nil { // COUNT(*)
 		st.count++
 		return nil
 	}
-	v, err := Eval(fc.Args[0], row, reg)
+	v, err := Eval(ag.arg, row, reg)
 	if err != nil {
 		return err
 	}
@@ -1299,7 +1280,7 @@ func accumulate(st *aggState, fc *FuncCall, row []storage.Value, reg *Registry) 
 		return nil
 	}
 	st.count++
-	switch fc.Name {
+	switch name := ag.src.Name; name {
 	case "ST_UNION":
 		if v.Type != storage.TypeGeom {
 			return fmt.Errorf("sql: ST_UNION over %s", v.Type)
@@ -1316,7 +1297,7 @@ func accumulate(st *aggState, fc *FuncCall, row []storage.Value, reg *Registry) 
 	case "SUM", "AVG", PartialSumName:
 		f, ok := v.AsFloat()
 		if !ok {
-			return fmt.Errorf("sql: %s over %s", fc.Name, v.Type)
+			return fmt.Errorf("sql: %s over %s", name, v.Type)
 		}
 		st.addSum(f)
 		if v.Type == storage.TypeInt {
@@ -1341,8 +1322,8 @@ func accumulate(st *aggState, fc *FuncCall, row []storage.Value, reg *Registry) 
 	return nil
 }
 
-func finalize(st *aggState, fc *FuncCall) storage.Value {
-	switch fc.Name {
+func finalize(st *aggState, name string) storage.Value {
+	switch name {
 	case "COUNT":
 		return storage.NewInt(st.count)
 	case "SUM":
@@ -1386,49 +1367,6 @@ func finalize(st *aggState, fc *FuncCall) storage.Value {
 	return storage.Null()
 }
 
-// evalWithAggs evaluates an expression substituting pre-computed
-// aggregate results.
-func evalWithAggs(e Expr, row []storage.Value, reg *Registry, aggVals map[*FuncCall]storage.Value) (storage.Value, error) {
-	if fc, ok := e.(*FuncCall); ok {
-		if v, hit := aggVals[fc]; hit {
-			return v, nil
-		}
-	}
-	switch t := e.(type) {
-	case *BinaryExpr:
-		cp := *t
-		l, err := evalWithAggs(t.Left, row, reg, aggVals)
-		if err != nil {
-			return storage.Null(), err
-		}
-		rr, err := evalWithAggs(t.Right, row, reg, aggVals)
-		if err != nil {
-			return storage.Null(), err
-		}
-		cp.Left = &Literal{Value: l}
-		cp.Right = &Literal{Value: rr}
-		return Eval(&cp, row, reg)
-	case *UnaryExpr:
-		v, err := evalWithAggs(t.Expr, row, reg, aggVals)
-		if err != nil {
-			return storage.Null(), err
-		}
-		return Eval(&UnaryExpr{Op: t.Op, Expr: &Literal{Value: v}}, row, reg)
-	case *FuncCall:
-		args := make([]storage.Value, len(t.Args))
-		for i, a := range t.Args {
-			v, err := evalWithAggs(a, row, reg, aggVals)
-			if err != nil {
-				return storage.Null(), err
-			}
-			args[i] = v
-		}
-		return reg.Call(t.Name, args)
-	default:
-		return Eval(e, row, reg)
-	}
-}
-
 // --- UPDATE / DELETE ------------------------------------------------------
 
 // matchRows collects, in heap order, the ids of the rows a single-table
@@ -1463,10 +1401,11 @@ func (r *Runner) execUpdate(upd *Update) (*Result, error) {
 		if idx < 0 {
 			return nil, fmt.Errorf("sql: unknown column %q in UPDATE", a.Column)
 		}
-		if err := Bind(a.Expr, scope, r.reg, false); err != nil {
+		e, err := Bind(a.Expr, scope, r.reg, false)
+		if err != nil {
 			return nil, err
 		}
-		sets = append(sets, setOp{idx: idx, e: a.Expr})
+		sets = append(sets, setOp{idx: idx, e: e})
 	}
 	ids, err := r.matchRows(upd.Table, upd.Where)
 	if err != nil {

@@ -18,9 +18,6 @@ import (
 // nil).
 func Conjuncts(e Expr) []Expr { return splitConjuncts(e) }
 
-// CloneExpr deep-copies an expression tree (see CloneStatement).
-func CloneExpr(e Expr) Expr { return cloneExpr(e) }
-
 // WalkExpr visits every node of the expression tree in prefix order.
 func WalkExpr(e Expr, fn func(Expr)) { walkExpr(e, fn) }
 
@@ -47,8 +44,8 @@ func HasColumnRef(e Expr) bool {
 // probe free of column references — contributes its probe envelope, and
 // contributions intersect. isGeomCol classifies column references
 // (receiving the reference's table qualifier, possibly empty, and
-// column name, both as written). The expression must be unbound; probes
-// are evaluated against reg as constants.
+// column name, both as written). The expression is a parse tree; probes
+// are bound and evaluated against reg as constants.
 //
 // ok is false when no conjunct matched (no pruning possible). A matched
 // conjunct with a NULL probe yields an empty window: the predicate can
@@ -88,7 +85,7 @@ func conjunctWindow(c Expr, isGeomCol func(table, column string) bool, reg *Regi
 			if HasColumnRef(probe) {
 				continue
 			}
-			v, err := Eval(probe, nil, reg)
+			v, err := evalConst(probe, reg)
 			if err != nil {
 				continue
 			}
@@ -128,7 +125,7 @@ func conjunctWindow(c Expr, isGeomCol func(table, column string) bool, reg *Regi
 		if HasColumnRef(probe) {
 			continue
 		}
-		v, err := Eval(probe, nil, reg)
+		v, err := evalConst(probe, reg)
 		if err != nil {
 			continue // unevaluable probe: no pruning from this conjunct
 		}
@@ -140,7 +137,7 @@ func conjunctWindow(c Expr, isGeomCol func(table, column string) bool, reg *Regi
 			if HasColumnRef(fc.Args[2]) {
 				continue
 			}
-			d, err := Eval(fc.Args[2], nil, reg)
+			d, err := evalConst(fc.Args[2], reg)
 			if err != nil {
 				continue
 			}
@@ -161,7 +158,7 @@ func ConstantGeometry(e Expr, reg *Registry) (geom.Geometry, bool) {
 	if HasColumnRef(e) {
 		return nil, false
 	}
-	v, err := Eval(e, nil, reg)
+	v, err := evalConst(e, reg)
 	if err != nil {
 		return nil, false
 	}

@@ -3,6 +3,8 @@ package sql
 import (
 	"reflect"
 	"testing"
+
+	"jackpine/internal/storage"
 )
 
 // FuzzParse asserts the SQL front door never panics: whatever bytes a
@@ -10,7 +12,9 @@ import (
 // reject garbage with an error, not a crash. Successfully parsed
 // statements additionally round-trip through CloneStatement (the cluster
 // rewriter depends on clones being faithful: it edits a clone of the
-// client's statement into each per-shard variant).
+// client's statement into each per-shard variant), and a SELECT stays
+// read-only: binding every expression of it leaves the statement equal
+// to a fresh parse of the same text.
 //
 // The committed corpus under testdata/fuzz/FuzzParse is generated by
 // tools/gencorpus from the benchmark suites, so every micro query shape
@@ -55,5 +59,37 @@ func FuzzParse(f *testing.F) {
 		if !reflect.DeepEqual(c1, c2) {
 			t.Fatalf("CloneStatement not idempotent for %q", src)
 		}
+		if sel, ok := stmt.(*Select); ok {
+			bindSelect(sel)
+			if fresh, err := Parse(src); err != nil || !reflect.DeepEqual(stmt, fresh) {
+				t.Fatalf("binding wrote the parsed statement of %q", src)
+			}
+		}
 	})
+}
+
+// bindSelect binds every expression of sel against a fixed scope, each
+// FROM and JOIN binding with the same five columns, ignoring errors.
+func bindSelect(sel *Select) {
+	cols := []Column{{"id", storage.TypeInt}, {"name", storage.TypeText}, {"geo", storage.TypeGeom},
+		{"a", storage.TypeInt}, {"b", storage.TypeFloat}}
+	scope := NewScope()
+	exprs := []Expr{sel.Where}
+	if sel.From != nil {
+		scope.AddTable(sel.From.Name(), cols)
+	}
+	for _, j := range sel.Joins {
+		scope.AddTable(j.Table.Name(), cols)
+		exprs = append(exprs, j.On)
+	}
+	reg := NewRegistry(RegistryOptions{})
+	for _, se := range sel.Exprs {
+		_, _ = Bind(se.Expr, scope, reg, true) // errors only end the walk early
+	}
+	for _, k := range sel.OrderBy {
+		exprs = append(exprs, k.Expr)
+	}
+	for _, e := range append(exprs, sel.GroupBy...) {
+		_, _ = Bind(e, scope, reg, false)
+	}
 }

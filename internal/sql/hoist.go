@@ -3,6 +3,7 @@ package sql
 import (
 	"fmt"
 	"reflect"
+	"slices"
 	"strings"
 
 	"jackpine/internal/geom"
@@ -11,13 +12,15 @@ import (
 
 // Stage slots. An expression belongs to the earliest pipeline stage
 // that binds all of its column references, and is evaluated there at
-// most once per row of that stage. At plan time every subtree that
-// contains a function call and is owned by an earlier stage than the
-// one consuming it — a join stage's filters and probe window, or the
-// sinks (projection, aggregate arguments, sort keys), which consume at
-// the last stage — is replaced by a slotRef; structurally identical
-// subtrees share one. A statement constant is the degenerate case:
-// stage -1, filled at plan time.
+// most once per row of that stage. At plan time every subtree of the
+// execution's bound tree (bind.go) that contains a function call and is
+// owned by an earlier stage than the one consuming it — a join stage's
+// filters and probe window, or the sinks (projection, aggregate
+// arguments, sort keys), which consume at the last stage — is replaced
+// by a slotRef; structurally identical subtrees share one. A statement
+// constant is the degenerate case: stage -1, filled at plan time. The
+// bound tree is built afresh for every execution, so slots are never
+// found in the tree the pass is handed.
 //
 // A slot of stage s >= 0 lives in that stage's cell, which rides in a
 // hidden position of the stage-s row past the scope width. Every tuple
@@ -44,9 +47,10 @@ type stageCell struct {
 	slots []slotVal
 }
 
-// slotRef stands in for a hoisted subtree. String and walkExpr see
-// through to the subtree, so output names, column pruning and the
-// planner's reference analysis are unaffected by the rewrite.
+// slotRef is the bound node standing in for a hoisted subtree. String
+// and walkExpr see through to the subtree, so output names, column
+// pruning and the planner's reference analysis are unaffected by the
+// rewrite.
 type slotRef struct {
 	sub   Expr
 	stage int     // owning stage, -1 for a statement constant
@@ -122,7 +126,7 @@ type hoister struct {
 func hasCall(e Expr) bool {
 	found := false
 	walkExpr(e, func(x Expr) {
-		if fc, ok := x.(*FuncCall); ok && !IsAggregateCall(fc) {
+		if _, ok := x.(*callExpr); ok {
 			found = true
 		}
 	})
@@ -133,12 +137,9 @@ func hasCall(e Expr) bool {
 // below at replaced by its slot. Nodes are copied only along changed
 // paths, so an expression with nothing to hoist costs no allocation.
 func (h *hoister) hoist(e Expr, at int, use string) Expr {
-	switch t := e.(type) {
-	case nil, *Literal, *ColumnRef:
+	switch e.(type) {
+	case nil, *Literal, *colRef:
 		return e
-	case *slotRef:
-		// A tree executed before: derive its slots afresh.
-		return h.hoist(t.sub, at, use)
 	}
 	if !hasCall(e) {
 		return e
@@ -172,22 +173,23 @@ func (h *hoister) hoistChildren(e Expr, at int, use string) Expr {
 		if x != t.Expr || lo != t.Lo || hi != t.Hi {
 			return &Between{Expr: x, Lo: lo, Hi: hi}
 		}
-	case *FuncCall:
-		if IsAggregateCall(t) {
-			use = "agg"
+	case *aggRef:
+		if x := h.hoist(t.arg, at, "agg"); x != t.arg {
+			return &aggRef{src: t.src, arg: x, pos: t.pos}
 		}
+	case *callExpr:
 		var args []Expr
-		for i, a := range t.Args {
+		for i, a := range t.args {
 			na := h.hoist(a, at, use)
 			if na != a && args == nil {
-				args = append([]Expr(nil), t.Args...)
+				args = append([]Expr(nil), t.args...)
 			}
 			if args != nil {
 				args[i] = na
 			}
 		}
 		if args != nil {
-			return &FuncCall{Name: t.Name, Args: args, Star: t.Star}
+			return &callExpr{src: t.src, fn: t.fn, args: args}
 		}
 	}
 	return e
@@ -195,13 +197,12 @@ func (h *hoister) hoistChildren(e Expr, at int, use string) Expr {
 
 // slot returns the slot of stage own for e, shared with any structurally
 // identical subtree seen before (nested slots were merged bottom-up, so
-// they compare equal as the same pointer; a column spelled two ways,
-// w.geo and geo, is merely not shared). Constants are evaluated here,
+// they compare equal as the same pointer). Constants are evaluated here,
 // once per statement; registry functions are pure, so evaluating one
 // the row path would have short-circuited past is unobservable.
 func (h *hoister) slot(e Expr, own int, use string) *slotRef {
 	for _, s := range h.slots {
-		if s.stage == own && reflect.DeepEqual(s.sub, e) {
+		if s.stage == own && sameExpr(s.sub, e) {
 			markUse(s, use)
 			return s
 		}
@@ -221,20 +222,50 @@ func (h *hoister) slot(e Expr, own int, use string) *slotRef {
 	return s
 }
 
-// hoistSelect rewrites the sink expressions — the select list and, on
-// the non-aggregate path, the ORDER BY keys — which consume at the last
-// stage. Like Bind, it re-points the execution's private tree in place.
-func (h *hoister) hoistSelect(sel *Select, hasAgg bool) {
+// hoistSinks rewrites the bound sink expressions, which consume at the
+// last stage: the select list (nil at a star) and the ORDER BY keys (nil
+// on the aggregate path, whose keys name output columns).
+func (h *hoister) hoistSinks(exprs, order []Expr) {
 	last := len(h.tables) - 1
-	for i := range sel.Exprs {
-		sel.Exprs[i].Expr = h.hoist(sel.Exprs[i].Expr, last, "project")
+	for i, e := range exprs {
+		exprs[i] = h.hoist(e, last, "project")
 	}
-	if hasAgg {
-		return // grouped ORDER BY keys name output columns
+	for i, e := range order {
+		order[i] = h.hoist(e, last, "order")
 	}
-	for i := range sel.OrderBy {
-		sel.OrderBy[i].Expr = h.hoist(sel.OrderBy[i].Expr, last, "order")
+}
+
+// sameExpr reports whether two bound trees are the same expression: the
+// same operators, literals and functions over the same operands, and
+// columns at the same offset spelled the same way (w.geo and geo are
+// merely not shared). A slot equals only itself. Resolved functions are
+// compared by name, never as func values, which are unequal unless nil.
+func sameExpr(a, b Expr) bool {
+	switch x := a.(type) {
+	case *Literal:
+		y, ok := b.(*Literal)
+		return ok && reflect.DeepEqual(x.Value, y.Value)
+	case *colRef:
+		y, ok := b.(*colRef)
+		return ok && x.idx == y.idx && *x.src == *y.src
+	case *callExpr:
+		y, ok := b.(*callExpr)
+		return ok && x.src.Name == y.src.Name && x.src.Star == y.src.Star &&
+			slices.EqualFunc(x.args, y.args, sameExpr)
+	case *BinaryExpr:
+		y, ok := b.(*BinaryExpr)
+		return ok && x.Op == y.Op && sameExpr(x.Left, y.Left) && sameExpr(x.Right, y.Right)
+	case *UnaryExpr:
+		y, ok := b.(*UnaryExpr)
+		return ok && x.Op == y.Op && sameExpr(x.Expr, y.Expr)
+	case *IsNull:
+		y, ok := b.(*IsNull)
+		return ok && x.Negate == y.Negate && sameExpr(x.Expr, y.Expr)
+	case *Between:
+		y, ok := b.(*Between)
+		return ok && sameExpr(x.Expr, y.Expr) && sameExpr(x.Lo, y.Lo) && sameExpr(x.Hi, y.Hi)
 	}
+	return a == b
 }
 
 // explainRows renders one EXPLAIN line per slot: where it is evaluated,

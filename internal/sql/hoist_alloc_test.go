@@ -22,16 +22,20 @@ func TestHoistPassAllocatesNothingWithoutSlots(t *testing.T) {
 	scope := NewScope()
 	scope.AddTable("edges", cols)
 	reg := NewRegistry(RegistryOptions{})
-	conjuncts := splitConjuncts(sel.Where)
-	for _, e := range append([]Expr{sel.Exprs[0].Expr, sel.Exprs[1].Expr, sel.Exprs[2].Expr, sel.OrderBy[0].Expr}, conjuncts...) {
-		if err := Bind(e, scope, reg, false); err != nil {
+	bind := func(e Expr) Expr {
+		b, err := Bind(e, scope, reg, false)
+		if err != nil {
 			t.Fatal(err)
 		}
+		return b
 	}
+	exprs := []Expr{bind(sel.Exprs[0].Expr), bind(sel.Exprs[1].Expr), bind(sel.Exprs[2].Expr)}
+	order := []Expr{bind(sel.OrderBy[0].Expr)}
+	conjuncts := splitConjuncts(bind(sel.Where))
 	tables := []boundTable{{binding: "edges", lo: 0, hi: len(cols)}}
 	allocs := testing.AllocsPerRun(100, func() {
 		h := hoister{reg: reg, tables: tables, width: scope.Len()}
-		h.hoistSelect(sel, false)
+		h.hoistSinks(exprs, order)
 		for i, c := range conjuncts {
 			conjuncts[i] = h.hoist(c, 0, "filter")
 		}

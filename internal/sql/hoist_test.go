@@ -104,10 +104,10 @@ func TestHoistCallCounts(t *testing.T) {
 	}
 }
 
-// TestHoistReexecutedTree: the pass re-points the select list of the
-// tree it is handed, so a caller that executes one parsed statement
-// twice hands back a tree that already holds slots. The second run must
-// derive them afresh: same rows, same evaluation count.
+// TestHoistReexecutedTree: one parsed statement executed twice. Slots
+// are nodes of each execution's own bound tree, never of the parsed
+// one, so the second run plans from the same untouched statement: same
+// rows, same evaluation count.
 func TestHoistReexecutedTree(t *testing.T) {
 	f := newHoistFixture(t)
 	stmt, err := sql.Parse("SELECT i.id, ST_Area(ST_Buffer(CNT(o.g), 2)) + CNT(o.v) FROM o " +

@@ -169,12 +169,12 @@ func gatherShards(workers int, runShard shardFn) (shardFn, error) {
 // a serial plan is the one-partial case. The exact big.Float SUM
 // accumulator makes the merged result bit-identical to a serial run
 // regardless of partitioning.
-func (r *Runner) aggregateShards(sel *Select, aggs []*FuncCall, width, workers int,
+func (r *Runner) aggregateShards(group, exprs []Expr, aggs []*aggRef, width, workers int,
 	runShard shardFn) ([][]storage.Value, error) {
 
 	parts := make([]*aggregator, workers)
 	for w := range parts {
-		parts[w] = newAggregator(sel, r.reg, aggs)
+		parts[w] = newAggregator(r.reg, group, exprs, aggs)
 	}
 	if err := runShards(workers, runShard, func(w int) emitFn { return parts[w].add }); err != nil {
 		return nil, err

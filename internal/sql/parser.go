@@ -736,9 +736,9 @@ func (p *parser) parsePrimary() (Expr, error) {
 			if err != nil {
 				return nil, err
 			}
-			return &ColumnRef{Table: strings.ToLower(t.raw), Column: col, Index: -1}, nil
+			return &ColumnRef{Table: strings.ToLower(t.raw), Column: col}, nil
 		}
-		return &ColumnRef{Column: strings.ToLower(t.raw), Index: -1}, nil
+		return &ColumnRef{Column: strings.ToLower(t.raw)}, nil
 	}
 	return nil, p.errorf("unexpected token %q", t.raw)
 }

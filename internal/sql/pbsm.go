@@ -123,9 +123,9 @@ type pbsmSpec struct {
 	// ST_DWithin conjunct is stripped the same way (refineDWithin set)
 	// and refined with a direct distance kernel instead of the generic
 	// per-candidate expression evaluator.
-	refineFC       *FuncCall
+	refineFC       *callExpr
 	refinePred     topo.Predicate
-	refineOuterArg int // which of refineFC.Args is the outer operand
+	refineOuterArg int // which of refineFC.args is the outer operand
 	refineDWithin  bool
 }
 
@@ -217,8 +217,8 @@ func (r *Runner) planPBSM(scope *Scope, conjuncts []Expr, stageFilters [][]Expr,
 	if !ok {
 		return
 	}
-	outerRef := fc.Args[outerArg].(*ColumnRef).Index
-	innerRef := fc.Args[1-outerArg].(*ColumnRef).Index
+	outerRef := fc.args[outerArg].(*colRef).idx
+	innerRef := fc.args[1-outerArg].(*colRef).idx
 	outerName := scope.Column(outerRef).Name
 	innerName := scope.Column(innerRef).Name
 	if r.joinStrategy == JoinAuto &&
@@ -237,11 +237,11 @@ func (r *Runner) planPBSM(scope *Scope, conjuncts []Expr, stageFilters [][]Expr,
 	p := accessPath{
 		kind:       accessPBSM,
 		pbsm:       spec,
-		windowExpr: fc.Args[outerArg],
+		windowExpr: fc.args[outerArg],
 		need:       paths[1].need,
 	}
 	if expand != 0 {
-		p.expandExpr = fc.Args[2]
+		p.expandExpr = fc.args[2]
 	}
 	paths[1] = p
 
@@ -250,7 +250,7 @@ func (r *Runner) planPBSM(scope *Scope, conjuncts []Expr, stageFilters [][]Expr,
 	// prep disabled) the conjunct stays a stage filter and PBSM replaces
 	// candidate enumeration only.
 	if r.prep && !r.reg.mbr {
-		if pred, isTopo := topoPredicates[strings.ToUpper(fc.Name)]; isTopo && len(fc.Args) == 2 {
+		if pred, isTopo := topoPredicates[strings.ToUpper(fc.src.Name)]; isTopo && len(fc.args) == 2 {
 			for i, f := range stageFilters[1] {
 				if f == Expr(fc) {
 					stageFilters[1] = append(stageFilters[1][:i], stageFilters[1][i+1:]...)
@@ -265,7 +265,7 @@ func (r *Runner) planPBSM(scope *Scope, conjuncts []Expr, stageFilters [][]Expr,
 	// A constant-distance ST_DWithin refines through the direct distance
 	// kernel (exact semantics only — the MBR-semantics registry keeps it
 	// as a stage filter so envelope-distance evaluation stays shared).
-	if !r.reg.mbr && strings.ToUpper(fc.Name) == "ST_DWITHIN" {
+	if !r.reg.mbr && strings.ToUpper(fc.src.Name) == "ST_DWITHIN" {
 		for i, f := range stageFilters[1] {
 			if f == Expr(fc) {
 				stageFilters[1] = append(stageFilters[1][:i], stageFilters[1][i+1:]...)
@@ -282,14 +282,14 @@ func (r *Runner) planPBSM(scope *Scope, conjuncts []Expr, stageFilters [][]Expr,
 // distance ST_DWithin) joining an outer geometry column to an inner
 // one, both as bare column references.
 func findPBSMConjunct(scope *Scope, conjuncts []Expr, innerLo, innerHi int,
-	reg *Registry) (fc *FuncCall, outerArg int, expand float64, ok bool) {
+	reg *Registry) (fc *callExpr, outerArg int, expand float64, ok bool) {
 
 	for _, c := range conjuncts {
-		f, isCall := c.(*FuncCall)
+		f, isCall := c.(*callExpr)
 		if !isCall {
 			continue
 		}
-		name := strings.ToUpper(f.Name)
+		name := strings.ToUpper(f.src.Name)
 		isDWithin := name == "ST_DWITHIN"
 		if !sargableSpatial[name] && !isDWithin {
 			continue
@@ -298,33 +298,33 @@ func findPBSMConjunct(scope *Scope, conjuncts []Expr, innerLo, innerHi int,
 		if isDWithin {
 			wantArgs = 3
 		}
-		if len(f.Args) != wantArgs {
+		if len(f.args) != wantArgs {
 			continue
 		}
-		a0, ok0 := f.Args[0].(*ColumnRef)
-		a1, ok1 := f.Args[1].(*ColumnRef)
+		a0, ok0 := f.args[0].(*colRef)
+		a1, ok1 := f.args[1].(*colRef)
 		if !ok0 || !ok1 {
 			continue
 		}
 		var oi int
 		switch {
-		case a0.Index >= innerLo && a0.Index < innerHi && a1.Index >= 0 && a1.Index < innerLo:
+		case a0.idx >= innerLo && a0.idx < innerHi && a1.idx < innerLo:
 			oi = 1
-		case a1.Index >= innerLo && a1.Index < innerHi && a0.Index >= 0 && a0.Index < innerLo:
+		case a1.idx >= innerLo && a1.idx < innerHi && a0.idx < innerLo:
 			oi = 0
 		default:
 			continue
 		}
-		if scope.Column(a0.Index).Type != storage.TypeGeom ||
-			scope.Column(a1.Index).Type != storage.TypeGeom {
+		if scope.Column(a0.idx).Type != storage.TypeGeom ||
+			scope.Column(a1.idx).Type != storage.TypeGeom {
 			continue
 		}
 		var d float64
 		if isDWithin {
-			if maxRef(f.Args[2]) >= 0 {
+			if maxRef(f.args[2]) >= 0 {
 				continue // distance must be constant for a precomputed grid
 			}
-			v, err := Eval(f.Args[2], nil, reg)
+			v, err := Eval(f.args[2], nil, reg)
 			if err != nil || v.IsNull() {
 				continue
 			}
@@ -819,7 +819,7 @@ func (op *joinOp) probePBSM(full []storage.Value, sc *pbsmScratch, emit emitFn) 
 // and only survivors are copied into full.
 func (op *joinOp) pbsmRefine(full []storage.Value, ids []RowID, sc *pbsmScratch, emit emitFn) (bool, error) {
 	r, st, spec := op.r, op.pbsm, op.path.pbsm
-	ov, err := Eval(spec.refineFC.Args[spec.refineOuterArg], full, r.reg)
+	ov, err := Eval(spec.refineFC.args[spec.refineOuterArg], full, r.reg)
 	if err != nil {
 		return false, err
 	}

@@ -124,13 +124,15 @@ func splitConjuncts(e Expr) []Expr {
 func maxRef(e Expr) int {
 	m := -1
 	walkExpr(e, func(x Expr) {
-		if c, ok := x.(*ColumnRef); ok && c.Index > m {
-			m = c.Index
+		if c, ok := x.(*colRef); ok && c.idx > m {
+			m = c.idx
 		}
 	})
 	return m
 }
 
+// walkExpr visits every node of a parsed or bound tree in prefix order;
+// a slot is visited, then the subtree it stands for.
 func walkExpr(e Expr, fn func(Expr)) {
 	if e == nil {
 		return
@@ -152,6 +154,12 @@ func walkExpr(e Expr, fn func(Expr)) {
 		for _, a := range t.Args {
 			walkExpr(a, fn)
 		}
+	case *callExpr:
+		for _, a := range t.args {
+			walkExpr(a, fn)
+		}
+	case *aggRef:
+		walkExpr(t.arg, fn)
 	case *slotRef:
 		walkExpr(t.sub, fn)
 	}
@@ -161,7 +169,7 @@ func walkExpr(e Expr, fn func(Expr)) {
 func refsInRange(e Expr, lo, hi int) bool {
 	ok := true
 	walkExpr(e, func(x Expr) {
-		if c, isCol := x.(*ColumnRef); isCol && (c.Index < lo || c.Index >= hi) {
+		if c, isCol := x.(*colRef); isCol && (c.idx < lo || c.idx >= hi) {
 			ok = false
 		}
 	})
@@ -225,99 +233,64 @@ func pickAccess(tbl Table, lo, hi int, scope *Scope, conjuncts []Expr) accessPat
 // only true for envelope-intersecting geometries, and the exact
 // predicate remains in the residual filter.
 func tryMBRPrefilter(lo, hi int, scope *Scope, c Expr) (accessPath, bool) {
-	fc, ok := c.(*FuncCall)
+	col, probe, expand, ok := spatialProbe(c, lo, hi, func(col *colRef) bool {
+		return scope.Column(col.idx).Type == storage.TypeGeom
+	})
 	if !ok {
 		return accessPath{}, false
 	}
-	name := strings.ToUpper(fc.Name)
-	isDWithin := name == "ST_DWITHIN"
-	if !sargableSpatial[name] && !isDWithin {
-		return accessPath{}, false
-	}
-	wantArgs := 2
-	if isDWithin {
-		wantArgs = 3
-	}
-	if len(fc.Args) != wantArgs {
-		return accessPath{}, false
-	}
-	for i := 0; i < 2; i++ {
-		col, isCol := fc.Args[i].(*ColumnRef)
-		if !isCol || col.Index < lo || col.Index >= hi {
-			continue
-		}
-		if scope.Column(col.Index).Type != storage.TypeGeom {
-			continue
-		}
-		probe := fc.Args[1-i]
-		if !refsInRange(probe, 0, lo) {
-			continue
-		}
-		p := accessPath{
-			kind:         accessFullScan,
-			mbrPrefilter: true,
-			mbrCol:       col.Index - lo,
-			windowExpr:   probe,
-		}
-		if isDWithin {
-			if !refsInRange(fc.Args[2], 0, lo) {
-				continue
-			}
-			p.expandExpr = fc.Args[2]
-		}
-		return p, true
-	}
-	return accessPath{}, false
+	return accessPath{kind: accessFullScan, mbrPrefilter: true, mbrCol: col.idx - lo,
+		windowExpr: probe, expandExpr: expand}, true
 }
 
-// trySpatialWindow recognises pred(geomcol, probe) patterns.
+// trySpatialWindow recognises pred(geomcol, probe) patterns over a
+// column with a spatial index.
 func trySpatialWindow(tbl Table, lo, hi int, scope *Scope, c Expr) (accessPath, bool) {
-	fc, ok := c.(*FuncCall)
+	var idx SpatialIndex
+	col, probe, expand, ok := spatialProbe(c, lo, hi, func(col *colRef) bool {
+		idx = tbl.SpatialIndexOn(scope.Column(col.idx).Name)
+		return idx != nil
+	})
 	if !ok {
 		return accessPath{}, false
 	}
-	name := strings.ToUpper(fc.Name)
+	return accessPath{kind: accessSpatialWindow, spatial: idx, windowExpr: probe, expandExpr: expand,
+		idxCol: scope.Column(col.idx).Name}, true
+}
+
+// spatialProbe matches pred(col, probe), pred sargable, or
+// ST_DWithin(col, probe, expand): col is a column of the table at scope
+// offsets [lo, hi) that accept takes, probe (and expand) read only
+// outer offsets. Either operand order matches.
+func spatialProbe(c Expr, lo, hi int, accept func(*colRef) bool) (col *colRef, probe, expand Expr, ok bool) {
+	fc, isCall := c.(*callExpr)
+	if !isCall {
+		return nil, nil, nil, false
+	}
+	name := strings.ToUpper(fc.src.Name)
 	isDWithin := name == "ST_DWITHIN"
 	if !sargableSpatial[name] && !isDWithin {
-		return accessPath{}, false
+		return nil, nil, nil, false
 	}
 	wantArgs := 2
 	if isDWithin {
 		wantArgs = 3
 	}
-	if len(fc.Args) != wantArgs {
-		return accessPath{}, false
+	if len(fc.args) != wantArgs {
+		return nil, nil, nil, false
 	}
-	// One geometry argument must be a column of this table with a
-	// spatial index; the other must not reference this table.
+	if isDWithin {
+		if expand = fc.args[2]; !refsInRange(expand, 0, lo) {
+			return nil, nil, nil, false
+		}
+	}
 	for i := 0; i < 2; i++ {
-		col, isCol := fc.Args[i].(*ColumnRef)
-		if !isCol || col.Index < lo || col.Index >= hi {
-			continue
+		col, isCol := fc.args[i].(*colRef)
+		if isCol && col.idx >= lo && col.idx < hi && refsInRange(fc.args[1-i], 0, lo) && accept(col) {
+			return col, fc.args[1-i], expand, true
 		}
-		probe := fc.Args[1-i]
-		if !refsInRange(probe, 0, lo) {
-			continue
-		}
-		idx := tbl.SpatialIndexOn(scope.Column(col.Index).Name)
-		if idx == nil {
-			continue
-		}
-		p := accessPath{
-			kind:       accessSpatialWindow,
-			spatial:    idx,
-			windowExpr: probe,
-			idxCol:     scope.Column(col.Index).Name,
-		}
-		if isDWithin {
-			if !refsInRange(fc.Args[2], 0, lo) {
-				continue
-			}
-			p.expandExpr = fc.Args[2]
-		}
-		return p, true
 	}
-	return accessPath{}, false
+	return nil, nil, nil, false
 }
 
 // tryAttrPath matches conjuncts against the table's attribute indexes:
@@ -334,14 +307,14 @@ func tryAttrPath(tbl Table, lo, hi int, scope *Scope, conjuncts []Expr) (accessP
 	}
 	probes := make(map[string][]probe)
 	addProbe := func(colExpr, valExpr Expr, op string) {
-		col, ok := colExpr.(*ColumnRef)
-		if !ok || col.Index < lo || col.Index >= hi {
+		col, ok := colExpr.(*colRef)
+		if !ok || col.idx < lo || col.idx >= hi {
 			return
 		}
 		if !refsInRange(valExpr, 0, lo) {
 			return
 		}
-		name := scope.Column(col.Index).Name
+		name := scope.Column(col.idx).Name
 		probes[name] = append(probes[name], probe{expr: valExpr, op: op})
 	}
 	for _, c := range conjuncts {
@@ -446,14 +419,14 @@ func tryHashJoin(lo, hi int, c Expr) (accessPath, bool) {
 		return accessPath{}, false
 	}
 	try := func(colSide, probeSide Expr) (accessPath, bool) {
-		col, isCol := colSide.(*ColumnRef)
-		if !isCol || col.Index < lo || col.Index >= hi {
+		col, isCol := colSide.(*colRef)
+		if !isCol || col.idx < lo || col.idx >= hi {
 			return accessPath{}, false
 		}
 		if !refsInRange(probeSide, 0, lo) || maxRef(probeSide) < 0 {
 			return accessPath{}, false
 		}
-		return accessPath{kind: accessHashJoin, hashCol: col.Index - lo, hashExpr: probeSide}, true
+		return accessPath{kind: accessHashJoin, hashCol: col.idx - lo, hashExpr: probeSide}, true
 	}
 	if p, ok := try(b.Left, b.Right); ok {
 		return p, true
@@ -463,26 +436,26 @@ func tryHashJoin(lo, hi int, c Expr) (accessPath, bool) {
 
 // tryKNN recognises the ORDER BY ST_Distance(col, probe) LIMIT k pattern
 // on a single un-grouped table with a spatial index, returning an
-// upgraded access path.
-func tryKNN(sel *Select, tbl Table, scope *Scope) (accessPath, bool) {
+// upgraded access path. order holds the bound ORDER BY keys.
+func tryKNN(sel *Select, order []Expr, tbl Table, scope *Scope) (accessPath, bool) {
 	if len(sel.Joins) != 0 || len(sel.GroupBy) != 0 || sel.Limit < 0 ||
 		len(sel.OrderBy) != 1 || sel.OrderBy[0].Desc {
 		return accessPath{}, false
 	}
-	fc, ok := sel.OrderBy[0].Expr.(*FuncCall)
-	if !ok || strings.ToUpper(fc.Name) != "ST_DISTANCE" || len(fc.Args) != 2 {
+	fc, ok := order[0].(*callExpr)
+	if !ok || strings.ToUpper(fc.src.Name) != "ST_DISTANCE" || len(fc.args) != 2 {
 		return accessPath{}, false
 	}
 	for i := 0; i < 2; i++ {
-		col, isCol := fc.Args[i].(*ColumnRef)
+		col, isCol := fc.args[i].(*colRef)
 		if !isCol {
 			continue
 		}
-		probe := fc.Args[1-i]
+		probe := fc.args[1-i]
 		if maxRef(probe) >= 0 {
 			continue // probe must be constant
 		}
-		idx := tbl.SpatialIndexOn(scope.Column(col.Index).Name)
+		idx := tbl.SpatialIndexOn(scope.Column(col.idx).Name)
 		if idx == nil {
 			continue
 		}
@@ -491,7 +464,7 @@ func tryKNN(sel *Select, tbl Table, scope *Scope) (accessPath, bool) {
 			spatial:      idx,
 			knnPointExpr: probe,
 			knnK:         sel.Limit + sel.Offset,
-			knnDistCol:   col.Index,
+			knnDistCol:   col.idx,
 		}, true
 	}
 	return accessPath{}, false

@@ -8,8 +8,8 @@ import (
 	"jackpine/internal/topo"
 )
 
-// preparedCall is the prepared-constant state of one topological
-// FuncCall: the constant geometry operand decomposed and indexed once,
+// preparedCall is the prepared-constant state of one bound topological
+// call (callExpr.prep): the constant geometry operand decomposed and indexed once,
 // plus enough of the call shape to evaluate the remaining variable
 // operand per row. The fast path reproduces the registry
 // implementation's semantics exactly — same NULL propagation, same
@@ -24,9 +24,9 @@ type preparedCall struct {
 }
 
 // eval evaluates the call over a row via the prepared constant.
-func (pc *preparedCall) eval(fc *FuncCall, row []storage.Value, reg *Registry) (storage.Value, error) {
+func (pc *preparedCall) eval(fc *callExpr, row []storage.Value, reg *Registry) (storage.Value, error) {
 	varIdx := 1 - pc.constIdx
-	v, err := Eval(fc.Args[varIdx], row, reg)
+	v, err := Eval(fc.args[varIdx], row, reg)
 	if err != nil {
 		return storage.Null(), err
 	}
@@ -57,56 +57,53 @@ func (pc *preparedCall) eval(fc *FuncCall, row []storage.Value, reg *Registry) (
 	return storage.NewBool(pc.p.EvalReversed(pc.pred, g)), nil
 }
 
-// installPrepared walks bound expressions and prepares the constant
-// geometry side of every topological predicate call (the literal query
-// window of the benchmark micro queries). Stale state from a previous
-// execution of the same tree is cleared first, so toggling the knob or
-// re-executing a caller-held statement stays correct. Runs once per
-// execution, before any parallel fan-out; workers only read the result.
-func (r *Runner) installPrepared(exprs ...Expr) {
-	enabled := r.prep && !r.reg.mbr
+// prepareCalls prepares the constant geometry side of every topological
+// predicate call in the bound expressions (the literal query window of
+// the benchmark micro queries). Runs once per execution, on its private
+// tree, before any parallel fan-out; workers only read the result.
+func (r *Runner) prepareCalls(exprs []Expr) {
+	if !r.prep || r.reg.mbr {
+		return
+	}
 	for _, e := range exprs {
 		walkExpr(e, func(x Expr) {
-			if fc, ok := x.(*FuncCall); ok {
-				fc.prep = nil
-				if enabled {
-					r.tryPrepare(fc)
-				}
+			if fc, ok := x.(*callExpr); ok && fc.prep == nil {
+				r.tryPrepare(fc)
 			}
 		})
 	}
 }
 
-// tryPrepare installs prepared state on the call when exactly one
+// tryPrepare sets the call's prepared state when exactly one
 // geometry operand is constant (no column references) and evaluates
 // cleanly to a geometry. Any irregularity — both sides constant,
 // neither, evaluation error, NULL, non-geometry, invalid ST_RELATE
 // pattern — leaves the call on the unprepared path, which reproduces
 // the lazy per-row semantics (a statement whose scan yields no rows
 // must not surface the constant's evaluation error).
-func (r *Runner) tryPrepare(fc *FuncCall) {
-	if pred, ok := topoPredicates[fc.Name]; ok && len(fc.Args) == 2 {
-		ci, ok := constGeomSide(fc.Args[0], fc.Args[1])
+func (r *Runner) tryPrepare(fc *callExpr) {
+	if pred, ok := topoPredicates[fc.src.Name]; ok && len(fc.args) == 2 {
+		ci, ok := constGeomSide(fc.args[0], fc.args[1])
 		if !ok {
 			return
 		}
-		g, ok := r.evalConstGeom(fc.Args[ci])
+		g, ok := r.evalConstGeom(fc.args[ci])
 		if !ok {
 			return
 		}
 		fc.prep = &preparedCall{p: topo.Prepare(g), pred: pred, constIdx: ci}
 		return
 	}
-	if fc.Name == "ST_RELATE" && len(fc.Args) == 3 {
-		pat, ok := r.constRelatePattern(fc.Args[2])
+	if fc.src.Name == "ST_RELATE" && len(fc.args) == 3 {
+		pat, ok := r.constRelatePattern(fc.args[2])
 		if !ok {
 			return
 		}
-		ci, ok := constGeomSide(fc.Args[0], fc.Args[1])
+		ci, ok := constGeomSide(fc.args[0], fc.args[1])
 		if !ok {
 			return
 		}
-		g, ok := r.evalConstGeom(fc.Args[ci])
+		g, ok := r.evalConstGeom(fc.args[ci])
 		if !ok {
 			return
 		}
@@ -159,7 +156,7 @@ func (r *Runner) constRelatePattern(e Expr) (string, bool) {
 // preparedFilter).
 type prepFilterSpec struct {
 	idx      int // position in the stage's filter list
-	fc       *FuncCall
+	fc       *callExpr
 	pred     topo.Predicate
 	pattern  string
 	relate   bool
@@ -176,15 +173,15 @@ func (r *Runner) joinPrepSpecs(filters []Expr, lo int) []prepFilterSpec {
 	}
 	var specs []prepFilterSpec
 	for i, f := range filters {
-		fc, ok := f.(*FuncCall)
+		fc, ok := f.(*callExpr)
 		if !ok || fc.prep != nil {
 			continue
 		}
 		spec := prepFilterSpec{idx: i, fc: fc}
-		if pred, ok := topoPredicates[fc.Name]; ok && len(fc.Args) == 2 {
+		if pred, ok := topoPredicates[fc.src.Name]; ok && len(fc.args) == 2 {
 			spec.pred = pred
-		} else if fc.Name == "ST_RELATE" && len(fc.Args) == 3 {
-			pat, ok := r.constRelatePattern(fc.Args[2])
+		} else if fc.src.Name == "ST_RELATE" && len(fc.args) == 3 {
+			pat, ok := r.constRelatePattern(fc.args[2])
 			if !ok {
 				continue
 			}
@@ -192,7 +189,7 @@ func (r *Runner) joinPrepSpecs(filters []Expr, lo int) []prepFilterSpec {
 		} else {
 			continue
 		}
-		oi, ok := outerGeomSide(fc.Args[0], fc.Args[1], lo)
+		oi, ok := outerGeomSide(fc.args[0], fc.args[1], lo)
 		if !ok {
 			continue
 		}
@@ -237,7 +234,7 @@ func (pf *preparedFilter) eval(row []storage.Value, r *Runner) (storage.Value, e
 	sp := pf.spec
 	if !pf.inited {
 		pf.inited = true
-		v, err := Eval(sp.fc.Args[sp.outerIdx], row, r.reg)
+		v, err := Eval(sp.fc.args[sp.outerIdx], row, r.reg)
 		if err != nil || v.IsNull() || v.Type != storage.TypeGeom || v.Geom == nil {
 			pf.failed = true
 		} else {
