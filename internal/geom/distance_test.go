@@ -177,3 +177,122 @@ func TestDWithinPropertyAgreesWithDistance(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// fuzzShape decodes a geometry for FuzzDWithin. The first byte picks the
+// kind (its top bit leaves rings open); the rest are int8 coordinate
+// pairs placed at shift + v·scale. Small integers make shared edges,
+// repeated vertices (zero-length segments) and collinear runs common; a
+// large shift over a small scale puts them where rounding is relative
+// to the coordinates, and scales near 1e±200 overflow or underflow
+// squared lengths and orientation products.
+func fuzzShape(data []byte, scale, shift float64) Geometry {
+	kind := byte(0)
+	if len(data) > 0 {
+		kind, data = data[0], data[1:]
+	}
+	var cs []Coord
+	for i := 0; i+1 < len(data); i += 2 {
+		cs = append(cs, Coord{shift + float64(int8(data[i]))*scale, shift + float64(int8(data[i+1]))*scale})
+	}
+	if len(cs) == 0 {
+		cs = []Coord{{shift, shift}}
+	}
+	ring := func(cs []Coord) Ring {
+		r := append(Ring(nil), cs...)
+		if kind&0x80 == 0 && !r[0].Equal(r[len(r)-1]) {
+			r = append(r, r[0])
+		}
+		return r
+	}
+	half := (len(cs) + 1) / 2
+	switch (kind & 0x7f) % 8 {
+	case 0:
+		return Point{Coord: cs[0]}
+	case 1:
+		return LineString(cs)
+	case 2:
+		return Polygon{ring(cs)}
+	case 3: // a hole, wherever its coordinates put it
+		if half == len(cs) {
+			return Polygon{ring(cs)}
+		}
+		return Polygon{ring(cs[:half]), ring(cs[half:])}
+	case 4:
+		mp := make(MultiPoint, len(cs))
+		for i, c := range cs {
+			mp[i] = Point{Coord: c}
+		}
+		return mp
+	case 5:
+		var ml MultiLineString
+		for i := 0; i < len(cs); i += 3 {
+			ml = append(ml, LineString(cs[i:min(i+3, len(cs))]))
+		}
+		return ml
+	case 6:
+		if half == len(cs) {
+			return MultiPolygon{{ring(cs)}}
+		}
+		return MultiPolygon{{ring(cs[:half])}, {ring(cs[half:])}}
+	default:
+		return Collection{Point{Coord: cs[len(cs)-1]}, LineString(cs[:half]), Polygon{ring(cs)}}
+	}
+}
+
+// FuzzDWithin holds DWithin to its definition, Distance(a, b) <= d, on
+// points, lines, polygons with holes and multi-part shapes, with d at
+// the distance itself, its float neighbours, zero, negative zero, a
+// negative value, NaN, +Inf or the raw input.
+func FuzzDWithin(f *testing.F) {
+	pt := func(x, y int8) []byte { return []byte{0, byte(x), byte(y)} }
+	square := []byte{2, 0, 0, 10, 0, 10, 10, 0, 10}
+	withHole := []byte{3, 0, 0, 10, 0, 10, 10, 0, 10, 0, 0, 3, 3, 6, 3, 6, 6, 3, 6}
+	// Point pairs whose squared distance overflows, underflows, or
+	// underflows in part; each held true at a threshold below the distance.
+	f.Add(pt(0, 0), pt(1, 0), 1e200, 0.0, uint8(8), 1e199)
+	f.Add(pt(0, 0), pt(1, 0), 1e-200, 0.0, uint8(8), 1e-201)
+	f.Add(pt(0, 0), pt(3, 4), 1e-170, 0.0, uint8(8), 4.9e-170)
+	f.Add(pt(3, 4), pt(0, 0), 1.0, 0.0, uint8(0), 0.0)
+	f.Add(pt(5, 5), withHole, 1.0, 0.0, uint8(0), 0.0)
+	f.Add(pt(4, 4), withHole, 1e-3, 1e6, uint8(2), 0.0)
+	f.Add(pt(-7, 3), square, 1e-3, 1e6, uint8(0), 0.0)
+	f.Add(pt(-7, 3), square, 1e200, 0.0, uint8(1), 0.0)
+	f.Add([]byte{1, 0, 20, 5, 5, 5, 5, 20, 5}, square, 1.0, 0.0, uint8(0), 0.0)
+	f.Add([]byte{1, 0, 1, 0, 2}, []byte{1, 0, 0, 10, 0}, 1e-200, 0.0, uint8(0), 0.0)
+	f.Add([]byte{2, 10, 0, 20, 0, 20, 10, 10, 10}, square, 1.0, 0.0, uint8(3), 0.0)
+	f.Add([]byte{6, 0, 0, 1, 1, 2, 2, 30, 30, 31, 30, 31, 31}, withHole, 0.5, -3.0, uint8(0), 0.0)
+	f.Add([]byte{7, 1, 2, 3, 4, 50, 50, 60, 50}, []byte{5, 0, 0, 1, 1, 2, 2, 3, 3}, 1.0, 0.0, uint8(1), 0.0)
+	f.Add([]byte{0x82, 0, 0, 10, 0, 10, 10}, pt(-3, 5), 1.0, 0.0, uint8(0), 0.0)
+	f.Fuzz(func(t *testing.T, da, db []byte, scale, shift float64, mode uint8, raw float64) {
+		if math.IsNaN(scale) || math.IsInf(scale, 0) || math.IsNaN(shift) || math.IsInf(shift, 0) {
+			return
+		}
+		a, b := fuzzShape(da, scale, shift), fuzzShape(db, scale, shift)
+		for _, pair := range [][2]Geometry{{a, b}, {b, a}} {
+			g, h := pair[0], pair[1]
+			dist := Distance(g, h)
+			d := raw
+			switch mode % 9 {
+			case 0:
+				d = dist
+			case 1:
+				d = math.Nextafter(dist, math.Inf(1))
+			case 2:
+				d = math.Nextafter(dist, math.Inf(-1))
+			case 3:
+				d = 0
+			case 4:
+				d = math.Copysign(0, -1)
+			case 5:
+				d = -1 - math.Abs(raw)
+			case 6:
+				d = math.NaN()
+			case 7:
+				d = math.Inf(1)
+			}
+			if got, want := DWithin(g, h, d), dist <= d; got != want {
+				t.Fatalf("DWithin(%s, %s, %v) = %v, but Distance is %v", WKT(g), WKT(h), d, got, dist)
+			}
+		}
+	})
+}

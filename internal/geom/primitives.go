@@ -249,10 +249,18 @@ func ClosestPointOnSegment(p, a, b Coord) (Coord, float64) {
 	return Coord{a.X + t*d.X, a.Y + t*d.Y}, t
 }
 
-// DistSegSeg returns the distance between two closed segments.
+// DistSegSeg returns the distance between two closed segments. Segments
+// whose envelopes are disjoint cannot meet, so they skip the crossing
+// test, which reports a contact between them when orientation products
+// round or underflow to zero (coordinates near 1e-200); their distance
+// never drops below the envelopes' separation.
 func DistSegSeg(p1, p2, q1, q2 Coord) float64 {
-	if kind, _, _ := SegSegIntersection(p1, p2, q1, q2); kind != SegDisjoint {
-		return 0
+	apart := max(p1.X, p2.X) < min(q1.X, q2.X) || max(q1.X, q2.X) < min(p1.X, p2.X) ||
+		max(p1.Y, p2.Y) < min(q1.Y, q2.Y) || max(q1.Y, q2.Y) < min(p1.Y, p2.Y)
+	if !apart {
+		if kind, _, _ := SegSegIntersection(p1, p2, q1, q2); kind != SegDisjoint {
+			return 0
+		}
 	}
 	d := DistPointSegment(p1, q1, q2)
 	if v := DistPointSegment(p2, q1, q2); v < d {

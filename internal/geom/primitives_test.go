@@ -261,3 +261,15 @@ func TestSegDistPropertyConsistency(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestDistSegSegUnderflow: parallel segments 1e-200 apart have every
+// orientation product underflow to zero, so the crossing test sees four
+// collinear points and an overlap. Their envelopes are disjoint, and
+// the distance is the gap, not zero.
+func TestDistSegSegUnderflow(t *testing.T) {
+	p1, p2 := Coord{0, 0}, Coord{1e-200, 0}
+	q1, q2 := Coord{0, 1e-200}, Coord{1e-200, 1e-200}
+	if d := DistSegSeg(p1, p2, q1, q2); d != 1e-200 {
+		t.Errorf("DistSegSeg = %g, want 1e-200", d)
+	}
+}

@@ -1,11 +1,12 @@
 package sql
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"math/bits"
+	"slices"
 	"strings"
-	"sync"
 
 	"jackpine/internal/geom"
 	"jackpine/internal/storage"
@@ -20,12 +21,17 @@ import (
 // x-sorted plane sweep inside each cell, and deduplicates pairs that
 // straddle cells with the reference-point rule: a pair counts only in
 // the cell that contains the top-left (min-x, min-y) corner of the two
-// envelopes' intersection. The result is a candidate map keyed by the
-// outer row's expanded envelope — exactly the window the INL path would
-// probe the index with — so the probe side of the executor is a map
-// lookup instead of a tree search, and refinement reuses the batched
-// prepared-topology kernels. Emission stays deterministic: candidates
-// are sorted in heap (RowID) order per outer envelope.
+// envelopes' intersection. The result is a candidate index over
+// positions: each inner row has a build position (its rank in RowID
+// order), each distinct expanded outer envelope — exactly the window
+// the INL path would probe the index with — has a position too, and
+// the candidates of outer position k are one run of a flat array of
+// inner positions. A probe finds its window's position in an
+// open-addressed table over the envelope arrays, reads the run, and
+// refines it against the inner rows, envelopes and prepared geometries
+// stored by position, with no per-row lookup. Emission stays
+// deterministic: a run is in ascending inner position, which is heap
+// (RowID) order.
 
 // JoinStrategy selects how spatial-predicate joins are executed.
 type JoinStrategy int
@@ -121,8 +127,8 @@ type pbsmSpec struct {
 	// evaluated in-probe through the batch kernel against the outer
 	// geometry prepared once per outer row. A constant-distance
 	// ST_DWithin conjunct is stripped the same way (refineDWithin set)
-	// and refined with a direct distance kernel instead of the generic
-	// per-candidate expression evaluator.
+	// and refined with the threshold kernel (geom.DWithinEnv) instead
+	// of the generic per-candidate expression evaluator.
 	refineFC       *callExpr
 	refinePred     topo.Predicate
 	refineOuterArg int // which of refineFC.args is the outer operand
@@ -130,27 +136,19 @@ type pbsmSpec struct {
 }
 
 // pbsmState is the built candidate index, shared read-only by workers.
+// Inner rows are addressed by build position: the rank of their RowID
+// among the inner rows with a geometry. Distinct expanded outer
+// envelopes are addressed by outer position, in first-seen scan order.
 type pbsmState struct {
-	// cands maps each distinct expanded outer envelope to its candidate
-	// inner rows, sorted ascending (heap order). Every distinct non-empty
-	// outer envelope has an entry, so a probe miss means the probing
-	// geometry was not part of the build snapshot (concurrent insert) and
-	// falls back to a linear envelope scan.
-	cands map[[4]float64][]RowID
-	inner storage.MBRBuf // flat inner envelopes for the fallback scan
-	cells int
+	// inner holds the inner envelopes by build position, so in
+	// ascending RowID order; rows and preps are indexed the same way.
+	inner storage.MBRBuf
 
-	// rowCache holds the inner rows materialized in one sequential pass
-	// on the first probe (projected to the stage's needed columns), so
-	// candidates skip the per-pair heap fetch and tuple decode the INL
-	// path pays per index hit. Rows landing
-	// after the build snapshot miss the cache and fall back to a fetch.
-	rowCache map[RowID][]storage.Value
-
-	// drops is the cross-cell duplicate candidate pairs suppressed by
-	// the reference-point rule during this build; surfaced through the
-	// runner counter on every acquisition of the state.
-	drops int64
+	// rows holds the inner rows (projected to the stage's needed
+	// columns), materialized in one sequential pass on the first probe,
+	// so candidates skip the per-pair heap fetch and tuple decode the
+	// INL path pays per index hit.
+	rows [][]storage.Value
 
 	// preps holds each inner geometry prepared once per execution, for
 	// topology fast-refine joins whose inner side is smaller than the
@@ -159,44 +157,69 @@ type pbsmState struct {
 	// per inner row across all the probes that touch it is the
 	// partitioned join's structural win. nil when the outer side is the
 	// cheaper one to prepare (then the batch kernel path runs instead).
-	preps map[RowID]*topo.Prepared
+	preps []*topo.Prepared
+
+	// outer holds the distinct expanded outer envelopes by outer
+	// position (its IDs are not used). slots is an open-addressed hash
+	// table over them: a non-zero slot holds an outer position plus
+	// one. The candidates of outer position k are the inner positions
+	// cand[off[k]:off[k+1]], ascending. Every distinct non-empty outer
+	// envelope has a position, so a window without one was not part of
+	// the build snapshot (concurrent insert) and falls back to a linear
+	// envelope scan.
+	outer     storage.MBRBuf
+	slots     []int32
+	slotShift uint
+	off, cand []int32
+
+	cells int
+
+	// drops is the cross-cell duplicate candidate pairs suppressed by
+	// the reference-point rule during this build; surfaced through the
+	// runner counter on every acquisition of the state.
+	drops int64
 }
 
-// materialize fills rowCache (and, for small-inner topology refines,
-// preps) once per state; probes after the first reuse it.
+// materialize fills rows (and, for small-inner topology refines, preps)
+// once per state; probes after the first reuse it. The scan is matched
+// to build positions in one forward pass: it walks the heap, as the
+// envelope scan did, in RowID order. A row it did not return (deleted
+// since the envelope scan, or a scan out of order) is an error, never a
+// silently missing candidate.
 func (st *pbsmState) materialize(tbl Table, spec *pbsmSpec, need []bool) error {
-	if st.rowCache != nil {
+	if st.rows != nil {
 		return nil
 	}
-	cache := make(map[RowID][]storage.Value, st.inner.Len())
+	ids := st.inner.IDs
+	rows := make([][]storage.Value, len(ids))
+	pos := 0
 	err := tbl.ScanProject(Projection{Need: need, MBRCol: -1},
 		func(id RowID, row []storage.Value) bool {
-			cache[id] = row
+			for pos < len(ids) && ids[pos] < int64(id) {
+				pos++
+			}
+			if pos < len(ids) && ids[pos] == int64(id) {
+				rows[pos] = row
+				pos++
+			}
 			return true
 		})
 	if err != nil {
 		return err
 	}
-	if spec.refineFC != nil && !spec.refineDWithin && len(cache) < spec.outer.RowCount() {
-		preps := make(map[RowID]*topo.Prepared, len(cache))
-		for id, row := range cache {
+	if i := slices.IndexFunc(rows, func(row []storage.Value) bool { return row == nil }); i >= 0 {
+		return fmt.Errorf("sql: PBSM inner scan did not return row %d in RowID order", ids[i])
+	}
+	if spec.refineFC != nil && !spec.refineDWithin && len(rows) < spec.outer.RowCount() {
+		st.preps = make([]*topo.Prepared, len(rows))
+		for i, row := range rows {
 			if v := row[spec.innerCol]; !v.IsNull() && v.Type == storage.TypeGeom && v.Geom != nil {
-				preps[id] = topo.Prepare(v.Geom)
+				st.preps[i] = topo.Prepare(v.Geom)
 			}
 		}
-		st.preps = preps
 	}
-	st.rowCache = cache
+	st.rows = rows
 	return nil
-}
-
-// fetch resolves a candidate row through the cache, falling back to a
-// point fetch for rows inserted after the build snapshot.
-func (st *pbsmState) fetch(tbl Table, id RowID, need []bool) ([]storage.Value, error) {
-	if row, ok := st.rowCache[id]; ok {
-		return row, nil
-	}
-	return tbl.FetchProject(id, need)
 }
 
 // planPBSM decides whether the join stage at tables[1] should run as a
@@ -278,63 +301,36 @@ func (r *Runner) planPBSM(scope *Scope, conjuncts []Expr, stageFilters [][]Expr,
 	}
 }
 
-// findPBSMConjunct locates a sargable spatial predicate (or constant-
-// distance ST_DWithin) joining an outer geometry column to an inner
-// one, both as bare column references.
+// findPBSMConjunct locates a conjunct spatialProbe matches against the
+// inner table whose probe is a bare outer geometry column and whose
+// ST_DWithin distance, if any, is a finite constant: a sweep grid is
+// laid out once, before any outer row is read. outerArg is the probe's
+// argument position.
 func findPBSMConjunct(scope *Scope, conjuncts []Expr, innerLo, innerHi int,
 	reg *Registry) (fc *callExpr, outerArg int, expand float64, ok bool) {
 
+	isGeom := func(col *colRef) bool { return scope.Column(col.idx).Type == storage.TypeGeom }
 	for _, c := range conjuncts {
-		f, isCall := c.(*callExpr)
-		if !isCall {
-			continue
-		}
-		name := strings.ToUpper(f.src.Name)
-		isDWithin := name == "ST_DWITHIN"
-		if !sargableSpatial[name] && !isDWithin {
-			continue
-		}
-		wantArgs := 2
-		if isDWithin {
-			wantArgs = 3
-		}
-		if len(f.args) != wantArgs {
-			continue
-		}
-		a0, ok0 := f.args[0].(*colRef)
-		a1, ok1 := f.args[1].(*colRef)
-		if !ok0 || !ok1 {
-			continue
-		}
-		var oi int
-		switch {
-		case a0.idx >= innerLo && a0.idx < innerHi && a1.idx < innerLo:
-			oi = 1
-		case a1.idx >= innerLo && a1.idx < innerHi && a0.idx < innerLo:
-			oi = 0
-		default:
-			continue
-		}
-		if scope.Column(a0.idx).Type != storage.TypeGeom ||
-			scope.Column(a1.idx).Type != storage.TypeGeom {
+		_, probe, dist, matched := spatialProbe(c, innerLo, innerHi, isGeom)
+		if outer, isCol := probe.(*colRef); !matched || !isCol || !isGeom(outer) {
 			continue
 		}
 		var d float64
-		if isDWithin {
-			if maxRef(f.args[2]) >= 0 {
-				continue // distance must be constant for a precomputed grid
-			}
-			v, err := Eval(f.args[2], nil, reg)
-			if err != nil || v.IsNull() {
+		if dist != nil {
+			if maxRef(dist) >= 0 {
 				continue
 			}
-			fl, isNum := v.AsFloat()
-			if !isNum || math.IsNaN(fl) || math.IsInf(fl, 0) {
+			v, err := Eval(dist, nil, reg)
+			var isNum bool
+			if d, isNum = v.AsFloat(); err != nil || !isNum || math.IsNaN(d) || math.IsInf(d, 0) {
 				continue
 			}
-			d = fl
 		}
-		return f, oi, d, true
+		fc = c.(*callExpr)
+		if fc.args[1] == probe {
+			outerArg = 1
+		}
+		return fc, outerArg, d, true
 	}
 	return nil, 0, 0, false
 }
@@ -418,8 +414,12 @@ func pbsmGridDims(outer, inner Table, outerCol, innerCol string, expand float64)
 
 // collectMBRs fills buf with every row envelope of one geometry column,
 // expanded by expand, skipping NULL/empty geometries, straight from the
-// stored tuples (Table.ScanMBR) without decoding any geometry.
+// stored tuples (Table.ScanMBR) without decoding any geometry. buf is
+// sized once from the table's row count.
 func collectMBRs(tbl Table, col int, expand float64, buf *storage.MBRBuf) error {
+	n := tbl.RowCount()
+	*buf = storage.MBRBuf{IDs: make([]int64, 0, n), MinX: make([]float64, 0, n),
+		MinY: make([]float64, 0, n), MaxX: make([]float64, 0, n), MaxY: make([]float64, 0, n)}
 	return tbl.ScanMBR(col, func(id RowID, env geom.Rect) bool {
 		if expand != 0 {
 			env = env.Expand(expand)
@@ -431,249 +431,302 @@ func collectMBRs(tbl Table, col int, expand float64, buf *storage.MBRBuf) error 
 	})
 }
 
-// pbsmPair is one candidate (outer envelope, inner row) pair emitted by
-// a cell sweep, as indices into the flat envelope arrays.
+// slot probes the outer-position table for w: the position of the
+// equal envelope, or -1 and the empty slot where w would go. Bounds
+// compare with ==, so -0 hashes as +0.
+func (st *pbsmState) slot(w geom.Rect) (int32, int) {
+	mix := func(h uint64, v float64) uint64 {
+		if v == 0 {
+			v = 0
+		}
+		return (h ^ math.Float64bits(v)) * 0x9e3779b97f4a7c15
+	}
+	hash := mix(mix(mix(mix(0, w.MinX), w.MinY), w.MaxX), w.MaxY)
+	o, mask := &st.outer, len(st.slots)-1
+	for h := int(hash >> st.slotShift); ; h = (h + 1) & mask {
+		s := st.slots[h]
+		if s == 0 {
+			return -1, h
+		}
+		if k := s - 1; o.MinX[k] == w.MinX && o.MinY[k] == w.MinY && o.MaxX[k] == w.MaxX && o.MaxY[k] == w.MaxY {
+			return k, h
+		}
+	}
+}
+
+// dedupOuter compacts st.outer in place to its distinct envelopes, in
+// first-seen order, and builds the table over them at most half full:
+// rows sharing an envelope share a candidate run (point tables collapse
+// massively).
+func (st *pbsmState) dedupOuter() {
+	o := &st.outer
+	size := bits.Len(uint(2 * o.Len()))
+	st.slots = make([]int32, 1<<size)
+	st.slotShift = uint(64 - size)
+	n := 0
+	for i := range o.IDs {
+		w := geom.Rect{MinX: o.MinX[i], MinY: o.MinY[i], MaxX: o.MaxX[i], MaxY: o.MaxY[i]}
+		k, h := st.slot(w)
+		if k >= 0 {
+			continue
+		}
+		st.slots[h] = int32(n + 1)
+		o.MinX[n], o.MinY[n], o.MaxX[n], o.MaxY[n] = w.MinX, w.MinY, w.MaxX, w.MaxY
+		n++
+	}
+	o.IDs, o.MinX, o.MinY, o.MaxX, o.MaxY = o.IDs[:n], o.MinX[:n], o.MinY[:n], o.MaxX[:n], o.MaxY[:n]
+}
+
+// pbsmGrid is a build's uniform grid over the joint extent.
+type pbsmGrid struct {
+	extent geom.Rect
+	gx, gy int
+	cw, ch float64
+}
+
+func (g *pbsmGrid) cellX(x float64) int {
+	if g.gx == 1 || g.cw <= 0 {
+		return 0
+	}
+	return min(max(int((x-g.extent.MinX)/g.cw), 0), g.gx-1)
+}
+
+func (g *pbsmGrid) cellY(y float64) int {
+	if g.gy == 1 || g.ch <= 0 {
+		return 0
+	}
+	return min(max(int((y-g.extent.MinY)/g.ch), 0), g.gy-1)
+}
+
+// assign replicates each envelope of buf into every cell its clamped
+// span covers, visiting them in order: cell c's run is
+// items[off[c]:off[c+1]]. Envelopes outside the joint extent can never
+// pair up. A counting pass sizes the runs, so the build allocates the
+// same few arrays at any input size.
+func (g *pbsmGrid) assign(buf *storage.MBRBuf, order []int32) (off, items []int32) {
+	visit := func(fn func(c int, i int32)) {
+		for _, i := range order {
+			if buf.MinX[i] > g.extent.MaxX || buf.MaxX[i] < g.extent.MinX ||
+				buf.MinY[i] > g.extent.MaxY || buf.MaxY[i] < g.extent.MinY {
+				continue
+			}
+			x0, x1 := g.cellX(buf.MinX[i]), g.cellX(buf.MaxX[i])
+			for y, y1 := g.cellY(buf.MinY[i]), g.cellY(buf.MaxY[i]); y <= y1; y++ {
+				for x := x0; x <= x1; x++ {
+					fn(y*g.gx+x, i)
+				}
+			}
+		}
+	}
+	off = make([]int32, g.gx*g.gy+1)
+	visit(func(c int, _ int32) { off[c+1]++ })
+	for c := 1; c < len(off); c++ {
+		off[c] += off[c-1]
+	}
+	items = make([]int32, off[len(off)-1])
+	visit(func(c int, i int32) {
+		items[off[c]] = i
+		off[c]++
+	})
+	// Each off[c] now ends run c; shift them back to starts.
+	copy(off[1:], off[:len(off)-1])
+	off[0] = 0
+	return off, items
+}
+
+// byMinX returns buf's positions ordered by envelope min-x, ties by
+// position. assign visits envelopes in this order, so every cell run is
+// already sorted for the sweep.
+func byMinX(buf *storage.MBRBuf) []int32 {
+	order := make([]int32, buf.Len())
+	for i := range order {
+		order[i] = int32(i)
+	}
+	minX := buf.MinX
+	slices.SortFunc(order, func(p, q int32) int {
+		return cmp.Or(cmp.Compare(minX[p], minX[q]), cmp.Compare(p, q))
+	})
+	return order
+}
+
+// pbsmPair is one candidate (outer position, inner position) pair
+// emitted by a cell sweep.
 type pbsmPair struct {
 	a, b int32
 }
 
-// buildPBSM materializes the candidate index: collect envelopes, grid
-// them, sweep each cell (cells fan out across the worker pool), and
-// merge cell outputs in deterministic cell order.
+// buildPBSM builds the candidate index: collect envelopes, grid them,
+// sweep each cell (cells fan out across the worker pool) once to count
+// the kept pairs and once to write them, and deal the pairs out into
+// the per-outer-position candidate runs. Counting first sizes every
+// array exactly, so a build allocates the same few objects at any size.
 func (r *Runner) buildPBSM(spec *pbsmSpec) (*pbsmState, error) {
 	st := &pbsmState{}
 	if err := collectMBRs(spec.inner, spec.innerCol, 0, &st.inner); err != nil {
 		return nil, err
 	}
-	var outer storage.MBRBuf
-	if err := collectMBRs(spec.outer, spec.outerCol, spec.expand, &outer); err != nil {
+	if !slices.IsSorted(st.inner.IDs) {
+		// Build positions, and so emission order, follow RowID order.
+		return nil, fmt.Errorf("sql: PBSM inner envelope scan is not in RowID order")
+	}
+	if err := collectMBRs(spec.outer, spec.outerCol, spec.expand, &st.outer); err != nil {
 		return nil, err
 	}
+	st.dedupOuter()
 
-	// Deduplicate outer envelopes: rows sharing an envelope share a
-	// candidate list (point tables collapse massively). ukeys remembers
-	// first-seen order so the map is filled deterministically.
-	st.cands = make(map[[4]float64][]RowID, outer.Len())
-	var u storage.MBRBuf
-	ukeys := make([][4]float64, 0, outer.Len())
-	for i := 0; i < outer.Len(); i++ {
-		key := [4]float64{outer.MinX[i], outer.MinY[i], outer.MaxX[i], outer.MaxY[i]}
-		if _, seen := st.cands[key]; seen {
-			continue
-		}
-		st.cands[key] = nil
-		u.Append(0, key[0], key[1], key[2], key[3])
-		ukeys = append(ukeys, key)
-	}
-
-	extent := u.Bounds().Intersect(st.inner.Bounds())
-	gx, gy := spec.gx, spec.gy
+	extent := st.outer.Bounds().Intersect(st.inner.Bounds())
 	if extent.IsEmpty() {
-		// Disjoint extents: no pair can exist; every list stays empty.
-		st.cells = 0
+		// Disjoint extents: no pair can exist; every run stays empty.
+		st.index(nil)
 		return st, nil
 	}
+	g := &pbsmGrid{extent: extent, gx: spec.gx, gy: spec.gy}
 	if extent.Width() <= 0 {
-		gx = 1
+		g.gx = 1
 	}
 	if extent.Height() <= 0 {
-		gy = 1
+		g.gy = 1
 	}
-	st.cells = gx * gy
-	cw := extent.Width() / float64(gx)
-	ch := extent.Height() / float64(gy)
-	cellX := func(x float64) int {
-		if gx == 1 || cw <= 0 {
-			return 0
-		}
-		i := int((x - extent.MinX) / cw)
-		if i < 0 {
-			i = 0
-		}
-		if i >= gx {
-			i = gx - 1
-		}
-		return i
-	}
-	cellY := func(y float64) int {
-		if gy == 1 || ch <= 0 {
-			return 0
-		}
-		i := int((y - extent.MinY) / ch)
-		if i < 0 {
-			i = 0
-		}
-		if i >= gy {
-			i = gy - 1
-		}
-		return i
-	}
+	g.cw, g.ch = extent.Width()/float64(g.gx), extent.Height()/float64(g.gy)
+	st.cells = g.gx * g.gy
+	aOff, aItems := g.assign(&st.outer, byMinX(&st.outer))
+	bOff, bItems := g.assign(&st.inner, byMinX(&st.inner))
 
-	// Replicate each envelope into every cell its clamped span covers.
-	// Envelopes outside the joint extent can never pair up.
-	type cellList struct{ a, b []int32 }
-	cells := make([]cellList, gx*gy)
-	assign := func(buf *storage.MBRBuf, side int) {
-		for i := 0; i < buf.Len(); i++ {
-			if buf.MinX[i] > extent.MaxX || buf.MaxX[i] < extent.MinX ||
-				buf.MinY[i] > extent.MaxY || buf.MaxY[i] < extent.MinY {
-				continue
-			}
-			x0, x1 := cellX(buf.MinX[i]), cellX(buf.MaxX[i])
-			y0, y1 := cellY(buf.MinY[i]), cellY(buf.MaxY[i])
-			for y := y0; y <= y1; y++ {
-				for x := x0; x <= x1; x++ {
-					c := &cells[y*gx+x]
-					if side == 0 {
-						c.a = append(c.a, int32(i))
-					} else {
-						c.b = append(c.b, int32(i))
-					}
-				}
-			}
-		}
-	}
-	assign(&u, 0)
-	assign(&st.inner, 1)
-
-	// Sweep cells across the worker pool; each worker owns a pair buffer
-	// and a dedup-drop counter, merged afterwards in cell order so the
-	// per-envelope lists come out identical at any parallelism.
-	nw := r.par
-	if nw > len(cells) {
-		nw = len(cells)
-	}
-	if len(cells) < 8 || nw < 1 {
+	// Each worker sweeps a contiguous range of cells; cell c's kept
+	// pairs land at pairs[per[c]:per[c+1]], so the pairs come out in
+	// cell order at any parallelism.
+	nw := min(r.par, st.cells)
+	if st.cells < 8 || nw < 1 {
 		nw = 1
 	}
-	pairBufs := make([][]pbsmPair, nw)
+	per := make([]int, st.cells+1)
 	dropCounts := make([]int64, nw)
-	sweepRange := func(w, lo, hi int) {
-		pairs := pairBufs[w]
-		drops := int64(0)
-		for ci := lo; ci < hi; ci++ {
-			c := &cells[ci]
-			if len(c.a) == 0 || len(c.b) == 0 {
+	var pairs []pbsmPair
+	sweepCells := func(w int, _ emitFn) error {
+		for c := w * st.cells / nw; c < (w+1)*st.cells/nw; c++ {
+			la, lb := aItems[aOff[c]:aOff[c+1]], bItems[bOff[c]:bOff[c+1]]
+			if len(la) == 0 || len(lb) == 0 {
 				continue
 			}
-			sortByMinX(c.a, u.MinX)
-			sortByMinX(c.b, st.inner.MinX)
-			pairs, drops = sweepCell(&u, &st.inner, c.a, c.b,
-				ci%gx, ci/gx, cellX, cellY, pairs, drops)
+			if pairs == nil {
+				n, drops := g.sweep(&st.outer, &st.inner, la, lb, c%g.gx, c/g.gx, nil)
+				per[c+1], dropCounts[w] = n, dropCounts[w]+drops
+			} else {
+				g.sweep(&st.outer, &st.inner, la, lb, c%g.gx, c/g.gx, pairs[per[c]:per[c+1]])
+			}
 		}
-		pairBufs[w] = pairs
-		dropCounts[w] = drops
+		return nil
 	}
-	if nw <= 1 {
-		sweepRange(0, 0, len(cells))
-	} else {
-		var wg sync.WaitGroup
-		for w := 0; w < nw; w++ {
-			lo, hi := w*len(cells)/nw, (w+1)*len(cells)/nw
-			wg.Add(1)
-			go func(w, lo, hi int) {
-				defer wg.Done()
-				sweepRange(w, lo, hi)
-			}(w, lo, hi)
-		}
-		wg.Wait()
+	noSink := func(int) emitFn { return nil }
+	_ = runShards(nw, sweepCells, noSink) // a sweep cannot fail
+	for c := 1; c < len(per); c++ {
+		per[c] += per[c-1]
 	}
-
-	lists := make([][]RowID, u.Len())
-	for w := 0; w < nw; w++ {
-		for _, p := range pairBufs[w] {
-			lists[p.a] = append(lists[p.a], RowID(st.inner.IDs[p.b]))
-		}
-		st.drops += dropCounts[w]
+	pairs = make([]pbsmPair, per[st.cells])
+	_ = runShards(nw, sweepCells, noSink)
+	for _, d := range dropCounts {
+		st.drops += d
 	}
-	for i, key := range ukeys {
-		l := lists[i]
-		sort.Slice(l, func(p, q int) bool { return l[p] < l[q] })
-		st.cands[key] = l
-	}
+	st.index(pairs)
 	return st, nil
 }
 
-// sortByMinX orders a cell list by envelope min-x, breaking ties by
-// index so the sweep is deterministic.
-func sortByMinX(idx []int32, minX []float64) {
-	sort.Slice(idx, func(p, q int) bool {
-		if minX[idx[p]] != minX[idx[q]] {
-			return minX[idx[p]] < minX[idx[q]]
-		}
-		return idx[p] < idx[q]
-	})
+// index deals the kept pairs out into the candidate runs, counting them
+// first so that cand is allocated once, and sorts each run ascending.
+func (st *pbsmState) index(pairs []pbsmPair) {
+	st.off = make([]int32, st.outer.Len()+1)
+	for _, p := range pairs {
+		st.off[p.a+1]++
+	}
+	for k := 1; k < len(st.off); k++ {
+		st.off[k] += st.off[k-1]
+	}
+	st.cand = make([]int32, len(pairs))
+	for _, p := range pairs {
+		st.cand[st.off[p.a]] = p.b
+		st.off[p.a]++
+	}
+	// Each off[k] now ends run k; shift them back to starts.
+	copy(st.off[1:], st.off[:len(st.off)-1])
+	st.off[0] = 0
+	for k := 0; k+1 < len(st.off); k++ {
+		slices.Sort(st.cand[st.off[k]:st.off[k+1]])
+	}
 }
 
-// sweepCell runs the x-sorted plane sweep over one cell's two lists.
-// Both lists are sorted by min-x; advancing the side with the smaller
-// min-x and scanning the other while x-ranges overlap visits each
+// sweep runs the x-sorted plane sweep over one cell's two runs. Both
+// are sorted by min-x; advancing the side with the smaller min-x and
+// scanning the other while x-ranges overlap visits each
 // envelope-intersecting pair exactly once. The reference-point rule
 // then keeps a pair only in the cell owning the top-left corner of the
 // envelope intersection, so pairs replicated into several cells are
-// emitted once globally.
-func sweepCell(ua, ub *storage.MBRBuf, la, lb []int32, cx, cy int,
-	cellX, cellY func(float64) int, out []pbsmPair, drops int64) ([]pbsmPair, int64) {
+// kept once globally. It writes the kept pairs to out unless out is nil
+// and returns how many it kept and dropped.
+func (g *pbsmGrid) sweep(ua, ub *storage.MBRBuf, la, lb []int32, cx, cy int,
+	out []pbsmPair) (n int, drops int64) {
 
+	keep := func(ai, bi int32) {
+		if ua.MinY[ai] > ub.MaxY[bi] || ub.MinY[bi] > ua.MaxY[ai] {
+			return
+		}
+		rx := math.Max(ua.MinX[ai], ub.MinX[bi])
+		ry := math.Max(ua.MinY[ai], ub.MinY[bi])
+		if g.cellX(rx) != cx || g.cellY(ry) != cy {
+			drops++
+			return
+		}
+		if out != nil {
+			out[n] = pbsmPair{ai, bi}
+		}
+		n++
+	}
 	i, j := 0, 0
 	for i < len(la) && j < len(lb) {
 		if ua.MinX[la[i]] <= ub.MinX[lb[j]] {
 			ai := la[i]
-			for k := j; k < len(lb); k++ {
-				bi := lb[k]
-				if ub.MinX[bi] > ua.MaxX[ai] {
-					break
-				}
-				if ua.MinY[ai] > ub.MaxY[bi] || ub.MinY[bi] > ua.MaxY[ai] {
-					continue
-				}
-				rx := math.Max(ua.MinX[ai], ub.MinX[bi])
-				ry := math.Max(ua.MinY[ai], ub.MinY[bi])
-				if cellX(rx) != cx || cellY(ry) != cy {
-					drops++
-					continue
-				}
-				out = append(out, pbsmPair{ai, bi})
+			for k := j; k < len(lb) && ub.MinX[lb[k]] <= ua.MaxX[ai]; k++ {
+				keep(ai, lb[k])
 			}
 			i++
 		} else {
 			bi := lb[j]
-			for k := i; k < len(la); k++ {
-				ai := la[k]
-				if ua.MinX[ai] > ub.MaxX[bi] {
-					break
-				}
-				if ua.MinY[ai] > ub.MaxY[bi] || ub.MinY[bi] > ua.MaxY[ai] {
-					continue
-				}
-				rx := math.Max(ua.MinX[ai], ub.MinX[bi])
-				ry := math.Max(ua.MinY[ai], ub.MinY[bi])
-				if cellX(rx) != cx || cellY(ry) != cy {
-					drops++
-					continue
-				}
-				out = append(out, pbsmPair{ai, bi})
+			for k := i; k < len(la) && ua.MinX[la[k]] <= ub.MaxX[bi]; k++ {
+				keep(la[k], bi)
 			}
 			j++
 		}
 	}
-	return out, drops
+	return n, drops
 }
 
-// linear is the defensive fallback for probe envelopes absent from the
-// build snapshot (a row inserted between build and probe): a flat
-// envelope-overlap scan, still candidate-exact.
-func (st *pbsmState) linear(w geom.Rect) []RowID {
-	var ids []RowID
+// candidates returns the inner positions whose envelopes may meet the
+// probe window w, ascending: the run of w's outer position, or, for a
+// window absent from the build snapshot (a row inserted between build
+// and probe), a flat envelope-overlap scan, still candidate-exact.
+func (st *pbsmState) candidates(w geom.Rect) []int32 {
+	if k, _ := st.slot(w); k >= 0 {
+		return st.cand[st.off[k]:st.off[k+1]]
+	}
+	return st.linear(w)
+}
+
+// linear is candidates' fallback scan.
+func (st *pbsmState) linear(w geom.Rect) []int32 {
+	var ps []int32
 	b := &st.inner
-	for i := 0; i < b.Len(); i++ {
+	for i := range b.IDs {
 		if b.MinX[i] <= w.MaxX && w.MinX <= b.MaxX[i] &&
 			b.MinY[i] <= w.MaxY && w.MinY <= b.MaxY[i] {
-			ids = append(ids, RowID(b.IDs[i]))
+			ps = append(ps, int32(i))
 		}
 	}
-	sort.Slice(ids, func(p, q int) bool { return ids[p] < ids[q] })
-	return ids
+	return ps
+}
+
+// innerEnv returns the stored envelope of inner position i.
+func (st *pbsmState) innerEnv(i int32) geom.Rect {
+	b := &st.inner
+	return geom.Rect{MinX: b.MinX[i], MinY: b.MinY[i], MaxX: b.MaxX[i], MaxY: b.MaxY[i]}
 }
 
 // pbsmKey identifies a cacheable sweep state: the physical tables and
@@ -770,12 +823,12 @@ type pbsmScratch struct {
 }
 
 // probePBSM is the probe side of a PBSM join stage: compute the outer
-// window exactly as the INL path would, look up the candidate list, and
+// window exactly as the INL path would, read its candidate run, and
 // either emit candidates through the stage filters (safe mode) or
-// refine them in-probe with the batched prepared kernel (fast mode,
-// join conjunct stripped from the filters). full is the stage's scratch
-// tuple holding the outer prefix; each emitted candidate's inner
-// columns are copied in at lo, as in scanTable.
+// refine them in-probe (fast mode, join conjunct stripped from the
+// filters). full is the stage's scratch tuple holding the outer prefix;
+// each emitted candidate's inner columns are copied in at lo, as in
+// scanTable.
 func (op *joinOp) probePBSM(full []storage.Value, sc *pbsmScratch, emit emitFn) (bool, error) {
 	st, path := op.pbsm, &op.path
 	window, err := path.evalWindow(full, op.r.reg)
@@ -785,22 +838,15 @@ func (op *joinOp) probePBSM(full []storage.Value, sc *pbsmScratch, emit emitFn) 
 	if window.IsEmpty() {
 		return true, nil
 	}
-	ids, hit := st.cands[[4]float64{window.MinX, window.MinY, window.MaxX, window.MaxY}]
-	if !hit {
-		ids = st.linear(window)
-	}
-	if len(ids) == 0 {
+	cands := st.candidates(window)
+	if len(cands) == 0 {
 		return true, nil
 	}
 	if path.pbsm.refineFC != nil {
-		return op.pbsmRefine(full, ids, sc, emit)
+		return op.pbsmRefine(full, cands, sc, emit)
 	}
-	for _, id := range ids {
-		row, err := st.fetch(op.tbl, id, path.need)
-		if err != nil {
-			return false, err
-		}
-		copy(full[op.lo:], row)
+	for _, i := range cands {
+		copy(full[op.lo:], st.rows[i])
 		cont, err := emit(full)
 		if err != nil || !cont {
 			return cont, err
@@ -810,14 +856,14 @@ func (op *joinOp) probePBSM(full []storage.Value, sc *pbsmScratch, emit emitFn) 
 }
 
 // pbsmRefine evaluates the stripped join conjunct over the candidate
-// list — through one batch kernel call against the outer geometry
-// prepared once (topology predicates), or through the direct distance
-// kernel (constant ST_DWithin) — with the same NULL, type-error and
-// prep-hit semantics as the per-row path, producing the same survivors.
-// The inner operand is a bare column reference (findPBSMConjunct
-// guarantees it), so it is read straight off the candidate's inner row,
-// and only survivors are copied into full.
-func (op *joinOp) pbsmRefine(full []storage.Value, ids []RowID, sc *pbsmScratch, emit emitFn) (bool, error) {
+// run — through one batch kernel call against the outer geometry
+// prepared once (topology predicates), or through the threshold kernel
+// (constant ST_DWithin) — with the same NULL, type-error and prep-hit
+// semantics as the per-row path, producing the same survivors. The
+// inner operand is a bare column reference (findPBSMConjunct guarantees
+// it), so it is read straight off the candidate's inner row, and only
+// survivors are copied into full.
+func (op *joinOp) pbsmRefine(full []storage.Value, cands []int32, sc *pbsmScratch, emit emitFn) (bool, error) {
 	r, st, spec := op.r, op.pbsm, op.path.pbsm
 	ov, err := Eval(spec.refineFC.args[spec.refineOuterArg], full, r.reg)
 	if err != nil {
@@ -830,36 +876,33 @@ func (op *joinOp) pbsmRefine(full []storage.Value, ids []RowID, sc *pbsmScratch,
 		return true, nil
 	}
 	varIdx := 1 - spec.refineOuterArg
-	// inner reads one candidate's inner row and its geometry operand; a
-	// nil geometry (NULL operand) drops the candidate.
-	inner := func(id RowID) ([]storage.Value, geom.Geometry, error) {
-		row, err := st.fetch(op.tbl, id, op.path.need)
-		if err != nil {
-			return nil, nil, err
-		}
-		v := row[spec.innerCol]
+	// inner reads one candidate's geometry operand; nil (a NULL operand)
+	// drops the candidate.
+	inner := func(i int32) (geom.Geometry, error) {
+		v := st.rows[i][spec.innerCol]
 		if v.IsNull() {
-			return row, nil, nil // NULL predicate result: row dropped
+			return nil, nil // NULL predicate result: row dropped
 		}
 		if v.Type != storage.TypeGeom {
-			return nil, nil, fmt.Errorf("sql: predicate: argument %d is %s, want GEOMETRY", varIdx+1, v.Type)
+			return nil, fmt.Errorf("sql: predicate: argument %d is %s, want GEOMETRY", varIdx+1, v.Type)
 		}
-		return row, v.Geom, nil
+		return v.Geom, nil
 	}
 	emitInner := func(row []storage.Value) (bool, error) {
 		copy(full[op.lo:], row)
 		return emit(full)
 	}
 	if spec.refineDWithin {
-		for _, id := range ids {
-			row, g, err := inner(id)
+		oenv := ov.Geom.Envelope()
+		for _, i := range cands {
+			g, err := inner(i)
 			if err != nil {
 				return false, err
 			}
-			if g == nil || !geom.DWithin(ov.Geom, g, spec.expand) {
+			if g == nil || !geom.DWithinEnv(ov.Geom, oenv, g, st.innerEnv(i), spec.expand) {
 				continue
 			}
-			if cont, err := emitInner(row); err != nil || !cont {
+			if cont, err := emitInner(st.rows[i]); err != nil || !cont {
 				return cont, err
 			}
 		}
@@ -869,23 +912,16 @@ func (op *joinOp) pbsmRefine(full []storage.Value, ids []RowID, sc *pbsmScratch,
 		// Small-inner mode: each inner geometry was prepared once at
 		// materialization and the outer one is prepared once per probe,
 		// on the first candidate, so each pair evaluates between two
-		// prepared structures with no per-candidate decomposition. A
-		// candidate missing from the prepared set landed after the build
-		// snapshot and is prepared on the spot (the result is identical
-		// either way).
+		// prepared structures with no per-candidate decomposition.
 		evals := 0
 		var po *topo.Prepared
-		for _, id := range ids {
-			row, g, err := inner(id)
+		for _, i := range cands {
+			g, err := inner(i)
 			if err != nil {
 				return false, err
 			}
 			if g == nil {
 				continue
-			}
-			p := st.preps[id]
-			if p == nil {
-				p = topo.Prepare(g)
 			}
 			if po == nil {
 				po = topo.Prepare(ov.Geom)
@@ -893,14 +929,14 @@ func (op *joinOp) pbsmRefine(full []storage.Value, ids []RowID, sc *pbsmScratch,
 			evals++
 			var hit bool
 			if spec.refineOuterArg == 0 {
-				hit = topo.EvalPrepared(spec.refinePred, po, p)
+				hit = topo.EvalPrepared(spec.refinePred, po, st.preps[i])
 			} else {
-				hit = topo.EvalPrepared(spec.refinePred, p, po)
+				hit = topo.EvalPrepared(spec.refinePred, st.preps[i], po)
 			}
 			if !hit {
 				continue
 			}
-			if cont, err := emitInner(row); err != nil || !cont {
+			if cont, err := emitInner(st.rows[i]); err != nil || !cont {
 				return cont, err
 			}
 		}
@@ -909,15 +945,15 @@ func (op *joinOp) pbsmRefine(full []storage.Value, ids []RowID, sc *pbsmScratch,
 	}
 	prepared := topo.Prepare(ov.Geom)
 	sc.rows, sc.geoms = sc.rows[:0], sc.geoms[:0]
-	for _, id := range ids {
-		row, g, err := inner(id)
+	for _, i := range cands {
+		g, err := inner(i)
 		if err != nil {
 			return false, err
 		}
 		if g == nil {
 			continue
 		}
-		sc.rows = append(sc.rows, row)
+		sc.rows = append(sc.rows, st.rows[i])
 		sc.geoms = append(sc.geoms, g)
 	}
 	if cap(sc.outs) < len(sc.geoms) {
