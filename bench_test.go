@@ -1548,69 +1548,81 @@ func TestWriteSpatialJoinBench(t *testing.T) {
 }
 
 // TestJoinAllocsPerOuterRow is the structural allocation guard of the
-// borrowed-tuple pipeline: every producer reuses one scratch row per
-// worker and stage, so a PBSM DWithin self-join allocates per outer row
-// (the outer geometry decode), not per candidate pair or per emitted
-// tuple. On a warm, single-core engine at small scale it checks that
-// the COUNT(*) join allocates at most 1.5 times its outer row count, the
-// same at D = 50 and D = 200 (where the candidate-pair count differs
-// several-fold), and that the row-returning variant's excess over the
-// COUNT is at most 2 allocations per output row (the projected row and
-// its share of the result slice). Skipped under the race detector,
-// whose instrumentation changes allocation counts.
+// borrowed-tuple pipeline and the warm PBSM join: every producer reuses
+// one scratch row per worker and stage, and a warm PBSM join reads its
+// outer rows, decoded once per build, from the cached join state, so a
+// warm PBSM DWithin self-join allocates neither per outer row nor per
+// candidate pair nor per emitted tuple. On a warm, single-core engine it
+// checks that the COUNT(*) join allocates the same (within 2 %) at
+// small and at medium scale (600 and 3 456 outer rows), and at D = 50
+// and D = 200 (where the candidate-pair count differs several-fold),
+// and that the row-returning variant's excess over the COUNT is at most
+// 2 allocations per output row (the projected row and its share of the
+// result slice). Skipped under the race detector, whose instrumentation
+// changes allocation counts.
 func TestJoinAllocsPerOuterRow(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts differ under the race detector")
 	}
-	ds := GenerateDataset(ScaleSmall, 1)
-	eng := OpenEngine(GaiaDB(), WithParallelism(1), WithJoinStrategy(JoinPBSM))
-	if err := LoadDataset(eng, ds, true); err != nil {
-		t.Fatal(err)
-	}
-	conn, err := Connect(eng).Connect()
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	query := func(q string) *ResultSet {
-		rs, err := conn.Query(q)
+	const join = "FROM pointlm a JOIN pointlm b ON ST_DWithin(a.geo, b.geo, %d) WHERE a.id < b.id"
+	// open loads a warm, single-core engine at the given scale and
+	// returns its query and warm allocation measure.
+	open := func(scale Scale) (query func(string) *ResultSet, measure func(string) float64) {
+		eng := OpenEngine(GaiaDB(), WithParallelism(1), WithJoinStrategy(JoinPBSM))
+		if err := LoadDataset(eng, GenerateDataset(scale, 1), true); err != nil {
+			t.Fatal(err)
+		}
+		conn, err := Connect(eng).Connect()
 		if err != nil {
 			t.Fatal(err)
 		}
-		return rs
-	}
-	measure := func(q string) float64 {
-		for i := 0; i < 3; i++ {
-			query(q)
+		t.Cleanup(func() { conn.Close() })
+		query = func(q string) *ResultSet {
+			rs, err := conn.Query(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return rs
 		}
-		return testing.AllocsPerRun(10, func() { query(q) })
+		measure = func(q string) float64 {
+			for i := 0; i < 3; i++ {
+				query(q)
+			}
+			if st := eng.JoinStats(); st.PBSM == 0 {
+				t.Fatalf("%s ran INL=%d PBSM=%d, want PBSM", q, st.INL, st.PBSM)
+			}
+			return testing.AllocsPerRun(10, func() { query(q) })
+		}
+		return query, measure
 	}
-	outer := float64(query("SELECT COUNT(*) FROM pointlm").Rows[0][0].Int)
-	const join = "FROM pointlm a JOIN pointlm b ON ST_DWithin(a.geo, b.geo, %d) WHERE a.id < b.id"
-	counts := map[int]float64{}
+	small := map[int]float64{}
+	query, measure := open(ScaleSmall)
 	for _, d := range []int{50, 200} {
-		eng.ResetJoinStats()
 		q := "SELECT COUNT(*) " + fmt.Sprintf(join, d)
-		pairs := query(q).Rows[0][0].Int
-		if st := eng.JoinStats(); st.PBSM == 0 {
-			t.Fatalf("D=%d: join ran INL=%d PBSM=%d, want PBSM", d, st.INL, st.PBSM)
-		}
-		counts[d] = measure(q)
-		t.Logf("D=%d: %d pairs, %.0f allocs over %.0f outer rows (%.2f per outer row)",
-			d, pairs, counts[d], outer, counts[d]/outer)
-		if counts[d] > 1.5*outer {
-			t.Errorf("D=%d: COUNT join allocates %.0f, over 1.5 x %.0f outer rows", d, counts[d], outer)
-		}
+		small[d] = measure(q)
+		t.Logf("small, D=%d: %d pairs, %.0f allocs", d, query(q).Rows[0][0].Int, small[d])
 	}
-	if lo, hi := counts[50], counts[200]; math.Abs(hi-lo) > 0.02*lo {
+	if lo, hi := small[50], small[200]; math.Abs(hi-lo) > 0.02*lo {
 		t.Errorf("COUNT join allocates %.0f at D=50 but %.0f at D=200: allocations follow the candidate pairs", lo, hi)
 	}
 	q := "SELECT a.id, b.id " + fmt.Sprintf(join, 200)
 	rows := float64(len(query(q).Rows))
-	excess := (measure(q) - counts[200]) / rows
+	excess := (measure(q) - small[200]) / rows
 	t.Logf("row-returning variant: %.0f rows, %.2f allocs per output row over the COUNT", rows, excess)
 	if excess > 2 {
 		t.Errorf("row-returning join allocates %.2f per output row over the COUNT, want <= 2", excess)
+	}
+
+	queryMedium, measureMedium := open(ScaleMedium)
+	count := "SELECT COUNT(*) " + fmt.Sprintf(join, 50)
+	medium := measureMedium(count)
+	outer := func(query func(string) *ResultSet) int64 {
+		return query("SELECT COUNT(*) FROM pointlm").Rows[0][0].Int
+	}
+	t.Logf("D=50: %.0f allocs over %d outer rows (small), %.0f over %d (medium)",
+		small[50], outer(query), medium, outer(queryMedium))
+	if lo, hi := small[50], medium; math.Abs(hi-lo) > 0.02*lo {
+		t.Errorf("COUNT join allocates %.0f over the small outer layer but %.0f over the medium one: allocations follow the outer rows", lo, hi)
 	}
 }
 
@@ -1619,10 +1631,13 @@ func TestJoinAllocsPerOuterRow(t *testing.T) {
 // survives them. In the land-information join below, `a.id = k` keeps
 // one parcel, so a.geo (read by the join stage) must decode for that
 // row alone; decoding it before the filter allocates at least one
-// geometry per parcel. On a warm, single-core engine at small scale the
-// statement must allocate under a tenth of the table's row count.
-// Skipped under the race detector, whose instrumentation changes
-// allocation counts.
+// geometry per parcel. The same holds for a forced PBSM self-join whose
+// stage-0 expression filter keeps no parcel: a PBSM join reads its
+// outer rows from the join state only when stage 0 has no filter, so
+// this one streams, decodes a.id alone, and never opens (or caches) a
+// state. On a warm, single-core engine at small scale each statement
+// must allocate under a tenth of the table's row count. Skipped under
+// the race detector, whose instrumentation changes allocation counts.
 func TestStage0DecodesSurvivorsOnly(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts differ under the race detector")
@@ -1658,6 +1673,22 @@ func TestStage0DecodesSurvivorsOnly(t *testing.T) {
 	if allocs > parcels/10 {
 		t.Errorf("filtered join allocates %.0f, over a tenth of the %.0f parcels: stage 0 decodes rows its filter drops",
 			allocs, parcels)
+	}
+
+	eng.SetJoinStrategy(JoinPBSM)
+	q = "SELECT COUNT(*) FROM parcels a JOIN parcels b ON ST_Intersects(a.geo, b.geo) WHERE a.id % 2 = 2"
+	eng.ResetJoinStats()
+	if n := query(q).Rows[0][0].Int; n != 0 {
+		t.Fatalf("a.id %% 2 = 2 kept rows: %d pairs", n)
+	}
+	if st := eng.JoinStats(); st.PBSM == 0 {
+		t.Fatalf("%s ran INL=%d PBSM=%d, want PBSM", q, st.INL, st.PBSM)
+	}
+	allocs = testing.AllocsPerRun(10, func() { query(q) })
+	t.Logf("PBSM, no survivor: %.0f allocs over %.0f parcels (%.3f per row)", allocs, parcels, allocs/parcels)
+	if allocs > parcels/10 {
+		t.Errorf("PBSM join whose stage-0 filter keeps nothing allocates %.0f, over a tenth of the %.0f parcels: "+
+			"stage 0 decodes rows its filter drops", allocs, parcels)
 	}
 }
 

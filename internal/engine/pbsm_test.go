@@ -243,53 +243,191 @@ func TestGeomStatsMaintained(t *testing.T) {
 // TestPBSMCacheInvalidation exercises the cross-statement sweep-state
 // cache: repeated executions of the same join must be served from the
 // cache (CacheHits advances), and any mutation of either side — insert,
-// delete, or vacuum's physical renumbering — must invalidate it so the
-// next run rebuilds and reflects the change. A forced-INL twin engine
-// replays the same script and must agree byte-for-byte at every step.
+// delete, vacuum's physical renumbering, an update that moves an outer
+// point into another grid cell, an update of a projected non-geometry
+// outer column (the state holds the outer rows) — must invalidate it so
+// the next run rebuilds and reflects the change. A forced-INL twin
+// engine replays the same script and must agree at every step, serial
+// and parallel.
 func TestPBSMCacheInvalidation(t *testing.T) {
 	const q = "SELECT p.id, a.id FROM pts p JOIN areas a ON ST_Intersects(p.geo, a.geo)"
-	pbsm := pbsmFixture(t, WithJoinStrategy(sql.JoinPBSM))
-	inl := pbsmFixture(t, WithJoinStrategy(sql.JoinINL))
+	for _, par := range []int{1, 4} {
+		pbsm := pbsmFixture(t, WithJoinStrategy(sql.JoinPBSM), WithParallelism(par))
+		inl := pbsmFixture(t, WithJoinStrategy(sql.JoinINL), WithParallelism(par))
 
-	check := func(step string) {
+		check := func(step string) {
+			t.Helper()
+			got := rowKeys(pbsm.MustExec(q))
+			want := rowKeys(inl.MustExec(q))
+			if fmt.Sprint(got) != fmt.Sprint(want) {
+				t.Fatalf("parallelism %d, %s: PBSM %d rows diverge from INL %d rows", par, step, len(got), len(want))
+			}
+		}
+
+		check("initial build")
+		if hits := pbsm.JoinStats().CacheHits; hits != 0 {
+			t.Fatalf("first execution hit the cache (%d hits), nothing was cached yet", hits)
+		}
+		check("cached rerun")
+		if hits := pbsm.JoinStats().CacheHits; hits != 1 {
+			t.Fatalf("second execution reported %d cache hits, want 1", hits)
+		}
+
+		// Inner-side insert: a new area beyond the old extent must appear.
+		script := []string{
+			"INSERT INTO areas VALUES (100, ST_GeomFromText('POLYGON ((50 50, 54 50, 54 54, 50 54, 50 50))'))",
+			"INSERT INTO pts VALUES (400, ST_GeomFromText('POINT (52 52)'))",
+			"DELETE FROM areas WHERE id = 0",
+			"DELETE FROM pts WHERE id < 20",
+			"VACUUM pts",
+			// Point 22 sits on area 1's edge at (5, 2.5); it moves into
+			// area 86, across the grid.
+			"UPDATE pts SET geo = ST_GeomFromText('POINT (31 41)') WHERE id = 22",
+			"UPDATE pts SET id = id + 1000 WHERE id = 23",
+		}
+		for _, stmt := range script {
+			pbsm.MustExec(stmt)
+			inl.MustExec(stmt)
+			hitsBefore := pbsm.JoinStats().CacheHits
+			check(stmt)
+			if hits := pbsm.JoinStats().CacheHits; hits != hitsBefore {
+				t.Fatalf("parallelism %d: after %q the stale sweep state was served from cache", par, stmt)
+			}
+			// Unmutated rerun right after the rebuild hits again.
+			hitsBefore = pbsm.JoinStats().CacheHits
+			check(stmt + " (rerun)")
+			if hits := pbsm.JoinStats().CacheHits; hits != hitsBefore+1 {
+				t.Fatalf("parallelism %d: rerun after %q missed the cache (%d -> %d hits)", par, stmt, hitsBefore, hits)
+			}
+		}
+	}
+}
+
+// outerSourceFixture loads a 420-row outer table whose rows carry a
+// NULL geometry (every seventh) or an empty one (every eleventh) between
+// points of a grid, so positions in the join state's outer arrays and
+// heap row ids diverge, against pbsmFixture's areas.
+func outerSourceFixture(t *testing.T, opts ...Option) *Engine {
+	t.Helper()
+	e := pbsmFixture(t, opts...)
+	e.MustExec("CREATE TABLE op (id INTEGER, tag INTEGER, geo GEOMETRY)")
+	var vals []string
+	for k := 0; k < 420; k++ {
+		g := fmt.Sprintf("ST_GeomFromText('POINT (%g %g)')", float64(k%21)*2.4, float64(k/21)*2.4)
+		switch {
+		case k%7 == 3:
+			g = "NULL"
+		case k%11 == 5:
+			g = "ST_GeomFromText('POINT EMPTY')"
+		}
+		vals = append(vals, fmt.Sprintf("(%d, %d, %s)", k, k%4, g))
+	}
+	e.MustExec("INSERT INTO op VALUES " + strings.Join(vals, ", "))
+	return e
+}
+
+// TestPBSMOuterSourceEquivalence: a PBSM join over a batched full scan
+// of its outer table with no stage-0 filter reads the outer rows from
+// the join state, built on the cold run and cached for the warm one, so
+// no run scans the outer heap in batches; with a stage-0 filter the
+// scan streams in batches and decodes only survivors, and a bare LIMIT
+// streams row at a time. With NULL and empty outer geometries,
+// aggregates, stage-1 filters, both refine kernels and LIMIT, every run
+// at parallelism 1, 2 and 4 must return the serial cold run's rows in
+// its order, and the rows JoinINL returns as a multiset (a bare LIMIT,
+// whose rows depend on emission order, returns the first rows of the
+// unlimited join instead).
+func TestPBSMOuterSourceEquivalence(t *testing.T) {
+	const join = "FROM op p JOIN areas a ON "
+	queries := []struct {
+		q, inlQ string
+		batched bool // stage 0 scans the outer heap in batches
+	}{
+		{q: "SELECT p.id, p.tag, a.id " + join + "ST_Intersects(p.geo, a.geo)"},
+		{q: "SELECT COUNT(*), SUM(p.id), MAX(a.id) " + join + "ST_DWithin(p.geo, a.geo, 1.25) WHERE p.tag < a.id"},
+		{q: "SELECT a.id, p.id " + join + "ST_Contains(a.geo, p.geo) ORDER BY p.id DESC, a.id LIMIT 30"},
+		{q: "SELECT p.id, p.tag, a.id " + join + "ST_Intersects(p.geo, a.geo) WHERE p.id % 4 <> 2", batched: true},
+		{
+			q:    "SELECT p.id, a.id " + join + "ST_DWithin(p.geo, a.geo, 1.25) WHERE p.id % 4 <> 0 LIMIT 40",
+			inlQ: "SELECT p.id, a.id " + join + "ST_DWithin(p.geo, a.geo, 1.25) WHERE p.id % 4 <> 0",
+		},
+	}
+	inl := outerSourceFixture(t, WithJoinStrategy(sql.JoinINL))
+	for qi, c := range queries {
+		var want *sql.Result
+		for _, par := range []int{1, 2, 4} {
+			e := outerSourceFixture(t, WithJoinStrategy(sql.JoinPBSM), WithParallelism(par))
+			for _, run := range []string{"cold", "warm"} {
+				cfg := fmt.Sprintf("q%d parallelism %d %s", qi, par, run)
+				hits := e.JoinStats().CacheHits
+				e.ResetBatchStats()
+				res := e.MustExec(c.q)
+				if got := e.JoinStats().CacheHits - hits; got != map[string]int64{"cold": 0, "warm": 1}[run] {
+					t.Fatalf("%s: %d state cache hits", cfg, got)
+				}
+				if batches, _ := e.BatchStats(); (batches > 0) != c.batched {
+					t.Fatalf("%s: stage 0 scanned the outer heap in %d batches, want batched=%v", cfg, batches, c.batched)
+				}
+				if !strings.HasPrefix(res.Access[0], "p:") || !strings.Contains(res.Access[0], "seqscan") ||
+					!strings.HasPrefix(res.Access[1], "a:pbsm(") {
+					t.Fatalf("%s: access %v, want a seqscan of p under a PBSM join", cfg, res.Access)
+				}
+				if want == nil {
+					want = res
+					if len(res.Rows) == 0 {
+						t.Fatalf("%s: no rows", cfg)
+					}
+					continue
+				}
+				if fmt.Sprint(res.Rows) != fmt.Sprint(want.Rows) {
+					t.Errorf("%s: rows differ from the serial cold run\nwant %v\ngot  %v", cfg, want.Rows, res.Rows)
+				}
+			}
+		}
+		if c.inlQ == "" {
+			if got, ref := rowKeys(want), rowKeys(inl.MustExec(c.q)); fmt.Sprint(got) != fmt.Sprint(ref) {
+				t.Errorf("q%d: %d PBSM rows diverge from %d JoinINL rows", qi, len(got), len(ref))
+			}
+			continue
+		}
+		// A bare LIMIT keeps the first rows the join emits.
+		e := outerSourceFixture(t, WithJoinStrategy(sql.JoinPBSM), WithParallelism(1))
+		all := e.MustExec(c.inlQ)
+		if n := len(want.Rows); n != 40 || fmt.Sprint(want.Rows) != fmt.Sprint(all.Rows[:n]) {
+			t.Errorf("q%d: LIMIT rows %v are not the first 40 of the unlimited join", qi, want.Rows)
+		}
+		if got, ref := rowKeys(all), rowKeys(inl.MustExec(c.inlQ)); fmt.Sprint(got) != fmt.Sprint(ref) {
+			t.Errorf("q%d: %d unlimited PBSM rows diverge from %d JoinINL rows", qi, len(got), len(ref))
+		}
+	}
+}
+
+// TestHoleOutsideShellFound: a polygon whose hole lies outside its
+// shell is within distance 1 of (105, 99) through the hole, so every
+// access path must find it: a seqscan (whose MBR prefilter reads the
+// stored envelope), a spatial index, and a PBSM join with the polygon
+// on either side. Envelopes cover every ring.
+func TestHoleOutsideShellFound(t *testing.T) {
+	const poly = "POLYGON ((0 0, 10 0, 10 10, 0 10, 0 0), (100 100, 110 100, 110 110, 100 110, 100 100))"
+	e := Open(GaiaDB(), WithJoinStrategy(sql.JoinPBSM))
+	e.MustExec("CREATE TABLE h (id INTEGER, g GEOMETRY)")
+	e.MustExec("CREATE TABLE q (id INTEGER, g GEOMETRY)")
+	e.MustExec("INSERT INTO h VALUES (1, ST_GeomFromText('" + poly + "'))")
+	e.MustExec("INSERT INTO q VALUES (7, ST_MakePoint(105, 99))")
+	expect := func(query, access string, want int64) {
 		t.Helper()
-		got := rowKeys(pbsm.MustExec(q))
-		want := rowKeys(inl.MustExec(q))
-		if fmt.Sprint(got) != fmt.Sprint(want) {
-			t.Fatalf("%s: PBSM %d rows diverge from INL %d rows", step, len(got), len(want))
+		res := e.MustExec(query)
+		if !strings.Contains(strings.Join(res.Access, " "), access) {
+			t.Fatalf("%s: access %v, want %s", query, res.Access, access)
+		}
+		if len(res.Rows) != 1 || res.Rows[0][0].Int != want {
+			t.Errorf("%s via %s: rows %v, want [[%d]]", query, access, res.Rows, want)
 		}
 	}
-
-	check("initial build")
-	if hits := pbsm.JoinStats().CacheHits; hits != 0 {
-		t.Fatalf("first execution hit the cache (%d hits), nothing was cached yet", hits)
-	}
-	check("cached rerun")
-	if hits := pbsm.JoinStats().CacheHits; hits != 1 {
-		t.Fatalf("second execution reported %d cache hits, want 1", hits)
-	}
-
-	// Inner-side insert: a new area beyond the old extent must appear.
-	script := []string{
-		"INSERT INTO areas VALUES (100, ST_GeomFromText('POLYGON ((50 50, 54 50, 54 54, 50 54, 50 50))'))",
-		"INSERT INTO pts VALUES (400, ST_GeomFromText('POINT (52 52)'))",
-		"DELETE FROM areas WHERE id = 0",
-		"DELETE FROM pts WHERE id < 20",
-		"VACUUM pts",
-	}
-	for _, stmt := range script {
-		pbsm.MustExec(stmt)
-		inl.MustExec(stmt)
-		hitsBefore := pbsm.JoinStats().CacheHits
-		check(stmt)
-		if hits := pbsm.JoinStats().CacheHits; hits != hitsBefore {
-			t.Fatalf("after %q the stale sweep state was served from cache", stmt)
-		}
-		// Unmutated rerun right after the rebuild hits again.
-		hitsBefore = pbsm.JoinStats().CacheHits
-		check(stmt + " (rerun)")
-		if hits := pbsm.JoinStats().CacheHits; hits != hitsBefore+1 {
-			t.Fatalf("rerun after %q missed the cache (%d -> %d hits)", stmt, hitsBefore, hits)
-		}
-	}
+	const where = "SELECT id FROM h WHERE ST_DWithin(g, ST_MakePoint(105, 99), 2)"
+	expect(where, "h:seqscan", 1)
+	expect("SELECT h.id FROM q JOIN h ON ST_DWithin(h.g, q.g, 2)", "h:pbsm(", 1)
+	expect("SELECT q.id FROM h JOIN q ON ST_DWithin(q.g, h.g, 2)", "q:pbsm(", 7)
+	e.MustExec("CREATE SPATIAL INDEX hg ON h (g)")
+	expect(where, "h:spatial-index", 1)
 }

@@ -283,12 +283,17 @@ func (p Polygon) NumCoords() int {
 	return n
 }
 
-// Envelope implements Geometry.
+// Envelope implements Geometry: the union of every ring's envelope, so
+// it covers a hole that strays outside the shell too.
 func (p Polygon) Envelope() Rect {
 	if p.IsEmpty() {
 		return EmptyRect()
 	}
-	return p[0].Envelope()
+	r := p[0].Envelope()
+	for _, hole := range p[1:] {
+		r = r.Union(hole.Envelope())
+	}
+	return r
 }
 
 // Clone implements Geometry.

@@ -10,7 +10,7 @@ import (
 // pass over the encoded bytes, without materializing coordinate slices
 // or geometry values. The result is identical (bit for bit) to
 // UnmarshalWKB(data) followed by Envelope() — including the
-// outer-ring-only polygon envelope and the NaN-ordinate empty-point
+// all-rings polygon envelope and the NaN-ordinate empty-point
 // convention — so scan prefilters can use it interchangeably with the
 // decoded form.
 func EnvelopeWKB(data []byte) (Rect, error) {
@@ -63,8 +63,9 @@ func (d *wkbDecoder) envelope(depth int) (Rect, error) {
 		if int(n) > d.remaining()/4 {
 			return EmptyRect(), fmt.Errorf("%w: ring count %d exceeds input", ErrCorruptWKB, n)
 		}
-		// A polygon's envelope is its outer ring's; the holes still have
-		// to be walked to keep the decoder position honest.
+		// A polygon's envelope is the union of its rings' envelopes, unless
+		// its shell is empty, which empties the polygon; the holes are
+		// walked either way to keep the decoder position honest.
 		env := EmptyRect()
 		for i := uint32(0); i < n; i++ {
 			r, err := d.coordsEnvelope(bo)
@@ -73,6 +74,8 @@ func (d *wkbDecoder) envelope(depth int) (Rect, error) {
 			}
 			if i == 0 {
 				env = r
+			} else if !env.IsEmpty() {
+				env = env.Union(r)
 			}
 		}
 		return env, nil

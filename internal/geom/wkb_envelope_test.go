@@ -10,8 +10,8 @@ import (
 // TestEnvelopeWKBMatchesDecoded asserts the WKB envelope fast path is
 // bit-identical to decoding and calling Envelope(), across every
 // geometry kind including the tricky cases: empty points (NaN
-// ordinates), polygons with holes (outer-ring-only envelope), and
-// nested collections.
+// ordinates), polygons with holes (every ring counts), and nested
+// collections.
 func TestEnvelopeWKBMatchesDecoded(t *testing.T) {
 	cases := []Geometry{
 		Point{Coord: Coord{3, -7}},
@@ -20,9 +20,8 @@ func TestEnvelopeWKBMatchesDecoded(t *testing.T) {
 		LineString{},
 		Polygon{
 			Ring{{0, 0}, {10, 0}, {10, 10}, {0, 10}, {0, 0}},
-			// Hole ring deliberately outside the outer envelope's span
-			// on purpose-built coordinates: the decoded Envelope() uses
-			// only ring 0, and the fast path must match that choice.
+			// Hole ring deliberately outside the outer envelope's span:
+			// both forms must count it.
 			Ring{{2, 2}, {30, 2}, {30, 3}, {2, 3}, {2, 2}},
 		},
 		Polygon{},
@@ -62,6 +61,61 @@ func rectIdentical(a, b Rect) bool {
 	}
 	return same(a.MinX, b.MinX) && same(a.MinY, b.MinY) &&
 		same(a.MaxX, b.MaxX) && same(a.MaxY, b.MaxY)
+}
+
+// TestPolygonEnvelopeCoversEveryRing: a polygon's envelope is the union
+// of its rings' envelopes wherever the holes lie — inside the shell,
+// beyond each of its four sides, straddling it, or several at once —
+// and EnvelopeWKB agrees with the decoded Envelope() bit for bit, in a
+// multipolygon too. An empty shell empties the polygon, holes or not.
+func TestPolygonEnvelopeCoversEveryRing(t *testing.T) {
+	shell := Ring{{0, 0}, {10, 0}, {10, 10}, {0, 10}, {0, 0}}
+	square := func(x, y, s float64) Ring {
+		return Ring{{x, y}, {x + s, y}, {x + s, y + s}, {x, y + s}, {x, y}}
+	}
+	holes := []Ring{
+		square(2, 2, 3),      // inside
+		square(100, 100, 10), // beyond the top-right corner
+		square(-30, 4, 2),    // left
+		square(4, -30, 2),    // below
+		square(4, 25, 2),     // above
+		square(8, 8, 5),      // straddling the shell
+	}
+	var cases []Polygon
+	for i, h := range holes {
+		cases = append(cases, Polygon{shell, h})
+		if i > 0 {
+			cases = append(cases, Polygon{shell, holes[i-1], h})
+		}
+	}
+	for _, p := range cases {
+		want := p[0].Envelope()
+		for _, h := range p[1:] {
+			want = want.Union(h.Envelope())
+		}
+		got := p.Envelope()
+		if !rectIdentical(got, want) {
+			t.Errorf("%s: Envelope() = %+v, want the union of its rings %+v", WKT(p), got, want)
+		}
+		for _, g := range []Geometry{p, MultiPolygon{p, {square(50, 50, 1)}}} {
+			wkb, err := EnvelopeWKB(MarshalWKB(g))
+			if err != nil {
+				t.Fatalf("%s: %v", WKT(g), err)
+			}
+			if !rectIdentical(wkb, g.Envelope()) {
+				t.Errorf("%s: EnvelopeWKB = %+v, Envelope() = %+v", WKT(g), wkb, g.Envelope())
+			}
+		}
+	}
+	empty := Polygon{Ring{}, square(1, 1, 1)}
+	wkb, err := EnvelopeWKB(MarshalWKB(empty))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !empty.Envelope().IsEmpty() || !rectIdentical(wkb, empty.Envelope()) {
+		t.Errorf("empty shell with a hole: Envelope() = %+v, EnvelopeWKB = %+v, want both empty",
+			empty.Envelope(), wkb)
+	}
 }
 
 func TestEnvelopeWKBRejectsCorruptInput(t *testing.T) {

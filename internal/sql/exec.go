@@ -57,7 +57,7 @@ type Runner struct {
 	// join shape and validated against table data versions on every
 	// acquisition. Guarded by pbsmMu.
 	pbsmMu    sync.Mutex
-	pbsmCache map[pbsmKey]*pbsmEntry
+	pbsmCache map[pbsmKey]*pbsmState
 }
 
 // NewRunner creates an executor over the catalog using the registry's
@@ -421,7 +421,8 @@ func (r *Runner) execSelect(sel *Select, explainOnly bool, rowIDs *[]RowID) (*Re
 	// Rows are scope-wide, plus one position per aggregate call, plus,
 	// when any stage owns slots, one hidden cell position per non-final
 	// stage, plus, for a DML row selection, one last hidden position that
-	// stage 0 fills with the row id.
+	// stage 0 fills with the row id, or, when a PBSM state supplies stage
+	// 0's rows, one that carries each row's index into the state.
 	width := h.width
 	cells := h.cells
 	if cells != nil {
@@ -431,10 +432,6 @@ func (r *Runner) execSelect(sel *Select, explainOnly bool, rowIDs *[]RowID) (*Re
 		paths[0].idPos = width
 		width++
 	}
-	joins := make([]*joinOp, len(tables))
-	for i := 1; i < len(tables); i++ {
-		joins[i] = r.newJoinOp(tables[i].tbl, paths[i], tables[i].lo)
-	}
 	// Comparison filters compile once per plan (compare.go).
 	stageCmps := make([][]*comparator, len(tables))
 	for i, filters := range stageFilters {
@@ -442,6 +439,27 @@ func (r *Runner) execSelect(sel *Select, explainOnly bool, rowIDs *[]RowID) (*Re
 		for j, f := range filters {
 			stageCmps[i][j] = compileComparison(f)
 		}
+	}
+	// A PBSM stage over a batched, unfiltered full scan of stage 0 holds
+	// the outer rows in its state, and stage 0 reads them there: that
+	// scan decodes every outer row anyway. A filtered scan keeps
+	// streaming and decodes only what its filters need until a row
+	// survives (batchPlan.eager): a decoded copy of the whole outer layer
+	// would cost memory and decoding for every row it drops. Unbatched
+	// plans, the row-at-a-time reference, keep scanning the heap.
+	fromState := batch0 && len(tables) == 2 && paths[1].kind == accessPBSM &&
+		paths[0].kind == accessFullScan && len(stageFilters[0]) == 0
+	if fromState {
+		paths[1].pbsm.outerAt, paths[1].pbsm.outerNeed = width, paths[0].need
+		width++
+	}
+	joins := make([]*joinOp, len(tables))
+	for i := 1; i < len(tables); i++ {
+		joins[i] = r.newJoinOp(tables[i].tbl, paths[i], tables[i].lo)
+	}
+	var src *joinOp
+	if fromState {
+		src = joins[1]
 	}
 	// filterRows applies a stage's residual filters to each of its rows
 	// and hands the survivors to out; prep holds one worker's evaluators
@@ -576,7 +594,7 @@ func (r *Runner) execSelect(sel *Select, explainOnly bool, rowIDs *[]RowID) (*Re
 	}
 	// Stage 0: serial plans are the one-worker case of the same source.
 	runShard, err := r.stage0Source(tables[0].tbl, batch0, &paths[0], stageFilters[0], stageCmps[0],
-		width, workers, pipeline)
+		width, workers, src, pipeline)
 	if err != nil {
 		return nil, err
 	}

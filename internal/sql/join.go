@@ -16,8 +16,9 @@ import (
 // JoinStats counter of its strategy. Its shared state — the hash
 // table, the sweep state — opens at most once per statement, on the
 // first probe from any worker, so a plan whose outer side yields no rows
-// never builds it; every later probe only reads it. Per-worker scratch
-// belongs to the caller.
+// never builds it; every later probe only reads it. (A sweep state that
+// supplies stage 0's rows holds only the outer side until then.)
+// Per-worker scratch belongs to the caller.
 type joinOp struct {
 	r     *Runner
 	tbl   Table
@@ -48,12 +49,17 @@ func (r *Runner) newJoinOp(tbl Table, path accessPath, lo int) *joinOp {
 	return op
 }
 
-// probe drives one outer row through the stage, first opening the
-// stage's shared state if no probe has yet. full is the worker's scratch
-// tuple holding the outer prefix below lo; each inner row is copied in
-// at lo and full is emitted, borrowed. sc is the worker's PBSM refine
-// scratch.
-func (op *joinOp) probe(full []storage.Value, sc *pbsmScratch, emit emitFn) (bool, error) {
+// acquireOuter acquires a PBSM stage's state before stage 0 runs, for a
+// plan whose stage 0 reads its rows from the state; the first probe
+// completes it.
+func (op *joinOp) acquireOuter() error {
+	op.pbsm, op.err = op.r.acquirePBSM(op.path.pbsm, op.path.need)
+	return op.err
+}
+
+// open builds the stage's shared state unless it is built already, and
+// returns the build error.
+func (op *joinOp) open() error {
 	// A literal, not a method value: jackpinevet's lock-order graph
 	// follows calls made inside literals only.
 	op.once.Do(func() {
@@ -61,11 +67,25 @@ func (op *joinOp) probe(full []storage.Value, sc *pbsmScratch, emit emitFn) (boo
 		case accessHashJoin:
 			op.hash, op.err = op.r.buildHashTable(op.tbl, op.path)
 		case accessPBSM:
-			op.pbsm, op.err = op.r.acquirePBSM(op.path.pbsm, op.path.need)
+			if op.pbsm == nil {
+				op.pbsm, op.err = op.r.acquirePBSM(op.path.pbsm, op.path.need)
+			}
+			if op.err == nil {
+				op.err = op.r.completePBSM(op.pbsm, op.path.pbsm, op.path.need)
+			}
 		}
 	})
-	if op.err != nil {
-		return false, op.err
+	return op.err
+}
+
+// probe drives one outer row through the stage, first opening the
+// stage's shared state if no probe has yet. full is the worker's scratch
+// tuple holding the outer prefix below lo; each inner row is copied in
+// at lo and full is emitted, borrowed. sc is the worker's PBSM refine
+// scratch.
+func (op *joinOp) probe(full []storage.Value, sc *pbsmScratch, emit emitFn) (bool, error) {
+	if err := op.open(); err != nil {
+		return false, err
 	}
 	switch op.path.kind {
 	case accessHashJoin:

@@ -11,11 +11,13 @@ import (
 // Batched plans fan the stage-0 scan out across a worker pool: full
 // scans shard the heap into contiguous page ranges (Table.ScanBatch),
 // and spatial-window scans collect candidate row ids from the MBR index
-// once, then refine (fetch + exact predicate) in contiguous chunks.
-// Join stages run inside each worker; a stage's shared build state opens
-// once, on the first probe from any worker, and is read-only after. Shard
-// results merge strictly in shard order, so a parallel plan returns
-// exactly the rows — and row order — of its serial counterpart.
+// once, then refine (fetch + exact predicate) in contiguous chunks; a
+// PBSM join whose state holds the outer rows shards those rows by
+// position. Join stages run inside each worker; a stage's shared build
+// state opens once, on the first probe from any worker, and is
+// read-only after. Shard results merge strictly in shard order, so a
+// parallel plan returns exactly the rows — and row order — of its
+// serial counterpart.
 // Unbatched plans, including every plan with batch execution off, run
 // serially.
 
@@ -61,10 +63,35 @@ func (r *Runner) stage0Exec(sel *Select, tbl Table, kind accessKind, hasAgg, knn
 // the pipeline through stage 0's filters, the batch cascade, which
 // applies them itself, past them. cmps holds each filter's compiled
 // comparator (nil for other shapes).
+//
+// src, when not nil, is the PBSM join stage whose state holds stage 0's
+// rows (pbsmSpec.outerAt): its state is acquired first, and each shard
+// takes a contiguous range of the state's outer rows, already decoded
+// in heap order, through the row entry, each row carrying its index at
+// outerAt. No page is scanned.
 func (r *Runner) stage0Source(tbl Table, batch bool, path *accessPath, filters []Expr,
-	cmps []*comparator, width, workers int,
+	cmps []*comparator, width, workers int, src *joinOp,
 	pipeline func(sink emitFn) (filtered, forward emitFn)) (shardFn, error) {
 
+	if src != nil {
+		if err := src.acquireOuter(); err != nil {
+			return nil, err
+		}
+		rows, at := &src.pbsm.outerRows, src.path.pbsm.outerAt
+		n := len(src.pbsm.outerPos)
+		return func(shard int, emit emitFn) error {
+			filtered, _ := pipeline(emit)
+			row := make([]storage.Value, width)
+			for i := shard * n / workers; i < (shard+1)*n/workers; i++ {
+				rows.copyTo(row, i)
+				row[at] = storage.NewInt(int64(i))
+				if cont, err := filtered(row); err != nil || !cont {
+					return err
+				}
+			}
+			return nil
+		}, nil
+	}
 	if !batch {
 		return func(_ int, emit emitFn) error {
 			filtered, _ := pipeline(emit)

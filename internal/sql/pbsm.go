@@ -28,10 +28,21 @@ import (
 // the candidates of outer position k are one run of a flat array of
 // inner positions. A probe finds its window's position in an
 // open-addressed table over the envelope arrays, reads the run, and
-// refines it against the inner rows, envelopes and prepared geometries
-// stored by position, with no per-row lookup. Emission stays
+// refines it against the inner rows, geometries, envelopes and prepared
+// geometries stored by position, with no per-row lookup. Emission stays
 // deterministic: a run is in ascending inner position, which is heap
 // (RowID) order.
+//
+// When stage 0 is a batched, unfiltered full scan of the outer table,
+// which decodes every row anyway (execSelect's fromState), the state
+// holds the outer side as well: every outer row, decoded once per build
+// in RowID order, and its outer position. Stage 0 then reads its rows
+// from the state instead of the heap (stage0Source), each row carrying
+// its index into those arrays, so its probe goes straight to the run: a
+// warm execution scans no page, decodes no geometry and evaluates no
+// window. A cold build gets the outer envelopes and rows from one
+// decoding scan. Every other outer stage streams its rows through the
+// window probe.
 
 // JoinStrategy selects how spatial-predicate joins are executed.
 type JoinStrategy int
@@ -133,6 +144,13 @@ type pbsmSpec struct {
 	refinePred     topo.Predicate
 	refineOuterArg int // which of refineFC.args is the outer operand
 	refineDWithin  bool
+
+	// outerAt is set when the state supplies stage 0's rows: the hidden
+	// tuple position carrying each outer row's index into the state's
+	// outer arrays (0, a scope column, when stage 0 streams its own).
+	// outerNeed is stage 0's column projection (nil means all columns).
+	outerAt   int
+	outerNeed []bool
 }
 
 // pbsmState is the built candidate index, shared read-only by workers.
@@ -141,14 +159,18 @@ type pbsmSpec struct {
 // envelopes are addressed by outer position, in first-seen scan order.
 type pbsmState struct {
 	// inner holds the inner envelopes by build position, so in
-	// ascending RowID order; rows and preps are indexed the same way.
+	// ascending RowID order; rows, geoms and preps are indexed the same
+	// way.
 	inner storage.MBRBuf
 
-	// rows holds the inner rows (projected to the stage's needed
-	// columns), materialized in one sequential pass on the first probe,
-	// so candidates skip the per-pair heap fetch and tuple decode the
-	// INL path pays per index hit.
-	rows [][]storage.Value
+	// rows holds the inner rows, projected to the stage's needed
+	// columns and decoded in one sequential pass when the build
+	// completes, so candidates skip the per-pair heap fetch and tuple
+	// decode the INL path pays per index hit. geoms holds each one's
+	// join geometry (nil for NULL): the refine reads a candidate's
+	// geometry without touching its row.
+	rows  pbsmRows
+	geoms []geom.Geometry
 
 	// preps holds each inner geometry prepared once per execution, for
 	// topology fast-refine joins whose inner side is smaller than the
@@ -166,11 +188,20 @@ type pbsmState struct {
 	// cand[off[k]:off[k+1]], ascending. Every distinct non-empty outer
 	// envelope has a position, so a window without one was not part of
 	// the build snapshot (concurrent insert) and falls back to a linear
-	// envelope scan.
+	// envelope scan. A state that holds the outer rows drops outer and
+	// slots once complete: its probes read their runs by row.
 	outer     storage.MBRBuf
 	slots     []int32
 	slotShift uint
 	off, cand []int32
+
+	// outerRows holds every outer row, NULL and empty geometries
+	// included, projected to spec.outerNeed, in RowID order (the order a
+	// heap scan emits), and outerPos each one's outer position, or -1
+	// when its window is empty. Both are empty unless the state supplies
+	// stage 0's rows (spec.outerAt).
+	outerRows pbsmRows
+	outerPos  []int32
 
 	cells int
 
@@ -178,47 +209,62 @@ type pbsmState struct {
 	// the reference-point rule during this build; surfaced through the
 	// runner counter on every acquisition of the state.
 	drops int64
+
+	// outerVer and innerVer are the tables' data versions read before
+	// the build; the cache serves the state only while both match.
+	// complete is set once the candidate index and the inner rows are
+	// built; a cached state is always complete, and read-only.
+	outerVer, innerVer uint64
+	complete           bool
 }
 
-// materialize fills rows (and, for small-inner topology refines, preps)
-// once per state; probes after the first reuse it. The scan is matched
-// to build positions in one forward pass: it walks the heap, as the
-// envelope scan did, in RowID order. A row it did not return (deleted
-// since the envelope scan, or a scan out of order) is an error, never a
-// silently missing candidate.
+// scanRows hands fn every row of the shard'th of nshards heap
+// partitions of tbl, projected to need, in RowID order, from one
+// decoding pass. The row is borrowed.
+func scanRows(tbl Table, shard, nshards int, need []bool, fn func(id RowID, row []storage.Value) error) error {
+	return tbl.ScanBatch(shard, nshards, Projection{Need: need, MBRCol: -1}, func(b *storage.ColBatch) (bool, error) {
+		for _, s := range b.Sel {
+			if err := fn(RowID(b.ID(s)), b.Row(s)); err != nil {
+				return false, err
+			}
+		}
+		return true, nil
+	})
+}
+
+// materialize fills rows and geoms (and, for small-inner topology
+// refines, preps) once per state; probes after the first reuse them.
+// The scan is matched to build positions in one forward pass: it walks
+// the heap, as the envelope scan did, in RowID order. A row it did not
+// return (deleted since the envelope scan, or a scan out of order) is
+// an error, never a silently missing candidate.
 func (st *pbsmState) materialize(tbl Table, spec *pbsmSpec, need []bool) error {
-	if st.rows != nil {
-		return nil
-	}
 	ids := st.inner.IDs
-	rows := make([][]storage.Value, len(ids))
-	pos := 0
-	err := tbl.ScanProject(Projection{Need: need, MBRCol: -1},
-		func(id RowID, row []storage.Value) bool {
-			for pos < len(ids) && ids[pos] < int64(id) {
-				pos++
-			}
-			if pos < len(ids) && ids[pos] == int64(id) {
-				rows[pos] = row
-				pos++
-			}
-			return true
-		})
+	st.rows = newPBSMRows(tbl, need, len(ids))
+	st.geoms = make([]geom.Geometry, 0, len(ids))
+	err := scanRows(tbl, 0, 1, need, func(id RowID, row []storage.Value) error {
+		if pos := len(st.geoms); pos < len(ids) && ids[pos] == int64(id) {
+			// The column is typed GEOMETRY (findPBSMConjunct), so the
+			// geometry is nil only for NULL.
+			st.geoms = append(st.geoms, row[spec.innerCol].Geom)
+			return st.rows.add(row)
+		}
+		return nil
+	})
 	if err != nil {
 		return err
 	}
-	if i := slices.IndexFunc(rows, func(row []storage.Value) bool { return row == nil }); i >= 0 {
-		return fmt.Errorf("sql: PBSM inner scan did not return row %d in RowID order", ids[i])
+	if pos := len(st.geoms); pos < len(ids) {
+		return fmt.Errorf("sql: PBSM inner scan did not return row %d in RowID order", ids[pos])
 	}
-	if spec.refineFC != nil && !spec.refineDWithin && len(rows) < spec.outer.RowCount() {
-		st.preps = make([]*topo.Prepared, len(rows))
-		for i, row := range rows {
-			if v := row[spec.innerCol]; !v.IsNull() && v.Type == storage.TypeGeom && v.Geom != nil {
-				st.preps[i] = topo.Prepare(v.Geom)
+	if spec.refineFC != nil && !spec.refineDWithin && len(ids) < spec.outer.RowCount() {
+		st.preps = make([]*topo.Prepared, len(ids))
+		for i, g := range st.geoms {
+			if g != nil {
+				st.preps[i] = topo.Prepare(g)
 			}
 		}
 	}
-	st.rows = rows
 	return nil
 }
 
@@ -417,9 +463,7 @@ func pbsmGridDims(outer, inner Table, outerCol, innerCol string, expand float64)
 // stored tuples (Table.ScanMBR) without decoding any geometry. buf is
 // sized once from the table's row count.
 func collectMBRs(tbl Table, col int, expand float64, buf *storage.MBRBuf) error {
-	n := tbl.RowCount()
-	*buf = storage.MBRBuf{IDs: make([]int64, 0, n), MinX: make([]float64, 0, n),
-		MinY: make([]float64, 0, n), MaxX: make([]float64, 0, n), MaxY: make([]float64, 0, n)}
+	*buf = newMBRBuf(tbl.RowCount())
 	return tbl.ScanMBR(col, func(id RowID, env geom.Rect) bool {
 		if expand != 0 {
 			env = env.Expand(expand)
@@ -429,6 +473,71 @@ func collectMBRs(tbl Table, col int, expand float64, buf *storage.MBRBuf) error 
 		}
 		return true
 	})
+}
+
+// collectOuter is the first half of a build: it collects the outer
+// side and deduplicates its windows (dedupOuter). When the state
+// supplies stage 0's rows, a decoding scan fills outerRows, and outer
+// gets, for every row whose window is not empty, that window keyed by
+// the row's index: the envelope of its decoded geometry expanded
+// exactly as evalWindow expands it, so no probe looks a window up.
+// workers decode contiguous heap partitions side by side, as a parallel
+// stage 0 would, and their parts concatenate in partition order, which
+// is RowID order. Otherwise the envelopes come decode-free from the
+// stored tuples (collectMBRs).
+func (st *pbsmState) collectOuter(spec *pbsmSpec, workers int) error {
+	if spec.outerAt == 0 {
+		if err := collectMBRs(spec.outer, spec.outerCol, spec.expand, &st.outer); err != nil {
+			return err
+		}
+		st.dedupOuter()
+		return nil
+	}
+	// Each worker decodes one heap partition; part 0, sized for the
+	// whole table, then takes the others' rows in partition order.
+	n := spec.outer.RowCount()
+	parts := make([]pbsmRows, workers)
+	err := runShards(workers, func(w int, _ emitFn) error {
+		size := n / workers
+		if w == 0 {
+			size = n
+		}
+		parts[w] = newPBSMRows(spec.outer, spec.outerNeed, size)
+		return scanRows(spec.outer, w, workers, spec.outerNeed, func(_ RowID, row []storage.Value) error {
+			return parts[w].add(row)
+		})
+	}, func(int) emitFn { return nil })
+	if err != nil {
+		return err
+	}
+	st.outerRows = parts[0]
+	for k := 1; k < workers; k++ {
+		st.outerRows.append(&parts[k])
+	}
+	geo := st.outerRows.column(spec.outerCol)
+	if geo == nil {
+		return fmt.Errorf("sql: PBSM outer geometry column %d is not projected", spec.outerCol)
+	}
+	st.outer = newMBRBuf(len(geo.geoms))
+	for i, g := range geo.geoms {
+		if g != nil {
+			if env := g.Envelope().Expand(spec.expand); !env.IsEmpty() {
+				st.outer.Append(int64(i), env.MinX, env.MinY, env.MaxX, env.MaxY)
+			}
+		}
+	}
+	st.outerPos = make([]int32, st.outerRows.n)
+	for i := range st.outerPos {
+		st.outerPos[i] = -1
+	}
+	st.dedupOuter()
+	return nil
+}
+
+// newMBRBuf returns an empty buffer with room for n envelopes.
+func newMBRBuf(n int) storage.MBRBuf {
+	return storage.MBRBuf{IDs: make([]int64, 0, n), MinX: make([]float64, 0, n),
+		MinY: make([]float64, 0, n), MaxX: make([]float64, 0, n), MaxY: make([]float64, 0, n)}
 }
 
 // slot probes the outer-position table for w: the position of the
@@ -457,7 +566,8 @@ func (st *pbsmState) slot(w geom.Rect) (int32, int) {
 // dedupOuter compacts st.outer in place to its distinct envelopes, in
 // first-seen order, and builds the table over them at most half full:
 // rows sharing an envelope share a candidate run (point tables collapse
-// massively).
+// massively). When the state holds the outer rows, it records each
+// row's outer position.
 func (st *pbsmState) dedupOuter() {
 	o := &st.outer
 	size := bits.Len(uint(2 * o.Len()))
@@ -467,12 +577,15 @@ func (st *pbsmState) dedupOuter() {
 	for i := range o.IDs {
 		w := geom.Rect{MinX: o.MinX[i], MinY: o.MinY[i], MaxX: o.MaxX[i], MaxY: o.MaxY[i]}
 		k, h := st.slot(w)
-		if k >= 0 {
-			continue
+		if k < 0 {
+			k = int32(n)
+			st.slots[h] = k + 1
+			o.MinX[n], o.MinY[n], o.MaxX[n], o.MaxY[n] = w.MinX, w.MinY, w.MaxX, w.MaxY
+			n++
 		}
-		st.slots[h] = int32(n + 1)
-		o.MinX[n], o.MinY[n], o.MaxX[n], o.MaxY[n] = w.MinX, w.MinY, w.MaxX, w.MaxY
-		n++
+		if st.outerPos != nil {
+			st.outerPos[o.IDs[i]] = k
+		}
 	}
 	o.IDs, o.MinX, o.MinY, o.MaxX, o.MaxY = o.IDs[:n], o.MinX[:n], o.MinY[:n], o.MaxX[:n], o.MaxY[:n]
 }
@@ -555,30 +668,26 @@ type pbsmPair struct {
 	a, b int32
 }
 
-// buildPBSM builds the candidate index: collect envelopes, grid them,
-// sweep each cell (cells fan out across the worker pool) once to count
-// the kept pairs and once to write them, and deal the pairs out into
-// the per-outer-position candidate runs. Counting first sizes every
-// array exactly, so a build allocates the same few objects at any size.
-func (r *Runner) buildPBSM(spec *pbsmSpec) (*pbsmState, error) {
-	st := &pbsmState{}
+// sweepPBSM completes a state whose outer side is collected
+// (collectOuter) into the candidate index: collect the inner envelopes,
+// grid both sides, sweep each cell (cells fan out across the worker
+// pool) once to count the kept pairs and once to write them, and deal
+// the pairs out into the per-outer-position candidate runs. Counting
+// first sizes every array exactly, so a build allocates the same few
+// objects at any size.
+func (r *Runner) sweepPBSM(st *pbsmState, spec *pbsmSpec) error {
 	if err := collectMBRs(spec.inner, spec.innerCol, 0, &st.inner); err != nil {
-		return nil, err
+		return err
 	}
 	if !slices.IsSorted(st.inner.IDs) {
 		// Build positions, and so emission order, follow RowID order.
-		return nil, fmt.Errorf("sql: PBSM inner envelope scan is not in RowID order")
+		return fmt.Errorf("sql: PBSM inner envelope scan is not in RowID order")
 	}
-	if err := collectMBRs(spec.outer, spec.outerCol, spec.expand, &st.outer); err != nil {
-		return nil, err
-	}
-	st.dedupOuter()
-
 	extent := st.outer.Bounds().Intersect(st.inner.Bounds())
 	if extent.IsEmpty() {
 		// Disjoint extents: no pair can exist; every run stays empty.
 		st.index(nil)
-		return st, nil
+		return nil
 	}
 	g := &pbsmGrid{extent: extent, gx: spec.gx, gy: spec.gy}
 	if extent.Width() <= 0 {
@@ -628,7 +737,7 @@ func (r *Runner) buildPBSM(spec *pbsmSpec) (*pbsmState, error) {
 		st.drops += d
 	}
 	st.index(pairs)
-	return st, nil
+	return nil
 }
 
 // index deals the kept pairs out into the candidate runs, counting them
@@ -699,13 +808,22 @@ func (g *pbsmGrid) sweep(ua, ub *storage.MBRBuf, la, lb []int32, cx, cy int,
 	return n, drops
 }
 
+// run returns the candidate run of outer position k, ascending; none
+// for k < 0.
+func (st *pbsmState) run(k int32) []int32 {
+	if k < 0 {
+		return nil
+	}
+	return st.cand[st.off[k]:st.off[k+1]]
+}
+
 // candidates returns the inner positions whose envelopes may meet the
 // probe window w, ascending: the run of w's outer position, or, for a
 // window absent from the build snapshot (a row inserted between build
 // and probe), a flat envelope-overlap scan, still candidate-exact.
 func (st *pbsmState) candidates(w geom.Rect) []int32 {
 	if k, _ := st.slot(w); k >= 0 {
-		return st.cand[st.off[k]:st.off[k+1]]
+		return st.run(k)
 	}
 	return st.linear(w)
 }
@@ -732,21 +850,15 @@ func (st *pbsmState) innerEnv(i int32) geom.Rect {
 // pbsmKey identifies a cacheable sweep state: the physical tables and
 // join columns, the window expansion, the grid, the refine mode (it
 // decides whether inner geometries are pre-prepared) and the projected
-// column set (the row cache stores projected rows).
+// column sets of the rows it stores: the inner stage's, and stage 0's
+// when it holds the outer rows ("" when it does not).
 type pbsmKey struct {
 	outer, inner       Table
 	outerCol, innerCol int
 	expand             float64
 	gx, gy             int
 	mode               byte
-	needKey            string
-}
-
-// pbsmEntry is one cached state stamped with the table versions it was
-// built against.
-type pbsmEntry struct {
-	st                 *pbsmState
-	outerVer, innerVer uint64
+	needKey, outerKey  string
 }
 
 // pbsmCacheMax bounds the runner's state cache; at the cap the whole
@@ -762,83 +874,123 @@ func pbsmSpecKey(spec *pbsmSpec, need []bool) pbsmKey {
 			mode = 2
 		}
 	}
+	key := pbsmKey{
+		outer: spec.outer, inner: spec.inner,
+		outerCol: spec.outerCol, innerCol: spec.innerCol,
+		expand: spec.expand, gx: spec.gx, gy: spec.gy,
+		mode: mode, needKey: needString(need),
+	}
+	if spec.outerAt > 0 {
+		key.outerKey = "+" + needString(spec.outerNeed)
+	}
+	return key
+}
+
+// needString encodes a column projection as a map key.
+func needString(need []bool) string {
 	nb := make([]byte, len(need))
 	for i, n := range need {
 		if n {
 			nb[i] = 1
 		}
 	}
-	return pbsmKey{
-		outer: spec.outer, inner: spec.inner,
-		outerCol: spec.outerCol, innerCol: spec.innerCol,
-		expand: spec.expand, gx: spec.gx, gy: spec.gy,
-		mode: mode, needKey: string(nb),
-	}
+	return string(nb)
 }
 
-// acquirePBSM returns the ready-to-probe sweep state for the spec:
-// from the runner's cache when both tables' data versions still match
-// the entry's, else built (and materialized) fresh. Versions are read
-// before the build, so a mutation racing the build at worst stamps the
-// entry stale and forces a rebuild on the next statement — never a
-// silently reused stale index. The cells/dedup counters advance on
-// every acquisition, so per-statement deltas stay meaningful whether
-// or not the build was reused.
+// acquirePBSM returns the sweep state for the spec: from the runner's
+// cache, complete, when both tables' data versions still match the
+// state's, else a new one holding only its outer side (collectOuter),
+// which completePBSM finishes on the stage's first probe. A plan whose
+// state supplies stage 0's rows acquires it before stage 0 runs, so a
+// statement whose outer rows all fail stage 0's filters never reads the
+// inner table. Versions are read before the build, so a mutation racing
+// it at worst stamps the state stale and forces a rebuild on the next
+// statement — never a silently reused stale index.
 func (r *Runner) acquirePBSM(spec *pbsmSpec, need []bool) (*pbsmState, error) {
 	key := pbsmSpecKey(spec, need)
 	outerVer, innerVer := spec.outer.DataVersion(), spec.inner.DataVersion()
 	r.pbsmMu.Lock()
-	e, ok := r.pbsmCache[key]
+	st := r.pbsmCache[key]
 	r.pbsmMu.Unlock()
-	if ok && e.outerVer == outerVer && e.innerVer == innerVer {
+	if st != nil && st.outerVer == outerVer && st.innerVer == innerVer {
 		r.pbsmHits.Add(1)
-		r.pbsmCells.Add(int64(e.st.cells))
-		r.pbsmDedup.Add(e.st.drops)
-		return e.st, nil
+		r.pbsmCells.Add(int64(st.cells))
+		r.pbsmDedup.Add(st.drops)
+		return st, nil
 	}
-	st, err := r.buildPBSM(spec)
-	if err != nil {
+	workers := r.par
+	if spec.outer.RowCount() < parallelMinRows {
+		workers = 1
+	}
+	st = &pbsmState{outerVer: outerVer, innerVer: innerVer}
+	if err := st.collectOuter(spec, workers); err != nil {
 		return nil, err
+	}
+	return st, nil
+}
+
+// completePBSM finishes a state acquirePBSM built — the sweep, then the
+// inner rows — and caches it; a state served from the cache is complete
+// already. The cells/dedup counters advance on every acquisition of a
+// state that is probed, so per-statement deltas stay meaningful whether
+// or not the build was reused.
+func (r *Runner) completePBSM(st *pbsmState, spec *pbsmSpec, need []bool) error {
+	if st.complete {
+		return nil
+	}
+	if err := r.sweepPBSM(st, spec); err != nil {
+		return err
 	}
 	if err := st.materialize(spec.inner, spec, need); err != nil {
-		return nil, err
+		return err
 	}
+	if spec.outerAt > 0 {
+		st.outer, st.slots = storage.MBRBuf{}, nil
+	}
+	st.complete = true
 	r.pbsmCells.Add(int64(st.cells))
 	r.pbsmDedup.Add(st.drops)
+	key := pbsmSpecKey(spec, need)
 	r.pbsmMu.Lock()
 	if r.pbsmCache == nil || len(r.pbsmCache) >= pbsmCacheMax {
-		r.pbsmCache = make(map[pbsmKey]*pbsmEntry, pbsmCacheMax)
+		r.pbsmCache = make(map[pbsmKey]*pbsmState, pbsmCacheMax)
 	}
-	r.pbsmCache[key] = &pbsmEntry{st: st, outerVer: outerVer, innerVer: innerVer}
+	r.pbsmCache[key] = st
 	r.pbsmMu.Unlock()
-	return st, nil
+	return nil
 }
 
 // pbsmScratch is one worker's refine buffers for a PBSM stage, reused
 // across its probes.
 type pbsmScratch struct {
-	rows  [][]storage.Value // inner rows of the candidates with a geometry
-	geoms []geom.Geometry   // their geometries, the batch kernel's input
+	pos   []int32         // build positions of the candidates with a geometry
+	geoms []geom.Geometry // their geometries, the batch kernel's input
 	outs  []bool
 }
 
-// probePBSM is the probe side of a PBSM join stage: compute the outer
-// window exactly as the INL path would, read its candidate run, and
-// either emit candidates through the stage filters (safe mode) or
+// probePBSM is the probe side of a PBSM join stage: find the outer
+// row's candidate run — stored by the build for a row stage 0 read from
+// the state, else through the window the INL path would probe with —
+// and either emit candidates through the stage filters (safe mode) or
 // refine them in-probe (fast mode, join conjunct stripped from the
 // filters). full is the stage's scratch tuple holding the outer prefix;
 // each emitted candidate's inner columns are copied in at lo, as in
 // scanTable.
 func (op *joinOp) probePBSM(full []storage.Value, sc *pbsmScratch, emit emitFn) (bool, error) {
 	st, path := op.pbsm, &op.path
-	window, err := path.evalWindow(full, op.r.reg)
-	if err != nil {
-		return false, err
+	var cands []int32
+	if at := path.pbsm.outerAt; at > 0 {
+		cands = st.run(st.outerPos[full[at].Int])
+	} else {
+		window, err := path.evalWindow(full, op.r.reg)
+		if err != nil {
+			return false, err
+		}
+		if window.IsEmpty() {
+			return true, nil
+		}
+		cands = st.candidates(window)
 	}
-	if window.IsEmpty() {
-		return true, nil
-	}
-	cands := st.candidates(window)
 	if len(cands) == 0 {
 		return true, nil
 	}
@@ -846,22 +998,27 @@ func (op *joinOp) probePBSM(full []storage.Value, sc *pbsmScratch, emit emitFn) 
 		return op.pbsmRefine(full, cands, sc, emit)
 	}
 	for _, i := range cands {
-		copy(full[op.lo:], st.rows[i])
-		cont, err := emit(full)
-		if err != nil || !cont {
+		if cont, err := op.emitInner(full, i, emit); err != nil || !cont {
 			return cont, err
 		}
 	}
 	return true, nil
 }
 
+// emitInner copies the inner row at build position i into full at lo
+// and emits full.
+func (op *joinOp) emitInner(full []storage.Value, i int32, emit emitFn) (bool, error) {
+	op.pbsm.rows.copyTo(full[op.lo:], int(i))
+	return emit(full)
+}
+
 // pbsmRefine evaluates the stripped join conjunct over the candidate
 // run — through one batch kernel call against the outer geometry
 // prepared once (topology predicates), or through the threshold kernel
-// (constant ST_DWithin) — with the same NULL, type-error and prep-hit
-// semantics as the per-row path, producing the same survivors. The
-// inner operand is a bare column reference (findPBSMConjunct guarantees
-// it), so it is read straight off the candidate's inner row, and only
+// (constant ST_DWithin) — with the same NULL and prep-hit semantics as
+// the per-row path, producing the same survivors. The inner operand is
+// a bare GEOMETRY column reference (findPBSMConjunct guarantees it), so
+// it is read straight off the stored inner geometries, and only
 // survivors are copied into full.
 func (op *joinOp) pbsmRefine(full []storage.Value, cands []int32, sc *pbsmScratch, emit emitFn) (bool, error) {
 	r, st, spec := op.r, op.pbsm, op.path.pbsm
@@ -875,34 +1032,16 @@ func (op *joinOp) pbsmRefine(full []storage.Value, cands []int32, sc *pbsmScratc
 		// window, kept for safety.)
 		return true, nil
 	}
-	varIdx := 1 - spec.refineOuterArg
-	// inner reads one candidate's geometry operand; nil (a NULL operand)
-	// drops the candidate.
-	inner := func(i int32) (geom.Geometry, error) {
-		v := st.rows[i][spec.innerCol]
-		if v.IsNull() {
-			return nil, nil // NULL predicate result: row dropped
-		}
-		if v.Type != storage.TypeGeom {
-			return nil, fmt.Errorf("sql: predicate: argument %d is %s, want GEOMETRY", varIdx+1, v.Type)
-		}
-		return v.Geom, nil
-	}
-	emitInner := func(row []storage.Value) (bool, error) {
-		copy(full[op.lo:], row)
-		return emit(full)
-	}
+	// A nil inner geometry is a NULL operand: the predicate is NULL and
+	// the candidate dropped.
 	if spec.refineDWithin {
 		oenv := ov.Geom.Envelope()
 		for _, i := range cands {
-			g, err := inner(i)
-			if err != nil {
-				return false, err
-			}
+			g := st.geoms[i]
 			if g == nil || !geom.DWithinEnv(ov.Geom, oenv, g, st.innerEnv(i), spec.expand) {
 				continue
 			}
-			if cont, err := emitInner(st.rows[i]); err != nil || !cont {
+			if cont, err := op.emitInner(full, i, emit); err != nil || !cont {
 				return cont, err
 			}
 		}
@@ -916,11 +1055,7 @@ func (op *joinOp) pbsmRefine(full []storage.Value, cands []int32, sc *pbsmScratc
 		evals := 0
 		var po *topo.Prepared
 		for _, i := range cands {
-			g, err := inner(i)
-			if err != nil {
-				return false, err
-			}
-			if g == nil {
+			if st.geoms[i] == nil {
 				continue
 			}
 			if po == nil {
@@ -936,7 +1071,7 @@ func (op *joinOp) pbsmRefine(full []storage.Value, cands []int32, sc *pbsmScratc
 			if !hit {
 				continue
 			}
-			if cont, err := emitInner(st.rows[i]); err != nil || !cont {
+			if cont, err := op.emitInner(full, i, emit); err != nil || !cont {
 				return cont, err
 			}
 		}
@@ -944,17 +1079,12 @@ func (op *joinOp) pbsmRefine(full []storage.Value, cands []int32, sc *pbsmScratc
 		return true, nil
 	}
 	prepared := topo.Prepare(ov.Geom)
-	sc.rows, sc.geoms = sc.rows[:0], sc.geoms[:0]
+	sc.pos, sc.geoms = sc.pos[:0], sc.geoms[:0]
 	for _, i := range cands {
-		g, err := inner(i)
-		if err != nil {
-			return false, err
+		if g := st.geoms[i]; g != nil {
+			sc.pos = append(sc.pos, i)
+			sc.geoms = append(sc.geoms, g)
 		}
-		if g == nil {
-			continue
-		}
-		sc.rows = append(sc.rows, st.rows[i])
-		sc.geoms = append(sc.geoms, g)
 	}
 	if cap(sc.outs) < len(sc.geoms) {
 		sc.outs = make([]bool, len(sc.geoms))
@@ -966,11 +1096,11 @@ func (op *joinOp) pbsmRefine(full []storage.Value, cands []int32, sc *pbsmScratc
 		prepared.EvalBatchReversed(spec.refinePred, sc.geoms, outs)
 	}
 	r.reg.prepHits.Add(int64(len(sc.geoms)))
-	for i, row := range sc.rows {
-		if !outs[i] {
+	for k, i := range sc.pos {
+		if !outs[k] {
 			continue
 		}
-		if cont, err := emitInner(row); err != nil || !cont {
+		if cont, err := op.emitInner(full, i, emit); err != nil || !cont {
 			return cont, err
 		}
 	}

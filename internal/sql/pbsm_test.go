@@ -28,6 +28,16 @@ func (t *envTable) ScanMBR(_ int, fn func(RowID, geom.Rect) bool) error {
 	return nil
 }
 
+// buildPBSM builds the candidate index of a state whose probes stream
+// their windows: the outer side, then the sweep.
+func buildPBSM(r *Runner, spec *pbsmSpec) (*pbsmState, error) {
+	st := &pbsmState{}
+	if err := st.collectOuter(spec, 1); err != nil {
+		return nil, err
+	}
+	return st, r.sweepPBSM(st, spec)
+}
+
 // randomEnvs draws n envelopes in [0, 100)²: a fifth zero-width, a
 // fifth zero-height (some of them points), a tenth wide enough to
 // straddle many cells, the rest small boxes.
@@ -78,7 +88,7 @@ func TestPBSMStateMatchesBruteForce(t *testing.T) {
 
 				r := NewRunner(nil, NewRegistry(RegistryOptions{}))
 				r.SetParallelism(par)
-				st, err := r.buildPBSM(&pbsmSpec{outer: outer, inner: inner, expand: expand, gx: grid[0], gy: grid[1]})
+				st, err := buildPBSM(r, &pbsmSpec{outer: outer, inner: inner, expand: expand, gx: grid[0], gy: grid[1]})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -144,12 +154,12 @@ func TestPBSMBuildAllocsFlat(t *testing.T) {
 			outer.ids = append(outer.ids, RowID(i))
 		}
 		spec := &pbsmSpec{outer: outer, inner: inner, expand: 1, gx: 8, gy: 8}
-		st, err := r.buildPBSM(spec)
+		st, err := buildPBSM(r, spec)
 		if err != nil {
 			t.Fatal(err)
 		}
 		allocs[n] = testing.AllocsPerRun(5, func() {
-			if _, err := r.buildPBSM(spec); err != nil {
+			if _, err := buildPBSM(r, spec); err != nil {
 				t.Fatal(err)
 			}
 		})
