@@ -140,12 +140,26 @@ func TestPBSMAutoChoosesSweep(t *testing.T) {
 	}
 }
 
-// TestPBSMAutoKeepsINLWhenSelective: a selective outer (btree seek)
-// must stay on the index-nested-loop, as must a small outer side.
+// TestPBSMAutoKeepsINLWhenSelective: a selective outer (btree seek, or
+// a `column = constant` filter on a full scan) must stay on the
+// index-nested-loop, as must a small outer side.
 func TestPBSMAutoKeepsINLWhenSelective(t *testing.T) {
 	e := pbsmFixture(t)
+	q := "SELECT p.id, a.id FROM pts p JOIN areas a ON ST_Intersects(p.geo, a.geo) WHERE p.id = 7"
+	res := e.MustExec("EXPLAIN " + q)
+	if got := res.Rows[0][1].Text; !strings.Contains(got, "seqscan") {
+		t.Errorf("unindexed outer access = %q, want seqscan", got)
+	}
+	if got := res.Rows[1][1].Text; got != "inl(index=geo)" {
+		t.Errorf("filtered full-scan join label = %q, want inl(index=geo)", got)
+	}
+	// The range filter keeps most rows: PBSM still pays.
+	res = e.MustExec("EXPLAIN SELECT p.id, a.id FROM pts p JOIN areas a ON ST_Intersects(p.geo, a.geo) WHERE p.id > 7")
+	if got := res.Rows[1][1].Text; !strings.HasPrefix(got, "pbsm(") {
+		t.Errorf("range-filtered join label = %q, want pbsm", got)
+	}
 	e.MustExec("CREATE INDEX pidx ON pts (id)")
-	res := e.MustExec("EXPLAIN SELECT p.id, a.id FROM pts p JOIN areas a ON ST_Intersects(p.geo, a.geo) WHERE p.id = 7")
+	res = e.MustExec("EXPLAIN " + q)
 	if got := res.Rows[1][1].Text; got != "inl(index=geo)" {
 		t.Errorf("selective join label = %q, want inl(index=geo)", got)
 	}

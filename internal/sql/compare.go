@@ -8,10 +8,10 @@ import (
 
 // Compiled comparisons. A bound filter conjunct `x op y` whose operands
 // are each a column reference or a literal is classified once per plan
-// into a comparator: the batch cascade runs it column-major over a
-// batch's selection vector and each stage's row filter (filterRows in
-// execSelect) calls it per row, both without walking the expression
-// tree through Eval. evalBinary applies the same compareValues, so the
+// into a comparator (compileFilters, filter.go): the batch cascade runs
+// it column-major over a batch's selection vector and each stage's row
+// filter per row, both without walking the expression tree through
+// Eval. evalBinary applies the same compareValues, so the
 // comparator and Eval agree by construction. A batched full scan also
 // pushes stage 0's column-versus-literal comparators into the table
 // scan (pushdown), which tests each on the encoded tuple with the same

@@ -358,12 +358,13 @@ func (r *Runner) execSelect(sel *Select, explainOnly bool, rowIDs *[]RowID) (*Re
 		markUse(paths[i].windowExpr, "window")
 		markUse(paths[i].expandExpr, "window")
 	}
-	// Join stages: mark residual spatial predicates whose one side is
-	// fixed by the outer row, so each probe prepares the outer geometry
-	// once instead of re-decomposing it per inner row.
-	stagePrep := make([][]prepFilterSpec, len(tables))
+	// Stage filters compile once per plan (filter.go): comparisons into
+	// comparators, and, in join stages, residual spatial predicates whose
+	// one side is fixed by the outer row, so each probe prepares the
+	// outer geometry once instead of re-decomposing it per inner row.
+	stagePlans := make([]*filterPlan, len(tables))
 	for i, bt := range tables {
-		stagePrep[i] = r.joinPrepSpecs(stageFilters[i], bt.lo)
+		stagePlans[i] = r.compileFilters(stageFilters[i], bt.lo)
 	}
 
 	// Column pruning: mark every scope column the plan references so
@@ -432,14 +433,6 @@ func (r *Runner) execSelect(sel *Select, explainOnly bool, rowIDs *[]RowID) (*Re
 		paths[0].idPos = width
 		width++
 	}
-	// Comparison filters compile once per plan (compare.go).
-	stageCmps := make([][]*comparator, len(tables))
-	for i, filters := range stageFilters {
-		stageCmps[i] = make([]*comparator, len(filters))
-		for j, f := range filters {
-			stageCmps[i][j] = compileComparison(f)
-		}
-	}
 	// A PBSM stage over a batched, unfiltered full scan of stage 0 holds
 	// the outer rows in its state, and stage 0 reads them there: that
 	// scan decodes every outer row anyway. A filtered scan keeps
@@ -461,51 +454,30 @@ func (r *Runner) execSelect(sel *Select, explainOnly bool, rowIDs *[]RowID) (*Re
 	if fromState {
 		src = joins[1]
 	}
-	// filterRows applies a stage's residual filters to each of its rows
-	// and hands the survivors to out; prep holds one worker's evaluators
-	// for the stage's prepared filters (nil when it has none).
-	filterRows := func(stage int, prep []preparedFilter, out emitFn) emitFn {
-		filters, cmps := stageFilters[stage], stageCmps[stage]
-		if len(filters) == 0 {
+	// filterRows applies a stage's residual filters, through one
+	// worker's evaluator, to each of its rows and hands the survivors to
+	// out.
+	filterRows := func(fx *filterExec, out emitFn) emitFn {
+		if len(fx.plan.filters) == 0 {
 			return out
 		}
 		return func(row []storage.Value) (bool, error) {
-			for fi, f := range filters {
-				if c := cmps[fi]; c != nil {
-					keep, err := c.keep(row)
-					if err != nil {
-						return false, err
-					}
-					if !keep {
-						return true, nil
-					}
-					continue
-				}
-				var v storage.Value
-				var err error
-				if prep != nil && prep[fi].spec != nil {
-					v, err = prep[fi].eval(row, r)
-				} else {
-					v, err = Eval(f, row, r.reg)
-				}
-				if err != nil {
-					return false, err
-				}
-				if v.IsNull() || !truthy(v) {
-					return true, nil
-				}
+			keep, err := fx.keep(row)
+			fx.flush()
+			if err != nil || !keep {
+				return err == nil, err
 			}
 			return out(row)
 		}
 	}
 	// joinStage drives each outer row through join stage >= 1 into
-	// emitRow. It owns the stage's scratch: the tuple the outer prefix is
-	// copied into once per probe, each candidate's inner columns once per
-	// candidate, and the PBSM refine buffers.
-	joinStage := func(stage int, prep []preparedFilter, emitRow emitFn) emitFn {
+	// emitRow. It owns the tuple the outer prefix is copied into once per
+	// probe and each candidate's inner columns once per candidate; fx is
+	// the stage's filter evaluator, whose per-probe state each outer row
+	// resets.
+	joinStage := func(stage int, fx *filterExec, emitRow emitFn) emitFn {
 		op := joins[stage]
 		full := make([]storage.Value, width)
-		var sc pbsmScratch
 		return func(prefix []storage.Value) (bool, error) {
 			copy(full, prefix)
 			if cells != nil && cells[stage-1] > 0 {
@@ -514,10 +486,8 @@ func (r *Runner) execSelect(sel *Select, explainOnly bool, rowIDs *[]RowID) (*Re
 				full[h.width+stage-1] = storage.Value{
 					Geom: &stageCell{slots: make([]slotVal, cells[stage-1])}}
 			}
-			for i := range prep {
-				prep[i] = preparedFilter{spec: prep[i].spec}
-			}
-			return op.probe(full, &sc, emitRow)
+			fx.newProbe()
+			return op.probe(full, emitRow)
 		}
 	}
 	// pipeline builds one worker's stages over its sink, once per shard,
@@ -526,18 +496,12 @@ func (r *Runner) execSelect(sel *Select, explainOnly bool, rowIDs *[]RowID) (*Re
 	pipeline := func(sink emitFn) (filtered, forward emitFn) {
 		forward = sink
 		for stage := len(tables) - 1; ; stage-- {
-			var prep []preparedFilter
-			if specs := stagePrep[stage]; len(specs) > 0 {
-				prep = make([]preparedFilter, len(stageFilters[stage]))
-				for i := range specs {
-					prep[specs[i].idx].spec = &specs[i]
-				}
-			}
-			filtered = filterRows(stage, prep, forward)
+			fx := stagePlans[stage].exec()
+			filtered = filterRows(fx, forward)
 			if stage == 0 {
 				return filtered, forward
 			}
-			forward = joinStage(stage, prep, filtered)
+			forward = joinStage(stage, fx, filtered)
 		}
 	}
 
@@ -567,11 +531,11 @@ func (r *Runner) execSelect(sel *Select, explainOnly bool, rowIDs *[]RowID) (*Re
 		// A batched full scan tests stage 0's column-versus-literal
 		// comparisons on every stored tuple before copying it.
 		if batch0 && paths[0].kind == accessFullScan {
-			for i, f := range stageFilters[0] {
-				if _, ok := stageCmps[0][i].pushdown(tables[0].hi); ok {
+			for _, f := range stagePlans[0].filters {
+				if _, ok := f.cmp.pushdown(tables[0].hi); ok {
 					res.Rows = append(res.Rows, []storage.Value{
 						storage.NewText("prefilter"),
-						storage.NewText(fmt.Sprintf("stage=%s %s", tables[0].binding, f)),
+						storage.NewText(fmt.Sprintf("stage=%s %s", tables[0].binding, f.expr)),
 						storage.NewInt(int64(tables[0].tbl.RowCount())),
 					})
 				}
@@ -593,7 +557,7 @@ func (r *Runner) execSelect(sel *Select, explainOnly bool, rowIDs *[]RowID) (*Re
 		}
 	}
 	// Stage 0: serial plans are the one-worker case of the same source.
-	runShard, err := r.stage0Source(tables[0].tbl, batch0, &paths[0], stageFilters[0], stageCmps[0],
+	runShard, err := r.stage0Source(tables[0].tbl, batch0, &paths[0], stagePlans[0],
 		width, workers, src, pipeline)
 	if err != nil {
 		return nil, err

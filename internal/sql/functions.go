@@ -110,7 +110,12 @@ func argGeom(args []storage.Value, i int, fn string) (geom.Geometry, error) {
 	if i >= len(args) {
 		return nil, fmt.Errorf("sql: %s: missing argument %d", fn, i+1)
 	}
-	v := args[i]
+	return geomArg(args[i], i, fn)
+}
+
+// geomArg checks v as argument i of fn: nil for NULL, an error unless
+// it is a GEOMETRY.
+func geomArg(v storage.Value, i int, fn string) (geom.Geometry, error) {
 	if v.IsNull() {
 		return nil, nil
 	}

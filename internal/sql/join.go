@@ -81,9 +81,8 @@ func (op *joinOp) open() error {
 // probe drives one outer row through the stage, first opening the
 // stage's shared state if no probe has yet. full is the worker's scratch
 // tuple holding the outer prefix below lo; each inner row is copied in
-// at lo and full is emitted, borrowed. sc is the worker's PBSM refine
-// scratch.
-func (op *joinOp) probe(full []storage.Value, sc *pbsmScratch, emit emitFn) (bool, error) {
+// at lo and full is emitted, borrowed.
+func (op *joinOp) probe(full []storage.Value, emit emitFn) (bool, error) {
 	if err := op.open(); err != nil {
 		return false, err
 	}
@@ -91,7 +90,7 @@ func (op *joinOp) probe(full []storage.Value, sc *pbsmScratch, emit emitFn) (boo
 	case accessHashJoin:
 		return op.probeHash(full, emit)
 	case accessPBSM:
-		return op.probePBSM(full, sc, emit)
+		return op.probePBSM(full, emit)
 	}
 	return op.r.scanTable(op.tbl, op.path, full, op.lo, emit)
 }

@@ -61,16 +61,16 @@ func (r *Runner) stage0Exec(sel *Select, tbl Table, kind accessKind, hasAgg, knn
 // (Projection.Compares). Each shard builds its pipeline over its sink
 // once and fills one stage-0 scratch tuple per row: the row path enters
 // the pipeline through stage 0's filters, the batch cascade, which
-// applies them itself, past them. cmps holds each filter's compiled
-// comparator (nil for other shapes).
+// applies them itself, past them. filters is stage 0's compiled filter
+// plan.
 //
 // src, when not nil, is the PBSM join stage whose state holds stage 0's
 // rows (pbsmSpec.outerAt): its state is acquired first, and each shard
 // takes a contiguous range of the state's outer rows, already decoded
 // in heap order, through the row entry, each row carrying its index at
 // outerAt. No page is scanned.
-func (r *Runner) stage0Source(tbl Table, batch bool, path *accessPath, filters []Expr,
-	cmps []*comparator, width, workers int, src *joinOp,
+func (r *Runner) stage0Source(tbl Table, batch bool, path *accessPath, filters *filterPlan,
+	width, workers int, src *joinOp,
 	pipeline func(sink emitFn) (filtered, forward emitFn)) (shardFn, error) {
 
 	if src != nil {
@@ -108,7 +108,7 @@ func (r *Runner) stage0Source(tbl Table, batch bool, path *accessPath, filters [
 		if skip {
 			return func(int, emitFn) error { return nil }, nil
 		}
-		plan := r.newBatchPlan(tbl, filters, cmps, width, path)
+		plan := r.newBatchPlan(tbl, filters, width, path)
 		proj.Need = plan.eager
 		proj.Compares = plan.prefilter
 		return func(shard int, emit emitFn) error {
@@ -131,7 +131,7 @@ func (r *Runner) stage0Source(tbl Table, batch bool, path *accessPath, filters [
 			return true
 		})
 	}
-	plan := r.newBatchPlan(tbl, filters, cmps, width, path)
+	plan := r.newBatchPlan(tbl, filters, width, path)
 	return func(shard int, emit emitFn) error {
 		_, forward := pipeline(emit)
 		chunk := cands[shard*len(cands)/workers : (shard+1)*len(cands)/workers]

@@ -135,8 +135,8 @@ type pbsmSpec struct {
 
 	// Fast refinement: when the join conjunct is a 2-argument prepared
 	// topology predicate, it is stripped from the stage filters and
-	// evaluated in-probe through the batch kernel against the outer
-	// geometry prepared once per outer row. A constant-distance
+	// evaluated in-probe against the outer geometry prepared once per
+	// outer row (pbsmRefine). A constant-distance
 	// ST_DWithin conjunct is stripped the same way (refineDWithin set)
 	// and refined with the threshold kernel (geom.DWithinEnv) instead
 	// of the generic per-candidate expression evaluator.
@@ -174,11 +174,11 @@ type pbsmState struct {
 
 	// preps holds each inner geometry prepared once per execution, for
 	// topology fast-refine joins whose inner side is smaller than the
-	// outer: both the INL filter path and the outer-prepared kernel pay
+	// outer: both the INL filter path and the outer-prepared refine pay
 	// one topo.Prepare per outer row, so sharing one prepared structure
 	// per inner row across all the probes that touch it is the
 	// partitioned join's structural win. nil when the outer side is the
-	// cheaper one to prepare (then the batch kernel path runs instead).
+	// cheaper one to prepare (then only the outer side is prepared).
 	preps []*topo.Prepared
 
 	// outer holds the distinct expanded outer envelopes by outer
@@ -291,7 +291,7 @@ func (r *Runner) planPBSM(scope *Scope, conjuncts []Expr, stageFilters [][]Expr,
 	outerName := scope.Column(outerRef).Name
 	innerName := scope.Column(innerRef).Name
 	if r.joinStrategy == JoinAuto &&
-		!r.choosePBSM(outer, inner, outerName, innerName, paths[0], expand) {
+		!r.choosePBSM(outer, inner, outerName, innerName, paths[0], stageFilters[0], innerLo, expand) {
 		return
 	}
 
@@ -382,15 +382,22 @@ func findPBSMConjunct(scope *Scope, conjuncts []Expr, innerLo, innerHi int,
 }
 
 // choosePBSM is the auto-strategy cost decision. INL wins whenever the
-// outer stage is already selective (attr/kNN/hash access) or small; a
-// missing inner index flips the default toward PBSM early, since the
+// outer stage is already selective (attr/kNN/hash access, or a filter
+// `column = constant` on one of the outer table's outerCols columns,
+// which keeps what a seek would without an index) or small; a missing
+// inner index flips the default toward PBSM early, since the
 // alternative is a quadratic prefiltered rescan.
 func (r *Runner) choosePBSM(outer, inner Table, outerCol, innerCol string,
-	outerPath accessPath, expand float64) bool {
+	outerPath accessPath, outerFilters []Expr, outerCols int, expand float64) bool {
 
 	switch outerPath.kind {
 	case accessAttrSeek, accessAttrRange, accessKNN, accessHashJoin:
 		return false
+	}
+	for _, f := range outerFilters {
+		if cc, ok := compileComparison(f).pushdown(outerCols); ok && cc.Op == storage.CmpEQ {
+			return false
+		}
 	}
 	nOuter := outer.RowCount()
 	nInner := inner.RowCount()
@@ -565,9 +572,11 @@ func (st *pbsmState) slot(w geom.Rect) (int32, int) {
 
 // dedupOuter compacts st.outer in place to its distinct envelopes, in
 // first-seen order, and builds the table over them at most half full:
-// rows sharing an envelope share a candidate run (point tables collapse
-// massively). When the state holds the outer rows, it records each
-// row's outer position.
+// rows sharing an envelope share a candidate run. Few do on the TIGER
+// layers: at medium scale 3 434 of pointlm's 3 456 envelopes are
+// distinct, and every arealm, areawater, parcels and edges envelope is.
+// When the state holds the outer rows, it records each row's outer
+// position.
 func (st *pbsmState) dedupOuter() {
 	o := &st.outer
 	size := bits.Len(uint(2 * o.Len()))
@@ -960,14 +969,6 @@ func (r *Runner) completePBSM(st *pbsmState, spec *pbsmSpec, need []bool) error 
 	return nil
 }
 
-// pbsmScratch is one worker's refine buffers for a PBSM stage, reused
-// across its probes.
-type pbsmScratch struct {
-	pos   []int32         // build positions of the candidates with a geometry
-	geoms []geom.Geometry // their geometries, the batch kernel's input
-	outs  []bool
-}
-
 // probePBSM is the probe side of a PBSM join stage: find the outer
 // row's candidate run — stored by the build for a row stage 0 read from
 // the state, else through the window the INL path would probe with —
@@ -976,7 +977,7 @@ type pbsmScratch struct {
 // filters). full is the stage's scratch tuple holding the outer prefix;
 // each emitted candidate's inner columns are copied in at lo, as in
 // scanTable.
-func (op *joinOp) probePBSM(full []storage.Value, sc *pbsmScratch, emit emitFn) (bool, error) {
+func (op *joinOp) probePBSM(full []storage.Value, emit emitFn) (bool, error) {
 	st, path := op.pbsm, &op.path
 	var cands []int32
 	if at := path.pbsm.outerAt; at > 0 {
@@ -995,7 +996,7 @@ func (op *joinOp) probePBSM(full []storage.Value, sc *pbsmScratch, emit emitFn) 
 		return true, nil
 	}
 	if path.pbsm.refineFC != nil {
-		return op.pbsmRefine(full, cands, sc, emit)
+		return op.pbsmRefine(full, cands, emit)
 	}
 	for _, i := range cands {
 		if cont, err := op.emitInner(full, i, emit); err != nil || !cont {
@@ -1013,20 +1014,22 @@ func (op *joinOp) emitInner(full []storage.Value, i int32, emit emitFn) (bool, e
 }
 
 // pbsmRefine evaluates the stripped join conjunct over the candidate
-// run — through one batch kernel call against the outer geometry
-// prepared once (topology predicates), or through the threshold kernel
-// (constant ST_DWithin) — with the same NULL and prep-hit semantics as
-// the per-row path, producing the same survivors. The inner operand is
-// a bare GEOMETRY column reference (findPBSMConjunct guarantees it), so
-// it is read straight off the stored inner geometries, and only
-// survivors are copied into full.
-func (op *joinOp) pbsmRefine(full []storage.Value, cands []int32, sc *pbsmScratch, emit emitFn) (bool, error) {
+// run — against the outer geometry prepared once per probe (topology
+// predicates), through the same preparedCall.decide as every prepared
+// filter, or through the threshold kernel (constant ST_DWithin) — with
+// the same NULL and prep-hit semantics as the per-row path, producing
+// the same survivors. The inner operand is a bare GEOMETRY column
+// reference (findPBSMConjunct guarantees it), so it is read straight
+// off the stored inner geometries, and only survivors are copied into
+// full.
+func (op *joinOp) pbsmRefine(full []storage.Value, cands []int32, emit emitFn) (bool, error) {
 	r, st, spec := op.r, op.pbsm, op.path.pbsm
 	ov, err := Eval(spec.refineFC.args[spec.refineOuterArg], full, r.reg)
 	if err != nil {
 		return false, err
 	}
-	if ov.IsNull() || ov.Type != storage.TypeGeom || ov.Geom == nil {
+	og := geomOf(ov)
+	if og == nil {
 		// A NULL outer operand makes the predicate NULL for every
 		// candidate: nothing survives. (Unreachable after a non-empty
 		// window, kept for safety.)
@@ -1035,10 +1038,10 @@ func (op *joinOp) pbsmRefine(full []storage.Value, cands []int32, sc *pbsmScratc
 	// A nil inner geometry is a NULL operand: the predicate is NULL and
 	// the candidate dropped.
 	if spec.refineDWithin {
-		oenv := ov.Geom.Envelope()
+		oenv := og.Envelope()
 		for _, i := range cands {
 			g := st.geoms[i]
-			if g == nil || !geom.DWithinEnv(ov.Geom, oenv, g, st.innerEnv(i), spec.expand) {
+			if g == nil || !geom.DWithinEnv(og, oenv, g, st.innerEnv(i), spec.expand) {
 				continue
 			}
 			if cont, err := op.emitInner(full, i, emit); err != nil || !cont {
@@ -1047,62 +1050,38 @@ func (op *joinOp) pbsmRefine(full []storage.Value, cands []int32, sc *pbsmScratc
 		}
 		return true, nil
 	}
-	if st.preps != nil {
-		// Small-inner mode: each inner geometry was prepared once at
-		// materialization and the outer one is prepared once per probe,
-		// on the first candidate, so each pair evaluates between two
-		// prepared structures with no per-candidate decomposition.
-		evals := 0
-		var po *topo.Prepared
-		for _, i := range cands {
-			if st.geoms[i] == nil {
-				continue
-			}
-			if po == nil {
-				po = topo.Prepare(ov.Geom)
-			}
-			evals++
-			var hit bool
-			if spec.refineOuterArg == 0 {
-				hit = topo.EvalPrepared(spec.refinePred, po, st.preps[i])
-			} else {
-				hit = topo.EvalPrepared(spec.refinePred, st.preps[i], po)
-			}
-			if !hit {
-				continue
-			}
-			if cont, err := op.emitInner(full, i, emit); err != nil || !cont {
-				return cont, err
-			}
-		}
-		r.reg.prepHits.Add(int64(evals))
-		return true, nil
-	}
-	prepared := topo.Prepare(ov.Geom)
-	sc.pos, sc.geoms = sc.pos[:0], sc.geoms[:0]
+	// The outer geometry is prepared on the first candidate with a
+	// geometry. In small-inner mode each inner geometry was prepared
+	// once at materialization too, so each pair evaluates between two
+	// prepared structures with no per-candidate decomposition.
+	pc := preparedCall{pred: spec.refinePred, constIdx: spec.refineOuterArg}
+	evals := 0
 	for _, i := range cands {
-		if g := st.geoms[i]; g != nil {
-			sc.pos = append(sc.pos, i)
-			sc.geoms = append(sc.geoms, g)
+		g := st.geoms[i]
+		if g == nil {
+			continue
 		}
-	}
-	if cap(sc.outs) < len(sc.geoms) {
-		sc.outs = make([]bool, len(sc.geoms))
-	}
-	outs := sc.outs[:len(sc.geoms)]
-	if spec.refineOuterArg == 0 {
-		prepared.EvalBatch(spec.refinePred, sc.geoms, outs)
-	} else {
-		prepared.EvalBatchReversed(spec.refinePred, sc.geoms, outs)
-	}
-	r.reg.prepHits.Add(int64(len(sc.geoms)))
-	for k, i := range sc.pos {
-		if !outs[k] {
+		if pc.p == nil {
+			pc.p = topo.Prepare(og)
+		}
+		evals++
+		var hit bool
+		switch {
+		case st.preps == nil:
+			hit = pc.decide(g)
+		case pc.constIdx == 0:
+			hit = topo.EvalPrepared(pc.pred, pc.p, st.preps[i])
+		default:
+			hit = topo.EvalPrepared(pc.pred, st.preps[i], pc.p)
+		}
+		if !hit {
 			continue
 		}
 		if cont, err := op.emitInner(full, i, emit); err != nil || !cont {
+			r.reg.prepHits.Add(int64(evals))
 			return cont, err
 		}
 	}
+	r.reg.prepHits.Add(int64(evals))
 	return true, nil
 }

@@ -1,20 +1,20 @@
 package sql
 
 import (
-	"fmt"
-
 	"jackpine/internal/geom"
 	"jackpine/internal/storage"
 	"jackpine/internal/topo"
 )
 
 // preparedCall is the prepared-constant state of one bound topological
-// call (callExpr.prep): the constant geometry operand decomposed and indexed once,
-// plus enough of the call shape to evaluate the remaining variable
-// operand per row. The fast path reproduces the registry
-// implementation's semantics exactly — same NULL propagation, same
-// error precedence, same truth values — it only swaps the kernel entry
-// point for the prepared one.
+// call (callExpr.prep): the constant geometry operand decomposed and
+// indexed once, plus enough of the call shape to evaluate the remaining
+// variable operand per row. A join stage's per-probe prepared filter
+// (joinPrepSpec) and PBSM's refine use the same shape over an outer
+// geometry. The fast path reproduces the registry implementation's
+// semantics exactly — same NULL propagation, same error precedence,
+// same truth values — it only swaps the kernel entry point for the
+// prepared one.
 type preparedCall struct {
 	p        *topo.Prepared
 	pred     topo.Predicate
@@ -25,36 +25,51 @@ type preparedCall struct {
 
 // eval evaluates the call over a row via the prepared constant.
 func (pc *preparedCall) eval(fc *callExpr, row []storage.Value, reg *Registry) (storage.Value, error) {
+	g, err := pc.operand(fc, row, reg)
+	if g == nil {
+		return storage.Null(), err
+	}
+	reg.prepHits.Add(1)
+	return storage.NewBool(pc.decide(g)), nil
+}
+
+// operand evaluates the call's variable operand over the row. It is
+// nil, with no error, when the operand is NULL or a nil geometry (the
+// call is NULL), and an error when it is not a geometry.
+func (pc *preparedCall) operand(fc *callExpr, row []storage.Value, reg *Registry) (geom.Geometry, error) {
 	varIdx := 1 - pc.constIdx
 	v, err := Eval(fc.args[varIdx], row, reg)
 	if err != nil {
-		return storage.Null(), err
+		return nil, err
 	}
 	fn := "predicate"
 	if pc.relate {
 		fn = "ST_RELATE"
 	}
-	var g geom.Geometry
-	if !v.IsNull() {
-		if v.Type != storage.TypeGeom {
-			return storage.Null(), fmt.Errorf("sql: %s: argument %d is %s, want GEOMETRY", fn, varIdx+1, v.Type)
-		}
-		g = v.Geom
+	return geomArg(v, varIdx, fn)
+}
+
+// decide evaluates the call with the non-nil geometry g as its variable
+// operand: the one place the relate and orientation cases meet the
+// prepared kernel.
+func (pc *preparedCall) decide(g geom.Geometry) bool {
+	switch {
+	case pc.relate && pc.constIdx == 0:
+		return pc.p.RelatePattern(g, pc.pattern)
+	case pc.relate:
+		return pc.p.RelatePatternReversed(g, pc.pattern)
+	case pc.constIdx == 0:
+		return pc.p.Eval(pc.pred, g)
 	}
-	if g == nil {
-		return storage.Null(), nil
+	return pc.p.EvalReversed(pc.pred, g)
+}
+
+// geomOf returns a value's geometry: nil unless it is a GEOMETRY.
+func geomOf(v storage.Value) geom.Geometry {
+	if v.Type != storage.TypeGeom {
+		return nil
 	}
-	reg.prepHits.Add(1)
-	if pc.relate {
-		if pc.constIdx == 0 {
-			return storage.NewBool(pc.p.RelatePattern(g, pc.pattern)), nil
-		}
-		return storage.NewBool(pc.p.RelatePatternReversed(g, pc.pattern)), nil
-	}
-	if pc.constIdx == 0 {
-		return storage.NewBool(pc.p.Eval(pc.pred, g)), nil
-	}
-	return storage.NewBool(pc.p.EvalReversed(pc.pred, g)), nil
+	return v.Geom
 }
 
 // prepareCalls prepares the constant geometry side of every topological
@@ -128,10 +143,8 @@ func constGeomSide(a0, a1 Expr) (int, bool) {
 // geometry, reporting false on error, NULL or a non-geometry value.
 func (r *Runner) evalConstGeom(e Expr) (geom.Geometry, bool) {
 	v, err := Eval(e, nil, r.reg)
-	if err != nil || v.IsNull() || v.Type != storage.TypeGeom || v.Geom == nil {
-		return nil, false
-	}
-	return v.Geom, true
+	g := geomOf(v)
+	return g, err == nil && g != nil
 }
 
 // constRelatePattern evaluates a reference-free ST_RELATE pattern
@@ -147,56 +160,36 @@ func (r *Runner) constRelatePattern(e Expr) (string, bool) {
 	return v.Text, true
 }
 
-// prepFilterSpec marks one residual filter of a join stage as an
-// index-nested-loop spatial predicate: a top-level topological call
-// whose one geometry operand reads only outer stages (offsets < lo)
-// and whose other operand reads this stage. Per probe —
-// i.e. per outer row — the outer operand is evaluated once, prepared,
-// and reused across every inner row of that probe (see
-// preparedFilter).
-type prepFilterSpec struct {
-	idx      int // position in the stage's filter list
-	fc       *callExpr
-	pred     topo.Predicate
-	pattern  string
-	relate   bool
-	outerIdx int
-}
-
-// joinPrepSpecs analyzes a join stage's residual filters (stage offset
-// lo > 0) for specialization candidates. Returns nil when preparation
-// is disabled or nothing qualifies, in which case the stage evaluates
-// filters on the shared plain path with zero per-invocation cost.
-func (r *Runner) joinPrepSpecs(filters []Expr, lo int) []prepFilterSpec {
+// joinPrepSpec returns the prepared shape, without its geometry, of a
+// join stage's residual filter (stage offset lo > 0) that is a
+// topological call whose one geometry operand reads only outer stages
+// (offsets < lo) and whose other operand reads this stage; constIdx
+// names the outer operand. Per probe — i.e. per outer row — that
+// operand is evaluated once, prepared, and reused across every inner
+// row of the probe (filterExec.prepareOuter). nil when preparation is
+// disabled or the call does not qualify.
+func (r *Runner) joinPrepSpec(fc *callExpr, lo int) *preparedCall {
 	if !r.prep || r.reg.mbr || lo == 0 {
 		return nil
 	}
-	var specs []prepFilterSpec
-	for i, f := range filters {
-		fc, ok := f.(*callExpr)
-		if !ok || fc.prep != nil {
-			continue
-		}
-		spec := prepFilterSpec{idx: i, fc: fc}
-		if pred, ok := topoPredicates[fc.src.Name]; ok && len(fc.args) == 2 {
-			spec.pred = pred
-		} else if fc.src.Name == "ST_RELATE" && len(fc.args) == 3 {
-			pat, ok := r.constRelatePattern(fc.args[2])
-			if !ok {
-				continue
-			}
-			spec.pattern, spec.relate = pat, true
-		} else {
-			continue
-		}
-		oi, ok := outerGeomSide(fc.args[0], fc.args[1], lo)
+	var pc preparedCall
+	if pred, ok := topoPredicates[fc.src.Name]; ok && len(fc.args) == 2 {
+		pc.pred = pred
+	} else if fc.src.Name == "ST_RELATE" && len(fc.args) == 3 {
+		pat, ok := r.constRelatePattern(fc.args[2])
 		if !ok {
-			continue
+			return nil
 		}
-		spec.outerIdx = oi
-		specs = append(specs, spec)
+		pc.pattern, pc.relate = pat, true
+	} else {
+		return nil
 	}
-	return specs
+	oi, ok := outerGeomSide(fc.args[0], fc.args[1], lo)
+	if !ok {
+		return nil
+	}
+	pc.constIdx = oi
+	return &pc
 }
 
 // outerGeomSide picks the operand fixed by the outer prefix: all of
@@ -212,43 +205,4 @@ func outerGeomSide(a0, a1 Expr, lo int) (int, bool) {
 		return 1, true
 	}
 	return 0, false
-}
-
-// preparedFilter is one worker's evaluator for a marked filter. The
-// outer operand is a bare column or a stage slot (hoist.go), so reading
-// it here shares the one value the probe window and the select list
-// see. The geometry is prepared lazily on the first inner row — an
-// empty inner scan must not pay for (or surface errors from) the outer
-// side, matching the unprepared path — and reused for the rest of the
-// outer row's inner rows; the join stage resets the evaluator to its
-// zero state, spec aside, per outer row. If the outer operand is not a
-// geometry, every row falls back to plain Eval, which reproduces the
-// exact error/NULL precedence.
-type preparedFilter struct {
-	spec           *prepFilterSpec // nil: the filter evaluates plainly
-	inited, failed bool
-	pc             preparedCall
-}
-
-func (pf *preparedFilter) eval(row []storage.Value, r *Runner) (storage.Value, error) {
-	sp := pf.spec
-	if !pf.inited {
-		pf.inited = true
-		v, err := Eval(sp.fc.args[sp.outerIdx], row, r.reg)
-		if err != nil || v.IsNull() || v.Type != storage.TypeGeom || v.Geom == nil {
-			pf.failed = true
-		} else {
-			pf.pc = preparedCall{
-				p:        topo.Prepare(v.Geom),
-				pred:     sp.pred,
-				pattern:  sp.pattern,
-				relate:   sp.relate,
-				constIdx: sp.outerIdx,
-			}
-		}
-	}
-	if pf.failed {
-		return Eval(sp.fc, row, r.reg)
-	}
-	return pf.pc.eval(sp.fc, row, r.reg)
 }

@@ -66,12 +66,10 @@ func checkExitUnprepared(t *testing.T, a, b geom.Geometry, mab, mba Matrix) {
 }
 
 // checkExitPrepared asserts the same through the prepared kernel, with
-// pa = Prepare(a) on either side, per row and batched.
+// pa = Prepare(a) on either side.
 func checkExitPrepared(t *testing.T, pa *Prepared, b geom.Geometry, mab, mba Matrix) {
 	t.Helper()
 	a := pa.Geometry()
-	bs := []geom.Geometry{b}
-	out := make([]bool, 1)
 	for _, pred := range exitPreds {
 		want, wantRev := matrixDef(pred, mab), matrixDef(pred, mba)
 		if got := pa.Eval(pred, b); got != want {
@@ -81,16 +79,6 @@ func checkExitPrepared(t *testing.T, pa *Prepared, b geom.Geometry, mab, mba Mat
 		if got := pa.EvalReversed(pred, b); got != wantRev {
 			t.Errorf("Prepared.EvalReversed(%s) = %v, matrix %s says %v for %s / %s",
 				pred, got, mba, wantRev, geom.WKT(a), geom.WKT(b))
-		}
-		pa.EvalBatch(pred, bs, out)
-		if out[0] != want {
-			t.Errorf("Prepared.EvalBatch(%s) = %v, matrix %s says %v for %s / %s",
-				pred, out[0], mab, want, geom.WKT(a), geom.WKT(b))
-		}
-		pa.EvalBatchReversed(pred, bs, out)
-		if out[0] != wantRev {
-			t.Errorf("Prepared.EvalBatchReversed(%s) = %v, matrix %s says %v for %s / %s",
-				pred, out[0], mba, wantRev, geom.WKT(a), geom.WKT(b))
 		}
 	}
 }

@@ -102,36 +102,3 @@ func (p *Prepared) RelatePattern(b geom.Geometry, pattern string) bool {
 func (p *Prepared) RelatePatternReversed(a geom.Geometry, pattern string) bool {
 	return p.RelateReversed(a).Matches(pattern)
 }
-
-// The ten named predicates, with the prepared geometry as the first
-// operand.
-
-// Equals reports topological equality of p.Geometry() and b.
-func (p *Prepared) Equals(b geom.Geometry) bool { return p.Eval(PredEquals, b) }
-
-// Disjoint reports whether p.Geometry() and b share no point.
-func (p *Prepared) Disjoint(b geom.Geometry) bool { return p.Eval(PredDisjoint, b) }
-
-// Intersects reports whether p.Geometry() and b share a point.
-func (p *Prepared) Intersects(b geom.Geometry) bool { return p.Eval(PredIntersects, b) }
-
-// Touches reports whether p.Geometry() and b touch only at boundaries.
-func (p *Prepared) Touches(b geom.Geometry) bool { return p.Eval(PredTouches, b) }
-
-// Crosses reports whether p.Geometry() and b cross.
-func (p *Prepared) Crosses(b geom.Geometry) bool { return p.Eval(PredCrosses, b) }
-
-// Within reports whether p.Geometry() lies within b.
-func (p *Prepared) Within(b geom.Geometry) bool { return p.Eval(PredWithin, b) }
-
-// Contains reports whether p.Geometry() contains b.
-func (p *Prepared) Contains(b geom.Geometry) bool { return p.Eval(PredContains, b) }
-
-// Overlaps reports whether p.Geometry() and b overlap.
-func (p *Prepared) Overlaps(b geom.Geometry) bool { return p.Eval(PredOverlaps, b) }
-
-// Covers reports whether p.Geometry() covers b.
-func (p *Prepared) Covers(b geom.Geometry) bool { return p.Eval(PredCovers, b) }
-
-// CoveredBy reports whether p.Geometry() is covered by b.
-func (p *Prepared) CoveredBy(b geom.Geometry) bool { return p.Eval(PredCoveredBy, b) }

@@ -204,22 +204,21 @@ func TestPreparedEquivalence(t *testing.T) {
 	for _, pair := range largePairs() {
 		check(t, pair[0], pair[1])
 	}
-	// Named methods route through the same dispatcher; spot-check one
-	// asymmetric and one symmetric predicate.
+	// Spot-check asymmetric and symmetric predicates through Eval.
 	a := geom.Polygon{ngon(256, 0, 0, 10)}
 	b := geom.Polygon{ngon(32, 1, 0, 2)}
 	pa := Prepare(a)
-	if pa.Contains(b) != Contains(a, b) || pa.Within(b) != Within(a, b) ||
-		pa.Intersects(b) != Intersects(a, b) {
-		t.Error("named Prepared methods diverge from package-level predicates")
+	if pa.Eval(PredContains, b) != Contains(a, b) || pa.Eval(PredWithin, b) != Within(a, b) ||
+		pa.Eval(PredIntersects, b) != Intersects(a, b) {
+		t.Error("Prepared.Eval diverges from package-level predicates")
 	}
 	// Degenerate operands must behave exactly like the unprepared path.
 	for _, g := range []geom.Geometry{nil, geom.Point{Empty: true}} {
 		pg := Prepare(g)
-		if pg.Intersects(b) || pg.Eval(PredContains, b) {
+		if pg.Eval(PredIntersects, b) || pg.Eval(PredContains, b) {
 			t.Error("prepared nil/empty geometry should hit no predicate")
 		}
-		if !pg.Disjoint(b) {
+		if !pg.Eval(PredDisjoint, b) {
 			t.Error("prepared nil/empty geometry should be disjoint from everything")
 		}
 		if got, want := pg.Relate(b), Relate(g, b); got != want {

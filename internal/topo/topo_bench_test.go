@@ -112,7 +112,7 @@ func BenchmarkIntersectsCases(b *testing.B) {
 			p := Prepare(outer)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if p.Intersects(c.other) != c.want {
+				if p.Eval(PredIntersects, c.other) != c.want {
 					b.Fatal("wrong answer")
 				}
 			}
