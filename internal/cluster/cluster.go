@@ -12,8 +12,13 @@
 // order of an equivalent single engine, and breaking ORDER BY ties by
 // _seq makes sorted merges deterministic.
 //
-// A cluster connection routes statements through five paths, tried in
-// order:
+// A cluster connection binds each single-table SELECT once, with the
+// engine's sql.Bind, against the table's catalog columns, and takes
+// every routing decision with the engine's own code over that tree:
+// the planner's spatial window (sql.SpatialWindow) for pruning, its kNN
+// shape (sql.KNNShape), the executor's output names (sql.OutputNames)
+// and its aggregate-state merge (sql.MergePartials). It routes
+// statements through five paths, tried in order:
 //
 //   - the single-shard fast path: when the query's constant spatial
 //     window (or kNN bound) resolves to exactly one owning shard, the
@@ -27,8 +32,9 @@
 //     only the shards whose data MBR lies within the k-th distance —
 //     canceling shards the tightening bound proves irrelevant;
 //   - global aggregates rewrite SUM/AVG to the hidden __PARTIAL_SUM
-//     aggregate, merge exact per-shard states, and finalize once — the
-//     same bits a single engine would produce;
+//     aggregate, and the shards' partials merge, in shard order, as the
+//     executor's aggregate states and finalize once — the same bits a
+//     single engine would produce;
 //   - everything else (joins, GROUP BY, …) gathers per-table fragments
 //     — pushing per-binding conjuncts and spatial-semijoin filters
 //     derived from join predicates, so shard pruning still applies —
@@ -107,14 +113,6 @@ type tableInfo struct {
 }
 
 func (t *tableInfo) partitioned() bool { return t.geomCol >= 0 }
-
-func (t *tableInfo) colNames() []string {
-	names := make([]string, len(t.cols))
-	for i, c := range t.cols {
-		names[i] = c.Name
-	}
-	return names
-}
 
 // Cluster is a driver.Connector over N spatially-partitioned shards.
 type Cluster struct {

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"strings"
 	"sync"
 
 	"jackpine/internal/driver"
@@ -213,7 +212,11 @@ func (cn *Conn) routeSelect(ctx context.Context, t *sql.Select, orig string) (*r
 	}
 
 	info := cn.c.lookup(t.From.Table)
-	targets, eligible := cn.pruneTargets(info, t.From.Name(), t.Where)
+	b, err := cn.c.bindSelect(t, info)
+	if err != nil {
+		return nil, err
+	}
+	targets, eligible := cn.pruneTargets(info, b.where, info.geomCol)
 
 	starOnly := len(t.Exprs) == 1 && t.Exprs[0].Star
 	mixedStar := false
@@ -236,14 +239,9 @@ func (cn *Conn) routeSelect(ctx context.Context, t *sql.Select, orig string) (*r
 		return cn.forward(ctx, orig, targets[0], starOnly, len(info.cols))
 	}
 
-	hasAgg := len(t.GroupBy) > 0
-	for _, se := range t.Exprs {
-		if !se.Star && sql.HasAggregate(se.Expr) {
-			hasAgg = true
-		}
-	}
-	if hasAgg {
-		if r, ok, err := cn.aggScan(ctx, t, info, targets, eligible); ok || err != nil {
+	names := sql.OutputNames(t, b.scope)
+	if b.hasAgg {
+		if r, ok, err := cn.aggScan(ctx, t, b.exprs, names, targets, eligible); ok || err != nil {
 			return r, err
 		}
 		return cn.gather(ctx, t, orig)
@@ -257,14 +255,84 @@ func (cn *Conn) routeSelect(ctx context.Context, t *sql.Select, orig string) (*r
 		if starOnly {
 			return cn.gather(ctx, t, orig)
 		}
-		if cn.knnShape(t, info) {
-			if r, ok, err := cn.knnScan(ctx, t, info, targets); ok || err != nil {
+		// The kNN shape the shards' planner upgrades to an index scan,
+		// on the partitioning column.
+		col, probe, knn := sql.KNNShape(t, b.order)
+		knn = knn && col == info.geomCol
+		if knn {
+			if r, ok, err := cn.knnScan(ctx, t, info, probe, names, targets); ok || err != nil {
 				return r, err
 			}
 		}
-		return cn.orderedScan(ctx, t, info, targets, eligible)
+		return cn.orderedScan(ctx, t, knn, names, targets, eligible)
 	}
-	return cn.plainScan(ctx, t, info, starOnly, targets, eligible)
+	return cn.plainScan(ctx, t, info, names, starOnly, targets, eligible)
+}
+
+// boundSelect is a single-table SELECT bound once, as the engine binds
+// it, against the table's catalog columns: pruning, the kNN shape, the
+// aggregate merge and the output names all run the engine's own code
+// over this tree.
+type boundSelect struct {
+	scope  *sql.Scope
+	exprs  []sql.Expr // the select list, nil at a star
+	where  sql.Expr
+	order  []sql.Expr // the ORDER BY keys, bound only without aggregates
+	hasAgg bool
+}
+
+// bindSelect binds t, whose FROM table is info, in the engine's order:
+// select list, WHERE, then a non-aggregate ORDER BY. A statement that
+// does not bind fails here with the engine's error.
+func (c *Cluster) bindSelect(t *sql.Select, info *tableInfo) (*boundSelect, error) {
+	b := &boundSelect{scope: sql.NewScope(), hasAgg: len(t.GroupBy) > 0}
+	b.scope.AddTable(t.From.Name(), info.cols)
+	var err error
+	if b.exprs, err = c.bindExprs(t.Exprs, b.scope); err != nil {
+		return nil, err
+	}
+	for _, e := range b.exprs {
+		b.hasAgg = b.hasAgg || sql.HasAggregate(e)
+	}
+	if b.where, err = sql.Bind(t.Where, b.scope, c.reg, false); err != nil {
+		return nil, err
+	}
+	if !b.hasAgg {
+		b.order = make([]sql.Expr, len(t.OrderBy))
+		for i, k := range t.OrderBy {
+			if b.order[i], err = sql.Bind(k.Expr, b.scope, c.reg, false); err != nil {
+				return nil, err
+			}
+		}
+	}
+	return b, nil
+}
+
+// bindExprs binds a select list against scope, aggregates allowed; a
+// star item stays nil.
+func (c *Cluster) bindExprs(items []sql.SelectExpr, scope *sql.Scope) ([]sql.Expr, error) {
+	exprs := make([]sql.Expr, len(items))
+	for i, se := range items {
+		if se.Star {
+			continue
+		}
+		var err error
+		if exprs[i], err = sql.Bind(se.Expr, scope, c.reg, true); err != nil {
+			return nil, err
+		}
+	}
+	return exprs, nil
+}
+
+// bindWhere binds a condition against scope for pruning: nil when it
+// does not bind, which prunes nothing and leaves the error to the
+// statement's execution.
+func (c *Cluster) bindWhere(where sql.Expr, scope *sql.Scope) sql.Expr {
+	b, err := sql.Bind(where, scope, c.reg, false)
+	if err != nil {
+		return nil
+	}
+	return b
 }
 
 // forward sends the original statement to one shard unchanged. For
@@ -288,22 +356,16 @@ func (cn *Conn) forward(ctx context.Context, orig string, shard int, starOnly bo
 }
 
 // pruneTargets selects the shards whose data MBR can intersect the
-// query's constant spatial window. eligible reports whether a window
-// existed at all — a windowless scan targets every shard but is not
-// counted against the prune rate.
-func (cn *Conn) pruneTargets(info *tableInfo, binding string, where sql.Expr) ([]int, bool) {
+// constant spatial window the bound condition where confines info's
+// partitioning column, at scope offset geomCol, to (sql.SpatialWindow).
+// eligible reports whether a window existed at all — a windowless scan
+// targets every shard but is not counted against the prune rate.
+func (cn *Conn) pruneTargets(info *tableInfo, where sql.Expr, geomCol int) ([]int, bool) {
 	all := make([]int, cn.shards())
 	for i := range all {
 		all[i] = i
 	}
-	if where == nil {
-		return all, false
-	}
-	geoName := info.cols[info.geomCol].Name
-	isGeom := func(table, column string) bool {
-		return (table == "" || table == binding) && column == geoName
-	}
-	win, ok := sql.ExtractSpatialWindow(where, isGeom, cn.c.reg)
+	win, ok := sql.SpatialWindow(where, geomCol, cn.c.reg)
 	if !ok {
 		return all, false
 	}
@@ -322,32 +384,11 @@ func (cn *Conn) pruneTargets(info *tableInfo, binding string, where sql.Expr) ([
 // seqRef builds an unresolved reference to the hidden sequence column.
 func seqRef() *sql.ColumnRef { return &sql.ColumnRef{Column: SeqColumn} }
 
-// outName mirrors the executor's output naming for one projection item.
-func outName(se sql.SelectExpr) string {
-	if se.Alias != "" {
-		return se.Alias
-	}
-	return strings.ToLower(se.Expr.String())
-}
-
-// selectNames computes result column names without consulting a shard
-// (needed when pruning eliminates every shard).
-func selectNames(exprs []sql.SelectExpr, info *tableInfo) []string {
-	var names []string
-	for _, se := range exprs {
-		if se.Star {
-			names = append(names, info.colNames()...)
-			continue
-		}
-		names = append(names, outName(se))
-	}
-	return names
-}
-
 // plainScan fans an unordered scan out with _seq appended and
 // stream-merges in _seq order, reproducing a single engine's heap-scan
-// order.
-func (cn *Conn) plainScan(ctx context.Context, t *sql.Select, info *tableInfo, starOnly bool, targets []int, eligible bool) (*res, error) {
+// order. names are the result's column names, computed without
+// consulting a shard (pruning may leave none).
+func (cn *Conn) plainScan(ctx context.Context, t *sql.Select, info *tableInfo, names []string, starOnly bool, targets []int, eligible bool) (*res, error) {
 	cn.c.countScatter(len(targets), cn.shards()-len(targets), eligible)
 
 	cl := sql.CloneStatement(t).(*sql.Select)
@@ -374,16 +415,16 @@ func (cn *Conn) plainScan(ctx context.Context, t *sql.Select, info *tableInfo, s
 	for i, r := range rows {
 		out[i] = r[:seqIdx]
 	}
-	return &res{cols: selectNames(t.Exprs, info), rows: out}, nil
+	return &res{cols: names, rows: out}, nil
 }
 
 // orderedScan fans a sorted scan out with the sort keys and _seq
 // appended as extra columns, pushes LIMIT+OFFSET to the shards, and
 // stream-merges the fragments by (keys, _seq) as they arrive.
-func (cn *Conn) orderedScan(ctx context.Context, t *sql.Select, info *tableInfo, targets []int, eligible bool) (*res, error) {
+func (cn *Conn) orderedScan(ctx context.Context, t *sql.Select, knn bool, names []string, targets []int, eligible bool) (*res, error) {
 	cn.c.countScatter(len(targets), cn.shards()-len(targets), eligible)
 
-	cl, keyStart, seqIdx := cn.orderedRewrite(t, info)
+	cl, keyStart, seqIdx := orderedRewrite(t, knn)
 	sr := cn.startScatter(ctx, sameStmt(renderSelect(cl), targets))
 	rows, err := collectMerged(sr, cl.Limit, keyLess(orderSpecs(t), keyStart, seqIdx))
 	if err != nil {
@@ -394,7 +435,7 @@ func (cn *Conn) orderedScan(ctx context.Context, t *sql.Select, info *tableInfo,
 	for i, r := range rows {
 		out[i] = r[:keyStart]
 	}
-	return &res{cols: selectNames(t.Exprs, info), rows: out}, nil
+	return &res{cols: names, rows: out}, nil
 }
 
 // orderedRewrite clones a sorted scan for the shards: sort keys and
@@ -403,14 +444,14 @@ func (cn *Conn) orderedScan(ctx context.Context, t *sql.Select, info *tableInfo,
 // tie-breaking — except for kNN shapes, whose ORDER BY must stay
 // untouched so each shard's planner can use its kNN index scan (their
 // heap order is _seq order, so ties still cut correctly).
-func (cn *Conn) orderedRewrite(t *sql.Select, info *tableInfo) (cl *sql.Select, keyStart, seqIdx int) {
+func orderedRewrite(t *sql.Select, knn bool) (cl *sql.Select, keyStart, seqIdx int) {
 	cl = sql.CloneStatement(t).(*sql.Select)
 	keyStart = len(cl.Exprs)
 	for _, k := range t.OrderBy {
 		cl.Exprs = append(cl.Exprs, sql.SelectExpr{Expr: k.Expr})
 	}
 	cl.Exprs = append(cl.Exprs, sql.SelectExpr{Expr: seqRef()})
-	if !cn.knnShape(t, info) {
+	if !knn {
 		// Deterministic shard-side tie-breaking: with LIMIT pushdown,
 		// ties cut at the boundary must be the globally _seq-smallest
 		// ones, or the global merge could drop a row the single engine
@@ -433,52 +474,6 @@ func orderSpecs(t *sql.Select) []keySpec {
 	return specs
 }
 
-// knnShape mirrors the planner's tryKNN precondition.
-func (cn *Conn) knnShape(t *sql.Select, info *tableInfo) bool {
-	if len(t.Joins) > 0 || len(t.GroupBy) > 0 || t.Limit < 0 ||
-		len(t.OrderBy) != 1 || t.OrderBy[0].Desc {
-		return false
-	}
-	fc, ok := t.OrderBy[0].Expr.(*sql.FuncCall)
-	if !ok || strings.ToUpper(fc.Name) != "ST_DISTANCE" || len(fc.Args) != 2 {
-		return false
-	}
-	geoName := info.cols[info.geomCol].Name
-	binding := t.From.Name()
-	for i := 0; i < 2; i++ {
-		col, isCol := fc.Args[i].(*sql.ColumnRef)
-		if isCol && (col.Table == "" || col.Table == binding) && col.Column == geoName &&
-			!sql.HasColumnRef(fc.Args[1-i]) {
-			return true
-		}
-	}
-	return false
-}
-
-// knnProbe extracts and evaluates a kNN query's constant probe.
-func (cn *Conn) knnProbe(t *sql.Select, info *tableInfo) (geom.Rect, bool) {
-	fc := t.OrderBy[0].Expr.(*sql.FuncCall)
-	geoName := info.cols[info.geomCol].Name
-	binding := t.From.Name()
-	for i := 0; i < 2; i++ {
-		col, isCol := fc.Args[i].(*sql.ColumnRef)
-		if !isCol || (col.Table != "" && col.Table != binding) || col.Column != geoName ||
-			sql.HasColumnRef(fc.Args[1-i]) {
-			continue
-		}
-		v, err := cn.c.evalConst(fc.Args[1-i])
-		if err != nil || v.IsNull() || v.Type != storage.TypeGeom {
-			return geom.Rect{}, false
-		}
-		env := v.Geom.Envelope()
-		if env.IsEmpty() {
-			return geom.Rect{}, false
-		}
-		return env, true
-	}
-	return geom.Rect{}, false
-}
-
 // knnScan answers a kNN-shaped query in two phases: the shard nearest
 // the probe first, then only the shards whose data MBR can beat the
 // k-th distance found so far. The distance key of any row is at least
@@ -487,15 +482,19 @@ func (cn *Conn) knnProbe(t *sql.Select, info *tableInfo) (geom.Rect, bool) {
 // with a NULL geometry, whose NULL key sorts before every distance;
 // those shards are never bound-pruned. ok is false when the probe is
 // not a usable constant (the plain ordered scatter handles it).
-func (cn *Conn) knnScan(ctx context.Context, t *sql.Select, info *tableInfo, targets []int) (*res, bool, error) {
-	probeEnv, ok := cn.knnProbe(t, info)
-	if !ok {
+func (cn *Conn) knnScan(ctx context.Context, t *sql.Select, info *tableInfo, probe sql.Expr, names []string, targets []int) (*res, bool, error) {
+	v, err := sql.Eval(probe, nil, cn.c.reg)
+	if err != nil || v.Type != storage.TypeGeom {
+		return nil, false, nil
+	}
+	probeEnv := v.Geom.Envelope()
+	if probeEnv.IsEmpty() {
 		return nil, false, nil
 	}
 	want := t.Limit + t.Offset
 	if want == 0 || len(targets) == 0 {
 		cn.c.countScatter(0, cn.shards(), true)
-		return &res{cols: selectNames(t.Exprs, info)}, true, nil
+		return &res{cols: names}, true, nil
 	}
 
 	// Per-shard lower bound on any row's distance key; -1 marks shards
@@ -519,22 +518,17 @@ func (cn *Conn) knnScan(ctx context.Context, t *sql.Select, info *tableInfo, tar
 		return ordered[i] < ordered[j]
 	})
 
-	cl, keyStart, seqIdx := cn.orderedRewrite(t, info)
+	cl, keyStart, seqIdx := orderedRewrite(t, true)
 	text := renderSelect(cl)
 	less := keyLess(orderSpecs(t), keyStart, seqIdx)
 
 	// Phase 1: the most promising shard alone, hoping it already holds
 	// the full top-k.
-	merged, err := func() ([][]storage.Value, error) {
-		rs, err := cn.queryShard(ctx, ordered[0], text)
-		if err != nil {
-			return nil, err
-		}
-		return rs.Rows, nil
-	}()
+	rs, err := cn.queryShard(ctx, ordered[0], text)
 	if err != nil {
 		return nil, true, err
 	}
+	merged := rs.Rows
 	bound := knnBound(merged, want, keyStart)
 
 	// Phase 2: only shards the bound cannot exclude.
@@ -550,50 +544,25 @@ func (cn *Conn) knnScan(ctx context.Context, t *sql.Select, info *tableInfo, tar
 		cn.c.countFastPath()
 	}
 	if len(phase2) > 0 {
-		pending := make(map[int]bool, len(phase2))
-		for _, s := range phase2 {
-			pending[s] = true
-		}
-		induced := make(map[int]bool)
 		sr := cn.startScatter(ctx, sameStmt(text, phase2))
-		var ferr error
-		errShard := 0
-		for f := range sr.ch {
-			delete(pending, f.shard)
-			if f.err != nil {
-				// Cancellations this loop induced are expected
-				// early-exits, not failures.
-				if induced[f.shard] && isCanceled(f.err) {
-					continue
-				}
-				if ferr == nil {
-					sr.cancelAll()
-					for s := range pending {
-						induced[s] = true
-					}
-				}
-				ferr, errShard = pickErr(ferr, errShard, f)
-				continue
-			}
-			if ferr != nil {
-				continue
-			}
+		err := sr.drain(func(f fragment) {
 			merged = mergeRows(merged, f.rows, less)
 			if len(merged) > want {
 				merged = merged[:want]
 			}
 			if b := knnBound(merged, want, keyStart); b < bound {
+				// A tighter bound abandons the shards it now excludes
+				// (those that already answered are unaffected).
 				bound = b
-				for s := range pending {
+				for _, s := range phase2 {
 					if mindist[s] >= 0 && mindist[s] > bound {
 						sr.cancelShard(s)
-						induced[s] = true
 					}
 				}
 			}
-		}
-		if ferr != nil {
-			return nil, true, ferr
+		})
+		if err != nil {
+			return nil, true, err
 		}
 	}
 	if len(merged) > want {
@@ -604,7 +573,7 @@ func (cn *Conn) knnScan(ctx context.Context, t *sql.Select, info *tableInfo, tar
 	for i, r := range rows {
 		out[i] = r[:keyStart]
 	}
-	return &res{cols: selectNames(t.Exprs, info), rows: out}, true, nil
+	return &res{cols: names, rows: out}, true, nil
 }
 
 // knnBound is the current k-th distance: +Inf while fewer than want
@@ -642,7 +611,7 @@ func sliceWindow(rows [][]storage.Value, offset, limit int) [][]storage.Value {
 // __PARTIAL_SUM carrier — and the router merges and finalizes once,
 // reproducing the single engine's results bit for bit. ok is false
 // when the query shape needs the gather path instead.
-func (cn *Conn) aggScan(ctx context.Context, t *sql.Select, info *tableInfo, targets []int, eligible bool) (*res, bool, error) {
+func (cn *Conn) aggScan(ctx context.Context, t *sql.Select, exprs []sql.Expr, names []string, targets []int, eligible bool) (*res, bool, error) {
 	if len(t.GroupBy) > 0 || len(t.OrderBy) > 0 || t.Limit >= 0 || t.Offset > 0 {
 		return nil, false, nil
 	}
@@ -670,43 +639,27 @@ func (cn *Conn) aggScan(ctx context.Context, t *sql.Select, info *tableInfo, tar
 	if err != nil {
 		return nil, true, err
 	}
-
-	merged, err := mergeAggStates(aggs, byShard, targets)
+	row, err := cn.c.mergePartials(exprs, byShard, targets)
 	if err != nil {
 		return nil, true, err
 	}
-
-	row, err := cn.c.finalRow([]*sql.TableRef{t.From}, []*tableInfo{info}, t.Exprs, merged)
-	if err != nil {
-		return nil, true, err
-	}
-	return &res{cols: selectNames(t.Exprs, info), rows: [][]storage.Value{row}}, true, nil
+	return &res{cols: names, rows: [][]storage.Value{row}}, true, nil
 }
 
-// finalRow evaluates a global aggregate's select list over the merged
-// results through the executor's own finalization. Bound against the
-// query's scope, the i-th aggregate call (collectAggs order) reads row
-// position Len()+i, where merged[i] is placed, and the scalar structure
-// around it evaluates exactly as the engine's aggregator evaluates it.
-// The path admits no column outside an aggregate, so the column
-// positions stay NULL.
-func (c *Cluster) finalRow(refs []*sql.TableRef, infos []*tableInfo, exprs []sql.SelectExpr, merged []storage.Value) ([]storage.Value, error) {
-	scope := sql.NewScope()
-	for i, r := range refs {
-		scope.AddTable(r.Name(), infos[i].cols)
-	}
-	in := append(make([]storage.Value, scope.Len()), merged...)
-	row := make([]storage.Value, len(exprs))
-	for i, se := range exprs {
-		b, err := sql.Bind(se.Expr, scope, c.reg, true)
-		if err != nil {
-			return nil, err
+// mergePartials finalizes a global aggregate's bound select list from
+// the partial rows the shards returned, visiting them in shard order
+// (MIN/MAX ties resolve to the earlier shard, matching the executor's
+// parallel merge — which is why the collection is keyed by shard, not
+// by arrival).
+func (c *Cluster) mergePartials(exprs []sql.Expr, byShard map[int][][]storage.Value, shards []int) ([]storage.Value, error) {
+	rows := make([][]storage.Value, len(shards))
+	for i, s := range shards {
+		if len(byShard[s]) != 1 {
+			return nil, fmt.Errorf("cluster: shard %d returned %d aggregate rows", s, len(byShard[s]))
 		}
-		if row[i], err = sql.Eval(b, in, c.reg); err != nil {
-			return nil, err
-		}
+		rows[i] = byShard[s][0]
 	}
-	return row, nil
+	return sql.MergePartials(exprs, rows, c.reg)
 }
 
 // evalConst evaluates a column-free expression.
@@ -761,88 +714,6 @@ func collectAggs(e sql.Expr, inAgg bool, aggs *[]*sql.FuncCall) bool {
 		return true
 	}
 	return false
-}
-
-// mergeAggStates folds per-shard partial rows into final values, one
-// per aggregate in aggs order, visiting shards in shard order (MIN/MAX
-// ties resolve to the earlier shard, matching the executor's parallel
-// merge — which is why the collection is keyed by shard, not by
-// arrival).
-func mergeAggStates(aggs []*sql.FuncCall, byShard map[int][][]storage.Value, targets []int) ([]storage.Value, error) {
-	counts := make([]int64, len(aggs))
-	partials := make([]sql.PartialSum, len(aggs))
-	for i := range partials {
-		partials[i] = sql.NewPartialSum()
-	}
-	minmax := make([]storage.Value, len(aggs))
-	seen := make([]bool, len(aggs))
-	extents := make([]geom.Rect, len(aggs))
-	for i := range extents {
-		extents[i] = geom.EmptyRect()
-	}
-
-	for _, s := range targets {
-		rows := byShard[s]
-		if len(rows) != 1 {
-			return nil, fmt.Errorf("cluster: shard %d returned %d aggregate rows", s, len(rows))
-		}
-		row := rows[0]
-		for i, a := range aggs {
-			v := row[i]
-			switch a.Name {
-			case "COUNT":
-				if v.Type == storage.TypeInt {
-					counts[i] += v.Int
-				}
-			case "SUM", "AVG":
-				if v.Type != storage.TypeText {
-					return nil, fmt.Errorf("cluster: shard %d returned %s for partial sum", s, v.Type)
-				}
-				p, err := sql.ParsePartialSum(v.Text)
-				if err != nil {
-					return nil, err
-				}
-				partials[i].Merge(p)
-			case "MIN":
-				if !v.IsNull() {
-					if c, _ := storage.Compare(v, minmax[i]); !seen[i] || c < 0 {
-						minmax[i], seen[i] = v, true
-					}
-				}
-			case "MAX":
-				if !v.IsNull() {
-					if c, _ := storage.Compare(v, minmax[i]); !seen[i] || c > 0 {
-						minmax[i], seen[i] = v, true
-					}
-				}
-			case "ST_EXTENT":
-				if v.Type == storage.TypeGeom && v.Geom != nil {
-					extents[i] = extents[i].Union(v.Geom.Envelope())
-				}
-			}
-		}
-	}
-
-	out := make([]storage.Value, len(aggs))
-	for i, a := range aggs {
-		switch a.Name {
-		case "COUNT":
-			out[i] = storage.NewInt(counts[i])
-		case "SUM":
-			out[i] = partials[i].FinalizeSum()
-		case "AVG":
-			out[i] = partials[i].FinalizeAvg()
-		case "MIN", "MAX":
-			if seen[i] {
-				out[i] = minmax[i]
-			}
-		case "ST_EXTENT":
-			if !extents[i].IsEmpty() {
-				out[i] = storage.NewGeom(extents[i].ToPolygon())
-			}
-		}
-	}
-	return out, nil
 }
 
 // --- DML routing ---------------------------------------------------------
@@ -1011,17 +882,23 @@ func (cn *Conn) routeExplain(t *sql.Explain) (*res, error) {
 	for i := range t.Query.Joins {
 		refs = append(refs, t.Query.Joins[i].Table)
 	}
-	out := &res{cols: []string{"table", "access", "rows"}}
-	for _, r := range refs {
-		info := cn.c.lookup(r.Table)
-		if info == nil {
-			ctx := context.Background()
-			return cn.single(ctx, 0, "EXPLAIN "+renderSelect(t.Query))
+	infos := make([]*tableInfo, len(refs))
+	scope := sql.NewScope()
+	for i, r := range refs {
+		if infos[i] = cn.c.lookup(r.Table); infos[i] == nil {
+			return cn.single(context.Background(), 0, "EXPLAIN "+renderSelect(t.Query))
 		}
+		scope.AddTable(r.Name(), infos[i].cols)
+	}
+	where := cn.c.bindWhere(t.Query.Where, scope)
+	out := &res{cols: []string{"table", "access", "rows"}}
+	lo := 0
+	for i, r := range refs {
+		info := infos[i]
 		access := "replicated(shard 0)"
 		total := int64(0)
 		if info.partitioned() {
-			targets, _ := cn.pruneTargets(info, r.Name(), t.Query.Where)
+			targets, _ := cn.pruneTargets(info, where, lo+info.geomCol)
 			if len(targets) == 1 {
 				access = fmt.Sprintf("fastpath(shard %d of %d)", targets[0], cn.shards())
 			} else {
@@ -1038,6 +915,7 @@ func (cn *Conn) routeExplain(t *sql.Explain) (*res, error) {
 			storage.NewText(access),
 			storage.NewInt(total),
 		})
+		lo += len(info.cols)
 	}
 	return out, nil
 }

@@ -120,7 +120,10 @@ func (cn *Conn) gather(ctx context.Context, t *sql.Select, orig string) (*res, e
 		}
 		anyPart = true
 		if !empty[i] {
-			targets[i], eligible[i] = cn.pruneTargets(info, r.Name(), andAll(pushed[i]))
+			scope := sql.NewScope()
+			scope.AddTable(r.Name(), info.cols)
+			where := cn.c.bindWhere(andAll(pushed[i]), scope)
+			targets[i], eligible[i] = cn.pruneTargets(info, where, info.geomCol)
 			for _, s := range targets[i] {
 				unionSet[s] = true
 			}
@@ -383,7 +386,7 @@ func (cn *Conn) fetchFragment(ctx context.Context, refs []*sql.TableRef, pushed 
 		}
 		allEligible = false
 	}
-	r, err := cn.plainScan(ctx, fragSel, info, true, frag, allEligible)
+	r, err := cn.plainScan(ctx, fragSel, info, nil, true, frag, allEligible)
 	if err != nil {
 		return nil, err
 	}

@@ -73,6 +73,13 @@ func (cn *Conn) joinPushdown(ctx context.Context, t *sql.Select, refs []*sql.Tab
 	if !ok {
 		return nil, false, nil
 	}
+	scope := sql.NewScope()
+	scope.AddTable(refs[0].Name(), infoA.cols)
+	scope.AddTable(refs[1].Name(), infoB.cols)
+	exprs, err := cn.c.bindExprs(t.Exprs, scope)
+	if err != nil {
+		return nil, true, err
+	}
 
 	// Phase 1: same-shard pairs via a partial-aggregate scatter of the
 	// original join. Not prune-eligible: the join itself is the filter.
@@ -114,16 +121,12 @@ func (cn *Conn) joinPushdown(ctx context.Context, t *sql.Select, refs []*sql.Tab
 
 	pseudo := cn.shards()
 	byShard[pseudo] = compRes.Rows
-	merged, err := mergeAggStates(aggs, byShard, append(targets, pseudo))
-	if err != nil {
-		return nil, true, err
-	}
-	row, err := cn.c.finalRow(refs, []*tableInfo{infoA, infoB}, t.Exprs, merged)
+	row, err := cn.c.mergePartials(exprs, byShard, append(targets, pseudo))
 	if err != nil {
 		return nil, true, err
 	}
 	cn.c.countJoinPushdown()
-	return &res{cols: selectNames(t.Exprs, infoA), rows: [][]storage.Value{row}}, true, nil
+	return &res{cols: sql.OutputNames(t, scope), rows: [][]storage.Value{row}}, true, nil
 }
 
 // partialItems builds the shard-side projection for a partial-aggregate

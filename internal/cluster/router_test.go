@@ -9,6 +9,7 @@ import (
 	"jackpine/internal/driver"
 	"jackpine/internal/engine"
 	"jackpine/internal/geom"
+	"jackpine/internal/storage"
 )
 
 // routerFixture is an empty 4-shard in-process cluster next to an empty
@@ -265,6 +266,122 @@ func TestRouterAggregateExpressions(t *testing.T) {
 					t.Errorf("%s: %s = %s, want %s", target.name, c.sql, got, c.want)
 				}
 			}
+		}
+	}
+}
+
+// typedRows renders result rows with each value's type, so an integer
+// and a float of equal value differ.
+func typedRows(rows [][]storage.Value) string {
+	var b strings.Builder
+	for i, r := range rows {
+		if i > 0 {
+			b.WriteString(" | ")
+		}
+		for j, v := range r {
+			if j > 0 {
+				b.WriteByte(' ')
+			}
+			fmt.Fprintf(&b, "%s:%s", v.Type, v)
+		}
+	}
+	return b.String()
+}
+
+// TestRouterAggregateMerge: global aggregates merged from shard
+// partials — the single-table aggregate path and the join pushdown —
+// return the single engine's values with the single engine's types,
+// over INTEGER, FLOAT, TEXT and all-NULL columns, and when some or all
+// targeted shards match no rows (an empty shard must not turn an
+// integer SUM into a float).
+func TestRouterAggregateMerge(t *testing.T) {
+	f := newRouterFixture(t)
+	f.exec(t, "CREATE TABLE t (id INTEGER, x INTEGER, r DOUBLE, s TEXT, n INTEGER, loc GEOMETRY)")
+	f.exec(t, `INSERT INTO t VALUES
+		(1, 10, 1.5, 'pear', NULL, ST_MakePoint(10, 10)),
+		(2, 20, 2.25, 'apple', NULL, ST_MakePoint(20, 15)),
+		(3, 30, NULL, 'fig', NULL, ST_MakePoint(90, 10)),
+		(4, 40, -0.1, NULL, NULL, ST_MakePoint(10, 90)),
+		(5, 50, 0.1, 'kiwi', NULL, ST_MakePoint(90, 90)),
+		(6, -7, 0.2, 'date', NULL, ST_MakePoint(85, 80)),
+		(7, NULL, 3, 'plum', NULL, NULL)`)
+	lists := []string{
+		"SUM(x), AVG(x), MIN(x), MAX(x), COUNT(x), COUNT(*)",
+		"SUM(r), AVG(r), MIN(r), MAX(r), COUNT(r)",
+		"MIN(s), MAX(s), COUNT(s)",
+		"SUM(n), AVG(n), MIN(n), MAX(n), COUNT(n)",
+		"ST_Extent(loc), COUNT(loc)",
+	}
+	// Non-spatial filters target every shard: all rows, zero-row shards,
+	// every shard empty, one row.
+	wheres := []string{"", " WHERE x > 25", " WHERE x > 1000", " WHERE id = 2"}
+	var stmts []string
+	for _, l := range lists {
+		for _, w := range wheres {
+			stmts = append(stmts, "SELECT "+l+" FROM t"+w)
+		}
+	}
+	joined := "SELECT SUM(a.x), AVG(a.r), MIN(b.s), MAX(b.x), COUNT(*), ST_Extent(a.loc), SUM(a.n), AVG(b.n) " +
+		"FROM t a JOIN t b ON ST_DWithin(a.loc, b.loc, 15)"
+	joins := []string{joined, joined + " WHERE a.x > 25", joined + " WHERE a.x > 1000"}
+	stmts = append(stmts, joins...)
+
+	f.cl.ResetShardStats()
+	for _, q := range stmts {
+		want, err := f.single.Query(q)
+		if err != nil {
+			t.Fatalf("single: %s: %v", q, err)
+		}
+		got, err := f.cluster.Query(q)
+		if err != nil {
+			t.Fatalf("cluster: %s: %v", q, err)
+		}
+		if w, g := typedRows(want.Rows), typedRows(got.Rows); w != g {
+			t.Errorf("%s\nsingle:  %s\ncluster: %s", q, w, g)
+		}
+		if fmt.Sprint(want.Columns) != fmt.Sprint(got.Columns) {
+			t.Errorf("%s: columns %v, cluster %v", q, want.Columns, got.Columns)
+		}
+	}
+	// Every statement merged shard partials: none was forwarded to one
+	// shard or gathered, and every join was pushed down.
+	ss := f.cl.ShardStats()
+	if ss.FastPathHits != 0 || ss.GatherBuilds != 0 || ss.JoinPushdowns != len(joins) {
+		t.Errorf("stats = %+v, want no fast path, no gather, %d join pushdowns", ss, len(joins))
+	}
+}
+
+// TestRouterWindowOperandError: a spatial predicate whose constant
+// window operand is TEXT fails on the single engine and through the
+// router with the same error — the router does not prune on a window
+// it cannot evaluate, so the shards raise the error — while a NULL
+// window still matches nothing and prunes every shard.
+func TestRouterWindowOperandError(t *testing.T) {
+	f := newRouterFixture(t)
+	f.exec(t, "CREATE TABLE pts (id INTEGER, loc GEOMETRY)")
+	f.exec(t, `INSERT INTO pts VALUES (1, ST_MakePoint(10, 10)), (2, ST_MakePoint(90, 10)),
+		(3, ST_MakePoint(10, 90)), (4, ST_MakePoint(90, 90))`)
+	for _, index := range []bool{false, true} {
+		if index {
+			f.exec(t, "CREATE SPATIAL INDEX pts_loc ON pts (loc)")
+		}
+		for _, q := range []string{
+			"SELECT id FROM pts WHERE ST_Intersects(loc, 'POINT(10 10)')",
+			"SELECT COUNT(*) FROM pts WHERE ST_Within('POINT(10 10)', loc)",
+			"SELECT id FROM pts WHERE ST_DWithin(loc, 'POINT(10 10)', 5) ORDER BY id",
+		} {
+			_, werr := f.single.Query(q)
+			_, gerr := f.cluster.Query(q)
+			if werr == nil || gerr == nil || werr.Error() != gerr.Error() ||
+				!strings.Contains(werr.Error(), "is TEXT, want GEOMETRY") {
+				t.Errorf("index=%v: %s: single err %v, cluster err %v, want one TEXT operand error",
+					index, q, werr, gerr)
+			}
+		}
+		f.cl.ResetShardStats()
+		compareQuery(t, "NULL window", "SELECT id FROM pts WHERE ST_Intersects(loc, NULL)", f.single, f.cluster)
+		if ss := f.cl.ShardStats(); ss.ShardQueries != 0 || ss.Pruned != 4 {
+			t.Errorf("index=%v: NULL window stats = %+v, want every shard pruned", index, ss)
 		}
 	}
 }

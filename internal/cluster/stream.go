@@ -24,10 +24,12 @@ type fragment struct {
 	err   error
 }
 
-// scatterRun is an in-flight streamed scatter.
+// scatterRun is an in-flight streamed scatter. Only its consumer — the
+// goroutine draining ch — cancels shards, so canceled needs no lock.
 type scatterRun struct {
-	ch      chan fragment
-	cancels map[int]context.CancelFunc
+	ch       chan fragment
+	cancels  map[int]context.CancelFunc
+	canceled map[int]bool // shards the consumer abandoned
 }
 
 // cancelShard abandons one shard's outstanding request (its session
@@ -35,14 +37,39 @@ type scatterRun struct {
 func (sr *scatterRun) cancelShard(shard int) {
 	if cancel, ok := sr.cancels[shard]; ok {
 		cancel()
+		sr.canceled[shard] = true
 	}
 }
 
 // cancelAll abandons every outstanding request.
 func (sr *scatterRun) cancelAll() {
-	for _, cancel := range sr.cancels {
-		cancel()
+	for s := range sr.cancels {
+		sr.cancelShard(s)
 	}
+}
+
+// drain reads the scatter to its end, handing each fragment to keep in
+// arrival order. The first shard failure cancels every shard; keep sees
+// nothing after it, and drain returns the error pickErr prefers. A
+// shard the consumer abandoned itself may answer with a cancellation:
+// that is an early exit, not a failure.
+func (sr *scatterRun) drain(keep func(f fragment)) error {
+	var err error
+	errShard := 0
+	for f := range sr.ch {
+		switch {
+		case f.err != nil && sr.canceled[f.shard] && isCanceled(f.err):
+			// An early exit the consumer asked for.
+		case f.err != nil:
+			if err == nil {
+				sr.cancelAll()
+			}
+			err, errShard = pickErr(err, errShard, f)
+		case err == nil:
+			keep(f)
+		}
+	}
+	return err
 }
 
 // startScatter sends each target shard its statement — stmts maps
@@ -51,8 +78,9 @@ func (sr *scatterRun) cancelAll() {
 // consumers can abandon shards a tightening bound proves irrelevant.
 func (cn *Conn) startScatter(ctx context.Context, stmts map[int]string) *scatterRun {
 	sr := &scatterRun{
-		ch:      make(chan fragment, 2),
-		cancels: make(map[int]context.CancelFunc, len(stmts)),
+		ch:       make(chan fragment, 2),
+		cancels:  make(map[int]context.CancelFunc, len(stmts)),
+		canceled: make(map[int]bool),
 	}
 	var wg sync.WaitGroup
 	for s, text := range stmts {
@@ -141,29 +169,16 @@ func mergeRows(a, b [][]storage.Value, less func(x, y []storage.Value) bool) [][
 // collectMerged drains a streamed scatter, merging fragments into one
 // sorted run as they arrive. want bounds the run (keep the want
 // smallest rows; -1 keeps everything): with a total order, truncating
-// after each merge never drops a row the final top-want could need. On
-// a shard error the remaining shards are canceled, the stream drained,
-// and the lowest failing shard's error returned.
+// after each merge never drops a row the final top-want could need. A
+// shard failure returns drain's error.
 func collectMerged(sr *scatterRun, want int, less func(x, y []storage.Value) bool) ([][]storage.Value, error) {
 	var merged [][]storage.Value
-	var err error
-	errShard := 0
-	for f := range sr.ch {
-		if f.err != nil {
-			if err == nil {
-				sr.cancelAll()
-			}
-			err, errShard = pickErr(err, errShard, f)
-			continue
-		}
-		if err != nil {
-			continue // draining after failure
-		}
+	err := sr.drain(func(f fragment) {
 		merged = mergeRows(merged, f.rows, less)
 		if want >= 0 && len(merged) > want {
 			merged = merged[:want]
 		}
-	}
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -176,22 +191,7 @@ func collectMerged(sr *scatterRun, want int, less func(x, y []storage.Value) boo
 // resolve to the earliest shard like a single engine's parallel merge).
 func collectByShard(sr *scatterRun) (map[int][][]storage.Value, error) {
 	out := make(map[int][][]storage.Value)
-	var err error
-	errShard := 0
-	for f := range sr.ch {
-		if f.err != nil {
-			if err == nil {
-				sr.cancelAll()
-			}
-			err, errShard = pickErr(err, errShard, f)
-			continue
-		}
-		if err != nil {
-			continue
-		}
-		out[f.shard] = f.rows
-	}
-	if err != nil {
+	if err := sr.drain(func(f fragment) { out[f.shard] = f.rows }); err != nil {
 		return nil, err
 	}
 	return out, nil

@@ -231,6 +231,26 @@ func coerce(v storage.Value, col Column) (storage.Value, error) {
 // a sink that keeps a row copies it.
 type emitFn func(row []storage.Value) (bool, error)
 
+// OutputNames names a SELECT's result columns over its scope: a star
+// expands to every scope column, an aliased item takes its alias, any
+// other item its expression text in lower case.
+func OutputNames(sel *Select, scope *Scope) []string {
+	var names []string
+	for _, se := range sel.Exprs {
+		switch {
+		case se.Star:
+			for i := 0; i < scope.Len(); i++ {
+				names = append(names, scope.Column(i).Name)
+			}
+		case se.Alias != "":
+			names = append(names, se.Alias)
+		default:
+			names = append(names, strings.ToLower(se.Expr.String()))
+		}
+	}
+	return names
+}
+
 // execSelect plans and runs a SELECT. With rowIDs non-nil it is a DML
 // row selection instead: *rowIDs receives, in heap order, the ids of
 // the rows the statement would return, and nothing is projected.
@@ -355,8 +375,9 @@ func (r *Runner) execSelect(sel *Select, explainOnly bool, rowIDs *[]RowID) (*Re
 			tables[0].tbl, tables[1].tbl, tables[1].lo, tables[1].hi)
 	}
 	for i := range paths {
-		markUse(paths[i].windowExpr, "window")
-		markUse(paths[i].expandExpr, "window")
+		probe, expand := paths[i].windowExprs()
+		markUse(probe, "window")
+		markUse(expand, "window")
 	}
 	// Stage filters compile once per plan (filter.go): comparisons into
 	// comparators, and, in join stages, residual spatial predicates whose
@@ -579,24 +600,7 @@ func (r *Runner) execSelect(sel *Select, explainOnly bool, rowIDs *[]RowID) (*Re
 		return res, nil
 	}
 
-	// Output column names.
-	outNames := func() []string {
-		var names []string
-		for _, se := range sel.Exprs {
-			switch {
-			case se.Star:
-				for i := 0; i < scope.Len(); i++ {
-					names = append(names, scope.Column(i).Name)
-				}
-			case se.Alias != "":
-				names = append(names, se.Alias)
-			default:
-				names = append(names, strings.ToLower(se.Expr.String()))
-			}
-		}
-		return names
-	}
-	res.Columns = outNames()
+	res.Columns = OutputNames(sel, scope)
 
 	project := func(row []storage.Value) ([]storage.Value, error) {
 		out := make([]storage.Value, 0, len(res.Columns))
@@ -1064,6 +1068,17 @@ type aggState struct {
 	extent  geom.Rect       // ST_EXTENT accumulator
 }
 
+// newAggStates returns n fresh states. Every state starts on the
+// integer SUM path, so merging a state that saw no rows — a worker's or
+// a shard's empty group — never turns an integer SUM into a float.
+func newAggStates(n int) []aggState {
+	states := make([]aggState, n)
+	for i := range states {
+		states[i].intOnly = true
+	}
+	return states
+}
+
 // sumPrec makes big.Float addition of float64 terms exact: the full
 // double exponent range (~2098 bits) plus headroom for carries, so the
 // sum is independent of accumulation order and serial and parallel
@@ -1151,10 +1166,7 @@ func (a *aggregator) add(row []storage.Value) (bool, error) {
 	if !ok {
 		grp = &aggGroup{
 			firstRow: append([]storage.Value(nil), row...),
-			states:   make([]aggState, len(a.aggs)),
-		}
-		for i := range grp.states {
-			grp.states[i].intOnly = true
+			states:   newAggStates(len(a.aggs)),
 		}
 		a.groups[key] = grp
 		a.order = append(a.order, key)
@@ -1227,7 +1239,7 @@ func mergeState(dst, src *aggState) {
 func (a *aggregator) rows(width int) ([][]storage.Value, error) {
 	// A global aggregate over zero rows still yields one output row.
 	if len(a.group) == 0 && len(a.groups) == 0 {
-		a.groups[""] = &aggGroup{firstRow: make([]storage.Value, width), states: make([]aggState, len(a.aggs))}
+		a.groups[""] = &aggGroup{firstRow: make([]storage.Value, width), states: newAggStates(len(a.aggs))}
 		a.order = append(a.order, "")
 	}
 	var out [][]storage.Value
@@ -1343,8 +1355,8 @@ func finalize(st *aggState, name string) storage.Value {
 		return storage.NewGeom(st.extent.ToPolygon())
 	case PartialSumName:
 		// Distributed partial aggregation: ship the exact mergeable
-		// state instead of a rounded scalar (see PartialSum).
-		return storage.NewText(partialFromState(st).Encode())
+		// state instead of a rounded scalar (see MergePartials).
+		return storage.NewText(encodePartialSum(st))
 	}
 	return storage.Null()
 }

@@ -7,12 +7,12 @@ import (
 	"jackpine/internal/storage"
 )
 
-// This file exports the planner's predicate-analysis building blocks for
-// use by distributed query routers (internal/cluster): splitting WHERE
+// This file exports the planner's predicate-analysis building blocks
+// to distributed query routers (internal/cluster): splitting WHERE
 // clauses into conjuncts, recognising sargable spatial predicates, and
-// evaluating a query's constant spatial window for shard pruning. The
-// logic mirrors trySpatialWindow/evalWindow so a router prunes with
-// exactly the windows the engine's own planner would use.
+// a query's constant spatial window for shard pruning — found by the
+// planner's spatialProbe and evaluated by its evalWindow, over the tree
+// the router bound with Bind.
 
 // Conjuncts flattens nested ANDs into a conjunct list (nil input yields
 // nil).
@@ -23,8 +23,7 @@ func WalkExpr(e Expr, fn func(Expr)) { walkExpr(e, fn) }
 
 // IsSargableSpatial reports whether the named predicate confines true
 // results to geometries whose envelopes intersect the probe's envelope
-// (ST_DWithin qualifies via its expansion distance and is handled by
-// ExtractSpatialWindow).
+// (ST_DWithin qualifies via its expansion distance, see SpatialWindow).
 func IsSargableSpatial(name string) bool { return sargableSpatial[strings.ToUpper(name)] }
 
 // HasColumnRef reports whether the expression references any column.
@@ -38,116 +37,33 @@ func HasColumnRef(e Expr) bool {
 	return found
 }
 
-// ExtractSpatialWindow derives the constant spatial query window implied
-// by a WHERE clause, for shard pruning: every top-level conjunct of the
-// form pred(geomcol, probe) — with pred sargable (or ST_DWithin) and
-// probe free of column references — contributes its probe envelope, and
-// contributions intersect. isGeomCol classifies column references
-// (receiving the reference's table qualifier, possibly empty, and
-// column name, both as written). The expression is a parse tree; probes
-// are bound and evaluated against reg as constants.
+// SpatialWindow derives the constant query window a bound WHERE clause
+// confines the geometry column at scope offset geomCol to: every
+// top-level conjunct the planner would probe an index on that column
+// with, using a constant window, contributes that window, and the
+// windows intersect. A NULL window operand yields the empty window: the
+// predicate can never hold.
 //
-// ok is false when no conjunct matched (no pruning possible). A matched
-// conjunct with a NULL probe yields an empty window: the predicate can
-// never hold, so every shard may be pruned.
-func ExtractSpatialWindow(where Expr, isGeomCol func(table, column string) bool, reg *Registry) (geom.Rect, bool) {
-	window := geom.Rect{}
-	found := false
+// ok is false when no conjunct matched, or when a window fails to
+// evaluate: the statement's execution then raises the error itself.
+func SpatialWindow(where Expr, geomCol int, reg *Registry) (window geom.Rect, ok bool) {
 	for _, c := range splitConjuncts(where) {
-		w, ok := conjunctWindow(c, isGeomCol, reg)
-		if !ok {
+		fc, _, arg, matched := spatialProbe(c, 0, geomCol+1, func(col *colRef) bool { return col.idx == geomCol })
+		if !matched {
 			continue
 		}
-		if found {
+		p := accessPath{window: fc, windowArg: arg}
+		w, err := p.evalWindow(nil, reg)
+		switch {
+		case err != nil:
+			return geom.Rect{}, false
+		case ok:
 			window = window.Intersect(w)
-		} else {
-			window = w
-			found = true
+		default:
+			window, ok = w, true
 		}
 	}
-	return window, found
-}
-
-// conjunctWindow matches one conjunct against the pred(geomcol, probe)
-// pattern, mirroring trySpatialWindow + evalWindow. Equality on the
-// geometry column (geomcol = probe) also contributes a window: equal
-// geometries have equal envelopes, so matching rows are confined to the
-// probe's envelope.
-func conjunctWindow(c Expr, isGeomCol func(table, column string) bool, reg *Registry) (geom.Rect, bool) {
-	if be, ok := c.(*BinaryExpr); ok && be.Op == "=" {
-		sides := [2]Expr{be.Left, be.Right}
-		for i := 0; i < 2; i++ {
-			col, isCol := sides[i].(*ColumnRef)
-			if !isCol || !isGeomCol(col.Table, col.Column) {
-				continue
-			}
-			probe := sides[1-i]
-			if HasColumnRef(probe) {
-				continue
-			}
-			v, err := evalConst(probe, reg)
-			if err != nil {
-				continue
-			}
-			if v.IsNull() {
-				// geom = NULL is never true.
-				return geom.EmptyRect(), true
-			}
-			if v.Type != storage.TypeGeom {
-				continue // engine-side coercion rules unknown: no pruning
-			}
-			return v.Geom.Envelope(), true
-		}
-		return geom.Rect{}, false
-	}
-	fc, ok := c.(*FuncCall)
-	if !ok {
-		return geom.Rect{}, false
-	}
-	name := strings.ToUpper(fc.Name)
-	isDWithin := name == "ST_DWITHIN"
-	if !sargableSpatial[name] && !isDWithin {
-		return geom.Rect{}, false
-	}
-	wantArgs := 2
-	if isDWithin {
-		wantArgs = 3
-	}
-	if len(fc.Args) != wantArgs {
-		return geom.Rect{}, false
-	}
-	for i := 0; i < 2; i++ {
-		col, isCol := fc.Args[i].(*ColumnRef)
-		if !isCol || !isGeomCol(col.Table, col.Column) {
-			continue
-		}
-		probe := fc.Args[1-i]
-		if HasColumnRef(probe) {
-			continue
-		}
-		v, err := evalConst(probe, reg)
-		if err != nil {
-			continue // unevaluable probe: no pruning from this conjunct
-		}
-		if v.IsNull() || v.Type != storage.TypeGeom {
-			return geom.EmptyRect(), true
-		}
-		w := v.Geom.Envelope()
-		if isDWithin {
-			if HasColumnRef(fc.Args[2]) {
-				continue
-			}
-			d, err := evalConst(fc.Args[2], reg)
-			if err != nil {
-				continue
-			}
-			if f, ok := d.AsFloat(); ok {
-				w = w.Expand(f)
-			}
-		}
-		return w, true
-	}
-	return geom.Rect{}, false
+	return window, ok
 }
 
 // ConstantGeometry evaluates a column-free expression to a geometry (for

@@ -12,8 +12,8 @@ import (
 
 // PartialSumName is the hidden aggregate a distributed query router
 // substitutes for SUM and AVG when fanning an aggregate query out across
-// shards. Each shard accumulates exactly like SUM but finalizes to a
-// text-encoded PartialSum state instead of a rounded float, so the
+// shards. Each shard accumulates exactly like SUM but finalizes to its
+// text-encoded aggState sum fields instead of a rounded float, so the
 // router can merge shard states and round once — producing the same
 // bits as a single engine summing every row itself (the accumulator is
 // an exact big.Float, see sumPrec).
@@ -22,136 +22,115 @@ import (
 // a router rewrite.
 const PartialSumName = "__PARTIAL_SUM"
 
-// PartialSum is the mergeable state of a distributed SUM/AVG: the exact
-// high-precision sum, the integer-only fast path, and the non-finite
-// overflow bucket, mirroring the executor's aggState fields.
-type PartialSum struct {
-	Count   int64
-	SumInt  int64
-	IntOnly bool
-	Sum     *big.Float // nil until a finite term arrives
-	SumBad  float64
-	HasBad  bool
-}
-
-// NewPartialSum returns the empty state (IntOnly starts true, matching a
-// fresh aggState).
-func NewPartialSum() PartialSum { return PartialSum{IntOnly: true} }
-
-// partialFromState snapshots an executor aggregate state.
-func partialFromState(st *aggState) PartialSum {
-	return PartialSum{
-		Count:   st.count,
-		SumInt:  st.sumInt,
-		IntOnly: st.intOnly,
-		Sum:     st.sum,
-		SumBad:  st.sumBad,
-		HasBad:  st.hasBad,
-	}
-}
-
-// Encode renders the state as text. The big.Float sum uses the 'p'
-// (hexadecimal mantissa, binary exponent) format, which round-trips
-// exactly; the non-finite bucket is carried as raw float64 bits.
-func (p PartialSum) Encode() string {
+// encodePartialSum renders a state's sum fields as text. The big.Float
+// sum uses the 'p' (hexadecimal mantissa, binary exponent) format,
+// which round-trips exactly; the non-finite bucket is carried as raw
+// float64 bits.
+func encodePartialSum(st *aggState) string {
 	sum := ""
-	if p.Sum != nil {
-		sum = p.Sum.Text('p', 0)
+	if st.sum != nil {
+		sum = st.sum.Text('p', 0)
 	}
 	return fmt.Sprintf("%d|%d|%t|%t|%s|%s",
-		p.Count, p.SumInt, p.IntOnly, p.HasBad,
-		strconv.FormatUint(math.Float64bits(p.SumBad), 16), sum)
+		st.count, st.sumInt, st.intOnly, st.hasBad,
+		strconv.FormatUint(math.Float64bits(st.sumBad), 16), sum)
 }
 
-// ParsePartialSum decodes a state produced by Encode.
-func ParsePartialSum(s string) (PartialSum, error) {
+// decodePartialSum parses encodePartialSum's text into st's sum fields.
+func decodePartialSum(s string, st *aggState) error {
 	parts := strings.SplitN(s, "|", 6)
 	if len(parts) != 6 {
-		return PartialSum{}, fmt.Errorf("sql: malformed partial sum %q", s)
+		return fmt.Errorf("sql: malformed partial sum %q", s)
 	}
-	var p PartialSum
 	var err error
-	if p.Count, err = strconv.ParseInt(parts[0], 10, 64); err != nil {
-		return PartialSum{}, fmt.Errorf("sql: partial sum count: %w", err)
+	if st.count, err = strconv.ParseInt(parts[0], 10, 64); err != nil {
+		return fmt.Errorf("sql: partial sum count: %w", err)
 	}
-	if p.SumInt, err = strconv.ParseInt(parts[1], 10, 64); err != nil {
-		return PartialSum{}, fmt.Errorf("sql: partial sum int: %w", err)
+	if st.sumInt, err = strconv.ParseInt(parts[1], 10, 64); err != nil {
+		return fmt.Errorf("sql: partial sum int: %w", err)
 	}
-	if p.IntOnly, err = strconv.ParseBool(parts[2]); err != nil {
-		return PartialSum{}, fmt.Errorf("sql: partial sum intOnly: %w", err)
+	if st.intOnly, err = strconv.ParseBool(parts[2]); err != nil {
+		return fmt.Errorf("sql: partial sum intOnly: %w", err)
 	}
-	if p.HasBad, err = strconv.ParseBool(parts[3]); err != nil {
-		return PartialSum{}, fmt.Errorf("sql: partial sum hasBad: %w", err)
+	if st.hasBad, err = strconv.ParseBool(parts[3]); err != nil {
+		return fmt.Errorf("sql: partial sum hasBad: %w", err)
 	}
 	bits, err := strconv.ParseUint(parts[4], 16, 64)
 	if err != nil {
-		return PartialSum{}, fmt.Errorf("sql: partial sum bad bits: %w", err)
+		return fmt.Errorf("sql: partial sum bad bits: %w", err)
 	}
-	p.SumBad = math.Float64frombits(bits)
+	st.sumBad = math.Float64frombits(bits)
 	if parts[5] != "" {
-		f, _, err := big.ParseFloat(parts[5], 0, sumPrec, big.ToNearestEven)
-		if err != nil {
-			return PartialSum{}, fmt.Errorf("sql: partial sum value: %w", err)
-		}
-		p.Sum = f
-	}
-	return p, nil
-}
-
-// Merge folds a later shard's state into p, mirroring the executor's
-// mergeState: exact sums add (order-independent at sumPrec), the
-// integer fast path survives only if every shard kept it.
-func (p *PartialSum) Merge(o PartialSum) {
-	p.Count += o.Count
-	if o.Sum != nil {
-		if p.Sum == nil {
-			p.Sum = o.Sum
-		} else {
-			p.Sum.Add(p.Sum, o.Sum)
+		if st.sum, _, err = big.ParseFloat(parts[5], 0, sumPrec, big.ToNearestEven); err != nil {
+			return fmt.Errorf("sql: partial sum value: %w", err)
 		}
 	}
-	if o.HasBad {
-		p.SumBad += o.SumBad
-		p.HasBad = true
-	}
-	p.SumInt += o.SumInt
-	// A shard that accumulated nothing reports the zero-value state
-	// (IntOnly false); it must not poison the integer fast path.
-	if o.Count > 0 {
-		p.IntOnly = p.IntOnly && o.IntOnly
-	}
+	return nil
 }
 
-// float rounds the exact accumulator to float64, mirroring
-// aggState.sumFloat.
-func (p PartialSum) float() float64 {
-	var f float64
-	if p.Sum != nil {
-		f, _ = p.Sum.Float64()
+// partialState turns one shard's partial value for the aggregate call
+// name into the state that produced it: COUNT, MIN, MAX and ST_EXTENT
+// arrive as the call returned them, SUM and AVG as PartialSumName's
+// encoded state.
+func partialState(name string, v storage.Value) (aggState, error) {
+	st := newAggStates(1)[0]
+	switch name {
+	case "COUNT":
+		st.count = v.Int
+	case "SUM", "AVG", PartialSumName:
+		if v.Type != storage.TypeText {
+			return st, fmt.Errorf("sql: %s partial is %s, want TEXT", name, v.Type)
+		}
+		return st, decodePartialSum(v.Text, &st)
+	case "MIN", "MAX":
+		st.min, st.max, st.seen = v, v, !v.IsNull()
+	case "ST_EXTENT":
+		if v.Type == storage.TypeGeom && v.Geom != nil {
+			st.extent, st.seen = v.Geom.Envelope(), true
+		}
+	default:
+		return st, fmt.Errorf("sql: %s has no shard partial", name)
 	}
-	if p.HasBad {
-		f += p.SumBad
-	}
-	return f
+	return st, nil
 }
 
-// FinalizeSum produces the value SUM would have returned on a single
-// engine seeing all rows.
-func (p PartialSum) FinalizeSum() storage.Value {
-	if p.Count == 0 {
-		return storage.Null()
+// MergePartials finalizes a global aggregate from per-shard partial
+// rows through the aggregator's own merge: exprs is the select list
+// bound against the query's scope (Bind), and each shard row holds one
+// partial per aggregate call, in bind order (PartialSumName standing in
+// for SUM and AVG). The shards' states merge in row order — MIN and MAX
+// ties keep the earlier shard, as a parallel plan's worker merge does —
+// and the select list is evaluated over the finalized results.
+func MergePartials(exprs []Expr, shards [][]storage.Value, reg *Registry) ([]storage.Value, error) {
+	var aggs []*aggRef
+	width := 0
+	for _, e := range exprs {
+		walkExpr(e, func(x Expr) {
+			if a, ok := x.(*aggRef); ok {
+				aggs = append(aggs, a)
+				width = max(width, a.pos+1)
+			}
+		})
 	}
-	if p.IntOnly {
-		return storage.NewInt(p.SumInt)
+	states := newAggStates(len(aggs))
+	for s, row := range shards {
+		if len(row) != len(aggs) {
+			return nil, fmt.Errorf("sql: shard partial %d has %d values for %d aggregates", s, len(row), len(aggs))
+		}
+		for i, a := range aggs {
+			st, err := partialState(a.src.Name, row[i])
+			if err != nil {
+				return nil, err
+			}
+			mergeState(&states[i], &st)
+		}
 	}
-	return storage.NewFloat(p.float())
-}
-
-// FinalizeAvg produces the value AVG would have returned on a single
-// engine seeing all rows.
-func (p PartialSum) FinalizeAvg() storage.Value {
-	if p.Count == 0 {
-		return storage.Null()
+	a := newAggregator(reg, nil, exprs, aggs)
+	a.groups[""] = &aggGroup{firstRow: make([]storage.Value, width), states: states}
+	a.order = append(a.order, "")
+	rows, err := a.rows(width)
+	if err != nil {
+		return nil, err
 	}
-	return storage.NewFloat(p.float() / float64(p.Count))
+	return rows[0], nil
 }

@@ -303,16 +303,13 @@ func (r *Runner) planPBSM(scope *Scope, conjuncts []Expr, stageFilters [][]Expr,
 		expand:   expand,
 	}
 	spec.gx, spec.gy = pbsmGridDims(outer, inner, outerName, innerName, expand)
-	p := accessPath{
-		kind:       accessPBSM,
-		pbsm:       spec,
-		windowExpr: fc.args[outerArg],
-		need:       paths[1].need,
+	paths[1] = accessPath{
+		kind:      accessPBSM,
+		pbsm:      spec,
+		window:    fc,
+		windowArg: outerArg,
+		need:      paths[1].need,
 	}
-	if expand != 0 {
-		p.expandExpr = fc.args[2]
-	}
-	paths[1] = p
 
 	// Fast refinement only when the per-row path would also use the
 	// prepared kernel; otherwise (ST_DWithin, MBR-semantics registry,
@@ -357,12 +354,16 @@ func findPBSMConjunct(scope *Scope, conjuncts []Expr, innerLo, innerHi int,
 
 	isGeom := func(col *colRef) bool { return scope.Column(col.idx).Type == storage.TypeGeom }
 	for _, c := range conjuncts {
-		_, probe, dist, matched := spatialProbe(c, innerLo, innerHi, isGeom)
-		if outer, isCol := probe.(*colRef); !matched || !isCol || !isGeom(outer) {
+		fc, _, arg, matched := spatialProbe(c, innerLo, innerHi, isGeom)
+		if !matched {
+			continue
+		}
+		if outer, isCol := fc.args[arg].(*colRef); !isCol || !isGeom(outer) {
 			continue
 		}
 		var d float64
-		if dist != nil {
+		if len(fc.args) == 3 {
+			dist := fc.args[2]
 			if maxRef(dist) >= 0 {
 				continue
 			}
@@ -372,11 +373,7 @@ func findPBSMConjunct(scope *Scope, conjuncts []Expr, innerLo, innerHi int,
 				continue
 			}
 		}
-		fc = c.(*callExpr)
-		if fc.args[1] == probe {
-			outerArg = 1
-		}
-		return fc, outerArg, d, true
+		return fc, arg, d, true
 	}
 	return nil, 0, 0, false
 }
@@ -404,7 +401,7 @@ func (r *Runner) choosePBSM(outer, inner Table, outerCol, innerCol string,
 	estOuter := float64(nOuter)
 	// A constant spatial window on the outer stage scales the number of
 	// probes by the window's share of the table extent.
-	if outerPath.windowExpr != nil && maxRef(outerPath.windowExpr) < 0 {
+	if probe, _ := outerPath.windowExprs(); probe != nil && maxRef(probe) < 0 {
 		if st, ok := outer.GeomStatsOn(outerCol); ok && st.MBR.Area() > 0 {
 			if win, err := outerPath.evalWindow(nil, r.reg); err == nil && !win.IsEmpty() {
 				frac := win.Intersect(st.MBR).Area() / st.MBR.Area()

@@ -46,12 +46,13 @@ func (k accessKind) String() string {
 type accessPath struct {
 	kind accessKind
 
-	// Spatial window scans: the window may depend on outer rows, so it
-	// is an expression evaluated per invocation plus an optional
-	// expansion distance (for ST_DWithin).
-	spatial    SpatialIndex
-	windowExpr Expr // geometry-valued
-	expandExpr Expr // numeric, optional
+	// Spatial window scans: the window is operand windowArg of the
+	// sargable call window, expanded by its distance when the call is
+	// ST_DWithin. It may depend on outer rows, so it is evaluated per
+	// invocation (evalWindow).
+	spatial   SpatialIndex
+	window    *callExpr
+	windowArg int
 
 	// Attribute seeks and ranges over (possibly composite) indexes:
 	// equality probes for a prefix of the index columns, plus an
@@ -75,8 +76,8 @@ type accessPath struct {
 	hashExpr Expr
 
 	// Partition-based spatial-merge joins: the grid/sweep build plan.
-	// windowExpr/expandExpr above double as the probe-side key source so
-	// the candidate map is keyed exactly like the INL window.
+	// window/windowArg above double as the probe-side key source so the
+	// candidate map is keyed exactly like the INL window.
 	pbsm *pbsmSpec
 
 	// idxCol names the indexed column of spatial-window paths (EXPLAIN).
@@ -106,7 +107,7 @@ type accessPath struct {
 	// work for envelope-disjoint rows is avoided.
 	mbrPrefilter bool
 	mbrCol       int // table-relative offset of the geometry column
-	// windowExpr/expandExpr above are shared with spatial-window paths.
+	// window/windowArg above are shared with spatial-window paths.
 }
 
 // splitConjuncts flattens nested ANDs.
@@ -233,64 +234,60 @@ func pickAccess(tbl Table, lo, hi int, scope *Scope, conjuncts []Expr) accessPat
 // only true for envelope-intersecting geometries, and the exact
 // predicate remains in the residual filter.
 func tryMBRPrefilter(lo, hi int, scope *Scope, c Expr) (accessPath, bool) {
-	col, probe, expand, ok := spatialProbe(c, lo, hi, func(col *colRef) bool {
+	fc, col, arg, ok := spatialProbe(c, lo, hi, func(col *colRef) bool {
 		return scope.Column(col.idx).Type == storage.TypeGeom
 	})
 	if !ok {
 		return accessPath{}, false
 	}
 	return accessPath{kind: accessFullScan, mbrPrefilter: true, mbrCol: col.idx - lo,
-		windowExpr: probe, expandExpr: expand}, true
+		window: fc, windowArg: arg}, true
 }
 
 // trySpatialWindow recognises pred(geomcol, probe) patterns over a
 // column with a spatial index.
 func trySpatialWindow(tbl Table, lo, hi int, scope *Scope, c Expr) (accessPath, bool) {
 	var idx SpatialIndex
-	col, probe, expand, ok := spatialProbe(c, lo, hi, func(col *colRef) bool {
+	fc, col, arg, ok := spatialProbe(c, lo, hi, func(col *colRef) bool {
 		idx = tbl.SpatialIndexOn(scope.Column(col.idx).Name)
 		return idx != nil
 	})
 	if !ok {
 		return accessPath{}, false
 	}
-	return accessPath{kind: accessSpatialWindow, spatial: idx, windowExpr: probe, expandExpr: expand,
+	return accessPath{kind: accessSpatialWindow, spatial: idx, window: fc, windowArg: arg,
 		idxCol: scope.Column(col.idx).Name}, true
 }
 
 // spatialProbe matches pred(col, probe), pred sargable, or
 // ST_DWithin(col, probe, expand): col is a column of the table at scope
 // offsets [lo, hi) that accept takes, probe (and expand) read only
-// outer offsets. Either operand order matches.
-func spatialProbe(c Expr, lo, hi int, accept func(*colRef) bool) (col *colRef, probe, expand Expr, ok bool) {
+// outer offsets. Either operand order matches; arg is the probe's
+// argument position in the call fc.
+func spatialProbe(c Expr, lo, hi int, accept func(*colRef) bool) (fc *callExpr, col *colRef, arg int, ok bool) {
 	fc, isCall := c.(*callExpr)
 	if !isCall {
-		return nil, nil, nil, false
+		return nil, nil, 0, false
 	}
 	name := strings.ToUpper(fc.src.Name)
 	isDWithin := name == "ST_DWITHIN"
 	if !sargableSpatial[name] && !isDWithin {
-		return nil, nil, nil, false
+		return nil, nil, 0, false
 	}
 	wantArgs := 2
 	if isDWithin {
 		wantArgs = 3
 	}
-	if len(fc.args) != wantArgs {
-		return nil, nil, nil, false
-	}
-	if isDWithin {
-		if expand = fc.args[2]; !refsInRange(expand, 0, lo) {
-			return nil, nil, nil, false
-		}
+	if len(fc.args) != wantArgs || isDWithin && !refsInRange(fc.args[2], 0, lo) {
+		return nil, nil, 0, false
 	}
 	for i := 0; i < 2; i++ {
 		col, isCol := fc.args[i].(*colRef)
 		if isCol && col.idx >= lo && col.idx < hi && refsInRange(fc.args[1-i], 0, lo) && accept(col) {
-			return col, fc.args[1-i], expand, true
+			return fc, col, 1 - i, true
 		}
 	}
-	return nil, nil, nil, false
+	return nil, nil, 0, false
 }
 
 // tryAttrPath matches conjuncts against the table's attribute indexes:
@@ -438,36 +435,43 @@ func tryHashJoin(lo, hi int, c Expr) (accessPath, bool) {
 // on a single un-grouped table with a spatial index, returning an
 // upgraded access path. order holds the bound ORDER BY keys.
 func tryKNN(sel *Select, order []Expr, tbl Table, scope *Scope) (accessPath, bool) {
+	col, probe, ok := KNNShape(sel, order)
+	if !ok {
+		return accessPath{}, false
+	}
+	idx := tbl.SpatialIndexOn(scope.Column(col).Name)
+	if idx == nil {
+		return accessPath{}, false
+	}
+	return accessPath{
+		kind:         accessKNN,
+		spatial:      idx,
+		knnPointExpr: probe,
+		knnK:         sel.Limit + sel.Offset,
+		knnDistCol:   col,
+	}, true
+}
+
+// KNNShape matches the shape the planner upgrades to a kNN index scan:
+// a single un-grouped table ordered by one ascending key
+// ST_Distance(col, probe), either operand order, with a LIMIT and a
+// constant probe. order holds the bound ORDER BY keys; col is the
+// column's scope offset, probe the bound constant operand.
+func KNNShape(sel *Select, order []Expr) (col int, probe Expr, ok bool) {
 	if len(sel.Joins) != 0 || len(sel.GroupBy) != 0 || sel.Limit < 0 ||
 		len(sel.OrderBy) != 1 || sel.OrderBy[0].Desc {
-		return accessPath{}, false
+		return 0, nil, false
 	}
-	fc, ok := order[0].(*callExpr)
-	if !ok || strings.ToUpper(fc.src.Name) != "ST_DISTANCE" || len(fc.args) != 2 {
-		return accessPath{}, false
+	fc, isCall := order[0].(*callExpr)
+	if !isCall || strings.ToUpper(fc.src.Name) != "ST_DISTANCE" || len(fc.args) != 2 {
+		return 0, nil, false
 	}
 	for i := 0; i < 2; i++ {
-		col, isCol := fc.args[i].(*colRef)
-		if !isCol {
-			continue
+		if c, isCol := fc.args[i].(*colRef); isCol && maxRef(fc.args[1-i]) < 0 {
+			return c.idx, fc.args[1-i], true
 		}
-		probe := fc.args[1-i]
-		if maxRef(probe) >= 0 {
-			continue // probe must be constant
-		}
-		idx := tbl.SpatialIndexOn(scope.Column(col.idx).Name)
-		if idx == nil {
-			continue
-		}
-		return accessPath{
-			kind:         accessKNN,
-			spatial:      idx,
-			knnPointExpr: probe,
-			knnK:         sel.Limit + sel.Offset,
-			knnDistCol:   col.idx,
-		}, true
 	}
-	return accessPath{}, false
+	return 0, nil, false
 }
 
 // scanProjection builds the Projection for a full scan of this path
@@ -499,19 +503,40 @@ func setRowID(row []storage.Value, idPos int, id RowID) {
 	}
 }
 
+// windowExprs returns the window's probe operand and, for ST_DWithin,
+// its expansion distance (nil otherwise).
+func (p *accessPath) windowExprs() (probe, expand Expr) {
+	if p.window == nil {
+		return nil, nil
+	}
+	if len(p.window.args) == 3 {
+		expand = p.window.args[2]
+	}
+	return p.window.args[p.windowArg], expand
+}
+
 // evalWindow computes the query window for a spatial access path against
-// the current (possibly partial) outer row.
+// the current (possibly partial) outer row. A NULL probe gives the empty
+// window; any other non-geometry raises the error the call itself
+// raises on every row, whose other operand, the probed geometry column,
+// passes the same argument check.
 func (p *accessPath) evalWindow(row []storage.Value, reg *Registry) (geom.Rect, error) {
-	v, err := Eval(p.windowExpr, row, reg)
+	probe, expand := p.windowExprs()
+	v, err := Eval(probe, row, reg)
 	if err != nil {
 		return geom.EmptyRect(), err
 	}
-	if v.IsNull() || v.Type != storage.TypeGeom {
-		return geom.EmptyRect(), nil
+	fn := "predicate" // the name registerSpatial's predicates report
+	if expand != nil {
+		fn = "ST_DWITHIN"
 	}
-	w := v.Geom.Envelope()
-	if p.expandExpr != nil {
-		d, err := Eval(p.expandExpr, row, reg)
+	g, err := geomArg(v, p.windowArg, fn)
+	if g == nil {
+		return geom.EmptyRect(), err
+	}
+	w := g.Envelope()
+	if expand != nil {
+		d, err := Eval(expand, row, reg)
 		if err != nil {
 			return geom.EmptyRect(), err
 		}
