@@ -442,8 +442,8 @@ func (cn *Conn) orderedScan(ctx context.Context, t *sql.Select, knn bool, names 
 // _seq appended to the projection, LIMIT+OFFSET pushed down, and _seq
 // added as the final sort key for deterministic shard-side
 // tie-breaking — except for kNN shapes, whose ORDER BY must stay
-// untouched so each shard's planner can use its kNN index scan (their
-// heap order is _seq order, so ties still cut correctly).
+// untouched so each shard's planner can use its kNN index source (a
+// shard then cuts ties in its plan's arrival order, as one engine does).
 func orderedRewrite(t *sql.Select, knn bool) (cl *sql.Select, keyStart, seqIdx int) {
 	cl = sql.CloneStatement(t).(*sql.Select)
 	keyStart = len(cl.Exprs)

@@ -83,8 +83,8 @@ func (x rtreeIndex) Search(w geom.Rect, fn func(sql.RowID) bool) {
 	x.t.Search(w, func(e rtree.Entry) bool { return fn(sql.RowID(e.ID)) })
 }
 
-func (x rtreeIndex) Nearest(p geom.Coord, fn func(sql.RowID, float64) bool) {
-	x.t.Nearest(p, func(e rtree.Entry, d float64) bool { return fn(sql.RowID(e.ID), d) })
+func (x rtreeIndex) Nearest(q geom.Rect, fn func(sql.RowID, float64) bool) {
+	x.t.Nearest(q, func(e rtree.Entry, d float64) bool { return fn(sql.RowID(e.ID), d) })
 }
 
 func (x rtreeIndex) Len() int { return x.t.Len() }
@@ -99,8 +99,8 @@ func (x gridIndex) Search(w geom.Rect, fn func(sql.RowID) bool) {
 	x.g.Search(w, func(e grid.Entry) bool { return fn(sql.RowID(e.ID)) })
 }
 
-func (x gridIndex) Nearest(p geom.Coord, fn func(sql.RowID, float64) bool) {
-	x.g.Nearest(p, func(e grid.Entry, d float64) bool { return fn(sql.RowID(e.ID), d) })
+func (x gridIndex) Nearest(q geom.Rect, fn func(sql.RowID, float64) bool) {
+	x.g.Nearest(q, func(e grid.Entry, d float64) bool { return fn(sql.RowID(e.ID), d) })
 }
 
 func (x gridIndex) Len() int { return x.g.Len() }

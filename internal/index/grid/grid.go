@@ -9,6 +9,7 @@
 package grid
 
 import (
+	"container/heap"
 	"math"
 
 	"jackpine/internal/geom"
@@ -60,20 +61,18 @@ func (g *Index) cellRange(r geom.Rect) (x0, x1, y0, y1 int, ok bool) {
 	if g.cells == nil || !r.Intersects(g.extent) {
 		return 0, 0, 0, 0, false
 	}
-	clamp := func(v, lo, hi int) int {
-		if v < lo {
-			return lo
-		}
-		if v > hi {
-			return hi
-		}
-		return v
-	}
-	x0 = clamp(int(math.Floor((r.MinX-g.extent.MinX)/g.cellW)), 0, g.nx-1)
-	x1 = clamp(int(math.Floor((r.MaxX-g.extent.MinX)/g.cellW)), 0, g.nx-1)
-	y0 = clamp(int(math.Floor((r.MinY-g.extent.MinY)/g.cellH)), 0, g.ny-1)
-	y1 = clamp(int(math.Floor((r.MaxY-g.extent.MinY)/g.cellH)), 0, g.ny-1)
+	x0, x1, y0, y1 = g.clampedRange(r)
 	return x0, x1, y0, y1, true
+}
+
+// clampedRange returns the cell index ranges covering r, each clamped to
+// the grid: a rectangle outside the extent maps to the nearest cells.
+func (g *Index) clampedRange(r geom.Rect) (x0, x1, y0, y1 int) {
+	cell := func(v, lo, size float64, n int) int {
+		return max(0, min(n-1, int(math.Floor((v-lo)/size))))
+	}
+	return cell(r.MinX, g.extent.MinX, g.cellW, g.nx), cell(r.MaxX, g.extent.MinX, g.cellW, g.nx),
+		cell(r.MinY, g.extent.MinY, g.cellH, g.ny), cell(r.MaxY, g.extent.MinY, g.cellH, g.ny)
 }
 
 // Insert adds an entry. Rectangles that do not intersect the grid extent
@@ -171,104 +170,96 @@ func (g *Index) SearchAll(query geom.Rect) []int64 {
 	return out
 }
 
-// Nearest visits entries in roughly increasing distance from p by
-// expanding square rings of cells outward, calling fn until it returns
-// false. Unlike an R-tree's best-first search this may visit candidates
-// slightly out of order across ring boundaries, so candidates are
-// collected ring by ring and sorted by rectangle distance before
-// delivery.
-func (g *Index) Nearest(p geom.Coord, fn func(Entry, float64) bool) {
-	if g.size == 0 {
+// Nearest visits entries in non-decreasing rectangle-to-rectangle
+// distance from q (MINDIST), calling fn with each entry and its distance
+// until fn returns false. It searches square rings of cells outward from
+// the cells q covers; every entry found, and every overflow entry from
+// the start, waits in a queue ordered by distance, and the queue's head is
+// delivered only once no entry in an unsearched cell can be nearer: its
+// distance is at most q's distance to the part of the extent outside the
+// rings searched so far.
+func (g *Index) Nearest(q geom.Rect, fn func(Entry, float64) bool) {
+	if g.size == 0 || q.IsEmpty() {
 		return
-	}
-	if g.cells == nil {
-		g.deliverSorted(append([]Entry(nil), g.overflow...), p, fn)
-		return
-	}
-	cx := int(math.Floor((p.X - g.extent.MinX) / g.cellW))
-	cy := int(math.Floor((p.Y - g.extent.MinY) / g.cellH))
-	maxRing := g.nx
-	if g.ny > maxRing {
-		maxRing = g.ny
 	}
 	seen := make(map[int64]bool)
-	var pending []Entry
-	stop := false
-	collect := func(x, y int) {
-		if x < 0 || x >= g.nx || y < 0 || y >= g.ny {
-			return
-		}
-		for _, e := range g.cells[y*g.nx+x] {
+	pq := &entryQueue{}
+	push := func(es []Entry) {
+		for _, e := range es {
 			if !seen[e.ID] {
 				seen[e.ID] = true
-				pending = append(pending, e)
+				heap.Push(pq, queued{e, e.Rect.Distance(q)})
 			}
 		}
 	}
-	for ring := 0; ring <= maxRing && !stop; ring++ {
-		pending = pending[:0]
-		if ring == 0 {
-			collect(cx, cy)
-		} else {
-			for x := cx - ring; x <= cx+ring; x++ {
-				collect(x, cy-ring)
-				collect(x, cy+ring)
-			}
-			for y := cy - ring + 1; y <= cy+ring-1; y++ {
-				collect(cx-ring, y)
-				collect(cx+ring, y)
+	// deliver hands over every queued entry within reach.
+	deliver := func(reach float64) bool {
+		for pq.Len() > 0 && (*pq)[0].d <= reach {
+			c := heap.Pop(pq).(queued)
+			if !fn(c.e, c.d) {
+				return false
 			}
 		}
-		if len(pending) > 0 {
-			stop = !g.deliverSorted(pending, p, fn)
+		return true
+	}
+	push(g.overflow)
+	if g.cells != nil {
+		x0, x1, y0, y1 := g.clampedRange(q)
+		for ring := 0; ; ring++ {
+			for y := y0 - ring; y <= y1+ring; y++ {
+				if y < 0 || y >= g.ny {
+					continue
+				}
+				// Rows strictly inside the ring contribute its two end cells.
+				step := 1
+				if ring > 0 && y > y0-ring && y < y1+ring {
+					step = x1 - x0 + 2*ring
+				}
+				for x := x0 - ring; x <= x1+ring; x += step {
+					if x >= 0 && x < g.nx {
+						push(g.cells[y*g.nx+x])
+					}
+				}
+			}
+			reach := g.reach(q, x0-ring, x1+ring, y0-ring, y1+ring)
+			if !deliver(reach) || math.IsInf(reach, 1) {
+				return
+			}
 		}
 	}
-	if !stop {
-		var rest []Entry
-		for _, e := range g.overflow {
-			if !seen[e.ID] {
-				seen[e.ID] = true
-				rest = append(rest, e)
-			}
-		}
-		g.deliverSorted(rest, p, fn)
-	}
+	deliver(math.Inf(1))
 }
 
-// deliverSorted sorts entries by distance from p and feeds them to fn,
-// reporting whether iteration should continue.
-func (g *Index) deliverSorted(es []Entry, p geom.Coord, fn func(Entry, float64) bool) bool {
-	type cand struct {
-		e Entry
-		d float64
-	}
-	cands := make([]cand, len(es))
-	for i, e := range es {
-		cands[i] = cand{e, e.Rect.DistanceToCoord(p)}
-	}
-	for i := 1; i < len(cands); i++ {
-		for j := i; j > 0 && cands[j].d < cands[j-1].d; j-- {
-			cands[j], cands[j-1] = cands[j-1], cands[j]
+// reach is a lower bound on the distance from q to any entry registered
+// only in cells outside columns x0..x1 and rows y0..y1: q's distance to
+// the strips of the extent beyond them, less a margin for the rounding
+// of cell assignment; +Inf when those cells cover the whole grid.
+func (g *Index) reach(q geom.Rect, x0, x1, y0, y1 int) float64 {
+	e := g.extent
+	d := math.Inf(1)
+	strip := func(ok bool, s geom.Rect) {
+		if ok {
+			d = math.Min(d, q.Distance(s))
 		}
 	}
-	for _, c := range cands {
-		if !fn(c.e, c.d) {
-			return false
-		}
-	}
-	return true
+	strip(x0 > 0, geom.Rect{MinX: e.MinX, MinY: e.MinY, MaxX: e.MinX + float64(x0)*g.cellW, MaxY: e.MaxY})
+	strip(x1 < g.nx-1, geom.Rect{MinX: e.MinX + float64(x1+1)*g.cellW, MinY: e.MinY, MaxX: e.MaxX, MaxY: e.MaxY})
+	strip(y0 > 0, geom.Rect{MinX: e.MinX, MinY: e.MinY, MaxX: e.MaxX, MaxY: e.MinY + float64(y0)*g.cellH})
+	strip(y1 < g.ny-1, geom.Rect{MinX: e.MinX, MinY: e.MinY + float64(y1+1)*g.cellH, MaxX: e.MaxX, MaxY: e.MaxY})
+	return d - 1e-9*(math.Abs(e.MinX)+math.Abs(e.MaxX)+math.Abs(e.MinY)+math.Abs(e.MaxY))
 }
 
-// KNearest returns the ids of approximately the k nearest entries to p,
-// in increasing rectangle-distance order.
-func (g *Index) KNearest(p geom.Coord, k int) []int64 {
-	if k <= 0 {
-		return nil
-	}
-	out := make([]int64, 0, k)
-	g.Nearest(p, func(e Entry, _ float64) bool {
-		out = append(out, e.ID)
-		return len(out) < k
-	})
-	return out
+// queued is an entry waiting in Nearest's queue at distance d.
+type queued struct {
+	e Entry
+	d float64
 }
+
+// entryQueue is a min-heap of queued entries by distance.
+type entryQueue []queued
+
+func (q entryQueue) Len() int           { return len(q) }
+func (q entryQueue) Less(i, j int) bool { return q[i].d < q[j].d }
+func (q entryQueue) Swap(i, j int)      { q[i], q[j] = q[j], q[i] }
+func (q *entryQueue) Push(x any)        { *q = append(*q, x.(queued)) }
+func (q *entryQueue) Pop() any          { old := *q; n := len(old); c := old[n-1]; *q = old[:n-1]; return c }

@@ -145,52 +145,77 @@ func TestGridDelete(t *testing.T) {
 	}
 }
 
+// nearest collects the first k entries Nearest delivers for q (all of
+// them when k < 0) and their distances.
+func nearest(g *Index, q geom.Rect, k int) (ids []int64, dists []float64) {
+	g.Nearest(q, func(e Entry, d float64) bool {
+		ids = append(ids, e.ID)
+		dists = append(dists, d)
+		return len(ids) != k
+	})
+	return ids, dists
+}
+
+func pointRect(x, y float64) geom.Rect { return geom.Rect{MinX: x, MinY: y, MaxX: x, MaxY: y} }
+
+// TestGridNearest requires the exact brute-force MINDIST order, for point
+// and rect probes inside, across and outside the extent, with overflow
+// entries competing in the same order as cell entries.
 func TestGridNearest(t *testing.T) {
-	es := randomEntries(300, 29)
+	es := append(randomEntries(300, 29),
+		Entry{Rect: geom.Rect{MinX: 1200, MinY: 400, MaxX: 1210, MaxY: 410}, ID: 300},
+		Entry{Rect: geom.Rect{MinX: -50, MinY: -50, MaxX: -40, MaxY: -40}, ID: 301})
 	g := New(extent(), 20, 20)
 	for _, e := range es {
 		g.Insert(e.Rect, e.ID)
 	}
-	p := geom.Coord{X: 500, Y: 500}
-	got := g.KNearest(p, 5)
-	if len(got) != 5 {
-		t.Fatalf("KNearest returned %d", len(got))
+	probes := []geom.Rect{
+		pointRect(500, 500), pointRect(3, 997), pointRect(1100, 420), pointRect(-300, -300),
+		{MinX: 480, MinY: 480, MaxX: 560, MaxY: 530}, {MinX: 900, MinY: -100, MaxX: 1100, MaxY: 60},
+		{MinX: 1500, MinY: 1500, MaxX: 1600, MaxY: 1700}, {MinX: 0, MinY: 0, MaxX: 1000, MaxY: 1000},
 	}
-	// The first result must be the true nearest (ring search guarantees
-	// at least that much for points within the extent).
-	bestID, bestD := int64(-1), 1e18
-	for _, e := range es {
-		if d := e.Rect.DistanceToCoord(p); d < bestD {
-			bestD, bestID = d, e.ID
+	r := &pseudoRand{state: 7}
+	for i := 0; i < 40; i++ {
+		x, y := r.float(1400)-200, r.float(1400)-200
+		probes = append(probes, pointRect(x, y), geom.Rect{MinX: x, MinY: y, MaxX: x + r.float(150), MaxY: y + r.float(150)})
+	}
+	for _, q := range probes {
+		want := make([]float64, len(es))
+		at := make(map[int64]float64, len(es))
+		for i, e := range es {
+			want[i] = e.Rect.Distance(q)
+			at[e.ID] = want[i]
 		}
-	}
-	if got[0] != bestID {
-		// The ring expansion can deliver near-ties out of order; verify
-		// the returned first is within one cell diagonal of optimal.
-		var gotD float64
-		for _, e := range es {
-			if e.ID == got[0] {
-				gotD = e.Rect.DistanceToCoord(p)
+		sort.Float64s(want)
+		ids, dists := nearest(g, q, -1)
+		if len(ids) != len(es) {
+			t.Fatalf("probe %v: %d entries delivered, want %d", q, len(ids), len(es))
+		}
+		seen := make(map[int64]bool)
+		for i, id := range ids {
+			if seen[id] {
+				t.Fatalf("probe %v: id %d delivered twice", q, id)
 			}
-		}
-		cellDiag := 1000.0 / 20 * 1.4143
-		if gotD > bestD+cellDiag {
-			t.Errorf("first nearest id %d at %v, optimal %d at %v", got[0], gotD, bestID, bestD)
+			seen[id] = true
+			if dists[i] != want[i] || at[id] != want[i] {
+				t.Fatalf("probe %v: entry %d is id %d at %v (reported %v), want distance %v",
+					q, i, id, at[id], dists[i], want[i])
+			}
 		}
 	}
 }
 
 func TestGridNearestEmptyAndSmall(t *testing.T) {
 	g := New(extent(), 4, 4)
-	if ids := g.KNearest(geom.Coord{X: 1, Y: 1}, 3); len(ids) != 0 {
-		t.Error("empty grid KNearest should return nothing")
+	if ids, _ := nearest(g, pointRect(1, 1), 3); len(ids) != 0 {
+		t.Error("empty grid Nearest should deliver nothing")
 	}
 	g.Insert(geom.Rect{MinX: 900, MinY: 900, MaxX: 910, MaxY: 910}, 5)
-	if ids := g.KNearest(geom.Coord{X: 1, Y: 1}, 3); len(ids) != 1 || ids[0] != 5 {
-		t.Errorf("single-entry KNearest = %v", ids)
+	if ids, _ := nearest(g, pointRect(1, 1), 3); len(ids) != 1 || ids[0] != 5 {
+		t.Errorf("single-entry Nearest = %v", ids)
 	}
-	if ids := g.KNearest(geom.Coord{X: 1, Y: 1}, 0); ids != nil {
-		t.Error("k=0 should return nil")
+	if ids, _ := nearest(g, geom.EmptyRect(), 3); len(ids) != 0 {
+		t.Error("an empty probe should deliver nothing")
 	}
 }
 
@@ -205,7 +230,7 @@ func TestGridDegenerateExtent(t *testing.T) {
 	if !equalIDs(ids, []int64{1, 2}) {
 		t.Errorf("degenerate-extent search = %v", ids)
 	}
-	if ids := g.KNearest(geom.Coord{X: 1, Y: 1}, 1); len(ids) != 1 || ids[0] != 1 {
+	if ids, _ := nearest(g, pointRect(1, 1), 1); len(ids) != 1 || ids[0] != 1 {
 		t.Errorf("degenerate-extent nearest = %v", ids)
 	}
 }

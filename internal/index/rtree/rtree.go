@@ -349,16 +349,18 @@ func (q nnQueue) Swap(i, j int)      { q[i], q[j] = q[j], q[i] }
 func (q *nnQueue) Push(x any)        { *q = append(*q, x.(nnItem)) }
 func (q *nnQueue) Pop() any          { old := *q; n := len(old); it := old[n-1]; *q = old[:n-1]; return it }
 
-// Nearest visits entries in order of increasing rectangle distance from
-// p, calling fn with each entry and its distance until fn returns false
-// or the tree is exhausted. This is the classic best-first kNN traversal.
-func (t *Tree) Nearest(p geom.Coord, fn func(Entry, float64) bool) {
+// Nearest visits entries in order of increasing rectangle-to-rectangle
+// distance from q (MINDIST, a lower bound on the distance from q to any
+// shape inside an entry's rectangle), calling fn with each entry and its
+// distance until fn returns false or the tree is exhausted. This is the
+// best-first traversal of Hjaltason and Samet's distance browsing.
+func (t *Tree) Nearest(q geom.Rect, fn func(Entry, float64) bool) {
 	if t.size == 0 {
 		return
 	}
-	q := &nnQueue{{dist: t.root.rect.DistanceToCoord(p), node: t.root}}
-	for q.Len() > 0 {
-		it := heap.Pop(q).(nnItem)
+	pq := &nnQueue{{dist: t.root.rect.Distance(q), node: t.root}}
+	for pq.Len() > 0 {
+		it := heap.Pop(pq).(nnItem)
 		if it.node == nil {
 			if !fn(it.entry, it.dist) {
 				return
@@ -366,13 +368,11 @@ func (t *Tree) Nearest(p geom.Coord, fn func(Entry, float64) bool) {
 			continue
 		}
 		n := it.node
-		if n.leaf {
-			for i, r := range n.rects {
-				heap.Push(q, nnItem{dist: r.DistanceToCoord(p), entry: Entry{Rect: r, ID: n.ids[i]}})
-			}
-		} else {
-			for i, r := range n.rects {
-				heap.Push(q, nnItem{dist: r.DistanceToCoord(p), node: n.children[i]})
+		for i, r := range n.rects {
+			if n.leaf {
+				heap.Push(pq, nnItem{dist: r.Distance(q), entry: Entry{Rect: r, ID: n.ids[i]}})
+			} else {
+				heap.Push(pq, nnItem{dist: r.Distance(q), node: n.children[i]})
 			}
 		}
 	}
@@ -385,7 +385,7 @@ func (t *Tree) KNearest(p geom.Coord, k int) []int64 {
 		return nil
 	}
 	out := make([]int64, 0, k)
-	t.Nearest(p, func(e Entry, _ float64) bool {
+	t.Nearest(geom.RectFromPoints(p, p), func(e Entry, _ float64) bool {
 		out = append(out, e.ID)
 		return len(out) < k
 	})

@@ -183,21 +183,34 @@ func TestDeleteAll(t *testing.T) {
 	}
 }
 
+// nearProbes are point and rect probes inside and outside the data.
+var nearProbes = []geom.Rect{
+	{MinX: 500, MinY: 500, MaxX: 500, MaxY: 500},
+	{MinX: 123, MinY: 456, MaxX: 123, MaxY: 456},
+	{MinX: 480, MinY: 480, MaxX: 560, MaxY: 530},
+	{MinX: -300, MinY: 900, MaxX: -100, MaxY: 1400},
+	{MinX: 0, MinY: 0, MaxX: 1000, MaxY: 1000},
+}
+
 func TestNearestOrdering(t *testing.T) {
 	es := randomEntries(400, 21)
 	tr := BulkLoad(es, 16)
-	p := geom.Coord{X: 500, Y: 500}
-	var dists []float64
-	tr.Nearest(p, func(e Entry, d float64) bool {
-		dists = append(dists, d)
-		return len(dists) < 50
-	})
-	if len(dists) != 50 {
-		t.Fatalf("visited %d entries, want 50", len(dists))
-	}
-	for i := 1; i < len(dists); i++ {
-		if dists[i] < dists[i-1]-1e-12 {
-			t.Fatalf("distances not monotone at %d: %v < %v", i, dists[i], dists[i-1])
+	for _, q := range nearProbes {
+		var dists []float64
+		tr.Nearest(q, func(e Entry, d float64) bool {
+			if d != e.Rect.Distance(q) {
+				t.Fatalf("probe %v: id %d reported at %v, MINDIST %v", q, e.ID, d, e.Rect.Distance(q))
+			}
+			dists = append(dists, d)
+			return len(dists) < 50
+		})
+		if len(dists) != 50 {
+			t.Fatalf("visited %d entries, want 50", len(dists))
+		}
+		for i := 1; i < len(dists); i++ {
+			if dists[i] < dists[i-1] {
+				t.Fatalf("probe %v: distances not monotone at %d: %v < %v", q, i, dists[i], dists[i-1])
+			}
 		}
 	}
 }
@@ -206,30 +219,27 @@ func TestKNearestMatchesBrute(t *testing.T) {
 	es := randomEntries(300, 31)
 	tr := BulkLoad(es, 16)
 	p := geom.Coord{X: 123, Y: 456}
-	got := tr.KNearest(p, 10)
-	if len(got) != 10 {
+	if got := tr.KNearest(p, 10); len(got) != 10 {
 		t.Fatalf("KNearest returned %d ids", len(got))
 	}
-	// Oracle: sort all entries by distance.
-	type cand struct {
-		id int64
-		d  float64
-	}
-	cands := make([]cand, len(es))
-	for i, e := range es {
-		cands[i] = cand{e.ID, e.Rect.DistanceToCoord(p)}
-	}
-	sort.Slice(cands, func(i, j int) bool { return cands[i].d < cands[j].d })
-	wantDist := cands[9].d
-	for i, id := range got {
-		var d float64
-		for _, e := range es {
-			if e.ID == id {
-				d = e.Rect.DistanceToCoord(p)
-			}
+	for _, q := range append(nearProbes, geom.RectFromPoints(p, p)) {
+		// Oracle: every entry's distance, sorted.
+		want := make([]float64, len(es))
+		at := make(map[int64]float64, len(es))
+		for i, e := range es {
+			want[i] = e.Rect.Distance(q)
+			at[e.ID] = want[i]
 		}
-		if d > wantDist+1e-12 {
-			t.Errorf("result %d (id %d) at distance %v exceeds 10th-best %v", i, id, d, wantDist)
+		sort.Float64s(want)
+		var got []int64
+		tr.Nearest(q, func(e Entry, _ float64) bool {
+			got = append(got, e.ID)
+			return len(got) < 10
+		})
+		for i, id := range got {
+			if at[id] != want[i] {
+				t.Errorf("probe %v: result %d (id %d) at distance %v, want %v", q, i, id, at[id], want[i])
+			}
 		}
 	}
 }

@@ -25,8 +25,13 @@ type SpatialIndex interface {
 	// Search invokes fn for every row whose indexed envelope intersects
 	// the query window, stopping when fn returns false.
 	Search(window geom.Rect, fn func(RowID) bool)
-	// Nearest visits rows in increasing envelope distance from p.
-	Nearest(p geom.Coord, fn func(id RowID, envDist float64) bool)
+	// Nearest visits every indexed row in non-decreasing MINDIST, the
+	// distance from the probe rectangle to the row's indexed envelope,
+	// stopping when fn returns false. MINDIST is a lower bound on the
+	// distance from any geometry inside the probe rectangle to the row's
+	// geometry, so an exact kNN may stop at the first row whose MINDIST
+	// exceeds its k-th distance.
+	Nearest(probe geom.Rect, fn func(id RowID, minDist float64) bool)
 	// Len returns the number of indexed entries.
 	Len() int
 }

@@ -7,7 +7,6 @@ import (
 	"math/big"
 	"runtime"
 	"slices"
-	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -355,11 +354,9 @@ func (r *Runner) execSelect(sel *Select, explainOnly bool, rowIDs *[]RowID) (*Re
 		paths[i] = pickAccess(bt.tbl, bt.lo, bt.hi, scope, conjuncts)
 	}
 	// kNN upgrade for the single-table pattern.
-	knn := false
 	if !hasAgg && len(tables) == 1 && paths[0].kind == accessFullScan {
 		if p, ok := tryKNN(sel, order, tables[0].tbl, scope); ok {
 			paths[0] = p
-			knn = true
 		}
 	}
 	for _, c := range conjuncts {
@@ -413,7 +410,7 @@ func (r *Runner) execSelect(sel *Select, explainOnly bool, rowIDs *[]RowID) (*Re
 	// anything downstream could observe the value. A parallel stage 0
 	// runs its join stages inside each worker, and shard results merge
 	// deterministically in shard order.
-	batch0, workers := r.stage0Exec(sel, tables[0].tbl, paths[0].kind, hasAgg, knn)
+	batch0, workers := r.stage0Exec(sel, tables[0].tbl, paths[0].kind, hasAgg)
 	if batch0 && !allCols {
 		needElse := make([]bool, scope.Len())
 		markColumns(needElse, sinks...)
@@ -577,6 +574,13 @@ func (r *Runner) execSelect(sel *Select, explainOnly bool, rowIDs *[]RowID) (*Re
 			return nil, err
 		}
 	}
+	// The ORDER BY sink of a non-aggregate plan; a kNN source stops at its
+	// k-th distance.
+	var sorted *orderSink
+	if !hasAgg && len(sel.OrderBy) > 0 {
+		sorted = newOrderSink(sel)
+		paths[0].knnBound = sorted.bound
+	}
 	// Stage 0: serial plans are the one-worker case of the same source.
 	runShard, err := r.stage0Source(tables[0].tbl, batch0, &paths[0], stagePlans[0],
 		width, workers, src, pipeline)
@@ -634,68 +638,33 @@ func (r *Runner) execSelect(sel *Select, explainOnly bool, rowIDs *[]RowID) (*Re
 			return nil, err
 		}
 		if len(sel.OrderBy) > 0 {
-			if err := sortAggregateRows(sel, res.Columns, rows); err != nil {
+			rows, err = sortAggregateRows(sel, res.Columns, rows)
+			if err != nil {
 				return nil, err
 			}
-		}
-		if sel.Offset > 0 || sel.Limit >= 0 {
-			start := sel.Offset
-			if start > len(rows) {
-				start = len(rows)
-			}
-			end := len(rows)
-			if sel.Limit >= 0 && start+sel.Limit < end {
-				end = start + sel.Limit
-			}
-			rows = rows[start:end]
+		} else {
+			rows = window(rows, sel.Offset, sel.Limit)
 		}
 		res.Rows = rows
-	case len(sel.OrderBy) > 0 && !knn:
-		// Materialize with sort keys, sort, then project. (The kNN scan
-		// already orders, so it streams through the default sink.)
-		type keyedRow struct {
-			row  []storage.Value
-			keys []storage.Value
-		}
-		var all []keyedRow
+	case sorted != nil:
+		// Materialize with sort keys, order, then project.
+		keys := make([]storage.Value, len(order))
 		err := runShard(0, func(row []storage.Value) (bool, error) {
-			kr := keyedRow{row: append([]storage.Value(nil), row...)}
-			for _, k := range order {
+			for i, k := range order {
 				v, err := Eval(k, row, r.reg)
 				if err != nil {
 					return false, err
 				}
-				kr.keys = append(kr.keys, v)
+				keys[i] = v
 			}
-			all = append(all, kr)
+			sorted.add(keys, row)
 			return true, nil
 		})
 		if err != nil {
 			return nil, err
 		}
-		sort.SliceStable(all, func(i, j int) bool {
-			for k := range sel.OrderBy {
-				c, _ := storage.Compare(all[i].keys[k], all[j].keys[k])
-				if c == 0 {
-					continue
-				}
-				if sel.OrderBy[k].Desc {
-					return c > 0
-				}
-				return c < 0
-			}
-			return false
-		})
-		start := sel.Offset
-		if start > len(all) {
-			start = len(all)
-		}
-		end := len(all)
-		if sel.Limit >= 0 && start+sel.Limit < end {
-			end = start + sel.Limit
-		}
-		for _, kr := range all[start:end] {
-			out, err := project(kr.row)
+		for _, row := range sorted.result() {
+			out, err := project(row)
 			if err != nil {
 				return nil, err
 			}
@@ -742,10 +711,11 @@ func markColumns(mask []bool, exprs ...Expr) {
 	}
 }
 
-// sortAggregateRows orders grouped output rows. After aggregation,
-// ORDER BY keys must name output columns: by alias or column name, by
-// 1-based ordinal, or by textually matching a select expression.
-func sortAggregateRows(sel *Select, outCols []string, rows [][]storage.Value) error {
+// sortAggregateRows orders grouped output rows and applies OFFSET and
+// LIMIT. After aggregation, ORDER BY keys must name output columns: by
+// alias or column name, by 1-based ordinal, or by textually matching a
+// select expression.
+func sortAggregateRows(sel *Select, outCols []string, rows [][]storage.Value) ([][]storage.Value, error) {
 	keyIdx := make([]int, len(sel.OrderBy))
 	for i, ok := range sel.OrderBy {
 		idx := -1
@@ -779,24 +749,122 @@ func sortAggregateRows(sel *Select, outCols []string, rows [][]storage.Value) er
 			}
 		}
 		if idx < 0 {
-			return fmt.Errorf("sql: ORDER BY %s must name an output column when grouping", ok.Expr)
+			return nil, fmt.Errorf("sql: ORDER BY %s must name an output column when grouping", ok.Expr)
 		}
 		keyIdx[i] = idx
 	}
-	sort.SliceStable(rows, func(a, b int) bool {
+	s := newOrderSink(sel)
+	keys := make([]storage.Value, len(keyIdx))
+	for _, row := range rows {
 		for k, idx := range keyIdx {
-			c, _ := storage.Compare(rows[a][idx], rows[b][idx])
-			if c == 0 {
-				continue
-			}
-			if sel.OrderBy[k].Desc {
-				return c > 0
-			}
-			return c < 0
+			keys[k] = row[idx]
 		}
-		return false
-	})
-	return nil
+		s.add(keys, row)
+	}
+	return s.result(), nil
+}
+
+// orderSink is the one ORDER BY sink: it orders rows by their keys under
+// the ORDER BY directions, ties by arrival, which is the order a stable
+// sort of every row gives. With a LIMIT it keeps only the first
+// offset+limit rows, in a heap whose root is the last of them.
+type orderSink struct {
+	sel  *Select
+	keep int // rows kept: offset+limit, or -1 for all
+	rows []keyedRow
+	seq  int
+}
+
+// keyedRow is a row kept by the sink, with its keys and arrival number.
+type keyedRow struct {
+	row, keys []storage.Value
+	seq       int
+}
+
+func newOrderSink(sel *Select) *orderSink {
+	s := &orderSink{sel: sel, keep: -1}
+	if sel.Limit >= 0 {
+		s.keep = sel.Offset + sel.Limit
+	}
+	return s
+}
+
+// compare orders two rows by their keys under the ORDER BY directions,
+// then by arrival.
+func (s *orderSink) compare(a, b *keyedRow) int {
+	for k, o := range s.sel.OrderBy {
+		if c, _ := storage.Compare(a.keys[k], b.keys[k]); c != 0 {
+			if o.Desc {
+				return -c
+			}
+			return c
+		}
+	}
+	return a.seq - b.seq
+}
+
+// The heap of a LIMIT sink puts the last row kept at the root.
+func (s *orderSink) Len() int           { return len(s.rows) }
+func (s *orderSink) Less(i, j int) bool { return s.compare(&s.rows[i], &s.rows[j]) > 0 }
+func (s *orderSink) Swap(i, j int)      { s.rows[i], s.rows[j] = s.rows[j], s.rows[i] }
+func (s *orderSink) Push(x any)         { s.rows = append(s.rows, x.(keyedRow)) }
+func (s *orderSink) Pop() any           { r := s.rows[len(s.rows)-1]; s.rows = s.rows[:len(s.rows)-1]; return r }
+
+// add offers one row with its keys, both borrowed; the sink copies them
+// if it keeps the row.
+func (s *orderSink) add(keys, row []storage.Value) {
+	s.seq++
+	kr := keyedRow{keys: keys, seq: s.seq}
+	switch {
+	case s.keep < 0 || len(s.rows) < s.keep:
+		kr.row, kr.keys = slices.Clone(row), slices.Clone(keys)
+		if s.rows = append(s.rows, kr); len(s.rows) == s.keep {
+			heap.Init(s)
+		}
+	case s.keep > 0 && s.compare(&kr, &s.rows[0]) < 0:
+		// The row displaces the last one kept.
+		top := &s.rows[0]
+		copy(top.keys, keys)
+		top.row = append(top.row[:0], row...)
+		top.seq = kr.seq
+		heap.Fix(s, 0)
+	}
+}
+
+// bound is the first key of the last row the result can hold, as a
+// float: -Inf when the sink keeps no row or that key is NULL, which only
+// NULL can precede, and +Inf while the sink keeps any row offered or the
+// key is NaN or not a number.
+func (s *orderSink) bound() float64 {
+	switch {
+	case s.keep < 0 || len(s.rows) < s.keep:
+		return math.Inf(1)
+	case s.keep == 0 || s.rows[0].keys[0].IsNull():
+		return math.Inf(-1)
+	}
+	if f, ok := s.rows[0].keys[0].AsFloat(); ok && !math.IsNaN(f) {
+		return f
+	}
+	return math.Inf(1)
+}
+
+// result returns the ordered rows within OFFSET and LIMIT.
+func (s *orderSink) result() [][]storage.Value {
+	slices.SortFunc(s.rows, func(a, b keyedRow) int { return s.compare(&a, &b) })
+	out := make([][]storage.Value, len(s.rows))
+	for i := range s.rows {
+		out[i] = s.rows[i].row
+	}
+	return window(out, s.sel.Offset, s.sel.Limit)
+}
+
+// window applies OFFSET and LIMIT (limit < 0: none) to ordered rows.
+func window(rows [][]storage.Value, offset, limit int) [][]storage.Value {
+	rows = rows[min(offset, len(rows)):]
+	if limit >= 0 && limit < len(rows) {
+		rows = rows[:limit]
+	}
+	return rows
 }
 
 // scanTable drives one table's access path. full is the stage's
@@ -840,7 +908,24 @@ func (r *Runner) scanTable(tbl Table, path accessPath, full []storage.Value,
 		return cont, err
 
 	case accessKNN:
-		return r.scanKNN(tbl, path, full, lo, emit)
+		// An ordered source for the ORDER BY sink: rows arrive in
+		// non-decreasing MINDIST from the probe's envelope until one
+		// exceeds the sink's k-th distance, which no later row can beat. A
+		// probe that is not a non-empty geometry scans the heap instead, so
+		// the sink orders, or rejects, every row as a full scan's sort does.
+		env := geom.EmptyRect()
+		if pv, err := Eval(path.knnProbe, full, r.reg); err == nil && pv.Type == storage.TypeGeom {
+			env = pv.Geom.Envelope()
+		}
+		if env.IsEmpty() {
+			path.kind = accessFullScan
+			return r.scanTable(tbl, path, full, lo, emit)
+		}
+		probe = func(fn func(RowID) bool) {
+			path.spatial.Nearest(env, func(id RowID, minDist float64) bool {
+				return minDist <= path.knnBound() && fn(id)
+			})
+		}
 
 	case accessSpatialWindow:
 		window, err := path.evalWindow(full, r.reg)
@@ -922,87 +1007,6 @@ func (r *Runner) scanTable(tbl Table, path accessPath, full []storage.Value,
 		return c
 	})
 	return cont, innerErr
-}
-
-// knnCand is a heap element for the kNN re-ranking scan.
-type knnCand struct {
-	row  []storage.Value
-	dist float64
-}
-
-type knnHeap []knnCand // max-heap by dist
-
-func (h knnHeap) Len() int           { return len(h) }
-func (h knnHeap) Less(i, j int) bool { return h[i].dist > h[j].dist }
-func (h knnHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
-func (h *knnHeap) Push(x any)        { *h = append(*h, x.(knnCand)) }
-func (h *knnHeap) Pop() any          { old := *h; n := len(old); c := old[n-1]; *h = old[:n-1]; return c }
-
-// scanKNN performs an exact k-nearest-neighbour scan: candidates arrive
-// in increasing envelope distance (a lower bound of true distance), are
-// re-ranked by exact distance in a bounded heap, and the stream stops
-// once the envelope bound passes the kth exact distance.
-func (r *Runner) scanKNN(tbl Table, path accessPath, prefix []storage.Value,
-	lo int, emit emitFn) (bool, error) {
-
-	pv, err := Eval(path.knnPointExpr, prefix, r.reg)
-	if err != nil {
-		return false, err
-	}
-	if pv.IsNull() || pv.Type != storage.TypeGeom {
-		return true, nil
-	}
-	probe := pv.Geom
-	centre, ok := geom.Centroid(probe)
-	if !ok {
-		return true, nil
-	}
-	k := path.knnK
-	if k <= 0 {
-		return true, nil
-	}
-	h := &knnHeap{}
-	var innerErr error
-	path.spatial.Nearest(centre, func(id RowID, envDist float64) bool {
-		if h.Len() == k && envDist > (*h)[0].dist {
-			return false // no closer candidate can appear
-		}
-		row, err := tbl.FetchProject(id, path.need)
-		if err != nil {
-			innerErr = err
-			return false
-		}
-		full := make([]storage.Value, len(prefix))
-		copy(full, prefix)
-		copy(full[lo:], row)
-		gv := full[path.knnDistCol]
-		if gv.IsNull() || gv.Type != storage.TypeGeom {
-			return true
-		}
-		d := geom.Distance(gv.Geom, probe)
-		if h.Len() < k {
-			heap.Push(h, knnCand{row: full, dist: d})
-		} else if d < (*h)[0].dist {
-			(*h)[0] = knnCand{row: full, dist: d}
-			heap.Fix(h, 0)
-		}
-		return true
-	})
-	if innerErr != nil {
-		return false, innerErr
-	}
-	// Emit in increasing distance order.
-	cands := make([]knnCand, h.Len())
-	for i := len(cands) - 1; i >= 0; i-- {
-		cands[i] = heap.Pop(h).(knnCand)
-	}
-	for _, c := range cands {
-		cont, err := emit(c.row)
-		if err != nil || !cont {
-			return cont, err
-		}
-	}
-	return true, nil
 }
 
 // buildAttrKeyPrefix evaluates an access path's equality probes into a

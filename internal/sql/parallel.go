@@ -31,14 +31,14 @@ type shardFn func(shard int, emit emitFn) error
 
 // stage0Exec decides how stage 0 runs: batched or not, on how many
 // workers. With batch execution off every plan is the serial
-// row-at-a-time reference. Otherwise kNN (ordered streaming), index
-// seeks and range scans (already selective), and LIMIT without ORDER BY
-// or aggregation (early exit beats materializing whole batches and
-// shards) stream row-at-a-time through scanTable; full scans and
-// spatial windows run batched, fanned out across the worker pool
-// unless the table is small.
-func (r *Runner) stage0Exec(sel *Select, tbl Table, kind accessKind, hasAgg, knn bool) (batch bool, workers int) {
-	if !r.batch || knn || (kind != accessFullScan && kind != accessSpatialWindow) ||
+// row-at-a-time reference. Otherwise kNN sources (ordered, and stopped
+// by the ORDER BY sink's k-th key), index seeks and range scans (already
+// selective), and LIMIT without ORDER BY or aggregation (early exit
+// beats materializing whole batches and shards) stream row-at-a-time
+// through scanTable; full scans and spatial windows run batched, fanned
+// out across the worker pool unless the table is small.
+func (r *Runner) stage0Exec(sel *Select, tbl Table, kind accessKind, hasAgg bool) (batch bool, workers int) {
+	if !r.batch || (kind != accessFullScan && kind != accessSpatialWindow) ||
 		(sel.Limit >= 0 && !hasAgg && len(sel.OrderBy) == 0) {
 		return false, 1
 	}

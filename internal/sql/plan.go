@@ -65,10 +65,11 @@ type accessPath struct {
 	rangeType storage.ValueType
 	rangeLast bool // the range column is the index's final column
 
-	// kNN scans.
-	knnPointExpr Expr // geometry-valued centre
-	knnK         int
-	knnDistCol   int // row offset of the geometry column used in ORDER BY
+	// kNN sources: the constant probe of ORDER BY ST_Distance(col, probe),
+	// and the ORDER BY sink's current k-th distance, past which no row can
+	// enter the result (orderSink.bound).
+	knnProbe Expr
+	knnBound func() float64
 
 	// Hash joins: the inner build column (offset within this table) and
 	// the outer probe expression.
@@ -432,24 +433,21 @@ func tryHashJoin(lo, hi int, c Expr) (accessPath, bool) {
 }
 
 // tryKNN recognises the ORDER BY ST_Distance(col, probe) LIMIT k pattern
-// on a single un-grouped table with a spatial index, returning an
-// upgraded access path. order holds the bound ORDER BY keys.
+// on a single un-grouped table with a spatial index on col, returning the
+// index as an ordered source for the ORDER BY sink. order holds the bound
+// ORDER BY keys. It declines when the index holds fewer entries than the
+// table has rows: NULL and empty geometries are never indexed, yet the
+// sort still ranks their rows, NULL first and empty at infinite distance.
 func tryKNN(sel *Select, order []Expr, tbl Table, scope *Scope) (accessPath, bool) {
 	col, probe, ok := KNNShape(sel, order)
 	if !ok {
 		return accessPath{}, false
 	}
 	idx := tbl.SpatialIndexOn(scope.Column(col).Name)
-	if idx == nil {
+	if idx == nil || idx.Len() < tbl.RowCount() {
 		return accessPath{}, false
 	}
-	return accessPath{
-		kind:         accessKNN,
-		spatial:      idx,
-		knnPointExpr: probe,
-		knnK:         sel.Limit + sel.Offset,
-		knnDistCol:   col,
-	}, true
+	return accessPath{kind: accessKNN, spatial: idx, knnProbe: probe}, true
 }
 
 // KNNShape matches the shape the planner upgrades to a kNN index scan:
