@@ -133,17 +133,6 @@ func (r Rect) ExpandCoord(c Coord) Rect {
 	return r.Union(Rect{c.X, c.Y, c.X, c.Y})
 }
 
-// DistanceToCoord returns the minimum distance from the rectangle to the
-// coordinate (zero if the coordinate is inside).
-func (r Rect) DistanceToCoord(c Coord) float64 {
-	if r.IsEmpty() {
-		return math.Inf(1)
-	}
-	dx := math.Max(0, math.Max(r.MinX-c.X, c.X-r.MaxX))
-	dy := math.Max(0, math.Max(r.MinY-c.Y, c.Y-r.MaxY))
-	return math.Hypot(dx, dy)
-}
-
 // Distance returns the minimum distance between two rectangles (zero if
 // they intersect).
 func (r Rect) Distance(o Rect) float64 {

@@ -109,17 +109,13 @@ func TestRectDistance(t *testing.T) {
 		{Rect{0.5, 0.5, 0.6, 0.6}, 0},            // inside
 		{Rect{1, 1, 2, 2}, 0},                    // corner touch
 		{Rect{-4, -5, -3, -4}, math.Hypot(3, 4)}, // diagonal far corner
+		{Rect{4, 5, 4, 5}, 5},                    // point outside
+		{Rect{0.5, 0.5, 0.5, 0.5}, 0},            // point inside
 	}
 	for i, tc := range cases {
 		if got := a.Distance(tc.b); math.Abs(got-tc.want) > 1e-12 {
 			t.Errorf("case %d: Distance = %v, want %v", i, got, tc.want)
 		}
-	}
-	if got := a.DistanceToCoord(Coord{4, 5}); math.Abs(got-5) > 1e-12 {
-		t.Errorf("DistanceToCoord = %v, want 5", got)
-	}
-	if got := a.DistanceToCoord(Coord{0.5, 0.5}); got != 0 {
-		t.Errorf("inside coord distance = %v, want 0", got)
 	}
 }
 

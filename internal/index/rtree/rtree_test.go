@@ -218,29 +218,45 @@ func TestNearestOrdering(t *testing.T) {
 func TestKNearestMatchesBrute(t *testing.T) {
 	es := randomEntries(300, 31)
 	tr := BulkLoad(es, 16)
-	p := geom.Coord{X: 123, Y: 456}
-	if got := tr.KNearest(p, 10); len(got) != 10 {
-		t.Fatalf("KNearest returned %d ids", len(got))
-	}
-	for _, q := range append(nearProbes, geom.RectFromPoints(p, p)) {
-		// Oracle: every entry's distance, sorted.
+	// Oracle: every entry's distance, sorted, and each id's distance.
+	brute := func(dist func(geom.Rect) float64) ([]float64, map[int64]float64) {
 		want := make([]float64, len(es))
 		at := make(map[int64]float64, len(es))
 		for i, e := range es {
-			want[i] = e.Rect.Distance(q)
+			want[i] = dist(e.Rect)
 			at[e.ID] = want[i]
 		}
 		sort.Float64s(want)
+		return want, at
+	}
+	check := func(probe any, got []int64, want []float64, at map[int64]float64) {
+		if len(got) != 10 {
+			t.Fatalf("probe %v: %d ids, want 10", probe, len(got))
+		}
+		for i, id := range got {
+			if at[id] != want[i] {
+				t.Errorf("probe %v: result %d (id %d) at distance %v, want %v", probe, i, id, at[id], want[i])
+			}
+		}
+	}
+	for _, q := range nearProbes {
+		want, at := brute(q.Distance)
 		var got []int64
 		tr.Nearest(q, func(e Entry, _ float64) bool {
 			got = append(got, e.ID)
 			return len(got) < 10
 		})
-		for i, id := range got {
-			if at[id] != want[i] {
-				t.Errorf("probe %v: result %d (id %d) at distance %v, want %v", q, i, id, at[id], want[i])
-			}
-		}
+		check(q, got, want, at)
+	}
+	// KNearest's point probes, against a point-to-rect distance computed
+	// here rather than through the degenerate rect KNearest builds.
+	for _, p := range []geom.Coord{{X: 123, Y: 456}, {X: 500, Y: 500}, {X: -250, Y: 1200}, {X: 1300, Y: 40}} {
+		want, at := brute(func(r geom.Rect) float64 {
+			dx := math.Max(0, math.Max(r.MinX-p.X, p.X-r.MaxX))
+			dy := math.Max(0, math.Max(r.MinY-p.Y, p.Y-r.MaxY))
+			return math.Hypot(dx, dy)
+		})
+		check(p, tr.KNearest(p, 10), want, at)
 	}
 }
 
