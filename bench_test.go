@@ -215,6 +215,34 @@ func BenchmarkMS4FloodRisk(b *testing.B) {
 	b.ReportMetric(float64(buffers)/float64(b.N), "ST_Buffer/op")
 }
 
+// BenchmarkMS1Window is the layer bench of the map-browsing window: one
+// iteration is one MS1 operation (20 ST_Intersects(geo,
+// ST_MakeEnvelope(…)) statements over the four layers) at the scale the
+// end-to-end benchmark runs, warm, through a runner. Every index
+// candidate is refined against the prepared window, so the rectangle
+// kernel's cost and allocations show here first.
+func BenchmarkMS1Window(b *testing.B) {
+	eng := benchEngine(b, GaiaDB(), tiger.Medium, true)
+	ctx := NewQueryContext(benchDataset(b, tiger.Medium))
+	conn := runnerConn{sql.NewRunner(eng, sql.NewRegistry(sql.RegistryOptions{}))}
+	var browse MacroScenario
+	for _, sc := range MacroSuite() {
+		if sc.ID == "MS1" {
+			browse = sc
+		}
+	}
+	if _, err := browse.Run(ctx, conn, 0); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := browse.Run(ctx, conn, i+1); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkE5IndexEffect regenerates figure E5: the MT7 point-in-polygon
 // join with and without the spatial index.
 func BenchmarkE5IndexEffect(b *testing.B) {

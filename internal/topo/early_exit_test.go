@@ -249,7 +249,7 @@ func TestNearSegmentEnvelopeReject(t *testing.T) {
 					for i := 0; i < 16; i++ {
 						th := 2 * math.Pi * float64(i) / 16
 						p := geom.Coord{X: base.X + k*tol*math.Cos(th), Y: base.Y + k*tol*math.Sin(th)}
-						got, want := nearSegment(p, a, b), nearSegmentDistanceOnly(p, a, b)
+						got, want := nearSegment(p, a, b, 2*tol), nearSegmentDistanceOnly(p, a, b)
 						if got != want {
 							t.Errorf("nearSegment(%v, %v, %v) = %v, distance test says %v", p, a, b, got, want)
 						}

@@ -65,16 +65,11 @@ func (s *shape) buildLocIndex() {
 			s.locEdges = append(s.locEdges, locEdge{a: s.segs[i].a, b: s.segs[i].b, ring: -1})
 		}
 	}
-	scale := 1.0
 	envs := make([]geom.Rect, len(s.locEdges))
 	for i := range s.locEdges {
 		e := &s.locEdges[i]
 		envs[i] = geom.RectFromPoints(e.a, e.b)
-		scale = math.Max(scale, math.Max(
-			math.Max(math.Abs(e.a.X), math.Abs(e.a.Y)),
-			math.Max(math.Abs(e.b.X), math.Abs(e.b.Y))))
 	}
-	s.scale = scale
 	idx := geom.NewSegIndex(envs)
 	s.locIdx = &idx
 }
@@ -106,18 +101,18 @@ func ringRes(st ringState, n int32) geom.PointInRingResult {
 	return geom.RingExterior
 }
 
-// locateIndexed is locate backed by the location index. One query
-// collects every edge that can contribute: the half-open box reaches
-// tol below/left of p for the tolerant boundary tests (tol dominates
-// every per-edge nearSegment tolerance, and point-to-envelope distance
-// lower-bounds point-to-segment distance) and +Inf to the right for the
-// +X ray crossings. Each candidate then runs the exact per-edge tests
-// of ringLocation/PointInRing, so the result is bit-identical to the
-// linear scan: boundary hits and crossing parity are order-independent,
-// and the per-polygon shell/hole decision tree is replayed in
+// locateIndexed is locate backed by the location index, with locate's
+// bound d = 2·tol. One query collects every edge that can contribute:
+// the half-open box reaches tol below/left of p for the tolerant
+// boundary tests (tol dominates every per-edge nearSegment tolerance,
+// and point-to-box distance lower-bounds point-to-segment distance) and
+// +Inf to the right for the +X ray crossings. Each candidate then runs
+// the per-edge tests of ringLocation, so the result is bit-identical to
+// the linear scan: boundary hits and crossing parity are independent of
+// order, and the per-polygon shell/hole decision tree is replayed in
 // declaration order from the per-ring states.
-func (s *shape) locateIndexed(p geom.Coord) Location {
-	tol := relateEps * math.Max(s.scale, math.Max(math.Abs(p.X), math.Abs(p.Y)))
+func (s *shape) locateIndexed(p geom.Coord, d float64) Location {
+	tol := d / 2
 	query := geom.Rect{MinX: p.X - tol, MinY: p.Y - tol, MaxX: math.Inf(1), MaxY: p.Y + tol}
 
 	var rbuf [16]ringState
@@ -131,13 +126,13 @@ func (s *shape) locateIndexed(p geom.Coord) Location {
 	s.locIdx.Search(query, func(j int) bool {
 		ed := &s.locEdges[j]
 		if ed.ring < 0 {
-			if !lineHit && nearSegment(p, ed.a, ed.b) {
+			if !lineHit && nearSegment(p, ed.a, ed.b, d) {
 				lineHit = true
 			}
 			return true
 		}
 		st := &rstate[ed.ring]
-		if !st.boundary && nearSegment(p, ed.a, ed.b) {
+		if !st.boundary && nearSegment(p, ed.a, ed.b, d) {
 			st.boundary = true
 		}
 		if (ed.a.Y > p.Y) != (ed.b.Y > p.Y) {

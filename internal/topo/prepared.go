@@ -39,20 +39,24 @@ func (o *operand) shape() *shape {
 // immutable after Prepare and safe for concurrent use.
 //
 // Every method returns exactly what the corresponding package-level
-// function returns, because both route through the same kernel; Prepare
-// only moves the per-call decomposition and index build to
-// construction time. Relate and the RelatePattern forms compute the
-// full matrix, bit for bit. The named predicates may stop the relate
-// walk as soon as their answer is fixed (see relateShapes), prepared or
-// not, so their booleans are identical too.
+// function returns. Relate and the RelatePattern forms compute the full
+// matrix, bit for bit, through the same kernel; Prepare only moves the
+// per-call decomposition and index build to construction time. The
+// named predicates may stop the relate walk as soon as their answer is
+// fixed (see relateShapes), prepared or not, so their booleans are
+// identical too. Against a prepared axis-aligned rectangle, Intersects
+// and Disjoint first try the rectangle kernel (rect.go), which answers
+// what relate answers without decomposing the other geometry.
 type Prepared struct {
-	op operand
+	op   operand
+	rect *rectWindow // nil unless the geometry is an axis-aligned rectangle
 }
 
 // Prepare decomposes and indexes g for repeated evaluation.
 func Prepare(g geom.Geometry) *Prepared {
 	p := &Prepared{op: newOperand(g)}
 	p.op.shape().index()
+	p.rect = asRect(g, p.op.s.scale)
 	return p
 }
 
@@ -61,6 +65,9 @@ func (p *Prepared) Geometry() geom.Geometry { return p.op.g }
 
 // Eval evaluates pred(p.Geometry(), b).
 func (p *Prepared) Eval(pred Predicate, b geom.Geometry) bool {
+	if v, ok := p.rectEval(pred, b, false); ok {
+		return v
+	}
 	bo := newOperand(b)
 	return evalOp(pred, &p.op, &bo)
 }
@@ -69,8 +76,20 @@ func (p *Prepared) Eval(pred Predicate, b geom.Geometry) bool {
 // the prepared geometry is the second operand of a non-symmetric
 // predicate.
 func (p *Prepared) EvalReversed(pred Predicate, a geom.Geometry) bool {
+	if v, ok := p.rectEval(pred, a, true); ok {
+		return v
+	}
 	ao := newOperand(a)
 	return evalOp(pred, &ao, &p.op)
+}
+
+// rectEval answers Intersects and Disjoint when the kernel decides.
+func (p *Prepared) rectEval(pred Predicate, g geom.Geometry, rev bool) (v, ok bool) {
+	if p.rect == nil || (pred != PredIntersects && pred != PredDisjoint) {
+		return false, false
+	}
+	hit, ok := p.rect.intersects(g, rev)
+	return hit == (pred == PredIntersects), ok
 }
 
 // EvalPrepared evaluates pred(a.Geometry(), b.Geometry()) with both

@@ -29,6 +29,12 @@ type shape struct {
 	dim      int  // topological dimension of the geometry (-1 if empty)
 	nonEmpty bool // any coordinates at all
 
+	// cover is env plus the zero-length edges addSeg drops. scale, its
+	// largest |coordinate| clamped >= 1, bounds every nearSegment
+	// tolerance against the shape: locate and the rectangle kernel share it.
+	cover geom.Rect
+	scale float64
+
 	// Static indexes, built at most once by index (index.go) and
 	// read-only afterwards: segIdx indexes envs for segment-pair
 	// enumeration, locIdx indexes locEdges for point location. locIdx
@@ -41,14 +47,13 @@ type shape struct {
 	locIdx    *geom.SegIndex
 	locEdges  []locEdge
 	rings     []ringMeta
-	scale     float64 // max |coordinate| over indexed edges, clamped >= 1
 }
 
 // decompose flattens g into a shape. The endpoint counts and
 // lineBoundary are allocated only by open line parts: readers treat a
 // nil map as empty, so a polygon decomposes without either map.
 func decompose(g geom.Geometry) *shape {
-	s := &shape{env: geom.EmptyRect(), dim: -1}
+	s := &shape{env: geom.EmptyRect(), cover: geom.EmptyRect(), dim: -1}
 	if g != nil && g.Dimension() > 0 {
 		// A geometry has fewer segments than coordinates.
 		n := g.NumCoords()
@@ -63,6 +68,10 @@ func decompose(g geom.Geometry) *shape {
 			}
 			s.lineBoundary[c] = true
 		}
+	}
+	s.cover, s.scale = s.cover.Union(s.env), 1
+	if c := s.cover; !c.IsEmpty() {
+		s.scale = max(1, math.Abs(c.MinX), math.Abs(c.MaxX), math.Abs(c.MinY), math.Abs(c.MaxY))
 	}
 	return s
 }
@@ -132,6 +141,7 @@ func (s *shape) addPolygon(p geom.Polygon) {
 
 func (s *shape) addSeg(a, b geom.Coord, ring bool) {
 	if a.Equal(b) {
+		s.cover = s.cover.ExpandCoord(a) // ringLocation still walks it
 		return
 	}
 	e := geom.RectFromPoints(a, b)
@@ -172,14 +182,22 @@ func (s *shape) hasArea() bool { return len(s.polys) > 0 }
 // locate classifies a point against the shape's point set using union
 // semantics: Interior if the point is interior to any part, otherwise
 // Boundary if on any part's boundary, otherwise Exterior.
+// d = 2·relateEps·max(scale, |p|, 1) bounds every nearSegment reach: an
+// edge p misses by d skips its own tolerance, and p that far above, below
+// or right of cover is Exterior (left, an open ring's parity may be odd).
+// Float addition is monotone, so both return what the full walk returns.
 func (s *shape) locate(p geom.Coord) Location {
+	d := 2 * relateEps * max(s.scale, math.Abs(p.X), math.Abs(p.Y), 1)
+	if c := &s.cover; p.Y > c.MaxY+d || p.Y < c.MinY-d || p.X > c.MaxX+d {
+		return Exterior
+	}
 	if s.locIdx != nil {
-		return s.locateIndexed(p)
+		return s.locateIndexed(p, d)
 	}
 	loc := Exterior
 	for i := range s.polys {
 		poly := s.polys[i]
-		switch polygonLocation(len(poly), func(h int) geom.PointInRingResult { return ringLocation(p, poly[h]) }) {
+		switch polygonLocation(len(poly), func(h int) geom.PointInRingResult { return ringLocation(p, poly[h], d) }) {
 		case Interior:
 			return Interior
 		case Boundary:
@@ -189,7 +207,7 @@ func (s *shape) locate(p geom.Coord) Location {
 	lineHit := false
 	for i := range s.segs {
 		// Ring segments belong to polygon boundaries, handled above.
-		if sg := &s.segs[i]; !sg.ring && nearSegment(p, sg.a, sg.b) {
+		if sg := &s.segs[i]; !sg.ring && nearSegment(p, sg.a, sg.b, d) {
 			lineHit = true
 			break
 		}
@@ -253,30 +271,31 @@ func (s *shape) locateRest(p geom.Coord, loc Location, lineHit bool) Location {
 // algorithm is tolerant.
 const relateEps = 1e-9
 
-// nearSegment reports whether p is within the relative tolerance of
-// segment a–b. Point-to-box distance lower-bounds point-to-segment
-// distance (locateIndexed relies on the same bound), so a point outside
-// the segment's envelope grown by 2·tol is rejected before the Hypot;
-// the factor 2 absorbs rounding in DistPointSegment, so the answer is
-// the distance test's.
-func nearSegment(p, a, b geom.Coord) bool {
-	tol := relateEps * max(math.Abs(a.X), math.Abs(a.Y),
-		math.Abs(b.X), math.Abs(b.Y), math.Abs(p.X), math.Abs(p.Y), 1)
-	if d := 2 * tol; (p.X < a.X-d && p.X < b.X-d) || (p.X > a.X+d && p.X > b.X+d) ||
+// nearSegment reports whether p is within the relative tolerance tol of
+// segment a–b, given a bound d >= 2·tol. Point-to-box distance
+// lower-bounds point-to-segment distance (locateIndexed relies on the
+// same bound), so a point outside the segment's envelope grown by d is
+// rejected before tol and the Hypot; the factor 2 absorbs rounding in
+// DistPointSegment, so the answer is the distance test's.
+func nearSegment(p, a, b geom.Coord, d float64) bool {
+	if (p.X < a.X-d && p.X < b.X-d) || (p.X > a.X+d && p.X > b.X+d) ||
 		(p.Y < a.Y-d && p.Y < b.Y-d) || (p.Y > a.Y+d && p.Y > b.Y+d) {
 		return false
 	}
+	tol := relateEps * max(math.Abs(a.X), math.Abs(a.Y),
+		math.Abs(b.X), math.Abs(b.Y), math.Abs(p.X), math.Abs(p.Y), 1)
 	return geom.DistPointSegment(p, a, b) <= tol
 }
 
 // ringLocation is geom.PointInRing with a tolerant boundary test, in
-// one pass: each edge runs the tolerant boundary test and the +X ray
-// crossing test, and ringRes decides exactly as locateIndexed does.
-func ringLocation(p geom.Coord, ring geom.Ring) geom.PointInRingResult {
+// one pass: each edge runs the tolerant boundary test within locate's
+// bound d and the +X ray crossing test, and ringRes decides exactly as
+// locateIndexed does.
+func ringLocation(p geom.Coord, ring geom.Ring, d float64) geom.PointInRingResult {
 	var st ringState
 	for i := 0; i+1 < len(ring); i++ {
 		a, b := ring[i], ring[i+1]
-		if nearSegment(p, a, b) {
+		if nearSegment(p, a, b, d) {
 			return geom.RingBoundary
 		}
 		if (a.Y > p.Y) != (b.Y > p.Y) {
