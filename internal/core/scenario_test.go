@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
@@ -117,18 +118,28 @@ func TestToxicSpillFindsNearestHospitals(t *testing.T) {
 	if len(rs.Rows) != 3 {
 		t.Fatalf("kNN returned %d hospitals", len(rs.Rows))
 	}
-	// Oracle: scan the dataset.
+	// Oracle: scan the dataset with the kernel ST_DISTANCE calls. Each
+	// rank's distance must equal the oracle's exactly, and its name must
+	// be a hospital's at that distance.
+	probe := geom.Point{Coord: mid}
 	var best []float64
+	hospitals := map[string][]float64{}
 	for _, p := range ctx.Dataset.PointLandmarks {
 		if p.Category != "hospital" {
 			continue
 		}
-		best = append(best, geom.Dist(p.Geom.Coord, mid))
+		d := geom.Distance(p.Geom, probe)
+		best = append(best, d)
+		hospitals[p.Name] = append(hospitals[p.Name], d)
 	}
 	sortFloats(best)
 	for i, row := range rs.Rows {
-		if got := row[1].Float; got > best[i]+1e-9 {
-			t.Errorf("rank %d: engine distance %v > oracle %v", i, got, best[i])
+		name, got := row[0].Text, row[1].Float
+		if got != best[i] {
+			t.Errorf("rank %d: engine distance %v, oracle %v", i, got, best[i])
+		}
+		if !slices.Contains(hospitals[name], got) {
+			t.Errorf("rank %d: %q at distance %v is not a hospital at that distance", i, name, got)
 		}
 	}
 }

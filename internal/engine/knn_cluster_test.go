@@ -13,9 +13,9 @@ import (
 // 2- and 4-shard in-proc clusters, over the same tables, and compares
 // each with the sort form on one engine: same rows, distances and errors.
 func TestKNNMatchesSortCluster(t *testing.T) {
-	knn, sorted := engine.KNNOracleQueries(engine.KNNOracleProbes(7))
+	qs := engine.KNNOracleQueries(engine.KNNOracleProbes(7))
 	for _, n := range []int{2, 4} {
-		for _, dirty := range []bool{false, true} {
+		for _, v := range engine.KNNOracleVariants {
 			single := engine.Open(engine.GaiaDB())
 			shards := make([]driver.Connector, n)
 			for i := range shards {
@@ -34,39 +34,31 @@ func TestKNNMatchesSortCluster(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer conn.Close()
-			stmts := engine.KNNOracleRows(11, 240, dirty)
-			for i, s := range append([]string{"CREATE TABLE t (id INTEGER, name TEXT, g GEOMETRY)"}, stmts...) {
-				if i == len(stmts)/2+1 {
-					s2 := "CREATE SPATIAL INDEX t_g ON t (g)"
-					single.MustExec(s2)
-					if _, err := conn.Exec(s2); err != nil {
-						t.Fatal(err)
-					}
-				}
+			engine.KNNOracleTable(func(s string) {
 				single.MustExec(s)
 				if _, err := conn.Exec(s); err != nil {
 					t.Fatalf("%s: %v", s, err)
 				}
-			}
+			}, 240, v.Dirty, v.Indexed)
 			bad := 0
-			for i := range knn {
+			for _, q := range qs {
 				var rows, want [][]string
-				rs, err := conn.Query(knn[i])
+				rs, err := conn.Query(q.KNN)
 				if err == nil {
 					rows = engine.RenderRows(rs.Rows)
 				}
-				res, wantErr := single.Exec(sorted[i])
+				res, wantErr := single.Exec(q.Sorted)
 				if wantErr == nil {
 					want = engine.RenderRows(res.Rows)
 				}
 				if d := engine.KNNDisagreement(rows, err, want, wantErr); d != "" {
 					if bad++; bad <= 5 {
-						t.Errorf("%d shards (dirty=%v): %s: %s", n, dirty, knn[i], d)
+						t.Errorf("%d shards %+v: %s: %s", n, v, q.KNN, d)
 					}
 				}
 			}
 			if bad > 0 {
-				t.Errorf("%d shards (dirty=%v): %d of %d kNN queries disagree with the sort form", n, dirty, bad, len(knn))
+				t.Errorf("%d shards %+v: %d of %d kNN queries disagree with the sort form", n, v, bad, len(qs))
 			}
 		}
 	}

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"strings"
 	"testing"
@@ -61,22 +62,74 @@ func knnOracleProbes(seed int64) []string {
 	return probes
 }
 
-// knnOracleQueries pairs each kNN-shaped query with its sort form, which
-// orders by ST_Distance(...) + 0 and so never matches the kNN shape.
-func knnOracleQueries(probes []string) (knn, sorted []string) {
-	filters := []string{"", "WHERE name = 'b' ", "WHERE id % 3 <> 0 "}
-	windows := []string{"LIMIT 1", "LIMIT 5", "LIMIT 3 OFFSET 2", "LIMIT 0", "LIMIT 200 OFFSET 90"}
+// knnQuery is one kNN-shaped query and its sort form, which orders by
+// ST_Distance(...) + 0 and so never matches the kNN shape, with the
+// WHERE clause and the k = offset+limit its plan depends on.
+type knnQuery struct {
+	KNN, Sorted, Where string
+	K                  int
+}
+
+// knnOracleQueries builds every kNN-shaped query over the probes: no
+// filter, filters no index drives, and equality and range filters an
+// index on name or id drives, matching about a third of the rows, one
+// row, none and a fifth.
+func knnOracleQueries(probes []string) []knnQuery {
+	filters := []string{"", "WHERE name = 'b' ", "WHERE id % 3 <> 0 ",
+		"WHERE id = 17 ", "WHERE name = 'zz' ", "WHERE id BETWEEN 10 AND 60 "}
+	windows := []struct {
+		sql string
+		k   int
+	}{{"LIMIT 1", 1}, {"LIMIT 5", 5}, {"LIMIT 3 OFFSET 2", 5}, {"LIMIT 0", 0}, {"LIMIT 200 OFFSET 90", 290}}
+	var qs []knnQuery
 	for _, p := range probes {
 		for _, f := range filters {
 			for _, w := range windows {
 				d := fmt.Sprintf("ST_Distance(g, %s)", p)
 				base := fmt.Sprintf("SELECT id, %s FROM t %sORDER BY %s", d, f, d)
-				knn = append(knn, base+" "+w)
-				sorted = append(sorted, base+" + 0 "+w)
+				qs = append(qs, knnQuery{KNN: base + " " + w.sql, Sorted: base + " + 0 " + w.sql, Where: f, K: w.k})
 			}
 		}
 	}
-	return knn, sorted
+	return qs
+}
+
+// knnOracleTable creates table t of n oracle rows through exec, with a
+// spatial index on g and, when indexed is set, B-tree indexes on name
+// and id, all created halfway through the inserts so the second half
+// goes through index maintenance.
+func knnOracleTable(exec func(string), n int, dirty, indexed bool) {
+	exec("CREATE TABLE t (id INTEGER, name TEXT, g GEOMETRY)")
+	stmts := knnOracleRows(11, n, dirty)
+	for i, s := range stmts {
+		if i == len(stmts)/2 {
+			exec("CREATE SPATIAL INDEX t_g ON t (g)")
+			if indexed {
+				exec("CREATE INDEX t_name ON t (name)")
+				exec("CREATE INDEX t_id ON t (id)")
+			}
+		}
+		exec(s)
+	}
+}
+
+// knnPredictedPath is the plan the browse-or-seek rule gives a kNN
+// query on engine e over n rows: the sort form's path when the table
+// holds NULL or empty geometries, knn over a full scan, and over an
+// index path matching m rows knn only when m >= ceil(sqrt(k*n)).
+func knnPredictedPath(e *Engine, q knnQuery, n int, dirty bool) string {
+	path := e.MustExec("EXPLAIN " + q.Sorted).Rows[0][1].String()
+	switch {
+	case dirty:
+		return path
+	case path == "seqscan":
+		return "knn"
+	}
+	m := e.MustExec("SELECT COUNT(*) FROM t " + q.Where).Rows[0][0].Int
+	if float64(m) >= math.Ceil(math.Sqrt(float64(q.K*n))) {
+		return "knn"
+	}
+	return path
 }
 
 // knnDisagreement compares a kNN result with its sort form's on error
@@ -118,41 +171,41 @@ func resultRows(res *sql.Result) [][]string {
 // TestKNNMatchesSort runs every kNN-shaped query against its sort form on
 // both index kinds, over a table whose geometries are all indexed (the
 // plan is knn) and one holding NULL and empty geometries (the plan
-// declines to a full scan), and requires the same rows, distances and
-// errors.
+// declines), each with and without B-tree indexes on name and id (the
+// plan browses or seeks by the rule), and requires the predicted plan
+// and the same rows, distances and errors.
 func TestKNNMatchesSort(t *testing.T) {
-	knn, sorted := knnOracleQueries(knnOracleProbes(7))
+	const n = 240
+	qs := knnOracleQueries(knnOracleProbes(7))
 	for _, prof := range []Profile{GaiaDB(), CommerceDB()} {
-		for _, dirty := range []bool{false, true} {
+		for _, v := range knnOracleVariants {
 			e := Open(prof, WithParallelism(2))
-			e.MustExec("CREATE TABLE t (id INTEGER, name TEXT, g GEOMETRY)")
-			stmts := knnOracleRows(11, 240, dirty)
-			for i, s := range stmts {
-				if i == len(stmts)/2 {
-					e.MustExec("CREATE SPATIAL INDEX t_g ON t (g)")
+			knnOracleTable(func(s string) { e.MustExec(s) }, n, v.Dirty, v.Indexed)
+			bad, badPlan := 0, 0
+			for _, q := range qs {
+				if want, got := knnPredictedPath(e, q, n, v.Dirty), e.MustExec("EXPLAIN " + q.KNN).Rows[0][1].String(); got != want {
+					if badPlan++; badPlan <= 5 {
+						t.Errorf("%s %+v: %s plans %s, want %s", prof.Name, v, q.KNN, got, want)
+					}
 				}
-				e.MustExec(s)
-			}
-			wantPath := "knn"
-			if dirty {
-				wantPath = "seqscan"
-			}
-			if path := e.MustExec("EXPLAIN " + knn[len(knn)-1]).Rows[0][1].String(); path != wantPath {
-				t.Errorf("%s (dirty=%v): the kNN form plans %s, want %s", prof.Name, dirty, path, wantPath)
-			}
-			bad := 0
-			for i := range knn {
-				res, err := e.Exec(knn[i])
-				want, wantErr := e.Exec(sorted[i])
+				res, err := e.Exec(q.KNN)
+				want, wantErr := e.Exec(q.Sorted)
 				if d := knnDisagreement(resultRows(res), err, resultRows(want), wantErr); d != "" {
 					if bad++; bad <= 5 {
-						t.Errorf("%s (dirty=%v): %s: %s", prof.Name, dirty, knn[i], d)
+						t.Errorf("%s %+v: %s: %s", prof.Name, v, q.KNN, d)
 					}
 				}
 			}
-			if bad > 0 {
-				t.Errorf("%s (dirty=%v): %d of %d kNN queries disagree with the sort form", prof.Name, dirty, bad, len(knn))
+			if bad+badPlan > 0 {
+				t.Errorf("%s %+v: of %d kNN queries, %d disagree with the sort form and %d plan otherwise than predicted",
+					prof.Name, v, len(qs), bad, badPlan)
 			}
 		}
 	}
+}
+
+// knnOracleVariants are the oracle's tables: clean or holding NULL and
+// empty geometries, with or without B-tree indexes on name and id.
+var knnOracleVariants = []struct{ Dirty, Indexed bool }{
+	{false, false}, {true, false}, {false, true}, {true, true},
 }

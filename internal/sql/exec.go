@@ -353,9 +353,10 @@ func (r *Runner) execSelect(sel *Select, explainOnly bool, rowIDs *[]RowID) (*Re
 	for i, bt := range tables {
 		paths[i] = pickAccess(bt.tbl, bt.lo, bt.hi, scope, conjuncts)
 	}
-	// kNN upgrade for the single-table pattern.
-	if !hasAgg && len(tables) == 1 && paths[0].kind == accessFullScan {
-		if p, ok := tryKNN(sel, order, tables[0].tbl, scope); ok {
+	// kNN upgrade for the single-table pattern, over a full scan or an
+	// attribute path the browse beats.
+	if !hasAgg && len(tables) == 1 {
+		if p, ok := tryKNN(sel, order, tables[0].tbl, scope); ok && r.browseBeats(paths[0], sel, tables[0].tbl) {
 			paths[0] = p
 		}
 	}
@@ -937,53 +938,12 @@ func (r *Runner) scanTable(tbl Table, path accessPath, full []storage.Value,
 		}
 		probe = func(fn func(RowID) bool) { path.spatial.Search(window, fn) }
 
-	case accessAttrSeek:
-		key, ok, err := r.buildAttrKeyPrefix(path, full)
-		if err != nil {
-			return false, err
+	case accessAttrSeek, accessAttrRange:
+		p, err := r.attrProbe(path, full)
+		if err != nil || p == nil {
+			return err == nil, err
 		}
-		if !ok {
-			return true, nil
-		}
-		probe = func(fn func(RowID) bool) { path.attr.Seek(key, fn) }
-
-	case accessAttrRange:
-		keyPrefix, ok, err := r.buildAttrKeyPrefix(path, full)
-		if err != nil {
-			return false, err
-		}
-		if !ok {
-			return true, nil
-		}
-		loKey := keyPrefix
-		if path.rangeLo != nil {
-			v, err := Eval(path.rangeLo, full, r.reg)
-			if err != nil {
-				return false, err
-			}
-			if k, ok := appendKeyComponent(append([]byte(nil), keyPrefix...), v, path.rangeType); ok {
-				loKey = k
-			}
-		}
-		var hiKey []byte
-		hiInc := false
-		if path.rangeHi != nil && path.rangeLast {
-			v, err := Eval(path.rangeHi, full, r.reg)
-			if err != nil {
-				return false, err
-			}
-			if k, ok := appendKeyComponent(append([]byte(nil), keyPrefix...), v, path.rangeType); ok {
-				hiKey = k
-				hiInc = true
-			}
-		}
-		if hiKey == nil {
-			hiKey = btree.PrefixSuccessor(keyPrefix)
-		}
-		if len(loKey) == 0 {
-			loKey = nil
-		}
-		probe = func(fn func(RowID) bool) { path.attr.Range(loKey, hiKey, true, hiInc, fn) }
+		probe = p
 
 	default:
 		return false, fmt.Errorf("sql: unknown access path")
@@ -1007,6 +967,49 @@ func (r *Runner) scanTable(tbl Table, path accessPath, full []storage.Value,
 		return c
 	})
 	return cont, innerErr
+}
+
+// attrProbe builds an attribute path's index probe against the current
+// outer row: a seek of the key its equality probes build, or a range
+// past that prefix. It is nil when no row can match (a NULL or
+// unrepresentable key).
+func (r *Runner) attrProbe(path accessPath, row []storage.Value) (func(fn func(RowID) bool), error) {
+	keyPrefix, ok, err := r.buildAttrKeyPrefix(path, row)
+	if err != nil || !ok {
+		return nil, err
+	}
+	if path.kind == accessAttrSeek {
+		return func(fn func(RowID) bool) { path.attr.Seek(keyPrefix, fn) }, nil
+	}
+	loKey := keyPrefix
+	if path.rangeLo != nil {
+		v, err := Eval(path.rangeLo, row, r.reg)
+		if err != nil {
+			return nil, err
+		}
+		if k, ok := appendKeyComponent(append([]byte(nil), keyPrefix...), v, path.rangeType); ok {
+			loKey = k
+		}
+	}
+	var hiKey []byte
+	hiInc := false
+	if path.rangeHi != nil && path.rangeLast {
+		v, err := Eval(path.rangeHi, row, r.reg)
+		if err != nil {
+			return nil, err
+		}
+		if k, ok := appendKeyComponent(append([]byte(nil), keyPrefix...), v, path.rangeType); ok {
+			hiKey = k
+			hiInc = true
+		}
+	}
+	if hiKey == nil {
+		hiKey = btree.PrefixSuccessor(keyPrefix)
+	}
+	if len(loKey) == 0 {
+		loKey = nil
+	}
+	return func(fn func(RowID) bool) { path.attr.Range(loKey, hiKey, true, hiInc, fn) }, nil
 }
 
 // buildAttrKeyPrefix evaluates an access path's equality probes into a

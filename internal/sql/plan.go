@@ -1,6 +1,7 @@
 package sql
 
 import (
+	"math"
 	"strings"
 
 	"jackpine/internal/geom"
@@ -448,6 +449,34 @@ func tryKNN(sel *Select, order []Expr, tbl Table, scope *Scope) (accessPath, boo
 		return accessPath{}, false
 	}
 	return accessPath{kind: accessKNN, spatial: idx, knnProbe: probe}, true
+}
+
+// browseBeats reports whether a kNN source should replace the table's
+// chosen path: always over a full scan, and over an attribute seek or
+// range matching M of the table's N rows when M ≥ √(k·N), k =
+// offset+limit. Browsing past the filter reads about k·N/M candidates,
+// seeking reads M. M is counted with the path's own probe and stops at
+// ⌈√(k·N)⌉ entries, fetching no row. The probe's keys are constants: a
+// key that fails to evaluate or can match nothing keeps the seek, which
+// raises the error or returns nothing where it always has.
+func (r *Runner) browseBeats(path accessPath, sel *Select, tbl Table) bool {
+	switch path.kind {
+	case accessFullScan:
+		return true
+	case accessAttrSeek, accessAttrRange:
+	default:
+		return false
+	}
+	probe, err := r.attrProbe(path, nil)
+	if err != nil || probe == nil {
+		return false
+	}
+	enough := int(math.Ceil(math.Sqrt(float64(sel.Offset+sel.Limit) * float64(tbl.RowCount()))))
+	m := 0
+	if enough > 0 {
+		probe(func(RowID) bool { m++; return m < enough })
+	}
+	return m >= enough
 }
 
 // KNNShape matches the shape the planner upgrades to a kNN index scan:
