@@ -12,12 +12,16 @@
 // order of an equivalent single engine, and breaking ORDER BY ties by
 // _seq makes sorted merges deterministic.
 //
-// A cluster connection binds each single-table SELECT once, with the
-// engine's sql.Bind, against the table's catalog columns, and takes
-// every routing decision with the engine's own code over that tree:
-// the planner's spatial window (sql.SpatialWindow) for pruning, its kNN
-// shape (sql.KNNShape), the executor's output names (sql.OutputNames)
-// and its aggregate-state merge (sql.MergePartials). It routes
+// A cluster connection binds every SELECT once, joins included, with
+// the engine's sql.Bind, against its bindings' catalog columns, so a
+// statement that does not bind fails with the engine's error before
+// any shard is asked. It takes every routing decision with the
+// engine's own code over that tree: the planner's spatial window
+// (sql.SpatialWindow) for pruning, its PBSM and index-probe matchers
+// (sql.PBSMJoin, sql.JoinProbe) for the join pushdown's distance bound
+// and the gather's semijoin, its kNN shape (sql.KNNShape), the
+// executor's output names (sql.OutputNames) and its aggregate partials
+// and merge (sql.PartialItems, sql.MergePartials). It routes
 // statements through five paths, tried in order:
 //
 //   - the single-shard fast path: when the query's constant spatial

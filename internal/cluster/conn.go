@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"sync"
 
@@ -183,40 +184,30 @@ func (cn *Conn) single(ctx context.Context, shard int, query string) (*res, erro
 
 // routeSelect dispatches a SELECT down the routing decision tree:
 // fast path (single owning shard, statement forwarded verbatim), then
-// the shape-specific scatter paths, then the gather fallback.
+// the shape-specific scatter paths, then the gather fallback. A SELECT
+// that touches a partitioned table is bound once, before any shard is
+// asked, so one that does not bind fails with the engine's error.
 func (cn *Conn) routeSelect(ctx context.Context, t *sql.Select, orig string) (*res, error) {
-	refs := make([]*sql.TableRef, 0, 1+len(t.Joins))
-	refs = append(refs, t.From)
-	for i := range t.Joins {
-		refs = append(refs, t.Joins[i].Table)
-	}
-	partitioned := 0
-	for _, r := range refs {
-		info := cn.c.lookup(r.Table)
-		if info == nil {
-			return cn.single(ctx, 0, orig)
-		}
-		if info.partitioned() {
-			partitioned++
-		}
-	}
-	if partitioned == 0 {
+	b, err := cn.c.bindSelect(t)
+	switch {
+	case err != nil:
+		return nil, err
+	case b == nil:
+		// An unknown table: the shard engine supplies the error text.
+		return cn.single(ctx, 0, orig)
+	case !slices.ContainsFunc(b.infos, (*tableInfo).partitioned):
 		// Replicated tables only: any one shard holds the full data.
 		return cn.single(ctx, 0, orig)
-	}
-	if len(refs) > 1 {
-		if r, ok, err := cn.joinPushdown(ctx, t, refs); ok || err != nil {
+	case len(b.refs) > 1:
+		if r, ok, err := cn.joinPushdown(ctx, b); ok || err != nil {
 			return r, err
 		}
-		return cn.gather(ctx, t, orig)
+		return cn.gather(ctx, b, orig)
 	}
 
-	info := cn.c.lookup(t.From.Table)
-	b, err := cn.c.bindSelect(t, info)
-	if err != nil {
-		return nil, err
-	}
-	targets, eligible := cn.pruneTargets(info, b.where, info.geomCol)
+	info := b.infos[0]
+	win, ok := b.window(0, cn.c.reg)
+	targets, eligible := cn.pruneTargets(info, win, ok)
 
 	starOnly := len(t.Exprs) == 1 && t.Exprs[0].Star
 	mixedStar := false
@@ -241,19 +232,19 @@ func (cn *Conn) routeSelect(ctx context.Context, t *sql.Select, orig string) (*r
 
 	names := sql.OutputNames(t, b.scope)
 	if b.hasAgg {
-		if r, ok, err := cn.aggScan(ctx, t, b.exprs, names, targets, eligible); ok || err != nil {
+		if r, ok, err := cn.aggScan(ctx, b, names, targets, eligible); ok || err != nil {
 			return r, err
 		}
-		return cn.gather(ctx, t, orig)
+		return cn.gather(ctx, b, orig)
 	}
 	if mixedStar {
 		// Star mixed with expressions: column bookkeeping is not worth
 		// a fast path.
-		return cn.gather(ctx, t, orig)
+		return cn.gather(ctx, b, orig)
 	}
 	if len(t.OrderBy) > 0 {
 		if starOnly {
-			return cn.gather(ctx, t, orig)
+			return cn.gather(ctx, b, orig)
 		}
 		// The kNN shape the shards' planner upgrades to an index scan,
 		// on the partitioning column.
@@ -269,33 +260,68 @@ func (cn *Conn) routeSelect(ctx context.Context, t *sql.Select, orig string) (*r
 	return cn.plainScan(ctx, t, info, names, starOnly, targets, eligible)
 }
 
-// boundSelect is a single-table SELECT bound once, as the engine binds
-// it, against the table's catalog columns: pruning, the kNN shape, the
-// aggregate merge and the output names all run the engine's own code
-// over this tree.
+// boundSelect is a SELECT bound once, as the engine binds it, against
+// the catalog columns of its FROM and JOIN bindings: pruning, the kNN
+// shape, the join pushdown, the gather's reductions, the aggregate
+// merge and the output names all run the engine's own code over this
+// tree. Shard SQL is still rendered from the parse tree: conds[k] is
+// the parsed conjunct bconds[k] was bound from.
 type boundSelect struct {
+	sel    *sql.Select
+	refs   []*sql.TableRef
+	infos  []*tableInfo
+	lo     []int // binding i's first scope offset
 	scope  *sql.Scope
 	exprs  []sql.Expr // the select list, nil at a star
-	where  sql.Expr
+	conds  []sql.Expr // the WHERE and ON conjuncts, as parsed
+	bconds []sql.Expr // the same conjuncts, bound
 	order  []sql.Expr // the ORDER BY keys, bound only without aggregates
 	hasAgg bool
 }
 
-// bindSelect binds t, whose FROM table is info, in the engine's order:
-// select list, WHERE, then a non-aggregate ORDER BY. A statement that
-// does not bind fails here with the engine's error.
-func (c *Cluster) bindSelect(t *sql.Select, info *tableInfo) (*boundSelect, error) {
-	b := &boundSelect{scope: sql.NewScope(), hasAgg: len(t.GroupBy) > 0}
-	b.scope.AddTable(t.From.Name(), info.cols)
-	var err error
-	if b.exprs, err = c.bindExprs(t.Exprs, b.scope); err != nil {
-		return nil, err
+// bindSelect binds t against its bindings' catalog columns in the
+// engine's order: select list, WHERE, each ON, GROUP BY, then a
+// non-aggregate ORDER BY. b is nil, and nothing is bound, when a table
+// is unknown to the router.
+func (c *Cluster) bindSelect(t *sql.Select) (b *boundSelect, err error) {
+	b = &boundSelect{sel: t, scope: sql.NewScope(), hasAgg: len(t.GroupBy) > 0}
+	b.refs = append(b.refs, t.From)
+	conds := []sql.Expr{t.Where}
+	for _, j := range t.Joins {
+		b.refs = append(b.refs, j.Table)
+		conds = append(conds, j.On)
 	}
-	for _, e := range b.exprs {
-		b.hasAgg = b.hasAgg || sql.HasAggregate(e)
+	for _, r := range b.refs {
+		info := c.lookup(r.Table)
+		if info == nil {
+			return nil, nil
+		}
+		b.infos = append(b.infos, info)
+		b.lo = append(b.lo, b.scope.Len())
+		b.scope.AddTable(r.Name(), info.cols)
 	}
-	if b.where, err = sql.Bind(t.Where, b.scope, c.reg, false); err != nil {
-		return nil, err
+	b.exprs = make([]sql.Expr, len(t.Exprs))
+	for i, se := range t.Exprs {
+		if se.Star {
+			continue
+		}
+		if b.exprs[i], err = sql.Bind(se.Expr, b.scope, c.reg, true); err != nil {
+			return nil, err
+		}
+		b.hasAgg = b.hasAgg || sql.HasAggregate(b.exprs[i])
+	}
+	for _, cond := range conds {
+		bc, err := sql.Bind(cond, b.scope, c.reg, false)
+		if err != nil {
+			return nil, err
+		}
+		b.conds = append(b.conds, sql.Conjuncts(cond)...)
+		b.bconds = append(b.bconds, sql.Conjuncts(bc)...)
+	}
+	for _, g := range t.GroupBy {
+		if _, err := sql.Bind(g, b.scope, c.reg, false); err != nil {
+			return nil, err
+		}
 	}
 	if !b.hasAgg {
 		b.order = make([]sql.Expr, len(t.OrderBy))
@@ -308,31 +334,31 @@ func (c *Cluster) bindSelect(t *sql.Select, info *tableInfo) (*boundSelect, erro
 	return b, nil
 }
 
-// bindExprs binds a select list against scope, aggregates allowed; a
-// star item stays nil.
-func (c *Cluster) bindExprs(items []sql.SelectExpr, scope *sql.Scope) ([]sql.Expr, error) {
-	exprs := make([]sql.Expr, len(items))
-	for i, se := range items {
-		if se.Star {
-			continue
-		}
-		var err error
-		if exprs[i], err = sql.Bind(se.Expr, scope, c.reg, true); err != nil {
-			return nil, err
-		}
-	}
-	return exprs, nil
+// span is binding i's scope offsets [lo, hi).
+func (b *boundSelect) span(i int) (lo, hi int) {
+	return b.lo[i], b.lo[i] + len(b.infos[i].cols)
 }
 
-// bindWhere binds a condition against scope for pruning: nil when it
-// does not bind, which prunes nothing and leaves the error to the
-// statement's execution.
-func (c *Cluster) bindWhere(where sql.Expr, scope *sql.Scope) sql.Expr {
-	b, err := sql.Bind(where, scope, c.reg, false)
-	if err != nil {
-		return nil
+// pushed returns the conjuncts that read binding i's columns only (or
+// none), as parsed and as bound: inner-join semantics let each filter
+// the binding's fragment.
+func (b *boundSelect) pushed(i int) (conds, bconds []sql.Expr) {
+	lo, hi := b.span(i)
+	for k, c := range b.bconds {
+		if sql.RefsInRange(c, lo, hi) {
+			conds = append(conds, b.conds[k])
+			bconds = append(bconds, c)
+		}
 	}
-	return b
+	return conds, bconds
+}
+
+// window returns the constant spatial window (sql.SpatialWindow) the
+// conjuncts pushed to binding i confine its partitioning column to; ok
+// is false when there is none.
+func (b *boundSelect) window(i int, reg *sql.Registry) (geom.Rect, bool) {
+	_, own := b.pushed(i)
+	return sql.SpatialWindow(andAll(own), b.lo[i]+b.infos[i].geomCol, reg)
 }
 
 // forward sends the original statement to one shard unchanged. For
@@ -355,30 +381,19 @@ func (cn *Conn) forward(ctx context.Context, orig string, shard int, starOnly bo
 	return &res{cols: cols, rows: rows}, nil
 }
 
-// pruneTargets selects the shards whose data MBR can intersect the
-// constant spatial window the bound condition where confines info's
-// partitioning column, at scope offset geomCol, to (sql.SpatialWindow).
-// eligible reports whether a window existed at all — a windowless scan
-// targets every shard but is not counted against the prune rate.
-func (cn *Conn) pruneTargets(info *tableInfo, where sql.Expr, geomCol int) ([]int, bool) {
-	all := make([]int, cn.shards())
-	for i := range all {
-		all[i] = i
-	}
-	win, ok := sql.SpatialWindow(where, geomCol, cn.c.reg)
-	if !ok {
-		return all, false
-	}
+// pruneTargets selects the shards whose data MBR can intersect win,
+// the window a partitioned table's rows are confined to. ok reports
+// whether there is a window at all: a windowless scan targets every
+// shard, and is not counted against the prune rate (eligible).
+func (cn *Conn) pruneTargets(info *tableInfo, win geom.Rect, ok bool) (targets []int, eligible bool) {
 	cn.c.mu.Lock()
-	mbrs := append([]geom.Rect(nil), info.mbr...)
-	cn.c.mu.Unlock()
-	targets := make([]int, 0, len(mbrs))
-	for i, m := range mbrs {
-		if m.Intersects(win) {
+	defer cn.c.mu.Unlock()
+	for i, m := range info.mbr {
+		if !ok || m.Intersects(win) {
 			targets = append(targets, i)
 		}
 	}
-	return targets, true
+	return targets, ok
 }
 
 // seqRef builds an unresolved reference to the hidden sequence column.
@@ -410,7 +425,7 @@ func (cn *Conn) plainScan(ctx context.Context, t *sql.Select, info *tableInfo, n
 	if err != nil {
 		return nil, err
 	}
-	rows = sliceWindow(rows, t.Offset, t.Limit)
+	rows = sql.Window(rows, t.Offset, t.Limit)
 	out := make([][]storage.Value, len(rows))
 	for i, r := range rows {
 		out[i] = r[:seqIdx]
@@ -430,7 +445,7 @@ func (cn *Conn) orderedScan(ctx context.Context, t *sql.Select, knn bool, names 
 	if err != nil {
 		return nil, err
 	}
-	rows = sliceWindow(rows, t.Offset, t.Limit)
+	rows = sql.Window(rows, t.Offset, t.Limit)
 	out := make([][]storage.Value, len(rows))
 	for i, r := range rows {
 		out[i] = r[:keyStart]
@@ -568,7 +583,7 @@ func (cn *Conn) knnScan(ctx context.Context, t *sql.Select, info *tableInfo, pro
 	if len(merged) > want {
 		merged = merged[:want]
 	}
-	rows := sliceWindow(merged, t.Offset, t.Limit)
+	rows := sql.Window(merged, t.Offset, t.Limit)
 	out := make([][]storage.Value, len(rows))
 	for i, r := range rows {
 		out[i] = r[:keyStart]
@@ -589,44 +604,22 @@ func knnBound(merged [][]storage.Value, want, keyIdx int) float64 {
 	return math.Inf(-1)
 }
 
-// sliceWindow applies the original query's OFFSET/LIMIT to merged rows.
-func sliceWindow(rows [][]storage.Value, offset, limit int) [][]storage.Value {
-	if offset > 0 {
-		if offset >= len(rows) {
-			return nil
-		}
-		rows = rows[offset:]
-	}
-	if limit >= 0 && limit < len(rows) {
-		rows = rows[:limit]
-	}
-	return rows
-}
-
 // --- aggregate fast path -------------------------------------------------
 
 // aggScan handles global aggregates (no GROUP BY) whose projection
 // references columns only inside aggregate arguments: each shard
-// computes partial states — SUM/AVG rewritten to the exact
-// __PARTIAL_SUM carrier — and the router merges and finalizes once,
-// reproducing the single engine's results bit for bit. ok is false
-// when the query shape needs the gather path instead.
-func (cn *Conn) aggScan(ctx context.Context, t *sql.Select, exprs []sql.Expr, names []string, targets []int, eligible bool) (*res, bool, error) {
+// computes partial states (sql.PartialItems) and the router merges and
+// finalizes once, reproducing the single engine's results bit for bit.
+// ok is false when the query shape needs the gather path instead.
+func (cn *Conn) aggScan(ctx context.Context, b *boundSelect, names []string, targets []int, eligible bool) (*res, bool, error) {
+	t := b.sel
 	if len(t.GroupBy) > 0 || len(t.OrderBy) > 0 || t.Limit >= 0 || t.Offset > 0 {
 		return nil, false, nil
 	}
-	var aggs []*sql.FuncCall
-	for _, se := range t.Exprs {
-		if se.Star {
-			return nil, false, nil
-		}
-		if !collectAggs(se.Expr, false, &aggs) {
-			return nil, false, nil
-		}
+	items, ok := sql.PartialItems(b.exprs)
+	if !ok {
+		return nil, false, nil
 	}
-
-	// Shard-side projection: one partial state per aggregate.
-	items := partialItems(aggs)
 	shardSel := &sql.Select{
 		Exprs: items,
 		From:  &sql.TableRef{Table: t.From.Table, Alias: t.From.Alias},
@@ -639,7 +632,7 @@ func (cn *Conn) aggScan(ctx context.Context, t *sql.Select, exprs []sql.Expr, na
 	if err != nil {
 		return nil, true, err
 	}
-	row, err := cn.c.mergePartials(exprs, byShard, targets)
+	row, err := cn.c.mergePartials(b.exprs, byShard, targets)
 	if err != nil {
 		return nil, true, err
 	}
@@ -660,60 +653,6 @@ func (c *Cluster) mergePartials(exprs []sql.Expr, byShard map[int][][]storage.Va
 		rows[i] = byShard[s][0]
 	}
 	return sql.MergePartials(exprs, rows, c.reg)
-}
-
-// evalConst evaluates a column-free expression.
-func (c *Cluster) evalConst(e sql.Expr) (storage.Value, error) {
-	b, err := sql.Bind(e, sql.NewScope(), c.reg, false)
-	if err != nil {
-		return storage.Null(), err
-	}
-	return sql.Eval(b, nil, c.reg)
-}
-
-// collectAggs gathers top-level aggregate calls in projection order and
-// reports whether the expression is fast-path eligible: no column
-// references outside aggregate arguments, no aggregate ST_UNION (its
-// result is input-order dependent), no nested aggregates, no aggregate
-// without its one argument (the engine refuses those).
-func collectAggs(e sql.Expr, inAgg bool, aggs *[]*sql.FuncCall) bool {
-	switch x := e.(type) {
-	case nil:
-		return true
-	case *sql.Literal:
-		return true
-	case *sql.ColumnRef:
-		return inAgg
-	case *sql.UnaryExpr:
-		return collectAggs(x.Expr, inAgg, aggs)
-	case *sql.BinaryExpr:
-		return collectAggs(x.Left, inAgg, aggs) && collectAggs(x.Right, inAgg, aggs)
-	case *sql.IsNull:
-		return collectAggs(x.Expr, inAgg, aggs)
-	case *sql.Between:
-		return collectAggs(x.Expr, inAgg, aggs) &&
-			collectAggs(x.Lo, inAgg, aggs) && collectAggs(x.Hi, inAgg, aggs)
-	case *sql.FuncCall:
-		if sql.IsAggregateCall(x) {
-			if inAgg || x.Name == "ST_UNION" || (!x.Star && len(x.Args) != 1) {
-				return false
-			}
-			*aggs = append(*aggs, x)
-			for _, a := range x.Args {
-				if !collectAggs(a, true, aggs) {
-					return false
-				}
-			}
-			return true
-		}
-		for _, a := range x.Args {
-			if !collectAggs(a, inAgg, aggs) {
-				return false
-			}
-		}
-		return true
-	}
-	return false
 }
 
 // --- DML routing ---------------------------------------------------------
@@ -875,30 +814,24 @@ func (cn *Conn) routeCreateTable(t *sql.CreateTable) (*res, error) {
 // --- EXPLAIN -------------------------------------------------------------
 
 // routeExplain reports a synthetic router-level plan in the same
-// column shape as the engine's EXPLAIN.
+// column shape as the engine's EXPLAIN: each binding pruned by the
+// conjuncts the gather pushes to it.
 func (cn *Conn) routeExplain(t *sql.Explain) (*res, error) {
-	refs := make([]*sql.TableRef, 0, 1+len(t.Query.Joins))
-	refs = append(refs, t.Query.From)
-	for i := range t.Query.Joins {
-		refs = append(refs, t.Query.Joins[i].Table)
+	b, err := cn.c.bindSelect(t.Query)
+	switch {
+	case err != nil:
+		return nil, err
+	case b == nil:
+		return cn.single(context.Background(), 0, "EXPLAIN "+renderSelect(t.Query))
 	}
-	infos := make([]*tableInfo, len(refs))
-	scope := sql.NewScope()
-	for i, r := range refs {
-		if infos[i] = cn.c.lookup(r.Table); infos[i] == nil {
-			return cn.single(context.Background(), 0, "EXPLAIN "+renderSelect(t.Query))
-		}
-		scope.AddTable(r.Name(), infos[i].cols)
-	}
-	where := cn.c.bindWhere(t.Query.Where, scope)
 	out := &res{cols: []string{"table", "access", "rows"}}
-	lo := 0
-	for i, r := range refs {
-		info := infos[i]
+	for i, r := range b.refs {
+		info := b.infos[i]
 		access := "replicated(shard 0)"
 		total := int64(0)
 		if info.partitioned() {
-			targets, _ := cn.pruneTargets(info, where, lo+info.geomCol)
+			win, ok := b.window(i, cn.c.reg)
+			targets, _ := cn.pruneTargets(info, win, ok)
 			if len(targets) == 1 {
 				access = fmt.Sprintf("fastpath(shard %d of %d)", targets[0], cn.shards())
 			} else {
@@ -915,7 +848,6 @@ func (cn *Conn) routeExplain(t *sql.Explain) (*res, error) {
 			storage.NewText(access),
 			storage.NewInt(total),
 		})
-		lo += len(info.cols)
 	}
 	return out, nil
 }

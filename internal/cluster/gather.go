@@ -25,10 +25,10 @@ const gatherBatch = 1024
 // ways before any row moves:
 //
 //  1. per-binding pushdown: each conjunct of WHERE and the join ON
-//     clauses that references a single binding is pushed into that
-//     binding's fragment filter (self-joins OR their bindings' filters
-//     together, qualifiers stripped);
-//  2. spatial semijoin: a sargable join conjunct pred(B.geo, exprA)
+//     clauses that reads a single binding's columns is pushed into
+//     that binding's fragment filter (self-joins OR their bindings'
+//     filters together, qualifiers stripped);
+//  2. spatial semijoin: a spatial join conjunct pred(B.geo, exprA)
 //     confines B's useful rows to the envelope of exprA over A's own
 //     fragment, so the router first asks A's shards for that extent
 //     (one tiny aggregate scatter) and pushes the resulting
@@ -38,101 +38,61 @@ const gatherBatch = 1024
 //     there verbatim — no transient engine at all (star projections
 //     excepted: the shard's SELECT * exposes the physical _seq column
 //     at a position the router cannot strip without reshaping rows).
-func (cn *Conn) gather(ctx context.Context, t *sql.Select, orig string) (*res, error) {
-	refs := make([]*sql.TableRef, 0, 1+len(t.Joins))
-	refs = append(refs, t.From)
-	for i := range t.Joins {
-		refs = append(refs, t.Joins[i].Table)
-	}
-	single := len(refs) == 1
+func (cn *Conn) gather(ctx context.Context, b *boundSelect, orig string) (*res, error) {
+	n := len(b.refs)
 	hasStar := false
-	for _, se := range t.Exprs {
-		if se.Star {
-			hasStar = true
-		}
+	for _, se := range b.sel.Exprs {
+		hasStar = hasStar || se.Star
 	}
 
-	// Conjuncts eligible for pushdown come from WHERE and the join ON
-	// clauses (inner-join semantics: both filter the result).
-	var conjuncts []sql.Expr
-	conjuncts = append(conjuncts, sql.Conjuncts(t.Where)...)
-	for i := range t.Joins {
-		conjuncts = append(conjuncts, sql.Conjuncts(t.Joins[i].On)...)
+	// Per-binding pushed conjuncts, as parsed (qualifiers intact:
+	// stripping happens at render time). The semijoin windows are
+	// computed against this base pushdown, so the outcome does not
+	// depend on binding order.
+	pushed := make([][]sql.Expr, n)
+	for i := range b.refs {
+		pushed[i], _ = b.pushed(i)
 	}
-
-	// Duplicate binding names (the same table joined twice without
-	// distinct aliases) make qualifier matching ambiguous; those
-	// bindings get no pushdown, mirroring the engine's own resolution
-	// limits.
-	nameCount := make(map[string]int, len(refs))
-	for _, r := range refs {
-		nameCount[r.Name()]++
-	}
-
-	// Per-binding pushed conjuncts (qualifiers intact: pruning matches
-	// them against the binding, stripping happens at render time).
-	pushed := make([][]sql.Expr, len(refs))
-	for i, r := range refs {
-		if nameCount[r.Name()] > 1 {
-			continue
-		}
-		for _, c := range conjuncts {
-			if refsOnlyBinding(c, r.Name(), single) {
-				pushed[i] = append(pushed[i], c)
-			}
-		}
-	}
-
-	// Spatial semijoin reduction, computed against the base pushdown so
-	// the outcome does not depend on binding order.
-	empty := make([]bool, len(refs))
-	if !single {
-		base := pushed
-		extra := make([][]sql.Expr, len(refs))
-		for i, r := range refs {
-			info := cn.c.lookup(r.Table)
-			if nameCount[r.Name()] > 1 || !info.partitioned() {
-				continue
-			}
-			filters, none, err := cn.semijoinFilters(ctx, refs, nameCount, conjuncts, base, i, info)
-			if err != nil {
+	semi := make([][]geom.Rect, n)
+	for i, info := range b.infos {
+		if n > 1 && info.partitioned() {
+			var err error
+			if semi[i], err = cn.semijoin(ctx, b, pushed, i); err != nil {
 				return nil, err
 			}
-			empty[i] = none
-			extra[i] = filters
-		}
-		for i := range refs {
-			pushed[i] = append(pushed[i], extra[i]...)
 		}
 	}
 
-	// Per-binding shard targets, and their union across partitioned
-	// bindings for the single-shard forward.
-	targets := make([][]int, len(refs))
-	eligible := make([]bool, len(refs))
+	// Per-binding shard targets, pruned by the pushed window and the
+	// semijoin windows, and their union across partitioned bindings for
+	// the single-shard forward.
+	targets := make([][]int, n)
+	eligible := make([]bool, n)
 	unionSet := make(map[int]bool)
 	anyPart := false
 	anyEligible := false
-	for i, r := range refs {
-		info := cn.c.lookup(r.Table)
+	for i, info := range b.infos {
 		if !info.partitioned() {
 			continue
 		}
 		anyPart = true
-		if !empty[i] {
-			scope := sql.NewScope()
-			scope.AddTable(r.Name(), info.cols)
-			where := cn.c.bindWhere(andAll(pushed[i]), scope)
-			targets[i], eligible[i] = cn.pruneTargets(info, where, info.geomCol)
-			for _, s := range targets[i] {
-				unionSet[s] = true
+		win, ok := b.window(i, cn.c.reg)
+		for _, w := range semi[i] {
+			if !w.IsEmpty() {
+				pushed[i] = append(pushed[i], &sql.FuncCall{Name: "ST_INTERSECTS", Args: []sql.Expr{
+					&sql.ColumnRef{Column: info.cols[info.geomCol].Name}, envelopeLiteral(w),
+				}})
 			}
-		} else {
-			eligible[i] = true
+			if ok {
+				w = w.Intersect(win)
+			}
+			win, ok = w, true
 		}
-		if eligible[i] {
-			anyEligible = true
+		targets[i], eligible[i] = cn.pruneTargets(info, win, ok)
+		for _, s := range targets[i] {
+			unionSet[s] = true
 		}
+		anyEligible = anyEligible || eligible[i]
 	}
 	if anyPart && len(unionSet) == 1 && !hasStar {
 		shard := 0
@@ -148,18 +108,17 @@ func (cn *Conn) gather(ctx context.Context, t *sql.Select, orig string) (*res, e
 	// the first one's fetch (fetchFragment unions their branches).
 	var infos []*tableInfo
 	var frags [][][]storage.Value
-	fetched := make(map[string]bool, len(refs))
-	for i, ref := range refs {
+	fetched := make(map[string]bool, n)
+	for i, ref := range b.refs {
 		if fetched[ref.Table] {
 			continue
 		}
 		fetched[ref.Table] = true
-		info := cn.c.lookup(ref.Table) // caller verified every table is known
-		rows, err := cn.fetchFragment(ctx, refs, pushed, empty, targets, eligible, i, info)
+		rows, err := cn.fetchFragment(ctx, b, pushed, targets, eligible, i)
 		if err != nil {
 			return nil, err
 		}
-		infos = append(infos, info)
+		infos = append(infos, b.infos[i])
 		frags = append(frags, rows)
 	}
 	eng, err := cn.transientEngine(infos, frags, false)
@@ -212,70 +171,43 @@ func (cn *Conn) transientEngine(infos []*tableInfo, rows [][][]storage.Value, ta
 	return eng, nil
 }
 
-// semijoinFilters derives extra fragment filters for binding i from
-// sargable join conjuncts pred(B.geo, exprA) (spatialJoinBound): any
-// row of B that joins must place its geometry within the envelope of
-// some exprA value, and those envelopes all lie inside
-// ST_EXTENT(exprA) over A's fragment (expanded by the conjunct's
-// distance bound d for ST_DWithin). The extent is
-// fetched with a recursive routed aggregate — the partial-merge path,
-// one value per shard. none reports that an extent came back NULL or
-// empty: no A row can ever satisfy the conjunct, so B's fragment is
-// provably empty.
-func (cn *Conn) semijoinFilters(ctx context.Context, refs []*sql.TableRef, nameCount map[string]int, conjuncts []sql.Expr, pushed [][]sql.Expr, i int, info *tableInfo) ([]sql.Expr, bool, error) {
-	binding := refs[i].Name()
-	geoName := info.cols[info.geomCol].Name
-	var filters []sql.Expr
-	for _, c := range conjuncts {
-		x, y, expand, ok := cn.spatialJoinBound(c)
-		if !ok {
-			continue
-		}
-		args := [2]sql.Expr{x, y}
-		for k, arg := range args {
-			col, isCol := arg.(*sql.ColumnRef)
-			if !isCol || col.Table != binding || col.Column != geoName {
+// semijoin returns the windows the spatial join conjuncts
+// pred(B.geo, exprA) (sql.JoinProbe) confine binding i = B's
+// partitioning column to: a row of B that joins lies within d of some
+// exprA value (d = 0 but for ST_DWithin), so inside ST_EXTENT(exprA)
+// over A's fragment grown by d. The extent is fetched with a recursive
+// routed aggregate — the partial-merge path, one value per shard. A
+// NULL extent yields the empty window: no A row can satisfy the
+// conjunct, so B's fragment is provably empty.
+func (cn *Conn) semijoin(ctx context.Context, b *boundSelect, pushed [][]sql.Expr, i int) ([]geom.Rect, error) {
+	geo := b.lo[i] + b.infos[i].geomCol
+	var wins []geom.Rect
+	for _, c := range b.bconds {
+		for j := range b.refs {
+			if j == i {
 				continue
 			}
-			other := args[1-k]
-			if !sql.HasColumnRef(other) {
-				continue // constant probe: ordinary pushdown covers it
-			}
-			j := -1
-			for jj, r := range refs {
-				if jj != i && nameCount[r.Name()] == 1 && refsOnlyBinding(other, r.Name(), false) {
-					j = jj
-					break
-				}
-			}
-			if j < 0 {
+			lo, hi := b.span(j)
+			probe, d, ok := sql.JoinProbe(c, geo, lo, hi, cn.c.reg)
+			if !ok || d < 0 {
 				continue
 			}
-			env, none, err := cn.fragmentExtent(ctx, refs[j], pushed[j], other)
+			env, err := cn.fragmentExtent(ctx, b.refs[j], pushed[j], probe)
 			if err != nil {
-				return nil, false, err
+				return nil, err
 			}
-			if !none {
-				env = env.Expand(expand)
+			if env.IsEmpty() {
+				return []geom.Rect{env}, nil
 			}
-			if none || env.IsEmpty() {
-				return nil, true, nil
-			}
-			filters = append(filters, &sql.FuncCall{
-				Name: "ST_INTERSECTS",
-				Args: []sql.Expr{
-					&sql.ColumnRef{Table: binding, Column: geoName},
-					envelopeLiteral(env),
-				},
-			})
+			wins = append(wins, env.Expand(d))
 		}
 	}
-	return filters, false, nil
+	return wins, nil
 }
 
 // fragmentExtent asks binding ref's shards for ST_EXTENT(expr) over its
-// pushed fragment. none reports a NULL extent (no contributing row).
-func (cn *Conn) fragmentExtent(ctx context.Context, ref *sql.TableRef, pushed []sql.Expr, expr sql.Expr) (geom.Rect, bool, error) {
+// pushed fragment: the empty rectangle when no row contributes.
+func (cn *Conn) fragmentExtent(ctx context.Context, ref *sql.TableRef, pushed []sql.Expr, expr sql.Expr) (geom.Rect, error) {
 	sel := &sql.Select{
 		Exprs: []sql.SelectExpr{{Expr: &sql.FuncCall{
 			Name: "ST_EXTENT",
@@ -287,20 +219,15 @@ func (cn *Conn) fragmentExtent(ctx context.Context, ref *sql.TableRef, pushed []
 	}
 	r, err := cn.routeSelect(ctx, sel, renderSelect(sel))
 	if err != nil {
-		return geom.Rect{}, false, err
+		return geom.Rect{}, err
 	}
 	if len(r.rows) != 1 || len(r.rows[0]) != 1 {
-		return geom.Rect{}, false, fmt.Errorf("cluster: semijoin extent returned %d rows", len(r.rows))
+		return geom.Rect{}, fmt.Errorf("cluster: semijoin extent returned %d rows", len(r.rows))
 	}
-	v := r.rows[0][0]
-	if v.IsNull() || v.Type != storage.TypeGeom {
-		return geom.Rect{}, true, nil
+	if v := r.rows[0][0]; v.Type == storage.TypeGeom && v.Geom != nil {
+		return v.Geom.Envelope(), nil
 	}
-	env := v.Geom.Envelope()
-	if env.IsEmpty() {
-		return geom.Rect{}, true, nil
-	}
-	return env, false, nil
+	return geom.EmptyRect(), nil
 }
 
 // envelopeLiteral builds an ST_MAKEENVELOPE call for a rectangle.
@@ -315,22 +242,19 @@ func envelopeLiteral(r geom.Rect) sql.Expr {
 }
 
 // fetchFragment retrieves table refs[i]'s rows: the union of every
-// branch (binding of the same table), each filtered by its pushed
-// conjuncts with qualifiers stripped, scattered only to the union of
-// the branches' pruned shard targets. Replicated tables read from
-// shard 0.
-func (cn *Conn) fetchFragment(ctx context.Context, refs []*sql.TableRef, pushed [][]sql.Expr, empty []bool, targets [][]int, eligible []bool, i int, info *tableInfo) ([][]storage.Value, error) {
-	table := refs[i].Table
+// branch (binding of the same table) that some shard may answer, each
+// filtered by its pushed conjuncts with qualifiers stripped, scattered
+// only to the union of the branches' pruned shard targets. Replicated
+// tables read from shard 0.
+func (cn *Conn) fetchFragment(ctx context.Context, b *boundSelect, pushed [][]sql.Expr, targets [][]int, eligible []bool, i int) ([][]storage.Value, error) {
+	table, info := b.refs[i].Table, b.infos[i]
 	var branches []sql.Expr
 	full := false
 	all := true
 	unionSet := make(map[int]bool)
 	allEligible := true
-	for j, r := range refs {
-		if r.Table != table {
-			continue
-		}
-		if empty[j] {
+	for j, r := range b.refs {
+		if r.Table != table || info.partitioned() && len(targets[j]) == 0 {
 			continue
 		}
 		all = false
@@ -351,13 +275,10 @@ func (cn *Conn) fetchFragment(ctx context.Context, refs []*sql.TableRef, pushed 
 		}
 	}
 	if all {
-		// Every branch is provably empty: nothing to fetch.
-		if info.partitioned() {
-			cn.c.countScatter(0, cn.shards(), true)
-		}
+		// Every branch is pruned away: nothing to fetch.
+		cn.c.countScatter(0, cn.shards(), true)
 		return nil, nil
 	}
-
 	fragSel := &sql.Select{
 		Exprs: []sql.SelectExpr{{Star: true}},
 		From:  &sql.TableRef{Table: table},
@@ -445,22 +366,6 @@ func orAll(exprs []sql.Expr) sql.Expr {
 		}
 	}
 	return out
-}
-
-// refsOnlyBinding reports whether every column reference in the
-// expression names the given binding; unqualified references count
-// only when the query has a single binding (no ambiguity).
-func refsOnlyBinding(e sql.Expr, binding string, single bool) bool {
-	ok := true
-	sql.WalkExpr(e, func(x sql.Expr) {
-		if col, isCol := x.(*sql.ColumnRef); isCol {
-			if col.Table == binding || (col.Table == "" && single) {
-				return
-			}
-			ok = false
-		}
-	})
-	return ok
 }
 
 // loadFragment inserts fetched rows into a transient engine, preserving

@@ -3,7 +3,6 @@ package cluster
 import (
 	"context"
 	"math"
-	"strings"
 
 	"jackpine/internal/engine"
 	"jackpine/internal/geom"
@@ -42,49 +41,29 @@ const ShardColumn = "_shard"
 // the complement as one trailing pseudo-shard — through the same
 // exact carriers as the single-table aggregate path, so the result
 // matches a single engine bit for bit. ok is false when the shape is
-// ineligible (non-aggregate projection, no spatial conjunct linking
-// the partitioning geometry columns, replicated or duplicate-named
-// bindings) and the gather path should run instead.
-func (cn *Conn) joinPushdown(ctx context.Context, t *sql.Select, refs []*sql.TableRef) (*res, bool, error) {
-	if cn.shards() < 2 || len(refs) != 2 || refs[0].Name() == refs[1].Name() {
+// ineligible (a projection the partials cannot express, no spatial
+// conjunct linking the partitioning geometry columns, replicated or
+// duplicate-named bindings) and the gather path should run instead.
+func (cn *Conn) joinPushdown(ctx context.Context, b *boundSelect) (*res, bool, error) {
+	t, refs := b.sel, b.refs
+	if cn.shards() < 2 || len(refs) != 2 || refs[0].Name() == refs[1].Name() ||
+		!b.infos[0].partitioned() || !b.infos[1].partitioned() ||
+		len(t.GroupBy) > 0 || len(t.OrderBy) > 0 || t.Limit >= 0 || t.Offset > 0 {
 		return nil, false, nil
 	}
-	infoA, infoB := cn.c.lookup(refs[0].Table), cn.c.lookup(refs[1].Table)
-	if !infoA.partitioned() || !infoB.partitioned() {
-		return nil, false, nil
-	}
-	if len(t.GroupBy) > 0 || len(t.OrderBy) > 0 || t.Limit >= 0 || t.Offset > 0 {
-		return nil, false, nil
-	}
-	var aggs []*sql.FuncCall
-	for _, se := range t.Exprs {
-		if se.Star || !collectAggs(se.Expr, false, &aggs) {
-			return nil, false, nil
-		}
-	}
-	var conjuncts []sql.Expr
-	conjuncts = append(conjuncts, sql.Conjuncts(t.Where)...)
-	for i := range t.Joins {
-		conjuncts = append(conjuncts, sql.Conjuncts(t.Joins[i].On)...)
-	}
-	d, ok := cn.pushdownDistance(conjuncts,
-		refs[0].Name(), infoA.cols[infoA.geomCol].Name,
-		refs[1].Name(), infoB.cols[infoB.geomCol].Name)
+	items, ok := sql.PartialItems(b.exprs)
 	if !ok {
 		return nil, false, nil
 	}
-	scope := sql.NewScope()
-	scope.AddTable(refs[0].Name(), infoA.cols)
-	scope.AddTable(refs[1].Name(), infoB.cols)
-	exprs, err := cn.c.bindExprs(t.Exprs, scope)
-	if err != nil {
-		return nil, true, err
+	d, ok := b.joinDistance(cn.c.reg)
+	if !ok {
+		return nil, false, nil
 	}
 
 	// Phase 1: same-shard pairs via a partial-aggregate scatter of the
 	// original join. Not prune-eligible: the join itself is the filter.
 	shardSel := sql.CloneStatement(t).(*sql.Select)
-	shardSel.Exprs = partialItems(aggs)
+	shardSel.Exprs = items
 	shardSel.Limit = -1
 	targets := make([]int, cn.shards())
 	for i := range targets {
@@ -98,22 +77,16 @@ func (cn *Conn) joinPushdown(ctx context.Context, t *sql.Select, refs []*sql.Tab
 	}
 
 	// Phase 2: cross-shard pairs via the boundary complement.
-	comp, err := cn.buildComplement(ctx, []*tableInfo{infoA, infoB}, d)
+	comp, err := cn.buildComplement(ctx, b.infos, d)
 	if err != nil {
 		return nil, true, err
 	}
-	compSel := sql.CloneStatement(t).(*sql.Select)
-	compSel.Exprs = partialItems(aggs)
-	compSel.Limit = -1
+	compSel := sql.CloneStatement(shardSel).(*sql.Select)
 	neq := &sql.BinaryExpr{Op: "<>",
 		Left:  &sql.ColumnRef{Table: refs[0].Name(), Column: ShardColumn},
 		Right: &sql.ColumnRef{Table: refs[1].Name(), Column: ShardColumn},
 	}
-	if compSel.Where != nil {
-		compSel.Where = &sql.BinaryExpr{Op: "AND", Left: compSel.Where, Right: neq}
-	} else {
-		compSel.Where = neq
-	}
+	compSel.Where = andAll([]sql.Expr{t.Where, neq})
 	compRes, err := comp.Exec(renderSelect(compSel))
 	if err != nil {
 		return nil, true, err
@@ -121,95 +94,28 @@ func (cn *Conn) joinPushdown(ctx context.Context, t *sql.Select, refs []*sql.Tab
 
 	pseudo := cn.shards()
 	byShard[pseudo] = compRes.Rows
-	row, err := cn.c.mergePartials(exprs, byShard, append(targets, pseudo))
+	row, err := cn.c.mergePartials(b.exprs, byShard, append(targets, pseudo))
 	if err != nil {
 		return nil, true, err
 	}
 	cn.c.countJoinPushdown()
-	return &res{cols: sql.OutputNames(t, scope), rows: [][]storage.Value{row}}, true, nil
+	return &res{cols: sql.OutputNames(t, b.scope), rows: [][]storage.Value{row}}, true, nil
 }
 
-// partialItems builds the shard-side projection for a partial-aggregate
-// scatter: SUM/AVG rewritten to the exact __PARTIAL_SUM carrier, the
-// decomposable rest (COUNT, MIN, MAX, ST_EXTENT) verbatim.
-func partialItems(aggs []*sql.FuncCall) []sql.SelectExpr {
-	items := make([]sql.SelectExpr, len(aggs))
-	for i, a := range aggs {
-		switch a.Name {
-		case "SUM", "AVG":
-			items[i] = sql.SelectExpr{Expr: &sql.FuncCall{
-				Name: sql.PartialSumName,
-				Args: []sql.Expr{a.Args[0]},
-			}}
-		default:
-			items[i] = sql.SelectExpr{Expr: a}
+// joinDistance is the tightest envelope-distance bound a conjunct the
+// planner's PBSM matcher accepts (sql.PBSMJoin) places between the two
+// bindings' partitioning columns. ok is false when no conjunct links
+// them: cross-shard pairs are then unbounded and the pushdown unsound.
+func (b *boundSelect) joinDistance(reg *sql.Registry) (d float64, ok bool) {
+	lo, hi := b.span(1)
+	for _, c := range b.bconds {
+		outer, inner, dc, match := sql.PBSMJoin(b.scope, []sql.Expr{c}, lo, hi, reg)
+		if match && outer == b.infos[0].geomCol && inner == lo+b.infos[1].geomCol &&
+			dc >= 0 && (!ok || dc < d) {
+			d, ok = dc, true
 		}
 	}
-	return items
-}
-
-// spatialJoinBound parses a conjunct of the shape pred(x, y), with pred
-// a sargable spatial predicate, or ST_DWITHIN(x, y, d): it returns the
-// two geometry arguments and the envelope-distance bound every true
-// result obeys — 0 for a sargable predicate (true results have
-// intersecting envelopes), the constant d for ST_DWITHIN (a point
-// within d of a geometry lies in its envelope grown by d per axis). ok
-// is false for any other shape, and for a distance that references a
-// column or is not a finite non-negative number.
-func (cn *Conn) spatialJoinBound(c sql.Expr) (x, y sql.Expr, d float64, ok bool) {
-	fc, isCall := c.(*sql.FuncCall)
-	if !isCall {
-		return nil, nil, 0, false
-	}
-	name := strings.ToUpper(fc.Name)
-	switch {
-	case sql.IsSargableSpatial(name) && len(fc.Args) == 2:
-		return fc.Args[0], fc.Args[1], 0, true
-	case name == "ST_DWITHIN" && len(fc.Args) == 3:
-		if sql.HasColumnRef(fc.Args[2]) {
-			return nil, nil, 0, false
-		}
-		v, err := cn.c.evalConst(fc.Args[2])
-		if err != nil {
-			return nil, nil, 0, false
-		}
-		f, isNum := v.AsFloat()
-		if !isNum || f < 0 || math.IsInf(f, 0) || math.IsNaN(f) {
-			return nil, nil, 0, false
-		}
-		return fc.Args[0], fc.Args[1], f, true
-	}
-	return nil, nil, 0, false
-}
-
-// pushdownDistance finds the tightest envelope-distance bound implied
-// by the conjuncts linking the two bindings' partitioning geometry
-// columns. ok is false when no conjunct links them — then cross-shard
-// pairs are unbounded and the pushdown is unsound.
-func (cn *Conn) pushdownDistance(conjuncts []sql.Expr, aName, aGeo, bName, bGeo string) (float64, bool) {
-	best, found := 0.0, false
-	for _, c := range conjuncts {
-		x, y, d, ok := cn.spatialJoinBound(c)
-		if !ok || !linksGeomCols(x, y, aName, aGeo, bName, bGeo) {
-			continue
-		}
-		if !found || d < best {
-			best, found = d, true
-		}
-	}
-	return best, found
-}
-
-// linksGeomCols reports whether the two expressions are the two
-// bindings' bare geometry columns, in either order.
-func linksGeomCols(x, y sql.Expr, aName, aGeo, bName, bGeo string) bool {
-	cx, okx := x.(*sql.ColumnRef)
-	cy, oky := y.(*sql.ColumnRef)
-	if !okx || !oky {
-		return false
-	}
-	return (cx.Table == aName && cx.Column == aGeo && cy.Table == bName && cy.Column == bGeo) ||
-		(cx.Table == bName && cx.Column == bGeo && cy.Table == aName && cy.Column == aGeo)
+	return d, ok
 }
 
 // buildComplement assembles the transient engine holding, for each

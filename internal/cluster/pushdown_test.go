@@ -52,7 +52,11 @@ func loadJoinFixture(t *testing.T, f *routerFixture) {
 
 // TestJoinPushdownEquivalence: co-partitioned aggregate spatial joins
 // must run shard-local — zero gather-engine builds — and match the
-// single engine exactly, cross-shard boundary pairs included.
+// single engine exactly, cross-shard boundary pairs included. The
+// pushdown binds the statement as the engine does, so a join qualified
+// by table name, not at all, or with its operands swapped, a spatial
+// conjunct in WHERE, and a distance given as an expression push down
+// too.
 func TestJoinPushdownEquivalence(t *testing.T) {
 	f := newRouterFixture(t)
 	loadJoinFixture(t, f)
@@ -62,17 +66,20 @@ func TestJoinPushdownEquivalence(t *testing.T) {
 		"SELECT COUNT(*) FROM jpts p JOIN jareas a ON ST_DWithin(p.loc, a.shape, 3.0)",
 		"SELECT COUNT(*), AVG(p.id) FROM jpts p JOIN jareas a ON ST_Intersects(p.loc, a.shape) WHERE a.id < 30",
 		"SELECT COUNT(*) FROM jpts a JOIN jpts b ON ST_DWithin(a.loc, b.loc, 4.0) WHERE a.id < b.id",
+		"SELECT COUNT(*) FROM jpts p JOIN jareas a ON ST_Intersects(loc, shape)",
+		"SELECT COUNT(*), SUM(jpts.id) FROM jpts JOIN jareas ON ST_Intersects(jpts.loc, jareas.shape)",
+		"SELECT COUNT(*) FROM jpts p JOIN jareas a ON ST_Intersects(a.shape, p.loc)",
+		"SELECT COUNT(*) FROM jpts p JOIN jareas a ON a.id < 30 WHERE ST_Intersects(p.loc, a.shape)",
+		"SELECT COUNT(*) FROM jpts p JOIN jareas a ON ST_DWithin(p.loc, a.shape, 2 + 3)",
+		"SELECT COUNT(*) + 1 FROM jpts p JOIN jareas a ON ST_Intersects(p.loc, a.shape)",
 	}
 	for _, q := range queries {
+		f.cl.ResetShardStats()
 		compareQuery(t, q, q, f.single, f.cluster)
-	}
-	ss := f.cl.ShardStats()
-	if ss.JoinPushdowns != len(queries) {
-		t.Errorf("JoinPushdowns = %d, want %d (every aggregate join shard-local)",
-			ss.JoinPushdowns, len(queries))
-	}
-	if ss.GatherBuilds != 0 {
-		t.Errorf("GatherBuilds = %d, want 0: pushdown must not fall back to the gather engine", ss.GatherBuilds)
+		if ss := f.cl.ShardStats(); ss.JoinPushdowns != 1 || ss.GatherBuilds != 0 {
+			t.Errorf("%s: JoinPushdowns = %d, GatherBuilds = %d, want a shard-local join and no gather engine",
+				q, ss.JoinPushdowns, ss.GatherBuilds)
+		}
 	}
 }
 
@@ -166,9 +173,10 @@ func TestJoinPushdownEdgeOverhang(t *testing.T) {
 }
 
 // TestJoinPushdownIneligible: joins the decomposition cannot express —
-// row-returning projections, or no spatial conjunct linking the two
-// partitioning geometry columns — must keep the gather path and stay
-// correct there.
+// row-returning projections, an aggregate whose result depends on
+// input order, or no spatial conjunct bounding the distance between
+// the two partitioning geometry columns — must keep the gather path
+// and stay correct there.
 func TestJoinPushdownIneligible(t *testing.T) {
 	f := newRouterFixture(t)
 	loadJoinFixture(t, f)
@@ -181,16 +189,45 @@ func TestJoinPushdownIneligible(t *testing.T) {
 		// Infinite distance: no margin bounds cross-shard pairs, and the
 		// gather path must not turn it into a semijoin window.
 		"SELECT COUNT(*) FROM jpts p JOIN jareas a ON ST_DWithin(p.loc, a.shape, 1e308 * 10)",
+		// Negative distance: no pair joins, and no margin is defined.
+		"SELECT COUNT(*) FROM jpts p JOIN jareas a ON ST_DWithin(p.loc, a.shape, -1)",
+		// The predicate does not link the partitioning columns themselves.
+		"SELECT COUNT(*) FROM jpts p JOIN jareas a ON ST_Intersects(ST_Buffer(p.loc, 1), a.shape)",
+		// ST_UNION's result depends on the order of its input.
+		"SELECT ST_Union(p.loc) FROM jpts p JOIN jareas a ON ST_Intersects(p.loc, a.shape)",
 	}
 	for _, q := range queries {
+		f.cl.ResetShardStats()
 		compareQuery(t, q, q, f.single, f.cluster)
+		if ss := f.cl.ShardStats(); ss.JoinPushdowns != 0 || ss.GatherBuilds != 1 {
+			t.Errorf("%s: JoinPushdowns = %d, GatherBuilds = %d, want the gather engine",
+				q, ss.JoinPushdowns, ss.GatherBuilds)
+		}
 	}
-	ss := f.cl.ShardStats()
-	if ss.JoinPushdowns != 0 {
-		t.Errorf("JoinPushdowns = %d, want 0 for ineligible joins", ss.JoinPushdowns)
-	}
-	if ss.GatherBuilds == 0 {
-		t.Error("ineligible joins should have used the gather engine")
+}
+
+// TestRouterJoinBindError: a join that does not bind fails through the
+// router with the single engine's error, raised before any shard is
+// asked or any gather engine built.
+func TestRouterJoinBindError(t *testing.T) {
+	f := newRouterFixture(t)
+	loadJoinFixture(t, f)
+	for _, q := range []string{
+		"SELECT id FROM jpts p JOIN jareas a ON ST_Intersects(p.loc, a.shape)",
+		"SELECT COUNT(*) FROM jpts p JOIN jareas a ON ST_Intersects(p.loc, a.shape) WHERE p.nope = 1",
+		"SELECT SUM(COUNT(*)) FROM jpts p JOIN jareas a ON ST_Intersects(p.loc, a.shape)",
+		"SELECT COUNT(p.id, a.id) FROM jpts p JOIN jareas a ON ST_Intersects(p.loc, a.shape)",
+		"SELECT COUNT(*) FROM jpts p JOIN jareas a ON ST_Nope(p.loc, a.shape)",
+	} {
+		f.cl.ResetShardStats()
+		_, werr := f.single.Query(q)
+		_, gerr := f.cluster.Query(q)
+		if werr == nil || gerr == nil || werr.Error() != gerr.Error() {
+			t.Errorf("%s: single err %v, cluster err %v, want one error", q, werr, gerr)
+		}
+		if ss := f.cl.ShardStats(); ss.ShardQueries != 0 || ss.GatherBuilds != 0 {
+			t.Errorf("%s: ShardQueries = %d, GatherBuilds = %d, want none", q, ss.ShardQueries, ss.GatherBuilds)
+		}
 	}
 }
 

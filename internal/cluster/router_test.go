@@ -114,21 +114,33 @@ func TestRouterDDLAndDML(t *testing.T) {
 	compareQuery(t, "after delete", "SELECT id FROM pois ORDER BY id", f.single, f.cluster)
 
 	// EXPLAIN reports the routing decision: a window owned by one shard
-	// is a fast path, a windowless scan is a scatter.
-	plan, err := f.cluster.Query("EXPLAIN SELECT id FROM pois WHERE ST_Intersects(loc, ST_MakeEnvelope(0, 0, 20, 20))")
-	if err != nil {
-		t.Fatal(err)
+	// is a fast path, a windowless scan is a scatter. A join prunes each
+	// binding by the conjuncts pushed to it, from WHERE or ON alike.
+	f.exec(t, "CREATE TABLE zones (zid INTEGER, shape GEOMETRY)")
+	f.exec(t, "INSERT INTO zones VALUES (1, ST_MakeEnvelope(0, 0, 30, 30)), (2, ST_MakeEnvelope(60, 60, 95, 95))")
+	join := "SELECT COUNT(*) FROM pois p JOIN zones z ON ST_Intersects(p.loc, z.shape)"
+	window := "ST_Intersects(p.loc, ST_MakeEnvelope(0, 0, 20, 20))"
+	joinPlan := "p fastpath(shard 0 of 4) | z scatter(4 of 4 shards)"
+	for _, c := range []struct{ q, want string }{
+		{"SELECT id FROM pois WHERE ST_Intersects(loc, ST_MakeEnvelope(0, 0, 20, 20))", "pois fastpath(shard 0 of 4)"},
+		{"SELECT id FROM pois", "pois scatter(4 of 4 shards)"},
+		{join + " AND " + window, joinPlan},
+		{join + " WHERE " + window, joinPlan},
+	} {
+		plan, err := f.cluster.Query("EXPLAIN " + c.q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var rows []string
+		for _, r := range plan.Rows {
+			rows = append(rows, r[0].String()+" "+r[1].String())
+		}
+		if got := strings.Join(rows, " | "); got != c.want {
+			t.Errorf("EXPLAIN %s = %s, want %s", c.q, got, c.want)
+		}
 	}
-	if len(plan.Rows) != 1 || !strings.Contains(plan.Rows[0][1].String(), "fastpath(") {
-		t.Fatalf("EXPLAIN should report a fast-path access path, got %v", plan.Rows)
-	}
-	plan, err = f.cluster.Query("EXPLAIN SELECT id FROM pois")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(plan.Rows) != 1 || !strings.Contains(plan.Rows[0][1].String(), "scatter(4 of 4") {
-		t.Fatalf("EXPLAIN should report a scatter access path, got %v", plan.Rows)
-	}
+	compareQuery(t, "join, window in ON", join+" AND "+window, f.single, f.cluster)
+	compareQuery(t, "join, window in WHERE", join+" WHERE "+window, f.single, f.cluster)
 
 	f.exec(t, "DROP TABLE pois")
 	if _, err := f.cluster.Query("SELECT id FROM pois"); err == nil {

@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"jackpine/internal/sql"
 	"jackpine/internal/storage"
 )
 
@@ -15,6 +16,8 @@ func seqRows(ids ...int64) [][]storage.Value {
 	return out
 }
 
+// TestSliceWindow holds the engine's OFFSET/LIMIT helper, which the
+// router also applies to merged shard rows, to its edge cases.
 func TestSliceWindow(t *testing.T) {
 	cases := []struct {
 		name          string
@@ -35,9 +38,9 @@ func TestSliceWindow(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			got := sliceWindow(tc.rows, tc.offset, tc.limit)
+			got := sql.Window(tc.rows, tc.offset, tc.limit)
 			if len(got) != len(tc.want) {
-				t.Fatalf("sliceWindow(%d rows, offset=%d, limit=%d) = %d rows, want %d",
+				t.Fatalf("Window(%d rows, offset=%d, limit=%d) = %d rows, want %d",
 					len(tc.rows), tc.offset, tc.limit, len(got), len(tc.want))
 			}
 			for i, r := range got {

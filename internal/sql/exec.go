@@ -644,7 +644,7 @@ func (r *Runner) execSelect(sel *Select, explainOnly bool, rowIDs *[]RowID) (*Re
 				return nil, err
 			}
 		} else {
-			rows = window(rows, sel.Offset, sel.Limit)
+			rows = Window(rows, sel.Offset, sel.Limit)
 		}
 		res.Rows = rows
 	case sorted != nil:
@@ -856,11 +856,11 @@ func (s *orderSink) result() [][]storage.Value {
 	for i := range s.rows {
 		out[i] = s.rows[i].row
 	}
-	return window(out, s.sel.Offset, s.sel.Limit)
+	return Window(out, s.sel.Offset, s.sel.Limit)
 }
 
-// window applies OFFSET and LIMIT (limit < 0: none) to ordered rows.
-func window(rows [][]storage.Value, offset, limit int) [][]storage.Value {
+// Window applies OFFSET and LIMIT (limit < 0: none) to ordered rows.
+func Window(rows [][]storage.Value, offset, limit int) [][]storage.Value {
 	rows = rows[min(offset, len(rows)):]
 	if limit >= 0 && limit < len(rows) {
 		rows = rows[:limit]

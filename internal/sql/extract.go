@@ -1,40 +1,61 @@
 package sql
 
 import (
-	"strings"
-
 	"jackpine/internal/geom"
 	"jackpine/internal/storage"
 )
 
-// This file exports the planner's predicate-analysis building blocks
-// to distributed query routers (internal/cluster): splitting WHERE
-// clauses into conjuncts, recognising sargable spatial predicates, and
-// a query's constant spatial window for shard pruning — found by the
-// planner's spatialProbe and evaluated by its evalWindow, over the tree
-// the router bound with Bind.
+// This file exports the planner's predicate analysis to distributed
+// query routers (internal/cluster), over the tree a router bound with
+// Bind: splitting conditions into conjuncts, the scope offsets a
+// conjunct reads, a query's constant spatial window for shard pruning
+// (found by the planner's spatialProbe, evaluated by its evalWindow),
+// and the spatial join predicates PBSM and a semijoin reduce on — found
+// by the same spatialProbe, so the spatial-predicate set is matched in
+// one place.
 
 // Conjuncts flattens nested ANDs into a conjunct list (nil input yields
-// nil).
+// nil). Bind keeps the AND shape, so the k-th conjunct of a bound
+// condition is bound from the k-th conjunct of the parsed one.
 func Conjuncts(e Expr) []Expr { return splitConjuncts(e) }
 
 // WalkExpr visits every node of the expression tree in prefix order.
 func WalkExpr(e Expr, fn func(Expr)) { walkExpr(e, fn) }
 
-// IsSargableSpatial reports whether the named predicate confines true
-// results to geometries whose envelopes intersect the probe's envelope
-// (ST_DWithin qualifies via its expansion distance, see SpatialWindow).
-func IsSargableSpatial(name string) bool { return sargableSpatial[strings.ToUpper(name)] }
+// RefsInRange reports whether every column a bound expression reads
+// lies at scope offsets [lo, hi).
+func RefsInRange(e Expr, lo, hi int) bool { return refsInRange(e, lo, hi) }
 
-// HasColumnRef reports whether the expression references any column.
-func HasColumnRef(e Expr) bool {
-	found := false
-	walkExpr(e, func(x Expr) {
-		if _, ok := x.(*ColumnRef); ok {
-			found = true
-		}
-	})
-	return found
+// PBSMJoin is the planner's PBSM matcher (findPBSMConjunct) over bound
+// conjuncts: a spatial predicate between a bare geometry column of the
+// inner table at scope offsets [innerLo, innerHi) and a bare outer one,
+// with a finite constant ST_DWithin distance if any. It returns the two
+// columns' offsets and d, the envelope distance every true result stays
+// within: 0, or the ST_DWithin distance.
+func PBSMJoin(scope *Scope, conjuncts []Expr, innerLo, innerHi int, reg *Registry) (outerCol, innerCol int, d float64, ok bool) {
+	fc, arg, d, ok := findPBSMConjunct(scope, conjuncts, innerLo, innerHi, reg)
+	if !ok {
+		return 0, 0, 0, false
+	}
+	return fc.args[arg].(*colRef).idx, fc.args[1-arg].(*colRef).idx, d, true
+}
+
+// JoinProbe matches a bound conjunct as the planner matches an index
+// probe (spatialProbe): pred(col, probe) or ST_DWithin(col, probe, d),
+// either operand order, with col the column at scope offset col and
+// probe reading columns at offsets [lo, hi) only, at least one. It
+// returns the probe as parsed and d, the envelope distance every true
+// result stays within (0 for a sargable predicate); ok is false unless
+// d is a finite constant.
+func JoinProbe(c Expr, col, lo, hi int, reg *Registry) (probe Expr, d float64, ok bool) {
+	fc, _, arg, ok := spatialProbe(c, col, col+1, lo, hi, func(*colRef) bool { return true })
+	if !ok || maxRef(fc.args[arg]) < 0 {
+		return nil, 0, false
+	}
+	if d, ok = constDistance(fc, reg); !ok {
+		return nil, 0, false
+	}
+	return fc.src.Args[arg], d, true
 }
 
 // SpatialWindow derives the constant query window a bound WHERE clause
@@ -48,7 +69,7 @@ func HasColumnRef(e Expr) bool {
 // evaluate: the statement's execution then raises the error itself.
 func SpatialWindow(where Expr, geomCol int, reg *Registry) (window geom.Rect, ok bool) {
 	for _, c := range splitConjuncts(where) {
-		fc, _, arg, matched := spatialProbe(c, 0, geomCol+1, func(col *colRef) bool { return col.idx == geomCol })
+		fc, _, arg, matched := spatialProbe(c, 0, geomCol+1, 0, 0, func(col *colRef) bool { return col.idx == geomCol })
 		if !matched {
 			continue
 		}
@@ -68,12 +89,10 @@ func SpatialWindow(where Expr, geomCol int, reg *Registry) (window geom.Rect, ok
 
 // ConstantGeometry evaluates a column-free expression to a geometry (for
 // routing INSERT rows by location). ok is false for NULL, non-geometry
-// results, evaluation errors, or expressions referencing columns; a text
-// result parses as WKT, matching the executor's INSERT coercion.
+// results and evaluation errors, a column reference among them (it does
+// not bind); a text result parses as WKT, matching the executor's
+// INSERT coercion.
 func ConstantGeometry(e Expr, reg *Registry) (geom.Geometry, bool) {
-	if HasColumnRef(e) {
-		return nil, false
-	}
 	v, err := evalConst(e, reg)
 	if err != nil {
 		return nil, false

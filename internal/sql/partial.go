@@ -94,6 +94,47 @@ func partialState(name string, v storage.Value) (aggState, error) {
 	return st, nil
 }
 
+// PartialItems builds the shard-side projection of a global aggregate
+// whose select list, bound with Bind, is exprs: one partial state per
+// aggregate call, in MergePartials' order — SUM and AVG as
+// PartialSumName, COUNT, MIN, MAX and ST_EXTENT as written. ok is false
+// when the partials cannot express the statement: a star item, a column
+// read outside an aggregate argument, or an ST_UNION aggregate, whose
+// result depends on input order.
+func PartialItems(exprs []Expr) (items []SelectExpr, ok bool) {
+	ok = true
+	free := 0 // column references outside every aggregate argument
+	countCols := func(e Expr, n int) {
+		walkExpr(e, func(x Expr) {
+			if _, isCol := x.(*colRef); isCol {
+				free += n
+			}
+		})
+	}
+	for _, e := range exprs {
+		if e == nil {
+			return nil, false
+		}
+		countCols(e, 1)
+		walkExpr(e, func(x Expr) {
+			a, isAgg := x.(*aggRef)
+			if !isAgg {
+				return
+			}
+			countCols(a.arg, -1)
+			item := SelectExpr{Expr: a.src}
+			switch a.src.Name {
+			case "ST_UNION":
+				ok = false
+			case "SUM", "AVG":
+				item.Expr = &FuncCall{Name: PartialSumName, Args: a.src.Args}
+			}
+			items = append(items, item)
+		})
+	}
+	return items, ok && free == 0
+}
+
 // MergePartials finalizes a global aggregate from per-shard partial
 // rows through the aggregator's own merge: exprs is the select list
 // bound against the query's scope (Bind), and each shard row holds one

@@ -354,28 +354,34 @@ func findPBSMConjunct(scope *Scope, conjuncts []Expr, innerLo, innerHi int,
 
 	isGeom := func(col *colRef) bool { return scope.Column(col.idx).Type == storage.TypeGeom }
 	for _, c := range conjuncts {
-		fc, _, arg, matched := spatialProbe(c, innerLo, innerHi, isGeom)
+		fc, _, arg, matched := spatialProbe(c, innerLo, innerHi, 0, innerLo, isGeom)
 		if !matched {
 			continue
 		}
 		if outer, isCol := fc.args[arg].(*colRef); !isCol || !isGeom(outer) {
 			continue
 		}
-		var d float64
-		if len(fc.args) == 3 {
-			dist := fc.args[2]
-			if maxRef(dist) >= 0 {
-				continue
-			}
-			v, err := Eval(dist, nil, reg)
-			var isNum bool
-			if d, isNum = v.AsFloat(); err != nil || !isNum || math.IsNaN(d) || math.IsInf(d, 0) {
-				continue
-			}
+		if d, ok := constDistance(fc, reg); ok {
+			return fc, arg, d, true
 		}
-		return fc, arg, d, true
 	}
 	return nil, 0, 0, false
+}
+
+// constDistance is the envelope-distance bound every true result of a
+// spatialProbe match obeys: 0 for a sargable predicate, the distance of
+// an ST_DWithin whose distance is a finite constant. ok is false for
+// any other distance.
+func constDistance(fc *callExpr, reg *Registry) (float64, bool) {
+	if len(fc.args) != 3 {
+		return 0, true
+	}
+	if maxRef(fc.args[2]) >= 0 {
+		return 0, false
+	}
+	v, err := Eval(fc.args[2], nil, reg)
+	d, isNum := v.AsFloat()
+	return d, err == nil && isNum && !math.IsNaN(d) && !math.IsInf(d, 0)
 }
 
 // choosePBSM is the auto-strategy cost decision. INL wins whenever the

@@ -236,7 +236,7 @@ func pickAccess(tbl Table, lo, hi int, scope *Scope, conjuncts []Expr) accessPat
 // only true for envelope-intersecting geometries, and the exact
 // predicate remains in the residual filter.
 func tryMBRPrefilter(lo, hi int, scope *Scope, c Expr) (accessPath, bool) {
-	fc, col, arg, ok := spatialProbe(c, lo, hi, func(col *colRef) bool {
+	fc, col, arg, ok := spatialProbe(c, lo, hi, 0, lo, func(col *colRef) bool {
 		return scope.Column(col.idx).Type == storage.TypeGeom
 	})
 	if !ok {
@@ -250,7 +250,7 @@ func tryMBRPrefilter(lo, hi int, scope *Scope, c Expr) (accessPath, bool) {
 // column with a spatial index.
 func trySpatialWindow(tbl Table, lo, hi int, scope *Scope, c Expr) (accessPath, bool) {
 	var idx SpatialIndex
-	fc, col, arg, ok := spatialProbe(c, lo, hi, func(col *colRef) bool {
+	fc, col, arg, ok := spatialProbe(c, lo, hi, 0, lo, func(col *colRef) bool {
 		idx = tbl.SpatialIndexOn(scope.Column(col.idx).Name)
 		return idx != nil
 	})
@@ -264,9 +264,10 @@ func trySpatialWindow(tbl Table, lo, hi int, scope *Scope, c Expr) (accessPath, 
 // spatialProbe matches pred(col, probe), pred sargable, or
 // ST_DWithin(col, probe, expand): col is a column of the table at scope
 // offsets [lo, hi) that accept takes, probe (and expand) read only
-// outer offsets. Either operand order matches; arg is the probe's
-// argument position in the call fc.
-func spatialProbe(c Expr, lo, hi int, accept func(*colRef) bool) (fc *callExpr, col *colRef, arg int, ok bool) {
+// offsets [plo, phi) — the outer offsets [0, lo) for the planner's
+// probes. Either operand order matches; arg is the probe's argument
+// position in the call fc.
+func spatialProbe(c Expr, lo, hi, plo, phi int, accept func(*colRef) bool) (fc *callExpr, col *colRef, arg int, ok bool) {
 	fc, isCall := c.(*callExpr)
 	if !isCall {
 		return nil, nil, 0, false
@@ -280,12 +281,12 @@ func spatialProbe(c Expr, lo, hi int, accept func(*colRef) bool) (fc *callExpr, 
 	if isDWithin {
 		wantArgs = 3
 	}
-	if len(fc.args) != wantArgs || isDWithin && !refsInRange(fc.args[2], 0, lo) {
+	if len(fc.args) != wantArgs || isDWithin && !refsInRange(fc.args[2], plo, phi) {
 		return nil, nil, 0, false
 	}
 	for i := 0; i < 2; i++ {
 		col, isCol := fc.args[i].(*colRef)
-		if isCol && col.idx >= lo && col.idx < hi && refsInRange(fc.args[1-i], 0, lo) && accept(col) {
+		if isCol && col.idx >= lo && col.idx < hi && refsInRange(fc.args[1-i], plo, phi) && accept(col) {
 			return fc, col, 1 - i, true
 		}
 	}
