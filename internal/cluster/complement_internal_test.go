@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 
 	"jackpine/internal/driver"
@@ -105,19 +106,71 @@ func expectedComplement(part Partitioner, rows, partners []complementRow, m floa
 	return want
 }
 
+// shardLog records the statements a cluster sends its shards.
+type shardLog struct {
+	mu    sync.Mutex
+	stmts []shardStmt
+}
+
+type shardStmt struct {
+	shard int
+	text  string
+}
+
+func (l *shardLog) add(shard int, text string) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	l.stmts = append(l.stmts, shardStmt{shard, text})
+}
+
+func (l *shardLog) take() []shardStmt {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	out := l.stmts
+	l.stmts = nil
+	return out
+}
+
+// loggedConnector opens sessions whose queries land in log first.
+type loggedConnector struct {
+	driver.Connector
+	shard int
+	log   *shardLog
+}
+
+func (c loggedConnector) Connect() (driver.Conn, error) {
+	conn, err := c.Connector.Connect()
+	return loggedConn{conn, c.shard, c.log}, err
+}
+
+type loggedConn struct {
+	driver.Conn
+	shard int
+	log   *shardLog
+}
+
+func (c loggedConn) Query(q string) (*driver.ResultSet, error) {
+	c.log.add(c.shard, q)
+	return c.Conn.Query(q)
+}
+
 // TestComplementIsBoundaryOnly: buildComplement must load exactly the
 // rows that can form a cross-shard pair — spill rows near the internal
 // edge and their band partners — and nothing that only hugs the outer
-// extent edges.
+// extent edges, with and without spatial indexes on the shards. Each
+// spill statement it sends is one ordinate comparison on the 1×2 grid,
+// which plans as a spatial-index probe once the shard has the index.
 func TestComplementIsBoundaryOnly(t *testing.T) {
 	ext := geom.Rect{MinX: 0, MinY: 0, MaxX: 100, MaxY: 100}
 	part, err := NewPartitioner(ext, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	shards := []driver.Connector{
-		driver.NewInProc(engine.Open(engine.GaiaDB())),
-		driver.NewInProc(engine.Open(engine.GaiaDB())),
+	engines := []*engine.Engine{engine.Open(engine.GaiaDB()), engine.Open(engine.GaiaDB())}
+	var log shardLog
+	shards := make([]driver.Connector, len(engines))
+	for i, e := range engines {
+		shards[i] = loggedConnector{driver.NewInProc(e), i, &log}
 	}
 	cl, err := Open(shards, part, Options{Profile: engine.GaiaDB()})
 	if err != nil {
@@ -148,41 +201,42 @@ func TestComplementIsBoundaryOnly(t *testing.T) {
 	fixture := map[string][]complementRow{"pts": complementPts, "boxes": complementBoxes}
 
 	joins := [][2]string{{"pts", "boxes"}, {"pts", "pts"}, {"boxes", "boxes"}}
-	for _, d := range []float64{0, 2, 7} {
-		m := spillMargin(ext, d)
-		for _, j := range joins {
-			eng, err := cn.buildComplement(context.Background(),
-				[]*tableInfo{cl.lookup(j[0]), cl.lookup(j[1])}, d)
-			if err != nil {
-				t.Fatalf("d=%g %v: %v", d, j, err)
-			}
-			for ti, table := range j {
-				if ti == 1 && j[1] == j[0] {
-					break
-				}
-				partners := fixture[j[1-ti]]
-				want := expectedComplement(part, fixture[table], partners, m)
-				res, err := eng.Exec("SELECT id, _shard FROM " + table)
-				if err != nil {
+	for _, indexed := range []bool{false, true} {
+		plan := "seqscan"
+		if indexed {
+			plan = "spatial-index"
+			for _, s := range []string{"CREATE SPATIAL INDEX pts_loc ON pts (loc)",
+				"CREATE SPATIAL INDEX boxes_shape ON boxes (shape)"} {
+				if _, err := cn.Exec(s); err != nil {
 					t.Fatal(err)
 				}
-				got := make(map[int]int, len(res.Rows))
-				for _, r := range res.Rows {
-					id := int(r[0].Int)
-					if _, dup := got[id]; dup {
-						t.Errorf("d=%g %v: %s row %d loaded twice", d, j, table, id)
-					}
-					got[id] = int(r[1].Int)
+			}
+		}
+		for _, d := range []float64{0, 2, 7} {
+			m := spillMargin(ext, d)
+			for _, j := range joins {
+				log.take()
+				eng, err := cn.buildComplement(context.Background(),
+					[]*tableInfo{cl.lookup(j[0]), cl.lookup(j[1])}, d)
+				if err != nil {
+					t.Fatalf("d=%g %v: %v", d, j, err)
 				}
-				if fmt.Sprint(sortedPairs(got)) != fmt.Sprint(sortedPairs(want)) {
-					t.Errorf("d=%g %v: %s complement (id:shard)\n got %v\nwant %v",
-						d, j, table, sortedPairs(got), sortedPairs(want))
-				}
-				for _, r := range fixture[table] {
-					if _, in := got[r.id]; in && r.note == "outer" {
-						t.Errorf("d=%g %v: %s row %d only hugs the outer extent edge but was loaded",
-							d, j, table, r.id)
+				checkComplement(t, eng, fmt.Sprintf("indexed=%v d=%g %v", indexed, d, j), j, part, m, fixture)
+				// The spill round sends one statement per shard and table;
+				// the band round's carry ST_INTERSECTS.
+				spills := 0
+				for _, st := range log.take() {
+					if strings.Contains(st.text, "ST_INTERSECTS") {
+						continue
 					}
+					spills++
+					if got := engines[st.shard].MustExec("EXPLAIN " + st.text).Rows[0][1].String(); got != plan {
+						t.Errorf("indexed=%v d=%g %v: shard %d plans %s for spill statement %s, want %s",
+							indexed, d, j, st.shard, got, st.text, plan)
+					}
+				}
+				if want := 2 * len(distinct(j)); spills != want {
+					t.Errorf("indexed=%v d=%g %v: %d spill statements, want %d", indexed, d, j, spills, want)
 				}
 			}
 		}
@@ -196,6 +250,45 @@ func TestComplementIsBoundaryOnly(t *testing.T) {
 	}
 	if _, ok := expectedComplement(part, complementBoxes, complementBoxes, m)[106]; !ok {
 		t.Error("fixture: box 106 should be a band partner at d=2")
+	}
+}
+
+// distinct lists a join's tables once each.
+func distinct(j [2]string) []string {
+	if j[0] == j[1] {
+		return j[:1]
+	}
+	return j[:]
+}
+
+// checkComplement compares the complement engine's rows of each joined
+// table with the brute-force complement.
+func checkComplement(t *testing.T, eng *engine.Engine, label string, j [2]string, part Partitioner,
+	m float64, fixture map[string][]complementRow) {
+	t.Helper()
+	for ti, table := range distinct(j) {
+		want := expectedComplement(part, fixture[table], fixture[j[1-ti]], m)
+		res, err := eng.Exec("SELECT id, _shard FROM " + table)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := make(map[int]int, len(res.Rows))
+		for _, r := range res.Rows {
+			id := int(r[0].Int)
+			if _, dup := got[id]; dup {
+				t.Errorf("%s: %s row %d loaded twice", label, table, id)
+			}
+			got[id] = int(r[1].Int)
+		}
+		if fmt.Sprint(sortedPairs(got)) != fmt.Sprint(sortedPairs(want)) {
+			t.Errorf("%s: %s complement (id:shard)\n got %v\nwant %v",
+				label, table, sortedPairs(got), sortedPairs(want))
+		}
+		for _, r := range fixture[table] {
+			if _, in := got[r.id]; in && r.note == "outer" {
+				t.Errorf("%s: %s row %d only hugs the outer extent edge but was loaded", label, table, r.id)
+			}
+		}
 	}
 }
 

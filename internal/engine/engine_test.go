@@ -385,6 +385,19 @@ func TestGridProfileQueries(t *testing.T) {
 	if res.Access[0] != "landmarks:spatial-index" {
 		t.Errorf("access = %v", res.Access)
 	}
+
+	// A window side far past the indexed extent clamps to the border
+	// cells: the index finds what a full scan finds.
+	e.MustExec("CREATE TABLE far (id INTEGER, geo GEOMETRY)")
+	e.MustExec("INSERT INTO far VALUES (1, ST_MakePoint(1, 1)), (2, ST_MakePoint(90, 90)), (3, ST_MakePoint(40, 95))")
+	q := "SELECT COUNT(*) FROM far WHERE ST_Intersects(geo, ST_MakeEnvelope(50, 50, 1e300, 1e300))"
+	if n := e.MustExec(q).Rows[0][0].Int; n != 1 {
+		t.Fatalf("seqscan count = %d, want 1", n)
+	}
+	e.MustExec("CREATE SPATIAL INDEX fidx ON far (geo)")
+	if res := e.MustExec(q); res.Rows[0][0].Int != 1 || res.Access[0] != "far:spatial-index" {
+		t.Errorf("grid-indexed count = %v via %v, want 1 via spatial-index", res.Rows[0][0], res.Access)
+	}
 }
 
 func TestDropSpatialIndex(t *testing.T) {

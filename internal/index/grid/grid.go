@@ -67,9 +67,11 @@ func (g *Index) cellRange(r geom.Rect) (x0, x1, y0, y1 int, ok bool) {
 
 // clampedRange returns the cell index ranges covering r, each clamped to
 // the grid: a rectangle outside the extent maps to the nearest cells.
+// The clamp happens in float: converting a cell number beyond int's
+// range (an infinite or ~1e19-cell side) to int is undefined.
 func (g *Index) clampedRange(r geom.Rect) (x0, x1, y0, y1 int) {
 	cell := func(v, lo, size float64, n int) int {
-		return max(0, min(n-1, int(math.Floor((v-lo)/size))))
+		return int(max(0, min(float64(n-1), math.Floor((v-lo)/size))))
 	}
 	return cell(r.MinX, g.extent.MinX, g.cellW, g.nx), cell(r.MaxX, g.extent.MinX, g.cellW, g.nx),
 		cell(r.MinY, g.extent.MinY, g.cellH, g.ny), cell(r.MaxY, g.extent.MinY, g.cellH, g.ny)

@@ -1,6 +1,7 @@
 package grid
 
 import (
+	"math"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -290,5 +291,33 @@ func TestGridPropertyMatchesBrute(t *testing.T) {
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 60}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestGridSearchUnboundedWindow: a window side far beyond the extent —
+// 1e300 or infinite, as a half-plane window has — must clamp to the
+// border cells, not wrap to cell 0 through an out-of-range int
+// conversion.
+func TestGridSearchUnboundedWindow(t *testing.T) {
+	es := randomEntries(300, 29)
+	g := New(extent(), 16, 16)
+	for _, e := range es {
+		g.Insert(e.Rect, e.ID)
+	}
+	inf := math.Inf(1)
+	queries := []geom.Rect{
+		{MinX: 500, MinY: 500, MaxX: 1e300, MaxY: 1e300},
+		{MinX: 500, MinY: 500, MaxX: inf, MaxY: inf},
+		{MinX: -1e300, MinY: -inf, MaxX: 300, MaxY: 700},
+		{MinX: -inf, MinY: -inf, MaxX: inf, MaxY: inf},
+		{MinX: 990, MinY: -inf, MaxX: inf, MaxY: 10},
+		{MinX: inf, MinY: -inf, MaxX: inf, MaxY: inf},
+	}
+	for _, q := range queries {
+		got := sortedIDs(g.SearchAll(q))
+		want := bruteSearch(es, q)
+		if !equalIDs(got, want) {
+			t.Errorf("query %+v: got %d, want %d", q, len(got), len(want))
+		}
 	}
 }

@@ -75,6 +75,7 @@ func TestEvalErrors(t *testing.T) {
 		{"'a' < ST_MakePoint(1, 2)", "compare"},
 		{"ST_NoSuchFunction(1)", "not supported"},
 		{"ST_Area(1)", "GEOMETRY"},
+		{"ST_YMAX('x')", "ST_YMAX: argument 1 is TEXT, want GEOMETRY"},
 		{"ST_Buffer(ST_MakePoint(0,0))", "argument"},
 		{"ABS('x')", "ABS"},
 		{"1 LIKE 2", "text"},

@@ -2,6 +2,7 @@ package sql
 
 import (
 	"container/heap"
+	"errors"
 	"fmt"
 	"math"
 	"math/big"
@@ -376,6 +377,9 @@ func (r *Runner) execSelect(sel *Select, explainOnly bool, rowIDs *[]RowID) (*Re
 		probe, expand := paths[i].windowExprs()
 		markUse(probe, "window")
 		markUse(expand, "window")
+		for _, o := range paths[i].ordinates {
+			markUse(o.k, "window")
+		}
 	}
 	// Stage filters compile once per plan (filter.go): comparisons into
 	// comparators, and, in join stages, residual spatial predicates whose
@@ -930,6 +934,10 @@ func (r *Runner) scanTable(tbl Table, path accessPath, full []storage.Value,
 
 	case accessSpatialWindow:
 		window, err := path.evalWindow(full, r.reg)
+		if errors.Is(err, errScanHeap) {
+			path.kind = accessFullScan
+			return r.scanTable(tbl, path, full, lo, emit)
+		}
 		if err != nil {
 			return false, err
 		}

@@ -137,15 +137,15 @@ func (r *Registry) registerExtras() {
 		return storage.NewGeom(g), nil
 	})
 
-	r.funcs["ST_XMIN"] = wrapN(1, "ST_XMIN", envOrdinate(func(rc geom.Rect) float64 { return rc.MinX }))
-	r.funcs["ST_YMIN"] = wrapN(1, "ST_YMIN", envOrdinate(func(rc geom.Rect) float64 { return rc.MinY }))
-	r.funcs["ST_XMAX"] = wrapN(1, "ST_XMAX", envOrdinate(func(rc geom.Rect) float64 { return rc.MaxX }))
-	r.funcs["ST_YMAX"] = wrapN(1, "ST_YMAX", envOrdinate(func(rc geom.Rect) float64 { return rc.MaxY }))
+	r.funcs["ST_XMIN"] = wrapN(1, "ST_XMIN", envOrdinate("ST_XMIN", func(rc geom.Rect) float64 { return rc.MinX }))
+	r.funcs["ST_YMIN"] = wrapN(1, "ST_YMIN", envOrdinate("ST_YMIN", func(rc geom.Rect) float64 { return rc.MinY }))
+	r.funcs["ST_XMAX"] = wrapN(1, "ST_XMAX", envOrdinate("ST_XMAX", func(rc geom.Rect) float64 { return rc.MaxX }))
+	r.funcs["ST_YMAX"] = wrapN(1, "ST_YMAX", envOrdinate("ST_YMAX", func(rc geom.Rect) float64 { return rc.MaxY }))
 }
 
-func envOrdinate(f func(geom.Rect) float64) FuncImpl {
+func envOrdinate(name string, f func(geom.Rect) float64) FuncImpl {
 	return func(args []storage.Value) (storage.Value, error) {
-		g, err := argGeom(args, 0, "ST_XMIN/..")
+		g, err := argGeom(args, 0, name)
 		if err != nil {
 			return storage.Null(), err
 		}

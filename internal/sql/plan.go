@@ -1,6 +1,7 @@
 package sql
 
 import (
+	"errors"
 	"math"
 	"strings"
 
@@ -49,11 +50,13 @@ type accessPath struct {
 
 	// Spatial window scans: the window is operand windowArg of the
 	// sargable call window, expanded by its distance when the call is
-	// ST_DWithin. It may depend on outer rows, so it is evaluated per
-	// invocation (evalWindow).
+	// ST_DWithin, or, when window is nil, the rectangle the ordinate
+	// comparisons bound. It may depend on outer rows, so it is evaluated
+	// per invocation (evalWindow).
 	spatial   SpatialIndex
 	window    *callExpr
 	windowArg int
+	ordinates []ordinateBound
 
 	// Attribute seeks and ranges over (possibly composite) indexes:
 	// equality probes for a prefix of the index columns, plus an
@@ -216,6 +219,9 @@ func pickAccess(tbl Table, lo, hi int, scope *Scope, conjuncts []Expr) accessPat
 			}
 		}
 	}
+	if p, ok := tryOrdinateWindow(tbl, lo, hi, scope, conjuncts); ok {
+		return p
+	}
 	// No index available: a sargable spatial predicate can still prune
 	// full-scan rows by envelope before decoding them.
 	for _, c := range conjuncts {
@@ -291,6 +297,79 @@ func spatialProbe(c Expr, lo, hi, plo, phi int, accept func(*colRef) bool) (fc *
 		}
 	}
 	return nil, nil, 0, false
+}
+
+// ordinateAxis maps the envelope-ordinate functions to the axis they
+// read: 0 for x, 1 for y.
+var ordinateAxis = map[string]int{"ST_XMIN": 0, "ST_XMAX": 0, "ST_YMIN": 1, "ST_YMAX": 1}
+
+// ordinateBound is one conjunct of an ordinate window: k bounds the
+// window along axis from above (upper) or below.
+type ordinateBound struct {
+	k     Expr
+	axis  int
+	upper bool
+}
+
+// matchOrdinate matches ST_XMIN|ST_YMIN|ST_XMAX|ST_YMAX(col) op k, op
+// one of < <= > >=, either operand first, col a column at scope offsets
+// [lo, hi) and k reading no column. ST_XMAX(g) > k needs the envelope
+// to reach x >= k; so does ST_XMIN(g) > k, since an envelope's max is
+// at least its min. Either form bounds the window from below, and the
+// `<` forms from above: the window holds the half-plane the envelope
+// must reach, a superset of the rows that satisfy the comparison.
+func matchOrdinate(c Expr, lo, hi int) (col int, ob ordinateBound, ok bool) {
+	b, isBin := c.(*BinaryExpr)
+	if !isBin {
+		return 0, ob, false
+	}
+	switch b.Op {
+	case "<", "<=":
+		ob.upper = true
+	case ">", ">=":
+	default:
+		return 0, ob, false
+	}
+	operands := [2]Expr{b.Left, b.Right}
+	for i, e := range operands {
+		k := operands[1-i]
+		fc, isCall := e.(*callExpr)
+		if !isCall || len(fc.args) != 1 || maxRef(k) >= 0 {
+			continue
+		}
+		axis, isOrd := ordinateAxis[strings.ToUpper(fc.src.Name)]
+		if cr, isCol := fc.args[0].(*colRef); isOrd && isCol && cr.idx >= lo && cr.idx < hi {
+			// k op ST_XMAX(g) is ST_XMAX(g) op' k with op mirrored.
+			return cr.idx, ordinateBound{k: k, axis: axis, upper: ob.upper == (i == 0)}, true
+		}
+	}
+	return 0, ob, false
+}
+
+// tryOrdinateWindow turns the ordinate comparisons (matchOrdinate) on
+// the first matched column with a spatial index into one window over
+// that index: the conjuncts on the column intersect. The comparisons
+// stay in the residual, so the rows are exactly a full scan's.
+func tryOrdinateWindow(tbl Table, lo, hi int, scope *Scope, conjuncts []Expr) (accessPath, bool) {
+	var p accessPath
+	col := -1
+	for _, c := range conjuncts {
+		at, ob, ok := matchOrdinate(c, lo, hi)
+		if !ok || col >= 0 && at != col {
+			continue
+		}
+		if col < 0 {
+			name := scope.Column(at).Name
+			idx := tbl.SpatialIndexOn(name)
+			if idx == nil {
+				continue
+			}
+			col = at
+			p = accessPath{kind: accessSpatialWindow, spatial: idx, idxCol: name}
+		}
+		p.ordinates = append(p.ordinates, ob)
+	}
+	return p, col >= 0
 }
 
 // tryAttrPath matches conjuncts against the table's attribute indexes:
@@ -543,12 +622,22 @@ func (p *accessPath) windowExprs() (probe, expand Expr) {
 	return p.window.args[p.windowArg], expand
 }
 
+// errScanHeap is evalWindow's answer for an ordinate bound that fails
+// to evaluate or is NULL, NaN or not a number: no window holds the rows
+// such a comparison keeps (NaN sorts above every number), so the source
+// scans the heap, and the residual comparisons decide every row, or
+// raise their error, as on a full scan.
+var errScanHeap = errors.New("sql: ordinate bound is not a number")
+
 // evalWindow computes the query window for a spatial access path against
 // the current (possibly partial) outer row. A NULL probe gives the empty
 // window; any other non-geometry raises the error the call itself
 // raises on every row, whose other operand, the probed geometry column,
 // passes the same argument check.
 func (p *accessPath) evalWindow(row []storage.Value, reg *Registry) (geom.Rect, error) {
+	if p.ordinates != nil {
+		return p.ordinateWindow(row, reg)
+	}
 	probe, expand := p.windowExprs()
 	v, err := Eval(probe, row, reg)
 	if err != nil {
@@ -573,4 +662,29 @@ func (p *accessPath) evalWindow(row []storage.Value, reg *Registry) (geom.Rect, 
 		}
 	}
 	return w, nil
+}
+
+// ordinateWindow evaluates an ordinate window. Along each axis the
+// lower bounds give lo, the largest coordinate the envelope's max must
+// reach, and the upper bounds hi, the smallest its min must reach down
+// to. When lo <= hi the envelope meets [lo, hi]; otherwise it spans
+// [hi, lo]. Either way it meets the interval between the two, which is
+// the window's side.
+func (p *accessPath) ordinateWindow(row []storage.Value, reg *Registry) (geom.Rect, error) {
+	inf := math.Inf(1)
+	lo, hi := [2]float64{-inf, -inf}, [2]float64{inf, inf}
+	for _, o := range p.ordinates {
+		v, err := Eval(o.k, row, reg)
+		k, isNum := v.AsFloat()
+		if err != nil || !isNum || math.IsNaN(k) {
+			return geom.EmptyRect(), errScanHeap
+		}
+		if o.upper {
+			hi[o.axis] = min(hi[o.axis], k)
+		} else {
+			lo[o.axis] = max(lo[o.axis], k)
+		}
+	}
+	return geom.Rect{MinX: min(lo[0], hi[0]), MinY: min(lo[1], hi[1]),
+		MaxX: max(lo[0], hi[0]), MaxY: max(lo[1], hi[1])}, nil
 }
