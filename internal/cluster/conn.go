@@ -498,12 +498,8 @@ func orderSpecs(t *sql.Select) []keySpec {
 // those shards are never bound-pruned. ok is false when the probe is
 // not a usable constant (the plain ordered scatter handles it).
 func (cn *Conn) knnScan(ctx context.Context, t *sql.Select, info *tableInfo, probe sql.Expr, names []string, targets []int) (*res, bool, error) {
-	v, err := sql.Eval(probe, nil, cn.c.reg)
-	if err != nil || v.Type != storage.TypeGeom {
-		return nil, false, nil
-	}
-	probeEnv := v.Geom.Envelope()
-	if probeEnv.IsEmpty() {
+	probeEnv, ok := sql.KNNProbe(probe, cn.c.reg)
+	if !ok {
 		return nil, false, nil
 	}
 	want := t.Limit + t.Offset

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -44,13 +45,18 @@ func knnOracleRows(seed int64, n int, dirty bool) []string {
 	return out
 }
 
+// knnUnusableProbes are the probes no kNN source browses from, since
+// they are not non-empty geometries: an empty geometry, NULL and a TEXT
+// value.
+var knnUnusableProbes = []string{"ST_GeomFromText('LINESTRING EMPTY')", "NULL", "'POINT(1 1)'"}
+
 // knnOracleProbes are the probes the oracle ranks rows against: points
 // (lattice and fractional), lines and polygons inside and outside the
-// data, an empty geometry, NULL and a TEXT value.
+// data, and the unusable probes.
 func knnOracleProbes(seed int64) []string {
 	rnd := rand.New(rand.NewSource(seed))
 	f := func() float64 { return float64(rnd.Intn(1600))/10 - 30 }
-	probes := []string{"ST_GeomFromText('LINESTRING EMPTY')", "NULL", "'POINT(1 1)'"}
+	probes := slices.Clone(knnUnusableProbes)
 	for i := 0; i < 8; i++ {
 		x, y := f(), f()
 		probes = append(probes,
@@ -64,10 +70,12 @@ func knnOracleProbes(seed int64) []string {
 
 // knnQuery is one kNN-shaped query and its sort form, which orders by
 // ST_Distance(...) + 0 and so never matches the kNN shape, with the
-// WHERE clause and the k = offset+limit its plan depends on.
+// WHERE clause, the k = offset+limit and whether the probe is usable,
+// which its plan depends on.
 type knnQuery struct {
 	KNN, Sorted, Where string
 	K                  int
+	Usable             bool
 }
 
 // knnOracleQueries builds every kNN-shaped query over the probes: no
@@ -87,7 +95,8 @@ func knnOracleQueries(probes []string) []knnQuery {
 			for _, w := range windows {
 				d := fmt.Sprintf("ST_Distance(g, %s)", p)
 				base := fmt.Sprintf("SELECT id, %s FROM t %sORDER BY %s", d, f, d)
-				qs = append(qs, knnQuery{KNN: base + " " + w.sql, Sorted: base + " + 0 " + w.sql, Where: f, K: w.k})
+				qs = append(qs, knnQuery{KNN: base + " " + w.sql, Sorted: base + " + 0 " + w.sql, Where: f, K: w.k,
+					Usable: !slices.Contains(knnUnusableProbes, p)})
 			}
 		}
 	}
@@ -115,12 +124,13 @@ func knnOracleTable(exec func(string), n int, dirty, indexed bool) {
 
 // knnPredictedPath is the plan the browse-or-seek rule gives a kNN
 // query on engine e over n rows: the sort form's path when the table
-// holds NULL or empty geometries, knn over a full scan, and over an
-// index path matching m rows knn only when m >= ceil(sqrt(k*n)).
+// holds NULL or empty geometries or the probe is unusable, knn over a
+// full scan, and over an index path matching m rows knn only when
+// m >= ceil(sqrt(k*n)).
 func knnPredictedPath(e *Engine, q knnQuery, n int, dirty bool) string {
 	path := e.MustExec("EXPLAIN " + q.Sorted).Rows[0][1].String()
 	switch {
-	case dirty:
+	case dirty || !q.Usable:
 		return path
 	case path == "seqscan":
 		return "knn"
@@ -172,8 +182,10 @@ func resultRows(res *sql.Result) [][]string {
 // both index kinds, over a table whose geometries are all indexed (the
 // plan is knn) and one holding NULL and empty geometries (the plan
 // declines), each with and without B-tree indexes on name and id (the
-// plan browses or seeks by the rule), and requires the predicted plan
-// and the same rows, distances and errors.
+// plan browses or seeks by the rule), and requires the predicted plan,
+// an executed access label equal to EXPLAIN's and the same rows,
+// distances and errors. An unusable probe runs the sort form's plan,
+// so its rows must match whole, ids and order included.
 func TestKNNMatchesSort(t *testing.T) {
 	const n = 240
 	qs := knnOracleQueries(knnOracleProbes(7))
@@ -190,7 +202,14 @@ func TestKNNMatchesSort(t *testing.T) {
 				}
 				res, err := e.Exec(q.KNN)
 				want, wantErr := e.Exec(q.Sorted)
-				if d := knnDisagreement(resultRows(res), err, resultRows(want), wantErr); d != "" {
+				d := knnDisagreement(resultRows(res), err, resultRows(want), wantErr)
+				if d == "" && !q.Usable && fmt.Sprint(resultRows(res)) != fmt.Sprint(resultRows(want)) {
+					d = "rows differ from the sort form's"
+				}
+				if d == "" {
+					d = accessMismatch(e, q.KNN, res)
+				}
+				if d != "" {
 					if bad++; bad <= 5 {
 						t.Errorf("%s %+v: %s: %s", prof.Name, v, q.KNN, d)
 					}
@@ -202,6 +221,22 @@ func TestKNNMatchesSort(t *testing.T) {
 			}
 		}
 	}
+}
+
+// accessMismatch describes how an executed statement's access labels
+// differ from its EXPLAIN's; it returns "" when they agree or the
+// statement failed.
+func accessMismatch(e *Engine, query string, res *sql.Result) string {
+	if res == nil {
+		return ""
+	}
+	plan := e.MustExec("EXPLAIN " + query).Rows
+	for i, got := range res.Access {
+		if want := plan[i][0].String() + ":" + plan[i][1].String(); got != want {
+			return fmt.Sprintf("ran %s, EXPLAIN says %s", got, want)
+		}
+	}
+	return ""
 }
 
 // knnOracleVariants are the oracle's tables: clean or holding NULL and

@@ -3,20 +3,26 @@ package engine
 import (
 	"fmt"
 	"math/rand"
+	"regexp"
 	"slices"
 	"strings"
 	"testing"
+
+	"jackpine/internal/sql"
 )
 
 // ordinateBounds are the k of the oracle's ordinate comparisons: inside
 // the data, on lattice and extent values, beyond the extent, ±1e300 and
 // ±Inf (overflowed products; SQL has no infinite literal), and the
-// bounds no window holds: NULL, NaN and TEXT.
-var ordinateBounds = []string{
+// bounds no window holds (ordinateNoWindow).
+var ordinateBounds = append([]string{
 	"37.5", "40", "0", "100", "-25", "150", "1e300", "-1e300",
 	"1e300 * 1e300", "-1e300 * 1e300",
-	"NULL", "(1e300 * 1e300) - (1e300 * 1e300)", "'x'",
-}
+}, ordinateNoWindow...)
+
+// ordinateNoWindow are the bounds no window holds: NULL, NaN and TEXT.
+// The planner declines the window, so their comparisons plan seqscan.
+var ordinateNoWindow = []string{"NULL", "(1e300 * 1e300) - (1e300 * 1e300)", "'x'"}
 
 // ordinateQuery is one WHERE clause of ordinate comparisons in the form
 // the planner turns into an index window, its scan form, which adds 0
@@ -24,9 +30,19 @@ var ordinateBounds = []string{
 // over the indexed table.
 type ordinateQuery struct{ Window, Scan, Plan string }
 
+// ordinateColumn matches the columns an ordinate query reads.
+var ordinateColumn = regexp.MustCompile(`\b(g|id)\b`)
+
+// ordinateJoin returns an ordinate query's WHERE clause, in its window
+// or scan form, on table b as the inner stage of a nested loop under
+// three outer rows.
+func ordinateJoin(where string) string {
+	return "SELECT a.id, b.id FROM t AS a JOIN t AS b ON a.id < 3 AND " + ordinateColumn.ReplaceAllString(where, "b.$1")
+}
+
 // ordinateQueries builds every single comparison — four ordinates, four
 // operators, both operand orders, every bound — then conjunctions over
-// random lattice bounds forming a box, a box with one non-number bound,
+// random lattice bounds forming a box, a box with one NULL bound,
 // an interval no window side can be (MAX above 60, MIN below 40: the
 // envelope spans the gap), empty intersections, and comparisons beside
 // an id filter, whose B-tree seek or range outranks the window.
@@ -45,18 +61,24 @@ func ordinateQueries(seed int64) []ordinateQuery {
 		qs = append(qs, ordinateQuery{strings.Join(w, " AND "), strings.Join(s, " AND "), plan})
 	}
 	add := func(terms ...[3]string) { addPlan("spatial-index", "", terms...) }
+	plan := func(k string) string {
+		if slices.Contains(ordinateNoWindow, k) {
+			return "seqscan"
+		}
+		return "spatial-index"
+	}
 	funcs := []string{"ST_XMIN", "ST_YMIN", "ST_XMAX", "ST_YMAX"}
 	mirror := map[string]string{"<": ">", "<=": ">=", ">": "<", ">=": "<="}
 	for _, f := range funcs {
 		for _, op := range []string{"<", "<=", ">", ">="} {
 			for _, k := range ordinateBounds {
-				add([3]string{f, op, k})
+				addPlan(plan(k), "", [3]string{f, op, k})
 				// k op f(g), written with the mirrored operator so the
 				// scan form keeps the operand order: k op' f(g) + 0.
 				qs = append(qs, ordinateQuery{
 					fmt.Sprintf("%s %s %s(g)", k, mirror[op], f),
 					fmt.Sprintf("%s %s %s(g) + 0", k, mirror[op], f),
-					"spatial-index",
+					plan(k),
 				})
 			}
 		}
@@ -69,7 +91,7 @@ func ordinateQueries(seed int64) []ordinateQuery {
 		add([3]string{"ST_XMIN", ">", c()}, [3]string{"ST_XMAX", "<", c()},
 			[3]string{"ST_YMIN", ">=", c()}, [3]string{"ST_YMAX", "<=", c()})
 	}
-	add([3]string{"ST_XMAX", ">", "20"}, [3]string{"ST_YMAX", "<", "NULL"})
+	addPlan("seqscan", "", [3]string{"ST_XMAX", ">", "20"}, [3]string{"ST_YMAX", "<", "NULL"})
 	add([3]string{"ST_XMAX", ">", "60"}, [3]string{"ST_XMIN", "<", "40"})
 	add([3]string{"ST_XMIN", ">", "60"}, [3]string{"ST_XMAX", "<", "40"})
 	add([3]string{"ST_YMAX", ">", "60"}, [3]string{"ST_YMAX", "<", "40"})
@@ -83,10 +105,11 @@ func ordinateQueries(seed int64) []ordinateQuery {
 // scan form on both index kinds, over a table holding NULL and empty
 // geometries whose second half is inserted after the spatial index (so
 // it lands partly outside the grid's extent, in its overflow list), and
-// over the same table unindexed. It requires the same row multiset and
-// error, and the plan the rule predicts: the window form probes the
-// spatial index when there is one and no B-tree path outranks it, the
-// scan form never probes it.
+// over the same table unindexed; then again as the inner stage of a
+// nested loop. It requires the same rows and error, the plan the rule
+// predicts — the window form probes the spatial index when there is one,
+// every bound is a number and no B-tree path outranks it; the scan form
+// never probes it — and executed access labels equal to EXPLAIN's.
 func TestOrdinateWindowMatchesScan(t *testing.T) {
 	const n = 300 // above parallelMinRows: two workers split the window
 	qs := ordinateQueries(5)
@@ -102,47 +125,58 @@ func TestOrdinateWindowMatchesScan(t *testing.T) {
 				e.MustExec(s)
 			}
 			bad, badPlan := 0, 0
-			for _, q := range qs {
-				plan := "seqscan"
-				if indexed {
-					plan = q.Plan
-				}
-				window := e.MustExec("EXPLAIN SELECT id FROM t WHERE " + q.Window).Rows[0][1].String()
-				scan := e.MustExec("EXPLAIN SELECT id FROM t WHERE " + q.Scan).Rows[0][1].String()
-				if !strings.Contains(window, plan) || strings.Contains(scan, "spatial-index") {
+			check := func(window, scan, plan string) {
+				stage := strings.Count(window, " JOIN ") // the table the comparisons read
+				got := e.MustExec("EXPLAIN " + window).Rows[stage][1].String()
+				scanPlan := e.MustExec("EXPLAIN " + scan).Rows[stage][1].String()
+				if !strings.Contains(got, plan) || strings.Contains(scanPlan, "spatial-index") || strings.Contains(scanPlan, "inl") {
 					if badPlan++; badPlan <= 5 {
 						t.Errorf("%s indexed=%v: %s plans %s, want %s; scan form plans %s",
-							prof.Name, indexed, q.Window, window, plan, scan)
+							prof.Name, indexed, window, got, plan, scanPlan)
 					}
 				}
-				rows, err := ordinateIDs(e, q.Window)
-				want, wantErr := ordinateIDs(e, q.Scan)
+				res, err := e.Exec(window)
+				want, wantErr := e.Exec(scan)
+				d := accessMismatch(e, window, res)
 				if (err == nil) != (wantErr == nil) || err != nil && err.Error() != wantErr.Error() ||
-					!slices.Equal(rows, want) {
+					!slices.Equal(sortedRows(res), sortedRows(want)) {
+					d = fmt.Sprintf("%d rows (error %v), scan form %d (error %v)",
+						len(sortedRows(res)), err, len(sortedRows(want)), wantErr)
+				}
+				if d != "" {
 					if bad++; bad <= 5 {
-						t.Errorf("%s indexed=%v: %s: %d rows (error %v), scan form %d (error %v)",
-							prof.Name, indexed, q.Window, len(rows), err, len(want), wantErr)
+						t.Errorf("%s indexed=%v: %s: %s", prof.Name, indexed, window, d)
 					}
 				}
 			}
+			for _, q := range qs {
+				plan, inner := "seqscan", "seqscan"
+				if indexed {
+					plan, inner = q.Plan, q.Plan
+					if q.Plan == "spatial-index" {
+						inner = "inl(index=g)"
+					}
+				}
+				check("SELECT id FROM t WHERE "+q.Window, "SELECT id FROM t WHERE "+q.Scan, plan)
+				check(ordinateJoin(q.Window), ordinateJoin(q.Scan), inner)
+			}
 			if bad+badPlan > 0 {
-				t.Errorf("%s indexed=%v: of %d ordinate queries, %d disagree with the scan form and %d plan otherwise than predicted",
+				t.Errorf("%s indexed=%v: of %d ordinate queries, each alone and as an inner stage, %d disagree with the scan form or their labels and %d plan otherwise than predicted",
 					prof.Name, indexed, len(qs), bad, badPlan)
 			}
 		}
 	}
 }
 
-// ordinateIDs returns the sorted ids a WHERE clause keeps.
-func ordinateIDs(e *Engine, where string) ([]int64, error) {
-	res, err := e.Exec("SELECT id FROM t WHERE " + where)
-	if err != nil {
-		return nil, err
+// sortedRows renders a result's rows, sorted.
+func sortedRows(res *sql.Result) []string {
+	if res == nil {
+		return nil
 	}
-	ids := make([]int64, len(res.Rows))
-	for i, r := range res.Rows {
-		ids[i] = r[0].Int
+	var rows []string
+	for _, r := range resultRows(res) {
+		rows = append(rows, strings.Join(r, " "))
 	}
-	slices.Sort(ids)
-	return ids, nil
+	slices.Sort(rows)
+	return rows
 }

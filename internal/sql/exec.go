@@ -2,7 +2,6 @@ package sql
 
 import (
 	"container/heap"
-	"errors"
 	"fmt"
 	"math"
 	"math/big"
@@ -352,12 +351,12 @@ func (r *Runner) execSelect(sel *Select, explainOnly bool, rowIDs *[]RowID) (*Re
 	stageFilters := make([][]Expr, len(tables))
 	paths := make([]accessPath, len(tables))
 	for i, bt := range tables {
-		paths[i] = pickAccess(bt.tbl, bt.lo, bt.hi, scope, conjuncts)
+		paths[i] = pickAccess(bt.tbl, bt.lo, bt.hi, scope, conjuncts, r.reg)
 	}
 	// kNN upgrade for the single-table pattern, over a full scan or an
 	// attribute path the browse beats.
 	if !hasAgg && len(tables) == 1 {
-		if p, ok := tryKNN(sel, order, tables[0].tbl, scope); ok && r.browseBeats(paths[0], sel, tables[0].tbl) {
+		if p, ok := tryKNN(sel, order, tables[0].tbl, scope, r.reg); ok && r.browseBeats(paths[0], sel, tables[0].tbl) {
 			paths[0] = p
 		}
 	}
@@ -377,9 +376,6 @@ func (r *Runner) execSelect(sel *Select, explainOnly bool, rowIDs *[]RowID) (*Re
 		probe, expand := paths[i].windowExprs()
 		markUse(probe, "window")
 		markUse(expand, "window")
-		for _, o := range paths[i].ordinates {
-			markUse(o.k, "window")
-		}
 	}
 	// Stage filters compile once per plan (filter.go): comparisons into
 	// comparators, and, in join stages, residual spatial predicates whose
@@ -915,29 +911,15 @@ func (r *Runner) scanTable(tbl Table, path accessPath, full []storage.Value,
 	case accessKNN:
 		// An ordered source for the ORDER BY sink: rows arrive in
 		// non-decreasing MINDIST from the probe's envelope until one
-		// exceeds the sink's k-th distance, which no later row can beat. A
-		// probe that is not a non-empty geometry scans the heap instead, so
-		// the sink orders, or rejects, every row as a full scan's sort does.
-		env := geom.EmptyRect()
-		if pv, err := Eval(path.knnProbe, full, r.reg); err == nil && pv.Type == storage.TypeGeom {
-			env = pv.Geom.Envelope()
-		}
-		if env.IsEmpty() {
-			path.kind = accessFullScan
-			return r.scanTable(tbl, path, full, lo, emit)
-		}
+		// exceeds the sink's k-th distance, which no later row can beat.
 		probe = func(fn func(RowID) bool) {
-			path.spatial.Nearest(env, func(id RowID, minDist float64) bool {
+			path.spatial.Nearest(path.rect, func(id RowID, minDist float64) bool {
 				return minDist <= path.knnBound() && fn(id)
 			})
 		}
 
 	case accessSpatialWindow:
 		window, err := path.evalWindow(full, r.reg)
-		if errors.Is(err, errScanHeap) {
-			path.kind = accessFullScan
-			return r.scanTable(tbl, path, full, lo, emit)
-		}
 		if err != nil {
 			return false, err
 		}

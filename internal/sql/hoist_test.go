@@ -137,10 +137,11 @@ func TestHoistReexecutedTree(t *testing.T) {
 }
 
 // accessCounts tallies how plans read the tables of a countingCatalog:
-// spatial index searches, attribute index seeks and ranges, rows fetched
-// by id, and the projection of every heap scan.
+// spatial index searches and nearest-first browses, attribute index
+// seeks and ranges, rows fetched by id, and the projection of every heap
+// scan.
 type accessCounts struct {
-	searches, seeks, fetched atomic.Int64
+	searches, nearest, seeks, fetched atomic.Int64
 
 	mu    sync.Mutex
 	scans []sql.Projection
@@ -215,6 +216,11 @@ type countingIndex struct {
 func (x countingIndex) Search(w geom.Rect, fn func(sql.RowID) bool) {
 	x.n.searches.Add(1)
 	x.SpatialIndex.Search(w, fn)
+}
+
+func (x countingIndex) Nearest(q geom.Rect, fn func(sql.RowID, float64) bool) {
+	x.n.nearest.Add(1)
+	x.SpatialIndex.Nearest(q, fn)
 }
 
 type countingAttr struct {

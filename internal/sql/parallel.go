@@ -1,10 +1,8 @@
 package sql
 
 import (
-	"errors"
 	"sync"
 
-	"jackpine/internal/geom"
 	"jackpine/internal/storage"
 )
 
@@ -102,17 +100,7 @@ func (r *Runner) stage0Source(tbl Table, batch bool, path *accessPath, filters *
 		}, nil
 	}
 
-	// An ordinate window whose bound is not a number scans the heap.
-	scan := path.kind == accessFullScan
-	var window geom.Rect
-	if !scan {
-		var err error
-		window, err = path.evalWindow(nil, r.reg)
-		if scan = errors.Is(err, errScanHeap); err != nil && !scan {
-			return nil, err
-		}
-	}
-	if scan {
+	if path.kind == accessFullScan {
 		proj, skip, err := path.scanProjection(nil, r.reg)
 		if err != nil {
 			return nil, err
@@ -132,6 +120,10 @@ func (r *Runner) stage0Source(tbl Table, batch bool, path *accessPath, filters *
 		}, nil
 	}
 
+	window, err := path.evalWindow(nil, r.reg)
+	if err != nil {
+		return nil, err
+	}
 	var cands []RowID
 	if !window.IsEmpty() {
 		path.spatial.Search(window, func(id RowID) bool {

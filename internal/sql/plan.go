@@ -1,7 +1,6 @@
 package sql
 
 import (
-	"errors"
 	"math"
 	"strings"
 
@@ -50,13 +49,13 @@ type accessPath struct {
 
 	// Spatial window scans: the window is operand windowArg of the
 	// sargable call window, expanded by its distance when the call is
-	// ST_DWithin, or, when window is nil, the rectangle the ordinate
-	// comparisons bound. It may depend on outer rows, so it is evaluated
-	// per invocation (evalWindow).
+	// ST_DWithin; it may depend on outer rows, so it is evaluated per
+	// invocation (evalWindow). When window is nil it is rect, the
+	// constant rectangle the ordinate comparisons bound.
 	spatial   SpatialIndex
 	window    *callExpr
 	windowArg int
-	ordinates []ordinateBound
+	rect      geom.Rect
 
 	// Attribute seeks and ranges over (possibly composite) indexes:
 	// equality probes for a prefix of the index columns, plus an
@@ -69,10 +68,10 @@ type accessPath struct {
 	rangeType storage.ValueType
 	rangeLast bool // the range column is the index's final column
 
-	// kNN sources: the constant probe of ORDER BY ST_Distance(col, probe),
-	// and the ORDER BY sink's current k-th distance, past which no row can
-	// enter the result (orderSink.bound).
-	knnProbe Expr
+	// kNN sources: rect above holds the envelope of the constant probe
+	// of ORDER BY ST_Distance(col, probe) (KNNProbe), and knnBound the
+	// ORDER BY sink's current k-th distance, past which no row can enter
+	// the result (orderSink.bound).
 	knnBound func() float64
 
 	// Hash joins: the inner build column (offset within this table) and
@@ -195,7 +194,7 @@ var sargableSpatial = map[string]bool{
 // candidates; outer offsets (< lo) act as per-invocation parameters (for
 // index nested-loop joins). The chosen driving conjuncts remain in the
 // residual filter (index access is a pre-filter, not exact).
-func pickAccess(tbl Table, lo, hi int, scope *Scope, conjuncts []Expr) accessPath {
+func pickAccess(tbl Table, lo, hi int, scope *Scope, conjuncts []Expr, reg *Registry) accessPath {
 	for _, c := range conjuncts {
 		if !refsInRange(c, 0, hi) {
 			continue
@@ -219,7 +218,7 @@ func pickAccess(tbl Table, lo, hi int, scope *Scope, conjuncts []Expr) accessPat
 			}
 		}
 	}
-	if p, ok := tryOrdinateWindow(tbl, lo, hi, scope, conjuncts); ok {
+	if p, ok := tryOrdinateWindow(tbl, lo, hi, scope, conjuncts, reg); ok {
 		return p
 	}
 	// No index available: a sargable spatial predicate can still prune
@@ -348,11 +347,22 @@ func matchOrdinate(c Expr, lo, hi int) (col int, ob ordinateBound, ok bool) {
 
 // tryOrdinateWindow turns the ordinate comparisons (matchOrdinate) on
 // the first matched column with a spatial index into one window over
-// that index: the conjuncts on the column intersect. The comparisons
-// stay in the residual, so the rows are exactly a full scan's.
-func tryOrdinateWindow(tbl Table, lo, hi int, scope *Scope, conjuncts []Expr) (accessPath, bool) {
+// that index, the rectangle they bound. Their bounds are statement
+// constants, read here. Along each axis the lower bounds give low, the
+// largest coordinate the envelope's max must reach, and the upper
+// bounds high, the smallest its min must reach down to. When low <=
+// high the envelope meets [low, high]; otherwise it spans [high, low].
+// Either way it meets the interval between the two, which is the
+// window's side. A bound that fails to evaluate or is NULL, NaN or not
+// a number declines the window: none holds the rows such a comparison
+// keeps (NaN sorts above every number). The comparisons stay in the
+// residual, so the rows are exactly a full scan's.
+func tryOrdinateWindow(tbl Table, lo, hi int, scope *Scope, conjuncts []Expr, reg *Registry) (accessPath, bool) {
 	var p accessPath
+	var bounds []Expr
 	col := -1
+	inf := math.Inf(1)
+	low, high := [2]float64{-inf, -inf}, [2]float64{inf, inf}
 	for _, c := range conjuncts {
 		at, ob, ok := matchOrdinate(c, lo, hi)
 		if !ok || col >= 0 && at != col {
@@ -367,8 +377,23 @@ func tryOrdinateWindow(tbl Table, lo, hi int, scope *Scope, conjuncts []Expr) (a
 			col = at
 			p = accessPath{kind: accessSpatialWindow, spatial: idx, idxCol: name}
 		}
-		p.ordinates = append(p.ordinates, ob)
+		v, err := Eval(ob.k, nil, reg)
+		k, isNum := v.AsFloat()
+		if err != nil || !isNum || math.IsNaN(k) {
+			return accessPath{}, false
+		}
+		if ob.upper {
+			high[ob.axis] = min(high[ob.axis], k)
+		} else {
+			low[ob.axis] = max(low[ob.axis], k)
+		}
+		bounds = append(bounds, ob.k)
 	}
+	for _, k := range bounds {
+		markUse(k, "window")
+	}
+	p.rect = geom.Rect{MinX: min(low[0], high[0]), MinY: min(low[1], high[1]),
+		MaxX: max(low[0], high[0]), MaxY: max(low[1], high[1])}
 	return p, col >= 0
 }
 
@@ -519,7 +544,9 @@ func tryHashJoin(lo, hi int, c Expr) (accessPath, bool) {
 // ORDER BY keys. It declines when the index holds fewer entries than the
 // table has rows: NULL and empty geometries are never indexed, yet the
 // sort still ranks their rows, NULL first and empty at infinite distance.
-func tryKNN(sel *Select, order []Expr, tbl Table, scope *Scope) (accessPath, bool) {
+// It declines, too, when the probe is not usable (KNNProbe): the sort
+// then orders, or rejects, every row.
+func tryKNN(sel *Select, order []Expr, tbl Table, scope *Scope, reg *Registry) (accessPath, bool) {
 	col, probe, ok := KNNShape(sel, order)
 	if !ok {
 		return accessPath{}, false
@@ -528,7 +555,11 @@ func tryKNN(sel *Select, order []Expr, tbl Table, scope *Scope) (accessPath, boo
 	if idx == nil || idx.Len() < tbl.RowCount() {
 		return accessPath{}, false
 	}
-	return accessPath{kind: accessKNN, spatial: idx, knnProbe: probe}, true
+	env, ok := KNNProbe(probe, reg)
+	if !ok {
+		return accessPath{}, false
+	}
+	return accessPath{kind: accessKNN, spatial: idx, rect: env}, true
 }
 
 // browseBeats reports whether a kNN source should replace the table's
@@ -581,6 +612,19 @@ func KNNShape(sel *Select, order []Expr) (col int, probe Expr, ok bool) {
 	return 0, nil, false
 }
 
+// KNNProbe evaluates the constant probe of a kNN shape (KNNShape) and
+// returns its envelope. The probe is usable, and ok true, only when it
+// is a non-empty geometry: rows can be browsed in distance order from
+// nothing else.
+func KNNProbe(probe Expr, reg *Registry) (env geom.Rect, ok bool) {
+	v, err := Eval(probe, nil, reg)
+	if err != nil || v.Type != storage.TypeGeom {
+		return geom.EmptyRect(), false
+	}
+	env = v.Geom.Envelope()
+	return env, !env.IsEmpty()
+}
+
 // scanProjection builds the Projection for a full scan of this path
 // against the current outer row. skip is true when an MBR prefilter's
 // window is empty (NULL probe): the residual spatial conjunct is then
@@ -622,21 +666,15 @@ func (p *accessPath) windowExprs() (probe, expand Expr) {
 	return p.window.args[p.windowArg], expand
 }
 
-// errScanHeap is evalWindow's answer for an ordinate bound that fails
-// to evaluate or is NULL, NaN or not a number: no window holds the rows
-// such a comparison keeps (NaN sorts above every number), so the source
-// scans the heap, and the residual comparisons decide every row, or
-// raise their error, as on a full scan.
-var errScanHeap = errors.New("sql: ordinate bound is not a number")
-
 // evalWindow computes the query window for a spatial access path against
 // the current (possibly partial) outer row. A NULL probe gives the empty
 // window; any other non-geometry raises the error the call itself
 // raises on every row, whose other operand, the probed geometry column,
-// passes the same argument check.
+// passes the same argument check. An ordinate window is its constant
+// rect.
 func (p *accessPath) evalWindow(row []storage.Value, reg *Registry) (geom.Rect, error) {
-	if p.ordinates != nil {
-		return p.ordinateWindow(row, reg)
+	if p.window == nil {
+		return p.rect, nil
 	}
 	probe, expand := p.windowExprs()
 	v, err := Eval(probe, row, reg)
@@ -662,29 +700,4 @@ func (p *accessPath) evalWindow(row []storage.Value, reg *Registry) (geom.Rect, 
 		}
 	}
 	return w, nil
-}
-
-// ordinateWindow evaluates an ordinate window. Along each axis the
-// lower bounds give lo, the largest coordinate the envelope's max must
-// reach, and the upper bounds hi, the smallest its min must reach down
-// to. When lo <= hi the envelope meets [lo, hi]; otherwise it spans
-// [hi, lo]. Either way it meets the interval between the two, which is
-// the window's side.
-func (p *accessPath) ordinateWindow(row []storage.Value, reg *Registry) (geom.Rect, error) {
-	inf := math.Inf(1)
-	lo, hi := [2]float64{-inf, -inf}, [2]float64{inf, inf}
-	for _, o := range p.ordinates {
-		v, err := Eval(o.k, row, reg)
-		k, isNum := v.AsFloat()
-		if err != nil || !isNum || math.IsNaN(k) {
-			return geom.EmptyRect(), errScanHeap
-		}
-		if o.upper {
-			hi[o.axis] = min(hi[o.axis], k)
-		} else {
-			lo[o.axis] = max(lo[o.axis], k)
-		}
-	}
-	return geom.Rect{MinX: min(lo[0], hi[0]), MinY: min(lo[1], hi[1]),
-		MaxX: max(lo[0], hi[0]), MaxY: max(lo[1], hi[1])}, nil
 }
