@@ -10,99 +10,64 @@ import (
 )
 
 // TestBatchEquivalence runs the entire micro suite (MT1–MT15, MA1–MA12)
-// and all six macro scenarios on two engines — batch execution disabled
-// versus enabled — over both the in-process and the wire transport, and
-// requires byte-identical results from every query: same rows, same
-// order, same float rendering. The batch path replaces only how stage-0
-// rows move through the scan and filter cascade, so any divergence
-// means batching changed semantics. Batch activity counters prove the
-// intended path actually ran on each engine. The row arm is the serial
-// row-at-a-time reference at every parallelism setting: with batch
-// execution off, stage 0 never fans out.
+// and all six macro scenarios on a serial and a parallel engine, over
+// both the in-process and the wire transport. The brute-force oracle
+// (refexec) must admit every result of the serial in-process runs, or
+// fail with the same error text, and every other run must return those
+// results byte for byte: same rows, same order, same float rendering.
+// Batch activity counters prove the cascade ran on both engines.
 func TestBatchEquivalence(t *testing.T) {
 	ds := GenerateDataset(ScaleSmall, 1)
 
-	off := OpenEngine(GaiaDB(), WithBatchExec(false))
-	on := OpenEngine(GaiaDB())
-	for _, eng := range []*Engine{off, on} {
+	ser := OpenEngine(GaiaDB(), WithParallelism(1))
+	par := OpenEngine(GaiaDB(), WithParallelism(8))
+	for _, eng := range []*Engine{ser, par} {
 		if err := LoadDataset(eng, ds, true); err != nil {
 			t.Fatal(err)
 		}
 	}
 
 	ctx := NewQueryContext(ds)
-	offConn, err := Connect(off).Connect()
+	serConn, err := Connect(ser).Connect()
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer offConn.Close()
-	onConn, err := Connect(on).Connect()
+	defer serConn.Close()
+	parConn, err := Connect(par).Connect()
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer onConn.Close()
+	defer parConn.Close()
+	srv := wire.NewServer(par)
+	addr, err := srv.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	parWire, err := ConnectRemote(addr, "par").Connect()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer parWire.Close()
+	oracle := oracleConn{serConn, ser, t}
 
-	// Micro suite, in-process, at parallelism 1 and 8: the batch arm
-	// fans out at 8, the row arm stays serial at both.
-	for _, par := range []int{1, 8} {
-		off.SetParallelism(par)
-		on.SetParallelism(par)
-		for _, q := range MicroSuite() {
-			sql := q.SQL(ctx, 0)
-			rs, err := offConn.Query(sql)
-			if err != nil {
-				t.Fatalf("%s row path at parallelism %d: %v", q.ID, par, err)
-			}
-			want := canonRows(rs)
-			rs, err = onConn.Query(sql)
-			if err != nil {
-				t.Fatalf("%s batch path at parallelism %d: %v", q.ID, par, err)
-			}
-			if got := canonRows(rs); got != want {
-				t.Errorf("%s: batch path at parallelism %d diverges\nrow path:\n%s\nbatch path:\n%s",
-					q.ID, par, want, got)
-			}
-		}
-	}
-	off.SetParallelism(1)
-	on.SetParallelism(1)
-
-	// Micro suite over the wire transport.
-	offSrv, onSrv := wire.NewServer(off), wire.NewServer(on)
-	offAddr, err := offSrv.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer offSrv.Close()
-	onAddr, err := onSrv.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer onSrv.Close()
-	offWire, err := ConnectRemote(offAddr, "off").Connect()
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer offWire.Close()
-	onWire, err := ConnectRemote(onAddr, "on").Connect()
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer onWire.Close()
+	// Micro suite: the serial run against the oracle, the parallel run
+	// in-process and over the wire against the serial one.
 	for _, q := range MicroSuite() {
 		sql := q.SQL(ctx, 0)
-		rs, err := offWire.Query(sql)
+		rs, err := oracle.Query(sql)
 		if err != nil {
-			t.Fatalf("%s row path over wire: %v", q.ID, err)
+			t.Fatalf("%s serial: %v", q.ID, err)
 		}
 		want := canonRows(rs)
-		rs, err = onWire.Query(sql)
-		if err != nil {
-			t.Fatalf("%s batch path over wire: %v", q.ID, err)
-		}
-		if got := canonRows(rs); got != want {
-			t.Errorf("%s: batch path over wire diverges\nrow path:\n%s\nbatch path:\n%s",
-				q.ID, want, got)
+		for name, conn := range map[string]Conn{"in-process": parConn, "wire": parWire} {
+			rs, err := conn.Query(sql)
+			if err != nil {
+				t.Fatalf("%s parallel %s: %v", q.ID, name, err)
+			}
+			if got := canonRows(rs); got != want {
+				t.Errorf("%s: parallel %s run diverges\nserial:\n%s\nparallel:\n%s", q.ID, name, want, got)
+			}
 		}
 	}
 
@@ -110,70 +75,54 @@ func TestBatchEquivalence(t *testing.T) {
 	// transports. MS5 mutates parcels; driving both engines through the
 	// same operations keeps their states in lockstep.
 	for _, sc := range MacroSuite() {
-		for name, conns := range map[string][2]Conn{
-			"inproc": {offConn, onConn},
-			"wire":   {offWire, onWire},
-		} {
-			var offLog, onLog strings.Builder
+		for name, conn := range map[string]Conn{"inproc": parConn, "wire": parWire} {
+			var serLog, parLog strings.Builder
 			for iter := 0; iter < 2; iter++ {
-				if _, err := sc.Run(ctx, recordingConn{conns[0], &offLog}, iter); err != nil {
-					t.Fatalf("%s row path (%s) iter %d: %v", sc.ID, name, iter, err)
+				if _, err := sc.Run(ctx, recordingConn{oracle, &serLog}, iter); err != nil {
+					t.Fatalf("%s serial (%s) iter %d: %v", sc.ID, name, iter, err)
 				}
-				if _, err := sc.Run(ctx, recordingConn{conns[1], &onLog}, iter); err != nil {
-					t.Fatalf("%s batch path (%s) iter %d: %v", sc.ID, name, iter, err)
+				if _, err := sc.Run(ctx, recordingConn{conn, &parLog}, iter); err != nil {
+					t.Fatalf("%s parallel (%s) iter %d: %v", sc.ID, name, iter, err)
 				}
 			}
-			if offLog.String() != onLog.String() {
-				t.Errorf("%s (%s): batch run diverges\nrow path:\n%s\nbatch path:\n%s",
-					sc.ID, name, offLog.String(), onLog.String())
+			if serLog.String() != parLog.String() {
+				t.Errorf("%s (%s): parallel run diverges\nserial:\n%s\nparallel:\n%s",
+					sc.ID, name, serLog.String(), parLog.String())
 			}
 		}
 	}
 
-	// The sweep must have driven the batch executor on the enabled
-	// engine and never on the disabled one.
-	if batches, rows := on.BatchStats(); batches == 0 || rows == 0 {
-		t.Errorf("batch engine processed no batches (batches=%d rows=%d)", batches, rows)
+	for _, eng := range []*Engine{ser, par} {
+		if batches, rows := eng.BatchStats(); batches == 0 || rows == 0 {
+			t.Errorf("an engine processed no batches (batches=%d rows=%d)", batches, rows)
+		}
+		requireNoPins(t, eng)
 	}
-	if batches, rows := off.BatchStats(); batches != 0 || rows != 0 {
-		t.Errorf("disabled engine processed %d batches (%d rows)", batches, rows)
-	}
-	requireNoPins(t, off)
-	requireNoPins(t, on)
 }
 
 // TestLateMaterializationEquivalence is the rail for late
-// materialization and compiled comparisons. A batched stage 0 decodes
-// only the columns its filters read until a row survives them, and
-// comparison filters run as compiled comparators in the batch cascade
-// and in join stages. Each statement below runs on a batch engine at
-// parallelism 1 and 8 and on the serial row-path reference
-// (WithBatchExec(false)), and must return byte-identical rows or the
-// same error text: filtered self-joins, SELECT *, ORDER BY and GROUP BY
-// on a column the filter does not read, UPDATE and DELETE by id, NULLs
-// in the compared column, int against float, text equality and a
-// window whose filter keeps every row.
+// materialization and compiled comparisons. Stage 0 decodes only the
+// columns its filters read until a row survives them, and comparison
+// filters run as compiled comparators in the batch cascade and in join
+// stages. Each statement below runs on a serial engine, whose result
+// the brute-force oracle (refexec) must admit, or whose error it must
+// raise, and on an engine at parallelism 1 and 8, which must return the
+// serial result byte for byte: filtered self-joins, SELECT *, ORDER BY
+// and GROUP BY on a column the filter does not read, UPDATE and DELETE
+// by id, NULLs in the compared column, int against float, text equality
+// and a window whose filter keeps every row.
 func TestLateMaterializationEquivalence(t *testing.T) {
 	ds := GenerateDataset(ScaleSmall, 1)
-	off := OpenEngine(GaiaDB(), WithBatchExec(false))
-	on := OpenEngine(GaiaDB())
-	for _, eng := range []*Engine{off, on} {
-		if err := LoadDataset(eng, ds, true); err != nil {
+	ser := OpenEngine(GaiaDB(), WithParallelism(1))
+	eng := OpenEngine(GaiaDB())
+	for _, e := range []*Engine{ser, eng} {
+		if err := LoadDataset(e, ds, true); err != nil {
 			t.Fatal(err)
 		}
 	}
-	run := func(eng *Engine, q string) string {
-		res, err := eng.Exec(q)
-		if err != nil {
-			return "error: " + err.Error()
-		}
-		if res.Columns == nil {
-			return fmt.Sprintf("affected %d", res.Affected)
-		}
-		return canonRows(&ResultSet{Columns: res.Columns, Rows: res.Rows})
-	}
+	run := func(eng *Engine, q string) string { return execResult(eng.Exec(q)) }
 	one := func(q string) storage.Value {
-		res := off.MustExec(q)
+		res := ser.MustExec(q)
 		if len(res.Rows) != 1 {
 			t.Fatalf("%s: %d rows, want 1", q, len(res.Rows))
 		}
@@ -185,8 +134,7 @@ func TestLateMaterializationEquivalence(t *testing.T) {
 	all := fmt.Sprintf("ST_MakeEnvelope(%g, %g, %g, %g)", e.MinX-1, e.MinY-1, e.MaxX+1, e.MaxY+1)
 
 	for _, par := range []int{1, 8} {
-		off.SetParallelism(par)
-		on.SetParallelism(par)
+		eng.SetParallelism(par)
 		// Each parallelism gets its own DML ids, so the second pass
 		// rewrites fresh rows; both engines take every write in lockstep.
 		d := k + int64(par)
@@ -220,53 +168,43 @@ func TestLateMaterializationEquivalence(t *testing.T) {
 			"SELECT * FROM parcels",
 		}
 		for _, q := range stmts {
-			want, got := run(off, q), run(on, q)
+			want, got := oracleExec(t, ser, q), run(eng, q)
 			if got != want {
-				t.Errorf("parallelism %d: %s\nrow path:\n%s\nbatch path:\n%s", par, q, want, got)
+				t.Errorf("parallelism %d: %s\nserial:\n%s\ngot:\n%s", par, q, want, got)
 			}
 		}
 	}
-	if batches, rows := on.BatchStats(); batches == 0 || rows == 0 {
-		t.Errorf("batch engine processed no batches (batches=%d rows=%d)", batches, rows)
+	for _, e := range []*Engine{ser, eng} {
+		if batches, rows := e.BatchStats(); batches == 0 || rows == 0 {
+			t.Errorf("an engine processed no batches (batches=%d rows=%d)", batches, rows)
+		}
+		requireNoPins(t, e)
 	}
-	if batches, _ := off.BatchStats(); batches != 0 {
-		t.Errorf("disabled engine processed %d batches", batches)
-	}
-	requireNoPins(t, off)
-	requireNoPins(t, on)
 }
 
-// TestPrefilterEquivalence is the rail for filtering before copying: a
-// batched full scan tests stage 0's column-versus-literal comparisons on
-// each page-resident tuple and copies only survivors into the batch.
-// Each statement runs on a batch engine at parallelism 1 and 8 and on
-// the serial row-path reference (WithBatchExec(false)), and must return
-// byte-identical rows or the same error text: equality with the literal
-// on either side, ranges, <>, int columns against float literals, text
-// comparisons (landuse and category are index seeks, owner and name
-// full scans), a NULL id, UPDATE and DELETE by id, the land-information
-// and flood-risk joins, and an incomparable literal.
+// TestPrefilterEquivalence is the rail for filtering before copying:
+// every stage-0 scan or fetch tests stage 0's column-versus-literal
+// comparisons on each stored tuple and copies only survivors into the
+// batch. Each statement runs on a serial engine, whose result the
+// brute-force oracle (refexec) must admit, or whose error it must raise,
+// and on an engine at parallelism 1 and 8, which must return the serial
+// result byte for byte: equality with the literal on either side,
+// ranges, <>, int columns against float literals, text comparisons
+// (landuse and category are index seeks, owner and name full scans), a
+// NULL id, UPDATE and DELETE by id, the land-information and flood-risk
+// joins, and an incomparable literal.
 func TestPrefilterEquivalence(t *testing.T) {
 	ds := GenerateDataset(ScaleSmall, 1)
-	off := OpenEngine(GaiaDB(), WithBatchExec(false))
-	on := OpenEngine(GaiaDB())
-	for _, eng := range []*Engine{off, on} {
-		if err := LoadDataset(eng, ds, true); err != nil {
+	ser := OpenEngine(GaiaDB(), WithParallelism(1))
+	eng := OpenEngine(GaiaDB())
+	for _, e := range []*Engine{ser, eng} {
+		if err := LoadDataset(e, ds, true); err != nil {
 			t.Fatal(err)
 		}
 	}
-	run := func(eng *Engine, q string) string {
-		res, err := eng.Exec(q)
-		if err != nil {
-			return "error: " + err.Error()
-		}
-		if res.Columns == nil {
-			return fmt.Sprintf("affected %d", res.Affected)
-		}
-		return canonRows(&ResultSet{Columns: res.Columns, Rows: res.Rows})
-	}
+	run := func(eng *Engine, q string) string { return execResult(eng.Exec(q)) }
 	one := func(q string) storage.Value {
-		res := off.MustExec(q)
+		res := ser.MustExec(q)
 		if len(res.Rows) != 1 {
 			t.Fatalf("%s: %d rows, want 1", q, len(res.Rows))
 		}
@@ -281,16 +219,15 @@ func TestPrefilterEquivalence(t *testing.T) {
 	wid := one("SELECT MIN(id) FROM areawater").Int
 
 	var explained bool
-	for _, row := range on.MustExec(fmt.Sprintf("EXPLAIN SELECT id FROM parcels WHERE id = %d", k)).Rows {
+	for _, row := range eng.MustExec(fmt.Sprintf("EXPLAIN SELECT id FROM parcels WHERE id = %d", k)).Rows {
 		explained = explained || row[0].Text == "prefilter"
 	}
 	if !explained {
-		t.Fatal("the batch engine does not push id = k into its scan")
+		t.Fatal("the engine does not push id = k into its scan")
 	}
 
 	for _, par := range []int{1, 8} {
-		off.SetParallelism(par)
-		on.SetParallelism(par)
+		eng.SetParallelism(par)
 		// Each parallelism gets its own DML ids; both engines take every
 		// write in lockstep.
 		d := k + 10*int64(par)
@@ -325,21 +262,19 @@ func TestPrefilterEquivalence(t *testing.T) {
 			"SELECT id FROM parcels WHERE id = 'x'",
 		}
 		for _, q := range stmts {
-			want, got := run(off, q), run(on, q)
+			want, got := oracleExec(t, ser, q), run(eng, q)
 			if got != want {
-				t.Errorf("parallelism %d: %s\nrow path:\n%s\nbatch path:\n%s", par, q, want, got)
+				t.Errorf("parallelism %d: %s\nserial:\n%s\ngot:\n%s", par, q, want, got)
 			}
 		}
-		if want := run(off, "SELECT id FROM parcels WHERE id = 'x'"); !strings.HasPrefix(want, "error: ") {
-			t.Errorf("id = 'x' did not fail on the reference: %s", want)
+		if want := run(ser, "SELECT id FROM parcels WHERE id = 'x'"); !strings.HasPrefix(want, "error: ") {
+			t.Errorf("id = 'x' did not fail on the serial engine: %s", want)
 		}
 	}
-	if batches, rows := on.BatchStats(); batches == 0 || rows == 0 {
-		t.Errorf("batch engine processed no batches (batches=%d rows=%d)", batches, rows)
+	for _, e := range []*Engine{ser, eng} {
+		if batches, rows := e.BatchStats(); batches == 0 || rows == 0 {
+			t.Errorf("an engine processed no batches (batches=%d rows=%d)", batches, rows)
+		}
+		requireNoPins(t, e)
 	}
-	if batches, _ := off.BatchStats(); batches != 0 {
-		t.Errorf("disabled engine processed %d batches", batches)
-	}
-	requireNoPins(t, off)
-	requireNoPins(t, on)
 }

@@ -1075,58 +1075,6 @@ func TestWriteTopoKernelBench(t *testing.T) {
 		naiveNS, prepNS, out.KernelSpeedup, len(buf))
 }
 
-// e17BenchQueries renders the E17 window-predicate micros (two probe
-// iterations each) against a query context.
-func e17BenchQueries(ctx *QueryContext) []string {
-	var out []string
-	for _, q := range experiments.E17Queries() {
-		out = append(out, q.SQL(ctx, 0), q.SQL(ctx, 1))
-	}
-	return out
-}
-
-// BenchmarkE17BatchExec compares tuple-at-a-time and batch-at-a-time
-// execution on the E17 window-predicate micros, single core. One
-// iteration runs the whole query set once; -benchmem shows the
-// allocs/op reduction the batch executor's pooled batches and arena
-// decoding buy.
-func BenchmarkE17BatchExec(b *testing.B) {
-	ds := benchDataset(b, tiger.Small)
-	ctx := NewQueryContext(ds)
-	queries := e17BenchQueries(ctx)
-	for _, c := range []struct {
-		name  string
-		batch bool
-	}{{"row", false}, {"batch", true}} {
-		b.Run(c.name, func(b *testing.B) {
-			eng := OpenEngine(GaiaDB(), WithBatchExec(c.batch))
-			eng.SetParallelism(1)
-			if err := LoadDataset(eng, ds, true); err != nil {
-				b.Fatal(err)
-			}
-			conn, err := Connect(eng).Connect()
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer conn.Close()
-			for _, q := range queries {
-				if _, err := conn.Query(q); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				for _, q := range queries {
-					if _, err := conn.Query(q); err != nil {
-						b.Fatal(err)
-					}
-				}
-			}
-		})
-	}
-}
-
 // batchGuardQueryID is the representative window-predicate micro the
 // allocation-regression guard tracks.
 const batchGuardQueryID = "MT13"
@@ -1160,8 +1108,7 @@ func guardQuery(tb testing.TB, ctx *QueryContext, id string) string {
 }
 
 // guardAllocs measures steady-state allocations per execution of a
-// guard query on a warm, single-core, batch-enabled engine at small
-// scale — the exact procedure that produced the committed baselines in
+// guard query on a warm, single-core engine at small scale — the exact procedure that produced the committed baselines in
 // BENCH_batch.json.
 func guardAllocs(tb testing.TB, id string) float64 {
 	tb.Helper()
@@ -1240,103 +1187,45 @@ func TestBatchAllocRegression(t *testing.T) {
 	}
 }
 
-// TestWriteBatchBench regenerates BENCH_batch.json, the committed E17
-// result set and the allocation-regression baseline. Gated like the
-// other BENCH writers:
+// TestWriteBatchBench regenerates BENCH_batch.json, the
+// allocation-regression baselines TestBatchAllocRegression reads. Gated
+// like the other BENCH writers:
 //
 //	JACKPINE_WRITE_BENCH=1 go test -run TestWriteBatchBench .
 func TestWriteBatchBench(t *testing.T) {
 	if os.Getenv("JACKPINE_WRITE_BENCH") != "1" {
 		t.Skip("set JACKPINE_WRITE_BENCH=1 to rewrite BENCH_batch.json")
 	}
-	const runs = 7
-	ds := tiger.Generate(tiger.Medium, 1)
-	ctx := core.NewQueryContext(ds)
-	row, err := experiments.MeasureE17(ds, ctx, false, runs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	batch, err := experiments.MeasureE17(ds, ctx, true, runs)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	type queryOut struct {
-		ID          string  `json:"id"`
-		RowUS       int64   `json:"row_us"`
-		BatchUS     int64   `json:"batch_us"`
-		Speedup     float64 `json:"speedup"`
-		RowAllocs   float64 `json:"row_allocs_per_op"`
-		BatchAllocs float64 `json:"batch_allocs_per_op"`
-		AllocRatio  float64 `json:"alloc_ratio"`
-	}
-	var queries []queryOut
-	var rowTotal, batchTotal time.Duration
-	for _, q := range experiments.E17Queries() {
-		r, b := row[q.ID], batch[q.ID]
-		qo := queryOut{
-			ID: q.ID, RowUS: r.Mean.Microseconds(), BatchUS: b.Mean.Microseconds(),
-			RowAllocs: r.Allocs, BatchAllocs: b.Allocs,
-		}
-		if b.Mean > 0 {
-			qo.Speedup = float64(r.Mean) / float64(b.Mean)
-		}
-		if r.Allocs > 0 {
-			qo.AllocRatio = b.Allocs / r.Allocs
-		}
-		queries = append(queries, qo)
-		rowTotal += r.Mean
-		batchTotal += b.Mean
-	}
-
-	batchAllocs := guardAllocs(t, batchGuardQueryID)
 	type guardOut struct {
 		Query       string  `json:"query"`
 		Scale       string  `json:"scale"`
 		AllocsPerOp float64 `json:"allocs_per_op"`
 	}
-
+	guard := func(id string) guardOut { return guardOut{id, tiger.Small.String(), guardAllocs(t, id)} }
 	out := struct {
-		Experiment   string     `json:"experiment"`
-		Date         string     `json:"date"`
-		CPUs         int        `json:"cpus"`
-		GOMAXPROCS   int        `json:"gomaxprocs"`
-		Scale        string     `json:"scale"`
-		Runs         int        `json:"runs"`
-		BatchSize    int        `json:"batch_size"`
-		Queries      []queryOut `json:"queries"`
-		TotalSpeedup float64    `json:"total_speedup"`
-		Guard        guardOut   `json:"alloc_guard"`
-		PlanGuard    guardOut   `json:"plan_guard"`
-		ScanGuard    guardOut   `json:"scan_guard"`
-		Note         string     `json:"note"`
+		Experiment string   `json:"experiment"`
+		Date       string   `json:"date"`
+		CPUs       int      `json:"cpus"`
+		GOMAXPROCS int      `json:"gomaxprocs"`
+		Guard      guardOut `json:"alloc_guard"`
+		PlanGuard  guardOut `json:"plan_guard"`
+		ScanGuard  guardOut `json:"scan_guard"`
+		Note       string   `json:"note"`
 	}{
-		Experiment: "E17 vectorized batch execution (GaiaDB, 1 worker)",
+		Experiment: "batch executor allocation guards (GaiaDB, 1 worker)",
 		Date:       time.Now().UTC().Format("2006-01-02"),
 		CPUs:       runtime.NumCPU(),
 		GOMAXPROCS: runtime.GOMAXPROCS(0),
-		Scale:      tiger.Medium.String(),
-		Runs:       runs,
-		BatchSize:  256,
-		Queries:    queries,
-		Note: "row/batch are per-execution wall times of the best of 7 timed " +
-			"passes on one core with warm caches (the minimum is the stable " +
-			"estimator of uncontended cost on a shared host); *_allocs_per_op " +
-			"are process-wide heap " +
-			"allocation deltas per execution (runtime.MemStats). alloc_guard " +
-			"is the TestBatchAllocRegression baseline: steady-state allocs/op " +
-			"of " + batchGuardQueryID + " at small scale, batch on, measured " +
-			"with testing.AllocsPerRun; plan_guard is the same for " + planGuardQueryID +
-			"'s address lookup, which has nothing to hoist; scan_guard for " + scanGuardQueryID +
-			"'s full batch scan, which decodes each row's geometry once.",
+		Guard:      guard(batchGuardQueryID),
+		PlanGuard:  guard(planGuardQueryID),
+		ScanGuard:  guard(scanGuardQueryID),
+		Note: "the TestBatchAllocRegression baselines, each the steady-state " +
+			"allocs/op at small scale on a warm, serial engine, measured with " +
+			"testing.AllocsPerRun: alloc_guard for " + batchGuardQueryID +
+			"'s window-predicate micro, plan_guard for " + planGuardQueryID +
+			"'s address lookup, which has nothing to hoist, scan_guard for " +
+			scanGuardQueryID + "'s full batch scan, which decodes each row's geometry once.",
 	}
-	if batchTotal > 0 {
-		out.TotalSpeedup = float64(rowTotal) / float64(batchTotal)
-	}
-	out.Guard = guardOut{batchGuardQueryID, tiger.Small.String(), batchAllocs}
-	out.PlanGuard = guardOut{planGuardQueryID, tiger.Small.String(), guardAllocs(t, planGuardQueryID)}
-	out.ScanGuard = guardOut{scanGuardQueryID, tiger.Small.String(), guardAllocs(t, scanGuardQueryID)}
-
 	buf, err := json.MarshalIndent(out, "", "  ")
 	if err != nil {
 		t.Fatal(err)
@@ -1345,8 +1234,9 @@ func TestWriteBatchBench(t *testing.T) {
 	if err := os.WriteFile("BENCH_batch.json", buf, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	t.Logf("total speedup %.2fx (row %v, batch %v); guard %s %.0f allocs/op; wrote BENCH_batch.json (%d bytes)",
-		out.TotalSpeedup, rowTotal, batchTotal, batchGuardQueryID, batchAllocs, len(buf))
+	t.Logf("guards %s %.0f, %s %.0f, %s %.0f allocs/op; wrote BENCH_batch.json (%d bytes)",
+		batchGuardQueryID, out.Guard.AllocsPerOp, planGuardQueryID, out.PlanGuard.AllocsPerOp,
+		scanGuardQueryID, out.ScanGuard.AllocsPerOp, len(buf))
 }
 
 // TestWritePersistBench regenerates BENCH_persist.json, the committed

@@ -10,8 +10,8 @@
 // catalog), micro-topo (E2), micro-analysis (E3), macro (E4),
 // index-effect (E5), scaleup (E6), mbr (E7), features (E8), cache (E9),
 // concurrency (E10), selectivity (E11), join-ablation (E12),
-// parallelism (E13), scaleout (E15), topo-prep (E16), batch (E17),
-// persist (E18), spatial-join (E19).
+// parallelism (E13), scaleout (E15), topo-prep (E16), persist (E18),
+// spatial-join (E19).
 // Add -full-joins to run the micro joins over the whole extent as the
 // paper did. Add -data <dir> to root the durable suites at a fixed
 // directory instead of a temporary one.
@@ -43,7 +43,7 @@ func run() error {
 	var (
 		scaleFlag   = flag.String("scale", "small", "dataset scale: small, medium, large")
 		seed        = flag.Int64("seed", 1, "dataset / probe seed")
-		suite       = flag.String("suite", "all", "experiment suite to run: all, dataset, queries, micro-topo, micro-analysis, macro, index-effect, scaleup, mbr, features, cache, concurrency, selectivity, join-ablation, parallelism, scaleout, topo-prep, batch, persist, spatial-join")
+		suite       = flag.String("suite", "all", "experiment suite to run: all, dataset, queries, micro-topo, micro-analysis, macro, index-effect, scaleup, mbr, features, cache, concurrency, selectivity, join-ablation, parallelism, scaleout, topo-prep, persist, spatial-join")
 		enginesFlag = flag.String("engines", "gaiadb,myspatial,commercedb", "comma-separated engine profiles")
 		warmup      = flag.Int("warmup", 2, "warmup iterations per query")
 		runs        = flag.Int("runs", 5, "measured iterations per query")
@@ -147,7 +147,6 @@ func run() error {
 		{"parallelism", func() error { return experiments.RunE13(out, cfg, []int{1, 2, 4, 8}) }},
 		{"scaleout", func() error { return experiments.RunE15(out, cfg, shardCounts) }},
 		{"topo-prep", func() error { return experiments.RunE16(out, cfg) }},
-		{"batch", func() error { return experiments.RunE17(out, cfg) }},
 		{"persist", func() error { return experiments.RunE18(out, cfg) }},
 		{"spatial-join", func() error { return experiments.RunE19(out, cfg, []int{1, 2, 8}, shardCounts) }},
 	}

@@ -8,17 +8,20 @@ import (
 )
 
 // TestDMLEquivalence is the rail for DML row selection through the
-// SELECT planner. Every UPDATE and DELETE runs on an unindexed, serial,
-// row-path reference engine and on indexed engines at parallelism 1
-// and 4, batch on and off, in memory and durable; the durable ones are
-// closed and reopened half-way. The statements cover every access path
-// a WHERE clause can pick — pruned full scan, B-tree seek and range,
-// spatial index window, a hoisted constant probe, the MBR prefilter of
-// a table without a spatial index — plus no WHERE, no match, NULL
-// comparisons, a Halloween-shaped update and failing statements. After
-// each one the affected count or error text must match the reference,
-// and so must a SELECT * dump of the table in heap order (no ORDER BY),
-// which catches any change in the order rows are rewritten.
+// SELECT planner. Every UPDATE and DELETE runs on an unindexed, serial
+// reference engine and on indexed engines at parallelism 1 and 4, in
+// memory and durable; the durable ones are closed and reopened
+// half-way. On the reference, the brute-force oracle (refexec) must
+// select as many rows by the statement's WHERE clause as it affects, or
+// fail as it fails, and must admit its SELECT * dump of the table. The
+// statements cover every access path a WHERE clause can pick — pruned
+// full scan, B-tree seek and range, spatial index window, a hoisted
+// constant probe, the MBR prefilter of a table without a spatial index
+// — plus no WHERE, no match, NULL comparisons, a Halloween-shaped update
+// and failing statements. After each one the affected count or error
+// text must match the reference, and so must a SELECT * dump of the
+// table in heap order (no ORDER BY), which catches any change in the
+// order rows are rewritten.
 func TestDMLEquivalence(t *testing.T) {
 	ds := GenerateDataset(ScaleSmall, 1)
 	side := ds.Extent.MaxX
@@ -41,34 +44,30 @@ func TestDMLEquivalence(t *testing.T) {
 		eng.MustExec("INSERT INTO spots VALUES " + strings.Join(spots, ", "))
 	}
 
-	ref := OpenEngine(GaiaDB(), WithParallelism(1), WithBatchExec(false))
+	ref := OpenEngine(GaiaDB(), WithParallelism(1))
 	load(ref, false)
 	type target struct {
-		name  string
-		eng   *Engine
-		dir   string // durable engines only
-		par   int
-		batch bool
+		name string
+		eng  *Engine
+		dir  string // durable engines only
+		par  int
 	}
 	var targets []*target
 	for _, durable := range []bool{false, true} {
 		for _, par := range []int{1, 4} {
-			for _, batch := range []bool{false, true} {
-				tg := &target{name: fmt.Sprintf("durable %v, parallelism %d, batch %v", durable, par, batch),
-					par: par, batch: batch}
-				if durable {
-					tg.dir = filepath.Join(t.TempDir(), "db")
-					eng, err := OpenDurable(GaiaDB(), tg.dir, WithParallelism(par), WithBatchExec(batch))
-					if err != nil {
-						t.Fatal(err)
-					}
-					tg.eng = eng
-				} else {
-					tg.eng = OpenEngine(GaiaDB(), WithParallelism(par), WithBatchExec(batch))
+			tg := &target{name: fmt.Sprintf("durable %v, parallelism %d", durable, par), par: par}
+			if durable {
+				tg.dir = filepath.Join(t.TempDir(), "db")
+				eng, err := OpenDurable(GaiaDB(), tg.dir, WithParallelism(par))
+				if err != nil {
+					t.Fatal(err)
 				}
-				load(tg.eng, true)
-				targets = append(targets, tg)
+				tg.eng = eng
+			} else {
+				tg.eng = OpenEngine(GaiaDB(), WithParallelism(par))
 			}
+			load(tg.eng, true)
+			targets = append(targets, tg)
 		}
 	}
 	defer func() {
@@ -96,20 +95,15 @@ func TestDMLEquivalence(t *testing.T) {
 	check := func(phase string, cases []dmlCase) {
 		t.Helper()
 		for _, c := range cases {
-			want, wantErr := ref.Exec(c.sql)
-			if (wantErr != nil) != c.fails || (wantErr == nil && (want.Affected == 0) != c.zero) {
-				t.Fatalf("%s: %s: reference affects %d rows, error %v", phase, c.sql, want.Affected, wantErr)
+			want := oracleExec(t, ref, c.sql)
+			if strings.HasPrefix(want, "error: ") != c.fails || !c.fails && (want == "affected 0") != c.zero {
+				t.Fatalf("%s: %s: reference gives %s", phase, c.sql, want)
 			}
-			wantDump := dump(ref, c.table)
+			wantDump := oracleExec(t, ref, "SELECT * FROM "+c.table)
 			for _, tg := range targets {
 				got, err := tg.eng.Exec(c.sql)
-				switch {
-				case err != nil || wantErr != nil:
-					if fmt.Sprint(err) != fmt.Sprint(wantErr) {
-						t.Errorf("%s: %s (%s): error %v, reference %v", phase, c.sql, tg.name, err, wantErr)
-					}
-				case got.Affected != want.Affected:
-					t.Errorf("%s: %s (%s): %d rows affected, reference %d", phase, c.sql, tg.name, got.Affected, want.Affected)
+				if g := execResult(got, err); g != want {
+					t.Errorf("%s: %s (%s): %s, reference %s", phase, c.sql, tg.name, g, want)
 				}
 				if c.sel != "" {
 					if _, serr := tg.eng.Exec(c.sel); fmt.Sprint(serr) != fmt.Sprint(err) {
@@ -172,7 +166,7 @@ func TestDMLEquivalence(t *testing.T) {
 		if err := tg.eng.Close(); err != nil {
 			t.Fatalf("close %s: %v", tg.name, err)
 		}
-		eng, err := OpenDurable(GaiaDB(), tg.dir, WithParallelism(tg.par), WithBatchExec(tg.batch))
+		eng, err := OpenDurable(GaiaDB(), tg.dir, WithParallelism(tg.par))
 		if err != nil {
 			t.Fatalf("reopen %s: %v", tg.name, err)
 		}

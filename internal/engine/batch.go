@@ -11,7 +11,8 @@ import (
 // executor. ScanBatch fills reusable column batches from the heap,
 // testing each tuple on its page against the projection's MBR window
 // and pushed-down comparisons and copying only the survivors; FetchBatch
-// fills them with given rows. Both materialize only the selected slots.
+// fills them with given rows that pass the pushed-down comparisons.
+// Both materialize only the selected slots.
 // Filter-only (ephemeral) geometries decode into the batch's coordinate
 // arena instead of the heap.
 
@@ -66,6 +67,10 @@ func (t *table) ScanBatch(shard, nshards int, proj sql.Projection,
 // FetchBatch implements sql.Table.
 func (t *table) FetchBatch(ids []sql.RowID, proj sql.Projection, b *storage.ColBatch) error {
 	b.Reset(len(t.cols), len(t.cols))
+	var filter *storage.TupleFilter
+	if len(proj.Compares) > 0 {
+		filter = &storage.TupleFilter{MBRCol: -1, Compares: proj.Compares}
+	}
 	for _, id := range ids {
 		rid := id.Unpack()
 		var err error
@@ -73,7 +78,7 @@ func (t *table) FetchBatch(ids []sql.RowID, proj sql.Projection, b *storage.ColB
 		if err != nil {
 			return err
 		}
-		if err := b.Append(int64(id), b.Scratch, nil); err != nil {
+		if err := b.Append(int64(id), b.Scratch, filter); err != nil {
 			return fmt.Errorf("engine: table %s at %s: %w", t.name, rid, err)
 		}
 	}

@@ -50,8 +50,6 @@ type options struct {
 	parSet       bool
 	topoPrep     bool
 	topoPrepSet  bool
-	batchExec    bool
-	batchSet     bool
 	joinStrat    sql.JoinStrategy
 	joinStratSet bool
 }
@@ -93,16 +91,11 @@ func WithTopoPrep(enabled bool) Option {
 	return func(o *options) { o.topoPrep = enabled; o.topoPrepSet = true }
 }
 
-// WithBatchExec toggles batch-at-a-time (vectorized) stage-0 query
-// execution: eligible scans feed column batches through flat MBR
-// prefilter kernels and batched predicate refinement instead of one
-// row per callback, fanned out across the worker pool. Default:
-// enabled; false selects the serial row-at-a-time reference executor.
-// Plans batching does not cover (kNN, index seeks, bare LIMIT) use the
-// row path either way.
-func WithBatchExec(enabled bool) Option {
-	return func(o *options) { o.batchExec = enabled; o.batchSet = true }
-}
+// WithBatchExec is a no-op: every plan runs stage 0 through the batch
+// cascade.
+//
+// Deprecated: kept only so bench/verify.go, which is frozen, compiles.
+func WithBatchExec(bool) Option { return func(*options) {} }
 
 // WithJoinStrategy forces the spatial-join strategy: sql.JoinAuto
 // (cost-based, the default), sql.JoinINL (per-outer-row index probes)
@@ -141,9 +134,6 @@ func Open(profile Profile, opts ...Option) *Engine {
 	e.runner.SetParallelism(par)
 	if o.topoPrepSet {
 		e.runner.SetTopoPrep(o.topoPrep)
-	}
-	if o.batchSet {
-		e.runner.SetBatchExec(o.batchExec)
 	}
 	if o.joinStratSet {
 		e.runner.SetJoinStrategy(o.joinStrat)

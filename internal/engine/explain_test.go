@@ -78,11 +78,11 @@ func TestSQLGeoJSON(t *testing.T) {
 	}
 }
 
-// TestExplainShowsPrefilter: a batched full scan lists one prefilter
+// TestExplainShowsPrefilter: every stage-0 source lists one prefilter
 // row per stage-0 comparison of a column with a literal, which it tests
-// on every stored tuple before copying it into a batch. A literal on
-// the left is listed as written. Comparisons of two columns, join-stage
-// comparisons, index-driven stage 0 and the row path list none.
+// on every stored tuple it scans or fetches before copying it into a
+// batch. A literal on the left is listed as written. Comparisons of two
+// columns and join-stage comparisons list none.
 func TestExplainShowsPrefilter(t *testing.T) {
 	e := newTestEngine(t)
 	loadGrid(t, e, 6)
@@ -113,13 +113,7 @@ func TestExplainShowsPrefilter(t *testing.T) {
 		t.Errorf("join prefilter rows = %q, want only stage 0's a.id = 7", got)
 	}
 	window := "SELECT id FROM landmarks WHERE ST_Intersects(geo, ST_MakeEnvelope(0, 0, 5, 5)) AND id = 7"
-	if got := prefilters(e, window); len(got) != 0 {
-		t.Errorf("window scan prefilter rows = %q, want none", got)
-	}
-	rowPath := Open(GaiaDB(), WithBatchExec(false))
-	rowPath.MustExec("CREATE TABLE landmarks (id INTEGER, name TEXT, geo GEOMETRY)")
-	loadGrid(t, rowPath, 6)
-	if got := prefilters(rowPath, q); len(got) != 0 {
-		t.Errorf("row path prefilter rows = %q, want none", got)
+	if got := prefilters(e, window); len(got) != 1 || got[0] != "stage=landmarks (id = 7)" {
+		t.Errorf("window scan prefilter rows = %q, want only id = 7", got)
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"jackpine/internal/sql"
+	"jackpine/internal/sql/refexec"
 	"jackpine/internal/storage"
 )
 
@@ -185,7 +186,9 @@ func resultRows(res *sql.Result) [][]string {
 // plan browses or seeks by the rule), and requires the predicted plan,
 // an executed access label equal to EXPLAIN's and the same rows,
 // distances and errors. An unusable probe runs the sort form's plan,
-// so its rows must match whole, ids and order included.
+// so its rows must match whole, ids and order included. The brute-force
+// oracle (refexec) must admit every result and fail with the same
+// error text.
 func TestKNNMatchesSort(t *testing.T) {
 	const n = 240
 	qs := knnOracleQueries(knnOracleProbes(7))
@@ -209,6 +212,9 @@ func TestKNNMatchesSort(t *testing.T) {
 				if d == "" {
 					d = accessMismatch(e, q.KNN, res)
 				}
+				if d == "" {
+					d = oracleDisagreement(e, q.KNN, res, err)
+				}
 				if d != "" {
 					if bad++; bad <= 5 {
 						t.Errorf("%s %+v: %s: %s", prof.Name, v, q.KNN, d)
@@ -221,6 +227,22 @@ func TestKNNMatchesSort(t *testing.T) {
 			}
 		}
 	}
+}
+
+// oracleDisagreement describes how a statement's result or error
+// differs from what the brute-force oracle admits; it returns "" when
+// they agree.
+func oracleDisagreement(e *Engine, query string, res *sql.Result, err error) string {
+	want, wantErr := refexec.Run(e, e.reg, query)
+	switch {
+	case err != nil || wantErr != nil:
+		if fmt.Sprint(err) != fmt.Sprint(wantErr) {
+			return fmt.Sprintf("error %v, oracle %v", err, wantErr)
+		}
+	case want.Admits(res.Rows) != nil:
+		return "oracle: " + want.Admits(res.Rows).Error()
+	}
+	return ""
 }
 
 // accessMismatch describes how an executed statement's access labels

@@ -109,7 +109,9 @@ func ordinateQueries(seed int64) []ordinateQuery {
 // nested loop. It requires the same rows and error, the plan the rule
 // predicts — the window form probes the spatial index when there is one,
 // every bound is a number and no B-tree path outranks it; the scan form
-// never probes it — and executed access labels equal to EXPLAIN's.
+// never probes it — and executed access labels equal to EXPLAIN's; the
+// brute-force oracle (refexec) must admit every result and fail with
+// the same error text.
 func TestOrdinateWindowMatchesScan(t *testing.T) {
 	const n = 300 // above parallelMinRows: two workers split the window
 	qs := ordinateQueries(5)
@@ -142,6 +144,9 @@ func TestOrdinateWindowMatchesScan(t *testing.T) {
 					!slices.Equal(sortedRows(res), sortedRows(want)) {
 					d = fmt.Sprintf("%d rows (error %v), scan form %d (error %v)",
 						len(sortedRows(res)), err, len(sortedRows(want)), wantErr)
+				}
+				if d == "" {
+					d = oracleDisagreement(e, window, res, err)
 				}
 				if d != "" {
 					if bad++; bad <= 5 {

@@ -343,9 +343,9 @@ func outerSourceFixture(t *testing.T, opts ...Option) *Engine {
 // TestPBSMOuterSourceEquivalence: a PBSM join over a batched full scan
 // of its outer table with no stage-0 filter reads the outer rows from
 // the join state, built on the cold run and cached for the warm one, so
-// no run scans the outer heap in batches; with a stage-0 filter the
-// scan streams in batches and decodes only survivors, and a bare LIMIT
-// streams row at a time. With NULL and empty outer geometries,
+// no run scans the outer heap in batches; with a stage-0 filter, or
+// under a bare LIMIT, which stops early, the scan streams in batches and
+// decodes only survivors. With NULL and empty outer geometries,
 // aggregates, stage-1 filters, both refine kernels and LIMIT, every run
 // at parallelism 1, 2 and 4 must return the serial cold run's rows in
 // its order, and the rows JoinINL returns as a multiset (a bare LIMIT,
@@ -362,8 +362,14 @@ func TestPBSMOuterSourceEquivalence(t *testing.T) {
 		{q: "SELECT a.id, p.id " + join + "ST_Contains(a.geo, p.geo) ORDER BY p.id DESC, a.id LIMIT 30"},
 		{q: "SELECT p.id, p.tag, a.id " + join + "ST_Intersects(p.geo, a.geo) WHERE p.id % 4 <> 2", batched: true},
 		{
-			q:    "SELECT p.id, a.id " + join + "ST_DWithin(p.geo, a.geo, 1.25) WHERE p.id % 4 <> 0 LIMIT 40",
-			inlQ: "SELECT p.id, a.id " + join + "ST_DWithin(p.geo, a.geo, 1.25) WHERE p.id % 4 <> 0",
+			q:       "SELECT p.id, a.id " + join + "ST_DWithin(p.geo, a.geo, 1.25) WHERE p.id % 4 <> 0 LIMIT 40",
+			inlQ:    "SELECT p.id, a.id " + join + "ST_DWithin(p.geo, a.geo, 1.25) WHERE p.id % 4 <> 0",
+			batched: true,
+		},
+		{
+			q:       "SELECT p.id, a.id " + join + "ST_Intersects(p.geo, a.geo) LIMIT 40",
+			inlQ:    "SELECT p.id, a.id " + join + "ST_Intersects(p.geo, a.geo)",
+			batched: true,
 		},
 	}
 	inl := outerSourceFixture(t, WithJoinStrategy(sql.JoinINL))

@@ -687,131 +687,3 @@ func RunE16(w io.Writer, cfg Config) error {
 	}
 	return nil
 }
-
-// e17MicroIDs are the window-predicate micro queries E17 measures: a
-// spatial-index probe feeding an MBR prefilter and an exact refinement,
-// the shape the batch executor vectorizes end to end.
-var e17MicroIDs = []string{"MT8", "MT13", "MA5", "MA6"}
-
-// E17Queries returns the micro queries E17 runs (exported for the
-// repository's benchmark and BENCH_batch.json writer).
-func E17Queries() []core.MicroQuery {
-	var out []core.MicroQuery
-	for _, q := range core.MicroSuite() {
-		for _, id := range e17MicroIDs {
-			if q.ID == id {
-				out = append(out, q)
-			}
-		}
-	}
-	return out
-}
-
-// E17Measurement is one (query, executor) cell of the E17 table.
-type E17Measurement struct {
-	Mean   time.Duration // per-execution wall time of the best timed pass
-	Allocs float64       // process-wide heap allocations per execution
-	Bytes  float64       // process-wide heap bytes per execution
-}
-
-// e17Windows is the number of distinct probe windows each E17 query
-// cycles through; one pass executes each window once.
-const e17Windows = 5
-
-// MeasureE17 runs the E17 workload on one engine configuration: the
-// window-predicate micros, single core, warm caches, with process-wide
-// allocation deltas (runtime.MemStats) attributed per execution. Each
-// query runs `runs` timed passes over the same probe windows and
-// reports the best pass — on a contended host the minimum is the
-// stable estimator of uncontended cost, while the mean absorbs every
-// scheduler preemption and GC pause that lands in the loop. Allocation
-// counts are averaged over all passes (they are deterministic). The
-// returned map is keyed by query ID.
-func MeasureE17(ds *tiger.Dataset, ctx *core.QueryContext, batch bool, runs int) (map[string]E17Measurement, error) {
-	eng := engine.Open(engine.GaiaDB(), engine.WithBatchExec(batch))
-	eng.SetParallelism(1)
-	if err := tiger.Load(engineExecer{eng}, ds, true); err != nil {
-		return nil, err
-	}
-	conn, err := driver.NewInProc(eng).Connect()
-	if err != nil {
-		return nil, err
-	}
-	defer conn.Close()
-
-	out := make(map[string]E17Measurement)
-	for _, q := range E17Queries() {
-		// Warm pass over the same probe windows the timed passes use,
-		// so the buffer pool serves both executors equally.
-		for i := 0; i < e17Windows; i++ {
-			if _, err := conn.Query(q.SQL(ctx, i)); err != nil {
-				return nil, fmt.Errorf("experiments: E17 %s: %w", q.ID, err)
-			}
-		}
-		runtime.GC()
-		var ms0, ms1 runtime.MemStats
-		runtime.ReadMemStats(&ms0)
-		best := time.Duration(0)
-		for p := 0; p < runs; p++ {
-			start := time.Now()
-			for i := 0; i < e17Windows; i++ {
-				if _, err := conn.Query(q.SQL(ctx, i)); err != nil {
-					return nil, fmt.Errorf("experiments: E17 %s: %w", q.ID, err)
-				}
-			}
-			if pass := time.Since(start); best == 0 || pass < best {
-				best = pass
-			}
-		}
-		runtime.ReadMemStats(&ms1)
-		execs := float64(runs * e17Windows)
-		out[q.ID] = E17Measurement{
-			Mean:   best / e17Windows,
-			Allocs: float64(ms1.Mallocs-ms0.Mallocs) / execs,
-			Bytes:  float64(ms1.TotalAlloc-ms0.TotalAlloc) / execs,
-		}
-	}
-	if batch {
-		if batches, rows := eng.BatchStats(); batches == 0 || rows == 0 {
-			return nil, fmt.Errorf("experiments: E17 batch engine processed no batches (batches=%d rows=%d)", batches, rows)
-		}
-	}
-	return out, nil
-}
-
-// RunE17 measures vectorized batch execution: the window-predicate
-// micro queries on one core with batch-at-a-time execution disabled
-// (tuple-at-a-time LazyTuple path) and enabled (column batches, flat
-// MBR prefilter kernel, batched prepared refinement, arena decoding).
-// Parallelism is pinned to 1 so the speedup is per-core executor
-// efficiency, not scheduling. The allocation columns are process-wide
-// heap allocation counts per query execution.
-func RunE17(w io.Writer, cfg Config) error {
-	header(w, "E17", "vectorized batch execution", cfg)
-	scale := cfg.Scale
-	if scale < tiger.Medium {
-		scale = tiger.Medium
-	}
-	ds := tiger.Generate(scale, cfg.Seed)
-	ctx := core.NewQueryContext(ds)
-
-	const runs = 7
-	row, err := MeasureE17(ds, ctx, false, runs)
-	if err != nil {
-		return err
-	}
-	bat, err := MeasureE17(ds, ctx, true, runs)
-	if err != nil {
-		return err
-	}
-
-	fmt.Fprintf(w, "%-6s %12s %12s %9s %12s %12s\n",
-		"query", "row", "batch", "speedup", "row_allocs", "batch_allocs")
-	for _, q := range E17Queries() {
-		r, b := row[q.ID], bat[q.ID]
-		fmt.Fprintf(w, "%-6s %12s %12s %8.2fx %12.0f %12.0f\n",
-			q.ID, r.Mean.Round(time.Microsecond), b.Mean.Round(time.Microsecond),
-			float64(r.Mean)/float64(b.Mean), r.Allocs, b.Allocs)
-	}
-	return nil
-}

@@ -30,7 +30,7 @@ func E19Scenario() core.MacroScenario {
 type E19Cell struct {
 	// Mean is the per-operation wall time of the best timed pass (the
 	// minimum is the stable estimator of uncontended cost on a shared
-	// host, as in E17).
+	// host).
 	Mean time.Duration
 	// Rows is the rows retrieved per operation; E19 requires it to be
 	// identical across strategies and topologies (the equivalence rail).

@@ -11,8 +11,7 @@ import (
 
 // TestAccessLabelIsExecutedPath runs ordinate windows whose bound is a
 // number, NULL, NaN or TEXT and kNN statements whose probe is a point,
-// NULL, an empty geometry or TEXT, batch on and off, at parallelism 1
-// and 2. The planner reads those constants, so the access label, both
+// NULL, an empty geometry or TEXT, at parallelism 1 and 2. The planner reads those constants, so the access label, both
 // EXPLAIN's and the executed statement's, must name the path the
 // counters saw: spatial-index searches the index and scans no heap, knn
 // browses it nearest-first and scans no heap, seqscan scans the heap
@@ -51,34 +50,31 @@ func TestAccessLabelIsExecutedPath(t *testing.T) {
 		{"SELECT id FROM p ORDER BY ST_Distance(g, 'x') LIMIT 3", "seqscan"},
 	}
 	for _, par := range []int{1, 2} {
-		for _, batch := range []bool{false, true} {
-			run.SetParallelism(par)
-			run.SetBatchExec(batch)
-			for _, c := range cases {
-				cfg := fmt.Sprintf("parallelism %d, batch %v: %s", par, batch, c.query)
-				label := mustRun("EXPLAIN " + c.query).Rows[0][1].Text
-				n.searches.Store(0)
-				n.nearest.Store(0)
-				n.mu.Lock()
-				n.scans = nil
-				n.mu.Unlock()
-				res, err := run.Run(c.query)
-				if err == nil && res.Access[0] != "p:"+label {
-					t.Errorf("%s: ran as %s, EXPLAIN says %s", cfg, res.Access[0], label)
-				}
-				searched, browsed, scanned := n.searches.Load() > 0, n.nearest.Load() > 0, len(n.scans) > 0
-				ran := fmt.Sprintf("searches %d, nearest %d, scans %d", n.searches.Load(), n.nearest.Load(), len(n.scans))
-				switch {
-				case searched && !browsed && !scanned:
-					ran = "spatial-index"
-				case browsed && !searched && !scanned:
-					ran = "knn"
-				case scanned && !searched && !browsed:
-					ran = "seqscan"
-				}
-				if !strings.Contains(label, c.path) || !strings.Contains(label, ran) {
-					t.Errorf("%s: labelled %s, ran %s, want %s", cfg, label, ran, c.path)
-				}
+		run.SetParallelism(par)
+		for _, c := range cases {
+			cfg := fmt.Sprintf("parallelism %d: %s", par, c.query)
+			label := mustRun("EXPLAIN " + c.query).Rows[0][1].Text
+			n.searches.Store(0)
+			n.nearest.Store(0)
+			n.mu.Lock()
+			n.scans = nil
+			n.mu.Unlock()
+			res, err := run.Run(c.query)
+			if err == nil && res.Access[0] != "p:"+label {
+				t.Errorf("%s: ran as %s, EXPLAIN says %s", cfg, res.Access[0], label)
+			}
+			searched, browsed, scanned := n.searches.Load() > 0, n.nearest.Load() > 0, len(n.scans) > 0
+			ran := fmt.Sprintf("searches %d, nearest %d, scans %d", n.searches.Load(), n.nearest.Load(), len(n.scans))
+			switch {
+			case searched && !browsed && !scanned:
+				ran = "spatial-index"
+			case browsed && !searched && !scanned:
+				ran = "knn"
+			case scanned && !searched && !browsed:
+				ran = "seqscan"
+			}
+			if !strings.Contains(label, c.path) || !strings.Contains(label, ran) {
+				t.Errorf("%s: labelled %s, ran %s, want %s", cfg, label, ran, c.path)
 			}
 		}
 	}

@@ -6,28 +6,31 @@ import (
 	"jackpine/internal/storage"
 )
 
-// Batch-at-a-time stage-0 execution. Eligible plans replace the
-// tuple-at-a-time scan of the driving table with column batches
-// (storage.ColBatch): a full scan tests each tuple on its page against
-// the MBR window and the filters' column-versus-literal comparisons and
-// copies only the survivors into the batch; the table then decodes only
-// the columns the stage's residual filters read, and hands the batch
-// here, where those filters run column-major over the selection vector:
-// each filter in turn compacts the selection through the worker's
-// filterExec (filter.go), the same per-row decision the row path makes.
-// The filters are nodes of the execution's bound tree (bind.go), read
-// and never written here. Late materialization: each surviving row is
-// then copied into the shard's one full-width scratch tuple, since
-// batch memory is recycled, the rest of its needed columns decode into
-// that tuple, and it is emitted, borrowed, into the join/aggregate/sort
-// pipeline.
+// Batch-at-a-time stage-0 execution, the one stage-0 flow of every
+// plan. Stage 0 reads the driving table in column batches
+// (storage.ColBatch): a full scan fills them from the heap, an index
+// path fetches the ids its probe yields, in index order (refine). Each
+// stored tuple is tested against the MBR window and the filters'
+// column-versus-literal comparisons where it lies, and only survivors
+// are copied into the batch; the table then decodes only the columns
+// the stage's residual filters read, and hands the batch here, where
+// those filters run column-major over the selection vector: each filter
+// in turn compacts the selection through the worker's filterExec
+// (filter.go). The filters are nodes of the execution's bound tree
+// (bind.go), read and never written here. Late materialization: each
+// surviving row is then copied into the shard's one full-width scratch
+// tuple, since batch memory is recycled, the rest of its needed columns
+// decode into that tuple, and it is emitted, borrowed, into the
+// join/aggregate/sort pipeline.
 //
-// The batch path is byte-equivalent to the row path on success. Four
-// narrow divergences are accepted and documented in DESIGN.md: a batch
+// On success the cascade returns exactly the rows of a row-at-a-time
+// evaluation of the filters (internal/sql/refexec is that reference),
+// in the access path's order. Four narrow error divergences from such
+// an evaluation are accepted and documented in DESIGN.md: a batch
 // validates all of its tuples and envelopes before materializing any,
 // so corrupt data can surface a different (but same-shaped) error than
-// the strictly row-ordered scan; when several filters would each error
-// on different rows, the column-major cascade can surface a different
+// a strictly row-ordered scan; when several filters would each error on
+// different rows, the column-major cascade can surface a different
 // conjunct's error than row-major short-circuiting; a corrupt column
 // the filters do not read is never decoded on a row they drop; and a
 // row a pushed-down comparison drops before copying never reaches the
@@ -44,8 +47,9 @@ type batchPlan struct {
 	// every batch this plan scans or fetches.
 	eager []bool
 	// prefilter holds the filters' column-versus-literal comparisons:
-	// the Projection.Compares a full scan tests on each tuple before
-	// copying it. The cascade still runs every comparator on survivors.
+	// the Projection.Compares every scan and fetch tests on each tuple
+	// before copying it. The cascade still runs every comparator on
+	// survivors.
 	prefilter []storage.ColCompare
 	// deferred lists the needed columns the filters do not read; they
 	// decode onto the heap for survivors only.
@@ -122,7 +126,9 @@ func (ex *batchExec) run(b *storage.ColBatch, emit emitFn) (bool, error) {
 			}
 			full[c] = v
 		}
-		setRowID(full, p.idPos, RowID(b.ID(s)))
+		if p.idPos > 0 { // a DML row selection collects ids
+			full[p.idPos] = storage.NewInt(b.ID(s))
+		}
 		cont, err := emit(full)
 		if err != nil || !cont {
 			return cont, err
@@ -152,25 +158,30 @@ func (ex *batchExec) cascade(b *storage.ColBatch) ([]int, error) {
 	return sel, nil
 }
 
-// batchRefine fetches spatial-window candidates in batch-sized chunks
-// (preserving index search order) and runs the filter cascade on each.
-func batchRefine(tbl Table, path accessPath, ex *batchExec,
-	cands []RowID, emit emitFn) error {
+// refine fetches the row ids probe yields, in its order, in chunks of
+// up to size, and runs the cascade on each chunk; it stops the probe as
+// soon as the pipeline stops.
+func (ex *batchExec) refine(tbl Table, proj Projection, size int,
+	probe func(fn func(RowID) bool), emit emitFn) error {
 
-	if len(cands) == 0 {
-		return nil
-	}
-	proj := Projection{Need: ex.plan.eager, MBRCol: -1, Ephemeral: path.ephemeral}
 	b := storage.GetColBatch()
 	defer storage.PutColBatch(b)
-	for lo := 0; lo < len(cands); lo += storage.BatchSize {
-		hi := min(lo+storage.BatchSize, len(cands))
-		if err := tbl.FetchBatch(cands[lo:hi], proj, b); err != nil {
-			return err
+	ids := make([]RowID, 0, size)
+	cont := true
+	var err error
+	flush := func() bool {
+		if err = tbl.FetchBatch(ids, proj, b); err == nil {
+			cont, err = ex.run(b, emit)
 		}
-		if cont, err := ex.run(b, emit); err != nil || !cont {
-			return err
-		}
+		ids = ids[:0]
+		return err == nil && cont
 	}
-	return nil
+	probe(func(id RowID) bool {
+		ids = append(ids, id)
+		return len(ids) < size || flush()
+	})
+	if len(ids) > 0 {
+		flush()
+	}
+	return err
 }

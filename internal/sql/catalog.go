@@ -57,7 +57,7 @@ type AttrIndexDef struct {
 // it to decode lazily: unneeded columns surface as NULL (they are never
 // read by the plan), and rows whose prefiltered geometry envelope does
 // not intersect Window are skipped before any full decode. A batch scan
-// also skips rows that one of Compares certainly rejects.
+// or fetch also skips rows that one of Compares certainly rejects.
 type Projection struct {
 	// Need[i] marks column i as referenced; nil means all columns.
 	Need []bool
@@ -73,11 +73,11 @@ type Projection struct {
 	// is recycled at the next batch. nil means none; ScanProject ignores
 	// the field.
 	Ephemeral []bool
-	// Compares are column-versus-literal comparisons that ScanBatch
-	// tests on each tuple before copying it into the batch
+	// Compares are column-versus-literal comparisons that ScanBatch and
+	// FetchBatch test on each tuple before copying it into the batch
 	// (storage.TupleFilter): a superset filter that drops only rows the
-	// plan's own filters would drop without error. ScanProject and
-	// FetchBatch ignore the field.
+	// plan's own filters would drop without error. ScanProject ignores
+	// the field.
 	Compares []storage.ColCompare
 }
 
@@ -111,9 +111,10 @@ type Table interface {
 	// FetchProject returns the row with the given id, materializing only
 	// the columns marked in need (nil need means all).
 	FetchProject(id RowID, need []bool) ([]storage.Value, error)
-	// FetchBatch fills b with the identified rows (in id order, all
-	// selected) and materializes them per proj.Need. Used by the batch
-	// refinement stage of spatial-index scans.
+	// FetchBatch fills b with the identified rows, in the order given,
+	// less those proj.Compares drops, all selected, and materializes
+	// them per proj.Need. Every index-driven stage 0 fetches its rows
+	// through it.
 	FetchBatch(ids []RowID, proj Projection, b *storage.ColBatch) error
 	// ScanMBR invokes fn with every row's envelope for geometry column
 	// col in heap (RowID) order, read straight from the stored tuple

@@ -32,11 +32,10 @@ type Result struct {
 
 // Runner binds a catalog and function registry into a statement executor.
 type Runner struct {
-	cat   Catalog
-	reg   *Registry
-	par   int  // worker pool size for parallel-eligible queries (>= 1)
-	prep  bool // prepare constant sides of topological predicates
-	batch bool // batch-at-a-time stage-0 execution
+	cat  Catalog
+	reg  *Registry
+	par  int  // worker pool size for parallel-eligible queries (>= 1)
+	prep bool // prepare constant sides of topological predicates
 
 	// Batch activity counters (equivalence tests assert the intended
 	// path actually ran): batches processed and rows entering the batch
@@ -61,9 +60,9 @@ type Runner struct {
 
 // NewRunner creates an executor over the catalog using the registry's
 // function semantics. Parallelism defaults to GOMAXPROCS; topological
-// constant-side preparation and batch execution are on.
+// constant-side preparation is on.
 func NewRunner(cat Catalog, reg *Registry) *Runner {
-	r := &Runner{cat: cat, reg: reg, prep: true, batch: true}
+	r := &Runner{cat: cat, reg: reg, prep: true}
 	r.SetParallelism(0)
 	return r
 }
@@ -75,17 +74,8 @@ func NewRunner(cat Catalog, reg *Registry) *Runner {
 // concurrently with running queries.
 func (r *Runner) SetTopoPrep(enabled bool) { r.prep = enabled }
 
-// SetBatchExec toggles batch-at-a-time stage-0 execution. On by
-// default; false selects the serial row-at-a-time reference executor
-// (no stage-0 parallelism), which exists for equivalence testing and
-// measurement. Plans that batching does not cover — kNN, index seeks,
-// bare LIMIT — use the row path regardless. Not safe to call
-// concurrently with running queries.
-func (r *Runner) SetBatchExec(enabled bool) { r.batch = enabled }
-
 // BatchStats returns the cumulative batch activity: batches processed
-// and rows that entered the batch filter cascade. Zero while batch
-// execution is disabled or never eligible.
+// and rows that entered the batch filter cascade.
 func (r *Runner) BatchStats() (batches, rows int64) {
 	return r.batchBatches.Load(), r.batchRows.Load()
 }
@@ -404,15 +394,15 @@ func (r *Runner) execSelect(sel *Select, explainOnly bool, rowIDs *[]RowID) (*Re
 		}
 	}
 
-	// How stage 0 runs — batched or not, on how many workers — and, for
-	// a batched stage 0, ephemeral classification: stage-0 geometry
-	// columns that only this stage's filters read may be decoded into
-	// recycled arena memory, since emitted survivor rows NULL them before
-	// anything downstream could observe the value. A parallel stage 0
-	// runs its join stages inside each worker, and shard results merge
-	// deterministically in shard order.
-	batch0, workers := r.stage0Exec(sel, tables[0].tbl, paths[0].kind, hasAgg)
-	if batch0 && !allCols {
+	// How many workers run stage 0, and ephemeral classification:
+	// stage-0 geometry columns that only this stage's filters read may be
+	// decoded into recycled arena memory, since emitted survivor rows
+	// NULL them before anything downstream could observe the value. A
+	// parallel stage 0 runs its join stages inside each worker, and shard
+	// results merge deterministically in shard order.
+	bareLimit := sel.Limit >= 0 && !hasAgg && len(sel.OrderBy) == 0
+	workers := r.stage0Workers(tables[0].tbl, paths[0].kind, bareLimit)
+	if !allCols {
 		needElse := make([]bool, scope.Len())
 		markColumns(needElse, sinks...)
 		for i := 1; i < len(tables); i++ {
@@ -452,14 +442,14 @@ func (r *Runner) execSelect(sel *Select, explainOnly bool, rowIDs *[]RowID) (*Re
 		paths[0].idPos = width
 		width++
 	}
-	// A PBSM stage over a batched, unfiltered full scan of stage 0 holds
-	// the outer rows in its state, and stage 0 reads them there: that
-	// scan decodes every outer row anyway. A filtered scan keeps
-	// streaming and decodes only what its filters need until a row
-	// survives (batchPlan.eager): a decoded copy of the whole outer layer
-	// would cost memory and decoding for every row it drops. Unbatched
-	// plans, the row-at-a-time reference, keep scanning the heap.
-	fromState := batch0 && len(tables) == 2 && paths[1].kind == accessPBSM &&
+	// A PBSM stage over an unfiltered full scan of stage 0 holds the
+	// outer rows in its state, and stage 0 reads them there: that scan
+	// decodes every outer row anyway. A filtered scan keeps streaming and
+	// decodes only what its filters need until a row survives
+	// (batchPlan.eager): a decoded copy of the whole outer layer would
+	// cost memory and decoding for every row it drops. A bare LIMIT
+	// scan, which stops early, keeps scanning the heap too.
+	fromState := !bareLimit && len(tables) == 2 && paths[1].kind == accessPBSM &&
 		paths[0].kind == accessFullScan && len(stageFilters[0]) == 0
 	if fromState {
 		paths[1].pbsm.outerAt, paths[1].pbsm.outerNeed = width, paths[0].need
@@ -473,7 +463,7 @@ func (r *Runner) execSelect(sel *Select, explainOnly bool, rowIDs *[]RowID) (*Re
 	if fromState {
 		src = joins[1]
 	}
-	// filterRows applies a stage's residual filters, through one
+	// filterRows applies a join stage's residual filters, through one
 	// worker's evaluator, to each of its rows and hands the survivors to
 	// out.
 	filterRows := func(fx *filterExec, out emitFn) emitFn {
@@ -509,19 +499,16 @@ func (r *Runner) execSelect(sel *Select, explainOnly bool, rowIDs *[]RowID) (*Re
 			return op.probe(full, emitRow)
 		}
 	}
-	// pipeline builds one worker's stages over its sink, once per shard,
-	// and returns stage 0's two entries: through stage 0's filters (the
-	// row path), and past them (the batch cascade applies them itself).
-	pipeline := func(sink emitFn) (filtered, forward emitFn) {
-		forward = sink
-		for stage := len(tables) - 1; ; stage-- {
+	// pipeline builds one worker's join stages over its sink, once per
+	// shard, and returns their entry past stage 0's filters, which the
+	// batch cascade applies.
+	pipeline := func(sink emitFn) emitFn {
+		forward := sink
+		for stage := len(tables) - 1; stage > 0; stage-- {
 			fx := stagePlans[stage].exec()
-			filtered = filterRows(fx, forward)
-			if stage == 0 {
-				return filtered, forward
-			}
-			forward = joinStage(stage, fx, filtered)
+			forward = joinStage(stage, fx, filterRows(fx, forward))
 		}
+		return forward
 	}
 
 	// Sinks: aggregation, ordering, limit, projection.
@@ -547,17 +534,15 @@ func (r *Runner) execSelect(sel *Select, explainOnly bool, rowIDs *[]RowID) (*Re
 			})
 		}
 		res.Rows = append(res.Rows, h.explainRows()...)
-		// A batched full scan tests stage 0's column-versus-literal
-		// comparisons on every stored tuple before copying it.
-		if batch0 && paths[0].kind == accessFullScan {
-			for _, f := range stagePlans[0].filters {
-				if _, ok := f.cmp.pushdown(tables[0].hi); ok {
-					res.Rows = append(res.Rows, []storage.Value{
-						storage.NewText("prefilter"),
-						storage.NewText(fmt.Sprintf("stage=%s %s", tables[0].binding, f.expr)),
-						storage.NewInt(int64(tables[0].tbl.RowCount())),
-					})
-				}
+		// Stage 0 tests its column-versus-literal comparisons on every
+		// stored tuple it reads before copying it.
+		for _, f := range stagePlans[0].filters {
+			if _, ok := f.cmp.pushdown(tables[0].hi); ok {
+				res.Rows = append(res.Rows, []storage.Value{
+					storage.NewText("prefilter"),
+					storage.NewText(fmt.Sprintf("stage=%s %s", tables[0].binding, f.expr)),
+					storage.NewInt(int64(tables[0].tbl.RowCount())),
+				})
 			}
 		}
 		return res, nil
@@ -583,7 +568,7 @@ func (r *Runner) execSelect(sel *Select, explainOnly bool, rowIDs *[]RowID) (*Re
 		paths[0].knnBound = sorted.bound
 	}
 	// Stage 0: serial plans are the one-worker case of the same source.
-	runShard, err := r.stage0Source(tables[0].tbl, batch0, &paths[0], stagePlans[0],
+	runShard, err := r.stage0Source(tables[0].tbl, &paths[0], stagePlans[0],
 		width, workers, src, pipeline)
 	if err != nil {
 		return nil, err
@@ -868,18 +853,12 @@ func Window(rows [][]storage.Value, offset, limit int) [][]storage.Value {
 	return rows
 }
 
-// scanTable drives one table's access path. full is the stage's
-// scratch tuple, already holding the outer prefix below lo (nothing at
-// stage 0); each row of the table is copied in at lo and full is
-// emitted, borrowed.
+// scanTable drives a join stage's access path for one outer row. full
+// is the stage's scratch tuple, already holding the outer prefix below
+// lo; each row of the table is copied in at lo and full is emitted,
+// borrowed.
 func (r *Runner) scanTable(tbl Table, path accessPath, full []storage.Value,
 	lo int, emit emitFn) (bool, error) {
-
-	pad := func(id RowID, row []storage.Value) []storage.Value {
-		copy(full[lo:], row)
-		setRowID(full, path.idPos, id)
-		return full
-	}
 
 	// probe enumerates an index path's row ids into its callback.
 	var probe func(fn func(RowID) bool)
@@ -894,8 +873,9 @@ func (r *Runner) scanTable(tbl Table, path accessPath, full []storage.Value,
 		}
 		cont := true
 		var emitErr error
-		err = tbl.ScanProject(proj, func(id RowID, row []storage.Value) bool {
-			c, err := emit(pad(id, row))
+		err = tbl.ScanProject(proj, func(_ RowID, row []storage.Value) bool {
+			copy(full[lo:], row)
+			c, err := emit(full)
 			if err != nil {
 				emitErr = err
 				return false
@@ -907,16 +887,6 @@ func (r *Runner) scanTable(tbl Table, path accessPath, full []storage.Value,
 			return false, emitErr
 		}
 		return cont, err
-
-	case accessKNN:
-		// An ordered source for the ORDER BY sink: rows arrive in
-		// non-decreasing MINDIST from the probe's envelope until one
-		// exceeds the sink's k-th distance, which no later row can beat.
-		probe = func(fn func(RowID) bool) {
-			path.spatial.Nearest(path.rect, func(id RowID, minDist float64) bool {
-				return minDist <= path.knnBound() && fn(id)
-			})
-		}
 
 	case accessSpatialWindow:
 		window, err := path.evalWindow(full, r.reg)
@@ -948,7 +918,8 @@ func (r *Runner) scanTable(tbl Table, path accessPath, full []storage.Value,
 			innerErr = err
 			return false
 		}
-		c, err := emit(pad(id, row))
+		copy(full[lo:], row)
+		c, err := emit(full)
 		if err != nil {
 			innerErr = err
 			return false

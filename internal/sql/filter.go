@@ -8,10 +8,10 @@ import (
 // One filter evaluator. Each stage's residual filter conjuncts compile
 // once per plan into a filterPlan; every worker evaluates them through
 // its own filterExec, whose keepAt decides one conjunct over one row.
-// The row path (execSelect's filterRows) asks keep, all conjuncts in
-// order, per row; the batch cascade (batch.go) asks keepAt column-major
-// over a batch's selection vector. Both therefore share one set of NULL,
-// type-error and prepared-kernel semantics:
+// A join stage (execSelect's filterRows) asks keep, all conjuncts in
+// order, per row; stage 0's batch cascade (batch.go) asks keepAt
+// column-major over a batch's selection vector. Both therefore share
+// one set of NULL, type-error and prepared-kernel semantics:
 //   - a compiled comparison (compare.go) runs without Eval;
 //   - a call with a prepared constant side (callExpr.prep) evaluates
 //     its variable operand and decides it through preparedCall;
@@ -22,8 +22,8 @@ import (
 //     do not retain the slice), and any other shape goes through Eval.
 //
 // A prepared decision is counted in the worker's hits and added to the
-// registry's prepHits when the driver flushes: once per row on the row
-// path, once per batch in the cascade.
+// registry's prepHits when the driver flushes: once per row in a join
+// stage, once per batch in the cascade.
 
 // stageFilter is one compiled residual filter conjunct.
 type stageFilter struct {

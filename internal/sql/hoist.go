@@ -31,7 +31,7 @@ import (
 // no state is shared between workers.
 
 // slotVal is one memoized evaluation; the error is kept so it surfaces
-// where (and only where) the row path would have raised it.
+// where (and only where) evaluating the statement as written raises it.
 type slotVal struct {
 	v    storage.Value
 	err  error
@@ -198,8 +198,9 @@ func (h *hoister) hoistChildren(e Expr, at int, use string) Expr {
 // slot returns the slot of stage own for e, shared with any structurally
 // identical subtree seen before (nested slots were merged bottom-up, so
 // they compare equal as the same pointer). Constants are evaluated here,
-// once per statement; registry functions are pure, so evaluating one
-// the row path would have short-circuited past is unobservable.
+// once per statement; registry functions are pure, so evaluating one a
+// row-at-a-time evaluation would have short-circuited past is
+// unobservable.
 func (h *hoister) slot(e Expr, own int, use string) *slotRef {
 	for _, s := range h.slots {
 		if s.stage == own && sameExpr(s.sub, e) {

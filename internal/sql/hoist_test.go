@@ -10,6 +10,7 @@ import (
 	"jackpine/internal/engine"
 	"jackpine/internal/geom"
 	"jackpine/internal/sql"
+	"jackpine/internal/sql/refexec"
 	"jackpine/internal/storage"
 )
 
@@ -89,16 +90,13 @@ func TestHoistCallCounts(t *testing.T) {
 			"WHERE o.id < 0", 0, 0},
 	}
 	for _, par := range []int{1, 4} {
-		for _, batch := range []bool{true, false} {
-			f.run.SetParallelism(par)
-			f.run.SetBatchExec(batch)
-			for _, c := range cases {
-				f.calls.Store(0)
-				res := f.exec(t, c.sql)
-				if got := int(f.calls.Load()); got != c.calls || len(res.Rows) != c.rows {
-					t.Errorf("%s (parallelism %d, batch %v): %d CNT calls and %d rows, want %d and %d",
-						c.name, par, batch, got, len(res.Rows), c.calls, c.rows)
-				}
+		f.run.SetParallelism(par)
+		for _, c := range cases {
+			f.calls.Store(0)
+			res := f.exec(t, c.sql)
+			if got := int(f.calls.Load()); got != c.calls || len(res.Rows) != c.rows {
+				t.Errorf("%s (parallelism %d): %d CNT calls and %d rows, want %d and %d",
+					c.name, par, got, len(res.Rows), c.calls, c.rows)
 			}
 		}
 	}
@@ -139,12 +137,12 @@ func TestHoistReexecutedTree(t *testing.T) {
 // accessCounts tallies how plans read the tables of a countingCatalog:
 // spatial index searches and nearest-first browses, attribute index
 // seeks and ranges, rows fetched by id, and the projection of every heap
-// scan.
+// scan and batch fetch.
 type accessCounts struct {
 	searches, nearest, seeks, fetched atomic.Int64
 
-	mu    sync.Mutex
-	scans []sql.Projection
+	mu             sync.Mutex
+	scans, fetches []sql.Projection
 }
 
 // countingCatalog wraps an engine catalog so that every table it hands
@@ -205,6 +203,9 @@ func (t countingTable) FetchProject(id sql.RowID, need []bool) ([]storage.Value,
 
 func (t countingTable) FetchBatch(ids []sql.RowID, proj sql.Projection, b *storage.ColBatch) error {
 	t.n.fetched.Add(int64(len(ids)))
+	t.n.mu.Lock()
+	t.n.fetches = append(t.n.fetches, proj)
+	t.n.mu.Unlock()
 	return t.Table.FetchBatch(ids, proj, b)
 }
 
@@ -239,16 +240,16 @@ func (x countingAttr) Range(lo, hi []byte, loInc, hiInc bool, fn func(sql.RowID)
 }
 
 // TestStage0SearchesIndexOnce pins a stage-0 spatial window to one index
-// search per statement whatever it finds, serial or parallel, batch on
-// or off. Batches run whenever batch execution is on and the search
-// finds a candidate, stage 0 runs parallel only with batch execution on
-// (off selects the serial row-at-a-time reference), and every
-// configuration returns the serial row path's rows byte for byte.
+// search per statement whatever it finds, serial or parallel. Batches
+// run whenever the search finds a candidate, stage 0 runs parallel at
+// parallelism 4, every configuration returns the serial run's rows byte
+// for byte, and the brute-force oracle (refexec) admits them.
 func TestStage0SearchesIndexOnce(t *testing.T) {
 	var n accessCounts
 	searches := &n.searches
-	run := sql.NewRunner(countingCatalog{engine.Open(engine.GaiaDB()), &n},
-		sql.NewRegistry(sql.RegistryOptions{}))
+	e := engine.Open(engine.GaiaDB())
+	reg := sql.NewRegistry(sql.RegistryOptions{})
+	run := sql.NewRunner(countingCatalog{e, &n}, reg)
 	mustRun := func(q string) *sql.Result {
 		t.Helper()
 		res, err := run.Run(q)
@@ -267,41 +268,45 @@ func TestStage0SearchesIndexOnce(t *testing.T) {
 
 	ref := map[string]string{}
 	for _, par := range []int{1, 4} {
-		for _, batch := range []bool{false, true} {
-			run.SetParallelism(par)
-			run.SetBatchExec(batch)
-			for _, n := range []int{0, 1, 7, 8, 9, 300} {
-				// The window covers the points x = 0..n-1 (none for n = 0).
-				window := fmt.Sprintf("ST_MakeEnvelope(%g, -1, %g, 1)", -0.5, float64(n)-0.5)
-				if n == 0 {
-					window = "ST_MakeEnvelope(-10, -1, -5, 1)"
+		run.SetParallelism(par)
+		for _, n := range []int{0, 1, 7, 8, 9, 300} {
+			// The window covers the points x = 0..n-1 (none for n = 0).
+			window := fmt.Sprintf("ST_MakeEnvelope(%g, -1, %g, 1)", -0.5, float64(n)-0.5)
+			if n == 0 {
+				window = "ST_MakeEnvelope(-10, -1, -5, 1)"
+			}
+			for _, q := range []string{
+				"SELECT id, ST_AsText(g) FROM p WHERE ST_Intersects(g, " + window + ")",
+				"SELECT COUNT(*), SUM(id) FROM p WHERE ST_Intersects(g, " + window + ")",
+			} {
+				searches.Store(0)
+				run.ResetBatchStats()
+				res := mustRun(q)
+				cfg := fmt.Sprintf("%d candidates, parallelism %d: %s", n, par, q)
+				if got := searches.Load(); got != 1 {
+					t.Errorf("%s: %d index searches, want 1", cfg, got)
 				}
-				for _, q := range []string{
-					"SELECT id, ST_AsText(g) FROM p WHERE ST_Intersects(g, " + window + ")",
-					"SELECT COUNT(*), SUM(id) FROM p WHERE ST_Intersects(g, " + window + ")",
-				} {
-					searches.Store(0)
-					run.ResetBatchStats()
-					res := mustRun(q)
-					cfg := fmt.Sprintf("%d candidates, parallelism %d, batch %v: %s", n, par, batch, q)
-					if got := searches.Load(); got != 1 {
-						t.Errorf("%s: %d index searches, want 1", cfg, got)
+				if batches, _ := run.BatchStats(); (batches > 0) != (n > 0) {
+					t.Errorf("%s: %d batches", cfg, batches)
+				}
+				if parallel := strings.Contains(res.Access[0], "parallel"); parallel != (par > 1) {
+					t.Errorf("%s: access %q", cfg, res.Access[0])
+				}
+				got := fmt.Sprint(res.Rows)
+				if want, seen := ref[q]; !seen {
+					ref[q] = got
+					if strings.HasPrefix(q, "SELECT id") && len(res.Rows) != n {
+						t.Fatalf("%s: %d rows, want %d", cfg, len(res.Rows), n)
 					}
-					if batches, _ := run.BatchStats(); (batches > 0) != (batch && n > 0) {
-						t.Errorf("%s: %d batches", cfg, batches)
+					oracle, err := refexec.Run(e, reg, q)
+					if err != nil {
+						t.Fatalf("%s: oracle: %v", cfg, err)
 					}
-					if parallel := strings.Contains(res.Access[0], "parallel"); parallel != (par > 1 && batch) {
-						t.Errorf("%s: access %q", cfg, res.Access[0])
+					if err := oracle.Admits(res.Rows); err != nil {
+						t.Errorf("%s: the oracle does not admit the rows: %v", cfg, err)
 					}
-					got := fmt.Sprint(res.Rows)
-					if want, seen := ref[q]; !seen {
-						ref[q] = got
-						if strings.HasPrefix(q, "SELECT id") && len(res.Rows) != n {
-							t.Fatalf("%s: %d rows, want %d", cfg, len(res.Rows), n)
-						}
-					} else if got != want {
-						t.Errorf("%s: rows differ from the serial row path\nwant %s\ngot  %s", cfg, want, got)
-					}
+				} else if got != want {
+					t.Errorf("%s: rows differ from the serial run\nwant %s\ngot  %s", cfg, want, got)
 				}
 			}
 		}

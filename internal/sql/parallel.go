@@ -8,18 +8,16 @@ import (
 
 // Morsel-style intra-query parallelism.
 //
-// Batched plans fan the stage-0 scan out across a worker pool: full
-// scans shard the heap into contiguous page ranges (Table.ScanBatch),
-// and spatial-window scans collect candidate row ids from the MBR index
-// once, then refine (fetch + exact predicate) in contiguous chunks; a
-// PBSM join whose state holds the outer rows shards those rows by
-// position. Join stages run inside each worker; a stage's shared build
-// state opens once, on the first probe from any worker, and is
-// read-only after. Shard results merge strictly in shard order, so a
-// parallel plan returns exactly the rows — and row order — of its
-// serial counterpart.
-// Unbatched plans, including every plan with batch execution off, run
-// serially.
+// Every plan drives stage 0 through the batch cascade; large plans fan
+// it out across a worker pool: full scans shard the heap into
+// contiguous page ranges (Table.ScanBatch), and spatial-window scans
+// collect candidate row ids from the MBR index once, then refine
+// (fetch + exact predicate) in contiguous chunks; a PBSM join whose
+// state holds the outer rows shards those rows by position. Join stages
+// run inside each worker; a stage's shared build state opens once, on
+// the first probe from any worker, and is read-only after. Shard
+// results merge strictly in shard order, so a parallel plan returns
+// exactly the rows — and row order — of its serial counterpart.
 
 // parallelMinRows is the smallest stage-0 table worth fanning out;
 // below it goroutine startup dominates any scan win.
@@ -29,49 +27,42 @@ const parallelMinRows = 256
 // surviving full-width rows to emit.
 type shardFn func(shard int, emit emitFn) error
 
-// stage0Exec decides how stage 0 runs: batched or not, on how many
-// workers. With batch execution off every plan is the serial
-// row-at-a-time reference. Otherwise kNN sources (ordered, and stopped
-// by the ORDER BY sink's k-th key), index seeks and range scans (already
-// selective), and LIMIT without ORDER BY or aggregation (early exit
-// beats materializing whole batches and shards) stream row-at-a-time
-// through scanTable; full scans and spatial windows run batched, fanned
-// out across the worker pool unless the table is small.
-func (r *Runner) stage0Exec(sel *Select, tbl Table, kind accessKind, hasAgg bool) (batch bool, workers int) {
-	if !r.batch || (kind != accessFullScan && kind != accessSpatialWindow) ||
-		(sel.Limit >= 0 && !hasAgg && len(sel.OrderBy) == 0) {
-		return false, 1
+// stage0Workers decides how many workers run stage 0. Full scans and
+// spatial windows over a large table fan out across the worker pool,
+// unless a bare LIMIT (no ORDER BY, no aggregation) makes early exit
+// worth more than splitting the table. kNN sources (ordered, and
+// stopped by the ORDER BY sink's k-th key), index seeks and range scans
+// (already selective) run serially.
+func (r *Runner) stage0Workers(tbl Table, kind accessKind, bareLimit bool) int {
+	if r.par < 2 || (kind != accessFullScan && kind != accessSpatialWindow) ||
+		bareLimit || tbl.RowCount() < parallelMinRows {
+		return 1
 	}
-	if r.par < 2 || tbl.RowCount() < parallelMinRows {
-		return true, 1
-	}
-	return true, r.par
+	return r.par
 }
 
 // stage0Source builds the stage-0 driver of every plan: shard w of
-// workers reads its part of the driving table and feeds each row into
-// the rest of the pipeline; serial plans are the one-worker case.
-// Unbatched plans stream through scanTable as one shard, so the row
-// path stops searching the index on an early exit. Batched full scans
-// compute their projection once and shard the heap; batched spatial
-// windows evaluate the window and search the index once, here, and
-// split the candidates into contiguous chunks, so shard concatenation
-// reproduces the serial row order; a full scan also hands the table the
-// stage's column-versus-literal comparisons to test before copying
+// workers reads its part of the driving table and feeds its rows,
+// batch by batch, through stage 0's filter cascade into the rest of the
+// pipeline; serial plans are the one-worker case. Full scans compute
+// their projection once and shard the heap. Index paths probe their
+// index once, here or as the shard runs, and fetch the ids it yields in
+// index order, in chunks (batchExec.refine): spatial windows split
+// their candidates into contiguous chunks, so shard concatenation
+// reproduces the serial row order; a kNN source fetches one id per
+// chunk, so the ORDER BY sink's k-th distance is current when the next
+// id is read. Every source hands the table stage 0's
+// column-versus-literal comparisons to test before copying
 // (Projection.Compares). Each shard builds its pipeline over its sink
-// once and fills one stage-0 scratch tuple per row: the row path enters
-// the pipeline through stage 0's filters, the batch cascade, which
-// applies them itself, past them. filters is stage 0's compiled filter
-// plan.
+// once; filters is stage 0's compiled filter plan.
 //
 // src, when not nil, is the PBSM join stage whose state holds stage 0's
 // rows (pbsmSpec.outerAt): its state is acquired first, and each shard
 // takes a contiguous range of the state's outer rows, already decoded
-// in heap order, through the row entry, each row carrying its index at
-// outerAt. No page is scanned.
-func (r *Runner) stage0Source(tbl Table, batch bool, path *accessPath, filters *filterPlan,
-	width, workers int, src *joinOp,
-	pipeline func(sink emitFn) (filtered, forward emitFn)) (shardFn, error) {
+// in heap order, each row carrying its index at outerAt. No page is
+// scanned, and stage 0 has no filter to apply.
+func (r *Runner) stage0Source(tbl Table, path *accessPath, filters *filterPlan,
+	width, workers int, src *joinOp, pipeline func(sink emitFn) emitFn) (shardFn, error) {
 
 	if src != nil {
 		if err := src.acquireOuter(); err != nil {
@@ -80,26 +71,20 @@ func (r *Runner) stage0Source(tbl Table, batch bool, path *accessPath, filters *
 		rows, at := &src.pbsm.outerRows, src.path.pbsm.outerAt
 		n := len(src.pbsm.outerPos)
 		return func(shard int, emit emitFn) error {
-			filtered, _ := pipeline(emit)
+			forward := pipeline(emit)
 			row := make([]storage.Value, width)
 			for i := shard * n / workers; i < (shard+1)*n/workers; i++ {
 				rows.copyTo(row, i)
 				row[at] = storage.NewInt(int64(i))
-				if cont, err := filtered(row); err != nil || !cont {
+				if cont, err := forward(row); err != nil || !cont {
 					return err
 				}
 			}
 			return nil
 		}, nil
 	}
-	if !batch {
-		return func(_ int, emit emitFn) error {
-			filtered, _ := pipeline(emit)
-			_, err := r.scanTable(tbl, *path, make([]storage.Value, width), 0, filtered)
-			return err
-		}, nil
-	}
 
+	plan := r.newBatchPlan(tbl, filters, width, path)
 	if path.kind == accessFullScan {
 		proj, skip, err := path.scanProjection(nil, r.reg)
 		if err != nil {
@@ -108,11 +93,10 @@ func (r *Runner) stage0Source(tbl Table, batch bool, path *accessPath, filters *
 		if skip {
 			return func(int, emitFn) error { return nil }, nil
 		}
-		plan := r.newBatchPlan(tbl, filters, width, path)
 		proj.Need = plan.eager
 		proj.Compares = plan.prefilter
 		return func(shard int, emit emitFn) error {
-			_, forward := pipeline(emit)
+			forward := pipeline(emit)
 			ex := plan.newExec()
 			return tbl.ScanBatch(shard, workers, proj, func(b *storage.ColBatch) (bool, error) {
 				return ex.run(b, forward)
@@ -120,22 +104,49 @@ func (r *Runner) stage0Source(tbl Table, batch bool, path *accessPath, filters *
 		}, nil
 	}
 
-	window, err := path.evalWindow(nil, r.reg)
-	if err != nil {
-		return nil, err
+	// probe yields shard w's row ids in index order.
+	var probe func(shard int, fn func(RowID) bool)
+	chunk := storage.BatchSize
+	switch path.kind {
+	case accessSpatialWindow:
+		window, err := path.evalWindow(nil, r.reg)
+		if err != nil {
+			return nil, err
+		}
+		var cands []RowID
+		if !window.IsEmpty() {
+			path.spatial.Search(window, func(id RowID) bool {
+				cands = append(cands, id)
+				return true
+			})
+		}
+		probe = func(shard int, fn func(RowID) bool) {
+			for _, id := range cands[shard*len(cands)/workers : (shard+1)*len(cands)/workers] {
+				if !fn(id) {
+					return
+				}
+			}
+		}
+	case accessKNN:
+		// Ids arrive in non-decreasing MINDIST from the probe's envelope
+		// until one exceeds the sink's k-th distance, which no later row
+		// can beat.
+		chunk = 1
+		probe = func(_ int, fn func(RowID) bool) {
+			path.spatial.Nearest(path.rect, func(id RowID, minDist float64) bool {
+				return minDist <= path.knnBound() && fn(id)
+			})
+		}
+	case accessAttrSeek, accessAttrRange:
+		p, err := r.attrProbe(*path, nil)
+		if err != nil || p == nil { // no key can match
+			return func(int, emitFn) error { return nil }, err
+		}
+		probe = func(_ int, fn func(RowID) bool) { p(fn) }
 	}
-	var cands []RowID
-	if !window.IsEmpty() {
-		path.spatial.Search(window, func(id RowID) bool {
-			cands = append(cands, id)
-			return true
-		})
-	}
-	plan := r.newBatchPlan(tbl, filters, width, path)
+	proj := Projection{Need: plan.eager, MBRCol: -1, Ephemeral: path.ephemeral, Compares: plan.prefilter}
 	return func(shard int, emit emitFn) error {
-		_, forward := pipeline(emit)
-		chunk := cands[shard*len(cands)/workers : (shard+1)*len(cands)/workers]
-		return batchRefine(tbl, *path, plan.newExec(), chunk, forward)
+		return plan.newExec().refine(tbl, proj, chunk, func(fn func(RowID) bool) { probe(shard, fn) }, pipeline(emit))
 	}, nil
 }
 

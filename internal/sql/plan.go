@@ -99,9 +99,8 @@ type accessPath struct {
 
 	// ephemeral marks needed geometry columns that only this stage's
 	// residual filters read (nothing downstream references them). Batch
-	// scans may decode such columns into recycled arena memory; the row
-	// path ignores the mask. nil means none. Only ever set on stage-0
-	// paths of batch-eligible plans.
+	// scans and fetches may decode such columns into recycled arena
+	// memory. nil means none. Only ever set on stage-0 paths.
 	ephemeral []bool
 
 	// MBR prefilter for unindexed sargable spatial predicates: full
@@ -644,14 +643,6 @@ func (p *accessPath) scanProjection(prefix []storage.Value, reg *Registry) (Proj
 	proj.MBRCol = p.mbrCol
 	proj.Window = window
 	return proj, false, nil
-}
-
-// setRowID stores id in the row's hidden id position idPos, when the
-// plan collects ids (idPos > 0).
-func setRowID(row []storage.Value, idPos int, id RowID) {
-	if idPos > 0 {
-		row[idPos] = storage.NewInt(int64(id))
-	}
 }
 
 // windowExprs returns the window's probe operand and, for ST_DWithin,

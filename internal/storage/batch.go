@@ -51,11 +51,11 @@ type ColBatch struct {
 	lt LazyTuple // offset-walk scratch
 }
 
-// TupleFilter is the test a batch scan applies to each tuple before
-// copying it into the batch: the tuple's MBRCol geometry envelope must
-// intersect Window (when MBRCol >= 0; a NULL geometry fails, as the row
-// path's `!ok || !env.Intersects(window)` skip does), and no comparison
-// in Compares may certainly reject it. It is a superset filter: every
+// TupleFilter is the test a batch scan or fetch applies to each tuple
+// before copying it into the batch: the tuple's MBRCol geometry
+// envelope must intersect Window (when MBRCol >= 0; a NULL geometry
+// fails, as ScanProject's `!ok || !env.Intersects(window)` skip does),
+// and no comparison in Compares may certainly reject it. It is a superset filter: every
 // row it drops, the exact filters downstream would drop without error,
 // and they still run on every row it keeps.
 type TupleFilter struct {
@@ -120,7 +120,7 @@ func (b *ColBatch) ID(slot int) int64 { return b.ids[slot] }
 // selection. The structural validation and the envelope read run for
 // every tuple, so a corrupt tuple errors whether or not f would drop
 // it. Errors are the raw storage errors; callers wrap them with
-// table/record context exactly as the row path does.
+// table/record context.
 func (b *ColBatch) Append(id int64, tuple []byte, f *TupleFilter) error {
 	if err := b.lt.Reset(tuple, b.nCols); err != nil {
 		return err

@@ -140,11 +140,10 @@ func WithTopoPrep(enabled bool) engine.Option { return engine.WithTopoPrep(enabl
 // Deprecated: kept only so bench/verify.go, which is frozen, compiles.
 func WithPlanCache(entries int) engine.Option { return engine.WithPlanCache(entries) }
 
-// WithBatchExec toggles batch-at-a-time (vectorized) query execution:
-// eligible scans process column batches through flat MBR prefilter
-// kernels and batched predicate refinement, fanned out across the
-// worker pool. Enabled by default; false selects the serial
-// row-at-a-time reference executor.
+// WithBatchExec is a no-op: every plan runs stage 0 through the batch
+// cascade.
+//
+// Deprecated: kept only so bench/verify.go, which is frozen, compiles.
 func WithBatchExec(enabled bool) engine.Option { return engine.WithBatchExec(enabled) }
 
 // JoinStrategy selects how two-table spatial joins execute: JoinAuto

@@ -125,44 +125,46 @@ func TestIndexedMatchesUnindexed(t *testing.T) {
 
 // TestIntKeysBeyondFloatPrecision runs an equality on an integer just
 // past 2^53, where neighbouring ints share one float64, on a scan and
-// through a B-tree seek, with batch execution on and off. Both access
-// paths must return the same one row: the seek compares the encoded
-// int64 keys exactly, so the scan's residual comparison must too.
+// through a B-tree seek. Both access paths, and the brute-force oracle
+// (refexec), must return the same one row: the seek compares the
+// encoded int64 keys exactly, so the scan's residual comparison must
+// too.
 func TestIntKeysBeyondFloatPrecision(t *testing.T) {
 	const q = "SELECT id, tag FROM big WHERE id = 9007199254740992"
 	for _, indexed := range []bool{false, true} {
-		for _, batch := range []bool{false, true} {
-			eng := OpenEngine(GaiaDB(), WithBatchExec(batch))
-			eng.MustExec("CREATE TABLE big (id INTEGER, tag TEXT)")
-			eng.MustExec("INSERT INTO big VALUES (9007199254740993, 'odd'), (9007199254740992, 'even'), " +
-				"(9007199254740991, 'below'), (1, 'one')")
-			if indexed {
-				eng.MustExec("CREATE INDEX big_id ON big (id)")
-			}
-			res, err := eng.Exec(q)
-			if err != nil {
-				t.Fatal(err)
-			}
-			wantAccess := "big:seqscan"
-			if indexed {
-				wantAccess = "big:btree-seek"
-			}
-			if len(res.Access) != 1 || res.Access[0] != wantAccess {
-				t.Errorf("indexed=%v batch=%v: access %v, want %s", indexed, batch, res.Access, wantAccess)
-			}
-			if len(res.Rows) != 1 || res.Rows[0][0].Int != 9007199254740992 || res.Rows[0][1].Text != "even" {
-				t.Errorf("indexed=%v batch=%v: rows %v, want [[9007199254740992 even]]", indexed, batch, res.Rows)
-			}
-			eng.Close()
+		eng := OpenEngine(GaiaDB())
+		eng.MustExec("CREATE TABLE big (id INTEGER, tag TEXT)")
+		eng.MustExec("INSERT INTO big VALUES (9007199254740993, 'odd'), (9007199254740992, 'even'), " +
+			"(9007199254740991, 'below'), (1, 'one')")
+		if indexed {
+			eng.MustExec("CREATE INDEX big_id ON big (id)")
 		}
+		res, err := eng.Exec(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if d := oracleDiff(eng, q, res.Rows, err); d != "" {
+			t.Errorf("indexed=%v: %s", indexed, d)
+		}
+		wantAccess := "big:seqscan"
+		if indexed {
+			wantAccess = "big:btree-seek"
+		}
+		if len(res.Access) != 1 || res.Access[0] != wantAccess {
+			t.Errorf("indexed=%v: access %v, want %s", indexed, res.Access, wantAccess)
+		}
+		if len(res.Rows) != 1 || res.Rows[0][0].Int != 9007199254740992 || res.Rows[0][1].Text != "even" {
+			t.Errorf("indexed=%v: rows %v, want [[9007199254740992 even]]", indexed, res.Rows)
+		}
+		eng.Close()
 	}
 }
 
 // TestNaNOrdersAfterNumbers stores a NaN beside two numbers and runs
 // comparisons against numbers and against NaN on a scan, through a
-// B-tree seek and range, and as a join key, with batch execution on
-// and off. Every path must follow one rule, PostgreSQL's: NaN sorts
-// after every number and equals only NaN.
+// B-tree seek and range, and as a join key. Every path, and the
+// brute-force oracle (refexec), must follow one rule, PostgreSQL's: NaN
+// sorts after every number and equals only NaN.
 func TestNaNOrdersAfterNumbers(t *testing.T) {
 	const nan = "SQRT(-1.0)"
 	checkFloatKeyPaths(t, "(1, 1.0), (3, "+nan+"), (2, 7.0)", []floatKeyCase{
@@ -201,8 +203,9 @@ type floatKeyCase struct {
 
 // checkFloatKeyPaths loads rows into f (id INTEGER, x REAL) and requires
 // every case, ORDER BY x (ties by id) and the self-join on x to return
-// the same ids on a scan and through a B-tree on x, with batch
-// execution on and off; unindexed, the plain join on x is a hash join.
+// the same ids on a scan and through a B-tree on x, and the brute-force
+// oracle (refexec) to admit them; unindexed, the plain join on x is a
+// hash join.
 func checkFloatKeyPaths(t *testing.T, rows string, cases []floatKeyCase, order, join string) {
 	t.Helper()
 	ids := func(res *sql.Result, cols int) string {
@@ -216,40 +219,46 @@ func checkFloatKeyPaths(t *testing.T, rows string, cases []floatKeyCase, order, 
 		}
 		return "[" + strings.Join(out, " ") + "]"
 	}
-	for _, indexed := range []bool{false, true} {
-		for _, batch := range []bool{false, true} {
-			eng := OpenEngine(GaiaDB(), WithBatchExec(batch))
-			eng.MustExec("CREATE TABLE f (id INTEGER, x REAL)")
-			eng.MustExec("INSERT INTO f VALUES " + rows)
-			if indexed {
-				eng.MustExec("CREATE INDEX f_x ON f (x)")
-			}
-			for _, c := range cases {
-				res, err := eng.Exec("SELECT id FROM f WHERE " + c.where + " ORDER BY id")
-				if err != nil {
-					t.Fatalf("%s: %v", c.where, err)
-				}
-				if got := ids(res, 1); got != c.want {
-					t.Errorf("indexed=%v batch=%v %s: ids %s, want %s (access %v)",
-						indexed, batch, c.where, got, c.want, res.Access)
-				}
-			}
-			res := eng.MustExec("SELECT id FROM f ORDER BY x, id")
-			if got := ids(res, 1); got != order {
-				t.Errorf("indexed=%v batch=%v ORDER BY x: ids %s, want %s", indexed, batch, got, order)
-			}
-			for _, on := range []string{"b.x = a.x", "b.x + 0 = a.x + 0"} {
-				res := eng.MustExec("SELECT a.id, b.id FROM f a JOIN f b ON " + on + " ORDER BY a.id, b.id")
-				if got := ids(res, 2); got != join {
-					t.Errorf("indexed=%v batch=%v ON %s: pairs %s, want %s (access %v)",
-						indexed, batch, on, got, join, res.Access)
-				}
-				if !indexed && on == "b.x = a.x" && res.Access[1] != "b:hash" {
-					t.Errorf("batch=%v ON %s: access %v, want a hash join", batch, on, res.Access)
-				}
-			}
-			eng.Close()
+	exec := func(eng *Engine, q string) *sql.Result {
+		t.Helper()
+		res, err := eng.Exec(q)
+		if err != nil {
+			t.Fatalf("%s: %v", q, err)
 		}
+		if d := oracleDiff(eng, q, res.Rows, err); d != "" {
+			t.Errorf("%s: %s", q, d)
+		}
+		return res
+	}
+	for _, indexed := range []bool{false, true} {
+		eng := OpenEngine(GaiaDB())
+		eng.MustExec("CREATE TABLE f (id INTEGER, x REAL)")
+		eng.MustExec("INSERT INTO f VALUES " + rows)
+		if indexed {
+			eng.MustExec("CREATE INDEX f_x ON f (x)")
+		}
+		for _, c := range cases {
+			res := exec(eng, "SELECT id FROM f WHERE "+c.where+" ORDER BY id")
+			if got := ids(res, 1); got != c.want {
+				t.Errorf("indexed=%v %s: ids %s, want %s (access %v)",
+					indexed, c.where, got, c.want, res.Access)
+			}
+		}
+		res := exec(eng, "SELECT id FROM f ORDER BY x, id")
+		if got := ids(res, 1); got != order {
+			t.Errorf("indexed=%v ORDER BY x: ids %s, want %s", indexed, got, order)
+		}
+		for _, on := range []string{"b.x = a.x", "b.x + 0 = a.x + 0"} {
+			res := exec(eng, "SELECT a.id, b.id FROM f a JOIN f b ON "+on+" ORDER BY a.id, b.id")
+			if got := ids(res, 2); got != join {
+				t.Errorf("indexed=%v ON %s: pairs %s, want %s (access %v)",
+					indexed, on, got, join, res.Access)
+			}
+			if !indexed && on == "b.x = a.x" && res.Access[1] != "b:hash" {
+				t.Errorf("ON %s: access %v, want a hash join", on, res.Access)
+			}
+		}
+		eng.Close()
 	}
 }
 

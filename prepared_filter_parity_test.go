@@ -4,19 +4,21 @@ import (
 	"fmt"
 	"strings"
 	"testing"
+
+	"jackpine/internal/storage"
 )
 
 // TestPreparedFilterParity is the rail for the one filter evaluator:
-// the batch cascade, the row path, a join stage's per-probe prepared
-// filter and PBSM's in-probe refine decide every prepared predicate
-// through the same code. Over tables holding NULL, empty and valid
-// geometries beside a TEXT column, every statement runs with batch
-// execution on and off, the prepared topology kernel on and off, at
-// parallelism 1 and 8, with joins forced to index nested loops and to
-// PBSM, and must return the same rows, or the same error text for a
-// TEXT operand, on every path. A statement must also advance PrepHits
-// by the same amount with batch execution on as with it off, and never
-// with the prepared kernel off.
+// the batch cascade, a join stage's per-probe prepared filter and
+// PBSM's in-probe refine decide every prepared predicate through the
+// same code. Over tables holding NULL, empty and valid geometries beside
+// a TEXT column, every statement runs with the prepared topology kernel
+// on and off, at parallelism 1 and 8, with joins forced to index nested
+// loops and to PBSM, and must return the same rows, or the same error
+// text for a TEXT operand, on every path; the brute-force oracle
+// (refexec) must admit those rows or raise that error. A statement must
+// also advance PrepHits by the same amount at parallelism 8 as at 1,
+// and never with the prepared kernel off.
 func TestPreparedFilterParity(t *testing.T) {
 	load := func(eng *Engine) {
 		// pf and pfi hold the same 300 rows, enough for a parallel
@@ -92,62 +94,59 @@ func TestPreparedFilterParity(t *testing.T) {
 	)
 
 	type arm struct {
-		batch, prep bool
-		eng         *Engine
+		prep bool
+		eng  *Engine
 	}
 	var arms []arm
-	for _, batch := range []bool{false, true} {
-		for _, prep := range []bool{false, true} {
-			eng := OpenEngine(GaiaDB(), WithBatchExec(batch), WithTopoPrep(prep))
-			load(eng)
-			arms = append(arms, arm{batch, prep, eng})
-		}
-	}
-	run := func(eng *Engine, q string) (string, uint64) {
-		before := eng.CacheCounters().PrepHits
-		res, err := eng.Exec(q)
-		hits := eng.CacheCounters().PrepHits - before
-		if err != nil {
-			return "error: " + err.Error(), hits
-		}
-		return canonRows(&ResultSet{Columns: res.Columns, Rows: res.Rows}), hits
+	for _, prep := range []bool{false, true} {
+		eng := OpenEngine(GaiaDB(), WithTopoPrep(prep))
+		load(eng)
+		arms = append(arms, arm{prep, eng})
 	}
 
 	want := make(map[string]string)
 	var errs, prepared int
 	for _, strat := range []JoinStrategy{JoinINL, JoinPBSM} {
+		// serialHits holds each statement's PrepHits delta at parallelism 1
+		// with the kernel on.
+		serialHits := make(map[string]uint64)
 		for _, par := range []int{1, 8} {
 			for _, q := range stmts {
-				// hits[prep] holds the batch-off arm's PrepHits delta.
-				var hits [2]uint64
 				for _, a := range arms {
 					a.eng.SetParallelism(par)
 					a.eng.SetJoinStrategy(strat)
-					got, h := run(a.eng, q)
-					cfg := fmt.Sprintf("batch=%v prep=%v parallelism=%d join=%s", a.batch, a.prep, par, strat)
+					before := a.eng.CacheCounters().PrepHits
+					res, err := a.eng.Exec(q)
+					h := a.eng.CacheCounters().PrepHits - before
+					got := execResult(res, err)
+					cfg := fmt.Sprintf("prep=%v parallelism=%d join=%s", a.prep, par, strat)
 					if w, ok := want[q]; !ok {
 						want[q] = got
 						if strings.HasPrefix(got, "error: ") {
 							errs++
 						}
+						var rows [][]storage.Value
+						if res != nil {
+							rows = res.Rows
+						}
+						if d := oracleDiff(a.eng, q, rows, err); d != "" {
+							t.Errorf("%s: %s: %s", cfg, q, d)
+						}
 					} else if got != w {
 						t.Errorf("%s: %s\ngot:\n%s\nwant:\n%s", cfg, q, got, w)
-					}
-					p := 0
-					if a.prep {
-						p = 1
 					}
 					switch {
 					case !a.prep && h != 0:
 						t.Errorf("%s: %s: %d prepared evaluations with the kernel off", cfg, q, h)
-					case !a.batch:
-						hits[p] = h
-					case h != hits[p]:
-						t.Errorf("%s: %s: PrepHits advanced by %d, by %d with batch execution off", cfg, q, h, hits[p])
+					case !a.prep:
+					case par == 1:
+						serialHits[q] = h
+						if h > 0 {
+							prepared++
+						}
+					case h != serialHits[q]:
+						t.Errorf("%s: %s: PrepHits advanced by %d, by %d at parallelism 1", cfg, q, h, serialHits[q])
 					}
-				}
-				if hits[1] > 0 {
-					prepared++
 				}
 			}
 		}

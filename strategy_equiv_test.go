@@ -4,9 +4,6 @@ import (
 	"slices"
 	"strings"
 	"testing"
-
-	"jackpine/internal/driver"
-	"jackpine/internal/engine"
 )
 
 // ms7Queries are the three table-to-table join statements issued by the
@@ -127,52 +124,46 @@ var rowOwnershipQueries = []struct{ id, sql string }{
 
 // TestRowOwnershipEquivalence runs the retaining-sink join shapes under
 // forced index-nested-loop, forced PBSM and the cost-based default, at
-// parallelism 1 and 8, and requires byte-identical results to the
-// serial row-at-a-time reference (batch execution off) under the same
-// strategy. Every shape returns at least two rows, all distinct, which
-// the reference must reproduce: a sink that aliased the producer's
-// scratch tuple would return copies of one row in both executors.
+// parallelism 1 and 8. The brute-force oracle (refexec) must admit the
+// serial result of each strategy, which every parallel run must return
+// byte for byte. Every shape returns at least two rows, all distinct: a
+// sink that aliased the producer's scratch tuple would return copies of
+// one row, which the oracle does not admit.
 func TestRowOwnershipEquivalence(t *testing.T) {
 	ds := GenerateDataset(ScaleSmall, 1)
-	open := func(opts ...engine.Option) (*Engine, driver.Conn) {
-		eng := OpenEngine(GaiaDB(), opts...)
-		if err := LoadDataset(eng, ds, true); err != nil {
-			t.Fatal(err)
-		}
-		conn, err := Connect(eng).Connect()
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { conn.Close() })
-		return eng, conn
+	eng := OpenEngine(GaiaDB())
+	if err := LoadDataset(eng, ds, true); err != nil {
+		t.Fatal(err)
 	}
-	refEng, ref := open(WithBatchExec(false), WithParallelism(1))
-	eng, conn := open()
+	conn, err := Connect(eng).Connect()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	oracle := oracleConn{conn, eng, t}
 	for _, strat := range []JoinStrategy{JoinINL, JoinPBSM, JoinAuto} {
-		refEng.SetJoinStrategy(strat)
 		eng.SetJoinStrategy(strat)
 		for _, q := range rowOwnershipQueries {
-			rs, err := ref.Query(q.sql)
+			eng.SetParallelism(1)
+			rs, err := oracle.Query(q.sql)
 			if err != nil {
-				t.Fatalf("%s reference, strategy %v: %v", q.id, strat, err)
+				t.Fatalf("%s serial, strategy %v: %v", q.id, strat, err)
 			}
 			want := canonRows(rs)
 			lines := strings.Split(strings.TrimSuffix(want, "\n"), "\n")
 			slices.Sort(lines)
 			if distinct := len(slices.Compact(lines)); len(rs.Rows) < 2 || distinct < len(rs.Rows) {
-				t.Fatalf("%s reference, strategy %v: %d rows, %d distinct; want at least 2, all distinct",
+				t.Fatalf("%s serial, strategy %v: %d rows, %d distinct; want at least 2, all distinct",
 					q.id, strat, len(rs.Rows), distinct)
 			}
-			for _, par := range []int{1, 8} {
-				eng.SetParallelism(par)
-				rs, err := conn.Query(q.sql)
-				if err != nil {
-					t.Fatalf("%s strategy %v parallelism %d: %v", q.id, strat, par, err)
-				}
-				if got := canonRows(rs); got != want {
-					t.Errorf("%s: strategy %v parallelism %d diverges from the batch-off reference\nwant:\n%s\ngot:\n%s",
-						q.id, strat, par, want, got)
-				}
+			eng.SetParallelism(8)
+			rs, err = conn.Query(q.sql)
+			if err != nil {
+				t.Fatalf("%s strategy %v parallelism 8: %v", q.id, strat, err)
+			}
+			if got := canonRows(rs); got != want {
+				t.Errorf("%s: strategy %v parallelism 8 diverges from the serial run\nwant:\n%s\ngot:\n%s",
+					q.id, strat, want, got)
 			}
 		}
 	}
