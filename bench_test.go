@@ -1544,6 +1544,55 @@ func TestJoinAllocsPerOuterRow(t *testing.T) {
 	}
 }
 
+// TestINLAllocsPerPair is the allocation guard of the index-nested-loop
+// join stage: each worker's stage reads its probe's candidates in
+// batches, through the batch and id buffer it owns, so a warm INL join
+// allocates per probe at most what its decoding needs and nothing per
+// candidate pair. Over a 400-row table t(id, k) with k = id % m and a
+// B-tree on k, the self-join on b.k = a.k runs as a B-tree seek per
+// outer row and finds 400/m candidates per probe; on a warm, single-core
+// engine its COUNT(*) must allocate the same (within 2 %) at m = 400,
+// 100 and 25 (400, 1 600 and 6 400 pairs), and at m = 400 no more than
+// 3 301 times, the count of the row-at-a-time fetch this stage replaced.
+// Skipped under the race detector, whose instrumentation changes
+// allocation counts.
+func TestINLAllocsPerPair(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts differ under the race detector")
+	}
+	const q = "SELECT COUNT(*) FROM t AS a JOIN t AS b ON b.k = a.k"
+	allocs := map[int]float64{}
+	for _, m := range []int{400, 100, 25} {
+		eng := OpenEngine(GaiaDB(), WithParallelism(1), WithJoinStrategy(JoinINL))
+		eng.MustExec("CREATE TABLE t (id INTEGER, k INTEGER)")
+		rows := make([]string, 400)
+		for id := range rows {
+			rows[id] = fmt.Sprintf("(%d, %d)", id, id%m)
+		}
+		eng.MustExec("INSERT INTO t VALUES " + strings.Join(rows, ", "))
+		eng.MustExec("CREATE INDEX tk ON t (k)")
+		res := eng.MustExec(q)
+		if want := fmt.Sprint([]string{"a:seqscan", "b:btree-seek"}); fmt.Sprint(res.Access) != want {
+			t.Fatalf("m=%d: access %v, want %s", m, res.Access, want)
+		}
+		if pairs, want := res.Rows[0][0].Int, int64(400*400/m); pairs != want {
+			t.Fatalf("m=%d: %d pairs, want %d", m, pairs, want)
+		}
+		eng.MustExec(q)
+		allocs[m] = testing.AllocsPerRun(10, func() { eng.MustExec(q) })
+		t.Logf("m=%d: %d pairs, %.0f allocs", m, res.Rows[0][0].Int, allocs[m])
+		eng.Close()
+	}
+	for _, m := range []int{100, 25} {
+		if lo, hi := allocs[400], allocs[m]; math.Abs(hi-lo) > 0.02*lo {
+			t.Errorf("INL COUNT join allocates %.0f at m=400 but %.0f at m=%d: allocations follow the candidate pairs", lo, hi, m)
+		}
+	}
+	if got := allocs[400]; got > 3301 {
+		t.Errorf("INL COUNT join allocates %.0f at one candidate per probe, want <= 3301", got)
+	}
+}
+
 // TestStage0DecodesSurvivorsOnly is the late-materialization guard: a
 // batched stage 0 decodes only the columns its filters read until a row
 // survives them. In the land-information join below, `a.id = k` keeps

@@ -12,33 +12,20 @@ import (
 )
 
 // decodedEnvelopes is the reference for ScanMBR: every live row in heap
-// order, fetched and fully decoded, keeping the envelope of each
+// order, fully decoded (decodedRows), keeping the envelope of each
 // non-NULL, non-empty geometry in column col.
 func decodedEnvelopes(t *testing.T, tbl *table, col int) ([]sql.RowID, []geom.Rect) {
 	t.Helper()
 	var ids []sql.RowID
 	var envs []geom.Rect
-	var fetchErr error
-	err := tbl.heap.Scan(func(rid storage.RecordID, _ []byte) bool {
-		id := sql.PackRowID(rid)
-		row, err := tbl.FetchProject(id, nil)
-		if err != nil {
-			fetchErr = err
-			return false
-		}
+	rowIDs, rows := decodedRows(t, tbl)
+	for i, row := range rows {
 		v := row[col]
 		if v.IsNull() || v.Type != storage.TypeGeom || v.Geom == nil || v.Geom.IsEmpty() {
-			return true
+			continue
 		}
-		ids = append(ids, id)
+		ids = append(ids, rowIDs[i])
 		envs = append(envs, v.Geom.Envelope())
-		return true
-	})
-	if fetchErr != nil {
-		t.Fatal(fetchErr)
-	}
-	if err != nil {
-		t.Fatal(err)
 	}
 	return ids, envs
 }

@@ -167,87 +167,6 @@ func (t *table) Columns() []sql.Column { return t.cols }
 // RowCount implements sql.Table.
 func (t *table) RowCount() int { return t.heap.Count() }
 
-// ScanProject implements sql.Table: a lazily-decoded scan that
-// materializes only projected columns, optionally skipping rows whose
-// prefiltered geometry envelope (read straight from the WKB header,
-// no decode) misses the query window.
-func (t *table) ScanProject(proj sql.Projection, fn func(sql.RowID, []storage.Value) bool) error {
-	var lt storage.LazyTuple
-	var innerErr error
-	visit := func(rid storage.RecordID, tuple []byte) bool {
-		if err := lt.Reset(tuple, len(t.cols)); err != nil {
-			innerErr = fmt.Errorf("engine: table %s at %s: %w", t.name, rid, err)
-			return false
-		}
-		if proj.MBRCol >= 0 {
-			env, ok, err := lt.GeomEnvelope(proj.MBRCol)
-			if err != nil {
-				innerErr = fmt.Errorf("engine: table %s at %s: %w", t.name, rid, err)
-				return false
-			}
-			if !ok || !env.Intersects(proj.Window) {
-				return true
-			}
-		}
-		row, err := t.materializeRow(rid, &lt, proj.Need)
-		if err != nil {
-			innerErr = err
-			return false
-		}
-		return fn(sql.PackRowID(rid), row)
-	}
-	err := t.heap.Scan(visit)
-	if innerErr != nil {
-		return innerErr
-	}
-	return err
-}
-
-// materializeRow decodes the projected columns of the current lazy
-// tuple. Unprojected columns stay NULL — the plan never reads them.
-func (t *table) materializeRow(rid storage.RecordID, lt *storage.LazyTuple, need []bool) ([]storage.Value, error) {
-	row := make([]storage.Value, lt.Len())
-	for i := range row {
-		if need != nil && !need[i] {
-			continue
-		}
-		v, err := lt.Col(i)
-		if err != nil {
-			return nil, fmt.Errorf("engine: table %s at %s: %w", t.name, rid, err)
-		}
-		row[i] = v
-	}
-	return row, nil
-}
-
-// FetchProject implements sql.Table: one row by id, materializing only
-// the columns marked in need (nil means all).
-func (t *table) FetchProject(id sql.RowID, need []bool) ([]storage.Value, error) {
-	rid := id.Unpack()
-	fs := fetchPool.Get().(*fetchScratch)
-	defer fetchPool.Put(fs)
-	var err error
-	fs.tuple, err = t.heap.GetAppend(fs.tuple[:0], rid)
-	if err != nil {
-		return nil, err
-	}
-	if err := fs.lt.Reset(fs.tuple, len(t.cols)); err != nil {
-		return nil, fmt.Errorf("engine: table %s at %s: %w", t.name, rid, err)
-	}
-	return t.materializeRow(rid, &fs.lt, need)
-}
-
-// fetchScratch is one FetchProject call's working state: the tuple
-// copied out of its page and the lazy view over it. Materialized values
-// never alias either, so both are recycled across fetches instead of
-// allocated per row.
-type fetchScratch struct {
-	tuple []byte
-	lt    storage.LazyTuple
-}
-
-var fetchPool = sync.Pool{New: func() any { return new(fetchScratch) }}
-
 // Insert implements sql.Table.
 func (t *table) Insert(row []storage.Value) (sql.RowID, error) {
 	if len(row) != len(t.cols) {
@@ -296,8 +215,9 @@ func (t *table) indexRowLocked(id sql.RowID, row []storage.Value, add bool) {
 
 // Delete implements sql.Table.
 func (t *table) Delete(id sql.RowID) error {
-	row, err := t.FetchProject(id, nil)
-	if err != nil {
+	b := storage.GetColBatch()
+	defer storage.PutColBatch(b)
+	if err := t.FetchBatch([]sql.RowID{id}, sql.AllColumns(), b); err != nil {
 		return err
 	}
 	if err := t.heap.Delete(id.Unpack()); err != nil {
@@ -305,7 +225,7 @@ func (t *table) Delete(id sql.RowID) error {
 	}
 	t.version.Add(1)
 	t.mu.Lock()
-	t.indexRowLocked(id, row, false)
+	t.indexRowLocked(id, b.Row(0), false)
 	t.mu.Unlock()
 	return nil
 }
@@ -347,32 +267,15 @@ func (t *table) buildSpatialIndex(column string, typ IndexType, gridDim int) err
 		return fmt.Errorf("engine: column %s.%s is not GEOMETRY", t.name, column)
 	}
 	// Gather entries first (bulk load beats repeated insertion). Only
-	// envelopes are needed, and those read straight off the WKB bytes —
-	// the build never materializes a geometry.
+	// envelopes are needed, and ScanMBR reads those straight off the WKB
+	// bytes — the build never materializes a geometry.
 	var entries []rtree.Entry
 	extent := geom.EmptyRect()
-	var lt storage.LazyTuple
-	var innerErr error
-	err := t.heap.Scan(func(rid storage.RecordID, tuple []byte) bool {
-		if err := lt.Reset(tuple, len(t.cols)); err != nil {
-			innerErr = fmt.Errorf("engine: table %s at %s: %w", t.name, rid, err)
-			return false
-		}
-		env, ok, err := lt.GeomEnvelope(off)
-		if err != nil {
-			innerErr = fmt.Errorf("engine: table %s at %s: %w", t.name, rid, err)
-			return false
-		}
-		if !ok || env.IsEmpty() {
-			return true
-		}
+	err := t.ScanMBR(off, func(id sql.RowID, env geom.Rect) bool {
 		extent = extent.Union(env)
-		entries = append(entries, rtree.Entry{Rect: env, ID: int64(sql.PackRowID(rid))})
+		entries = append(entries, rtree.Entry{Rect: env, ID: int64(id)})
 		return true
 	})
-	if innerErr != nil {
-		return innerErr
-	}
 	if err != nil {
 		return err
 	}
@@ -479,11 +382,13 @@ func (t *table) buildAttrIndex(columns []string) error {
 	for _, off := range ix.offs {
 		need[off] = true
 	}
-	err := t.ScanProject(sql.Projection{Need: need, MBRCol: -1}, func(id sql.RowID, row []storage.Value) bool {
-		if key, ok := ix.key(row); ok {
-			ix.tree.Insert(key, int64(id))
+	err := t.ScanBatch(0, 1, sql.Projection{Need: need, MBRCol: -1}, func(b *storage.ColBatch) (bool, error) {
+		for _, s := range b.Sel {
+			if key, ok := ix.key(b.Row(s)); ok {
+				ix.tree.Insert(key, b.ID(s))
+			}
 		}
-		return true
+		return true, nil
 	})
 	if err != nil {
 		return err

@@ -9,7 +9,7 @@ import (
 // Batch-at-a-time stage-0 execution, the one stage-0 flow of every
 // plan. Stage 0 reads the driving table in column batches
 // (storage.ColBatch): a full scan fills them from the heap, an index
-// path fetches the ids its probe yields, in index order (refine). Each
+// path fetches the ids its probe yields, in index order (idFetcher). Each
 // stored tuple is tested against the MBR window and the filters'
 // column-versus-literal comparisons where it lies, and only survivors
 // are copied into the batch; the table then decodes only the columns
@@ -158,30 +158,52 @@ func (ex *batchExec) cascade(b *storage.ColBatch) ([]int, error) {
 	return sel, nil
 }
 
-// refine fetches the row ids probe yields, in its order, in chunks of
-// up to size, and runs the cascade on each chunk; it stops the probe as
-// soon as the pipeline stops.
-func (ex *batchExec) refine(tbl Table, proj Projection, size int,
-	probe func(fn func(RowID) bool), emit emitFn) error {
+// idFetcher fetches the row ids an index probe yields, in its order, in
+// chunks of up to cap(ids), into a batch borrowed from the shared pool
+// for the read, and hands each fetched chunk to each; it stops the probe
+// as soon as each stops or fails. A stage-0 shard and a worker's join
+// stage each own one and reuse it, id buffer and bound probe callback
+// (add) included, from read to read, so a read allocates nothing.
+type idFetcher struct {
+	tbl  Table
+	proj Projection
+	each func(*storage.ColBatch) (bool, error)
+	add  func(RowID) bool // f.collect, bound once
+	ids  []RowID
+	b    *storage.ColBatch // the batch of the read in progress
+	cont bool
+	err  error
+}
 
-	b := storage.GetColBatch()
-	defer storage.PutColBatch(b)
-	ids := make([]RowID, 0, size)
-	cont := true
-	var err error
-	flush := func() bool {
-		if err = tbl.FetchBatch(ids, proj, b); err == nil {
-			cont, err = ex.run(b, emit)
-		}
-		ids = ids[:0]
-		return err == nil && cont
+func newIDFetcher(tbl Table, proj Projection, size int, each func(*storage.ColBatch) (bool, error)) *idFetcher {
+	f := &idFetcher{tbl: tbl, proj: proj, each: each, ids: make([]RowID, 0, size)}
+	f.add = f.collect
+	return f
+}
+
+// read fetches the ids search feeds its callback and reports whether
+// each wants more rows.
+func (f *idFetcher) read(search func(fn func(RowID) bool)) (bool, error) {
+	f.b = storage.GetColBatch()
+	defer storage.PutColBatch(f.b)
+	f.cont, f.err = true, nil
+	search(f.add)
+	if len(f.ids) > 0 && f.err == nil && f.cont {
+		f.flush()
 	}
-	probe(func(id RowID) bool {
-		ids = append(ids, id)
-		return len(ids) < size || flush()
-	})
-	if len(ids) > 0 {
-		flush()
+	f.ids = f.ids[:0]
+	return f.cont, f.err
+}
+
+func (f *idFetcher) collect(id RowID) bool {
+	f.ids = append(f.ids, id)
+	return len(f.ids) < cap(f.ids) || f.flush()
+}
+
+func (f *idFetcher) flush() bool {
+	if f.err = f.tbl.FetchBatch(f.ids, f.proj, f.b); f.err == nil {
+		f.cont, f.err = f.each(f.b)
 	}
-	return err
+	f.ids = f.ids[:0]
+	return f.err == nil && f.cont
 }

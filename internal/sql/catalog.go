@@ -52,12 +52,13 @@ type AttrIndexDef struct {
 	Index   AttrIndex
 }
 
-// Projection tells a scan which columns the plan actually references
-// and, optionally, which geometry column to MBR-prefilter. Tables use
-// it to decode lazily: unneeded columns surface as NULL (they are never
-// read by the plan), and rows whose prefiltered geometry envelope does
-// not intersect Window are skipped before any full decode. A batch scan
-// or fetch also skips rows that one of Compares certainly rejects.
+// Projection tells a batch scan or fetch which columns the plan
+// actually references and, optionally, which geometry column to
+// MBR-prefilter. Tables use it to decode lazily: unneeded columns
+// surface as NULL (they are never read by the plan), rows whose
+// prefiltered geometry envelope does not intersect Window are skipped
+// before any decode, and so are rows that one of Compares certainly
+// rejects.
 type Projection struct {
 	// Need[i] marks column i as referenced; nil means all columns.
 	Need []bool
@@ -70,51 +71,42 @@ type Projection struct {
 	// Ephemeral marks needed geometry columns that only stage-0 filters
 	// read: nothing downstream of the scan references them, so ScanBatch
 	// and FetchBatch may decode them into the batch's arena memory, which
-	// is recycled at the next batch. nil means none; ScanProject ignores
-	// the field.
+	// is recycled at the next batch. nil means none.
 	Ephemeral []bool
 	// Compares are column-versus-literal comparisons that ScanBatch and
 	// FetchBatch test on each tuple before copying it into the batch
 	// (storage.TupleFilter): a superset filter that drops only rows the
-	// plan's own filters would drop without error. ScanProject ignores
-	// the field.
+	// plan's own filters would drop without error.
 	Compares []storage.ColCompare
 }
 
 // AllColumns is the trivial projection: decode everything, no prefilter.
 func AllColumns() Projection { return Projection{MBRCol: -1} }
 
-// Table is the executor's view of a stored table.
+// Table is the executor's view of a stored table. Every stored-row read
+// is a batch: ScanBatch reads the heap, FetchBatch reads rows by id.
 type Table interface {
 	// Name returns the table name.
 	Name() string
 	// Columns returns the schema.
 	Columns() []Column
-	// ScanProject iterates the rows in heap order, stopping when fn
-	// returns false. Decoding is lazy: only columns marked in proj.Need
-	// are materialized (others are NULL), and when proj.MBRCol >= 0 rows
-	// whose geometry envelope does not intersect proj.Window are skipped
-	// without decoding.
-	ScanProject(proj Projection, fn func(id RowID, row []storage.Value) bool) error
 	// ScanBatch drives the shard'th of nshards heap partitions in
 	// batches of up to storage.BatchSize slots: every tuple is
 	// validated, and only those passing the MBR prefilter against
 	// proj.Window (when proj.MBRCol >= 0) and proj.Compares fill the
 	// batch, all selected; its slots are materialized per proj.Need
+	// (only columns marked there are decoded, the others read NULL)
 	// before fn runs. Partitions are disjoint and contiguous, and shards
 	// may be scanned concurrently: visiting shards 0..nshards-1 in order
-	// reproduces exactly the rows (and order) of ScanProject, less those
-	// proj.Compares drops, which lets parallel scans merge
+	// yields exactly the rows of one heap-order scan, less those the
+	// prefilters drop, which lets parallel scans merge
 	// deterministically. Batch memory is reused: fn must copy anything
 	// that outlives the call.
 	ScanBatch(shard, nshards int, proj Projection, fn func(*storage.ColBatch) (bool, error)) error
-	// FetchProject returns the row with the given id, materializing only
-	// the columns marked in need (nil need means all).
-	FetchProject(id RowID, need []bool) ([]storage.Value, error)
 	// FetchBatch fills b with the identified rows, in the order given,
 	// less those proj.Compares drops, all selected, and materializes
-	// them per proj.Need. Every index-driven stage 0 fetches its rows
-	// through it.
+	// them per proj.Need. Every index-driven read, stage 0's and a join
+	// stage's, fetches its rows through it.
 	FetchBatch(ids []RowID, proj Projection, b *storage.ColBatch) error
 	// ScanMBR invokes fn with every row's envelope for geometry column
 	// col in heap (RowID) order, read straight from the stored tuple

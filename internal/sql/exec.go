@@ -480,23 +480,22 @@ func (r *Runner) execSelect(sel *Select, explainOnly bool, rowIDs *[]RowID) (*Re
 		}
 	}
 	// joinStage drives each outer row through join stage >= 1 into
-	// emitRow. It owns the tuple the outer prefix is copied into once per
-	// probe and each candidate's inner columns once per candidate; fx is
-	// the stage's filter evaluator, whose per-probe state each outer row
-	// resets.
+	// emitRow. Its reader owns the tuple the outer prefix is copied into
+	// once per probe and each candidate's inner columns once per
+	// candidate, and the scratch its reads go through; fx is the stage's
+	// filter evaluator, whose per-probe state each outer row resets.
 	joinStage := func(stage int, fx *filterExec, emitRow emitFn) emitFn {
-		op := joins[stage]
-		full := make([]storage.Value, width)
+		rd := joins[stage].reader(width, emitRow)
 		return func(prefix []storage.Value) (bool, error) {
-			copy(full, prefix)
+			copy(rd.full, prefix)
 			if cells != nil && cells[stage-1] > 0 {
 				// The outer row enters its join stage: give it the cell every
 				// tuple derived from it will share.
-				full[h.width+stage-1] = storage.Value{
+				rd.full[h.width+stage-1] = storage.Value{
 					Geom: &stageCell{slots: make([]slotVal, cells[stage-1])}}
 			}
 			fx.newProbe()
-			return op.probe(full, emitRow)
+			return rd.read()
 		}
 	}
 	// pipeline builds one worker's join stages over its sink, once per
@@ -853,143 +852,86 @@ func Window(rows [][]storage.Value, offset, limit int) [][]storage.Value {
 	return rows
 }
 
-// scanTable drives a join stage's access path for one outer row. full
-// is the stage's scratch tuple, already holding the outer prefix below
-// lo; each row of the table is copied in at lo and full is emitted,
-// borrowed.
-func (r *Runner) scanTable(tbl Table, path accessPath, full []storage.Value,
-	lo int, emit emitFn) (bool, error) {
-
-	// probe enumerates an index path's row ids into its callback.
-	var probe func(fn func(RowID) bool)
-	switch path.kind {
-	case accessFullScan:
-		proj, skip, err := path.scanProjection(full, r.reg)
-		if err != nil {
-			return false, err
-		}
-		if skip {
-			return true, nil
-		}
-		cont := true
-		var emitErr error
-		err = tbl.ScanProject(proj, func(_ RowID, row []storage.Value) bool {
-			copy(full[lo:], row)
-			c, err := emit(full)
-			if err != nil {
-				emitErr = err
-				return false
-			}
-			cont = c
-			return c
-		})
-		if emitErr != nil {
-			return false, emitErr
-		}
-		return cont, err
-
-	case accessSpatialWindow:
-		window, err := path.evalWindow(full, r.reg)
-		if err != nil {
-			return false, err
-		}
-		if window.IsEmpty() {
-			return true, nil
-		}
-		probe = func(fn func(RowID) bool) { path.spatial.Search(window, fn) }
-
-	case accessAttrSeek, accessAttrRange:
-		p, err := r.attrProbe(path, full)
-		if err != nil || p == nil {
-			return err == nil, err
-		}
-		probe = p
-
-	default:
-		return false, fmt.Errorf("sql: unknown access path")
-	}
-
-	// Index paths: fetch and emit each row id the probe yields.
-	cont := true
-	var innerErr error
-	probe(func(id RowID) bool {
-		row, err := tbl.FetchProject(id, path.need)
-		if err != nil {
-			innerErr = err
-			return false
-		}
-		copy(full[lo:], row)
-		c, err := emit(full)
-		if err != nil {
-			innerErr = err
-			return false
-		}
-		cont = c
-		return c
-	})
-	return cont, innerErr
+// idProbe is an index path's probe evaluated against one outer row
+// (nil for stage 0): the window a spatial-window path searches, the key
+// a B-tree seek looks up, or the key range a B-tree range walks. Stage 0
+// evaluates its probe once; a worker's join stage evaluates one per
+// outer row into the same idProbe, reusing its key buffers.
+type idProbe struct {
+	path   *accessPath
+	window geom.Rect
+	lo, hi []byte // the seek key, or the range's bounds
+	hiInc  bool
 }
 
-// attrProbe builds an attribute path's index probe against the current
-// outer row: a seek of the key its equality probes build, or a range
-// past that prefix. It is nil when no row can match (a NULL or
-// unrepresentable key).
-func (r *Runner) attrProbe(path accessPath, row []storage.Value) (func(fn func(RowID) bool), error) {
-	keyPrefix, ok, err := r.buildAttrKeyPrefix(path, row)
-	if err != nil || !ok {
-		return nil, err
+// eval evaluates path's probe against row. It is false when no row can
+// match: an empty window, or a NULL or unrepresentable key.
+func (p *idProbe) eval(path *accessPath, row []storage.Value, reg *Registry) (bool, error) {
+	p.path = path
+	if path.kind == accessSpatialWindow {
+		w, err := path.evalWindow(row, reg)
+		p.window = w
+		return err == nil && !w.IsEmpty(), err
 	}
-	if path.kind == accessAttrSeek {
-		return func(fn func(RowID) bool) { path.attr.Seek(keyPrefix, fn) }, nil
-	}
-	loKey := keyPrefix
-	if path.rangeLo != nil {
-		v, err := Eval(path.rangeLo, row, r.reg)
-		if err != nil {
-			return nil, err
-		}
-		if k, ok := appendKeyComponent(append([]byte(nil), keyPrefix...), v, path.rangeType); ok {
-			loKey = k
-		}
-	}
-	var hiKey []byte
-	hiInc := false
-	if path.rangeHi != nil && path.rangeLast {
-		v, err := Eval(path.rangeHi, row, r.reg)
-		if err != nil {
-			return nil, err
-		}
-		if k, ok := appendKeyComponent(append([]byte(nil), keyPrefix...), v, path.rangeType); ok {
-			hiKey = k
-			hiInc = true
-		}
-	}
-	if hiKey == nil {
-		hiKey = btree.PrefixSuccessor(keyPrefix)
-	}
-	if len(loKey) == 0 {
-		loKey = nil
-	}
-	return func(fn func(RowID) bool) { path.attr.Range(loKey, hiKey, true, hiInc, fn) }, nil
-}
-
-// buildAttrKeyPrefix evaluates an access path's equality probes into a
-// composite key prefix. ok is false when any probe is NULL or cannot be
-// represented in the column's key encoding (such probes can never match).
-func (r *Runner) buildAttrKeyPrefix(path accessPath, row []storage.Value) ([]byte, bool, error) {
-	var key []byte
+	// The equality probes build the key, or the prefix a range extends;
+	// a NULL or unrepresentable probe matches nothing.
+	key := p.lo[:0]
 	for i, e := range path.eqExprs {
-		v, err := Eval(e, row, r.reg)
+		v, err := Eval(e, row, reg)
 		if err != nil {
-			return nil, false, err
+			return false, err
 		}
 		k, ok := appendKeyComponent(key, v, path.eqTypes[i])
 		if !ok {
-			return nil, false, nil
+			return false, nil
 		}
 		key = k
 	}
-	return key, true, nil
+	p.lo = key
+	if path.kind == accessAttrSeek {
+		return true, nil
+	}
+	// A range past the equality prefix: its bounds on the next column,
+	// each dropped when it cannot be encoded, the upper one honoured
+	// only on the index's last column.
+	var lo, hi storage.Value
+	var err error
+	if path.rangeLo != nil {
+		if lo, err = Eval(path.rangeLo, row, reg); err != nil {
+			return false, err
+		}
+	}
+	if path.rangeHi != nil && path.rangeLast {
+		if hi, err = Eval(path.rangeHi, row, reg); err != nil {
+			return false, err
+		}
+	}
+	if k, ok := appendKeyComponent(append(p.hi[:0], key...), hi, path.rangeType); ok {
+		p.hi, p.hiInc = k, true
+	} else {
+		p.hi, p.hiInc = btree.PrefixSuccessor(key), false
+	}
+	if k, ok := appendKeyComponent(key, lo, path.rangeType); ok {
+		p.lo = k
+	}
+	return true, nil
+}
+
+// search feeds fn the row ids the evaluated probe finds, in index
+// order, until fn returns false.
+func (p *idProbe) search(fn func(RowID) bool) {
+	switch path := p.path; path.kind {
+	case accessSpatialWindow:
+		path.spatial.Search(p.window, fn)
+	case accessAttrSeek:
+		path.attr.Seek(p.lo, fn)
+	default:
+		lo := p.lo
+		if len(lo) == 0 {
+			lo = nil
+		}
+		path.attr.Range(lo, p.hi, true, p.hiInc, fn)
+	}
 }
 
 // appendKeyComponent appends one probe value in the index key encoding
@@ -1375,21 +1317,26 @@ func (r *Runner) execUpdate(upd *Update) (*Result, error) {
 	}
 	// Every new row is computed before the first write, so an evaluation
 	// error leaves the table — and a durable engine's log — untouched.
-	newRows := make([][]storage.Value, len(ids))
-	for i, id := range ids {
-		row, err := tbl.FetchProject(id, nil)
-		if err != nil {
+	newRows := make([][]storage.Value, 0, len(ids))
+	b := storage.GetColBatch()
+	defer storage.PutColBatch(b)
+	for lo := 0; lo < len(ids); lo += storage.BatchSize {
+		if err := tbl.FetchBatch(ids[lo:min(lo+storage.BatchSize, len(ids))], AllColumns(), b); err != nil {
 			return nil, err
 		}
-		newRows[i] = append([]storage.Value(nil), row...)
-		for _, s := range sets {
-			v, err := Eval(s.e, row, r.reg)
-			if err != nil {
-				return nil, err
+		for _, slot := range b.Sel {
+			row := b.Row(slot)
+			newRow := slices.Clone(row)
+			for _, s := range sets {
+				v, err := Eval(s.e, row, r.reg)
+				if err != nil {
+					return nil, err
+				}
+				if newRow[s.idx], err = coerce(v, cols[s.idx]); err != nil {
+					return nil, err
+				}
 			}
-			if newRows[i][s.idx], err = coerce(v, cols[s.idx]); err != nil {
-				return nil, err
-			}
+			newRows = append(newRows, newRow)
 		}
 	}
 	for i, id := range ids {

@@ -186,19 +186,9 @@ func (t countingTable) scanned(proj sql.Projection) {
 	t.n.mu.Unlock()
 }
 
-func (t countingTable) ScanProject(proj sql.Projection, fn func(sql.RowID, []storage.Value) bool) error {
-	t.scanned(proj)
-	return t.Table.ScanProject(proj, fn)
-}
-
 func (t countingTable) ScanBatch(shard, nshards int, proj sql.Projection, fn func(*storage.ColBatch) (bool, error)) error {
 	t.scanned(proj)
 	return t.Table.ScanBatch(shard, nshards, proj, fn)
-}
-
-func (t countingTable) FetchProject(id sql.RowID, need []bool) ([]storage.Value, error) {
-	t.n.fetched.Add(1)
-	return t.Table.FetchProject(id, need)
 }
 
 func (t countingTable) FetchBatch(ids []sql.RowID, proj sql.Projection, b *storage.ColBatch) error {

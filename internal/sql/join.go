@@ -3,6 +3,7 @@ package sql
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -10,15 +11,16 @@ import (
 )
 
 // joinOp is one join stage's operator, chosen once per plan from the
-// stage's access path: an index nested loop (any path scanTable drives,
-// the index-less rescan included), a hash probe, or a PBSM sweep probe.
+// stage's access path: an index nested loop (a spatial window, B-tree
+// seek or range per outer row, or the index-less rescan), a hash probe,
+// or a PBSM sweep probe.
 // It names the stage for EXPLAIN and Result.Access and carries the
 // JoinStats counter of its strategy. Its shared state — the hash
 // table, the sweep state — opens at most once per statement, on the
 // first probe from any worker, so a plan whose outer side yields no rows
 // never builds it; every later probe only reads it. (A sweep state that
 // supplies stage 0's rows holds only the outer side until then.)
-// Per-worker scratch belongs to the caller.
+// Per-worker scratch belongs to each worker's innerReader.
 type joinOp struct {
 	r     *Runner
 	tbl   Table
@@ -78,21 +80,73 @@ func (op *joinOp) open() error {
 	return op.err
 }
 
-// probe drives one outer row through the stage, first opening the
-// stage's shared state if no probe has yet. full is the worker's scratch
-// tuple holding the outer prefix below lo; each inner row is copied in
-// at lo and full is emitted, borrowed.
-func (op *joinOp) probe(full []storage.Value, emit emitFn) (bool, error) {
+// innerReader is one worker's scratch for one join stage: the tuple
+// each outer row's prefix is copied into and each inner row is emitted
+// in, borrowed, and the probe and fetcher an index path reads its inner
+// rows through. Its callbacks are bound once, so a probe reads without
+// allocating. Workers never share one.
+type innerReader struct {
+	op      *joinOp
+	full    []storage.Value
+	emit    emitFn
+	each    func(*storage.ColBatch) (bool, error) // rd.emitRows, bound once
+	probe   idProbe
+	fetch   *idFetcher // index paths only
+	stopped bool       // emit asked for no more rows
+}
+
+// reader returns a worker's reader of the stage, emitting full-width
+// rows into emit.
+func (op *joinOp) reader(width int, emit emitFn) *innerReader {
+	rd := &innerReader{op: op, full: make([]storage.Value, width), emit: emit}
+	rd.each = rd.emitRows
+	switch op.path.kind {
+	case accessSpatialWindow, accessAttrSeek, accessAttrRange:
+		rd.fetch = newIDFetcher(op.tbl, Projection{Need: op.path.need, MBRCol: -1}, storage.BatchSize, rd.each)
+	}
+	return rd
+}
+
+// read drives the outer row in rd.full (its prefix below lo) through
+// the stage, first opening the stage's shared state if no probe has
+// yet: each inner row is copied in at lo and full is emitted. An index
+// path fetches the ids its probe finds in chunks; the index-less rescan
+// reads the heap in batches.
+func (rd *innerReader) read() (bool, error) {
+	op := rd.op
 	if err := op.open(); err != nil {
 		return false, err
 	}
 	switch op.path.kind {
 	case accessHashJoin:
-		return op.probeHash(full, emit)
+		return op.probeHash(rd.full, rd.emit)
 	case accessPBSM:
-		return op.probePBSM(full, emit)
+		return op.probePBSM(rd.full, rd.emit)
+	case accessFullScan:
+		proj, skip, err := op.path.scanProjection(rd.full, op.r.reg)
+		if err != nil || skip {
+			return err == nil, err
+		}
+		rd.stopped = false
+		err = op.tbl.ScanBatch(0, 1, proj, rd.each)
+		return !rd.stopped, err
 	}
-	return op.r.scanTable(op.tbl, op.path, full, op.lo, emit)
+	if ok, err := rd.probe.eval(&op.path, rd.full, op.r.reg); err != nil || !ok {
+		return err == nil, err
+	}
+	return rd.fetch.read(rd.probe.search)
+}
+
+// emitRows emits the batch's rows, each copied into full at lo.
+func (rd *innerReader) emitRows(b *storage.ColBatch) (bool, error) {
+	for _, s := range b.Sel {
+		copy(rd.full[rd.op.lo:], b.Row(s))
+		if cont, err := rd.emit(rd.full); err != nil || !cont {
+			rd.stopped = !cont
+			return cont, err
+		}
+	}
+	return true, nil
 }
 
 // hashJoinKey builds a bucket key that collides for numerically equal
@@ -125,11 +179,11 @@ func hashJoinKey(v storage.Value) (string, bool) {
 // join key of the build column.
 func (r *Runner) buildHashTable(tbl Table, path accessPath) (map[string][][]storage.Value, error) {
 	table := make(map[string][][]storage.Value)
-	err := tbl.ScanProject(Projection{Need: path.need, MBRCol: -1}, func(_ RowID, row []storage.Value) bool {
+	err := scanRows(tbl, 0, 1, path.need, func(_ RowID, row []storage.Value) error {
 		if key, ok := hashJoinKey(row[path.hashCol]); ok {
-			table[key] = append(table[key], append([]storage.Value(nil), row...))
+			table[key] = append(table[key], slices.Clone(row))
 		}
-		return true
+		return nil
 	})
 	if err != nil {
 		return nil, err

@@ -47,7 +47,7 @@ func (r *Runner) stage0Workers(tbl Table, kind accessKind, bareLimit bool) int {
 // pipeline; serial plans are the one-worker case. Full scans compute
 // their projection once and shard the heap. Index paths probe their
 // index once, here or as the shard runs, and fetch the ids it yields in
-// index order, in chunks (batchExec.refine): spatial windows split
+// index order, in chunks (idFetcher): spatial windows split
 // their candidates into contiguous chunks, so shard concatenation
 // reproduces the serial row order; a kNN source fetches one id per
 // chunk, so the ORDER BY sink's k-th distance is current when the next
@@ -107,27 +107,7 @@ func (r *Runner) stage0Source(tbl Table, path *accessPath, filters *filterPlan,
 	// probe yields shard w's row ids in index order.
 	var probe func(shard int, fn func(RowID) bool)
 	chunk := storage.BatchSize
-	switch path.kind {
-	case accessSpatialWindow:
-		window, err := path.evalWindow(nil, r.reg)
-		if err != nil {
-			return nil, err
-		}
-		var cands []RowID
-		if !window.IsEmpty() {
-			path.spatial.Search(window, func(id RowID) bool {
-				cands = append(cands, id)
-				return true
-			})
-		}
-		probe = func(shard int, fn func(RowID) bool) {
-			for _, id := range cands[shard*len(cands)/workers : (shard+1)*len(cands)/workers] {
-				if !fn(id) {
-					return
-				}
-			}
-		}
-	case accessKNN:
+	if path.kind == accessKNN {
 		// Ids arrive in non-decreasing MINDIST from the probe's envelope
 		// until one exceeds the sink's k-th distance, which no later row
 		// can beat.
@@ -137,16 +117,34 @@ func (r *Runner) stage0Source(tbl Table, path *accessPath, filters *filterPlan,
 				return minDist <= path.knnBound() && fn(id)
 			})
 		}
-	case accessAttrSeek, accessAttrRange:
-		p, err := r.attrProbe(*path, nil)
-		if err != nil || p == nil { // no key can match
+	} else {
+		var p idProbe
+		if ok, err := p.eval(path, nil, r.reg); err != nil || !ok { // no row can match
 			return func(int, emitFn) error { return nil }, err
 		}
-		probe = func(_ int, fn func(RowID) bool) { p(fn) }
+		probe = func(_ int, fn func(RowID) bool) { p.search(fn) }
+		if path.kind == accessSpatialWindow {
+			// One search; each shard takes a contiguous run of its ids.
+			var cands []RowID
+			p.search(func(id RowID) bool {
+				cands = append(cands, id)
+				return true
+			})
+			probe = func(shard int, fn func(RowID) bool) {
+				for _, id := range cands[shard*len(cands)/workers : (shard+1)*len(cands)/workers] {
+					if !fn(id) {
+						return
+					}
+				}
+			}
+		}
 	}
 	proj := Projection{Need: plan.eager, MBRCol: -1, Ephemeral: path.ephemeral, Compares: plan.prefilter}
 	return func(shard int, emit emitFn) error {
-		return plan.newExec().refine(tbl, proj, chunk, func(fn func(RowID) bool) { probe(shard, fn) }, pipeline(emit))
+		ex, forward := plan.newExec(), pipeline(emit)
+		f := newIDFetcher(tbl, proj, chunk, func(b *storage.ColBatch) (bool, error) { return ex.run(b, forward) })
+		_, err := f.read(func(fn func(RowID) bool) { probe(shard, fn) })
+		return err
 	}, nil
 }
 

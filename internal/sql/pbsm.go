@@ -978,8 +978,8 @@ func (r *Runner) completePBSM(st *pbsmState, spec *pbsmSpec, need []bool) error 
 // and either emit candidates through the stage filters (safe mode) or
 // refine them in-probe (fast mode, join conjunct stripped from the
 // filters). full is the stage's scratch tuple holding the outer prefix;
-// each emitted candidate's inner columns are copied in at lo, as in
-// scanTable.
+// each emitted candidate's inner columns are copied in at lo, as an
+// index nested loop copies its fetched rows (innerReader).
 func (op *joinOp) probePBSM(full []storage.Value, emit emitFn) (bool, error) {
 	st, path := op.pbsm, &op.path
 	var cands []int32

@@ -88,8 +88,8 @@ type accessPath struct {
 	idxCol string
 
 	// need marks which table-relative columns the plan references; it is
-	// passed to ScanProject/FetchProject so unreferenced columns are
-	// never decoded. nil means all columns.
+	// the Projection.Need of every batch this path scans or fetches, so
+	// unreferenced columns are never decoded. nil means all columns.
 	need []bool
 
 	// idPos is the hidden row position that receives each emitted row's
@@ -577,14 +577,14 @@ func (r *Runner) browseBeats(path accessPath, sel *Select, tbl Table) bool {
 	default:
 		return false
 	}
-	probe, err := r.attrProbe(path, nil)
-	if err != nil || probe == nil {
+	var probe idProbe
+	if ok, err := probe.eval(&path, nil, r.reg); err != nil || !ok {
 		return false
 	}
 	enough := int(math.Ceil(math.Sqrt(float64(sel.Offset+sel.Limit) * float64(tbl.RowCount()))))
 	m := 0
 	if enough > 0 {
-		probe(func(RowID) bool { m++; return m < enough })
+		probe.search(func(RowID) bool { m++; return m < enough })
 	}
 	return m >= enough
 }

@@ -5,8 +5,11 @@
 // its freshly bound tree as soon as the loop nest has bound its columns
 // (without that, the cross products of the rails would take minutes),
 // then grouping and aggregation, a stable sort on the ORDER BY keys,
-// OFFSET and LIMIT, and a per-row projection. No planner, no index, no
-// batch, no prepared geometry, no stage slot, no parallelism.
+// OFFSET and LIMIT, and a per-row projection. Each table is read by one
+// unfiltered, all-column Table.ScanBatch, whose decoding internal/engine
+// checks against storage.DecodeTuple. No planner, no index, no pushed-
+// down filter, no filter cascade, no prepared geometry, no stage slot,
+// no parallelism.
 //
 // A statement may leave part of its answer open: the order of rows
 // without ORDER BY or with equal keys, which of those rows a LIMIT or
@@ -139,9 +142,11 @@ func Run(tabs Tables, reg *sql.Registry, query string) (*Result, error) {
 	joined := [][]storage.Value{nil}
 	for i, tbl := range tables {
 		var rows, next [][]storage.Value
-		if err := tbl.ScanProject(sql.AllColumns(), func(_ sql.RowID, r []storage.Value) bool {
-			rows = append(rows, slices.Clone(r))
-			return true
+		if err := tbl.ScanBatch(0, 1, sql.AllColumns(), func(b *storage.ColBatch) (bool, error) {
+			for _, s := range b.Sel {
+				rows = append(rows, slices.Clone(b.Row(s)))
+			}
+			return true, nil
 		}); err != nil {
 			return nil, err
 		}

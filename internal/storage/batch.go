@@ -53,8 +53,8 @@ type ColBatch struct {
 
 // TupleFilter is the test a batch scan or fetch applies to each tuple
 // before copying it into the batch: the tuple's MBRCol geometry
-// envelope must intersect Window (when MBRCol >= 0; a NULL geometry
-// fails, as ScanProject's `!ok || !env.Intersects(window)` skip does),
+// envelope must intersect Window (when MBRCol >= 0; a NULL or empty
+// geometry fails, as it can satisfy no sargable spatial predicate),
 // and no comparison in Compares may certainly reject it. It is a superset filter: every
 // row it drops, the exact filters downstream would drop without error,
 // and they still run on every row it keeps.
