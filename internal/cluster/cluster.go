@@ -126,6 +126,7 @@ type Cluster struct {
 	prof      engine.Profile
 	joinStrat sql.JoinStrategy
 	reg       *sql.Registry
+	shapes    sql.ShapeCache // the router's parse cache
 
 	mu     sync.Mutex
 	tables map[string]*tableInfo

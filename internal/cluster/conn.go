@@ -91,7 +91,7 @@ func (cn *Conn) route(query string) (*res, error) {
 	if err := cn.guard(); err != nil {
 		return nil, err
 	}
-	stmt, err := sql.Parse(query)
+	stmt, err := cn.c.shapes.Parse(query)
 	if err != nil {
 		return nil, err
 	}

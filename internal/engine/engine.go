@@ -24,6 +24,7 @@ type Engine struct {
 	pool    *storage.BufferPool
 	runner  *sql.Runner
 	reg     *sql.Registry
+	shapes  sql.ShapeCache
 
 	// Durability state (nil/zero for in-memory engines; see durable.go).
 	wal       *wal.WAL
@@ -268,10 +269,11 @@ func (e *Engine) Close() error {
 	return e.store.Close()
 }
 
-// Exec parses and executes one SQL statement. Reads run concurrently;
-// DDL and DML serialize against everything else.
+// Exec parses and executes one SQL statement; a SELECT parses through
+// the engine's shape cache. Reads run concurrently; DDL and DML
+// serialize against everything else.
 func (e *Engine) Exec(query string) (*sql.Result, error) {
-	stmt, err := sql.Parse(query)
+	stmt, err := e.shapes.Parse(query)
 	if err != nil {
 		return nil, err
 	}

@@ -101,3 +101,60 @@ func TestSharedParsedStatement(t *testing.T) {
 		wg.Wait()
 	}
 }
+
+// TestShapeCacheShared runs statements of a few shapes, each with 12
+// literal draws, from 8 goroutines at once through Exec on a cold
+// engine: the goroutines race to build each shape's template, then
+// share it, every hit a path copy of it. Every run must return the rows
+// of a serial run of a fresh parse; under -race any write to a shared
+// template is a reported race.
+func TestShapeCacheShared(t *testing.T) {
+	shapes := []string{
+		"SELECT o.id, i.id FROM o JOIN i ON ST_DWithin(i.g, o.g, %d) WHERE o.v < %d",
+		"SELECT id FROM i WHERE ST_Intersects(g, ST_GeomFromText('POLYGON ((5 -5, %d -5, %d 0.5, 5 5, 5 -5))'))",
+		"SELECT id, w FROM i WHERE w = %d AND id > -%d",
+		"SELECT id FROM i ORDER BY ST_Distance(g, ST_MakePoint(%d, -%d.5)) LIMIT 5",
+		"EXPLAIN SELECT id FROM o WHERE v = %d AND id < %d",
+	}
+	var queries []string
+	for _, s := range shapes {
+		for k := 1; k <= 12; k++ {
+			queries = append(queries, fmt.Sprintf(s, 2+k%3, 100*k+7))
+		}
+	}
+	render := func(res *sql.Result) string { return fmt.Sprint(res.Columns, res.Access, res.Rows) }
+	ref := sharedStmtFixture(t)
+	want := make([]string, len(queries))
+	for k, q := range queries {
+		st, err := sql.Parse(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := ref.ExecParsed(st)
+		if err != nil {
+			t.Fatalf("%s: %v", q, err)
+		}
+		want[k] = render(res)
+	}
+	e := sharedStmtFixture(t)
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for round := 0; round < 2; round++ {
+				for k, q := range queries {
+					res, err := e.Exec(q)
+					if err != nil {
+						t.Errorf("%s: %v", q, err)
+						return
+					}
+					if got := render(res); got != want[k] {
+						t.Errorf("%s: a run through the shape cache differs from a fresh parse's\nwant %s\ngot  %s", q, want[k], got)
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
+}

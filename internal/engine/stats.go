@@ -55,46 +55,26 @@ func (t *table) noteGeomLocked(row []storage.Value, add bool) {
 	}
 }
 
-// recomputeStats rebuilds the statistics block from the heap with a
-// decode-free envelope walk. Called lazily after vacuum or persistent
-// reattach, under the engine's read gate: writers are excluded, and
-// concurrent readers racing here compute identical blocks (first one
-// installed wins).
+// recomputeStats rebuilds the statistics block from the heap through
+// ScanMBR, one decode-free envelope walk per geometry column, so the
+// block counts exactly the rows the spatial index holds. Called lazily
+// after vacuum or persistent reattach, under the engine's read gate:
+// writers are excluded, and concurrent readers racing here compute
+// identical blocks (first one installed wins).
 func (t *table) recomputeStats() error {
 	fresh := make(map[int]*geomColStats, len(t.geomCols))
 	for _, off := range t.geomCols {
-		fresh[off] = &geomColStats{mbr: geom.EmptyRect()}
-	}
-	if len(t.geomCols) > 0 {
-		var lt storage.LazyTuple
-		var innerErr error
-		err := t.heap.Scan(func(rid storage.RecordID, tuple []byte) bool {
-			if err := lt.Reset(tuple, len(t.cols)); err != nil {
-				innerErr = fmt.Errorf("engine: table %s at %s: %w", t.name, rid, err)
-				return false
-			}
-			for _, off := range t.geomCols {
-				env, ok, err := lt.GeomEnvelope(off)
-				if err != nil {
-					innerErr = fmt.Errorf("engine: table %s at %s: %w", t.name, rid, err)
-					return false
-				}
-				if !ok || env.IsEmpty() {
-					continue
-				}
-				st := fresh[off]
-				st.rows++
-				st.sumArea += env.Area()
-				st.mbr = st.mbr.Union(env)
-			}
+		st := &geomColStats{mbr: geom.EmptyRect()}
+		err := t.ScanMBR(off, func(_ sql.RowID, env geom.Rect) bool {
+			st.rows++
+			st.sumArea += env.Area()
+			st.mbr = st.mbr.Union(env)
 			return true
 		})
-		if innerErr != nil {
-			return innerErr
-		}
 		if err != nil {
 			return err
 		}
+		fresh[off] = st
 	}
 	t.mu.Lock()
 	if t.stats == nil {

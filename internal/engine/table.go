@@ -217,7 +217,7 @@ func (t *table) indexRowLocked(id sql.RowID, row []storage.Value, add bool) {
 func (t *table) Delete(id sql.RowID) error {
 	b := storage.GetColBatch()
 	defer storage.PutColBatch(b)
-	if err := t.FetchBatch([]sql.RowID{id}, sql.AllColumns(), b); err != nil {
+	if err := t.FetchBatch([]sql.RowID{id}, t.unindexProjection(), b); err != nil {
 		return err
 	}
 	if err := t.heap.Delete(id.Unpack()); err != nil {
@@ -228,6 +228,25 @@ func (t *table) Delete(id sql.RowID) error {
 	t.indexRowLocked(id, b.Row(0), false)
 	t.mu.Unlock()
 	return nil
+}
+
+// unindexProjection is what Delete fetches of a row: the columns its
+// attribute-index keys and its geometry statistics and index entries
+// are built from. Only the geometries' envelopes are read, so they
+// decode into the batch's arena.
+func (t *table) unindexProjection() sql.Projection {
+	need, geoms := make([]bool, len(t.cols)), make([]bool, len(t.cols))
+	for _, off := range t.geomCols {
+		need[off], geoms[off] = true, true
+	}
+	t.mu.RLock()
+	for _, ix := range t.attr {
+		for _, off := range ix.offs {
+			need[off] = true
+		}
+	}
+	t.mu.RUnlock()
+	return sql.Projection{Need: need, MBRCol: -1, Ephemeral: geoms}
 }
 
 // Update implements sql.Table as delete-plus-insert; the row id changes.

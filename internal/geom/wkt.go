@@ -1,13 +1,39 @@
 package geom
 
-import "strconv"
+import (
+	"strconv"
+	"sync"
+)
 
-// WKT serializes the geometry to Well-Known Text.
+// coordWKTMax bounds one coordinate's text and its separator: two
+// shortest-form float64s of at most 24 bytes each, a space and ", ".
+const coordWKTMax = 2*24 + 3
+
+// wktBufMax caps the scratch buffers wktBufs keeps.
+const wktBufMax = 64 << 10
+
+// wktBufs recycles WKT's scratch buffers.
+var wktBufs = sync.Pool{New: func() any { return new([]byte) }}
+
+// WKT serializes the geometry to Well-Known Text. It formats into a
+// pooled scratch buffer sized from the coordinate count, so the text
+// never grows a buffer, and the string is its one allocation.
 func WKT(g Geometry) string {
 	if g == nil {
 		return "GEOMETRYCOLLECTION EMPTY"
 	}
-	return string(g.appendWKT(make([]byte, 0, 64)))
+	bp := wktBufs.Get().(*[]byte)
+	buf := *bp
+	if need := 64 + g.NumCoords()*coordWKTMax; cap(buf) < need {
+		buf = make([]byte, 0, need)
+	}
+	buf = g.appendWKT(buf[:0])
+	s := string(buf)
+	if cap(buf) <= wktBufMax {
+		*bp = buf
+		wktBufs.Put(bp)
+	}
+	return s
 }
 
 func appendFloat(dst []byte, v float64) []byte {

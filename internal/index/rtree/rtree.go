@@ -8,7 +8,6 @@
 package rtree
 
 import (
-	"container/heap"
 	"math"
 	"sort"
 
@@ -341,13 +340,45 @@ type nnItem struct {
 	entry Entry
 }
 
+// nnQueue is a binary min-heap on dist. Its push and pop move items
+// exactly as container/heap's Push and Pop do, without boxing each item
+// in an interface.
 type nnQueue []nnItem
 
-func (q nnQueue) Len() int           { return len(q) }
-func (q nnQueue) Less(i, j int) bool { return q[i].dist < q[j].dist }
-func (q nnQueue) Swap(i, j int)      { q[i], q[j] = q[j], q[i] }
-func (q *nnQueue) Push(x any)        { *q = append(*q, x.(nnItem)) }
-func (q *nnQueue) Pop() any          { old := *q; n := len(old); it := old[n-1]; *q = old[:n-1]; return it }
+func (q *nnQueue) push(it nnItem) {
+	h := append(*q, it)
+	for j := len(h) - 1; j > 0; {
+		i := (j - 1) / 2 // parent
+		if !(h[j].dist < h[i].dist) {
+			break
+		}
+		h[i], h[j] = h[j], h[i]
+		j = i
+	}
+	*q = h
+}
+
+func (q *nnQueue) pop() nnItem {
+	h := *q
+	n := len(h) - 1
+	h[0], h[n] = h[n], h[0]
+	for i := 0; ; {
+		j := 2*i + 1 // left child
+		if j >= n {
+			break
+		}
+		if j2 := j + 1; j2 < n && h[j2].dist < h[j].dist {
+			j = j2
+		}
+		if !(h[j].dist < h[i].dist) {
+			break
+		}
+		h[i], h[j] = h[j], h[i]
+		i = j
+	}
+	*q = h[:n]
+	return h[n]
+}
 
 // Nearest visits entries in order of increasing rectangle-to-rectangle
 // distance from q (MINDIST, a lower bound on the distance from q to any
@@ -358,9 +389,9 @@ func (t *Tree) Nearest(q geom.Rect, fn func(Entry, float64) bool) {
 	if t.size == 0 {
 		return
 	}
-	pq := &nnQueue{{dist: t.root.rect.Distance(q), node: t.root}}
-	for pq.Len() > 0 {
-		it := heap.Pop(pq).(nnItem)
+	pq := append(make(nnQueue, 0, 64), nnItem{dist: t.root.rect.Distance(q), node: t.root})
+	for len(pq) > 0 {
+		it := pq.pop()
 		if it.node == nil {
 			if !fn(it.entry, it.dist) {
 				return
@@ -370,9 +401,9 @@ func (t *Tree) Nearest(q geom.Rect, fn func(Entry, float64) bool) {
 		n := it.node
 		for i, r := range n.rects {
 			if n.leaf {
-				heap.Push(pq, nnItem{dist: r.Distance(q), entry: Entry{Rect: r, ID: n.ids[i]}})
+				pq.push(nnItem{dist: r.Distance(q), entry: Entry{Rect: r, ID: n.ids[i]}})
 			} else {
-				heap.Push(pq, nnItem{dist: r.Distance(q), node: n.children[i]})
+				pq.push(nnItem{dist: r.Distance(q), node: n.children[i]})
 			}
 		}
 	}

@@ -1,6 +1,7 @@
 package rtree
 
 import (
+	"container/heap"
 	"math"
 	"sort"
 	"testing"
@@ -212,6 +213,59 @@ func TestNearestOrdering(t *testing.T) {
 				t.Fatalf("probe %v: distances not monotone at %d: %v < %v", q, i, dists[i], dists[i-1])
 			}
 		}
+	}
+}
+
+// refQueue is nnQueue through container/heap: the order nnQueue's own
+// push and pop must reproduce, ties and NaN distances included.
+type refQueue []nnItem
+
+func (q refQueue) Len() int           { return len(q) }
+func (q refQueue) Less(i, j int) bool { return q[i].dist < q[j].dist }
+func (q refQueue) Swap(i, j int)      { q[i], q[j] = q[j], q[i] }
+func (q *refQueue) Push(x any)        { *q = append(*q, x.(nnItem)) }
+func (q *refQueue) Pop() any {
+	old := *q
+	it := old[len(old)-1]
+	*q = old[:len(old)-1]
+	return it
+}
+
+func TestNNQueueMatchesContainerHeap(t *testing.T) {
+	r := &pseudoRand{state: 5}
+	var q nnQueue
+	ref := &refQueue{}
+	for step := 0; step < 5000; step++ {
+		if len(q) == 0 || r.next()%3 != 0 {
+			it := nnItem{dist: float64(r.next() % 16), entry: Entry{ID: int64(step)}}
+			if r.next()%20 == 0 {
+				it.dist = math.NaN()
+			}
+			q.push(it)
+			heap.Push(ref, it)
+			continue
+		}
+		if got, want := q.pop(), heap.Pop(ref).(nnItem); got.entry.ID != want.entry.ID {
+			t.Fatalf("step %d: popped id %d, container/heap pops %d", step, got.entry.ID, want.entry.ID)
+		}
+	}
+}
+
+// TestNearestAllocs: a traversal allocates its queue and the queue's
+// growth, not one object per entry it visits.
+func TestNearestAllocs(t *testing.T) {
+	tr := BulkLoad(randomEntries(2000, 7), 16)
+	q := geom.Rect{MinX: 500, MinY: 500, MaxX: 510, MaxY: 510}
+	visits := 0
+	allocs := testing.AllocsPerRun(20, func() {
+		visits = 0
+		tr.Nearest(q, func(Entry, float64) bool {
+			visits++
+			return visits < 200
+		})
+	})
+	if allocs > 4 {
+		t.Fatalf("Nearest allocates %v times to visit %d entries, want <= 4", allocs, visits)
 	}
 }
 

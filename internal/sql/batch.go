@@ -2,6 +2,7 @@ package sql
 
 import (
 	"fmt"
+	"sync"
 
 	"jackpine/internal/storage"
 )
@@ -159,24 +160,34 @@ func (ex *batchExec) cascade(b *storage.ColBatch) ([]int, error) {
 }
 
 // idFetcher fetches the row ids an index probe yields, in its order, in
-// chunks of up to cap(ids), into a batch borrowed from the shared pool
-// for the read, and hands each fetched chunk to each; it stops the probe
-// as soon as each stops or fails. A stage-0 shard and a worker's join
-// stage each own one and reuse it, id buffer and bound probe callback
-// (add) included, from read to read, so a read allocates nothing.
+// chunks of up to size, into a batch borrowed from the shared pool for
+// the read, and hands each fetched chunk to each; it stops the probe as
+// soon as each stops or fails. The ids collect in a buffer borrowed from
+// idBufs for the read; readIDs slices its chunks from a candidate list
+// instead. A stage-0 shard and a worker's join stage each own one and
+// reuse it, bound probe callback (add) included, from read to read, so
+// a read allocates nothing.
 type idFetcher struct {
 	tbl  Table
 	proj Projection
 	each func(*storage.ColBatch) (bool, error)
 	add  func(RowID) bool // f.collect, bound once
-	ids  []RowID
+	size int
+	ids  []RowID           // the buffer of the read in progress
 	b    *storage.ColBatch // the batch of the read in progress
 	cont bool
 	err  error
 }
 
+// idBufs recycles the id buffers of idFetcher reads, each made at its
+// full size so a fresh one never grows.
+var idBufs = sync.Pool{New: func() any {
+	ids := make([]RowID, 0, storage.BatchSize)
+	return &ids
+}}
+
 func newIDFetcher(tbl Table, proj Projection, size int, each func(*storage.ColBatch) (bool, error)) *idFetcher {
-	f := &idFetcher{tbl: tbl, proj: proj, each: each, ids: make([]RowID, 0, size)}
+	f := &idFetcher{tbl: tbl, proj: proj, each: each, size: size}
 	f.add = f.collect
 	return f
 }
@@ -186,24 +197,47 @@ func newIDFetcher(tbl Table, proj Projection, size int, each func(*storage.ColBa
 func (f *idFetcher) read(search func(fn func(RowID) bool)) (bool, error) {
 	f.b = storage.GetColBatch()
 	defer storage.PutColBatch(f.b)
-	f.cont, f.err = true, nil
+	buf := idBufs.Get().(*[]RowID)
+	defer idBufs.Put(buf)
+	f.ids, f.cont, f.err = (*buf)[:0], true, nil
 	search(f.add)
 	if len(f.ids) > 0 && f.err == nil && f.cont {
-		f.flush()
+		f.fetch(f.ids)
 	}
-	f.ids = f.ids[:0]
+	*buf, f.ids = f.ids[:0], nil
+	return f.cont, f.err
+}
+
+// readIDs fetches ids, a probe's whole candidate list, in chunks sliced
+// from it, and reports whether each wants more rows.
+func (f *idFetcher) readIDs(ids []RowID) (bool, error) {
+	f.b = storage.GetColBatch()
+	defer storage.PutColBatch(f.b)
+	f.cont, f.err = true, nil
+	for len(ids) > 0 {
+		n := min(len(ids), f.size)
+		if !f.fetch(ids[:n]) {
+			break
+		}
+		ids = ids[n:]
+	}
 	return f.cont, f.err
 }
 
 func (f *idFetcher) collect(id RowID) bool {
 	f.ids = append(f.ids, id)
-	return len(f.ids) < cap(f.ids) || f.flush()
+	if len(f.ids) < f.size {
+		return true
+	}
+	ok := f.fetch(f.ids)
+	f.ids = f.ids[:0]
+	return ok
 }
 
-func (f *idFetcher) flush() bool {
-	if f.err = f.tbl.FetchBatch(f.ids, f.proj, f.b); f.err == nil {
+// fetch reads one chunk of ids and hands it to each.
+func (f *idFetcher) fetch(ids []RowID) bool {
+	if f.err = f.tbl.FetchBatch(ids, f.proj, f.b); f.err == nil {
 		f.cont, f.err = f.each(f.b)
 	}
-	f.ids = f.ids[:0]
 	return f.err == nil && f.cont
 }

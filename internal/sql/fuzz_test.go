@@ -1,7 +1,10 @@
 package sql
 
 import (
+	"fmt"
 	"reflect"
+	"strconv"
+	"strings"
 	"testing"
 
 	"jackpine/internal/storage"
@@ -9,7 +12,9 @@ import (
 
 // FuzzParse asserts the SQL front door never panics: whatever bytes a
 // client sends over the wire reach Parse verbatim, so the parser must
-// reject garbage with an error, not a crash. Successfully parsed
+// reject garbage with an error, not a crash. A ShapeCache warmed with a
+// sibling of the text, the same shape with its literals redrawn,
+// returns Parse's tree or Parse's error text. Successfully parsed
 // statements additionally round-trip through CloneStatement (the cluster
 // rewriter depends on clones being faithful: it edits a clone of the
 // client's statement into each per-shard variant), and a SELECT stays
@@ -38,12 +43,29 @@ func FuzzParse(f *testing.F) {
 		"SELECT * FROM t WHERE ((((",
 		"select /* comment */ 1",
 		"'unterminated",
+		"SELECT a FROM t WHERE x = -5 AND y > - -2.5 AND z < -(3)",
+		"SELECT name FROM edges WHERE name = 'O''Brien' AND note = ''''",
+		"SELECT a FROM t WHERE b < 1e+5 AND c > .5e-3",
+		"SELECT a FROM t WHERE b = 9223372036854775808",
+		"SELECT a FROM t ORDER BY a LIMIT 10 OFFSET 20",
+		"EXPLAIN SELECT a FROM t WHERE b = 'x' LIMIT 1",
+		"SELECT a FROM t WHERE b = 1\x01",
 	}
 	for _, s := range seeds {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, src string) {
 		stmt, err := Parse(src)
+		var c ShapeCache
+		if sib, ok := sibling(src); ok {
+			_, _ = c.Parse(sib)
+		}
+		for range 2 { // a hit on the sibling's template, then perhaps on src's own
+			got, gerr := c.Parse(src)
+			if fmt.Sprint(gerr) != fmt.Sprint(err) || !reflect.DeepEqual(got, stmt) {
+				t.Fatalf("ShapeCache.Parse(%q) = %v, %v; Parse = %v, %v", src, got, gerr, stmt, err)
+			}
+		}
 		if err != nil {
 			return
 		}
@@ -92,4 +114,29 @@ func bindSelect(sel *Select) {
 	for _, e := range append(exprs, sel.GroupBy...) {
 		_, _ = Bind(e, scope, reg, false)
 	}
+}
+
+// sibling returns src with each literal the shape cache lifts redrawn
+// to another of its kind, or false when src bypasses the cache.
+func sibling(src string) (string, bool) {
+	var sc shapeScratch
+	if len(src) > maxShapeText || hasMark(src) || !sc.scan(src) {
+		return "", false
+	}
+	var b strings.Builder
+	last := 0
+	for i, sp := range sc.spans {
+		b.WriteString(src[last:sp.start])
+		switch sp.mark {
+		case markInt:
+			b.WriteString(strconv.Itoa(i + 1))
+		case markFloat:
+			b.WriteString("." + strconv.Itoa(i) + "5")
+		default:
+			b.WriteString("'s" + strconv.Itoa(i) + "''q'")
+		}
+		last = sp.end
+	}
+	b.WriteString(src[last:])
+	return b.String(), true
 }

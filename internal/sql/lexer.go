@@ -30,6 +30,16 @@ type lexer struct {
 	toks []token
 }
 
+// lexFault names the lex error scan stopped at, if any.
+type lexFault uint8
+
+const (
+	lexOK lexFault = iota
+	lexUnterminatedString
+	lexUnterminatedQuote
+	lexBadChar
+)
+
 // lex tokenizes the whole input up front.
 func lex(src string) ([]token, error) {
 	l := &lexer{src: src}
@@ -49,8 +59,45 @@ func (l *lexer) errorf(format string, args ...any) error {
 	return fmt.Errorf("sql: lex error at offset %d: %s", l.pos, fmt.Sprintf(format, args...))
 }
 
+// next scans the next token and builds its text.
 func (l *lexer) next() (token, error) {
-	// Skip whitespace and comments.
+	kind, start, fault := l.scan()
+	switch fault {
+	case lexUnterminatedString:
+		return token{}, l.errorf("unterminated string literal")
+	case lexUnterminatedQuote:
+		return token{}, l.errorf("unterminated quoted identifier")
+	case lexBadChar:
+		return token{}, l.errorf("unexpected character %q", string(l.src[l.pos]))
+	}
+	raw := l.src[start:l.pos]
+	switch kind {
+	case tokEOF:
+		return token{kind: tokEOF, pos: start}, nil
+	case tokIdent:
+		if raw[0] == '"' {
+			// Quoted identifier: preserved case.
+			raw = raw[1 : len(raw)-1]
+			return token{kind: tokIdent, text: raw, raw: raw, pos: start}, nil
+		}
+		return token{kind: tokIdent, text: strings.ToUpper(raw), raw: raw, pos: start}, nil
+	case tokString:
+		s := strings.Clone(unquote(raw))
+		return token{kind: tokString, text: s, raw: s, pos: start}, nil
+	case tokOp:
+		if raw == "!=" {
+			raw = "<>"
+		}
+	}
+	return token{kind: kind, text: raw, raw: raw, pos: start}, nil
+}
+
+// scan skips whitespace and comments, then advances past one token and
+// returns its kind and start offset (tokEOF at the end of input). It
+// allocates nothing, so the shape scan (shape.go) follows the very
+// token rules Parse does. On a fault, l.pos is where the error is
+// reported.
+func (l *lexer) scan() (tokenKind, int, lexFault) {
 	for l.pos < len(l.src) {
 		c := l.src[l.pos]
 		switch {
@@ -65,18 +112,17 @@ func (l *lexer) next() (token, error) {
 		}
 	}
 scan:
-	if l.pos >= len(l.src) {
-		return token{kind: tokEOF, pos: l.pos}, nil
-	}
 	start := l.pos
+	if l.pos >= len(l.src) {
+		return tokEOF, start, lexOK
+	}
 	c := l.src[l.pos]
 	switch {
 	case isIdentStart(c):
 		for l.pos < len(l.src) && isIdentPart(l.src[l.pos]) {
 			l.pos++
 		}
-		raw := l.src[start:l.pos]
-		return token{kind: tokIdent, text: strings.ToUpper(raw), raw: raw, pos: start}, nil
+		return tokIdent, start, lexOK
 
 	case c >= '0' && c <= '9' || c == '.' && l.pos+1 < len(l.src) && isDigit(l.src[l.pos+1]):
 		for l.pos < len(l.src) && (isDigit(l.src[l.pos]) || l.src[l.pos] == '.' ||
@@ -84,64 +130,62 @@ scan:
 			((l.src[l.pos] == '+' || l.src[l.pos] == '-') && (l.src[l.pos-1] == 'e' || l.src[l.pos-1] == 'E'))) {
 			l.pos++
 		}
-		raw := l.src[start:l.pos]
-		return token{kind: tokNumber, text: raw, raw: raw, pos: start}, nil
+		return tokNumber, start, lexOK
 
 	case c == '\'':
+		// A doubled quote is an escaped one; the first lone quote ends
+		// the literal.
 		l.pos++
-		var sb strings.Builder
 		for {
-			if l.pos >= len(l.src) {
-				return token{}, l.errorf("unterminated string literal")
+			end := strings.IndexByte(l.src[l.pos:], '\'')
+			if end < 0 {
+				l.pos = len(l.src)
+				return tokEOF, start, lexUnterminatedString
 			}
-			ch := l.src[l.pos]
-			if ch == '\'' {
-				if l.pos+1 < len(l.src) && l.src[l.pos+1] == '\'' {
-					sb.WriteByte('\'')
-					l.pos += 2
-					continue
-				}
+			l.pos += end + 1
+			if l.pos < len(l.src) && l.src[l.pos] == '\'' {
 				l.pos++
-				break
+				continue
 			}
-			sb.WriteByte(ch)
-			l.pos++
+			return tokString, start, lexOK
 		}
-		return token{kind: tokString, text: sb.String(), raw: sb.String(), pos: start}, nil
 
 	case c == '"':
-		// Quoted identifier: preserved case.
 		l.pos++
 		end := strings.IndexByte(l.src[l.pos:], '"')
 		if end < 0 {
-			return token{}, l.errorf("unterminated quoted identifier")
+			return tokEOF, start, lexUnterminatedQuote
 		}
-		raw := l.src[l.pos : l.pos+end]
 		l.pos += end + 1
-		return token{kind: tokIdent, text: raw, raw: raw, pos: start}, nil
+		return tokIdent, start, lexOK
 
 	default:
 		// Multi-character operators first.
-		two := ""
 		if l.pos+1 < len(l.src) {
-			two = l.src[l.pos : l.pos+2]
-		}
-		switch two {
-		case "<=", ">=", "<>", "!=", "||":
-			l.pos += 2
-			if two == "!=" {
-				two = "<>"
+			switch l.src[l.pos : l.pos+2] {
+			case "<=", ">=", "<>", "!=", "||":
+				l.pos += 2
+				return tokOp, start, lexOK
 			}
-			return token{kind: tokOp, text: two, raw: two, pos: start}, nil
 		}
 		switch c {
 		case '=', '<', '>', '+', '-', '*', '/', '%', '(', ')', ',', ';', '.':
 			l.pos++
-			s := string(c)
-			return token{kind: tokOp, text: s, raw: s, pos: start}, nil
+			return tokOp, start, lexOK
 		}
-		return token{}, l.errorf("unexpected character %q", string(c))
+		return tokEOF, start, lexBadChar
 	}
+}
+
+// unquote returns the content of a scanned string literal, quotes
+// stripped and each doubled quote collapsed to one. Without escapes it
+// is a substring of raw.
+func unquote(raw string) string {
+	s := raw[1 : len(raw)-1]
+	if strings.Contains(s, "''") {
+		return strings.ReplaceAll(s, "''", "'")
+	}
+	return s
 }
 
 func isIdentStart(c byte) bool {

@@ -104,8 +104,10 @@ func (r *Runner) stage0Source(tbl Table, path *accessPath, filters *filterPlan,
 		}, nil
 	}
 
-	// probe yields shard w's row ids in index order.
+	// probe yields shard w's row ids in index order; a spatial window
+	// instead searches once, into cands.
 	var probe func(shard int, fn func(RowID) bool)
+	var cands []RowID
 	chunk := storage.BatchSize
 	if path.kind == accessKNN {
 		// Ids arrive in non-decreasing MINDIST from the probe's envelope
@@ -124,26 +126,23 @@ func (r *Runner) stage0Source(tbl Table, path *accessPath, filters *filterPlan,
 		}
 		probe = func(_ int, fn func(RowID) bool) { p.search(fn) }
 		if path.kind == accessSpatialWindow {
-			// One search; each shard takes a contiguous run of its ids.
-			var cands []RowID
 			p.search(func(id RowID) bool {
 				cands = append(cands, id)
 				return true
 			})
-			probe = func(shard int, fn func(RowID) bool) {
-				for _, id := range cands[shard*len(cands)/workers : (shard+1)*len(cands)/workers] {
-					if !fn(id) {
-						return
-					}
-				}
-			}
 		}
 	}
 	proj := Projection{Need: plan.eager, MBRCol: -1, Ephemeral: path.ephemeral, Compares: plan.prefilter}
 	return func(shard int, emit emitFn) error {
 		ex, forward := plan.newExec(), pipeline(emit)
 		f := newIDFetcher(tbl, proj, chunk, func(b *storage.ColBatch) (bool, error) { return ex.run(b, forward) })
-		_, err := f.read(func(fn func(RowID) bool) { probe(shard, fn) })
+		var err error
+		if path.kind == accessSpatialWindow {
+			// Each shard takes a contiguous run of the candidates.
+			_, err = f.readIDs(cands[shard*len(cands)/workers : (shard+1)*len(cands)/workers])
+		} else {
+			_, err = f.read(func(fn func(RowID) bool) { probe(shard, fn) })
+		}
 		return err
 	}, nil
 }

@@ -14,7 +14,12 @@ func Parse(src string) (Statement, error) {
 	if err != nil {
 		return nil, err
 	}
-	p := &parser{toks: toks}
+	return (&parser{toks: toks}).parse()
+}
+
+// parse parses the token stream as one statement, optionally ended by
+// a semicolon.
+func (p *parser) parse() (Statement, error) {
 	stmt, err := p.parseStatement()
 	if err != nil {
 		return nil, err
@@ -29,6 +34,10 @@ func Parse(src string) (Statement, error) {
 type parser struct {
 	toks []token
 	pos  int
+	// lits, when non-nil, records each value literal the parse builds
+	// from a number or string token (the shape cache's template parse,
+	// shape.go); nil for a plain Parse.
+	lits *[]litNode
 }
 
 func (p *parser) peek() token { return p.toks[p.pos] }
@@ -642,11 +651,16 @@ func (p *parser) parseUnary() (Expr, error) {
 			return nil, err
 		}
 		if lit, ok := e.(*Literal); ok {
+			var folded *Literal
 			switch lit.Value.Type {
 			case storage.TypeInt:
-				return &Literal{Value: storage.NewInt(-lit.Value.Int)}, nil
+				folded = &Literal{Value: storage.NewInt(-lit.Value.Int)}
 			case storage.TypeFloat:
-				return &Literal{Value: storage.NewFloat(-lit.Value.Float)}, nil
+				folded = &Literal{Value: storage.NewFloat(-lit.Value.Float)}
+			}
+			if folded != nil {
+				p.noteFold(lit, folded)
+				return folded, nil
 			}
 		}
 		return &UnaryExpr{Op: "-", Expr: e}, nil
@@ -654,27 +668,60 @@ func (p *parser) parseUnary() (Expr, error) {
 	return p.parsePrimary()
 }
 
+// noteLiteral records that token tok became lit.
+func (p *parser) noteLiteral(tok int, lit *Literal) *Literal {
+	if p.lits != nil {
+		*p.lits = append(*p.lits, litNode{tok: tok, node: lit})
+	}
+	return lit
+}
+
+// noteFold records that a unary minus folded lit into folded.
+func (p *parser) noteFold(lit, folded *Literal) {
+	if p.lits == nil {
+		return
+	}
+	for i := len(*p.lits) - 1; i >= 0; i-- {
+		if n := &(*p.lits)[i]; n.node == lit {
+			n.node = folded
+			n.neg++
+			return
+		}
+	}
+}
+
+// floatText reports whether a number token is a float literal rather
+// than an integer one.
+func floatText(num string) bool {
+	for i := 0; i < len(num); i++ {
+		if c := num[i]; c == '.' || c == 'e' || c == 'E' {
+			return true
+		}
+	}
+	return false
+}
+
 func (p *parser) parsePrimary() (Expr, error) {
 	t := p.peek()
 	switch t.kind {
 	case tokNumber:
 		p.advance()
-		if strings.ContainsAny(t.text, ".eE") {
+		if floatText(t.text) {
 			f, err := strconv.ParseFloat(t.text, 64)
 			if err != nil {
 				return nil, p.errorf("bad number %q", t.raw)
 			}
-			return &Literal{Value: storage.NewFloat(f)}, nil
+			return p.noteLiteral(p.pos-1, &Literal{Value: storage.NewFloat(f)}), nil
 		}
 		n, err := strconv.ParseInt(t.text, 10, 64)
 		if err != nil {
 			return nil, p.errorf("bad integer %q", t.raw)
 		}
-		return &Literal{Value: storage.NewInt(n)}, nil
+		return p.noteLiteral(p.pos-1, &Literal{Value: storage.NewInt(n)}), nil
 
 	case tokString:
 		p.advance()
-		return &Literal{Value: storage.NewText(t.text)}, nil
+		return p.noteLiteral(p.pos-1, &Literal{Value: storage.NewText(t.text)}), nil
 
 	case tokOp:
 		if t.text == "(" {

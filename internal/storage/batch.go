@@ -102,6 +102,15 @@ func (b *ColBatch) Reset(width, nCols int) {
 	b.ids = b.ids[:0]
 	b.Sel = b.Sel[:0]
 	b.Coords.Reset()
+	// Size the per-slot arrays for a full batch at once: a pooled batch
+	// that served only point fetches then fills a scan's batch without
+	// growing them slot by slot.
+	if cap(b.ids) < BatchSize {
+		b.ids, b.Sel = make([]int64, 0, BatchSize), make([]int, 0, BatchSize)
+	}
+	if cap(b.colOffs) < BatchSize*nCols {
+		b.colOffs, b.colEnds = make([]int32, 0, BatchSize*nCols), make([]int32, 0, BatchSize*nCols)
+	}
 }
 
 // Len returns the number of filled slots.

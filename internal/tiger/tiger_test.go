@@ -196,3 +196,21 @@ func TestQuotingInNames(t *testing.T) {
 		t.Errorf("quoted name = %q", res.Rows[0][0].Text)
 	}
 }
+
+// TestWKTAllocsPerCall pins geom.WKT to one allocation, its string, on
+// every polygon of a generated dataset: the text is formatted into a
+// pooled buffer sized from the coordinate count, which never grows.
+func TestWKTAllocsPerCall(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector drops pooled buffers at random")
+	}
+	ds := Generate(Small, 1)
+	for _, layer := range [][]Area{ds.AreaWater, ds.AreaLandmarks, ds.Parcels} {
+		for _, a := range layer {
+			var g geom.Geometry = a.Geom
+			if allocs := testing.AllocsPerRun(20, func() { _ = geom.WKT(g) }); allocs > 1 {
+				t.Fatalf("WKT of a %d-coordinate polygon: %v allocations, want 1", g.NumCoords(), allocs)
+			}
+		}
+	}
+}
